@@ -11,11 +11,13 @@
 #   make bench-smoke  quick perf sanity
 #   make serve-smoke  replay a canned trace through `cddpd serve --once`
 #                     and assert the cddpd-serve/1 JSON status
+#   make perf-smoke   one-second runs of the serve benchmark (perfbench/)
+#                     on every workload: its correctness gate only
 
 DUNE ?= dune
 JOBS ?=
 
-.PHONY: all build check test lint lint-update-baseline bench-smoke bench serve-smoke clean
+.PHONY: all build check test lint lint-update-baseline bench-smoke bench serve-smoke perf-smoke clean
 
 all: build
 
@@ -79,6 +81,18 @@ serve-smoke:
 	  && { echo "serve-smoke: expected at least one deployment"; exit 1; } || true
 	@echo "serve-smoke: OK $$(cat _serve_smoke_status.json)"
 	@rm -f _serve_smoke_trace.sql _serve_smoke_status.json
+
+# The serve benchmark's correctness gate (perfbench/README.md) on each
+# workload: no failed statements, the report invariants hold, and every
+# replay makes the same decisions.  Any violation exits non-zero.  The
+# timings it prints are too short to compare.
+PERF_WORKLOADS = steady drift writes
+
+perf-smoke:
+	@for w in $(PERF_WORKLOADS); do \
+	  echo "perf-smoke: $$w"; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 clean:
 	$(DUNE) clean

@@ -172,7 +172,7 @@ module Reuse = struct
   }
 
   type t = {
-    cache : Cost_cache.t;
+    cache : Cost_cache.t;  (** TRANS structure-build memo only *)
     mutable summary : reuse_summary option;
     mutable t_builds : int;
     mutable t_exec_columns_reused : int;
@@ -181,9 +181,9 @@ module Reuse = struct
     mutable t_stats_invalidations : int;
   }
 
-  let create ?capacity () =
+  let create () =
     {
-      cache = Cost_cache.create ?capacity ();
+      cache = Cost_cache.create ();
       summary = None;
       t_builds = 0;
       t_exec_columns_reused = 0;
@@ -246,33 +246,25 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   (* Stale-statistics gate: a session summary (and the persistent build
      memo, whose keys do not embed statistics) is only trusted while
      every table it was computed under still fingerprints the same.  Any
-     mismatch drops the whole summary and the build memo — statement
-     cache entries self-invalidate through their keys and are kept. *)
-  let fp_tbl = Hashtbl.create 8 in
+     mismatch drops the whole summary and the build memo. *)
   (match reuse with
-  | None -> ()
-  | Some r -> (
-      (* cddpd-lint: allow determinism — keyed replace into a per-table map; each key is visited once *)
+  | Some ({ Reuse.summary = Some s; _ } as r) ->
+      let stale = ref false in
+      (* cddpd-lint: allow determinism — order-insensitive staleness check: any mismatch sets the flag *)
       Hashtbl.iter
-        (fun table stats -> Hashtbl.replace fp_tbl table (Table_stats.fingerprint stats))
+        (fun table stats ->
+          match Hashtbl.find_opt s.s_fingerprints table with
+          | Some recorded when not (String.equal recorded (Table_stats.fingerprint stats)) ->
+              stale := true
+          | Some _ | None -> ())
         stats_tbl;
-      match r.Reuse.summary with
-      | None -> ()
-      | Some s ->
-          let stale = ref false in
-          (* cddpd-lint: allow determinism — order-insensitive staleness check: any mismatch sets the flag *)
-          Hashtbl.iter
-            (fun table fp ->
-              match Hashtbl.find_opt s.s_fingerprints table with
-              | Some recorded when not (String.equal recorded fp) -> stale := true
-              | Some _ | None -> ())
-            fp_tbl;
-          if !stale then begin
-            r.Reuse.summary <- None;
-            Cost_cache.invalidate_builds cache;
-            r.Reuse.t_stats_invalidations <- r.Reuse.t_stats_invalidations + 1;
-            Obs.Counter.incr m_reopt_invalidations
-          end));
+      if !stale then begin
+        r.Reuse.summary <- None;
+        Cost_cache.invalidate_builds cache;
+        r.Reuse.t_stats_invalidations <- r.Reuse.t_stats_invalidations + 1;
+        Obs.Counter.incr m_reopt_invalidations
+      end
+  | Some { Reuse.summary = None; _ } | None -> ());
   let reuse_summary =
     match reuse with Some r -> r.Reuse.summary | None -> None
   in
@@ -282,11 +274,11 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   (* Exec half of the next summary, assembled inside the compressed
      branch (cluster table + per-design cluster costs). *)
   let pending_exec_summary = ref None in
-  (* EXEC matrix: one column per configuration, filled in parallel with a
-     domain-local cache per chunk (columns share repeated statements, so
-     chunking by configuration keeps the hit rate local).  Each cell is an
-     independent left-to-right sum, so the matrix is bit-identical
-     whatever the domain count. *)
+  (* EXEC matrix: one column per configuration, filled in parallel.  Each
+     cell is an independent left-to-right sum, so the matrix is
+     bit-identical whatever the domain count.  The uncompressed fill gives
+     each chunk a domain-local cache (columns share repeated statements,
+     so chunking by configuration keeps the hit rate local). *)
   let total_statements = Array.fold_left (fun acc step -> acc + Array.length step) 0 steps in
   let exec_jobs =
     if total_statements * n_configs < sequential_threshold then 1
@@ -356,8 +348,10 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
       in
       (* Relevant-column dedup: configurations whose designs agree on the
          workload-relevant structures have bit-identical columns, so only
-         the first of each class is filled and the rest copy it. *)
-      let relevance = relevance_summary steps in
+         the first of each class is filled and the rest copy it.  Equal
+         keys imply equal relevance inputs (table, statement kind, columns
+         read), so the representatives summarise the whole workload. *)
+      let relevance = relevance_summary [| reps |] in
       let relevant_key =
         let memo = Hashtbl.create 32 in
         fun structure ->
@@ -409,6 +403,16 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
                    | None -> -1)
                  cluster_keys)
       in
+      (* A cell is copied when both its column's design and its cluster
+         appeared in the previous build; every other cell is recosted. *)
+      let prev_costs =
+        Array.map
+          (fun c ->
+            match (reuse_summary, design_keys.(c)) with
+            | Some s, Some dk -> Hashtbl.find_opt s.s_by_design dk
+            | _ -> None)
+          fill_configs
+      in
       (match reuse with
       | None -> ()
       | Some r ->
@@ -426,50 +430,39 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
             | None -> false
           in
           if all_matched then begin
-            let reused_columns = ref 0 in
-            (match reuse_summary with
-            | Some s ->
-                Array.iter
-                  (fun c ->
-                    match design_keys.(c) with
-                    | Some dk when Hashtbl.mem s.s_by_design dk -> incr reused_columns
-                    | Some _ | None -> ())
-                  fill_configs
-            | None -> ());
-            r.Reuse.t_exec_columns_reused <-
-              r.Reuse.t_exec_columns_reused + !reused_columns;
-            Obs.Counter.add m_reopt_exec_reused !reused_columns
+            let reused_columns =
+              Array.fold_left (fun acc pc -> if Option.is_some pc then acc + 1 else acc) 0 prev_costs
+            in
+            r.Reuse.t_exec_columns_reused <- r.Reuse.t_exec_columns_reused + reused_columns;
+            Obs.Counter.add m_reopt_exec_reused reused_columns
           end);
+      let every_column_known = Array.for_all Option.is_some prev_costs in
+      (* Bind, on this domain, exactly the representatives some filled
+         column recosts: their selectivities are computed once here, and
+         every recosted cell below is a bound what-if call.  Within one
+         build each (cluster, relevance class) cell is unique, so no memo
+         could hit; across builds the reuse summary is the memo. *)
+      let bound =
+        Array.init n_clusters (fun r ->
+            let matched = match prev_cluster with Some pm -> pm.(r) >= 0 | None -> false in
+            if matched && every_column_known then None
+            else
+              let rep = reps.(r) in
+              Some (Cost_model.bind (stats_of (table_of rep)) rep))
+      in
       let results =
-        (* cddpd-lint: allow domain-race — same discipline as the EXEC build above: create_local per worker, merge after the join, obs writes main-domain gated by Switch.active *)
+        (* cddpd-lint: allow domain-race — workers read the bound statements and previous costs prepared above and write disjoint exec columns; obs counter writes are main-domain gated by Switch.active *)
         Parallel.map_chunks ~jobs:exec_jobs ~n:n_fill (fun ~lo ~hi ->
-            let local = Cost_cache.create_local cache in
             let collected = ref [] in
             for t = lo to hi - 1 do
               let c = fill_configs.(t) in
               let design = designs.(c) in
-              let design_key = design_keys.(c) in
-              let prev_costs =
-                match (reuse_summary, design_key) with
-                | Some s, Some dk -> Hashtbl.find_opt s.s_by_design dk
-                | _ -> None
-              in
               let cluster_cost = Array.make (max 1 n_clusters) 0.0 in
               for r = 0 to n_clusters - 1 do
-                let copied =
-                  match (prev_costs, prev_cluster) with
-                  | Some pc, Some pm when pm.(r) >= 0 ->
-                      cluster_cost.(r) <- pc.(pm.(r));
-                      true
-                  | _ -> false
-                in
-                if not copied then begin
-                  let rep = reps.(r) in
-                  cluster_cost.(r) <-
-                    Cost_cache.statement_cost local params
-                      (stats_of (table_of rep))
-                      ~design ?design_key rep
-                end
+                match (prev_costs.(t), prev_cluster, bound.(r)) with
+                | Some pc, Some pm, _ when pm.(r) >= 0 -> cluster_cost.(r) <- pc.(pm.(r))
+                | _, _, Some b -> cluster_cost.(r) <- Cost_model.bound_cost params b design
+                | _, _, None -> assert false (* bound above: this cell is recosted *)
               done;
               for s = 0 to n_steps - 1 do
                 let ids = cluster_ids.(s) in
@@ -481,9 +474,8 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
               done;
               if Option.is_some reuse then collected := (c, cluster_cost) :: !collected
             done;
-            (local, !collected))
+            !collected)
       in
-      let locals = List.map fst results in
       for c = 0 to n_configs - 1 do
         let src = column_src.(c) in
         if src <> c then
@@ -507,7 +499,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
               match design_keys.(c) with
               | Some dk -> Hashtbl.replace s_by_design dk costs
               | None -> ())
-            (List.concat_map snd results);
+            (List.concat results);
           for c = 0 to n_configs - 1 do
             let src = column_src.(c) in
             if src <> c then
@@ -519,7 +511,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
               | _ -> ()
           done;
           pending_exec_summary := Some (s_cluster_id_of, s_by_design));
-      locals
+      []
     end
   in
   List.iter (fun local -> Cost_cache.merge ~into:cache local) locals;
@@ -684,15 +676,10 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
               | None -> ())
             design_keys;
           let s_fingerprints = Hashtbl.create 8 in
-          (if Hashtbl.length fp_tbl > 0 then
-             (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)
-             Hashtbl.iter (fun t fp -> Hashtbl.replace s_fingerprints t fp) fp_tbl
-           else
-             (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)
-             Hashtbl.iter
-               (fun t stats ->
-                 Hashtbl.replace s_fingerprints t (Table_stats.fingerprint stats))
-               stats_tbl);
+          (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)
+          Hashtbl.iter
+            (fun t stats -> Hashtbl.replace s_fingerprints t (Table_stats.fingerprint stats))
+            stats_tbl;
           r.Reuse.summary <-
             Some { s_cluster_id_of; s_by_design; s_id_of_design; s_trans = trans; s_fingerprints }));
   Cost_cache.publish_obs cache;

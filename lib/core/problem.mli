@@ -35,11 +35,13 @@ type t = private {
 module Reuse : sig
   type t
   (** Persistent state an advisor session threads through successive
-      {!build} calls: a shared {!Cddpd_engine.Cost_cache} (statement
-      entries and the structure build memo stay hot between
-      re-optimizations) plus the previous build's compressed cluster
-      table, per-design cluster costs, and TRANS matrix, all keyed by
-      {!Cddpd_engine.Cost_key} cost identities.  A build given a [Reuse.t]
+      {!build} calls: the previous build's compressed cluster table,
+      per-design cluster costs, and TRANS matrix, all keyed by
+      {!Cddpd_engine.Cost_key} cost identities, plus a
+      {!Cddpd_engine.Cost_cache} that holds only the TRANS structure-build
+      memo.  The cluster-cost table is the session's EXEC memo: within
+      one build every (cluster, relevance class) cell is unique, so
+      statement entries could never hit.  A build given a [Reuse.t]
       copies every exec cluster cost whose (design, cluster) identity
       already appeared in the previous build and every TRANS entry
       between configuration pairs that both existed before, and only
@@ -65,21 +67,20 @@ module Reuse : sig
             changed (forces a full recost; the build memo is flushed) *)
   }
 
-  val create : ?capacity:int -> unit -> t
-  (** Fresh session state with an empty cache ([capacity] as
-      {!Cddpd_engine.Cost_cache.create}). *)
+  val create : unit -> t
+  (** Fresh session state with an empty summary and build memo. *)
 
   val flush : t -> unit
   (** Drop the previous-build summary and the structure build memo, as a
-      statistics invalidation would.  The next build recosts everything
-      (statement cache entries survive; their keys self-invalidate). *)
+      statistics invalidation would.  The next build recosts everything. *)
 
   val tallies : t -> tallies
   (** Cumulative reuse accounting — the plain-int mirror of the
       [reopt.*] counters, readable with instrumentation off. *)
 
   val cache_stats : t -> Cddpd_engine.Cost_cache.stats
-  (** The session cache's hit/miss/eviction/generation tallies. *)
+  (** The session cache's hit/miss tallies: structure-build lookups of
+      the TRANS fill. *)
 end
 
 val build :
@@ -116,7 +117,11 @@ val build :
     identity ([workload.clusters]) so each configuration costs one
     what-if call per cluster instead of per statement, and configurations
     whose designs agree on their workload-relevant structures share one
-    column fill ([problem.exec_columns_skipped]).
+    column fill ([problem.exec_columns_skipped]).  The compressed fill
+    binds each recosted cluster's representative once
+    ({!Cddpd_engine.Cost_model.bind}) and costs its cells with
+    {!Cddpd_engine.Cost_model.bound_cost}, bypassing the statement cache:
+    every (cluster, column) cell is distinct, so it could never hit.
 
     [reuse] threads the session state of {!Reuse} through the build:
     exec cluster costs and TRANS entries already known from the previous
@@ -124,8 +129,8 @@ val build :
     [reopt.exec_columns_reused], [reopt.clusters_recosted],
     [reopt.trans_blocks_reused], [reopt.stats_invalidations]), and the
     finished build replaces the session summary.  [reuse] implies
-    [compress_workload] and caches through the session's persistent
-    cache ([cost_cache] is ignored).
+    [compress_workload] and memoizes structure build costs in the
+    session's persistent cache ([cost_cache] is ignored).
 
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,

@@ -4,12 +4,11 @@
     {e between} re-optimizations, so that consecutive drift events do not
     pay from-scratch costing and cold-started search:
 
-    - a persistent {!Problem.Reuse} session: the shared
-      {!Cddpd_engine.Cost_cache} (statement entries and the structure
-      build memo stay warm across builds) plus the previous build's
-      compressed cluster table and TRANS matrix, which
-      {!Problem.build} consults to copy unchanged exec columns and
-      TRANS entries and recost only the delta;
+    - a persistent {!Problem.Reuse} session: the previous build's
+      compressed cluster table and TRANS matrix, which {!Problem.build}
+      consults to copy unchanged exec columns and TRANS entries and
+      recost only the delta, plus a {!Cddpd_engine.Cost_cache} whose
+      structure build memo stays warm across builds;
     - warm-started solving: {!solve} seeds the exact solvers'
       branch-and-bound with the incumbent's hold-at-C0 what-if cost
       (a feasible zero-change schedule, hence always a valid upper
@@ -34,9 +33,9 @@ type stats = {
   reuse : Problem.Reuse.tallies;
       (** exec/TRANS reuse accounting (zeros when reuse is disabled) *)
   cache : Cddpd_engine.Cost_cache.stats;
-      (** the persistent cache's hits/misses/evictions/generations
-          (zeros when reuse is disabled — builds then use per-build
-          caches) *)
+      (** the persistent cache's hits/misses/evictions/generations:
+          structure build lookups of the TRANS fill (zeros when reuse is
+          disabled — builds then use per-build caches) *)
 }
 
 val create : ?reuse:bool -> Cddpd_engine.Database.t -> t

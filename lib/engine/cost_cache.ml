@@ -131,7 +131,7 @@ let statement_cost t params stats ~design ?design_key statement =
         match design_key with Some k -> k | None -> Cost_key.design design
       in
       find_or_compute c
-        (Cost_key.statement_under_design ~design_key stats statement)
+        (Cost_key.statement_under_design ~design ~design_key stats statement)
         (fun () -> Cost_model.statement_cost params stats design statement)
 
 let structure_build_cost t params stats structure =

@@ -11,31 +11,6 @@ module Page = Cddpd_storage.Page
 module Obs = Cddpd_obs
 
 let m_calls = Obs.Registry.counter "cost_model.calls"
-let m_repeat_calls = Obs.Registry.counter "cost_model.repeat_calls"
-
-(* Cache-worthiness probe: [repeat_calls] counts statement_cost calls whose
-   cost identity (Cost_key — statement shape, selectivities, design) was
-   costed before — i.e. the hits a memo table in front of the cost model
-   would get.  Tracked only while instrumentation is enabled; keyed by
-   Cost_key (collision-safe for distinct costs), so the count is exact.
-   The mutex makes the probe safe when Problem.build costs in parallel; it
-   is only taken while instrumentation is on. *)
-let seen_calls : (string, unit) Hashtbl.t = Hashtbl.create 4096
-
-let seen_calls_mutex = Mutex.create ()
-
-let () = Obs.Registry.on_reset (fun () -> Hashtbl.reset seen_calls)
-
-let note_statement_cost_call stats statement design =
-  Obs.Counter.incr m_calls;
-  if Obs.Registry.enabled () then begin
-    let key =
-      Cost_key.statement_under_design ~design_key:(Cost_key.design design) stats statement
-    in
-    Mutex.protect seen_calls_mutex (fun () ->
-        if Hashtbl.mem seen_calls key then Obs.Counter.incr m_repeat_calls
-        else Hashtbl.add seen_calls key ())
-  end
 
 type params = {
   page_io : float;
@@ -149,9 +124,59 @@ let full_scan_cost params stats =
   let rows = float_of_int (Table_stats.row_count stats) in
   (params.page_io *. pages) +. (params.row_cpu *. rows)
 
+(* -- bound statements --------------------------------------------------------
+
+   Everything the EXEC formulas read from a statement that does not depend
+   on the design: the per-predicate selectivities (the costly part — a
+   histogram lookup each) and the column sets plan choice tests every
+   index against.  Binding once and costing under many designs folds the
+   same floats in the same order as costing each design from scratch, so
+   the results are bit-identical. *)
+
+type bound = {
+  stats : Table_stats.t;
+  statement : Ast.statement;
+  table : string;
+  where : Ast.predicate list;
+  sels : float array;  (** [where]'s selectivities, in WHERE order *)
+  conj : float;  (** their left-fold product: the conjunction selectivity *)
+  eq : (string * Ast.value) list;  (** [Ast.eq_columns] of [where] *)
+  referenced : string list option;
+      (** columns an index must hold to cover the statement; [None] when
+          nothing can cover it ([*] projections, DML victim search) *)
+}
+
+let bind stats statement =
+  let where = Ast.where_of statement in
+  let table, referenced =
+    match statement with
+    | Ast.Select { table; projection = Ast.Columns _; _ } ->
+        (table, Some (Ast.referenced_columns statement))
+    | Ast.Select { table; projection = Ast.Star; _ }
+    | Ast.Select_agg { table; _ }
+    | Ast.Insert { table; _ }
+    | Ast.Delete { table; _ }
+    | Ast.Update { table; _ } ->
+        (table, None)
+  in
+  let sels = Array.of_list (List.map (Table_stats.predicate_selectivity stats) where) in
+  {
+    stats;
+    statement;
+    table;
+    where;
+    sels;
+    conj = Array.fold_left ( *. ) 1.0 sels;
+    eq = Ast.eq_columns { Ast.projection = Ast.Star; table; where };
+    referenced;
+  }
+
+(* [Table_stats.estimate_rows] over the bound WHERE clause. *)
+let bound_rows b = b.conj *. float_of_int (Table_stats.row_count b.stats)
+
 (* A range bound on the column right after the equality prefix, if the
    query has exactly one usable comparison on it. *)
-let range_on_column select column =
+let range_on_column where column =
   let bounds =
     List.filter_map
       (fun pred ->
@@ -166,7 +191,7 @@ let range_on_column select column =
             | Some lo, Some hi -> Some (`Between (lo, hi))
             | _ -> None)
         | Ast.Cmp _ | Ast.Between _ -> None)
-      select.Ast.where
+      where
   in
   match bounds with
   | [ `Cmp (op, v) ] -> (
@@ -180,52 +205,50 @@ let range_on_column select column =
 
 (* The predicates an index seek with prefix [eq_cols] and optional range on
    [range_col] covers, for selectivity purposes. *)
-let seek_selectivity stats select eq_cols range_col =
+let seek_selectivity b eq_cols range_col =
   let covered pred =
     match pred with
     | Ast.Cmp { column; op = Ast.Eq; _ } -> List.mem column eq_cols
     | Ast.Cmp { column; _ } | Ast.Between { column; _ } -> (
         match range_col with Some c -> String.equal c column | None -> false)
   in
-  List.fold_left
-    (fun acc pred ->
-      if covered pred then acc *. Table_stats.predicate_selectivity stats pred else acc)
-    1.0 select.Ast.where
+  let acc = ref 1.0 in
+  List.iteri (fun i pred -> if covered pred then acc := !acc *. b.sels.(i)) b.where;
+  !acc
 
 (* Whether the index key contains every column the select references, so
    the query can be answered without touching the heap. *)
-let index_covers select index =
-  match select.Ast.projection with
-  | Ast.Star -> false (* [*] references every table column *)
-  | Ast.Columns _ ->
+let index_covers b index =
+  match b.referenced with
+  | None -> false
+  | Some referenced ->
       let key = Index_def.columns index in
-      List.for_all (fun c -> List.mem c key) (Ast.referenced_columns (Ast.Select select))
+      List.for_all (fun c -> List.mem c key) referenced
 
 (* Covering leaf scan: read the whole (narrow) leaf level instead of the
    heap.  Applicable whenever the index covers the query; chosen by the
    planner when no seek beats it. *)
-let index_only_scan_plan params stats select index =
-  if not (index_covers select index) then None
+let index_only_scan_plan params b index =
+  if not (index_covers b index) then None
   else
-    let rows = Table_stats.row_count stats in
+    let rows = Table_stats.row_count b.stats in
     let leaf_pages = float_of_int (index_leaf_pages params ~rows index) in
     let cost = (params.page_io *. leaf_pages) +. (params.row_cpu *. float_of_int rows) in
     Some
       {
         Plan.path = Plan.Index_only_scan { index };
-        estimated_rows = Table_stats.estimate_rows stats select.Ast.where;
+        estimated_rows = bound_rows b;
         estimated_cost = cost;
       }
 
-(* Try to use [index] for [select]; None if the index gives no sargable
-   prefix. *)
-let index_seek_plan params stats select index =
-  let eq = Ast.eq_columns select in
+(* Try to use [index] for the bound statement's WHERE clause; None if the
+   index gives no sargable prefix. *)
+let index_seek_plan params b index =
   let rec match_prefix columns acc =
     match columns with
     | [] -> (List.rev acc, None)
     | col :: rest -> (
-        match List.assoc_opt col eq with
+        match List.assoc_opt col b.eq with
         | Some value -> (
             match int_value value with
             | Some v -> match_prefix rest ((col, v) :: acc)
@@ -235,7 +258,7 @@ let index_seek_plan params stats select index =
   let prefix, next_col = match_prefix (Index_def.columns index) [] in
   let range =
     match next_col with
-    | Some col -> range_on_column select col
+    | Some col -> range_on_column b.where col
     | None -> None
   in
   match (prefix, range) with
@@ -243,17 +266,16 @@ let index_seek_plan params stats select index =
   | _ ->
       let eq_cols = List.map fst prefix in
       let range_col = match range with Some _ -> next_col | None -> None in
-      let sel = seek_selectivity stats select eq_cols range_col in
-      let rows = float_of_int (Table_stats.row_count stats) in
+      let sel = seek_selectivity b eq_cols range_col in
+      let rows = float_of_int (Table_stats.row_count b.stats) in
       let matched = sel *. rows in
       let per_page = float_of_int (max 1 (leaf_entries_per_page index)) in
       let leaf_pages_touched = Float.max 1.0 (Float.ceil (matched /. per_page)) in
-      let height = float_of_int (index_height params ~rows:(Table_stats.row_count stats) index) in
-      let all_rows_sel = Table_stats.conjunction_selectivity stats select.Ast.where in
+      let height = float_of_int (index_height params ~rows:(Table_stats.row_count b.stats) index) in
       (* A covering seek never touches the heap; a covering seek also
          requires every residual predicate column to be in the key, which
          [index_covers] implies. *)
-      let covering = index_covers select index in
+      let covering = index_covers b index in
       let fetch = if covering then 0.0 else params.rid_fetch *. matched in
       let cost =
         (params.page_io *. (height +. leaf_pages_touched))
@@ -264,16 +286,18 @@ let index_seek_plan params stats select index =
         {
           Plan.path =
             Plan.Index_seek { index; eq_prefix = List.map snd prefix; range; covering };
-          estimated_rows = all_rows_sel *. rows;
+          estimated_rows = b.conj *. rows;
           estimated_cost = cost;
         }
 
-let choose_plan params stats design select =
+(* The cheapest access path for the bound statement's WHERE clause: the
+   SELECT's own plan, or the victim search of a DELETE/UPDATE. *)
+let bound_select_plan params b design =
   let scan =
     {
       Plan.path = Plan.Full_scan;
-      estimated_rows = Table_stats.estimate_rows stats select.Ast.where;
-      estimated_cost = full_scan_cost params stats;
+      estimated_rows = bound_rows b;
+      estimated_cost = full_scan_cost params b.stats;
     }
   in
   let consider candidate best =
@@ -284,15 +308,18 @@ let choose_plan params stats design select =
   let best =
     Design.fold_indexes
       (fun index best ->
-        if not (String.equal (Index_def.table index) select.Ast.table) then best
+        if not (String.equal (Index_def.table index) b.table) then best
         else
           best
-          |> consider (index_seek_plan params stats select index)
-          |> consider (index_only_scan_plan params stats select index))
+          |> consider (index_seek_plan params b index)
+          |> consider (index_only_scan_plan params b index))
       design scan
   in
   Plan.count_choice best;
   best
+
+let choose_plan params stats design select =
+  bound_select_plan params (bind stats (Ast.Select select)) design
 
 let select_cost params stats design select =
   (choose_plan params stats design select).Plan.estimated_cost
@@ -410,7 +437,7 @@ let rebind_select_plan select plan =
       | Some eq_prefix -> (
           let range' =
             match List.nth_opt key_columns n with
-            | Some col -> range_on_column select col
+            | Some col -> range_on_column select.Ast.where col
             | None -> None
           in
           (* The cached floats assume the same seek shape: the range must
@@ -464,29 +491,29 @@ let index_maintenance_cost params stats design table =
     design index_part
 
 (* DELETE/UPDATE find their victims like a SELECT * (never covered, so the
-   plan always yields heap rows), then pay per-row write and index
-   maintenance. *)
-let dml_cost params stats design ~table ~where ~writes_per_row =
-  let find_select = { Ast.projection = Ast.Star; table; where } in
-  let find = select_cost params stats design find_select in
-  let affected = Table_stats.estimate_rows stats where in
-  let maintenance = index_maintenance_cost params stats design table in
-  find +. (affected *. ((writes_per_row *. params.page_io) +. maintenance))
+   plan always yields heap rows), then pay one write and index
+   maintenance per affected row. *)
+let dml_cost params b design =
+  let find = (bound_select_plan params b design).Plan.estimated_cost in
+  let maintenance = index_maintenance_cost params b.stats design b.table in
+  find +. (bound_rows b *. (params.page_io +. maintenance))
 
-let statement_cost params stats design statement =
-  note_statement_cost_call stats statement design;
-  match statement with
-  | Ast.Select select -> select_cost params stats design select
+let bound_cost params b design =
+  Obs.Counter.incr m_calls;
+  match b.statement with
+  | Ast.Select _ -> (bound_select_plan params b design).Plan.estimated_cost
   | Ast.Select_agg { table; group_by; where; _ } ->
-      (choose_agg_plan params stats design ~table ~group_by ~where).Plan.estimated_cost
+      (choose_agg_plan params b.stats design ~table ~group_by ~where).Plan.estimated_cost
   | Ast.Insert { table; _ } ->
-      params.page_io +. index_maintenance_cost params stats design table
-  | Ast.Delete { table; where } ->
-      dml_cost params stats design ~table ~where ~writes_per_row:1.0
-  | Ast.Update { table; where; _ } ->
+      params.page_io +. index_maintenance_cost params b.stats design table
+  | Ast.Delete _ -> dml_cost params b design
+  | Ast.Update _ ->
       (* Delete the old version, insert the new one: two heap writes and
          double index maintenance per affected row. *)
-      2.0 *. dml_cost params stats design ~table ~where ~writes_per_row:1.0
+      2.0 *. dml_cost params b design
+
+let statement_cost params stats design statement =
+  bound_cost params (bind stats statement) design
 
 (* -- transitions ---------------------------------------------------------- *)
 

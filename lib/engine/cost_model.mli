@@ -90,7 +90,32 @@ val statement_cost :
     per-index maintenance for inserts; find-plan cost plus per-affected-row
     writes and index maintenance for DELETE/UPDATE (indexes make updates
     cheaper to find but dearer to maintain — the classic trade-off the
-    dynamic advisor weighs). *)
+    dynamic advisor weighs).  {!bind} followed by {!bound_cost}. *)
+
+(** {1 Bound statements}
+
+    Costing one statement under many designs (the EXEC fill of
+    {!Cddpd_core.Problem.build}) repeats every design-independent step:
+    the per-predicate selectivities, each a histogram lookup, and the
+    column sets plan choice tests each index against.  A {e bound}
+    statement holds them, computed once; {!bound_cost} then costs it under
+    any design.  {!statement_cost} and {!choose_plan} are {!bind} followed
+    by the bound form, so there is one formula path and the results are
+    bit-identical whichever way a caller goes. *)
+
+type bound
+(** A statement together with the statistics snapshot it was bound under
+    and its design-independent derivations.  Immutable: safe to share
+    across domains. *)
+
+val bind : Table_stats.t -> Cddpd_sql.Ast.statement -> bound
+(** Compute the statement's selectivities (in WHERE order) under the
+    statistics, and the rest of what plan choice reads from it. *)
+
+val bound_cost : params -> bound -> Cddpd_catalog.Design.t -> float
+(** EXEC(S, C) of a bound statement: [bound_cost params (bind stats s) d]
+    is [statement_cost params stats d s], bit for bit.  Each call counts
+    one [cost_model.calls] evaluation. *)
 
 (** {1 TRANS} *)
 

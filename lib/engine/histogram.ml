@@ -44,14 +44,20 @@ let n_values t = t.total
 
 let n_distinct t = t.total_distinct
 
-let fingerprint t =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "h:%d:%d" t.total t.total_distinct);
+(* Fixed-width binary fields: injective without separators, and cheap to
+   write (no printing). *)
+let add_fingerprint_bytes buf t =
+  let add i = Buffer.add_int64_le buf (Int64.of_int i) in
+  add t.total;
+  add t.total_distinct;
+  add (Array.length t.buckets);
   Array.iter
     (fun b ->
-      Buffer.add_string buf (Printf.sprintf ";%d,%d,%d,%d" b.lo b.hi b.count b.distinct))
-    t.buckets;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+      add b.lo;
+      add b.hi;
+      add b.count;
+      add b.distinct)
+    t.buckets
 
 let min_value t =
   if Array.length t.buckets = 0 then None else Some t.buckets.(0).lo
@@ -60,16 +66,28 @@ let max_value t =
   let n = Array.length t.buckets in
   if n = 0 then None else Some t.buckets.(n - 1).hi
 
+(* Index of the first bucket whose [hi] satisfies [reaches] (a predicate
+   monotone over the sorted buckets), or [Array.length buckets]. *)
+let first_bucket buckets reaches =
+  let lo = ref 0 and hi = ref (Array.length buckets) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if reaches buckets.(mid).hi then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Buckets are sorted and disjoint, so at most one bucket holds [v]: the
+   first one whose [hi] reaches it.  A linear fold would add its share to
+   [0.0] and skip every other bucket, so the result is bit-identical. *)
 let selectivity_eq t v =
   if t.total = 0 then 0.0
   else
+    let i = first_bucket t.buckets (fun hi -> v <= hi) in
     let matching =
-      Array.fold_left
-        (fun acc b ->
-          if v >= b.lo && v <= b.hi then
-            acc +. (float_of_int b.count /. float_of_int (max 1 b.distinct))
-          else acc)
-        0.0 t.buckets
+      if i < Array.length t.buckets && t.buckets.(i).lo <= v then
+        let b = t.buckets.(i) in
+        float_of_int b.count /. float_of_int (max 1 b.distinct)
+      else 0.0
     in
     let sel = matching /. float_of_int t.total in
     (* Never report exactly zero for an in-range probe: the optimizer should
@@ -88,19 +106,39 @@ let bucket_overlap b ~lo ~hi =
     let clamped_lo = max lo b_lo and clamped_hi = min hi b_hi in
     (clamped_hi -. clamped_lo) /. (b_hi -. b_lo)
 
+(* Only the contiguous run of buckets from the first one whose [hi]
+   reaches [lo] to the last one whose [lo] is within [hi] can overlap the
+   range (both tests on the floats [bucket_overlap] compares).  Every
+   bucket outside the run adds exactly [+. 0.0] to the linear fold, so
+   summing the run alone, in order, gives the bit-identical result. *)
 let selectivity_range t ~lo ~hi =
   if t.total = 0 then 0.0
   else begin
     (match (lo, hi) with
     | Some l, Some h when l > h -> invalid_arg "Histogram.selectivity_range: lo > hi"
     | _ -> ());
-    let matching =
-      Array.fold_left
-        (fun acc b -> acc +. (bucket_overlap b ~lo ~hi *. float_of_int b.count))
-        0.0 t.buckets
+    let n = Array.length t.buckets in
+    let start =
+      match lo with
+      | None -> 0
+      | Some l ->
+          let l = float_of_int l in
+          first_bucket t.buckets (fun b_hi -> not (float_of_int b_hi < l))
     in
-    Float.max 0.0 (Float.min 1.0 (matching /. float_of_int t.total))
+    let within b =
+      match hi with None -> true | Some h -> not (float_of_int h < float_of_int b.lo)
+    in
+    let matching = ref 0.0 in
+    let i = ref start in
+    while !i < n && within t.buckets.(!i) do
+      let b = t.buckets.(!i) in
+      matching := !matching +. (bucket_overlap b ~lo ~hi *. float_of_int b.count);
+      incr i
+    done;
+    Float.max 0.0 (Float.min 1.0 (!matching /. float_of_int t.total))
   end
+
+let buckets t = Array.copy t.buckets
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>histogram: %d values, %d distinct@," t.total t.total_distinct;

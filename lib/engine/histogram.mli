@@ -8,6 +8,15 @@
 
 type t
 
+type bucket = {
+  lo : int;  (** smallest value in the bucket *)
+  hi : int;  (** largest value in the bucket *)
+  count : int;  (** rows in the bucket *)
+  distinct : int;  (** distinct values in the bucket *)
+}
+(** Buckets are sorted and disjoint: each bucket's [lo] is greater than
+    the previous bucket's [hi]. *)
+
 val build : ?buckets:int -> int array -> t
 (** [build ?buckets values] builds a histogram with at most [buckets]
     buckets (default 64).  The input array is not modified.  Raises
@@ -20,16 +29,24 @@ val n_distinct : t -> int
 (** Exact number of distinct values seen at build time. *)
 
 val selectivity_eq : t -> int -> float
-(** Estimated fraction of rows with column = v, in [\[0,1\]]. *)
+(** Estimated fraction of rows with column = v, in [\[0,1\]].  Finds the
+    one bucket that can hold [v] by binary search. *)
 
 val selectivity_range : t -> lo:int option -> hi:int option -> float
 (** Estimated fraction of rows with lo <= column <= hi (either bound may be
-    absent), in [\[0,1\]]. *)
+    absent), in [\[0,1\]].  Binary-searches the first overlapping
+    bucket and sums the overlapping run in order: bit-identical to a
+    linear fold over every bucket, where the others add [0.0]. *)
 
-val fingerprint : t -> string
-(** Digest of the histogram's full contents (every bucket boundary,
-    count and distinct count).  Two histograms with equal fingerprints
-    produce identical selectivity estimates for every predicate. *)
+val buckets : t -> bucket array
+(** A copy of the buckets, in ascending order. *)
+
+val add_fingerprint_bytes : Buffer.t -> t -> unit
+(** Append a fixed-width binary encoding of the histogram's full contents
+    (totals, then every bucket's boundaries and counts) — what
+    {!Table_stats.fingerprint} digests.  Two histograms with equal
+    encodings produce identical selectivity estimates for every
+    predicate. *)
 
 val min_value : t -> int option
 (** Smallest value, [None] for an empty histogram. *)

@@ -5,9 +5,32 @@ type t = {
   row_count : int;
   page_count : int;
   histograms : (string * Histogram.t) list;
+  fingerprint : string;
 }
 
-let make ~row_count ~page_count ~histograms = { row_count; page_count; histograms }
+let compute_fingerprint ~row_count ~page_count ~histograms =
+  let buf = Buffer.create 4096 in
+  let add i = Buffer.add_int64_le buf (Int64.of_int i) in
+  add row_count;
+  add page_count;
+  List.iter
+    (fun (column, h) ->
+      add (String.length column);
+      Buffer.add_string buf column;
+      Histogram.add_fingerprint_bytes buf h)
+    histograms;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The fingerprint is computed here, once, rather than on demand: snapshots
+   are read from several domains during a parallel build, and a plain
+   field needs no synchronisation. *)
+let make ~row_count ~page_count ~histograms =
+  {
+    row_count;
+    page_count;
+    histograms;
+    fingerprint = compute_fingerprint ~row_count ~page_count ~histograms;
+  }
 
 let row_count t = t.row_count
 
@@ -17,17 +40,7 @@ let histogram t column = List.assoc_opt column t.histograms
 
 let n_histograms t = List.length t.histograms
 
-let fingerprint t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "ts:%d:%d" t.row_count t.page_count);
-  List.iter
-    (fun (column, h) ->
-      Buffer.add_char buf ';';
-      Buffer.add_string buf column;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf (Histogram.fingerprint h))
-    t.histograms;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let fingerprint t = t.fingerprint
 
 let default_selectivity = 0.1
 

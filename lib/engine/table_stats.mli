@@ -10,7 +10,8 @@ val make :
   page_count:int ->
   histograms:(string * Histogram.t) list ->
   t
-(** Assemble statistics (normally done by [Database.analyze]). *)
+(** Assemble statistics (normally done by [Database.analyze]).  Computes
+    the {!fingerprint} once, here. *)
 
 val row_count : t -> int
 
@@ -25,11 +26,11 @@ val n_histograms : t -> int
 val fingerprint : t -> string
 (** Digest of everything the cost model can read from these statistics:
     row count, page count, and every histogram's full contents (via
-    {!Histogram.fingerprint}).  Equal fingerprints imply every
+    {!Histogram.add_fingerprint_bytes}).  Equal fingerprints imply every
     cost-model estimate over the two statistics snapshots is
     bit-identical — the invalidation test for state (memoized build
     costs, precomputed {!Cost_key} statement keys) that outlives a
-    statistics refresh. *)
+    statistics refresh.  Computed by {!make}, so reading it is free. *)
 
 val default_selectivity : float
 (** Fallback selectivity (0.1) used when no histogram is available. *)

@@ -159,20 +159,83 @@ let cached_trans_equals_uncached_prop =
       in
       same_float direct cached)
 
+(* Statistics snapshots that agree on everything but column [c]: its
+   histogram is rebuilt with [distinct] values, so statements that never
+   read [c] keep their selectivities while views grouped on [c] change
+   height.  A memo keyed across such snapshots (the serve loop's probation
+   cache outlives statistics refreshes) must still tell them apart. *)
+let with_c_distinct distinct =
+  let rows = Cddpd_engine.Table_stats.row_count stats in
+  Cddpd_engine.Table_stats.make ~row_count:rows
+    ~page_count:(Cddpd_engine.Table_stats.page_count stats)
+    ~histograms:
+      (List.map
+         (fun column ->
+           ( column,
+             if String.equal column "c" then
+               Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod distinct))
+             else Option.get (Cddpd_engine.Table_stats.histogram stats column) ))
+         columns)
+
+let stats_pool = [| stats; with_c_distinct 150; with_c_distinct 155; with_c_distinct 400 |]
+
 (* The statement key is a cost identity, not a syntactic one: distinct
    statements may share a key (that is where the hit rate comes from), but
-   equal keys must imply bit-equal costs under every design. *)
+   equal under-design keys must imply bit-equal costs under every design
+   and every statistics snapshot. *)
 let key_sound_prop =
+  let arb =
+    QCheck.make
+      ~print:(fun ((s, d), i) ->
+        Printf.sprintf "%s under %s, stats %d" (Cddpd_sql.Printer.to_string s) (Design.name d) i)
+      QCheck.Gen.(
+        pair (pair gen_statement gen_design) (int_bound (Array.length stats_pool - 1)))
+  in
+  (* Half the pairs cost one statement and design under two snapshots,
+     where equal keys with unequal costs would be likeliest. *)
   QCheck.Test.make ~name:"equal cost keys => bit-equal costs" ~count:1000
-    (QCheck.pair arb_statement_design arb_statement_design)
-    (fun ((s1, d1), (s2, d2)) ->
-      let key s d =
-        Cost_key.statement_under_design ~design_key:(Cost_key.design d) stats s
+    (QCheck.triple arb arb QCheck.bool)
+    (fun (((s1, d1), i1), ((s2, d2), i2), same) ->
+      let s2, d2 = if same then (s1, d1) else (s2, d2) in
+      let key s d i =
+        Cost_key.statement_under_design ~design:d ~design_key:(Cost_key.design d)
+          stats_pool.(i) s
       in
-      (not (String.equal (key s1 d1) (key s2 d2)))
+      (not (String.equal (key s1 d1 i1) (key s2 d2 i2)))
       || same_float
-           (Cost_model.statement_cost params stats d1 s1)
-           (Cost_model.statement_cost params stats d2 s2))
+           (Cost_model.statement_cost params stats_pool.(i1) d1 s1)
+           (Cost_model.statement_cost params stats_pool.(i2) d2 s2))
+
+(* Regression: DELETE under a view pays the view's maintenance, whose
+   height follows the group column's distinct count.  Two snapshots that
+   differ only there share the statement key but not the cost, so the
+   under-design key — and with it a cache that outlives the refresh —
+   must separate them. *)
+let test_view_cardinality_in_key () =
+  let rows = 20_000 in
+  let snapshot g_distinct =
+    Cddpd_engine.Table_stats.make ~row_count:rows ~page_count:400
+      ~histograms:
+        [
+          ("a", Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod 1000)));
+          ("g", Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod g_distinct)));
+        ]
+  in
+  let before = snapshot 150 and after = snapshot 155 in
+  let delete =
+    Ast.Delete { table = "t"; where = [ Ast.Cmp { column = "a"; op = Ast.Eq; value = Tuple.Int 5 } ] }
+  in
+  let design = Design.add_view (View_def.make ~table:"t" ~group_by:"g") Design.empty in
+  let cost s = Cost_model.statement_cost params s design delete in
+  Alcotest.(check string) "statement keys agree" (Cost_key.statement before delete)
+    (Cost_key.statement after delete);
+  Alcotest.(check bool) "costs differ" false (same_float (cost before) (cost after));
+  let key s = Cost_key.statement_under_design ~design ~design_key:(Cost_key.design design) s delete in
+  Alcotest.(check bool) "under-design keys differ" false (String.equal (key before) (key after));
+  let cache = Cost_cache.create () in
+  let through s = Cost_cache.statement_cost cache params s ~design delete in
+  Alcotest.(check bool) "cache before" true (same_float (cost before) (through before));
+  Alcotest.(check bool) "cache after the refresh" true (same_float (cost after) (through after))
 
 let design_key_injective_prop =
   QCheck.Test.make ~name:"distinct designs => distinct design keys" ~count:300
@@ -302,6 +365,8 @@ let () =
           QCheck_alcotest.to_alcotest cached_trans_equals_uncached_prop;
           QCheck_alcotest.to_alcotest key_sound_prop;
           QCheck_alcotest.to_alcotest design_key_injective_prop;
+          Alcotest.test_case "view cardinality in the under-design key" `Quick
+            test_view_cardinality_in_key;
         ] );
       ( "problem_build",
         [

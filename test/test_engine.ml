@@ -64,6 +64,65 @@ let histogram_range_bounds_prop =
       let wide = Histogram.selectivity_range h ~lo:(Some 0) ~hi:(Some (split + 100)) in
       narrow >= 0.0 && narrow <= 1.0 && wide >= narrow)
 
+(* Reference selectivities: the linear fold over every bucket that the
+   binary-searched lookups must reproduce bit for bit. *)
+let reference_selectivity_eq h v =
+  let total = Histogram.n_values h in
+  if total = 0 then 0.0
+  else
+    let matching =
+      Array.fold_left
+        (fun acc (b : Histogram.bucket) ->
+          if v >= b.lo && v <= b.hi then
+            acc +. (float_of_int b.count /. float_of_int (max 1 b.distinct))
+          else acc)
+        0.0 (Histogram.buckets h)
+    in
+    let sel = matching /. float_of_int total in
+    if sel <= 0.0 then 0.5 /. float_of_int total else min 1.0 sel
+
+let reference_selectivity_range h ~lo ~hi =
+  let total = Histogram.n_values h in
+  if total = 0 then 0.0
+  else
+    let overlap (b : Histogram.bucket) =
+      let b_lo = float_of_int b.lo and b_hi = float_of_int b.hi in
+      let lo = match lo with None -> b_lo | Some v -> float_of_int v in
+      let hi = match hi with None -> b_hi | Some v -> float_of_int v in
+      if hi < b_lo || lo > b_hi then 0.0
+      else if Float.equal b_hi b_lo then 1.0
+      else (min hi b_hi -. max lo b_lo) /. (b_hi -. b_lo)
+    in
+    let matching =
+      Array.fold_left
+        (fun acc b -> acc +. (overlap b *. float_of_int b.Histogram.count))
+        0.0 (Histogram.buckets h)
+    in
+    Float.max 0.0 (Float.min 1.0 (matching /. float_of_int total))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let histogram_search_matches_fold_prop =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (pair (int_range 1 64) (list_size (int_range 0 400) (int_range (-50) 600)))
+        (int_range (-100) 700)
+        (opt (int_range (-100) 700))
+        (opt (int_range (-100) 700)))
+  in
+  QCheck.Test.make ~name:"binary-searched selectivities = linear fold (bit-identical)"
+    ~count:500 (QCheck.make gen)
+    (fun ((buckets, values), v, lo, hi) ->
+      let h = Histogram.build ~buckets (Array.of_list values) in
+      let lo, hi =
+        match (lo, hi) with Some l, Some h when l > h -> (Some h, Some l) | bounds -> bounds
+      in
+      same_bits (Histogram.selectivity_eq h v) (reference_selectivity_eq h v)
+      && same_bits
+           (Histogram.selectivity_range h ~lo ~hi)
+           (reference_selectivity_range h ~lo ~hi))
+
 (* -- schema / check -------------------------------------------------------------- *)
 
 let schema =
@@ -803,6 +862,7 @@ let () =
           Alcotest.test_case "min/max" `Quick test_histogram_minmax;
           Alcotest.test_case "skew" `Quick test_histogram_skew;
           QCheck_alcotest.to_alcotest histogram_range_bounds_prop;
+          QCheck_alcotest.to_alcotest histogram_search_matches_fold_prop;
         ] );
       ( "schema+check",
         [
