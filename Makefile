@@ -13,11 +13,13 @@
 #                     and assert the cddpd-serve/1 JSON status
 #   make perf-smoke   one-second runs of the serve benchmark (perfbench/)
 #                     on every workload: its correctness gate only
+#   make cli-smoke    bad command lines and bad statements end in usage
+#                     errors and skipped statements, never in a crash
 
 DUNE ?= dune
 JOBS ?=
 
-.PHONY: all build check test lint lint-update-baseline bench-smoke bench serve-smoke perf-smoke clean
+.PHONY: all build check test lint lint-update-baseline bench-smoke bench serve-smoke perf-smoke cli-smoke clean
 
 all: build
 
@@ -94,6 +96,42 @@ perf-smoke:
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
 
+# Out-of-range arguments and a k-requiring method without -k must each
+# exit non-zero without cmdliner's "internal error" (an uncaught
+# exception); a statement the schema rejects must be skipped by serve with
+# a warning, and the run must exit 0.
+CDDPD = ./_build/default/bin/cddpd.exe
+CLI_BAD = \
+  "serve --window 0" \
+  "serve --history 0" \
+  "serve --horizon 0" \
+  "serve --jobs 0" \
+  "recommend --input _cli_smoke_trace.sql -k 1 --segment 0" \
+  "recommend --input _cli_smoke_trace.sql --method kaware" \
+  "recommend --input _cli_smoke_trace.sql -k 1 --jobs 0" \
+  "recommend --input _cli_smoke_empty.sql -k 1" \
+  "experiment table1 --cell-jobs 0"
+
+cli-smoke:
+	$(DUNE) build bin/cddpd.exe
+	@$(CDDPD) generate --workload W1 --scale 0.01 -o _cli_smoke_trace.sql > /dev/null
+	@: > _cli_smoke_empty.sql
+	@status=0; \
+	for args in $(CLI_BAD); do \
+	  out=$$($(CDDPD) $$args < /dev/null 2>&1); code=$$?; \
+	  if [ $$code -eq 0 ]; then echo "cli-smoke: '$$args' exited 0"; status=1; fi; \
+	  if echo "$$out" | grep -q 'internal error'; then \
+	    echo "cli-smoke: '$$args' crashed: $$out"; status=1; fi; \
+	done; \
+	out=$$(printf 'SELECT * FROM t WHERE nosuch = 3\n' | $(CDDPD) serve --rows 1000 2>&1); code=$$?; \
+	if [ $$code -ne 0 ]; then echo "cli-smoke: serve exited $$code on a bad statement: $$out"; status=1; fi; \
+	if ! echo "$$out" | grep -q 'skipping statement'; then \
+	  echo "cli-smoke: serve did not skip the bad statement: $$out"; status=1; fi; \
+	rm -f _cli_smoke_trace.sql _cli_smoke_empty.sql; \
+	if [ $$status -eq 0 ]; then echo "cli-smoke: OK"; fi; \
+	exit $$status
+
 clean:
 	$(DUNE) clean
-	rm -f BENCH_micro.json BENCH_obs.json _serve_smoke_trace.sql _serve_smoke_status.json
+	rm -f BENCH_micro.json BENCH_obs.json _serve_smoke_trace.sql _serve_smoke_status.json \
+	  _cli_smoke_trace.sql _cli_smoke_empty.sql

@@ -7,12 +7,12 @@
               [views] [space] [micro]
               [--rows N] [--value-range N] [--scale F] [--seed N]
               [--readahead N] [--quick]
-              [--jobs N] [--no-cost-cache]
+              [--jobs N]
               [--no-metrics] [--obs-out FILE] [--micro-out FILE]
    With no experiment named, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
-   paper's physical scale.  --jobs and --no-cost-cache set the
-   Problem.build parallelism / memoization knobs (docs/PERFORMANCE.md).
+   paper's physical scale.  --jobs sets the Problem.build parallelism
+   knob (docs/PERFORMANCE.md).
 
    Observability: instrumentation (lib/obs) is enabled for the run unless
    --no-metrics is given, and a JSON-lines metrics + span dump is written
@@ -64,7 +64,6 @@ type options = {
   ingest_out : string;
   jobs : int option;
   cell_jobs : int option;
-  cost_cache : bool;
 }
 
 let all_experiments =
@@ -78,7 +77,7 @@ let usage () =
      [table1|table2|figure3|figure4|ablation|updates|views|space|micro|solvers|experiments|configspace|serve|ingest]... \
      [--suite NAME] \
      [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] [--quick] \
-     [--jobs N] [--cell-jobs N] [--no-cost-cache] \
+     [--jobs N] [--cell-jobs N] \
      [--no-metrics] [--obs-out FILE] [--micro-out FILE] [--solvers-out FILE] \
      [--experiments-out FILE] [--configspace-out FILE] [--serve-out FILE] \
      [--ingest-out FILE]";
@@ -97,7 +96,6 @@ let parse_args () =
   let ingest_out = ref "BENCH_ingest.json" in
   let jobs = ref None in
   let cell_jobs = ref None in
-  let cost_cache = ref true in
   let rec go args =
     match args with
     | [] -> ()
@@ -138,9 +136,6 @@ let parse_args () =
         let j = int_of_string v in
         if j < 1 then usage ();
         jobs := Some j;
-        go rest
-    | "--no-cost-cache" :: rest ->
-        cost_cache := false;
         go rest
     | "--rows" :: v :: rest ->
         config := { !config with Setup.rows = int_of_string v };
@@ -189,7 +184,6 @@ let parse_args () =
     ingest_out = !ingest_out;
     jobs = !jobs;
     cell_jobs = !cell_jobs;
-    cost_cache = !cost_cache;
   }
 
 let banner title =
@@ -343,7 +337,7 @@ let micro (session : Session.t) =
 (* -- machine-readable micro summary (BENCH_micro.json) -------------------- *)
 
 (* Median wall-clock of several Problem.build runs under the session's
-   workload and the current --jobs/--no-cost-cache knobs: the headline
+   workload and the current --jobs knob: the headline
    number of the perf trajectory. *)
 let problem_build_runs = 3
 
@@ -381,12 +375,12 @@ let write_micro_json path ~(options : options) ~build_s rows =
     match options.jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ()
   in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-micro/1\",\"rows\":%d,\"value_range\":%d,\
-     \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\"cost_cache\":%b,\
+    "{\"schema\":\"cddpd-bench-micro/2\",\"rows\":%d,\"value_range\":%d,\
+     \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\
      \"problem_build\":{\"runs\":%d,\"median_s\":%s},\"micro\":["
     options.config.Setup.rows options.config.Setup.value_range
     options.config.Setup.scale options.config.Setup.seed jobs
-    (Cddpd_util.Parallel.ncpu ()) options.cost_cache
+    (Cddpd_util.Parallel.ncpu ())
     problem_build_runs (json_float build_s);
   List.iteri
     (fun i (name, ns) ->
@@ -957,8 +951,8 @@ let experiments_suite ~(options : options) () =
 (* -- configspace suite: the design-space scaling pipeline ------------------ *)
 
 (* End-to-end run of the scaled pipeline (Candidates.generate ->
-   Pruner.score / dominance_prune / space -> Problem.build
-   ~compress_workload:true -> solve) off the paper's 4-column table: a
+   Pruner.score / dominance_prune / space -> Problem.build -> solve) off
+   the paper's 4-column table: a
    16-column table under a phased, template-based point-query workload,
    swept over candidate budget x sequence length.  Templates repeat, so
    workload compression has real clusters to find (the cost key depends
@@ -967,7 +961,7 @@ let experiments_suite ~(options : options) () =
 
    Every timed run digests both matrices bit-exactly; the digests must
    agree across runs, and — wherever the exact arm stays affordable —
-   with an uncompressed Problem.build over the same space.  The JSON
+   with a naive per-statement fill over the same space.  The JSON
    records the what-if accounting: measured calls for the
    pruned+compressed arm vs the naive per-statement construction over
    the unpruned space of the same configuration width. *)
@@ -991,9 +985,46 @@ let configspace_max_structures = 2
 let configspace_max_configs = 512
 let configspace_k = 2
 
-(* The exact (uncompressed) arm costs one cost-cache probe per
-   (statement, config): cross-check only where that stays affordable. *)
+(* The exact arm costs one what-if call per (statement, config):
+   cross-check only where that stays affordable. *)
 let configspace_exact_budget = 2_500_000
+
+(* The exact reference: EXEC binds each statement once and sums
+   Cost_model.bound_cost per (statement, config) cell in statement order —
+   the formula path Cost_model.statement_cost takes — and TRANS is
+   Cost_model.transition_cost per pair.  No clustering, column sharing or
+   memo stands between it and the cost model. *)
+let configspace_exact_problem ~params ~stats_of ~steps ~space =
+  let designs = Config_space.designs space in
+  let bound =
+    Array.map
+      (Array.map (fun statement ->
+           Cddpd_engine.Cost_model.bind (stats_of (Ast.table_of statement)) statement))
+      steps
+  in
+  let exec =
+    Array.map
+      (fun step ->
+        Array.map
+          (fun design ->
+            Array.fold_left
+              (fun acc b -> acc +. Cddpd_engine.Cost_model.bound_cost params b design)
+              0.0 step)
+          designs)
+      bound
+  in
+  let trans =
+    Array.map
+      (fun from_design ->
+        Array.map
+          (fun to_design ->
+            Cddpd_engine.Cost_model.transition_cost params ~stats_of ~from_design
+              ~to_design)
+          designs)
+      designs
+  in
+  Problem.of_matrices ~steps ~space ~initial:(Config_space.id_of_exn space Design.empty)
+    ~exec ~trans ()
 
 (* Concrete statement instances per template: the workload draws whole
    statements from a fixed pool, the way prepared statements repeat in a
@@ -1125,8 +1156,7 @@ let configspace_pipeline ~params ~stats_of ~steps ~flat cap =
       ~max_configs:configspace_max_configs survivors
   in
   let problem =
-    Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty
-      ~compress_workload:true ()
+    Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ()
   in
   (candidates, survivors, pruned, problem)
 
@@ -1248,8 +1278,8 @@ let configspace_suite ~(options : options) () =
               total_statements * n_configs <= configspace_exact_budget
               &&
               (let exact =
-                 Problem.build ~params ~stats_of ~steps
-                   ~space:problem.Problem.space ~initial:Design.empty ()
+                 configspace_exact_problem ~params ~stats_of ~steps
+                   ~space:problem.Problem.space
                in
                if not (String.equal (configspace_matrix_digest exact) digest)
                then
@@ -2005,7 +2035,7 @@ let write_ingest_json path (slow, fast, ratio) =
 let () =
   let ({ experiments; config; metrics; obs_out; micro_out; solvers_out;
          experiments_out = _; configspace_out = _; serve_out = _;
-         ingest_out = _; jobs; cell_jobs; cost_cache } as options) =
+         ingest_out = _; jobs; cell_jobs } as options) =
     parse_args ()
   in
   (* Honesty clamp: more domains than cores measures scheduler thrash,
@@ -2029,14 +2059,12 @@ let () =
   (match cell_jobs with
   | Some j -> Cddpd_experiments.Runner.set_default_cell_jobs j
   | None -> ());
-  if not cost_cache then Cddpd_engine.Cost_cache.set_default_enabled false;
   if metrics then Obs.Registry.enable ();
   Printf.printf
     "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d \
-     jobs=%d cost-cache=%b\n%!"
+     jobs=%d\n%!"
     config.Setup.rows config.Setup.value_range config.Setup.scale config.Setup.seed
-    (match jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ())
-    cost_cache;
+    (match jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ());
   let needs_session =
     List.exists
       (fun e ->

@@ -11,8 +11,9 @@
    observability counters/histograms after the run) and --trace (print the
    hierarchical trace-span tree); see docs/OBSERVABILITY.md.  Subcommands
    that build cost matrices additionally accept --jobs (domains used by
-   Problem.build) and --no-cost-cache (disable what-if memoization); see
-   docs/PERFORMANCE.md. *)
+   Problem.build); see docs/PERFORMANCE.md.  Counts and sizes are checked
+   by their converters, so an out-of-range argument is a usage error, not
+   an exception. *)
 
 module Setup = Cddpd_experiments.Setup
 module Session = Cddpd_experiments.Session
@@ -61,45 +62,39 @@ let with_obs ~metrics ~trace f =
   end;
   code
 
+(* -- argument converters ----------------------------------------------------- *)
+
+(* An integer of at least [lo]; cmdliner reports anything else as a usage
+   error naming the option. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
 (* -- performance knobs ----------------------------------------------------- *)
 
 let jobs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some positive_int) None
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains used to build cost matrices (default: \
                  \\$(b,CDDPD_JOBS) if set, else the CPU count).")
 
-let no_cost_cache_arg =
-  Arg.(value & flag
-       & info [ "no-cost-cache" ]
-           ~doc:"Disable memoization of what-if cost-model calls.")
-
 let cell_jobs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some positive_int) None
        & info [ "cell-jobs" ] ~docv:"N"
            ~doc:"Domains used to run independent experiment cells \
                  (distinct from $(b,--jobs), which parallelizes cost-matrix \
                  construction; default: \\$(b,CDDPD_JOBS) if set, else the \
                  CPU count).  Results are identical at any value.")
 
-let apply_cell_jobs cell_jobs =
-  match cell_jobs with
-  | Some j when j >= 1 -> Cddpd_experiments.Runner.set_default_cell_jobs j
-  | Some _ ->
-      prerr_endline "cddpd: --cell-jobs must be at least 1";
-      exit 2
-  | None -> ()
-
 (* The knobs are process-global defaults, so they reach every
    Problem.build — including the ones experiments run internally. *)
-let apply_perf_knobs jobs no_cost_cache =
-  (match jobs with
-  | Some j when j >= 1 -> Cddpd_util.Parallel.set_default_jobs j
-  | Some _ ->
-      prerr_endline "cddpd: --jobs must be at least 1";
-      exit 2
-  | None -> ());
-  if no_cost_cache then Cddpd_engine.Cost_cache.set_default_enabled false
+let apply_perf_knobs jobs = Option.iter Cddpd_util.Parallel.set_default_jobs jobs
 
 (* -- shared arguments ---------------------------------------------------- *)
 
@@ -153,7 +148,7 @@ let method_arg =
            ~doc:"Solver: unconstrained, kaware, greedy-seq, merging, ranking, hybrid.")
 
 let k_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (int_at_least 0)) None
        & info [ "k" ] ~docv:"K" ~doc:"Change budget (omit for unconstrained).")
 
 let max_paths_arg =
@@ -169,7 +164,7 @@ let max_queue_arg =
                  $(docv) partial paths (default unbounded).")
 
 let segment_arg =
-  Arg.(value & opt int 500
+  Arg.(value & opt positive_int 500
        & info [ "segment" ] ~docv:"N" ~doc:"Statements per optimizer step.")
 
 let candidates_arg =
@@ -193,12 +188,6 @@ let prune_arg =
                  drop benefit-dominated ones, keep at most $(docv), and \
                  build a pruned configuration space (default 512 configs; \
                  see docs/PERFORMANCE.md).")
-
-let compress_workload_arg =
-  Arg.(value & flag
-       & info [ "compress-workload" ]
-           ~doc:"Cluster statements by cost identity when building the \
-                 EXEC matrix (bit-identical result, fewer what-if calls).")
 
 (* -- generate -------------------------------------------------------------- *)
 
@@ -231,14 +220,16 @@ let generate_cmd =
 
 let load_trace path =
   match Trace.load path with
+  | Ok [||] ->
+      prerr_endline "cddpd: cannot load trace: no statements";
+      exit 1
   | Ok statements -> statements
   | Error message ->
       prerr_endline ("cddpd: cannot load trace: " ^ message);
       exit 1
 
 let with_recommendation trace_path segment k method_name rows value_range seed
-    readahead ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
-    ~compress_workload f =
+    readahead ~max_paths ~max_queue ~max_candidates ~composite_width ~prune f =
   let statements = load_trace trace_path in
   let steps = Trace.segment statements ~size:segment in
   let config = config_of ~readahead rows value_range seed 1.0 in
@@ -246,7 +237,7 @@ let with_recommendation trace_path segment k method_name rows value_range seed
   let request =
     { (Advisor.default_request ~steps ~table:Setup.table_name) with
       Advisor.k; method_name; max_paths; max_queue; max_candidates;
-      composite_width; prune; compress_workload }
+      composite_width; prune }
   in
   match Advisor.recommend db request with
   | Ok recommendation -> f db steps recommendation
@@ -278,14 +269,24 @@ let print_schedule steps recommendation segment =
   Text_table.print table;
   Format.printf "%a@." Solution.pp recommendation.Advisor.solution
 
+(* Every method but unconstrained needs a change budget: refuse before
+   any work instead of failing inside the optimizer. *)
+let require_budget method_name k =
+  match (method_name, k) with
+  | Solution.Unconstrained, _ | _, Some _ -> ()
+  | _, None ->
+      Printf.eprintf "cddpd: method %s requires -k\n"
+        (Solution.method_to_string method_name);
+      exit 2
+
 let recommend input segment k method_name rows value_range seed readahead jobs
-    no_cost_cache max_paths max_queue max_candidates composite_width prune
-    compress_workload metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+    max_paths max_queue max_candidates composite_width prune metrics trace =
+  require_budget method_name k;
+  apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   with_recommendation input segment k method_name rows value_range seed readahead
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
-    ~compress_workload (fun _db steps recommendation ->
+    (fun _db steps recommendation ->
       print_schedule steps recommendation segment;
       0)
 
@@ -301,18 +302,17 @@ let recommend_cmd =
        ~doc:"Recommend a change-constrained dynamic physical design for a trace.")
     Term.(const recommend $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_cost_cache_arg $ max_paths_arg $ max_queue_arg $ candidates_arg
-          $ composite_width_arg $ prune_arg $ compress_workload_arg
-          $ metrics_arg $ trace_spans_arg)
+          $ max_paths_arg $ max_queue_arg $ candidates_arg
+          $ composite_width_arg $ prune_arg $ metrics_arg $ trace_spans_arg)
 
 let simulate input segment k method_name rows value_range seed readahead jobs
-    no_cost_cache max_paths max_queue max_candidates composite_width prune
-    compress_workload metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+    max_paths max_queue max_candidates composite_width prune metrics trace =
+  require_budget method_name k;
+  apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   with_recommendation input segment k method_name rows value_range seed readahead
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
-    ~compress_workload (fun db steps recommendation ->
+    (fun db steps recommendation ->
       print_schedule steps recommendation segment;
       let report = Simulator.run db ~steps ~schedule:recommendation.Advisor.schedule in
       Printf.printf
@@ -327,16 +327,15 @@ let simulate_cmd =
        ~doc:"Recommend a design for a trace, then replay the trace under it.")
     Term.(const simulate $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_cost_cache_arg $ max_paths_arg $ max_queue_arg $ candidates_arg
-          $ composite_width_arg $ prune_arg $ compress_workload_arg
-          $ metrics_arg $ trace_spans_arg)
+          $ max_paths_arg $ max_queue_arg $ candidates_arg
+          $ composite_width_arg $ prune_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- experiment -------------------------------------------------------------- *)
 
-let experiment name rows value_range seed scale readahead jobs cell_jobs
-    no_cost_cache metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
-  apply_cell_jobs cell_jobs;
+let experiment name rows value_range seed scale readahead jobs cell_jobs metrics
+    trace =
+  apply_perf_knobs jobs;
+  Option.iter Cddpd_experiments.Runner.set_default_cell_jobs cell_jobs;
   with_obs ~metrics ~trace @@ fun () ->
   let config = config_of ~readahead rows value_range seed scale in
   let session = lazy (Session.create config) in
@@ -385,8 +384,8 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Reproduce one table or figure of the paper.")
     Term.(
       const experiment $ experiment_name $ rows_arg $ value_range_arg $ seed_arg
-      $ scale_arg $ readahead_arg $ jobs_arg $ cell_jobs_arg $ no_cost_cache_arg
-      $ metrics_arg $ trace_spans_arg)
+      $ scale_arg $ readahead_arg $ jobs_arg $ cell_jobs_arg $ metrics_arg
+      $ trace_spans_arg)
 
 (* -- serve ------------------------------------------------------------------- *)
 
@@ -407,16 +406,16 @@ let regime_arg =
                  baseline), or static (never change the design).")
 
 let window_arg =
-  Arg.(value & opt int serve_defaults.Server.window
+  Arg.(value & opt positive_int serve_defaults.Server.window
        & info [ "window" ] ~docv:"N" ~doc:"Statements per observation window.")
 
 let history_arg =
-  Arg.(value & opt int serve_defaults.Server.history
+  Arg.(value & opt positive_int serve_defaults.Server.history
        & info [ "history" ] ~docv:"N"
            ~doc:"Recent windows each re-optimization solves over.")
 
 let horizon_arg =
-  Arg.(value & opt int serve_defaults.Server.horizon
+  Arg.(value & opt positive_int serve_defaults.Server.horizon
        & info [ "horizon" ] ~docv:"N"
            ~doc:"Windows the regret guard projects forward.")
 
@@ -440,7 +439,7 @@ let rollback_factor_arg =
                  design.")
 
 let serve_k_arg =
-  Arg.(value & opt int serve_defaults.Server.k
+  Arg.(value & opt (int_at_least 0) serve_defaults.Server.k
        & info [ "k" ] ~docv:"K" ~doc:"Change budget per re-optimization.")
 
 let serve_input_arg =
@@ -613,9 +612,8 @@ let feed_file server path =
 
 let serve input once regime window history horizon drift_threshold regret_budget
     rollback_factor k method_name rows value_range seed readahead jobs
-    no_cost_cache no_reopt_reuse no_template_cache no_plan_cache status_json
-    metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+    no_reopt_reuse no_template_cache no_plan_cache status_json metrics trace =
+  apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   if once && input = None then begin
     prerr_endline "cddpd: --once requires --input";
@@ -652,7 +650,7 @@ let serve_cmd =
           $ history_arg $ horizon_arg $ drift_threshold_arg $ regret_budget_arg
           $ rollback_factor_arg $ serve_k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_cost_cache_arg $ no_reopt_reuse_arg $ no_template_cache_arg
+          $ no_reopt_reuse_arg $ no_template_cache_arg
           $ no_plan_cache_arg $ status_json_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- main ---------------------------------------------------------------------- *)

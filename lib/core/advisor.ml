@@ -10,7 +10,6 @@ type request = {
   max_candidates : int option;
   composite_width : int option;
   prune : int option;
-  compress_workload : bool;
   max_configs : int option;
   max_structures_per_config : int option;
   space_bound_bytes : int option;
@@ -19,7 +18,6 @@ type request = {
   k : int option;
   method_name : Solution.method_name;
   jobs : int option;
-  cost_cache : bool option;
   max_paths : int option;
   max_queue : int option;
 }
@@ -33,7 +31,6 @@ let default_request ~steps ~table =
     max_candidates = None;
     composite_width = None;
     prune = None;
-    compress_workload = false;
     max_configs = None;
     max_structures_per_config = Some 1;
     space_bound_bytes = None;
@@ -42,7 +39,6 @@ let default_request ~steps ~table =
     k = None;
     method_name = Solution.Unconstrained;
     jobs = None;
-    cost_cache = None;
     max_paths = None;
     max_queue = None;
   }
@@ -103,9 +99,8 @@ let build_problem ?reuse ?statement_keys db request =
   Problem.build ~params:(Database.params db)
     ~stats_of:(fun table -> Database.table_stats db table)
     ~steps:request.steps ~space ~initial:request.initial
-    ~count_initial_change:request.count_initial_change ?jobs:request.jobs
-    ?cost_cache:request.cost_cache ~compress_workload:request.compress_workload
-    ?reuse ?statement_keys ()
+    ~count_initial_change:request.count_initial_change ?jobs:request.jobs ?reuse
+    ?statement_keys ()
 
 let recommend db request =
   let problem = build_problem db request in

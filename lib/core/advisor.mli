@@ -26,9 +26,6 @@ type request = {
           against the compressed workload, drops benefit-dominated ones,
           keeps at most [budget], and builds the space with
           {!Pruner.space} instead of {!Config_space.enumerate} *)
-  compress_workload : bool;
-      (** the [--compress-workload] flag: cluster statements by cost
-          identity in {!Problem.build} (bit-identical; default [false]) *)
   max_configs : int option;
       (** configuration budget for the pruned space (default 512); only
           read when [prune] is set *)
@@ -42,8 +39,6 @@ type request = {
   method_name : Solution.method_name;
   jobs : int option;
       (** domains for {!Problem.build}; [None] = process default *)
-  cost_cache : bool option;
-      (** memoize what-if calls; [None] = process default (on) *)
   max_paths : int option;
       (** complete-path budget for the [Ranking] method; [None] = solver
           default (1_000_000) *)

@@ -45,15 +45,6 @@ let n_steps t = Array.length t.steps
 
 let n_configs t = Config_space.size t.space
 
-let table_of statement =
-  match statement with
-  | Ast.Select { table; _ }
-  | Ast.Select_agg { table; _ }
-  | Ast.Insert { table; _ }
-  | Ast.Delete { table; _ }
-  | Ast.Update { table; _ } ->
-      table
-
 (* Below this many EXEC evaluations the build is not worth fork/join
    overhead and runs sequentially on the calling domain. *)
 let sequential_threshold = 2048
@@ -208,481 +199,386 @@ module Reuse = struct
   let cache_stats t = Cost_cache.stats t.cache
 end
 
-let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false)
-    ?jobs ?cost_cache ?(compress_workload = false) ?reuse ?statement_keys () =
+(* -- build stages --------------------------------------------------------------- *)
+
+(* Snapshot statistics on the calling domain: a Database-backed [stats_of]
+   computes stats lazily (mutating the database) and must not be called
+   from worker domains.  Every table the build can touch is resolved here;
+   the stages below read the snapshot. *)
+let snapshot_stats stats_of steps designs =
+  let stats_tbl = Hashtbl.create 8 in
+  let resolve table =
+    if not (Hashtbl.mem stats_tbl table) then Hashtbl.replace stats_tbl table (stats_of table)
+  in
+  Array.iter (fun step -> Array.iter (fun s -> resolve (Ast.table_of s)) step) steps;
+  Array.iter
+    (fun design -> Design.fold (fun s () -> resolve (Structure.table s)) design ())
+    designs;
+  stats_tbl
+
+(* Stale-statistics gate: a session summary (and the persistent build
+   memo, whose keys do not embed statistics) is only trusted while every
+   table it was computed under still fingerprints the same.  Any mismatch
+   flushes the session.  Returns the summary this build may copy from. *)
+let trusted_summary (reuse : Reuse.t) stats_tbl =
+  match reuse.Reuse.summary with
+  | None -> None
+  | Some s ->
+      (* Keyed lookups under an order-insensitive [exists]. *)
+      let stale =
+        Seq.exists
+          (fun (table, stats) ->
+            match Hashtbl.find_opt s.s_fingerprints table with
+            | Some recorded -> not (String.equal recorded (Table_stats.fingerprint stats))
+            | None -> false)
+          (Hashtbl.to_seq stats_tbl)
+      in
+      if stale then begin
+        Reuse.flush reuse;
+        reuse.Reuse.t_stats_invalidations <- reuse.Reuse.t_stats_invalidations + 1;
+        Obs.Counter.incr m_reopt_invalidations;
+        None
+      end
+      else Some s
+
+(* Stage 1, key: every statement's {!Cost_key} cost identity under the
+   snapshot statistics, unless the caller already paid for them. *)
+let key_statements stats_of statement_keys flat =
+  match statement_keys with
+  | Some keys ->
+      if Array.length keys <> Array.length flat then
+        invalid_arg "Problem.build: statement_keys length mismatch";
+      keys
+  | None -> Array.map (fun s -> Cost_key.statement (stats_of (Ast.table_of s)) s) flat
+
+(* Stage 2, cluster: statements with equal keys have equal cost under every
+   design, so each configuration pays one what-if call per cluster instead
+   of per statement. *)
+type clusters = {
+  keys : string array;  (** cluster id -> cost identity *)
+  reps : Ast.statement array;  (** cluster id -> representative statement *)
+  of_step : int array array;  (** cluster id of each statement, step by step *)
+}
+
+let cluster steps flat keys =
+  let clustering = Compress.cluster_keys keys in
+  Obs.Counter.add m_clusters (Compress.n_clusters clustering);
+  let pos = ref 0 in
+  let of_step =
+    Array.map
+      (fun step ->
+        let ids = Array.sub clustering.Compress.cluster_of !pos (Array.length step) in
+        pos := !pos + Array.length step;
+        ids)
+      steps
+  in
+  let first = clustering.Compress.representatives in
+  { keys = Array.map (fun i -> keys.(i)) first; reps = Array.map (fun i -> flat.(i)) first; of_step }
+
+(* Stage 3, relevant-column fill: every cluster's cost under every
+   configuration, one cost array per configuration.  Configurations whose
+   designs agree on the workload-relevant structures have bit-identical
+   columns, so only the first of each class is filled and the rest share
+   its array.  Equal keys imply equal relevance inputs (table, statement
+   kind, columns read), so the representatives summarise the workload.
+   A cell whose design and cluster both appeared in the previous build is
+   copied from the summary; every other cell is a bound what-if call.
+   Returns, per configuration, the first configuration of its class and
+   its cost array. *)
+let fill_columns ~params ~stats_of ~jobs (reuse : Reuse.t) prev ~designs ~design_keys
+    clusters =
+  let n_configs = Array.length designs in
+  let n_clusters = Array.length clusters.reps in
+  let relevance = relevance_summary [| clusters.reps |] in
+  let relevant_key =
+    let memo = Hashtbl.create 32 in
+    fun structure ->
+      let key = Cost_key.structure structure in
+      match Hashtbl.find_opt memo key with
+      | Some r -> r
+      | None ->
+          let r = structure_is_relevant relevance structure in
+          Hashtbl.replace memo key r;
+          r
+  in
+  let column_src = Array.make n_configs 0 in
+  let fill_configs =
+    let first_by_fingerprint = Hashtbl.create 64 in
+    let out = ref [] in
+    for c = 0 to n_configs - 1 do
+      let relevant =
+        Design.fold
+          (fun s acc -> if relevant_key s then Design.add_structure s acc else acc)
+          designs.(c) Design.empty
+      in
+      let fingerprint = Cost_key.design relevant in
+      match Hashtbl.find_opt first_by_fingerprint fingerprint with
+      | Some first -> column_src.(c) <- first
+      | None ->
+          Hashtbl.replace first_by_fingerprint fingerprint c;
+          column_src.(c) <- c;
+          out := c :: !out
+    done;
+    Array.of_list (List.rev !out)
+  in
+  Obs.Counter.add m_exec_skipped (n_configs - Array.length fill_configs);
+  (* Delta against the previous build: each cluster's previous id (-1 when
+     new) and each filled column's previous cluster costs. *)
+  let prev_cluster =
+    Array.map
+      (fun k ->
+        match Option.bind prev (fun s -> Hashtbl.find_opt s.s_cluster_id_of k) with
+        | Some id -> id
+        | None -> -1)
+      clusters.keys
+  in
+  let prev_costs =
+    Array.map
+      (fun c -> Option.bind prev (fun s -> Hashtbl.find_opt s.s_by_design design_keys.(c)))
+      fill_configs
+  in
+  let recosted = Array.fold_left (fun acc p -> if p < 0 then acc + 1 else acc) 0 prev_cluster in
+  reuse.Reuse.t_clusters_recosted <- reuse.Reuse.t_clusters_recosted + recosted;
+  Obs.Counter.add m_reopt_clusters_recosted recosted;
+  if recosted = 0 then begin
+    let reused = Array.fold_left (fun acc pc -> if Option.is_some pc then acc + 1 else acc) 0 prev_costs in
+    reuse.Reuse.t_exec_columns_reused <- reuse.Reuse.t_exec_columns_reused + reused;
+    Obs.Counter.add m_reopt_exec_reused reused
+  end;
+  (* Bind, on this domain, exactly the representatives some filled column
+     recosts: their selectivities are computed once here.  Within one build
+     each (cluster, relevance class) cell is unique, so no memo could hit;
+     across builds the reuse summary is the memo. *)
+  let every_column_known = Array.for_all Option.is_some prev_costs in
+  let bound =
+    Array.mapi
+      (fun r rep ->
+        if prev_cluster.(r) >= 0 && every_column_known then None
+        else Some (Cost_model.bind (stats_of (Ast.table_of rep)) rep))
+      clusters.reps
+  in
+  let columns = Array.make n_configs [||] in
+  (* cddpd-lint: allow domain-race — workers read the bound statements and previous costs prepared above and write disjoint entries of columns; obs counter writes are main-domain gated by Switch.active *)
+  Parallel.map_chunks ~jobs ~n:(Array.length fill_configs) (fun ~lo ~hi ->
+      for t = lo to hi - 1 do
+        let c = fill_configs.(t) in
+        let design = designs.(c) in
+        (* Filled in place: a copied cell then moves an unboxed float. *)
+        let costs = Array.make n_clusters 0.0 in
+        for r = 0 to n_clusters - 1 do
+          costs.(r) <-
+            (match (prev_costs.(t), bound.(r)) with
+            | Some pc, _ when prev_cluster.(r) >= 0 -> pc.(prev_cluster.(r))
+            | _, Some b -> Cost_model.bound_cost params b design
+            | _, None -> assert false (* bound above: this cell is recosted *))
+        done;
+        columns.(c) <- costs
+      done)
+  |> ignore;
+  Array.iteri (fun c src -> if src <> c then columns.(c) <- columns.(src)) column_src;
+  (column_src, columns)
+
+(* Stage 4, expand: sum each step's cluster costs in the original statement
+   order — the floats the naive per-statement fold adds, in the same order,
+   so every cell is bit-identical to it.  A shared column copies the cell
+   of its class's first configuration, which has the lower index. *)
+let expand clusters ~column_src columns =
+  Array.map
+    (fun ids ->
+      let row = Array.make (Array.length columns) 0.0 in
+      for c = 0 to Array.length columns - 1 do
+        let src = column_src.(c) in
+        if src <> c then row.(c) <- row.(src)
+        else begin
+          let costs = columns.(c) in
+          let acc = ref 0.0 in
+          for q = 0 to Array.length ids - 1 do
+            acc := !acc +. costs.(ids.(q))
+          done;
+          row.(c) <- !acc
+        end
+      done;
+      row)
+    clusters.of_step
+
+(* Stage 5, TRANS: designs become bitmasks over the sorted structure
+   universe and every structure's build cost is computed once up front
+   (through the session's build memo), so the n_configs^2 pairs only pay
+   word-level set arithmetic — with a per-domain memo on the
+   added-structure mask, a pair whose build set was already summed costs a
+   single lookup.  Mask bits are visited in ascending universe order, which
+   is exactly [Design.fold]'s sorted order over the diff, so each entry is
+   the bit-identical float [Cost_model.transition_cost] computes.  Pairs
+   of configurations that both existed in the previous build (matched by
+   design key, statistics unchanged) copy their entry verbatim. *)
+let fill_trans ~params ~stats_of ?jobs (reuse : Reuse.t) prev ~designs ~design_keys =
+  let n_configs = Array.length designs in
+  let universe =
+    let seen = Hashtbl.create 32 in
+    Array.iter
+      (fun design ->
+        Design.fold
+          (fun s () ->
+            let key = Cost_key.structure s in
+            if not (Hashtbl.mem seen key) then Hashtbl.replace seen key s)
+          design ())
+      designs;
+    (* cddpd-lint: allow determinism — fold collects members that are sorted by Structure.compare below *)
+    let members = Hashtbl.fold (fun _ s acc -> s :: acc) seen [] in
+    Array.of_list (List.sort Structure.compare members)
+  in
+  let n_structures = Array.length universe in
+  let index_of = Hashtbl.create (max 16 n_structures) in
+  Array.iteri (fun i s -> Hashtbl.replace index_of (Cost_key.structure s) i) universe;
+  let build_cost =
+    Array.map
+      (fun s ->
+        Cost_cache.structure_build_cost reuse.Reuse.cache params
+          (stats_of (Structure.table s))
+          s)
+      universe
+  in
+  let words = max 1 ((n_structures + 62) / 63) in
+  let mask_of design =
+    let mask = Array.make words 0 in
+    Design.fold
+      (fun s () ->
+        let i = Hashtbl.find index_of (Cost_key.structure s) in
+        mask.(i / 63) <- mask.(i / 63) lor (1 lsl (i mod 63)))
+      design ();
+    mask
+  in
+  let masks = Array.map mask_of designs in
+  let prev_of =
+    Array.map
+      (fun dk ->
+        match Option.bind prev (fun s -> Hashtbl.find_opt s.s_id_of_design dk) with
+        | Some id -> id
+        | None -> -1)
+      design_keys
+  in
+  let prev_trans = match prev with Some s -> s.s_trans | None -> [||] in
+  let trans = Array.make_matrix n_configs n_configs 0.0 in
+  let chunk_tallies =
+    Parallel.map_chunks ?jobs ~min_per_domain:8 ~n:n_configs (fun ~lo ~hi ->
+        let memo = Hashtbl.create 256 in
+        let hits = ref 0 in
+        let copied = ref 0 in
+        let key_buf = Buffer.create (words * 12) in
+        let added = Array.make words 0 in
+        for i = lo to hi - 1 do
+          let from_mask = masks.(i) in
+          let row = trans.(i) in
+          let pi = prev_of.(i) in
+          for j = 0 to n_configs - 1 do
+            if i <> j then begin
+              if pi >= 0 && prev_of.(j) >= 0 then begin
+                row.(j) <- prev_trans.(pi).(prev_of.(j));
+                incr copied
+              end
+              else begin
+                let to_mask = masks.(j) in
+                let removed = ref 0 in
+                Buffer.clear key_buf;
+                for w = 0 to words - 1 do
+                  let a = to_mask.(w) land lnot from_mask.(w) in
+                  added.(w) <- a;
+                  removed := !removed + popcount (from_mask.(w) land lnot to_mask.(w));
+                  Buffer.add_string key_buf (string_of_int a);
+                  Buffer.add_char key_buf ','
+                done;
+                let key = Buffer.contents key_buf in
+                let build_sum =
+                  match Hashtbl.find_opt memo key with
+                  | Some v ->
+                      incr hits;
+                      v
+                  | None ->
+                      let acc = ref 0.0 in
+                      for w = 0 to words - 1 do
+                        let bits = ref added.(w) in
+                        let bit = ref (w * 63) in
+                        while !bits <> 0 do
+                          if !bits land 1 = 1 then acc := !acc +. build_cost.(!bit);
+                          bits := !bits lsr 1;
+                          incr bit
+                        done
+                      done;
+                      Hashtbl.replace memo key !acc;
+                      !acc
+                in
+                row.(j) <- build_sum +. (params.Cost_model.drop_cost *. float_of_int !removed)
+              end
+            end
+          done
+        done;
+        (!hits, !copied))
+  in
+  List.iter (fun (hits, _) -> Obs.Counter.add m_trans_memoized hits) chunk_tallies;
+  let copied = List.fold_left (fun acc (_, c) -> acc + c) 0 chunk_tallies in
+  reuse.Reuse.t_trans_blocks_reused <- reuse.Reuse.t_trans_blocks_reused + copied;
+  Obs.Counter.add m_reopt_trans_reused copied;
+  trans
+
+(* Stage 6, summary: hand the completed state to the session, so the next
+   build reuses this one's cluster costs and TRANS entries as long as keys
+   match and the statistics fingerprints still hold.  A column copied from
+   its relevance class shares the source's cost array — a valid (design,
+   cluster) cost table because the classes were computed over exactly the
+   statements these clusters represent. *)
+let record_summary (reuse : Reuse.t) ~stats_tbl ~design_keys clusters columns trans =
+  let s_cluster_id_of = Hashtbl.create (max 16 (Array.length clusters.keys)) in
+  Array.iteri (fun id k -> Hashtbl.replace s_cluster_id_of k id) clusters.keys;
+  let n_configs = Array.length design_keys in
+  let s_by_design = Hashtbl.create (max 16 n_configs) in
+  let s_id_of_design = Hashtbl.create (max 16 n_configs) in
+  Array.iteri
+    (fun c dk ->
+      Hashtbl.replace s_by_design dk columns.(c);
+      Hashtbl.replace s_id_of_design dk c)
+    design_keys;
+  let s_fingerprints = Hashtbl.create 8 in
+  (* Keyed copy into a fresh table: each key is visited once. *)
+  Seq.iter
+    (fun (t, stats) -> Hashtbl.replace s_fingerprints t (Table_stats.fingerprint stats))
+    (Hashtbl.to_seq stats_tbl);
+  reuse.Reuse.summary <-
+    Some { s_cluster_id_of; s_by_design; s_id_of_design; s_trans = trans; s_fingerprints };
+  reuse.Reuse.t_builds <- reuse.Reuse.t_builds + 1
+
+let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false) ?jobs
+    ?(reuse = Reuse.create ()) ?statement_keys () =
   if Array.length steps = 0 then invalid_arg "Problem.build: no steps";
   Obs.Span.with_span "problem.build" @@ fun () ->
   Obs.Counter.incr m_builds;
   let initial_id = Config_space.id_of_exn space initial in
   let n_configs = Config_space.size space in
-  let n_steps = Array.length steps in
   let designs = Array.init n_configs (Config_space.design space) in
-  (* Reuse implies the compressed path (the summary is a cluster-cost
-     table) and always caches through the session's persistent cache. *)
-  let compress_workload = compress_workload || Option.is_some reuse in
-  let cache =
-    match reuse with
-    | Some r -> r.Reuse.cache
-    | None ->
-        let use_cache =
-          match cost_cache with Some on -> on | None -> Cost_cache.default_enabled ()
-        in
-        if use_cache then Cost_cache.create () else Cost_cache.disabled
-  in
-  let use_cache = Cost_cache.is_enabled cache in
-  (* Snapshot statistics on this domain: a Database-backed [stats_of]
-     computes stats lazily (mutating the database) and must not be called
-     from worker domains.  Every table the build can touch is resolved
-     here; the workers then read the snapshot. *)
-  let stats_tbl = Hashtbl.create 8 in
-  let resolve table =
-    if not (Hashtbl.mem stats_tbl table) then Hashtbl.replace stats_tbl table (stats_of table)
-  in
-  Array.iter (fun step -> Array.iter (fun s -> resolve (table_of s)) step) steps;
-  Array.iter
-    (fun design -> Design.fold (fun s () -> resolve (Structure.table s)) design ())
-    designs;
+  let design_keys = Array.map Cost_key.design designs in
+  let stats_tbl = snapshot_stats stats_of steps designs in
   let stats_of table = Hashtbl.find stats_tbl table in
-  (* Stale-statistics gate: a session summary (and the persistent build
-     memo, whose keys do not embed statistics) is only trusted while
-     every table it was computed under still fingerprints the same.  Any
-     mismatch drops the whole summary and the build memo. *)
-  (match reuse with
-  | Some ({ Reuse.summary = Some s; _ } as r) ->
-      let stale = ref false in
-      (* cddpd-lint: allow determinism — order-insensitive staleness check: any mismatch sets the flag *)
-      Hashtbl.iter
-        (fun table stats ->
-          match Hashtbl.find_opt s.s_fingerprints table with
-          | Some recorded when not (String.equal recorded (Table_stats.fingerprint stats)) ->
-              stale := true
-          | Some _ | None -> ())
-        stats_tbl;
-      if !stale then begin
-        r.Reuse.summary <- None;
-        Cost_cache.invalidate_builds cache;
-        r.Reuse.t_stats_invalidations <- r.Reuse.t_stats_invalidations + 1;
-        Obs.Counter.incr m_reopt_invalidations
-      end
-  | Some { Reuse.summary = None; _ } | None -> ());
-  let reuse_summary =
-    match reuse with Some r -> r.Reuse.summary | None -> None
-  in
-  let design_keys =
-    Array.map (fun d -> if use_cache then Some (Cost_key.design d) else None) designs
-  in
-  (* Exec half of the next summary, assembled inside the compressed
-     branch (cluster table + per-design cluster costs). *)
-  let pending_exec_summary = ref None in
-  (* EXEC matrix: one column per configuration, filled in parallel.  Each
-     cell is an independent left-to-right sum, so the matrix is
-     bit-identical whatever the domain count.  The uncompressed fill gives
-     each chunk a domain-local cache (columns share repeated statements,
-     so chunking by configuration keeps the hit rate local). *)
-  let total_statements = Array.fold_left (fun acc step -> acc + Array.length step) 0 steps in
+  let prev = trusted_summary reuse stats_tbl in
+  let flat = Array.concat (Array.to_list steps) in
   let exec_jobs =
-    if total_statements * n_configs < sequential_threshold then 1
+    if Array.length flat * n_configs < sequential_threshold then 1
     else Parallel.resolve_jobs ?jobs ~n:n_configs ()
   in
   Obs.Counter.add m_domains_used exec_jobs;
-  let exec = Array.make_matrix n_steps n_configs 0.0 in
-  let locals =
+  let clusters, columns, exec =
     Obs.Span.with_span "problem.build.exec" @@ fun () ->
-    if not compress_workload then
-      (* cddpd-lint: allow domain-race — workers derive read-only domain-local caches via Cost_cache.create_local and merge after the join; obs counter and Switch writes are gated to the main domain by Switch.active *)
-      Parallel.map_chunks ~jobs:exec_jobs ~n:n_configs (fun ~lo ~hi ->
-          let local = Cost_cache.create_local cache in
-          for c = lo to hi - 1 do
-            let design = designs.(c) in
-            let design_key = design_keys.(c) in
-            for s = 0 to n_steps - 1 do
-              let step = steps.(s) in
-              let acc = ref 0.0 in
-              for q = 0 to Array.length step - 1 do
-                let statement = step.(q) in
-                acc :=
-                  !acc
-                  +. Cost_cache.statement_cost local params
-                       (stats_of (table_of statement))
-                       ~design ?design_key statement
-              done;
-              exec.(s).(c) <- !acc
-            done
-          done;
-          local)
-    else begin
-      (* Compressed fill: cluster statements by cost identity once (the
-         key already implies equal cost under every design), cost one
-         what-if call per (cluster, config), and re-expand by summing the
-         per-cluster costs in the original statement order — the same
-         floats the per-statement loop adds, in the same order, so the
-         matrix is bit-identical to the uncompressed one. *)
-      let flat = Array.concat (Array.to_list steps) in
-      let keys =
-        match statement_keys with
-        | Some keys ->
-            if Array.length keys <> Array.length flat then
-              invalid_arg "Problem.build: statement_keys length mismatch";
-            keys
-        | None ->
-            Array.map
-              (fun statement ->
-                Cost_key.statement (stats_of (table_of statement)) statement)
-              flat
-      in
-      let clustering = Compress.cluster_keys keys in
-      let n_clusters = Compress.n_clusters clustering in
-      Obs.Counter.add m_clusters n_clusters;
-      let reps = Array.map (fun i -> flat.(i)) clustering.Compress.representatives in
-      let cluster_ids =
-        let pos = ref 0 in
-        Array.map
-          (fun step ->
-            let ids =
-              Array.init (Array.length step) (fun q ->
-                  clustering.Compress.cluster_of.(!pos + q))
-            in
-            pos := !pos + Array.length step;
-            ids)
-          steps
-      in
-      (* Relevant-column dedup: configurations whose designs agree on the
-         workload-relevant structures have bit-identical columns, so only
-         the first of each class is filled and the rest copy it.  Equal
-         keys imply equal relevance inputs (table, statement kind, columns
-         read), so the representatives summarise the whole workload. *)
-      let relevance = relevance_summary [| reps |] in
-      let relevant_key =
-        let memo = Hashtbl.create 32 in
-        fun structure ->
-          let key = Cost_key.structure structure in
-          match Hashtbl.find_opt memo key with
-          | Some r -> r
-          | None ->
-              let r = structure_is_relevant relevance structure in
-              Hashtbl.replace memo key r;
-              r
-      in
-      let column_src = Array.make n_configs 0 in
-      let fill_configs =
-        let first_by_fingerprint = Hashtbl.create 64 in
-        let out = ref [] in
-        for c = 0 to n_configs - 1 do
-          let relevant =
-            Design.fold
-              (fun s acc -> if relevant_key s then Design.add_structure s acc else acc)
-              designs.(c) Design.empty
-          in
-          let fingerprint = Cost_key.design relevant in
-          match Hashtbl.find_opt first_by_fingerprint fingerprint with
-          | Some first -> column_src.(c) <- first
-          | None ->
-              Hashtbl.replace first_by_fingerprint fingerprint c;
-              column_src.(c) <- c;
-              out := c :: !out
-        done;
-        Array.of_list (List.rev !out)
-      in
-      let n_fill = Array.length fill_configs in
-      Obs.Counter.add m_exec_skipped (n_configs - n_fill);
-      (* Delta accounting against the previous build's summary: map each
-         new cluster to its previous id (or -1), so workers copy matched
-         cluster costs instead of calling the cost model. *)
-      let cluster_keys =
-        Array.map (fun i -> keys.(i)) clustering.Compress.representatives
-      in
-      let prev_cluster =
-        match reuse_summary with
-        | None -> None
-        | Some s ->
-            Some
-              (Array.map
-                 (fun k ->
-                   match Hashtbl.find_opt s.s_cluster_id_of k with
-                   | Some id -> id
-                   | None -> -1)
-                 cluster_keys)
-      in
-      (* A cell is copied when both its column's design and its cluster
-         appeared in the previous build; every other cell is recosted. *)
-      let prev_costs =
-        Array.map
-          (fun c ->
-            match (reuse_summary, design_keys.(c)) with
-            | Some s, Some dk -> Hashtbl.find_opt s.s_by_design dk
-            | _ -> None)
-          fill_configs
-      in
-      (match reuse with
-      | None -> ()
-      | Some r ->
-          let recosted =
-            match prev_cluster with
-            | None -> n_clusters
-            | Some pm ->
-                Array.fold_left (fun acc p -> if p < 0 then acc + 1 else acc) 0 pm
-          in
-          r.Reuse.t_clusters_recosted <- r.Reuse.t_clusters_recosted + recosted;
-          Obs.Counter.add m_reopt_clusters_recosted recosted;
-          let all_matched =
-            match prev_cluster with
-            | Some pm -> Array.for_all (fun p -> p >= 0) pm
-            | None -> false
-          in
-          if all_matched then begin
-            let reused_columns =
-              Array.fold_left (fun acc pc -> if Option.is_some pc then acc + 1 else acc) 0 prev_costs
-            in
-            r.Reuse.t_exec_columns_reused <- r.Reuse.t_exec_columns_reused + reused_columns;
-            Obs.Counter.add m_reopt_exec_reused reused_columns
-          end);
-      let every_column_known = Array.for_all Option.is_some prev_costs in
-      (* Bind, on this domain, exactly the representatives some filled
-         column recosts: their selectivities are computed once here, and
-         every recosted cell below is a bound what-if call.  Within one
-         build each (cluster, relevance class) cell is unique, so no memo
-         could hit; across builds the reuse summary is the memo. *)
-      let bound =
-        Array.init n_clusters (fun r ->
-            let matched = match prev_cluster with Some pm -> pm.(r) >= 0 | None -> false in
-            if matched && every_column_known then None
-            else
-              let rep = reps.(r) in
-              Some (Cost_model.bind (stats_of (table_of rep)) rep))
-      in
-      let results =
-        (* cddpd-lint: allow domain-race — workers read the bound statements and previous costs prepared above and write disjoint exec columns; obs counter writes are main-domain gated by Switch.active *)
-        Parallel.map_chunks ~jobs:exec_jobs ~n:n_fill (fun ~lo ~hi ->
-            let collected = ref [] in
-            for t = lo to hi - 1 do
-              let c = fill_configs.(t) in
-              let design = designs.(c) in
-              let cluster_cost = Array.make (max 1 n_clusters) 0.0 in
-              for r = 0 to n_clusters - 1 do
-                match (prev_costs.(t), prev_cluster, bound.(r)) with
-                | Some pc, Some pm, _ when pm.(r) >= 0 -> cluster_cost.(r) <- pc.(pm.(r))
-                | _, _, Some b -> cluster_cost.(r) <- Cost_model.bound_cost params b design
-                | _, _, None -> assert false (* bound above: this cell is recosted *)
-              done;
-              for s = 0 to n_steps - 1 do
-                let ids = cluster_ids.(s) in
-                let acc = ref 0.0 in
-                for q = 0 to Array.length ids - 1 do
-                  acc := !acc +. cluster_cost.(ids.(q))
-                done;
-                exec.(s).(c) <- !acc
-              done;
-              if Option.is_some reuse then collected := (c, cluster_cost) :: !collected
-            done;
-            !collected)
-      in
-      for c = 0 to n_configs - 1 do
-        let src = column_src.(c) in
-        if src <> c then
-          for s = 0 to n_steps - 1 do
-            exec.(s).(c) <- exec.(s).(src)
-          done
-      done;
-      (* Assemble the exec half of the next summary.  Filled columns
-         store their own cluster costs; copied columns share the source
-         column's array — valid as a (design, cluster) cost table because
-         the relevance classes were computed over exactly the statements
-         these clusters represent. *)
-      (match reuse with
-      | None -> ()
-      | Some _ ->
-          let s_cluster_id_of = Hashtbl.create (max 16 n_clusters) in
-          Array.iteri (fun id k -> Hashtbl.replace s_cluster_id_of k id) cluster_keys;
-          let s_by_design = Hashtbl.create (max 16 n_configs) in
-          List.iter
-            (fun (c, costs) ->
-              match design_keys.(c) with
-              | Some dk -> Hashtbl.replace s_by_design dk costs
-              | None -> ())
-            (List.concat results);
-          for c = 0 to n_configs - 1 do
-            let src = column_src.(c) in
-            if src <> c then
-              match (design_keys.(c), design_keys.(src)) with
-              | Some dk, Some dk_src -> (
-                  match Hashtbl.find_opt s_by_design dk_src with
-                  | Some costs -> Hashtbl.replace s_by_design dk costs
-                  | None -> ())
-              | _ -> ()
-          done;
-          pending_exec_summary := Some (s_cluster_id_of, s_by_design));
-      []
-    end
+    let clusters = cluster steps flat (key_statements stats_of statement_keys flat) in
+    let column_src, columns =
+      fill_columns ~params ~stats_of ~jobs:exec_jobs reuse prev ~designs ~design_keys
+        clusters
+    in
+    (clusters, columns, expand clusters ~column_src columns)
   in
-  List.iter (fun local -> Cost_cache.merge ~into:cache local) locals;
-  (* TRANS matrix: designs become bitmasks over the sorted structure
-     universe and every structure's build cost is computed once up front,
-     so the n_configs^2 pairs only pay word-level set arithmetic — with a
-     per-domain memo on the added-structure mask, a pair whose build set
-     was already summed costs a single lookup.  Mask bits are visited in
-     ascending universe order, which is exactly [Design.fold]'s sorted
-     order over the diff, so each entry is the bit-identical float
-     [Cost_model.transition_cost] computes. *)
   let trans =
     Obs.Span.with_span "problem.build.trans" @@ fun () ->
-    let universe =
-      let seen = Hashtbl.create 32 in
-      Array.iter
-        (fun design ->
-          Design.fold
-            (fun s () ->
-              let key = Cost_key.structure s in
-              if not (Hashtbl.mem seen key) then Hashtbl.replace seen key s)
-            design ())
-        designs;
-      (* cddpd-lint: allow determinism — fold collects members that are sorted by Structure.compare below *)
-      let members = Hashtbl.fold (fun _ s acc -> s :: acc) seen [] in
-      Array.of_list (List.sort Structure.compare members)
-    in
-    let n_structures = Array.length universe in
-    let index_of = Hashtbl.create (max 16 n_structures) in
-    Array.iteri (fun i s -> Hashtbl.replace index_of (Cost_key.structure s) i) universe;
-    let build_cost =
-      Array.map
-        (fun s ->
-          Cost_cache.structure_build_cost cache params
-            (stats_of (Structure.table s))
-            s)
-        universe
-    in
-    let words = max 1 ((n_structures + 62) / 63) in
-    let mask_of design =
-      let mask = Array.make words 0 in
-      Design.fold
-        (fun s () ->
-          let i = Hashtbl.find index_of (Cost_key.structure s) in
-          mask.(i / 63) <- mask.(i / 63) lor (1 lsl (i mod 63)))
-        design ();
-      mask
-    in
-    let masks = Array.map mask_of designs in
-    (* TRANS delta reuse: configurations that also existed in the
-       previous build (matched by design key, statistics unchanged — the
-       summary would have been dropped otherwise) copy their pairwise
-       entries verbatim from the previous matrix. *)
-    let prev_of =
-      match reuse_summary with
-      | None -> None
-      | Some s ->
-          Some
-            (Array.init n_configs (fun c ->
-                 match design_keys.(c) with
-                 | Some dk -> (
-                     match Hashtbl.find_opt s.s_id_of_design dk with
-                     | Some id -> id
-                     | None -> -1)
-                 | None -> -1))
-    in
-    let prev_trans =
-      match reuse_summary with Some s -> s.s_trans | None -> [||]
-    in
-    let trans = Array.make_matrix n_configs n_configs 0.0 in
-    let chunk_tallies =
-      Parallel.map_chunks ?jobs ~min_per_domain:8 ~n:n_configs (fun ~lo ~hi ->
-          let memo = Hashtbl.create 256 in
-          let hits = ref 0 in
-          let copied = ref 0 in
-          let key_buf = Buffer.create (words * 12) in
-          let added = Array.make words 0 in
-          for i = lo to hi - 1 do
-            let from_mask = masks.(i) in
-            let row = trans.(i) in
-            let pi = match prev_of with Some p -> p.(i) | None -> -1 in
-            let prev_row = if pi >= 0 then Some prev_trans.(pi) else None in
-            for j = 0 to n_configs - 1 do
-              if i <> j then begin
-                let pj =
-                  match (prev_row, prev_of) with
-                  | Some _, Some p -> p.(j)
-                  | _ -> -1
-                in
-                if pj >= 0 then begin
-                  (match prev_row with
-                  | Some prev_row -> row.(j) <- prev_row.(pj)
-                  | None -> assert false);
-                  incr copied
-                end
-                else begin
-                  let to_mask = masks.(j) in
-                  let removed = ref 0 in
-                  Buffer.clear key_buf;
-                  for w = 0 to words - 1 do
-                    let a = to_mask.(w) land lnot from_mask.(w) in
-                    added.(w) <- a;
-                    removed := !removed + popcount (from_mask.(w) land lnot to_mask.(w));
-                    Buffer.add_string key_buf (string_of_int a);
-                    Buffer.add_char key_buf ','
-                  done;
-                  let key = Buffer.contents key_buf in
-                  let build_sum =
-                    match Hashtbl.find_opt memo key with
-                    | Some v ->
-                        incr hits;
-                        v
-                    | None ->
-                        let acc = ref 0.0 in
-                        for w = 0 to words - 1 do
-                          let bits = ref added.(w) in
-                          let bit = ref (w * 63) in
-                          while !bits <> 0 do
-                            if !bits land 1 = 1 then acc := !acc +. build_cost.(!bit);
-                            bits := !bits lsr 1;
-                            incr bit
-                          done
-                        done;
-                        Hashtbl.replace memo key !acc;
-                        !acc
-                  in
-                  row.(j) <-
-                    build_sum
-                    +. (params.Cost_model.drop_cost *. float_of_int !removed)
-                end
-              end
-            done
-          done;
-          (!hits, !copied))
-    in
-    List.iter (fun (hits, _) -> Obs.Counter.add m_trans_memoized hits) chunk_tallies;
-    (match reuse with
-    | None -> ()
-    | Some r ->
-        let copied =
-          List.fold_left (fun acc (_, c) -> acc + c) 0 chunk_tallies
-        in
-        r.Reuse.t_trans_blocks_reused <- r.Reuse.t_trans_blocks_reused + copied;
-        Obs.Counter.add m_reopt_trans_reused copied);
-    trans
+    fill_trans ~params ~stats_of ?jobs reuse prev ~designs ~design_keys
   in
-  (* Hand the completed state to the session: the next build reuses this
-     one's cluster costs and TRANS entries as long as keys match and the
-     statistics fingerprints below still hold. *)
-  (match reuse with
-  | None -> ()
-  | Some r -> (
-      r.Reuse.t_builds <- r.Reuse.t_builds + 1;
-      match !pending_exec_summary with
-      | None -> ()
-      | Some (s_cluster_id_of, s_by_design) ->
-          let s_id_of_design = Hashtbl.create (max 16 n_configs) in
-          Array.iteri
-            (fun c dk ->
-              match dk with
-              | Some dk -> Hashtbl.replace s_id_of_design dk c
-              | None -> ())
-            design_keys;
-          let s_fingerprints = Hashtbl.create 8 in
-          (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)
-          Hashtbl.iter
-            (fun t stats -> Hashtbl.replace s_fingerprints t (Table_stats.fingerprint stats))
-            stats_tbl;
-          r.Reuse.summary <-
-            Some { s_cluster_id_of; s_by_design; s_id_of_design; s_trans = trans; s_fingerprints }));
-  Cost_cache.publish_obs cache;
+  record_summary reuse ~stats_tbl ~design_keys clusters columns trans;
+  Cost_cache.publish_obs reuse.Reuse.cache;
   make_t ~steps ~space ~initial:initial_id ~exec ~trans ~count_initial_change
 
 let of_matrices ~steps ~space ~initial ~exec ~trans ?(count_initial_change = false) () =

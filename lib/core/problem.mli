@@ -91,8 +91,6 @@ val build :
   initial:Cddpd_catalog.Design.t ->
   ?count_initial_change:bool ->
   ?jobs:int ->
-  ?cost_cache:bool ->
-  ?compress_workload:bool ->
   ?reuse:Reuse.t ->
   ?statement_keys:string array ->
   unit ->
@@ -102,51 +100,50 @@ val build :
     convention).  Raises [Invalid_argument] if [steps] is empty or
     [initial] is not in the space.
 
-    The build memoizes what-if calls through a fresh
-    {!Cddpd_engine.Cost_cache} (disable with [cost_cache:false], or
-    process-wide via {!Cddpd_engine.Cost_cache.set_default_enabled}) and
-    fills the matrices across [jobs] domains (default
+    The build runs in stages.  It keys every statement by its
+    {!Cddpd_engine.Cost_key} cost identity, clusters equal keys
+    ([workload.clusters]), and fills one EXEC column per class of
+    configurations whose designs agree on the workload-relevant
+    structures ([problem.exec_columns_skipped] counts the columns
+    shared).  Each recosted cluster's representative is bound once
+    ({!Cddpd_engine.Cost_model.bind}) and its cells are costed with
+    {!Cddpd_engine.Cost_model.bound_cost}.  Cluster costs are then
+    re-expanded by summing them in the original statement order.  The
+    columns are filled across [jobs] domains (default
     {!Cddpd_util.Parallel.default_jobs}; small instances always run
-    sequentially).  TRANS always pays per {e distinct structure-delta}:
-    designs are bitmasks over the sorted structure universe and each
-    added-set build sum is memoized per domain (the
-    [problem.trans_builds_memoized] counter), never per config pair.
-
-    [compress_workload] (default [false]) additionally compresses the
-    EXEC side: statements are clustered by {!Cddpd_engine.Cost_key} cost
-    identity ([workload.clusters]) so each configuration costs one
-    what-if call per cluster instead of per statement, and configurations
-    whose designs agree on their workload-relevant structures share one
-    column fill ([problem.exec_columns_skipped]).  The compressed fill
-    binds each recosted cluster's representative once
-    ({!Cddpd_engine.Cost_model.bind}) and costs its cells with
-    {!Cddpd_engine.Cost_model.bound_cost}, bypassing the statement cache:
-    every (cluster, column) cell is distinct, so it could never hit.
+    sequentially).  TRANS pays per {e distinct structure-delta}: designs
+    are bitmasks over the sorted structure universe and each added-set
+    build sum is memoized per domain (the [problem.trans_builds_memoized]
+    counter), never per config pair.
 
     [reuse] threads the session state of {!Reuse} through the build:
     exec cluster costs and TRANS entries already known from the previous
     build are copied instead of recomputed (instrumented as
     [reopt.exec_columns_reused], [reopt.clusters_recosted],
-    [reopt.trans_blocks_reused], [reopt.stats_invalidations]), and the
-    finished build replaces the session summary.  [reuse] implies
-    [compress_workload] and memoizes structure build costs in the
-    session's persistent cache ([cost_cache] is ignored).
+    [reopt.trans_blocks_reused], [reopt.stats_invalidations]), structure
+    build costs are memoized in the session's cache, and the finished
+    build replaces the session summary.  Without [reuse] the build runs
+    in a fresh session of its own: an empty session is the from-scratch
+    build.
 
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
     skipping the keying pass; the caller must guarantee they equal the
     keys under the current statistics (serve checks per-window
     statistics fingerprints before passing them).  Raises
-    [Invalid_argument] on a length mismatch.  Only consulted on the
-    compressed path.
+    [Invalid_argument] on a length mismatch.
 
-    None of these knobs changes the result: matrices are bit-identical
-    across cache settings, domain counts, compression, and reuse
-    (compression re-expands cluster costs in the original statement
-    order; column sharing only merges columns the cost model provably
-    computes equal; reuse only copies floats whose cost identity proves
-    them equal to a fresh computation).  [stats_of] is called only from
-    the calling domain.  See docs/PERFORMANCE.md. *)
+    The matrices are bit-identical to the naive definition, whatever the
+    domain count, the session state, or the keys passed in:
+    [exec.(s).(c)] is the left fold of
+    {!Cddpd_engine.Cost_model.statement_cost} over step [s] under
+    configuration [c]'s design, and [trans.(i).(j)] is
+    {!Cddpd_engine.Cost_model.transition_cost}.  Clustering re-expands
+    cluster costs in the original statement order; column sharing only
+    merges columns the cost model provably computes equal; reuse only
+    copies floats whose cost identity proves them equal to a fresh
+    computation.  [stats_of] is called only from the calling domain.
+    See docs/PERFORMANCE.md. *)
 
 val of_matrices :
   steps:Cddpd_sql.Ast.statement array array ->

@@ -17,21 +17,12 @@ type scored = {
   build_cost : float;
 }
 
-let table_of statement =
-  match statement with
-  | Ast.Select { table; _ }
-  | Ast.Select_agg { table; _ }
-  | Ast.Insert { table; _ }
-  | Ast.Delete { table; _ }
-  | Ast.Update { table; _ } ->
-      table
-
 let score ~params ~stats_of ~steps candidates =
   let flat = Array.concat (Array.to_list steps) in
   if Array.length flat = 0 then invalid_arg "Pruner.score: empty workload";
   let clustering =
     Compress.cluster
-      ~key:(fun statement -> Cost_key.statement (stats_of (table_of statement)) statement)
+      ~key:(fun statement -> Cost_key.statement (stats_of (Ast.table_of statement)) statement)
       flat
   in
   let n_clusters = Compress.n_clusters clustering in
@@ -40,7 +31,7 @@ let score ~params ~stats_of ~steps candidates =
   let base =
     Array.map
       (fun rep ->
-        Cost_model.statement_cost params (stats_of (table_of rep)) Design.empty rep)
+        Cost_model.statement_cost params (stats_of (Ast.table_of rep)) Design.empty rep)
       reps
   in
   List.map
@@ -51,7 +42,7 @@ let score ~params ~stats_of ~steps candidates =
         Array.init n_clusters (fun r ->
             let rep = reps.(r) in
             base.(r)
-            -. Cost_model.statement_cost params (stats_of (table_of rep)) design rep)
+            -. Cost_model.statement_cost params (stats_of (Ast.table_of rep)) design rep)
       in
       let weighted_benefit =
         let acc = ref 0.0 in

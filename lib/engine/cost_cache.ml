@@ -1,5 +1,3 @@
-module Design = Cddpd_catalog.Design
-module Structure = Cddpd_catalog.Structure
 module Obs = Cddpd_obs
 
 let m_hits = Obs.Registry.counter "cost_cache.hits"
@@ -49,11 +47,6 @@ let create ?(capacity = default_capacity) () =
 
 let disabled = Disabled
 
-let is_enabled t = match t with Enabled _ -> true | Disabled -> false
-
-let create_local t =
-  match t with Disabled -> Disabled | Enabled c -> create ~capacity:c.capacity ()
-
 let stats t =
   match t with
   | Disabled -> { hits = 0; misses = 0; evictions = 0; generations = 0 }
@@ -81,15 +74,6 @@ let publish_obs t =
       c.published_misses <- misses;
       c.published_evictions <- evictions;
       c.published_generations <- generations
-
-(* -- default-enablement knob ------------------------------------------------ *)
-
-(* cddpd-lint: allow domain-unsafe-state — process-wide default toggled by the CLI on the main domain before any solver runs; workers never write it *)
-let enabled_by_default = ref true
-
-let default_enabled () = !enabled_by_default
-
-let set_default_enabled on = enabled_by_default := on
 
 (* -- generational statement-entry store ------------------------------------- *)
 
@@ -151,55 +135,3 @@ let structure_build_cost t params stats structure =
 
 let invalidate_builds t =
   match t with Disabled -> () | Enabled c -> Hashtbl.reset c.builds
-
-let warm_structures t params ~stats_of structures =
-  List.iter
-    (fun structure ->
-      ignore
-        (structure_build_cost t params (stats_of (Structure.table structure)) structure))
-    structures
-
-let transition_cost t params ~stats_of ~from_design ~to_design =
-  match t with
-  | Disabled -> Cost_model.transition_cost params ~stats_of ~from_design ~to_design
-  | Enabled _ ->
-      (* Same fold order as Cost_model.transition_cost, so the cached sum
-         is bit-identical to the uncached one. *)
-      let built = Design.diff to_design from_design in
-      let dropped = Design.diff from_design to_design in
-      let build_total =
-        Design.fold
-          (fun structure acc ->
-            acc
-            +. structure_build_cost t params
-                 (stats_of (Structure.table structure))
-                 structure)
-          built 0.0
-      in
-      build_total
-      +. (params.Cost_model.drop_cost *. float_of_int (Design.cardinality dropped))
-
-(* -- merging worker caches ---------------------------------------------------- *)
-
-let merge ~into src =
-  match (into, src) with
-  | Disabled, _ | _, Disabled -> ()
-  | Enabled dst, Enabled src ->
-      let keep key v =
-        if
-          (not (Hashtbl.mem dst.current key)) && not (Hashtbl.mem dst.previous key)
-        then insert dst key v
-      in
-      (* Keyed insert-if-absent: each key is visited once, so visit order
-         cannot change the merge — to_seq keeps the determinism rule green
-         without a waiver. *)
-      Seq.iter (fun (key, v) -> keep key v) (Hashtbl.to_seq src.previous);
-      Seq.iter (fun (key, v) -> keep key v) (Hashtbl.to_seq src.current);
-      Seq.iter
-        (fun (key, v) ->
-          if not (Hashtbl.mem dst.builds key) then Hashtbl.replace dst.builds key v)
-        (Hashtbl.to_seq src.builds);
-      ignore (Atomic.fetch_and_add dst.hits (Atomic.get src.hits));
-      ignore (Atomic.fetch_and_add dst.misses (Atomic.get src.misses));
-      ignore (Atomic.fetch_and_add dst.evictions (Atomic.get src.evictions));
-      ignore (Atomic.fetch_and_add dst.generations (Atomic.get src.generations))

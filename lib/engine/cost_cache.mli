@@ -9,10 +9,15 @@
     per {e distinct structure} instead of once per ordered configuration
     pair.
 
+    It has two users.  A {!Cddpd_core.Problem.Reuse} session keeps one
+    as the TRANS structure-build memo (its EXEC fill is clustered by
+    cost identity, so statement entries could never hit there), and the
+    serve loop's probation check costs each window's statements through
+    one.
+
     A cache is only sound while the cost-model parameters behind it are
     fixed: keys identify the statement's cost inputs (including a
-    table-statistics fingerprint) and the design, not the params.
-    {!Cddpd_core.Problem.build} uses one fresh cache per build.  Cached
+    table-statistics fingerprint) and the design, not the params.  Cached
     results are the {e bit-identical} floats the uncached computation
     produces — memoization never changes an answer, only whether
     {!Cost_model.statement_cost} runs (so the [cost_model.calls] counter
@@ -30,13 +35,8 @@
 
     {2 Domains}
 
-    Hit/miss/eviction tallies are atomics, so concurrent readers may
-    share a cache; the hash tables themselves are unsynchronised.  The
-    contract for parallel use is the one {!Cddpd_core.Problem.build}
-    follows: give each domain its own cache ({!create_local}) and
-    {!merge} the locals afterwards, or share a cache across domains only
-    for phases that cannot miss (pre-warmed via {!warm_structures}, which
-    makes every subsequent {!transition_cost} lookup a read-only hit).
+    The hash tables are unsynchronised: use a cache from one domain at a
+    time.
 
     {2 Observability}
 
@@ -60,17 +60,6 @@ val disabled : t
 (** The pass-through cache: every operation delegates straight to
     {!Cost_model}, nothing is stored, stats stay zero. *)
 
-val is_enabled : t -> bool
-
-val create_local : t -> t
-(** An empty cache with the same configuration, for one worker domain;
-    [create_local disabled] is {!disabled}. *)
-
-val merge : into:t -> t -> unit
-(** Fold a worker's entries and tallies into [into] (first writer of a
-    key wins; both caches must be quiescent).  No-op when either side is
-    {!disabled}. *)
-
 val stats : t -> stats
 
 val publish_obs : t -> unit
@@ -84,14 +73,6 @@ val invalidate_builds : t -> unit
     explicitly invalidated before its build memo is trusted again —
     statement entries self-invalidate (their keys embed a stats
     fingerprint) and are left alone.  No-op on {!disabled}. *)
-
-(** {1 Default-enablement knob (the [--no-cost-cache] flag)} *)
-
-val default_enabled : unit -> bool
-(** Whether cost-cache consumers should cache by default ([true] at
-    startup). *)
-
-val set_default_enabled : bool -> unit
 
 (** {1 Cached costing} *)
 
@@ -110,24 +91,3 @@ val statement_cost :
 val structure_build_cost :
   t -> Cost_model.params -> Table_stats.t -> Cddpd_catalog.Structure.t -> float
 (** Memoized {!Cost_model.structure_build_cost}. *)
-
-val warm_structures :
-  t ->
-  Cost_model.params ->
-  stats_of:(string -> Table_stats.t) ->
-  Cddpd_catalog.Structure.t list ->
-  unit
-(** Precompute build costs for every listed structure, so later
-    {!transition_cost} calls over designs drawn from these structures hit
-    without writing — the invariant that makes sharing the cache across
-    read-only domains safe. *)
-
-val transition_cost :
-  t ->
-  Cost_model.params ->
-  stats_of:(string -> Table_stats.t) ->
-  from_design:Cddpd_catalog.Design.t ->
-  to_design:Cddpd_catalog.Design.t ->
-  float
-(** [TRANS(Ci, Cj)] as {!Cost_model.transition_cost} computes it, but
-    with each built structure's cost drawn from the memo. *)

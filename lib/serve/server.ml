@@ -16,6 +16,7 @@ module Reopt = Cddpd_core.Reopt
 module Table_stats = Cddpd_engine.Table_stats
 module Compress = Cddpd_workload.Compress
 module Cost_key = Cddpd_engine.Cost_key
+module Check = Cddpd_engine.Check
 module Timer = Cddpd_util.Timer
 module Obs = Cddpd_obs
 
@@ -196,9 +197,7 @@ let create ?(on_window = fun _ -> ()) db cfg =
     buf_keys = Array.make cfg.window "";
     buf_gens = Array.make cfg.window (-1);
     parse_cache = (if cfg.template_cache then Some (Template.create ()) else None);
-    probe_cache =
-      (if cfg.plan_cache && Cost_cache.default_enabled () then Cost_cache.create ()
-       else Cost_cache.disabled);
+    probe_cache = (if cfg.plan_cache then Cost_cache.create () else Cost_cache.disabled);
     intern = Hashtbl.create 256;
     window_started_s = 0.0;
     fill = 0;
@@ -259,15 +258,6 @@ let feed_key t entry statement =
           entry.Template.cost_tag <- Some (gen, key);
           (key, gen))
   | None -> (compute (), gen)
-
-let statement_table statement =
-  match statement with
-  | Ast.Select { table; _ }
-  | Ast.Select_agg { table; _ }
-  | Ast.Insert { table; _ }
-  | Ast.Delete { table; _ }
-  | Ast.Update { table; _ } ->
-      table
 
 (* The candidate structures of a re-optimization: derived from the recent
    statements, plus whatever the incumbent design already materialises —
@@ -451,7 +441,7 @@ let close_window t window fed_keys fed_gens =
       h_statements = window;
       h_keys = keys;
       h_uniform =
-        Array.for_all (fun s -> String.equal (statement_table s) t.cfg.table) window;
+        Array.for_all (fun s -> String.equal (Ast.table_of s) t.cfg.table) window;
       h_fingerprint = fingerprint;
     }
   in
@@ -513,7 +503,7 @@ let close_window t window fed_keys fed_gens =
   t.on_window report;
   report
 
-let feed_statement t ?entry statement =
+let feed_statement t ?entry ~skip_check statement =
   if t.fill = 0 && Obs.Registry.enabled () then
     t.window_started_s <- Obs.Span.now_s ();
   let read_only = Ast.is_read_only statement in
@@ -527,15 +517,11 @@ let feed_statement t ?entry statement =
   let statement_key =
     if
       t.cfg.plan_cache && read_only
-      && String.equal (statement_table statement) t.cfg.table
+      && String.equal (Ast.table_of statement) t.cfg.table
     then Some key
     else None
   in
-  let skip_check =
-    match entry with Some e -> e.Template.validated | None -> false
-  in
   let result = Database.execute ?statement_key ~skip_check t.db statement in
-  (match entry with Some e -> e.Template.validated <- true | None -> ());
   t.statements <- t.statements + 1;
   t.exec_io <- t.exec_io + result.Database.logical_io;
   t.window_io <- t.window_io + result.Database.logical_io;
@@ -553,17 +539,29 @@ let feed_statement t ?entry statement =
   end
   else None
 
-let feed t statement = feed_statement t statement
+let feed t statement = feed_statement t ~skip_check:false statement
+
+(* Semantic validation runs before the statement is keyed, executed or
+   buffered, so a statement the schema rejects is skipped like a lexical
+   error.  A template entry remembers that its statement passed: repeated
+   texts skip the check. *)
+let feed_checked t ?entry statement =
+  let validated = match entry with Some e -> e.Template.validated | None -> false in
+  match if validated then Ok () else Check.statement (Database.tables t.db) statement with
+  | Error e -> Error e
+  | Ok () ->
+      Option.iter (fun e -> e.Template.validated <- true) entry;
+      Ok (feed_statement t ?entry ~skip_check:true statement)
 
 let feed_sql t sql =
   match t.parse_cache with
   | Some cache -> (
       match Parser.parse_cached cache sql with
-      | Ok entry -> Ok (feed_statement t ~entry entry.Template.statement)
+      | Ok entry -> feed_checked t ~entry entry.Template.statement
       | Error e -> Error e)
   | None -> (
       match Parser.parse sql with
-      | Ok statement -> Ok (feed_statement t statement)
+      | Ok statement -> feed_checked t statement
       | Error e -> Error e)
 
 let finish t =

@@ -170,7 +170,9 @@ val feed_sql : t -> string -> (window_report option, string) result
     path.  With [config.template_cache] on, parsing goes through
     {!Cddpd_sql.Parser.parse_cached}: repeated texts reuse their AST,
     cost key, and semantic validation; repeated shapes reparse nothing.
-    [Error] carries the parse error message; nothing was executed. *)
+    A statement is checked against the schema ({!Cddpd_engine.Check})
+    before it is keyed or executed.  [Error] carries the parse or check
+    error message; nothing was executed or buffered. *)
 
 val template_stats : t -> Cddpd_sql.Template.stats option
 (** The statement-template cache's hit/miss counters; [None] when

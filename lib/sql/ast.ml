@@ -74,6 +74,15 @@ let referenced_columns statement =
   | Update { assignments; where; _ } ->
       dedup (List.map fst assignments @ List.map predicate_column where)
 
+let table_of statement =
+  match statement with
+  | Select { table; _ }
+  | Select_agg { table; _ }
+  | Insert { table; _ }
+  | Delete { table; _ }
+  | Update { table; _ } ->
+      table
+
 let where_of statement =
   match statement with
   | Select { where; _ }

@@ -58,6 +58,9 @@ val referenced_columns : statement -> string list
     in first-mention order).  For DELETE/UPDATE these are the predicate
     (and assigned) columns. *)
 
+val table_of : statement -> string
+(** The table the statement reads or writes. *)
+
 val where_of : statement -> predicate list
 (** The statement's WHERE conjunction ([\[\]] for INSERT). *)
 

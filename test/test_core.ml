@@ -570,15 +570,6 @@ let workload_steps (name, seed, value_range) =
     (Cddpd_workload.Workloads.by_name name ~scale:0.04 ())
     ~table:"t" ~value_range ~seed
 
-let float_bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-
-let matrix_bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun r1 r2 ->
-         Array.length r1 = Array.length r2 && Array.for_all2 float_bits_equal r1 r2)
-       a b
-
 (* An exact solver signature: hex-printed cost plus the path, so two
    problems agree iff the solver behaved bit-identically on both.  Ranking
    runs under tight (deterministic) budgets: at small k its rank explosion
@@ -613,13 +604,12 @@ let compression_bit_identity_prop =
         Cost_model.structure_size_bytes params ~stats:(stats_of (Structure.table s)) s
       in
       let space = Config_space.enumerate ~candidates ~max_structures:1 ~size_of () in
-      let build compress_workload =
-        Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty
-          ~compress_workload ()
+      let compressed =
+        Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ()
       in
-      let plain = build false and compressed = build true in
-      matrix_bits_equal plain.Problem.exec compressed.Problem.exec
-      && matrix_bits_equal plain.Problem.trans compressed.Problem.trans
+      let plain = Naive.problem params ~stats_of compressed in
+      Naive.matrix_same_bits plain.Problem.exec compressed.Problem.exec
+      && Naive.matrix_same_bits plain.Problem.trans compressed.Problem.trans
       && List.for_all
            (fun method_name ->
              List.for_all
@@ -663,7 +653,7 @@ let pruning_preserves_atomic_optimum_prop =
         ( Optimizer.solve full ~method_name:Solution.Kaware ~k (),
           Optimizer.solve pruned ~method_name:Solution.Kaware ~k () )
       with
-      | Ok a, Ok b -> float_bits_equal a.Solution.cost b.Solution.cost
+      | Ok a, Ok b -> Naive.same_bits a.Solution.cost b.Solution.cost
       | Error _, Error _ -> true
       | Ok _, Error _ | Error _, Ok _ -> false)
 

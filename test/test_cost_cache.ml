@@ -1,7 +1,8 @@
 (* Cost-cache and parallel-build tests: memoization must be invisible
-   (bit-identical costs, matrices and solver outputs, whatever the cache
-   setting or domain count) and the collision-safe keys must actually
-   distinguish distinct inputs. *)
+   (bit-identical costs), Problem.build must equal the naive oracle
+   (naive.ml) in matrices and solver outputs whatever the domain count,
+   and the collision-safe keys must actually distinguish distinct
+   inputs. *)
 
 module Tuple = Cddpd_storage.Tuple
 module Schema = Cddpd_catalog.Schema
@@ -145,20 +146,6 @@ let cached_equals_uncached_prop =
       in
       same_float direct cached && same_float direct cached_again)
 
-let cached_trans_equals_uncached_prop =
-  QCheck.Test.make ~name:"cached TRANS == uncached TRANS (bit-identical)" ~count:200
-    (QCheck.make
-       ~print:(fun (a, b) -> Design.name a ^ " -> " ^ Design.name b)
-       QCheck.Gen.(pair gen_design gen_design))
-    (fun (from_design, to_design) ->
-      let direct =
-        Cost_model.transition_cost params ~stats_of ~from_design ~to_design
-      in
-      let cached =
-        Cost_cache.transition_cost shared_cache params ~stats_of ~from_design ~to_design
-      in
-      same_float direct cached)
-
 (* Statistics snapshots that agree on everything but column [c]: its
    histogram is rebuilt with [distinct] values, so statements that never
    read [c] keep their selectivities while views grouped on [c] change
@@ -256,28 +243,25 @@ let steps_for_build =
 
 let space = Config_space.single_structure structure_pool
 
-let build ~jobs ~cost_cache =
+let build ~jobs =
   Problem.build ~params ~stats_of ~steps:steps_for_build ~space ~initial:Design.empty
-    ~jobs ~cost_cache ()
+    ~jobs ()
 
-let check_matrices_equal label (a : Problem.t) (b : Problem.t) =
-  let matrix_equal m n =
-    Array.length m = Array.length n
-    && Array.for_all2 (fun r1 r2 -> Array.for_all2 same_float r1 r2) m n
-  in
-  Alcotest.(check bool) (label ^ ": exec identical") true (matrix_equal a.Problem.exec b.Problem.exec);
-  Alcotest.(check bool) (label ^ ": trans identical") true (matrix_equal a.Problem.trans b.Problem.trans)
+let build_jobs = [ 1; 4; 13 ]
 
-let test_build_deterministic_across_jobs () =
-  let reference = build ~jobs:1 ~cost_cache:false in
-  check_matrices_equal "jobs=1 cache" reference (build ~jobs:1 ~cost_cache:true);
-  check_matrices_equal "jobs=4 cache" reference (build ~jobs:4 ~cost_cache:true);
-  check_matrices_equal "jobs=4 nocache" reference (build ~jobs:4 ~cost_cache:false);
-  check_matrices_equal "jobs=13 cache" reference (build ~jobs:13 ~cost_cache:true)
+let test_build_matches_oracle_across_jobs () =
+  List.iter
+    (fun jobs ->
+      let built = build ~jobs in
+      let oracle = Naive.problem params ~stats_of built in
+      let label = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check bool) (label ^ ": exec identical") true
+        (Naive.matrix_same_bits built.Problem.exec oracle.Problem.exec);
+      Alcotest.(check bool) (label ^ ": trans identical") true
+        (Naive.matrix_same_bits built.Problem.trans oracle.Problem.trans))
+    build_jobs
 
-let test_solvers_bit_identical_cached_vs_uncached () =
-  let cached = build ~jobs:4 ~cost_cache:true in
-  let uncached = build ~jobs:1 ~cost_cache:false in
+let test_solvers_bit_identical_to_oracle () =
   let methods =
     [
       (Solution.Unconstrained, None);
@@ -296,12 +280,16 @@ let test_solvers_bit_identical_cached_vs_uncached () =
         | Error _ ->
             Alcotest.failf "solver %s failed" (Solution.method_to_string method_name)
       in
-      let a = solve cached and b = solve uncached in
-      let name = Solution.method_to_string method_name in
-      Alcotest.(check (array int)) (name ^ ": same path") b.Solution.path a.Solution.path;
-      Alcotest.(check bool) (name ^ ": same cost bits") true
-        (same_float a.Solution.cost b.Solution.cost);
-      Alcotest.(check int) (name ^ ": same changes") b.Solution.changes a.Solution.changes)
+      List.iter
+        (fun jobs ->
+          let built = build ~jobs in
+          let a = solve built and b = solve (Naive.problem params ~stats_of built) in
+          let name = Printf.sprintf "%s jobs=%d" (Solution.method_to_string method_name) jobs in
+          Alcotest.(check (array int)) (name ^ ": same path") b.Solution.path a.Solution.path;
+          Alcotest.(check bool) (name ^ ": same cost bits") true
+            (same_float a.Solution.cost b.Solution.cost);
+          Alcotest.(check int) (name ^ ": same changes") b.Solution.changes a.Solution.changes)
+        build_jobs)
     methods
 
 (* -- cache mechanics ----------------------------------------------------------- *)
@@ -332,19 +320,6 @@ let test_cache_eviction_keeps_answers () =
   let s = Cost_cache.stats cache in
   Alcotest.(check bool) "evictions happened" true (s.Cost_cache.evictions > 0)
 
-let test_merge_accumulates () =
-  let into = Cost_cache.create () in
-  let local = Cost_cache.create_local into in
-  let statement = Ast.Select { projection = Ast.Star; table = "t"; where = [] } in
-  ignore (Cost_cache.statement_cost local params stats ~design:Design.empty statement);
-  Cost_cache.merge ~into local;
-  let s = Cost_cache.stats into in
-  Alcotest.(check int) "miss carried over" 1 s.Cost_cache.misses;
-  (* The merged entry must now hit in the destination. *)
-  ignore (Cost_cache.statement_cost into params stats ~design:Design.empty statement);
-  let s = Cost_cache.stats into in
-  Alcotest.(check int) "hit on merged entry" 1 s.Cost_cache.hits
-
 let test_disabled_cache_passthrough () =
   let statement = Ast.Select { projection = Ast.Star; table = "t"; where = [] } in
   let direct = Cost_model.statement_cost params stats Design.empty statement in
@@ -362,7 +337,6 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest cached_equals_uncached_prop;
-          QCheck_alcotest.to_alcotest cached_trans_equals_uncached_prop;
           QCheck_alcotest.to_alcotest key_sound_prop;
           QCheck_alcotest.to_alcotest design_key_injective_prop;
           Alcotest.test_case "view cardinality in the under-design key" `Quick
@@ -370,17 +344,16 @@ let () =
         ] );
       ( "problem_build",
         [
-          Alcotest.test_case "matrices identical across jobs/cache" `Quick
-            test_build_deterministic_across_jobs;
-          Alcotest.test_case "six solvers bit-identical cached vs uncached" `Quick
-            test_solvers_bit_identical_cached_vs_uncached;
+          Alcotest.test_case "matrices = naive oracle, jobs 1/4/13" `Quick
+            test_build_matches_oracle_across_jobs;
+          Alcotest.test_case "solvers = naive oracle, jobs 1/4/13" `Quick
+            test_solvers_bit_identical_to_oracle;
         ] );
       ( "mechanics",
         [
           Alcotest.test_case "hits and misses" `Quick test_cache_hits_and_misses;
           Alcotest.test_case "eviction keeps answers" `Quick
             test_cache_eviction_keeps_answers;
-          Alcotest.test_case "merge accumulates" `Quick test_merge_accumulates;
           Alcotest.test_case "disabled passthrough" `Quick test_disabled_cache_passthrough;
         ] );
     ]

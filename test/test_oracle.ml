@@ -1,13 +1,9 @@
-(* The naive oracle for Problem.build.
+(* Problem.build sessions against the naive oracle (naive.ml).
 
    Every optimisation of the EXEC and TRANS fills — workload compression,
    relevant-column sharing, bound statements, the reuse summary carried
    between the builds of a session, precomputed statement keys — must
-   leave the matrices equal, bit for bit, to the definition:
-
-     exec.(s).(c)  = left fold of Cost_model.statement_cost over step s
-                     under configuration c's design
-     trans.(i).(j) = Cost_model.transition_cost from design i to design j
+   leave the matrices equal, bit for bit, to the naive definition.
 
    The property drives one Problem.Reuse session over several builds of
    random workloads (reads, aggregates and DML) and random spaces of
@@ -138,34 +134,7 @@ let print_session (jobs, builds) =
                        b.steps))))
           builds))
 
-(* -- the oracle --------------------------------------------------------------- *)
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let oracle_exec stats_of design step =
-  Array.fold_left
-    (fun acc statement ->
-      acc +. Cost_model.statement_cost params (stats_of "t") design statement)
-    0.0 step
-
-let matches_oracle stats_of (problem : Problem.t) =
-  let designs = Config_space.designs problem.Problem.space in
-  let exec_ok =
-    Array.for_all2
-      (fun step row ->
-        Array.for_all2 (fun design cell -> same_bits cell (oracle_exec stats_of design step)) designs row)
-      problem.Problem.steps problem.Problem.exec
-  in
-  let trans_ok =
-    Array.for_all2
-      (fun from_design row ->
-        Array.for_all2
-          (fun to_design cell ->
-            same_bits cell (Cost_model.transition_cost params ~stats_of ~from_design ~to_design))
-          designs row)
-      designs problem.Problem.trans
-  in
-  exec_ok && trans_ok
+(* -- sessions ------------------------------------------------------------------ *)
 
 let make_db () =
   let db = Database.create ~pool_capacity:256 [ schema ] in
@@ -203,7 +172,7 @@ let run_session (jobs, builds) =
           Problem.build ~params ~stats_of ~steps:b.steps ~space ~initial:Design.empty ~jobs
             ~reuse:session ?statement_keys ()
         in
-        matches_oracle stats_of problem)
+        Naive.matches params ~stats_of problem)
       builds
   in
   (ok, Problem.Reuse.tallies session)

@@ -362,6 +362,40 @@ let test_serve_cache_flags_bit_identical () =
       Alcotest.(check bool) "template hits" true
         (s.Cddpd_sql.Template.template_hits > 0)
 
+(* A statement that parses but fails the schema check is rejected by
+   [feed_sql] like a lexical error: [Error], nothing executed or buffered,
+   and the loop keeps serving.  Repeating the text must be rejected again,
+   with the template cache on or off. *)
+let test_serve_skips_invalid_statements () =
+  let invalid =
+    [
+      ("unknown column", "SELECT * FROM t WHERE nosuch = 3");
+      ("unknown table", "SELECT * FROM nosuch WHERE a = 3");
+      ("literal type mismatch", "SELECT * FROM t WHERE a = 'x'");
+    ]
+  in
+  List.iter
+    (fun fast ->
+      let cfg =
+        { (serve_config ~window:5 ()) with Server.template_cache = fast; plan_cache = fast }
+      in
+      let server = Server.create (make_db ()) cfg in
+      let served () = (Server.finish server).Server.statements in
+      List.iteri
+        (fun i (what, sql) ->
+          let label = Printf.sprintf "%s (caches %b)" what fast in
+          for _ = 1 to 2 do
+            (match Server.feed_sql server sql with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s: accepted %S" label sql);
+            Alcotest.(check int) (label ^ ": nothing served") i (served ())
+          done;
+          match Server.feed_sql server (Printf.sprintf "SELECT * FROM t WHERE a = %d" (i + 1)) with
+          | Ok _ -> Alcotest.(check int) (label ^ ": next statement served") (i + 1) (served ())
+          | Error e -> Alcotest.failf "%s: valid statement rejected: %s" label e)
+        invalid)
+    [ true; false ]
+
 (* -- Reopt: incremental re-optimization ------------------------------------ *)
 
 module Advisor = Cddpd_core.Advisor
@@ -389,15 +423,11 @@ let pooled_phase =
     let pool = List.assoc column pools in
     Array.init n (fun i -> pool.(i mod pool_size))
 
-(* The serve loop's request shape: compressed build, sequential (the
-   reuse path is bit-identical at any jobs count; test_serve's server
-   section already sweeps jobs). *)
+(* The serve loop's request shape, sequential (the reuse path is
+   bit-identical at any jobs count; test_serve's server section already
+   sweeps jobs). *)
 let reopt_request steps =
-  {
-    (Advisor.default_request ~steps ~table:"t") with
-    Advisor.compress_workload = true;
-    jobs = Some 1;
-  }
+  { (Advisor.default_request ~steps ~table:"t") with Advisor.jobs = Some 1 }
 
 let float_bits_equal x y =
   Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
@@ -640,6 +670,8 @@ let () =
           Alcotest.test_case "non-positive threshold" `Quick
             test_serve_reopt_every_window_when_threshold_nonpositive;
           Alcotest.test_case "config validation" `Quick test_serve_validates_config;
+          Alcotest.test_case "invalid statements are skipped" `Quick
+            test_serve_skips_invalid_statements;
           Alcotest.test_case "cache flags bit-identical" `Quick
             test_serve_cache_flags_bit_identical;
         ] );
