@@ -191,14 +191,15 @@ let banner title =
 
 (* -- Bechamel micro-benchmarks: one Test.make per table/figure ----------- *)
 
-let micro (session : Session.t) =
-  (* Timings must be comparable run-to-run and with pre-observability
-     baselines: measure the uninstrumented path. *)
+(* Timings must be comparable run-to-run and with pre-observability
+   baselines: measure the uninstrumented path. *)
+let uninstrumented f =
   let was_enabled = Obs.Registry.enabled () in
   Obs.Registry.disable ();
-  Fun.protect
-    ~finally:(fun () -> if was_enabled then Obs.Registry.enable ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> if was_enabled then Obs.Registry.enable ()) f
+
+let micro (session : Session.t) =
+  uninstrumented @@ fun () ->
   let open Bechamel in
   let problem = session.Session.problem_w1 in
   let solve method_name k () =
@@ -369,19 +370,86 @@ let json_float f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
    digits for the ratios to stay meaningful. *)
 let json_float6 f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
 
-let write_micro_json path ~(options : options) ~build_s rows =
+(* -- statistics-refresh micro --------------------------------------------- *)
+
+(* One statistics refresh after a single-row-rewriting UPDATE on the
+   paper's 5,000 x 4 table (value range 1,000, the 24-frame pool of
+   perfbench's writes workload): the layer number behind that workload's
+   refresh share.  Each refresh is cross-checked against a full rescan —
+   every live row read through the pool, each column sorted and bucketed
+   by [Histogram.build] — whose time is reported next to it. *)
+let stats_refresh_runs = 100
+
+type stats_refresh = { refresh_s : float; rescan_s : float }
+
+let rescan_stats db table =
+  let schema = Option.get (Cddpd_engine.Database.schema db table) in
+  let positions = List.init (Cddpd_catalog.Schema.arity schema) Fun.id in
+  let rows = ref [] in
+  Cddpd_engine.Database.scan db table (fun tuple -> rows := tuple :: !rows);
+  let rows = Array.of_list !rows in
+  Cddpd_engine.Table_stats.make ~row_count:(Array.length rows)
+    ~page_count:(Cddpd_engine.Database.page_count db table)
+    ~histograms:
+      (List.map2
+         (fun (c : Cddpd_catalog.Schema.column) pos ->
+           ( c.Cddpd_catalog.Schema.name,
+             Cddpd_engine.Histogram.build
+               (Array.map (fun row -> Cddpd_storage.Tuple.int_exn row.(pos)) rows) ))
+         schema.Cddpd_catalog.Schema.columns positions)
+
+let time_stats_refresh () =
+  let module Database = Cddpd_engine.Database in
+  let db =
+    Setup.make_database
+      { Setup.test_config with Setup.rows = 5_000; value_range = 1_000; pool_capacity = 24 }
+  in
+  let rng = Rng.create 17 in
+  let refresh = Array.make stats_refresh_runs 0.0 in
+  let rescan = Array.make stats_refresh_runs 0.0 in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let x = f () in
+    (x, Unix.gettimeofday () -. t0)
+  in
+  for i = 0 to stats_refresh_runs - 1 do
+    ignore
+      (Database.execute_sql db
+         (Printf.sprintf "UPDATE t SET b = %d WHERE a = %d" (1 + Rng.int rng 1_000)
+            (1 + Rng.int rng 1_000)));
+    let stats, dt = timed (fun () -> Database.table_stats db "t") in
+    refresh.(i) <- dt;
+    let reference, dt = timed (fun () -> rescan_stats db "t") in
+    rescan.(i) <- dt;
+    if
+      not
+        (String.equal
+           (Cddpd_engine.Table_stats.fingerprint stats)
+           (Cddpd_engine.Table_stats.fingerprint reference))
+    then failwith "micro: refreshed statistics differ from a full rescan"
+  done;
+  let median a =
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  { refresh_s = median refresh; rescan_s = median rescan }
+
+let write_micro_json path ~(options : options) ~build_s ~stats_refresh rows =
   let oc = open_out path in
   let jobs =
     match options.jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ()
   in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-micro/2\",\"rows\":%d,\"value_range\":%d,\
+    "{\"schema\":\"cddpd-bench-micro/3\",\"rows\":%d,\"value_range\":%d,\
      \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\
-     \"problem_build\":{\"runs\":%d,\"median_s\":%s},\"micro\":["
+     \"problem_build\":{\"runs\":%d,\"median_s\":%s},\
+     \"stats_refresh\":{\"rows\":5000,\"columns\":4,\"runs\":%d,\
+     \"median_s\":%s,\"rescan_median_s\":%s,\"fingerprints_equal\":true},\"micro\":["
     options.config.Setup.rows options.config.Setup.value_range
     options.config.Setup.scale options.config.Setup.seed jobs
     (Cddpd_util.Parallel.ncpu ())
-    problem_build_runs (json_float build_s);
+    problem_build_runs (json_float build_s) stats_refresh_runs
+    (json_float6 stats_refresh.refresh_s) (json_float6 stats_refresh.rescan_s);
   List.iteri
     (fun i (name, ns) ->
       Printf.fprintf oc "%s{\"name\":\"%s\",\"ns_per_run\":%s}"
@@ -2116,7 +2184,12 @@ let () =
           let build_s = time_problem_build (get_session ()) in
           Printf.printf "\nProblem.build median wall time: %.3fs (%d runs)\n%!"
             build_s problem_build_runs;
-          write_micro_json micro_out ~options ~build_s rows;
+          let stats_refresh = uninstrumented time_stats_refresh in
+          Printf.printf
+            "statistics refresh after one UPDATE (5,000 x 4): median %.1fus; full rescan \
+             %.1fus (%d runs, fingerprints equal)\n%!"
+            (stats_refresh.refresh_s *. 1e6) (stats_refresh.rescan_s *. 1e6) stats_refresh_runs;
+          write_micro_json micro_out ~options ~build_s ~stats_refresh rows;
           Printf.printf "(wrote micro summary to %s)\n%!" micro_out
       | "solvers" ->
           banner "Solvers: constrained-solver scaling over large design spaces";

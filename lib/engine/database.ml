@@ -14,10 +14,16 @@ module Obs = Cddpd_obs
 let m_migrations = Obs.Registry.counter "database.migrations"
 let m_structures_built = Obs.Registry.counter "database.structures_built"
 let m_structures_dropped = Obs.Registry.counter "database.structures_dropped"
+let m_stats_refreshes = Obs.Registry.counter "database.stats_refreshes"
+
+(* An integer column's tuple position and the multiset of its values,
+   maintained by every heap mutation. *)
+type column_counts = { column : string; position : int; counts : Value_counts.t }
 
 type table_state = {
   schema : Schema.table;
   heap : Heap_file.t;
+  int_columns : column_counts list; (* declared order *)
   mutable indexes : Index.t list;
   mutable views : Mat_view.t list;
   mutable stats : Table_stats.t option; (* None when stale *)
@@ -45,10 +51,25 @@ let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_param
     (fun (schema : Schema.table) ->
       if Hashtbl.mem tables schema.Schema.name then
         invalid_arg "Database.create: duplicate table name";
+      let int_columns =
+        List.filter_map
+          (fun (c : Schema.column) ->
+            match c.Schema.ty with
+            | Schema.Int_type ->
+                Some
+                  {
+                    column = c.Schema.name;
+                    position = Schema.column_index_exn schema c.Schema.name;
+                    counts = Value_counts.create ();
+                  }
+            | Schema.Text_type -> None)
+          schema.Schema.columns
+      in
       Hashtbl.replace tables schema.Schema.name
         {
           schema;
           heap = Heap_file.create pool;
+          int_columns;
           indexes = [];
           views = [];
           stats = None;
@@ -79,30 +100,23 @@ let tables t = List.map (fun name -> (table_state t name).schema) t.table_order
 
 let row_count t name = Heap_file.n_tuples (table_state t name).heap
 
+let page_count t name = Heap_file.n_pages (table_state t name).heap
+
+let scan t name f = Heap_file.iter (table_state t name).heap (fun _rid tuple -> f tuple)
+
 (* -- statistics ----------------------------------------------------------- *)
 
+(* A refresh reads only the maintained value counts and the heap's
+   counters: O(distinct values) per column, no page access, so it never
+   shows up in any statement's I/O. *)
 let collect_stats state =
-  let columns = state.schema.Schema.columns in
-  let int_columns =
-    List.filter_map
-      (fun (c : Schema.column) ->
-        match c.Schema.ty with
-        | Schema.Int_type -> Some c.Schema.name
-        | Schema.Text_type -> None)
-      columns
-  in
-  let n = Heap_file.n_tuples state.heap in
-  let buffers =
-    List.map
-      (fun name -> (name, Schema.column_index_exn state.schema name, Array.make n 0))
-      int_columns
-  in
-  let row = ref 0 in
-  Heap_file.iter state.heap (fun _rid tuple ->
-      List.iter (fun (_, pos, buf) -> buf.(!row) <- Tuple.int_exn tuple.(pos)) buffers;
-      incr row);
-  let histograms = List.map (fun (name, _, buf) -> (name, Histogram.build buf)) buffers in
-  Table_stats.make ~row_count:n ~page_count:(Heap_file.n_pages state.heap) ~histograms
+  Obs.Counter.incr m_stats_refreshes;
+  Obs.Span.with_span "database.stats_refresh" (fun () ->
+      let histograms =
+        List.map (fun c -> (c.column, Value_counts.histogram c.counts)) state.int_columns
+      in
+      Table_stats.make ~row_count:(Heap_file.n_tuples state.heap)
+        ~page_count:(Heap_file.n_pages state.heap) ~histograms)
 
 let table_stats t name =
   let state = table_state t name in
@@ -135,30 +149,43 @@ let stats_generation t name = (table_state t name).stats_gen
 
 (* -- loading -------------------------------------------------------------- *)
 
-let insert_row state tuple =
-  (match Schema.validate_tuple state.schema tuple with
-  | Ok () -> ()
-  | Error message -> invalid_arg ("Database.load: " ^ message));
-  let rid = Heap_file.insert state.heap tuple in
-  List.iter (fun index -> Index.insert_entry index tuple rid) state.indexes;
-  List.iter (fun view -> Mat_view.apply_insert view tuple) state.views
-
 let validate_row state tuple =
   match Schema.validate_tuple state.schema tuple with
   | Ok () -> ()
   | Error message -> invalid_arg ("Database.load: " ^ message)
 
-(* Bulk path: append every row to the heap first, then rebuild each
-   existing index ([Index.build]: one heap scan, sort, [Btree.bulk_load])
-   and materialized view from scratch, instead of descending a tree per
-   row per structure.  Structure list order is preserved; old tree pages
-   are not reclaimed, the same convention as [drop_index].  All rows are
-   validated up front, so a bad row rejects the whole batch before any
-   mutation (the row-at-a-time path fails mid-way instead). *)
+let insert_row state tuple =
+  validate_row state tuple;
+  let rid = Heap_file.insert state.heap tuple in
+  List.iter
+    (fun c -> Value_counts.add c.counts (Tuple.int_exn tuple.(c.position)))
+    state.int_columns;
+  List.iter (fun index -> Index.insert_entry index tuple rid) state.indexes;
+  List.iter (fun view -> Mat_view.apply_insert view tuple) state.views
+
+(* Bulk path: append every row to the heap first, count each integer
+   column by batch (one sort, run-length pass and merge), then rebuild
+   each existing index ([Index.build]: one heap scan, sort,
+   [Btree.bulk_load]) and materialized view from scratch, instead of
+   descending a tree per row per structure.  Structure list order is
+   preserved; old tree pages are not reclaimed, the same convention as
+   [drop_index].  All rows are validated up front, so a bad row rejects
+   the whole batch before any mutation (the row-at-a-time path fails
+   mid-way instead). *)
 let bulk_load t state rows =
   Array.iter (validate_row state) rows;
   let heap_was_empty = Heap_file.n_tuples state.heap = 0 in
-  let rids = Array.map (fun tuple -> Heap_file.insert state.heap tuple) rows in
+  let rids =
+    match state.indexes with
+    | [] ->
+        Array.iter (fun tuple -> ignore (Heap_file.insert state.heap tuple)) rows;
+        [||]
+    | _ :: _ -> Array.map (fun tuple -> Heap_file.insert state.heap tuple) rows
+  in
+  List.iter
+    (fun c ->
+      Value_counts.add_batch c.counts (Array.map (fun row -> Tuple.int_exn row.(c.position)) rows))
+    state.int_columns;
   state.indexes <-
     List.map
       (fun i ->
@@ -174,13 +201,13 @@ let bulk_load t state rows =
 
 let load ?(bulk = true) t ~table rows =
   let state = table_state t table in
-  (match (bulk, state.indexes, state.views) with
-  | false, _, _ | true, [], [] -> Array.iter (insert_row state) rows
-  | true, _, _ -> bulk_load t state rows);
-  (* Invalidate rather than recompute: statistics are rebuilt on the first
-     [table_stats] call, the same convention as the DML paths.  Loading a
-     table that is never analyzed costs no histogram pass. *)
-  invalidate_stats state
+  (* Invalidate rather than recompute: statistics are rebuilt from the
+     maintained counts on the first [table_stats] call, the same
+     convention as the DML paths.  A row-at-a-time load that fails
+     mid-way still invalidates, since the rows before the bad one are in. *)
+  Fun.protect
+    ~finally:(fun () -> invalidate_stats state)
+    (fun () -> if bulk then bulk_load t state rows else Array.iter (insert_row state) rows)
 
 (* -- physical design ------------------------------------------------------ *)
 
@@ -529,7 +556,10 @@ let collect_matching t state ~table ~where =
   (victims, plan)
 
 let delete_row state rid tuple =
-  ignore (Heap_file.delete state.heap rid);
+  if Heap_file.delete state.heap rid then
+    List.iter
+      (fun c -> Value_counts.remove c.counts (Tuple.int_exn tuple.(c.position)))
+      state.int_columns;
   List.iter (fun index -> ignore (Index.delete_entry index tuple rid)) state.indexes;
   List.iter (fun view -> Mat_view.apply_delete view tuple) state.views
 

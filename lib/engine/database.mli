@@ -26,24 +26,43 @@ val schema : t -> string -> Cddpd_catalog.Schema.table option
 val tables : t -> Cddpd_catalog.Schema.table list
 
 val load : ?bulk:bool -> t -> table:string -> Cddpd_storage.Tuple.t array -> unit
-(** Bulk-append tuples, maintaining any existing indexes and views, and
-    invalidate the table's statistics (recomputed lazily at the next
-    {!table_stats}/{!analyze}).  With [bulk] (the default) and at least
-    one existing structure, rows go heap-first and each structure is then
+(** Bulk-append tuples, maintaining any existing indexes and views and
+    every integer column's value counts, and invalidate the table's
+    statistics (rebuilt from the counts at the next
+    {!table_stats}/{!analyze}: O(distinct values), no page read, no I/O).
+    With [bulk] (the default) rows go heap-first, each integer column is
+    counted by batch (one sort and merge), and each existing structure is
     rebuilt once via a sorted bulk load — same resulting logical state as
     the row-at-a-time path ([bulk:false]), built in O(n log n) instead of
-    one tree descent per row per structure; the bulk path also validates
-    every row before mutating anything.  Raises [Invalid_argument] on
-    schema mismatch. *)
+    one tree descent per row per structure.  The bulk path validates
+    every row before mutating anything, so a bad row rejects the whole
+    batch; the row-at-a-time path stops at the bad row, keeping the rows
+    before it.  Raises [Invalid_argument] on schema mismatch. *)
 
 val row_count : t -> string -> int
 
+val page_count : t -> string -> int
+(** Pages the table's heap file occupies. *)
+
+val scan : t -> string -> (Cddpd_storage.Tuple.t -> unit) -> unit
+(** Every live row of the table, in storage order, read through the
+    buffer pool (so it costs logical I/O).  No statistics path uses it;
+    it is the reference a rescan-based check compares the maintained
+    statistics against. *)
+
 val analyze : t -> unit
-(** (Re)collect statistics for every table. *)
+(** Rebuild statistics for every table from the maintained value counts
+    and bump each generation.  O(distinct values) per integer column; it
+    reads no page and costs no I/O. *)
 
 val table_stats : t -> string -> Table_stats.t
-(** Statistics for the table, computing them if stale.  Raises
-    [Invalid_argument] on an unknown table. *)
+(** Statistics for the table, refreshed from the maintained value counts
+    if stale: O(distinct values) per integer column, no page read, no
+    I/O, so a refresh inside {!execute} never adds to the statement's
+    [logical_io].  The refresh mutates the counts (it folds pending
+    changes), so call it on the main domain before sharing the snapshot
+    with worker domains.  Raises [Invalid_argument] on an unknown
+    table. *)
 
 val stats_generation : t -> string -> int
 (** The table's statistics generation: bumped by every invalidation (DML,
@@ -51,7 +70,8 @@ val stats_generation : t -> string -> int
     materialization.  Within one generation at most one snapshot exists,
     so generation equality proves two {!table_stats} results are
     physically the same object — the fence serve's one-pass cost-identity
-    pipeline keys on. *)
+    pipeline keys on.  Reading it is free; resolving a new generation's
+    snapshot costs O(distinct values) and no I/O. *)
 
 (** {1 Physical design} *)
 

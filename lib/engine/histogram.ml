@@ -7,38 +7,59 @@ type bucket = {
 
 type t = { total : int; total_distinct : int; buckets : bucket array }
 
-let build ?(buckets = 64) values =
-  if buckets <= 0 then invalid_arg "Histogram.build: buckets <= 0";
-  let sorted = Array.copy values in
-  Array.sort Int.compare sorted;
-  let n = Array.length sorted in
+(* Every bucket holds whole distinct values: it takes the next run while
+   it holds fewer than [per_bucket] rows.  Over the sorted column this is
+   "cut after [per_bucket] rows, then extend so equal values never
+   straddle a boundary", so the buckets depend only on the multiset. *)
+let of_counts ?(buckets = 64) values counts =
+  if buckets <= 0 then invalid_arg "Histogram.of_counts: buckets <= 0";
+  let d = Array.length values in
+  if Array.length counts <> d then invalid_arg "Histogram.of_counts: length mismatch";
+  let n = ref 0 in
+  for r = 0 to d - 1 do
+    if counts.(r) <= 0 then invalid_arg "Histogram.of_counts: count <= 0";
+    if r > 0 && values.(r) <= values.(r - 1) then
+      invalid_arg "Histogram.of_counts: values not strictly ascending";
+    n := !n + counts.(r)
+  done;
+  let n = !n in
   if n = 0 then { total = 0; total_distinct = 0; buckets = [||] }
   else begin
     let per_bucket = max 1 ((n + buckets - 1) / buckets) in
     let out = ref [] in
-    let total_distinct = ref 0 in
-    let i = ref 0 in
-    while !i < n do
-      let start = !i in
-      let stop = min n (start + per_bucket) in
-      (* Extend the bucket so equal values never straddle a boundary. *)
-      let stop = ref stop in
-      while !stop < n && sorted.(!stop) = sorted.(!stop - 1) do
-        incr stop
+    let r = ref 0 in
+    while !r < d do
+      let start = !r in
+      let count = ref 0 in
+      while !r < d && !count < per_bucket do
+        count := !count + counts.(!r);
+        incr r
       done;
-      let stop = !stop in
-      let distinct = ref 1 in
-      for j = start + 1 to stop - 1 do
-        if sorted.(j) <> sorted.(j - 1) then incr distinct
-      done;
-      total_distinct := !total_distinct + !distinct;
       out :=
-        { lo = sorted.(start); hi = sorted.(stop - 1); count = stop - start; distinct = !distinct }
-        :: !out;
-      i := stop
+        { lo = values.(start); hi = values.(!r - 1); count = !count; distinct = !r - start }
+        :: !out
     done;
-    { total = n; total_distinct = !total_distinct; buckets = Array.of_list (List.rev !out) }
+    { total = n; total_distinct = d; buckets = Array.of_list (List.rev !out) }
   end
+
+let build ?buckets values =
+  let sorted = Array.copy values in
+  Cddpd_util.Int_sort.sort sorted;
+  let values, counts = Cddpd_util.Int_sort.runs sorted in
+  of_counts ?buckets values counts
+
+let of_buckets buckets =
+  let buckets = Array.copy buckets in
+  Array.iteri
+    (fun i b ->
+      if b.count <= 0 || b.distinct <= 0 || b.lo > b.hi || (i > 0 && b.lo <= buckets.(i - 1).hi)
+      then invalid_arg "Histogram.of_buckets: malformed or unsorted bucket")
+    buckets;
+  {
+    total = Array.fold_left (fun acc b -> acc + b.count) 0 buckets;
+    total_distinct = Array.fold_left (fun acc b -> acc + b.distinct) 0 buckets;
+    buckets;
+  }
 
 let n_values t = t.total
 

@@ -3,8 +3,8 @@
     The what-if optimizer needs selectivity estimates for equality and
     range predicates; an equi-depth histogram with per-bucket distinct
     counts is the classic structure for this (and what commercial systems
-    use).  Built from the full column, so estimates are exact up to
-    within-bucket uniformity assumptions. *)
+    use).  Built from the full column (or its value counts), so estimates
+    are exact up to within-bucket uniformity assumptions. *)
 
 type t
 
@@ -19,8 +19,25 @@ type bucket = {
 
 val build : ?buckets:int -> int array -> t
 (** [build ?buckets values] builds a histogram with at most [buckets]
-    buckets (default 64).  The input array is not modified.  Raises
-    [Invalid_argument] if [buckets <= 0]. *)
+    buckets (default 64): it sorts a copy of [values], run-length
+    encodes it and calls {!of_counts}.  The input array is not modified.
+    Raises [Invalid_argument] if [buckets <= 0]. *)
+
+val of_counts : ?buckets:int -> int array -> int array -> t
+(** [of_counts ?buckets values counts] builds the histogram of the
+    multiset in which [values.(i)] occurs [counts.(i)] times, in
+    O(distinct values): [build] of any array holding that multiset gives a
+    histogram with equal {!add_fingerprint_bytes}.  Each bucket holds
+    whole distinct values and takes the next one while it holds fewer than
+    [ceil (total / buckets)] rows.  Raises [Invalid_argument] if
+    [buckets <= 0], the arrays differ in length, [values] is not strictly
+    ascending, or a count is not positive. *)
+
+val of_buckets : bucket array -> t
+(** A histogram over exactly these buckets (copied), with totals summed
+    from them — for a reference bucketing built outside this module.
+    Raises [Invalid_argument] unless every bucket has positive counts and
+    [lo <= hi] and the buckets are sorted and disjoint. *)
 
 val n_values : t -> int
 (** Total number of (non-distinct) values the histogram summarises. *)

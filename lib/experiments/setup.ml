@@ -72,7 +72,7 @@ let make_database config =
   in
   Database.load db ~table:table_name rows;
   (* Resolve statistics now (load leaves them lazy) so replays measured
-     against this database never pay the histogram scan mid-measurement. *)
+     against this database start from one resolved snapshot. *)
   Database.analyze db;
   db
 

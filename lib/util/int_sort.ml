@@ -47,3 +47,23 @@ let sort (a : int array) =
     done;
     if !src != a then Array.blit !src 0 a 0 n
   end
+
+(* Two passes over the sorted input: count the runs, then fill exactly
+   sized arrays, so nothing is trimmed or reallocated. *)
+let runs (sorted : int array) =
+  let n = Array.length sorted in
+  let distinct = ref (if n = 0 then 0 else 1) in
+  for i = 1 to n - 1 do
+    if Array.unsafe_get sorted i <> Array.unsafe_get sorted (i - 1) then incr distinct
+  done;
+  let values = Array.make !distinct 0 and counts = Array.make !distinct 0 in
+  let r = ref (-1) in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get sorted i in
+    if !r < 0 || v <> values.(!r) then begin
+      incr r;
+      values.(!r) <- v
+    end;
+    counts.(!r) <- counts.(!r) + 1
+  done;
+  (values, counts)

@@ -9,3 +9,9 @@
 val sort : int array -> unit
 (** Sort ascending, in place.  Allocates one scratch array of the same
     length; not stable (irrelevant for ints). *)
+
+val runs : int array -> int array * int array
+(** [runs sorted] run-length encodes an ascending array: the strictly
+    ascending distinct values and, parallel to them, how often each
+    occurs (every count positive).  The input is not modified; an
+    unsorted input gives meaningless runs. *)

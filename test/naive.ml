@@ -1,5 +1,6 @@
-(* The naive oracle for Problem.build, shared by every test that pins a
-   build path to it.  The matrices are defined as
+(* Naive oracles shared by the tests that pin an optimised path to them.
+
+   Problem.build: the matrices are defined as
 
      exec.(s).(c)  = left fold of Cost_model.statement_cost over step s
                      under configuration c's design
@@ -7,9 +8,19 @@
 
    with no clustering, column sharing, memo, session state or domain
    split between them and the cost model.  Every optimisation of the
-   build must leave its matrices equal to these, bit for bit. *)
+   build must leave its matrices equal to these, bit for bit.
+
+   Statistics: a histogram is the sorted-array bucketing loop over a
+   copy of the column, and a table's statistics are that loop over every
+   integer column of a full heap scan.  The maintained value counts must
+   give snapshots with the same fingerprint. *)
 
 module Ast = Cddpd_sql.Ast
+module Schema = Cddpd_catalog.Schema
+module Tuple = Cddpd_storage.Tuple
+module Histogram = Cddpd_engine.Histogram
+module Table_stats = Cddpd_engine.Table_stats
+module Database = Cddpd_engine.Database
 module Cost_model = Cddpd_engine.Cost_model
 module Config_space = Cddpd_core.Config_space
 module Problem = Cddpd_core.Problem
@@ -52,3 +63,60 @@ let matches params ~stats_of (built : Problem.t) =
   let reference = problem params ~stats_of built in
   matrix_same_bits built.Problem.exec reference.Problem.exec
   && matrix_same_bits built.Problem.trans reference.Problem.trans
+
+(* -- statistics ------------------------------------------------------------ *)
+
+let histogram ?(buckets = 64) values =
+  if buckets <= 0 then invalid_arg "Naive.histogram: buckets <= 0";
+  let sorted = Array.copy values in
+  Array.sort Int.compare sorted;
+  let n = Array.length sorted in
+  let out = ref [] in
+  let per_bucket = max 1 ((n + buckets - 1) / buckets) in
+  let i = ref 0 in
+  while !i < n do
+    let start = !i in
+    let stop = min n (start + per_bucket) in
+    (* Extend the bucket so equal values never straddle a boundary. *)
+    let stop = ref stop in
+    while !stop < n && sorted.(!stop) = sorted.(!stop - 1) do
+      incr stop
+    done;
+    let stop = !stop in
+    let distinct = ref 1 in
+    for j = start + 1 to stop - 1 do
+      if sorted.(j) <> sorted.(j - 1) then incr distinct
+    done;
+    out :=
+      { Histogram.lo = sorted.(start); hi = sorted.(stop - 1); count = stop - start; distinct = !distinct }
+      :: !out;
+    i := stop
+  done;
+  Histogram.of_buckets (Array.of_list (List.rev !out))
+
+let fingerprint_bytes h =
+  let buf = Buffer.create 256 in
+  Histogram.add_fingerprint_bytes buf h;
+  Buffer.contents buf
+
+(* A full heap scan, the naive bucketing per integer column. *)
+let table_stats db table =
+  let schema = Option.get (Database.schema db table) in
+  let int_columns =
+    List.filter_map
+      (fun (c : Schema.column) ->
+        match c.Schema.ty with
+        | Schema.Int_type -> Some (c.Schema.name, Schema.column_index_exn schema c.Schema.name)
+        | Schema.Text_type -> None)
+      schema.Schema.columns
+  in
+  let rows = ref [] in
+  Database.scan db table (fun tuple -> rows := tuple :: !rows);
+  let rows = Array.of_list !rows in
+  let histograms =
+    List.map
+      (fun (name, pos) -> (name, histogram (Array.map (fun row -> Tuple.int_exn row.(pos)) rows)))
+      int_columns
+  in
+  Table_stats.make ~row_count:(Array.length rows) ~page_count:(Database.page_count db table)
+    ~histograms

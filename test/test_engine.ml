@@ -725,6 +725,202 @@ let test_tiny_pool_correctness () =
   Alcotest.(check bool) "thrashing pool reads from disk" true
     (result.Database.physical_io > 0)
 
+(* -- incremental statistics ------------------------------------------------------- *)
+
+(* [build] and [of_counts] must bucket every multiset exactly like the
+   naive sorted-array loop: equal fingerprint bytes, hence equal
+   [Table_stats.fingerprint]s and cost keys. *)
+let histogram_counts_match_naive_prop =
+  let values_gen =
+    QCheck.Gen.(
+      int_range 0 3_000 >>= fun n ->
+      oneof
+        [
+          return [];
+          map (fun v -> List.init n (fun _ -> v)) (int_range (-5) 5);
+          list_repeat n (int_range 0 3);
+          list_repeat n (int_range (-40) 40);
+          list_repeat n (int_range (-1_000_000) 1_000_000);
+        ])
+  in
+  let gen = QCheck.Gen.(pair (int_range 1 100) values_gen) in
+  QCheck.Test.make ~name:"build = of_counts = naive bucketing (fingerprint bytes)" ~count:300
+    (QCheck.make gen)
+    (fun (buckets, values) ->
+      let values = Array.of_list values in
+      (* Count independently of Int_sort.runs: a map from value to count. *)
+      let module M = Map.Make (Int) in
+      let counted =
+        Array.fold_left
+          (fun m v -> M.update v (fun c -> Some (1 + Option.value ~default:0 c)) m)
+          M.empty values
+      in
+      let distinct = Array.of_list (M.bindings counted) in
+      let expected = Naive.fingerprint_bytes (Naive.histogram ~buckets values) in
+      let before = Array.copy values in
+      String.equal expected (Naive.fingerprint_bytes (Histogram.build ~buckets values))
+      && values = before
+      && String.equal expected
+           (Naive.fingerprint_bytes
+              (Histogram.of_counts ~buckets (Array.map fst distinct) (Array.map snd distinct))))
+
+let stats_schema =
+  Schema.table "t"
+    [
+      ("a", Schema.Int_type);
+      ("b", Schema.Int_type);
+      ("note", Schema.Text_type);
+      ("d", Schema.Int_type);
+    ]
+
+type stats_op =
+  | Load of bool * (int * int * int) list
+  | Insert of int * int * int
+  | Delete_where of int
+  | Delete_all
+  | Update_key of int * int
+  | Update_nonkey of int * int
+  | Update_same of int
+  | Restructure of int
+  | Read_stats
+  | Analyze
+
+let show_stats_op op =
+  match op with
+  | Load (bulk, rows) -> Printf.sprintf "Load(bulk=%b, %d rows)" bulk (List.length rows)
+  | Insert (a, b, d) -> Printf.sprintf "Insert(%d,%d,%d)" a b d
+  | Delete_where a -> Printf.sprintf "Delete(a=%d)" a
+  | Delete_all -> "Delete_all"
+  | Update_key (a, v) -> Printf.sprintf "Update(a=%d where a=%d)" v a
+  | Update_nonkey (a, v) -> Printf.sprintf "Update(b=%d where a=%d)" v a
+  | Update_same a -> Printf.sprintf "Update(a=%d where a=%d)" a a
+  | Restructure k -> Printf.sprintf "Restructure(%d)" k
+  | Read_stats -> "Read"
+  | Analyze -> "Analyze"
+
+let stats_op_gen =
+  let v = QCheck.Gen.int_range (-3) 12 in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun bulk rows -> Load (bulk, rows)) bool (list_size (int_range 0 40) (triple v v v)));
+        (3, map3 (fun a b d -> Insert (a, b, d)) v v v);
+        (2, map (fun a -> Delete_where a) v);
+        (1, return Delete_all);
+        (2, map2 (fun a x -> Update_key (a, x)) v v);
+        (2, map2 (fun a x -> Update_nonkey (a, x)) v v);
+        (1, map (fun a -> Update_same a) v);
+        (2, map (fun k -> Restructure k) (int_range 0 3));
+        (3, return Read_stats);
+        (1, return Analyze);
+      ])
+
+let stats_designs =
+  [|
+    Design.empty;
+    Design.of_list [ index [ "a" ] ];
+    Design.empty |> Design.add (index [ "b"; "d" ]) |> Design.add_view (view "a");
+    Design.empty |> Design.add_view (view "d");
+  |]
+
+(* Every statistics read — lazy refresh or [analyze] — must give the
+   fingerprint of a full rescan bucketed by the naive loop. *)
+let stats_match_rescan_prop =
+  QCheck.Test.make ~name:"maintained statistics = naive rescan under random DML" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_stats_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) stats_op_gen))
+    (fun ops ->
+      let db = Database.create ~pool_capacity:64 [ stats_schema ] in
+      let row (a, b, d) = [| Tuple.Int a; Tuple.Int b; Tuple.Text "x"; Tuple.Int d |] in
+      let sql fmt = Printf.ksprintf (fun s -> ignore (Database.execute_sql db s)) fmt in
+      let agrees () =
+        String.equal
+          (Table_stats.fingerprint (Naive.table_stats db "t"))
+          (Table_stats.fingerprint (Database.table_stats db "t"))
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Load (bulk, rows) ->
+              Database.load ~bulk db ~table:"t" (Array.of_list (List.map row rows));
+              true
+          | Insert (a, b, d) ->
+              sql "INSERT INTO t VALUES (%d, %d, 'y', %d)" a b d;
+              true
+          | Delete_where a ->
+              sql "DELETE FROM t WHERE a = %d" a;
+              true
+          | Delete_all ->
+              sql "DELETE FROM t";
+              true
+          | Update_key (a, v) ->
+              sql "UPDATE t SET a = %d WHERE a = %d" v a;
+              true
+          | Update_nonkey (a, v) ->
+              sql "UPDATE t SET b = %d WHERE a = %d" v a;
+              true
+          | Update_same a ->
+              sql "UPDATE t SET a = %d WHERE a = %d" a a;
+              true
+          | Restructure k ->
+              Database.migrate_to db stats_designs.(k);
+              true
+          | Read_stats -> agrees ()
+          | Analyze ->
+              Database.analyze db;
+              agrees ())
+        ops
+      && agrees ())
+
+(* A long row-at-a-time load overflows the pending log and folds it
+   mid-load; deletes then drain a table whose counts went through many
+   folds. *)
+let test_row_load_folds_pending () =
+  let db = Database.create ~pool_capacity:64 [ stats_schema ] in
+  let rng = Rng.create 5 in
+  Database.load ~bulk:false db ~table:"t"
+    (Array.init 5_000 (fun _ ->
+         [| Tuple.Int (Rng.int rng 40); Tuple.Int (Rng.int rng 3_000); Tuple.Text "z"; Tuple.Int 1 |]));
+  let check label =
+    Alcotest.(check string) label
+      (Table_stats.fingerprint (Naive.table_stats db "t"))
+      (Table_stats.fingerprint (Database.table_stats db "t"))
+  in
+  check "after the load";
+  for a = 0 to 19 do
+    ignore (Database.execute_sql db (Printf.sprintf "DELETE FROM t WHERE a = %d" a))
+  done;
+  check "after deletes";
+  ignore (Database.execute_sql db "DELETE FROM t");
+  check "after deleting every row";
+  Alcotest.(check int) "no rows" 0 (Table_stats.row_count (Database.table_stats db "t"))
+
+(* A row-at-a-time load keeps the rows before a bad one, so it must
+   invalidate the snapshot even though it raises. *)
+let test_failed_row_load_invalidates () =
+  let db = Database.create ~pool_capacity:64 [ stats_schema ] in
+  let ok a = [| Tuple.Int a; Tuple.Int a; Tuple.Text "ok"; Tuple.Int a |] in
+  Database.load db ~table:"t" (Array.init 50 ok);
+  ignore (Database.table_stats db "t");
+  (match Database.load ~bulk:false db ~table:"t" [| ok 60; ok 61; [| Tuple.Int 1 |] |] with
+  | () -> Alcotest.fail "a bad row must be rejected"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "rows before the bad one kept" 52 (Database.row_count db "t");
+  Alcotest.(check string) "snapshot refreshed"
+    (Table_stats.fingerprint (Naive.table_stats db "t"))
+    (Table_stats.fingerprint (Database.table_stats db "t"))
+
+(* A statistics refresh reads no page, so the first statement after a
+   write is charged exactly what a repeat of it is. *)
+let test_refresh_charged_no_io () =
+  let db, _ = make_db ~rows:2000 () in
+  Database.analyze db;
+  ignore (Database.execute_sql db "UPDATE t SET b = 3 WHERE a = 4");
+  let first = Database.execute_sql db "SELECT b FROM t WHERE c = 7" in
+  let second = Database.execute_sql db "SELECT b FROM t WHERE c = 7" in
+  Alcotest.(check int) "same logical I/O" second.Database.logical_io first.Database.logical_io
+
 (* -- migration ---------------------------------------------------------------------- *)
 
 let test_migrate_to () =
@@ -927,6 +1123,17 @@ let () =
             test_plan_memo_view_probe;
           Alcotest.test_case "stats generation fence" `Quick
             test_stats_generation_fence;
+        ] );
+      ( "statistics",
+        [
+          QCheck_alcotest.to_alcotest histogram_counts_match_naive_prop;
+          QCheck_alcotest.to_alcotest stats_match_rescan_prop;
+          Alcotest.test_case "row-at-a-time load folds its log" `Quick
+            test_row_load_folds_pending;
+          Alcotest.test_case "failed row-at-a-time load invalidates" `Quick
+            test_failed_row_load_invalidates;
+          Alcotest.test_case "refresh costs a statement no I/O" `Quick
+            test_refresh_charged_no_io;
         ] );
       ( "stress",
         [ Alcotest.test_case "tiny buffer pool" `Quick test_tiny_pool_correctness ] );
