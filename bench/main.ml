@@ -352,18 +352,6 @@ let time_problem_build (session : Session.t) =
   Array.sort Float.compare times;
   times.(problem_build_runs / 2)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char buf '\\'; Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
 
 (* Solver timings sit in the sub-millisecond range at small n; keep enough
@@ -454,7 +442,7 @@ let write_micro_json path ~(options : options) ~build_s ~stats_refresh rows =
     (fun i (name, ns) ->
       Printf.fprintf oc "%s{\"name\":\"%s\",\"ns_per_run\":%s}"
         (if i = 0 then "" else ",")
-        (json_escape name) (json_float ns))
+        (Obs.Sink.json_escape name) (json_float ns))
     rows;
   output_string oc "]}\n";
   close_out oc
@@ -739,7 +727,7 @@ let write_solvers_json path entries =
             Printf.sprintf
               "{\"outcome\":\"gave_up\",\"reason\":\"%s\",\"median_s\":%s,\
                \"examined\":%d,\"queue_peak\":%d}"
-              (json_escape reason) (json_float6 s) examined queue_peak))
+              (Obs.Sink.json_escape reason) (json_float6 s) examined queue_peak))
     entries;
   output_string oc "]}\n";
   close_out oc
@@ -941,8 +929,9 @@ let write_experiments_json path ~(config : Setup.config) arms bulk =
         "%s{\"readahead\":%d,\"cell_jobs\":%d,\"median_s\":%s,\"digest\":\"%s\",\
          \"status\":\"%s\"}"
         (if i = 0 then "" else ",")
-        a.ex_readahead a.ex_cell_jobs (json_float6 a.ex_median_s) a.ex_digest
-        (if a.ex_skipped then "skipped_single_core" else "ok"))
+        a.ex_readahead a.ex_cell_jobs (json_float6 a.ex_median_s)
+        (Obs.Sink.json_escape a.ex_digest)
+        (Obs.Sink.json_escape (if a.ex_skipped then "skipped_single_core" else "ok")))
     arms;
   Printf.fprintf oc
     "],\"digests_identical\":%b,\"parallel_speedup\":%s,\
@@ -1478,7 +1467,7 @@ let write_configspace_json path entries =
         (json_float
            (float_of_int e.cg_same_space_whatif
            /. float_of_int (max 1 e.cg_measured_whatif)))
-        e.cg_digest e.cg_exact_checked)
+        (Obs.Sink.json_escape e.cg_digest) e.cg_exact_checked)
     entries;
   output_string oc "]}\n";
   close_out oc
@@ -1778,9 +1767,9 @@ let write_serve_json path (scratch, incr, clusters) =
      \"jobs\":1,\"cores\":%d,\"phases\":\"%s\",\"cells\":["
     serve_rows serve_value_range serve_window serve_pool_size
     cfg.Server.history cfg.Server.k
-    (json_escape (Solution.method_to_string cfg.Server.method_name))
+    (Obs.Sink.json_escape (Solution.method_to_string cfg.Server.method_name))
     (Cddpd_util.Parallel.ncpu ())
-    (String.concat "" (Array.to_list serve_phases));
+    (Obs.Sink.json_escape (String.concat "" (Array.to_list serve_phases)));
   Array.iteri
     (fun i (s : serve_cell) ->
       let c = incr.se_cells.(i) in
@@ -1791,7 +1780,7 @@ let write_serve_json path (scratch, incr, clusters) =
          \"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
          \"trans_blocks_reused\":%d}}"
         (if i = 0 then "" else ",")
-        i serve_phases.(i) serve_stable.(i) clusters.(i)
+        i (Obs.Sink.json_escape serve_phases.(i)) serve_stable.(i) clusters.(i)
         (String.equal s.se_digest c.se_digest)
         s.se_whatif (json_float6 s.se_reopt_s) c.se_whatif
         (json_float6 c.se_reopt_s) c.se_exec_reused c.se_recosted
@@ -2043,10 +2032,8 @@ let ingest_suite () =
   (match fast.in_template with
   | Some t ->
       Printf.printf
-        "template cache: %d exact hits, %d template hits, %d misses, %d \
-         skeletons\n%!"
-        t.Template.exact_hits t.Template.template_hits t.Template.misses
-        t.Template.templates
+        "template cache: %d exact hits, %d misses\n%!"
+        t.Template.exact_hits t.Template.misses
   | None -> ());
   Printf.printf
     "plan memo: %d hits, %d misses, %d invalidations\n%!"
@@ -2079,22 +2066,20 @@ let write_ingest_json path (slow, fast, ratio) =
       | None -> "null"
       | Some t ->
           Printf.sprintf
-            "{\"exact_hits\":%d,\"template_hits\":%d,\"misses\":%d,\
-             \"templates\":%d,\"entries\":%d}"
-            t.Template.exact_hits t.Template.template_hits t.Template.misses
-            t.Template.templates t.Template.entries)
+            "{\"exact_hits\":%d,\"misses\":%d,\"entries\":%d}"
+            t.Template.exact_hits t.Template.misses t.Template.entries)
       a.in_plan.Plan_cache.hits a.in_plan.Plan_cache.misses
       a.in_plan.Plan_cache.invalidations a.in_plan.Plan_cache.entries
   in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-ingest/1\",\"rows\":%d,\"value_range\":%d,\
+    "{\"schema\":\"cddpd-bench-ingest/2\",\"rows\":%d,\"value_range\":%d,\
      \"window\":%d,\"pool\":%d,\"churn_every\":%d,\"phases\":\"%s\",\
      \"jobs\":1,\"cores\":%d,\"fast\":%s,\"slow\":%s,\
      \"throughput_ratio\":%s,\"min_ratio\":%s,\"digests_identical\":true}\n"
     ingest_rows ingest_value_range ingest_window ingest_pool_size
     ingest_churn_every
-    (String.concat "" (Array.to_list ingest_phases))
+    (Obs.Sink.json_escape (String.concat "" (Array.to_list ingest_phases)))
     (Cddpd_util.Parallel.ncpu ())
     (arm_json fast) (arm_json slow) (json_float ratio)
     (json_float ingest_min_ratio);

@@ -465,11 +465,11 @@ let no_reopt_reuse_arg =
 let no_template_cache_arg =
   Arg.(value & flag
        & info [ "no-template-cache" ]
-           ~doc:"Disable the statement-template cache: every arriving text \
-                 is lexed and parsed from scratch instead of reusing the \
-                 cached AST (repeated text) or statement skeleton (repeated \
-                 shape). Results are bit-identical either way; this is the \
-                 escape hatch (and the slow arm of bench --suite ingest).")
+           ~doc:"Disable the statement cache: every arriving text is lexed \
+                 and parsed from scratch instead of reusing the cached AST \
+                 of a repeated text. Results are bit-identical either way; \
+                 this is the escape hatch (and the slow arm of bench --suite \
+                 ingest).")
 
 let no_plan_cache_arg =
   Arg.(value & flag
@@ -543,8 +543,10 @@ let report_json (report : Server.report) =
     report.Server.drift_events report.Server.reoptimizations
     report.Server.deployments report.Server.rejections report.Server.rollbacks
     report.Server.exec_logical_io report.Server.trans_logical_io
-    (String.concat "," (List.map (fun s -> String.escaped (Cddpd_catalog.Structure.name s))
-         (Design.structures report.Server.final_design)))
+    (Obs.Sink.json_escape
+       (String.concat ","
+          (List.map Cddpd_catalog.Structure.name
+             (Design.structures report.Server.final_design))))
     (reopt_json report.Server.reopt)
 
 let print_report (report : Server.report) =

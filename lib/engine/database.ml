@@ -36,8 +36,8 @@ type t = {
   params : Cost_model.params;
   tables : (string, table_state) Hashtbl.t;
   table_order : string list;
-  mutable design_memo : (Design.t * string) option;
-      (* deployed design + its Cost_key, dropped on any structure change *)
+  mutable design_memo : Design.t option;
+      (* deployed design, dropped on any structure change *)
   plan_cache : Plan_cache.t;
 }
 
@@ -228,24 +228,16 @@ let compute_design t =
 
 let current_design t =
   match t.design_memo with
-  | Some (design, _) -> design
+  | Some design -> design
   | None ->
       let design = compute_design t in
-      t.design_memo <- Some (design, Cost_key.design design);
+      t.design_memo <- Some design;
       design
 
-let design_key t =
-  match t.design_memo with
-  | Some (_, key) -> key
-  | None ->
-      let design = compute_design t in
-      let key = Cost_key.design design in
-      t.design_memo <- Some (design, key);
-      key
-
 (* Every actual structure change drops the design memo and flushes the
-   plan memo: entries under the old design key would linger unreachable
-   (the key embeds the design) and only waste the table's capacity. *)
+   plan memo.  The flush is the plan memo's design fence: its keys name
+   the statement only, so a plan chosen under the old design must not
+   survive into the new one. *)
 let design_changed t =
   t.design_memo <- None;
   Plan_cache.invalidate t.plan_cache
@@ -660,17 +652,16 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
       failwith "Database: unexpected plan for an aggregate query"
 
 (* Plan-choice memo, engaged only when the caller passes the statement's
-   cost-identity key (serve's ingest fast path).  The combined
-   [design_key ^ "\n" ^ statement_key] is self-fencing against statistics
-   churn — see {!Plan_cache} — so a hit returns the bit-identical plan a
-   fresh choice would make, with the statement's own literals rebound into
-   the cached path.  [Plan.count_choice] keeps the plan.chosen.* metrics
-   consistent with the slow path. *)
+   cost-identity key (serve's ingest fast path).  The key is self-fencing
+   against statistics churn and [design_changed] flushes the memo on every
+   structure change — see {!Plan_cache} — so a hit returns the
+   bit-identical plan a fresh choice would make, with the statement's own
+   literals rebound into the cached path.  [Plan.count_choice] keeps the
+   plan.chosen.* metrics consistent with the slow path. *)
 let memoized_plan t ~statement_key ~rebind compute =
   match statement_key with
   | None -> compute ()
-  | Some skey -> (
-      let key = design_key t ^ "\n" ^ skey in
+  | Some key -> (
       match Plan_cache.find t.plan_cache key with
       | Some cached -> (
           match rebind cached with

@@ -80,9 +80,6 @@ val current_design : t -> Cddpd_catalog.Design.t
     result is deterministic across processes and hash seeds.  Memoized;
     recomputed only after a structure change. *)
 
-val design_key : t -> string
-(** [Cost_key.design (current_design t)], memoized alongside the design. *)
-
 val build_index : t -> Cddpd_catalog.Index_def.t -> unit
 (** Materialise an index (no-op if already present). *)
 

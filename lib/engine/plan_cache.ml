@@ -1,14 +1,12 @@
 (* Plan-choice memo for the serve ingest fast path.
 
-   Keys are [Cost_key.statement_under_design] strings, which are
-   self-fencing: the statement half embeds the statistics shape and the
-   exact selectivity bits of every predicate, and the design half embeds
-   the deployed structure set, so a key computed under the current
-   statistics and design can only collide with an entry whose plan choice
-   is bit-identical.  No explicit statistics invalidation is needed — a
-   stale snapshot yields a different key.  Design changes *are* fenced
-   explicitly (see [invalidate]) only to bound the table: entries under an
-   old design key would otherwise linger unreachable.
+   Keys are [Cost_key.statement] strings.  They are self-fencing against
+   statistics churn: a key embeds the statistics shape and the exact
+   selectivity bits of every predicate, so a stale snapshot yields a
+   different key and no statistics invalidation is needed.  Keys do not
+   name the deployed design; [invalidate] is the design fence instead.
+   The database flushes the memo on every structure change, so an entry
+   always holds a plan chosen under the current design.
 
    Cached plans fix the access-path *shape* and the estimator's floats;
    literal bindings ([eq_prefix], range bounds, group probes) are rebound

@@ -1,11 +1,13 @@
-(** Plan-choice memo keyed on [Cost_key.statement_under_design] strings.
+(** Plan-choice memo keyed on [Cost_key.statement] strings.
 
     The key is self-fencing against statistics churn — it embeds the
-    statistics shape and the exact selectivity bits of every predicate —
-    so a hit is guaranteed to carry the bit-identical plan shape and
-    estimator floats a fresh [Cost_model.choose_plan] would produce.
-    Literal bindings inside the cached path must still be rebound per
-    statement (see [Cost_model.rebind_select_plan]).  Single-domain. *)
+    statistics shape and the exact selectivity bits of every predicate.
+    It does not name the design: the owner must call {!invalidate} on
+    every design change, which makes a hit carry the bit-identical plan
+    shape and estimator floats a fresh [Cost_model.choose_plan] would
+    produce under the current design.  Literal bindings inside the cached
+    path must still be rebound per statement (see
+    [Cost_model.rebind_select_plan]).  Single-domain. *)
 
 type stats = {
   hits : int;
@@ -27,5 +29,5 @@ val find : t -> string -> Plan.t option
 val store : t -> string -> Plan.t -> unit
 
 val invalidate : t -> unit
-(** Flush after a deployed-design change.  No-op (and not counted) when
-    the table is already empty. *)
+(** Flush after a deployed-design change — the memo's only design fence.
+    No-op (and not counted) when the table is already empty. *)

@@ -12,16 +12,16 @@ let m_domains_used = Obs.Registry.counter "advisor.kaware.domains_used"
    [prev_layer * n + prev_node] (-1 when unset).  Packing the predecessor
    into an int kills the boxed-tuple allocation the previous
    representation paid on every improvement — O(stages * layers * n)
-   tuples on a dense instance.
+   tuples on a large instance.
 
    Relaxation iterates sources in (node [i] ascending, layer [l] inner)
    order and, per source, destinations [j] ascending.  For any fixed
    destination state, candidates therefore arrive in ascending source-node
    order — the same order as the historical j-outer/i-inner loop nest, so
    tie-breaking (first strict improvement wins) and hence the returned
-   path are unchanged.  Every variant below (closure/dense, sequential/
-   parallel slice, pruned/unpruned) preserves that order, which is what
-   makes them all bit-identical.
+   path are unchanged.  Every variant below (sequential/parallel slice,
+   pruned/unpruned) preserves that order, which is what makes them all
+   bit-identical.
 
    Bound pruning: with an upper bound [ub] (the cost of any known feasible
    ≤ k-changes path) and the exact unconstrained cost-to-go [h], a source
@@ -35,9 +35,9 @@ let m_domains_used = Obs.Registry.counter "advisor.kaware.domains_used"
    cost-to-go of the *source* stage (offset pre-applied); [ub] = infinity
    disables pruning.  Each slice writes only its own [next]/[pred_base]
    columns, so disjoint slices can run on separate domains. *)
-let relax_dense_slice (d : Staged_dag.dense) ~n ~layers ~stage_base ~h_base ~ub
-    dist next pred ~pred_base ~jlo ~jhi =
-  let exec = d.Staged_dag.exec and trans = d.Staged_dag.trans in
+let relax_slice (g : Staged_dag.t) ~n ~layers ~stage_base ~h_base ~ub dist next
+    pred ~pred_base ~jlo ~jhi =
+  let exec = g.Staged_dag.exec and trans = g.Staged_dag.trans in
   for i = 0 to n - 1 do
     let ti = i * n in
     for l = 0 to layers - 1 do
@@ -58,38 +58,6 @@ let relax_dense_slice (d : Staged_dag.dense) ~n ~layers ~stage_base ~h_base ~ub
           for j = jlo to jhi - 1 do
             if j <> i then begin
               let candidate = di +. trans.(ti + j) +. exec.(stage_base + j) in
-              if candidate < next.(lb1 + j) then begin
-                next.(lb1 + j) <- candidate;
-                pred.(pred_base + lb1 + j) <- lb + i
-              end
-            end
-          done
-        end
-      end
-    done
-  done
-
-(* Closure-backed variant: same loop nest, same float operations in the
-   same order, so closure and dense graphs agree bit-for-bit.  Node costs
-   of the destination stage are snapshotted once per stage (the closures
-   are pure). *)
-let relax_closures (g : Staged_dag.t) ~n ~layers ~s ~h_base ~ub ~node_costs dist
-    next pred ~pred_base =
-  for i = 0 to n - 1 do
-    for l = 0 to layers - 1 do
-      let lb = l * n in
-      let di = dist.(lb + i) in
-      if di < infinity && not (di +. h_base.(i) > ub) then begin
-        let candidate = di +. g.Staged_dag.edge_cost (s - 1) i i +. node_costs.(i) in
-        if candidate < next.(lb + i) then begin
-          next.(lb + i) <- candidate;
-          pred.(pred_base + lb + i) <- lb + i
-        end;
-        if l + 1 < layers then begin
-          let lb1 = lb + n in
-          for j = 0 to n - 1 do
-            if j <> i then begin
-              let candidate = di +. g.Staged_dag.edge_cost (s - 1) i j +. node_costs.(j) in
               if candidate < next.(lb1 + j) then begin
                 next.(lb1 + j) <- candidate;
                 pred.(pred_base + lb1 + j) <- lb + i
@@ -151,7 +119,7 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
         | Some _ | None -> 0
       in
       if l < layers then begin
-        let cost = g.Staged_dag.source_cost j +. g.Staged_dag.node_cost 0 j in
+        let cost = g.Staged_dag.source.(j) +. g.Staged_dag.exec.(j) in
         if cost < !dist.((l * n) + j) then !dist.((l * n) + j) <- cost
       end
     done;
@@ -163,13 +131,9 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
       | None -> (Array.make (stages * n) 0.0, infinity)
       | Some ub -> (Staged_dag.cost_to_go g, ub +. (Float.abs ub *. 1e-9))
     in
-    let dense = g.Staged_dag.dense in
-    let domains =
-      match dense with Some _ -> resolve_jobs ?jobs ~n ~layers () | None -> 1
-    in
+    let domains = resolve_jobs ?jobs ~n ~layers () in
     let instrumented = Obs.Registry.enabled () in
     let nodes_expanded = ref n and edges_relaxed = ref 0 and states_pruned = ref 0 in
-    let node_costs = match dense with Some _ -> [||] | None -> Array.make n 0.0 in
     for s = 1 to stages - 1 do
       Array.fill !next 0 states infinity;
       let h_base = Array.sub h ((s - 1) * n) n in
@@ -180,24 +144,16 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
         states_pruned := !states_pruned + pruned
       end;
       let pred_base = s * states in
-      (match dense with
-      | Some d ->
-          let stage_base = s * n in
-          if domains = 1 then
-            relax_dense_slice d ~n ~layers ~stage_base ~h_base ~ub !dist !next pred
-              ~pred_base ~jlo:0 ~jhi:n
-          else
-            ignore
-              (* cddpd-lint: allow domain-race — workers dereference dist/next read-only; array writes are slice-disjoint per chunk and the buffer swap happens on the main domain between stages *)
-              (Parallel.map_chunks ~jobs:domains ~n (fun ~lo ~hi ->
-                   relax_dense_slice d ~n ~layers ~stage_base ~h_base ~ub !dist
-                     !next pred ~pred_base ~jlo:lo ~jhi:hi))
-      | None ->
-          for j = 0 to n - 1 do
-            node_costs.(j) <- g.Staged_dag.node_cost s j
-          done;
-          relax_closures g ~n ~layers ~s ~h_base ~ub ~node_costs !dist !next pred
-            ~pred_base);
+      let stage_base = s * n in
+      if domains = 1 then
+        relax_slice g ~n ~layers ~stage_base ~h_base ~ub !dist !next pred ~pred_base
+          ~jlo:0 ~jhi:n
+      else
+        ignore
+          (* cddpd-lint: allow domain-race — workers dereference dist/next read-only; array writes are slice-disjoint per chunk and the buffer swap happens on the main domain between stages *)
+          (Parallel.map_chunks ~jobs:domains ~n (fun ~lo ~hi ->
+               relax_slice g ~n ~layers ~stage_base ~h_base ~ub !dist !next pred
+                 ~pred_base ~jlo:lo ~jhi:hi));
       let tmp = !dist in
       dist := !next;
       next := tmp
@@ -213,7 +169,7 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
     for l = 0 to layers - 1 do
       for j = 0 to n - 1 do
         if dist.((l * n) + j) < infinity then begin
-          let total = dist.((l * n) + j) +. g.Staged_dag.sink_cost j in
+          let total = dist.((l * n) + j) +. g.Staged_dag.sink.(j) in
           match !best with
           | Some (cost, _, _) when cost <= total -> ()
           | Some _ | None -> best := Some (total, l, j)

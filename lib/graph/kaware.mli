@@ -35,8 +35,8 @@
       rounding can never cut the optimum).  An [upper_bound] below the
       true constrained optimum voids that guarantee — always derive it
       from a feasible path of the same instance.
-    - {b Parallel relaxation} ([jobs]): on dense graphs the destination
-      nodes of each stage are partitioned across OCaml domains
+    - {b Parallel relaxation} ([jobs]): the destination nodes of each
+      stage are partitioned across OCaml domains
       ({!Cddpd_util.Parallel}); each domain owns a disjoint slice of the
       next-distance and predecessor arrays and sees candidates in the same
       order as the sequential loop, so the result is bit-identical for
@@ -71,5 +71,5 @@ val solve :
 
     [upper_bound] enables branch-and-bound pruning and must be the cost
     of a feasible ≤ [k]-changes path of [g]; [jobs] forces the domain
-    count for the dense parallel relaxation (closure-backed graphs always
-    run sequentially).  Neither changes the returned [(cost, path)]. *)
+    count for the parallel relaxation.  Neither changes the returned
+    [(cost, path)]. *)

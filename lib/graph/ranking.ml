@@ -1,4 +1,3 @@
-module Pqueue = Cddpd_util.Pqueue
 module Obs = Cddpd_obs
 
 let m_nodes_expanded = Obs.Registry.counter "advisor.ranking.nodes_expanded"
@@ -6,62 +5,6 @@ let m_paths_emitted = Obs.Registry.counter "advisor.ranking.paths_emitted"
 let m_paths_pruned = Obs.Registry.counter "advisor.ranking.paths_pruned"
 let m_partials_pruned = Obs.Registry.counter "advisor.ranking.partials_pruned"
 let m_queue_peak = Obs.Registry.histogram "advisor.ranking.queue_peak"
-
-type partial = {
-  stage : int; (* stage of the last chosen node *)
-  node : int;
-  g_cost : float; (* actual cost up to and including (stage, node) *)
-  rev_path : int list;
-}
-
-let enumerate (g : Staged_dag.t) =
-  let n = g.Staged_dag.n_nodes in
-  let stages = g.Staged_dag.n_stages in
-  let h = Staged_dag.cost_to_go g in
-  let initial_queue = ref Pqueue.empty in
-  for j = 0 to n - 1 do
-    let g_cost = g.Staged_dag.source_cost j +. g.Staged_dag.node_cost 0 j in
-    initial_queue :=
-      Pqueue.insert !initial_queue
-        (g_cost +. h.(j))
-        { stage = 0; node = j; g_cost; rev_path = [ j ] }
-  done;
-  (* Best-first expansion.  With an exact heuristic, the f-value of a popped
-     state equals the true cost of the best completion of its prefix, so
-     completed paths pop in nondecreasing cost order. *)
-  let rec next queue () =
-    match Pqueue.pop_min queue with
-    | None -> Seq.Nil
-    | Some (f, partial, queue) ->
-        Obs.Counter.incr m_nodes_expanded;
-        if partial.stage = stages - 1 then begin
-          Obs.Counter.incr m_paths_emitted;
-          let path = Array.of_list (List.rev partial.rev_path) in
-          Seq.Cons ((f, path), next queue)
-        end
-        else begin
-          let queue = ref queue in
-          let hb = (partial.stage + 1) * n in
-          for j' = 0 to n - 1 do
-            let g_cost =
-              partial.g_cost
-              +. g.Staged_dag.edge_cost partial.stage partial.node j'
-              +. g.Staged_dag.node_cost (partial.stage + 1) j'
-            in
-            queue :=
-              Pqueue.insert !queue
-                (g_cost +. h.(hb + j'))
-                {
-                  stage = partial.stage + 1;
-                  node = j';
-                  g_cost;
-                  rev_path = j' :: partial.rev_path;
-                }
-          done;
-          next !queue ()
-        end
-  in
-  next !initial_queue
 
 type give_up_reason = Space_exhausted | Path_budget | Queue_budget
 
@@ -77,7 +20,7 @@ type gave_up = {
   reason : give_up_reason;
 }
 
-(* The budgeted search keeps its frontier in a growable arena instead of
+(* The search keeps its frontier in a growable arena instead of
    per-partial path lists: one slot per inserted partial holding its node,
    stage, accumulated cost and parent slot, with the priority queue
    carrying arena ids only.  Paths are rebuilt by chasing parents on
@@ -134,8 +77,8 @@ let arena_path a id ~stages =
    the bound-pruning guarantee: arena ids stay in the same relative order
    whether or not over-bound partials were discarded, so the pruned and
    unpruned searches pop identical state sequences and accept the same
-   path at the same rank (a structure-dependent tie-break like the
-   persistent leftist heap's would not promise that). *)
+   path at the same rank (a structure-dependent tie-break would not
+   promise that). *)
 type heap = {
   mutable prios : float array;
   mutable heap_ids : int array;
@@ -199,12 +142,97 @@ let heap_pop h =
     Some (prio, id)
   end
 
+(* Best-first search shared by {!enumerate} and {!solve_constrained}.
+   With an exact heuristic, the f-value of a popped state equals the true
+   cost of the best completion of its prefix, so completed paths pop in
+   nondecreasing cost order.  [ub] discards partials at insertion and
+   [max_queue] stops the search once an insertion would overflow the
+   frontier; [enumerate] uses neither. *)
+type search = {
+  graph : Staged_dag.t;
+  h : float array;
+  ub : float;
+  max_queue : int;
+  arena : arena;
+  queue : heap;
+  mutable queue_peak : int;
+  mutable partials_pruned : int;
+  mutable over_budget : bool;
+}
+
+let push s ~node ~stage ~parent ~g_cost f =
+  if f > s.ub then s.partials_pruned <- s.partials_pruned + 1
+  else if s.queue.size >= s.max_queue then s.over_budget <- true
+  else begin
+    let id = arena_push s.arena ~node ~stage ~parent ~g_cost in
+    heap_push s.queue f id;
+    if s.queue.size > s.queue_peak then s.queue_peak <- s.queue.size
+  end
+
+(* Seed the frontier with every stage-0 node. *)
+let start ~ub ~max_queue (g : Staged_dag.t) =
+  let s =
+    {
+      graph = g;
+      h = Staged_dag.cost_to_go g;
+      ub;
+      max_queue;
+      arena = arena_create ();
+      queue = heap_create ();
+      queue_peak = 0;
+      partials_pruned = 0;
+      over_budget = false;
+    }
+  in
+  for j = 0 to g.Staged_dag.n_nodes - 1 do
+    let g_cost = g.Staged_dag.source.(j) +. g.Staged_dag.exec.(j) in
+    push s ~node:j ~stage:0 ~parent:(-1) ~g_cost (g_cost +. s.h.(j))
+  done;
+  s
+
+(* Pop and expand until the next complete path pops.  [None] once the
+   frontier is empty or the queue budget was hit ([over_budget] tells the
+   two apart). *)
+let rec next_path s =
+  if s.over_budget then None
+  else
+    match heap_pop s.queue with
+    | None -> None
+    | Some (f, id) ->
+        Obs.Counter.incr m_nodes_expanded;
+        let g = s.graph in
+        let n = g.Staged_dag.n_nodes and stages = g.Staged_dag.n_stages in
+        let stage = s.arena.stages.(id) in
+        if stage = stages - 1 then begin
+          Obs.Counter.incr m_paths_emitted;
+          Some (f, arena_path s.arena id ~stages)
+        end
+        else begin
+          let g_cost = s.arena.g_costs.(id) in
+          let tb = s.arena.nodes.(id) * n in
+          let hb = (stage + 1) * n in
+          for j' = 0 to n - 1 do
+            let g_cost' =
+              g_cost +. g.Staged_dag.trans.(tb + j') +. g.Staged_dag.exec.(hb + j')
+            in
+            push s ~node:j' ~stage:(stage + 1) ~parent:id ~g_cost:g_cost'
+              (g_cost' +. s.h.(hb + j'))
+          done;
+          next_path s
+        end
+
+let enumerate g =
+  let s = start ~ub:infinity ~max_queue:max_int g in
+  let rec next () =
+    match next_path s with
+    | None -> Seq.Nil
+    | Some path -> Seq.Cons (path, next)
+  in
+  Seq.memoize next
+
 let solve_constrained g ~k ~initial ?upper_bound ?(max_paths = 1_000_000)
     ?(max_queue = max_int) () =
   Obs.Span.with_span "advisor.ranking" (fun () ->
-      let n = g.Staged_dag.n_nodes in
-      let stages = g.Staged_dag.n_stages in
-      let h = Staged_dag.cost_to_go g in
       (* Slackened like the k-aware pruner: a bound that is the cost of a
          feasible path can never cut the constrained optimum, float
          rounding included. *)
@@ -213,65 +241,24 @@ let solve_constrained g ~k ~initial ?upper_bound ?(max_paths = 1_000_000)
         | None -> infinity
         | Some ub -> ub +. (Float.abs ub *. 1e-9)
       in
-      let arena = arena_create () in
-      let queue = heap_create () in
-      let queue_peak = ref 0 in
-      let partials_pruned = ref 0 in
-      let over_budget = ref false in
-      let push ~node ~stage ~parent ~g_cost f =
-        if f > ub then incr partials_pruned
-        else if queue.size >= max_queue then over_budget := true
-        else begin
-          let id = arena_push arena ~node ~stage ~parent ~g_cost in
-          heap_push queue f id;
-          if queue.size > !queue_peak then queue_peak := queue.size
-        end
-      in
-      for j = 0 to n - 1 do
-        let g_cost = g.Staged_dag.source_cost j +. g.Staged_dag.node_cost 0 j in
-        push ~node:j ~stage:0 ~parent:(-1) ~g_cost (g_cost +. h.(j))
-      done;
+      let s = start ~ub ~max_queue g in
       let rec scan rank =
-        if !over_budget then `Stop (Queue_budget, rank - 1)
-        else
-          match heap_pop queue with
-          | None -> `Stop (Space_exhausted, rank - 1)
-          | Some (f, id) ->
-              Obs.Counter.incr m_nodes_expanded;
-              let stage = arena.stages.(id) in
-              if stage = stages - 1 then begin
-                Obs.Counter.incr m_paths_emitted;
-                let path = arena_path arena id ~stages in
-                if Staged_dag.path_changes g ~initial path <= k then
-                  `Done (f, path, rank)
-                else if rank >= max_paths then `Stop (Path_budget, rank)
-                else begin
-                  Obs.Counter.incr m_paths_pruned;
-                  scan (rank + 1)
-                end
-              end
-              else begin
-                let g_cost = arena.g_costs.(id) in
-                let node = arena.nodes.(id) in
-                let hb = (stage + 1) * n in
-                for j' = 0 to n - 1 do
-                  let g_cost' =
-                    g_cost
-                    +. g.Staged_dag.edge_cost stage node j'
-                    +. g.Staged_dag.node_cost (stage + 1) j'
-                  in
-                  push ~node:j' ~stage:(stage + 1) ~parent:id ~g_cost:g_cost'
-                    (g_cost' +. h.(hb + j'))
-                done;
-                scan rank
-              end
+        match next_path s with
+        | None -> `Stop ((if s.over_budget then Queue_budget else Space_exhausted), rank - 1)
+        | Some (f, path) ->
+            if Staged_dag.path_changes g ~initial path <= k then `Done (f, path, rank)
+            else if rank >= max_paths then `Stop (Path_budget, rank)
+            else begin
+              Obs.Counter.incr m_paths_pruned;
+              scan (rank + 1)
+            end
       in
       let outcome = scan 1 in
       if Obs.Registry.enabled () then begin
-        Obs.Counter.add m_partials_pruned !partials_pruned;
-        Obs.Histogram.observe m_queue_peak (float_of_int !queue_peak)
+        Obs.Counter.add m_partials_pruned s.partials_pruned;
+        Obs.Histogram.observe m_queue_peak (float_of_int s.queue_peak)
       end;
       match outcome with
       | `Done (cost, path, rank) -> `Found (cost, path, rank)
       | `Stop (reason, examined) ->
-          `Gave_up { examined; queue_peak = !queue_peak; reason })
+          `Gave_up { examined; queue_peak = s.queue_peak; reason })

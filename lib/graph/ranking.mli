@@ -22,10 +22,11 @@
 
     {2 Scaling}
 
-    {!solve_constrained} keeps its frontier in a growable arena (node,
-    stage, accumulated cost, parent slot) with the priority queue holding
-    arena ids only, so per-partial memory is a few words and independent
-    of path length.  Two budgets bound the search — [max_paths] (complete
+    {!enumerate} and {!solve_constrained} run one search.  It keeps its
+    frontier in a growable arena (node, stage, accumulated cost, parent
+    slot) with a binary heap holding arena ids only, so per-partial memory
+    is a few words and independent of path length.  Equal f-values pop in
+    insertion order.  Two budgets bound {!solve_constrained} — [max_paths] (complete
     paths examined) and [max_queue] (frontier size) — and an optional
     [upper_bound] (cost of any known feasible ≤ [k]-changes path, e.g.
     the merging heuristic's) discards partials whose f-value exceeds the
@@ -43,7 +44,11 @@
     [advisor.ranking] span. *)
 
 val enumerate : Staged_dag.t -> (float * int array) Seq.t
-(** All source-to-sink paths, lazily, in nondecreasing cost order. *)
+(** All source-to-sink paths, lazily, in nondecreasing cost order, with
+    equal costs in insertion order.  The same search as
+    {!solve_constrained} without budgets or bound: its [n]-th element is
+    the path that search examines as rank [n].  The sequence is
+    persistent (memoized), so it can be traversed more than once. *)
 
 type give_up_reason =
   | Space_exhausted  (** every path ranked; none had ≤ [k] changes *)

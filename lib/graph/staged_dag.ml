@@ -1,27 +1,11 @@
-type dense = {
+type t = {
+  n_stages : int;
+  n_nodes : int;
   exec : float array;  (* stage-major: stage * n_nodes + node *)
   trans : float array;  (* src * n_nodes + dst *)
   source : float array;
   sink : float array;
 }
-
-type t = {
-  n_stages : int;
-  n_nodes : int;
-  node_cost : int -> int -> float;
-  edge_cost : int -> int -> int -> float;
-  source_cost : int -> float;
-  sink_cost : int -> float;
-  dense : dense option;
-}
-
-let zero _ = 0.0
-
-let make ~n_stages ~n_nodes ~node_cost ~edge_cost ?(source_cost = zero)
-    ?(sink_cost = zero) () =
-  if n_stages <= 0 then invalid_arg "Staged_dag.make: n_stages <= 0";
-  if n_nodes <= 0 then invalid_arg "Staged_dag.make: n_nodes <= 0";
-  { n_stages; n_nodes; node_cost; edge_cost; source_cost; sink_cost; dense = None }
 
 let of_matrices ~exec ~trans ?source ?sink () =
   let n_stages = Array.length exec in
@@ -50,18 +34,7 @@ let of_matrices ~exec ~trans ?source ?sink () =
   in
   let source = vector "source" source in
   let sink = vector "sink" sink in
-  let d = { exec; trans; source; sink } in
-  {
-    n_stages;
-    n_nodes;
-    (* The closures read the same flat arrays the fast paths index, so
-       both views of the graph agree bit-for-bit. *)
-    node_cost = (fun s j -> exec.((s * n_nodes) + j));
-    edge_cost = (fun _s i j -> trans.((i * n_nodes) + j));
-    source_cost = (fun j -> source.(j));
-    sink_cost = (fun j -> sink.(j));
-    dense = Some d;
-  }
+  { n_stages; n_nodes; exec; trans; source; sink }
 
 let check_path t path =
   if Array.length path <> t.n_stages then
@@ -73,65 +46,43 @@ let check_path t path =
 
 let path_cost t path =
   check_path t path;
-  let acc = ref (t.source_cost path.(0) +. t.node_cost 0 path.(0)) in
+  let n = t.n_nodes in
+  let acc = ref (t.source.(path.(0)) +. t.exec.(path.(0))) in
   for s = 1 to t.n_stages - 1 do
-    acc := !acc +. t.edge_cost (s - 1) path.(s - 1) path.(s) +. t.node_cost s path.(s)
+    acc :=
+      !acc +. t.trans.((path.(s - 1) * n) + path.(s)) +. t.exec.((s * n) + path.(s))
   done;
-  !acc +. t.sink_cost path.(t.n_stages - 1)
+  !acc +. t.sink.(path.(t.n_stages - 1))
 
 (* Exact unconstrained cost-to-go, flat and stage-major:
    [h.(s * n_nodes + j)] is the cheapest completion from node [j] of stage
-   [s] — excluding node [j]'s own cost, including the sink edge.  The dense
-   and closure variants perform the same float operations in the same
-   order, so both representations agree bit-for-bit; this is the
-   admissible heuristic shared by the ranking enumerator and the k-aware
+   [s] — excluding node [j]'s own cost, including the sink edge.  This is
+   the admissible heuristic shared by the ranking search and the k-aware
    branch-and-bound pruner. *)
 let cost_to_go t =
   let n = t.n_nodes in
   let stages = t.n_stages in
+  let exec = t.exec and trans = t.trans in
   let h = Array.make (stages * n) 0.0 in
-  let last = (stages - 1) * n in
-  for j = 0 to n - 1 do
-    h.(last + j) <- t.sink_cost j
-  done;
+  Array.blit t.sink 0 h ((stages - 1) * n) n;
   (* [comp.(j)] hoists the loop-invariant "arrive at j" part (node cost
-     plus completion) out of the O(n^2) source scan; both variants use the
-     same association, so dense and closure graphs still agree
-     bit-for-bit. *)
+     plus completion) out of the O(n^2) source scan. *)
   let comp = Array.make n 0.0 in
-  (match t.dense with
-  | Some d ->
-      let exec = d.exec and trans = d.trans in
-      for s = stages - 2 downto 0 do
-        let hb = s * n and hb1 = (s + 1) * n in
-        for j = 0 to n - 1 do
-          comp.(j) <- exec.(hb1 + j) +. h.(hb1 + j)
-        done;
-        for i = 0 to n - 1 do
-          let ti = i * n in
-          let best = ref infinity in
-          for j = 0 to n - 1 do
-            let candidate = trans.(ti + j) +. comp.(j) in
-            if candidate < !best then best := candidate
-          done;
-          h.(hb + i) <- !best
-        done
-      done
-  | None ->
-      for s = stages - 2 downto 0 do
-        let hb = s * n and hb1 = (s + 1) * n in
-        for j = 0 to n - 1 do
-          comp.(j) <- t.node_cost (s + 1) j +. h.(hb1 + j)
-        done;
-        for i = 0 to n - 1 do
-          let best = ref infinity in
-          for j = 0 to n - 1 do
-            let candidate = t.edge_cost s i j +. comp.(j) in
-            if candidate < !best then best := candidate
-          done;
-          h.(hb + i) <- !best
-        done
-      done);
+  for s = stages - 2 downto 0 do
+    let hb = s * n and hb1 = (s + 1) * n in
+    for j = 0 to n - 1 do
+      comp.(j) <- exec.(hb1 + j) +. h.(hb1 + j)
+    done;
+    for i = 0 to n - 1 do
+      let ti = i * n in
+      let best = ref infinity in
+      for j = 0 to n - 1 do
+        let candidate = trans.(ti + j) +. comp.(j) in
+        if candidate < !best then best := candidate
+      done;
+      h.(hb + i) <- !best
+    done
+  done;
   h
 
 let path_changes t ~initial path =
@@ -145,24 +96,11 @@ let path_changes t ~initial path =
   done;
   !changes
 
-(* One stage of the Bellman relaxation, closure-backed and dense-backed.
-   The two must perform the same float operations in the same order. *)
-
-let relax_closures t dist next pred s =
+(* One stage of the Bellman relaxation into [next]; the first strict
+   improvement wins, so ties keep the lowest source node. *)
+let relax t dist next pred s =
   let n = t.n_nodes in
-  for j = 0 to n - 1 do
-    let node = t.node_cost s j in
-    for i = 0 to n - 1 do
-      let candidate = dist.(i) +. t.edge_cost (s - 1) i j +. node in
-      if candidate < next.(j) then begin
-        next.(j) <- candidate;
-        pred.(s).(j) <- i
-      end
-    done
-  done
-
-let relax_dense d ~n dist next pred s =
-  let exec = d.exec and trans = d.trans in
+  let exec = t.exec and trans = t.trans in
   let stage_base = s * n in
   for j = 0 to n - 1 do
     let node = exec.(stage_base + j) in
@@ -184,20 +122,18 @@ let shortest_path t =
   let n = t.n_nodes in
   (* dist.(j): best cost of reaching node j of the current stage;
      pred.(s).(j): predecessor of (s, j) on that best path. *)
-  let dist = Array.init n (fun j -> t.source_cost j +. t.node_cost 0 j) in
+  let dist = Array.init n (fun j -> t.source.(j) +. t.exec.(j)) in
   let pred = Array.make_matrix t.n_stages n (-1) in
   let next = Array.make n infinity in
   for s = 1 to t.n_stages - 1 do
     Array.fill next 0 n infinity;
-    (match t.dense with
-    | Some d -> relax_dense d ~n dist next pred s
-    | None -> relax_closures t dist next pred s);
+    relax t dist next pred s;
     Array.blit next 0 dist 0 n
   done;
   let best = ref 0 in
   let best_cost = ref infinity in
   for j = 0 to n - 1 do
-    let total = dist.(j) +. t.sink_cost j in
+    let total = dist.(j) +. t.sink.(j) in
     if total < !best_cost then begin
       best_cost := total;
       best := j

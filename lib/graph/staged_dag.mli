@@ -2,51 +2,22 @@
 
     A staged DAG has [n_stages] columns of [n_nodes] nodes each, a source
     before stage 0 and a sink after the last stage.  Every node of stage
-    [s] has an edge to every node of stage [s+1].  Node and edge costs are
-    supplied as functions, so graphs are never materialised: a sequence
-    graph for [n] statements over [2^m] configurations is represented in
-    O(1) space.
+    [s] has an edge to every node of stage [s+1].
 
     In the physical-design instantiation, a node [(s, j)] is "execute
     statement [s] under configuration [j]" with node cost [EXEC(S_s,C_j)],
-    and edge costs are [TRANS(C_i, C_j)]. *)
-
-type dense = private {
-  exec : float array;  (** node costs, stage-major: [stage * n_nodes + node] *)
-  trans : float array;  (** edge costs, [src * n_nodes + dst] (stage-invariant) *)
-  source : float array;  (** source-edge cost per node *)
-  sink : float array;  (** sink-edge cost per node *)
-}
-(** Materialized cost matrices, flat so the DP inner loops index arrays
-    instead of calling cost closures. *)
+    and edge costs are [TRANS(C_i, C_j)] — the same at every stage, so one
+    [n_nodes × n_nodes] matrix describes every stage boundary.  The costs
+    are held in flat arrays the solvers' inner loops index directly. *)
 
 type t = private {
   n_stages : int;
   n_nodes : int;
-  node_cost : int -> int -> float;  (** [node_cost stage node] *)
-  edge_cost : int -> int -> int -> float;
-      (** [edge_cost stage src dst]: edge from [(stage, src)] to
-          [(stage+1, dst)]; [stage] ranges over [0 .. n_stages-2] *)
-  source_cost : int -> float;  (** source to [(0, node)] *)
-  sink_cost : int -> float;  (** [(n_stages-1, node)] to sink *)
-  dense : dense option;
-      (** Present iff the graph was built by {!of_matrices}; the closures
-          above then read these arrays, so the two representations agree
-          bit-for-bit and solvers may use whichever is faster. *)
+  exec : float array;  (** node costs, stage-major: [stage * n_nodes + node] *)
+  trans : float array;  (** edge costs, [src * n_nodes + dst], every stage *)
+  source : float array;  (** source-edge cost per node *)
+  sink : float array;  (** sink-edge cost per node *)
 }
-
-val make :
-  n_stages:int ->
-  n_nodes:int ->
-  node_cost:(int -> int -> float) ->
-  edge_cost:(int -> int -> int -> float) ->
-  ?source_cost:(int -> float) ->
-  ?sink_cost:(int -> float) ->
-  unit ->
-  t
-(** Build a graph description.  [source_cost] and [sink_cost] default to
-    zero.  Raises [Invalid_argument] if [n_stages] or [n_nodes] is not
-    positive. *)
 
 val of_matrices :
   exec:float array array ->
@@ -55,13 +26,11 @@ val of_matrices :
   ?sink:float array ->
   unit ->
   t
-(** Build a graph from materialized matrices: [exec.(s).(j)] is the node
-    cost of [(s, j)], [trans.(i).(j)] the (stage-invariant) edge cost
-    from node [i] to node [j], [source]/[sink] the per-node source and
-    sink edge costs (default zero).  The matrices are copied into the
-    {!dense} flat representation, which {!shortest_path} and
-    {!Kaware.solve} use as a closure-free fast path.  Raises
-    [Invalid_argument] on empty or ragged input. *)
+(** Build a graph from cost matrices: [exec.(s).(j)] is the node cost of
+    [(s, j)], [trans.(i).(j)] the edge cost from node [i] to node [j] at
+    every stage boundary, [source]/[sink] the per-node source and sink
+    edge costs (default zero).  The matrices are copied into the flat
+    record.  Raises [Invalid_argument] on empty or ragged input. *)
 
 val path_cost : t -> int array -> float
 (** Total cost of a source-to-sink path visiting the given node per stage.
@@ -80,7 +49,6 @@ val cost_to_go : t -> float array
     [(cost_to_go t).(s * n_nodes + j)] is the cheapest completion from
     node [j] of stage [s] to the sink — excluding node [j]'s own cost,
     including the sink edge.  Computed by one backward O(n_stages *
-    n_nodes^2) pass (dense fast path when {!dense} is present, bit-equal
-    to the closure path).  This is the admissible heuristic shared by
-    {!Ranking.enumerate} and the {!Kaware.solve} bound pruner: it never
+    n_nodes^2) pass.  This is the admissible heuristic shared by
+    {!Ranking} and the {!Kaware.solve} bound pruner: it never
     overestimates the completion cost of any path, constrained or not. *)

@@ -543,7 +543,7 @@ let feed t statement = feed_statement t ~skip_check:false statement
 
 (* Semantic validation runs before the statement is keyed, executed or
    buffered, so a statement the schema rejects is skipped like a lexical
-   error.  A template entry remembers that its statement passed: repeated
+   error.  A cache entry remembers that its statement passed: repeated
    texts skip the check. *)
 let feed_checked t ?entry statement =
   let validated = match entry with Some e -> e.Template.validated | None -> false in

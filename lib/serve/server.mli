@@ -69,13 +69,14 @@ type config = {
           [--no-reopt-reuse] escape hatch — every re-optimization builds
           from scratch, with bit-identical results *)
   template_cache : bool;
-      (** parse arriving SQL through a statement-template cache: distinct
-          texts cache their parsed AST, repeated statement *shapes* share
-          one skeleton with literals rebound (default [true]); [false] is
-          the [--no-template-cache] escape hatch — {!feed_sql} parses
-          every text from scratch, with bit-identical results *)
+      (** parse arriving SQL through a statement cache: a repeated text
+          reuses its parsed AST, and a fresh text is parsed and cached
+          (default [true]); [false] is the [--no-template-cache] escape
+          hatch — {!feed_sql} parses every text from scratch, with
+          bit-identical results *)
   plan_cache : bool;
-      (** memoize plan choice on (cost identity, design) for read-only
+      (** memoize plan choice on cost identity (flushed on every design
+          change) for read-only
           statements against the served table, and what-if probation costs
           through a {!Cddpd_engine.Cost_cache} (default [true]); [false]
           is the [--no-plan-cache] escape hatch — every statement is
@@ -168,14 +169,14 @@ val feed : t -> Cddpd_sql.Ast.statement -> window_report option
 val feed_sql : t -> string -> (window_report option, string) result
 (** Parse one arriving statement text and {!feed} it — the ingest fast
     path.  With [config.template_cache] on, parsing goes through
-    {!Cddpd_sql.Parser.parse_cached}: repeated texts reuse their AST,
-    cost key, and semantic validation; repeated shapes reparse nothing.
+    {!Cddpd_sql.Parser.parse_cached}: a repeated text reuses its AST,
+    cost key, and semantic validation; a fresh text is parsed.
     A statement is checked against the schema ({!Cddpd_engine.Check})
     before it is keyed or executed.  [Error] carries the parse or check
     error message; nothing was executed or buffered. *)
 
 val template_stats : t -> Cddpd_sql.Template.stats option
-(** The statement-template cache's hit/miss counters; [None] when
+(** The statement cache's hit/miss counters; [None] when
     [config.template_cache] is off. *)
 
 val finish : t -> report

@@ -222,16 +222,6 @@ let parse_cached cache input =
   match Template.find_exact cache input with
   | Some entry -> Ok entry
   | None -> (
-      match
-        let tokens = Lexer.tokenize input in
-        let shape, literals = Template.shape_of_tokens tokens in
-        let statement =
-          Template.materialize cache ~shape ~literals ~parse:(fun () ->
-              parse_statement { tokens })
-        in
-        Template.add_exact cache input statement
-      with
-      | entry -> Ok entry
-      | exception Parse_error message -> Error message
-      | exception Lexer.Lex_error { position; message } ->
-          Error (Printf.sprintf "lexical error at offset %d: %s" position message))
+      match parse_exn input with
+      | statement -> Ok (Template.add_exact cache input statement)
+      | exception Parse_error message -> Error message)

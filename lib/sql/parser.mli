@@ -25,9 +25,8 @@ val parse_exn : string -> Ast.statement
 (** Like {!parse} but raises {!Parse_error}. *)
 
 val parse_cached : Template.t -> string -> (Template.entry, string) result
-(** Like {!parse}, but answered from [cache] when possible: a repeated
-    text returns its cached entry for one string hash, and a fresh text
-    whose token shape is cached is materialised by rebinding literals into
-    the cached skeleton.  The returned statement (and any error message)
-    is bit-identical to a fresh {!parse} of the same input; only failed
+(** Like {!parse}, but a repeated text returns its cached entry for one
+    string hash; only exact texts are reused.  A fresh text is lexed,
+    parsed and added to [cache].  The returned statement (and any error
+    message) is bit-identical to a fresh {!parse} of the same input; failed
     parses are never cached. *)

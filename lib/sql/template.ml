@@ -1,24 +1,11 @@
-(* Statement-template cache: the parsing half of the serve ingest fast path.
+(* Statement cache: the parsing half of the serve ingest fast path.
 
    Production traces are overwhelmingly a small set of repeated statement
-   *texts* drawn from an even smaller set of statement *shapes* — the same
-   SELECT with different literals (the observation template-normalized
-   workload collectors such as AIM build on).  The cache exploits both
-   levels:
+   texts (the observation workload collectors such as AIM build on), so
+   the cache maps raw statement text to its parsed [Ast.statement]: a
+   repeated text costs one string hash.  A fresh text is lexed and parsed
+   for real, so every answer is bit-identical to a fresh parse. *)
 
-   - an exact table maps raw statement text to its parsed [Ast.statement],
-     so a repeated text costs one string hash;
-   - a template table maps the statement's token *shape* (literals replaced
-     by slots) to a parsed skeleton, so a fresh text with a known shape is
-     materialised by rebinding literals positionally instead of parsing.
-
-   Both levels are bit-identical to a fresh parse: the lexer lowercases
-   identifiers and canonicalises keywords, so shape-equal token lists parse
-   to statements that differ only in literal values, and [rebind]
-   substitutes literals in the exact source order the parser consumes
-   them.  Any arity surprise falls back to the real parser. *)
-
-module Tuple = Cddpd_storage.Tuple
 module Obs = Cddpd_obs
 
 type entry = {
@@ -27,47 +14,24 @@ type entry = {
   mutable validated : bool;
 }
 
-type stats = {
-  exact_hits : int;
-  template_hits : int;
-  misses : int;
-  templates : int;
-  entries : int;
-}
+type stats = { exact_hits : int; misses : int; entries : int }
 
 type t = {
   exact : (string, entry) Hashtbl.t;
-  templates : (string, Ast.statement) Hashtbl.t;
   capacity : int;
   mutable exact_hits : int;
-  mutable template_hits : int;
   mutable misses : int;
 }
 
 let m_hits = Obs.Registry.counter "sql.template_cache.hits"
 let m_misses = Obs.Registry.counter "sql.template_cache.misses"
-let m_templates = Obs.Registry.counter "sql.template_cache.templates"
 
 let default_capacity = 8192
 
 let create ?(capacity = default_capacity) () =
-  {
-    exact = Hashtbl.create 256;
-    templates = Hashtbl.create 64;
-    capacity = max 16 capacity;
-    exact_hits = 0;
-    template_hits = 0;
-    misses = 0;
-  }
+  { exact = Hashtbl.create 256; capacity = max 16 capacity; exact_hits = 0; misses = 0 }
 
-let stats t =
-  {
-    exact_hits = t.exact_hits;
-    template_hits = t.template_hits;
-    misses = t.misses;
-    templates = Hashtbl.length t.templates;
-    entries = Hashtbl.length t.exact;
-  }
+let stats t = { exact_hits = t.exact_hits; misses = t.misses; entries = Hashtbl.length t.exact }
 
 let find_exact t text =
   match Hashtbl.find_opt t.exact text with
@@ -77,129 +41,9 @@ let find_exact t text =
       Some entry
   | None -> None
 
-(* The shape marker '?' is shared by int and string literals: the grammar
-   accepts either wherever a literal is allowed, so two texts with the same
-   shape string parse to statements that differ only in literal values.
-   '\x1f' separates tokens; it cannot appear inside a rendered token
-   (identifiers are lexed from [A-Za-z0-9_]), so the encoding is injective. *)
-let shape_of_tokens tokens =
-  let buf = Buffer.create 64 in
-  let literals = ref [] in
-  List.iter
-    (fun token ->
-      (match token with
-      | Lexer.Int_lit v ->
-          literals := Tuple.Int v :: !literals;
-          Buffer.add_char buf '?'
-      | Lexer.Str_lit s ->
-          literals := Tuple.Text s :: !literals;
-          Buffer.add_char buf '?'
-      | other -> Buffer.add_string buf (Lexer.token_to_string other));
-      Buffer.add_char buf '\x1f')
-    tokens;
-  (Buffer.contents buf, List.rev !literals)
-
-exception Rebind_mismatch
-
-(* Literals are substituted in the exact order the parser consumes them:
-   WHERE predicates textually left to right with BETWEEN low before high,
-   INSERT values left to right, UPDATE assignments before its WHERE clause.
-   Evaluation order is forced with explicit [let]s and hand-rolled
-   recursion because OCaml leaves constructor-argument and [List.map]
-   application order unspecified. *)
-let rebind skeleton literals =
-  let literals = Array.of_list literals in
-  let n = Array.length literals in
-  let next = ref 0 in
-  let take () =
-    if !next >= n then raise Rebind_mismatch
-    else begin
-      let v = literals.(!next) in
-      incr next;
-      v
-    end
-  in
-  let rebind_predicate pred =
-    match pred with
-    | Ast.Cmp { column; op; value = _ } ->
-        let value = take () in
-        Ast.Cmp { column; op; value }
-    | Ast.Between { column; low = _; high = _ } ->
-        let low = take () in
-        let high = take () in
-        Ast.Between { column; low; high }
-  in
-  let rec rebind_preds preds =
-    match preds with
-    | [] -> []
-    | pred :: rest ->
-        let pred = rebind_predicate pred in
-        let rest = rebind_preds rest in
-        pred :: rest
-  in
-  let rec rebind_assignments assignments =
-    match assignments with
-    | [] -> []
-    | (column, _) :: rest ->
-        let value = take () in
-        let rest = rebind_assignments rest in
-        (column, value) :: rest
-  in
-  let rec rebind_values values =
-    match values with
-    | [] -> []
-    | _ :: rest ->
-        let v = take () in
-        let rest = rebind_values rest in
-        v :: rest
-  in
-  match
-    match skeleton with
-    | Ast.Select select ->
-        let where = rebind_preds select.Ast.where in
-        Ast.Select { select with Ast.where }
-    | Ast.Select_agg { table; group_by; aggregate; where } ->
-        let where = rebind_preds where in
-        Ast.Select_agg { table; group_by; aggregate; where }
-    | Ast.Insert { table; values } ->
-        let values = rebind_values values in
-        Ast.Insert { table; values }
-    | Ast.Delete { table; where } ->
-        let where = rebind_preds where in
-        Ast.Delete { table; where }
-    | Ast.Update { table; assignments; where } ->
-        let assignments = rebind_assignments assignments in
-        let where = rebind_preds where in
-        Ast.Update { table; assignments; where }
-  with
-  | statement when !next = n -> Some statement
-  | _ -> None
-  | exception Rebind_mismatch -> None
-
-let materialize t ~shape ~literals ~parse =
-  match Hashtbl.find_opt t.templates shape with
-  | Some skeleton -> (
-      match rebind skeleton literals with
-      | Some statement ->
-          t.template_hits <- t.template_hits + 1;
-          Obs.Counter.incr m_hits;
-          statement
-      | None ->
-          (* shape-equal texts cannot disagree on literal arity; if they
-             somehow do, charge a miss and parse for real *)
-          t.misses <- t.misses + 1;
-          Obs.Counter.incr m_misses;
-          parse ())
-  | None ->
-      let statement = parse () in
-      t.misses <- t.misses + 1;
-      Obs.Counter.incr m_misses;
-      if Hashtbl.length t.templates >= t.capacity then Hashtbl.reset t.templates;
-      Hashtbl.replace t.templates shape statement;
-      Obs.Counter.incr m_templates;
-      statement
-
 let add_exact t text statement =
+  t.misses <- t.misses + 1;
+  Obs.Counter.incr m_misses;
   let entry = { statement; cost_tag = None; validated = false } in
   (* Wholesale reset on overflow: dropped entries only lose their memo
      slots ([cost_tag], [validated]), which are recomputed on demand. *)

@@ -1,12 +1,9 @@
-(** Statement-template cache backing {!Parser.parse_cached}.
+(** Statement cache backing {!Parser.parse_cached}.
 
-    Two levels, both bit-identical to a fresh parse:
-
-    - an {e exact} table keyed on raw statement text, returning the parsed
-      statement (plus per-text memo slots) for one string hash;
-    - a {e template} table keyed on the statement's token shape (literals
-      replaced by slots), whose parsed skeleton is materialised for a fresh
-      text by rebinding literals positionally — no parsing.
+    One table keyed on raw statement text: a repeated text returns its
+    parsed statement (plus per-text memo slots) for one string hash.  A
+    fresh text is lexed and parsed for real, so every answer is
+    bit-identical to a fresh parse.
 
     The cache is single-domain (serve's ingest loop); it is not
     thread-safe. *)
@@ -24,18 +21,16 @@ type entry = {
 }
 
 type stats = {
-  exact_hits : int;  (** texts answered from the exact table *)
-  template_hits : int;  (** texts answered by rebinding a skeleton *)
+  exact_hits : int;  (** texts answered from the table *)
   misses : int;  (** texts that needed a real parse *)
-  templates : int;  (** distinct shapes currently cached *)
   entries : int;  (** distinct texts currently cached *)
 }
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [create ()] makes an empty cache.  [capacity] bounds both tables;
-    overflow resets the table wholesale (entries are pure memos). *)
+(** [create ()] makes an empty cache.  [capacity] bounds the table;
+    overflow resets it wholesale (entries are pure memos). *)
 
 val stats : t -> stats
 
@@ -43,24 +38,5 @@ val find_exact : t -> string -> entry option
 (** Exact-text lookup; counts a hit when it succeeds. *)
 
 val add_exact : t -> string -> Ast.statement -> entry
-(** Insert the parse result for [text] and return its (fresh) entry. *)
-
-val shape_of_tokens : Lexer.token list -> string * Cddpd_storage.Tuple.value list
-(** Token shape with literals replaced by slots, plus the literals in
-    source order.  Shape-equal token lists parse to statements that differ
-    only in literal values. *)
-
-val rebind : Ast.statement -> Cddpd_storage.Tuple.value list -> Ast.statement option
-(** [rebind skeleton literals] substitutes [literals] into [skeleton] in
-    parser consumption order.  [None] if the arity does not match (cannot
-    happen for a shape-equal text; callers fall back to a real parse). *)
-
-val materialize :
-  t ->
-  shape:string ->
-  literals:Cddpd_storage.Tuple.value list ->
-  parse:(unit -> Ast.statement) ->
-  Ast.statement
-(** Produce the statement for a text with the given [shape]: rebind a
-    cached skeleton when one exists, otherwise call [parse] and cache the
-    result as the shape's skeleton.  Counts template hits and misses. *)
+(** Insert the parse result for [text], count the miss, and return the
+    (fresh) entry. *)

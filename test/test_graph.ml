@@ -5,21 +5,18 @@ module Staged_dag = Cddpd_graph.Staged_dag
 module Kaware = Cddpd_graph.Kaware
 module Ranking = Cddpd_graph.Ranking
 
-(* A concrete random instance: explicit cost matrices. *)
+(* A concrete random instance: explicit cost matrices.  Edge costs are
+   the same at every stage boundary, as in every sequence graph. *)
 type instance = {
   n_stages : int;
   n_nodes : int;
-  node : float array array; (* stage x node *)
-  edge : float array array array; (* stage x src x dst *)
+  exec : float array array; (* stage x node *)
+  trans : float array array; (* src x dst *)
   source : float array;
 }
 
 let graph_of_instance inst =
-  Staged_dag.make ~n_stages:inst.n_stages ~n_nodes:inst.n_nodes
-    ~node_cost:(fun s j -> inst.node.(s).(j))
-    ~edge_cost:(fun s i j -> inst.edge.(s).(i).(j))
-    ~source_cost:(fun j -> inst.source.(j))
-    ()
+  Staged_dag.of_matrices ~exec:inst.exec ~trans:inst.trans ~source:inst.source ()
 
 let instance_gen =
   QCheck.Gen.(
@@ -27,12 +24,10 @@ let instance_gen =
     int_range 1 5 >>= fun n_stages ->
     int_range 1 4 >>= fun n_nodes ->
     let matrix rows cols = array_size (return rows) (array_size (return cols) cost) in
-    matrix n_stages n_nodes >>= fun node ->
-    array_size (return (max 1 (n_stages - 1)))
-      (matrix n_nodes n_nodes)
-    >>= fun edge ->
+    matrix n_stages n_nodes >>= fun exec ->
+    matrix n_nodes n_nodes >>= fun trans ->
     array_size (return n_nodes) cost >>= fun source ->
-    return { n_stages; n_nodes; node; edge; source })
+    return { n_stages; n_nodes; exec; trans; source })
 
 let print_instance inst =
   Printf.sprintf "stages=%d nodes=%d" inst.n_stages inst.n_nodes
@@ -63,9 +58,9 @@ let changes ~initial path =
 let tiny_graph () =
   (* 2 stages, 2 nodes.  Node costs: stage0 = [10; 1], stage1 = [10; 1].
      Edge cost 5 when switching, 0 otherwise.  Source edges free. *)
-  Staged_dag.make ~n_stages:2 ~n_nodes:2
-    ~node_cost:(fun _ j -> if j = 0 then 10.0 else 1.0)
-    ~edge_cost:(fun _ i j -> if i = j then 0.0 else 5.0)
+  Staged_dag.of_matrices
+    ~exec:[| [| 10.0; 1.0 |]; [| 10.0; 1.0 |] |]
+    ~trans:[| [| 0.0; 5.0 |]; [| 5.0; 0.0 |] |]
     ()
 
 let test_shortest_path_tiny () =
@@ -86,17 +81,6 @@ let test_path_changes () =
     (Staged_dag.path_changes g ~initial:(Some 0) [| 1; 1 |]);
   Alcotest.(check int) "initial matches" 0
     (Staged_dag.path_changes g ~initial:(Some 1) [| 1; 1 |])
-
-let test_make_invalid () =
-  Alcotest.(check bool) "zero stages rejected" true
-    (match
-       Staged_dag.make ~n_stages:0 ~n_nodes:1
-         ~node_cost:(fun _ _ -> 0.0)
-         ~edge_cost:(fun _ _ _ -> 0.0)
-         ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
 
 let test_kaware_k0_stays () =
   (* With k=0 and an initial node, the only feasible path stays put. *)
@@ -130,6 +114,13 @@ let test_ranking_enumerates_all () =
   let g = tiny_graph () in
   let paths = List.of_seq (Ranking.enumerate g) in
   Alcotest.(check int) "2^2 paths" 4 (List.length paths)
+
+let test_ranking_enumerate_persistent () =
+  (* The search behind [enumerate] is mutable; the sequence must still
+     replay the same paths on a second traversal. *)
+  let paths = Ranking.enumerate (tiny_graph ()) in
+  let first = List.of_seq paths in
+  Alcotest.(check bool) "second traversal equal" true (first = List.of_seq paths)
 
 let test_ranking_solve_constrained () =
   let g = tiny_graph () in
@@ -185,49 +176,7 @@ let test_of_matrices_invalid () =
 
 (* -- properties ------------------------------------------------------------------- *)
 
-(* A dense-representable instance: stage-invariant edge costs. *)
-let dense_instance_gen =
-  QCheck.Gen.(
-    let cost = map (fun i -> float_of_int i) (int_bound 50) in
-    int_range 1 5 >>= fun n_stages ->
-    int_range 1 4 >>= fun n_nodes ->
-    let matrix rows cols = array_size (return rows) (array_size (return cols) cost) in
-    matrix n_stages n_nodes >>= fun exec ->
-    matrix n_nodes n_nodes >>= fun trans ->
-    array_size (return n_nodes) cost >>= fun source ->
-    return (exec, trans, source))
-
-let dense_instance_arbitrary =
-  QCheck.make
-    ~print:(fun (exec, trans, _) ->
-      Printf.sprintf "stages=%d nodes=%d" (Array.length exec) (Array.length trans))
-    dense_instance_gen
-
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let dense_matches_closures =
-  QCheck.Test.make ~name:"of_matrices DP = closure DP, bit for bit" ~count:200
-    (QCheck.pair dense_instance_arbitrary (QCheck.int_bound 4))
-    (fun ((exec, trans, source), k) ->
-      let n_stages = Array.length exec and n_nodes = Array.length trans in
-      let dense_g = Staged_dag.of_matrices ~exec ~trans ~source () in
-      let closure_g =
-        Staged_dag.make ~n_stages ~n_nodes
-          ~node_cost:(fun s j -> exec.(s).(j))
-          ~edge_cost:(fun _ i j -> trans.(i).(j))
-          ~source_cost:(fun j -> source.(j))
-          ()
-      in
-      let dc, dp = Staged_dag.shortest_path dense_g in
-      let cc, cp = Staged_dag.shortest_path closure_g in
-      same_float dc cc && dp = cp
-      &&
-      match
-        (Kaware.solve dense_g ~k ~initial:(Some 0), Kaware.solve closure_g ~k ~initial:(Some 0))
-      with
-      | Some (dkc, dkp), Some (ckc, ckp) -> same_float dkc ckc && dkp = ckp
-      | None, None -> true
-      | _ -> false)
 
 let shortest_path_matches_bruteforce =
   QCheck.Test.make ~name:"shortest_path = brute force" ~count:200 instance_arbitrary
@@ -302,15 +251,15 @@ let ranking_complete =
 
 let cost_to_go_consistent =
   QCheck.Test.make ~name:"cost_to_go agrees with shortest_path" ~count:200
-    dense_instance_arbitrary (fun (exec, trans, source) ->
-      let g = Staged_dag.of_matrices ~exec ~trans ~source () in
-      let n = Array.length trans in
+    instance_arbitrary (fun inst ->
+      let g = graph_of_instance inst in
+      let n = inst.n_nodes in
       let h = Staged_dag.cost_to_go g in
       (* Completing from the source layer: min over entry nodes of
          source + node + h must reproduce the unconstrained optimum. *)
       let best = ref infinity in
       for j = 0 to n - 1 do
-        let total = source.(j) +. exec.(0).(j) +. h.(j) in
+        let total = inst.source.(j) +. inst.exec.(0).(j) +. h.(j) in
         if total < !best then best := total
       done;
       let cost, _ = Staged_dag.shortest_path g in
@@ -318,9 +267,9 @@ let cost_to_go_consistent =
 
 let kaware_parallel_matches_sequential =
   QCheck.Test.make ~name:"kaware parallel = sequential, bit for bit" ~count:100
-    (QCheck.pair dense_instance_arbitrary (QCheck.int_bound 4))
-    (fun ((exec, trans, source), k) ->
-      let g = Staged_dag.of_matrices ~exec ~trans ~source () in
+    (QCheck.pair instance_arbitrary (QCheck.int_bound 4))
+    (fun (inst, k) ->
+      let g = graph_of_instance inst in
       let reference = Kaware.solve ~jobs:1 g ~k ~initial:(Some 0) in
       List.for_all
         (fun jobs ->
@@ -334,15 +283,15 @@ let kaware_parallel_matches_sequential =
    initial = Some 0 its cost upper-bounds the constrained optimum at every
    k >= 0 — the same shape of bound Optimizer seeds from the merging
    heuristic. *)
-let constant_bound exec g = Staged_dag.path_cost g (Array.make (Array.length exec) 0)
+let constant_bound inst g = Staged_dag.path_cost g (Array.make inst.n_stages 0)
 
 let kaware_pruned_matches_unpruned =
   QCheck.Test.make ~name:"kaware bound pruning preserves (cost, path)" ~count:150
-    (QCheck.pair dense_instance_arbitrary (QCheck.int_bound 4))
-    (fun ((exec, trans, source), k) ->
-      let g = Staged_dag.of_matrices ~exec ~trans ~source () in
+    (QCheck.pair instance_arbitrary (QCheck.int_bound 4))
+    (fun (inst, k) ->
+      let g = graph_of_instance inst in
       let initial = Some 0 in
-      let ub = constant_bound exec g in
+      let ub = constant_bound inst g in
       match
         (Kaware.solve ~upper_bound:ub g ~k ~initial, Kaware.solve g ~k ~initial)
       with
@@ -353,11 +302,11 @@ let kaware_pruned_matches_unpruned =
 let ranking_budgeted_matches_plain =
   QCheck.Test.make ~name:"ranking bound pruning preserves (cost, path, rank)"
     ~count:150
-    (QCheck.pair dense_instance_arbitrary (QCheck.int_bound 3))
-    (fun ((exec, trans, source), k) ->
-      let g = Staged_dag.of_matrices ~exec ~trans ~source () in
+    (QCheck.pair instance_arbitrary (QCheck.int_bound 3))
+    (fun (inst, k) ->
+      let g = graph_of_instance inst in
       let initial = Some 0 in
-      let ub = constant_bound exec g in
+      let ub = constant_bound inst g in
       match
         ( Ranking.solve_constrained g ~k ~initial ~upper_bound:ub
             ~max_paths:100_000 (),
@@ -371,20 +320,10 @@ let ranking_budgeted_matches_plain =
    and unpruned) must match the constrained brute force. *)
 let kaware_bruteforce_all_k =
   QCheck.Test.make ~name:"kaware = brute force at every k" ~count:100
-    dense_instance_arbitrary (fun (exec, trans, source) ->
-      let g = Staged_dag.of_matrices ~exec ~trans ~source () in
-      let n_stages = Array.length exec and n_nodes = Array.length trans in
+    instance_arbitrary (fun inst ->
+      let g = graph_of_instance inst in
       let initial = Some 0 in
-      let inst =
-        {
-          n_stages;
-          n_nodes;
-          node = exec;
-          edge = Array.make (max 1 (n_stages - 1)) trans;
-          source;
-        }
-      in
-      let ub = constant_bound exec g in
+      let ub = constant_bound inst g in
       List.for_all
         (fun k ->
           let feasible =
@@ -402,7 +341,34 @@ let kaware_bruteforce_all_k =
               && same_float cost pruned_cost
               && path = pruned_path
           | _ -> false)
-        (List.init (n_stages + 1) (fun k -> k)))
+        (List.init (inst.n_stages + 1) (fun k -> k)))
+
+(* Both ranking entry points run one search: [solve_constrained] accepts
+   the first enumerated path with at most [k] changes, at its 1-based
+   position, and gives up exactly where walking [enumerate] would. *)
+let ranking_constrained_is_first_enumerated =
+  QCheck.Test.make ~name:"solve_constrained = first enumerated path within k"
+    ~count:200
+    (QCheck.triple instance_arbitrary (QCheck.int_range (-1) 3) (QCheck.int_range 1 20))
+    (fun (inst, k, max_paths) ->
+      let g = graph_of_instance inst in
+      let initial = Some 0 in
+      let rec walk rank paths =
+        match paths () with
+        | Seq.Nil -> `Exhausted (rank - 1)
+        | Seq.Cons ((cost, path), rest) ->
+            if changes ~initial path <= k then `First (cost, path, rank)
+            else if rank >= max_paths then `Budget rank
+            else walk (rank + 1) rest
+      in
+      match
+        (walk 1 (Ranking.enumerate g), Ranking.solve_constrained g ~k ~initial ~max_paths ())
+      with
+      | `First (c, p, r), `Found (c', p', r') -> same_float c c' && p = p' && r = r'
+      | `Budget e, `Gave_up { Ranking.examined; reason = Ranking.Path_budget; _ }
+      | `Exhausted e, `Gave_up { Ranking.examined; reason = Ranking.Space_exhausted; _ } ->
+          e = examined
+      | _ -> false)
 
 let ranking_agrees_with_kaware =
   QCheck.Test.make ~name:"ranking stopping rule = kaware optimum" ~count:150
@@ -428,13 +394,14 @@ let () =
           Alcotest.test_case "shortest path tiny" `Quick test_shortest_path_tiny;
           Alcotest.test_case "path_cost" `Quick test_path_cost_agrees;
           Alcotest.test_case "path_changes" `Quick test_path_changes;
-          Alcotest.test_case "make validation" `Quick test_make_invalid;
           Alcotest.test_case "of_matrices validation" `Quick test_of_matrices_invalid;
           Alcotest.test_case "kaware k=0" `Quick test_kaware_k0_stays;
           Alcotest.test_case "kaware negative k" `Quick test_kaware_negative_k;
           Alcotest.test_case "kaware large k" `Quick test_kaware_large_k_equals_unconstrained;
           Alcotest.test_case "ranking first is shortest" `Quick test_ranking_first_is_shortest;
           Alcotest.test_case "ranking enumerates all" `Quick test_ranking_enumerates_all;
+          Alcotest.test_case "ranking enumerate is persistent" `Quick
+            test_ranking_enumerate_persistent;
           Alcotest.test_case "ranking constrained" `Quick test_ranking_solve_constrained;
           Alcotest.test_case "ranking gives up" `Quick test_ranking_gives_up;
           Alcotest.test_case "ranking queue budget" `Quick test_ranking_queue_budget;
@@ -443,7 +410,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest shortest_path_matches_bruteforce;
-          QCheck_alcotest.to_alcotest dense_matches_closures;
           QCheck_alcotest.to_alcotest cost_to_go_consistent;
           QCheck_alcotest.to_alcotest kaware_matches_bruteforce;
           QCheck_alcotest.to_alcotest kaware_bruteforce_all_k;
@@ -454,5 +420,6 @@ let () =
           QCheck_alcotest.to_alcotest ranking_nondecreasing;
           QCheck_alcotest.to_alcotest ranking_complete;
           QCheck_alcotest.to_alcotest ranking_agrees_with_kaware;
+          QCheck_alcotest.to_alcotest ranking_constrained_is_first_enumerated;
         ] );
     ]

@@ -1,9 +1,8 @@
-(* Unit and property tests for Cddpd_util: Rng, Stats, Pqueue, Text_table,
+(* Unit and property tests for Cddpd_util: Rng, Stats, Text_table,
    Timer, Parallel. *)
 
 module Rng = Cddpd_util.Rng
 module Stats = Cddpd_util.Stats
-module Pqueue = Cddpd_util.Pqueue
 module Text_table = Cddpd_util.Text_table
 module Timer = Cddpd_util.Timer
 module Parallel = Cddpd_util.Parallel
@@ -145,38 +144,6 @@ let test_stats_histogram_counts () =
   let counts = Stats.histogram_counts [| 0.1; 0.2; 0.9; 1.5; -3.0 |] ~buckets:2 ~lo:0.0 ~hi:1.0 in
   Alcotest.(check (array int)) "bucket counts" [| 3; 2 |] counts
 
-(* -- Pqueue ---------------------------------------------------------------- *)
-
-let test_pqueue_order () =
-  let q = Pqueue.of_list [ (3.0, "c"); (1.0, "a"); (2.0, "b") ] in
-  let rec drain q acc =
-    match Pqueue.pop_min q with
-    | None -> List.rev acc
-    | Some (_, v, q) -> drain q (v :: acc)
-  in
-  Alcotest.(check (list string)) "ascending order" [ "a"; "b"; "c" ] (drain q [])
-
-let test_pqueue_empty () =
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty Pqueue.empty);
-  Alcotest.(check bool) "pop empty" true (Pqueue.pop_min Pqueue.empty = None)
-
-let pqueue_sorted_prop =
-  QCheck.Test.make ~name:"pqueue pops in nondecreasing priority order" ~count:200
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun prios ->
-      let q = Pqueue.of_list (List.map (fun p -> (p, p)) prios) in
-      let rec drain q acc =
-        match Pqueue.pop_min q with
-        | None -> List.rev acc
-        | Some (p, _, q) -> drain q (p :: acc)
-      in
-      let popped = drain q [] in
-      popped = List.sort compare prios)
-
-let test_pqueue_size () =
-  let q = Pqueue.of_list [ (1.0, ()); (2.0, ()); (3.0, ()) ] in
-  Alcotest.(check int) "size" 3 (Pqueue.size q)
-
 (* -- Text_table ------------------------------------------------------------ *)
 
 let test_text_table_render () =
@@ -285,13 +252,6 @@ let () =
           Alcotest.test_case "percentile singleton" `Quick test_stats_percentile_single;
           Alcotest.test_case "empty input" `Quick test_stats_empty;
           Alcotest.test_case "histogram counts" `Quick test_stats_histogram_counts;
-        ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "ascending order" `Quick test_pqueue_order;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "size" `Quick test_pqueue_size;
-          QCheck_alcotest.to_alcotest pqueue_sorted_prop;
         ] );
       ( "text_table",
         [
