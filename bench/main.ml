@@ -1226,7 +1226,6 @@ type configspace_entry = {
   cg_pruned : int;
   cg_clusters : int;
   cg_configs : int;
-  cg_exec_skipped : int;
   cg_trans_memoized : int;
   cg_pipeline_s : float;
   cg_solve_s : float;
@@ -1315,9 +1314,7 @@ let configspace_suite ~(options : options) () =
               with_counters (fun () ->
                   configspace_pipeline ~params ~stats_of ~steps ~flat cap)
             in
-            let exec_skipped =
-              snapshot_counter delta "problem.exec_columns_skipped"
-            in
+            let measured = snapshot_counter delta "cost_model.calls" in
             let trans_memoized =
               snapshot_counter delta "problem.trans_builds_memoized"
             in
@@ -1347,16 +1344,11 @@ let configspace_suite ~(options : options) () =
                       cap n_steps);
                true)
             in
-            (* What-if accounting.  Measured: scoring pays one call per
-               (cluster, candidate) plus the per-cluster base, EXEC pays one
-               per (filled config, cluster), TRANS builds each surviving
-               structure once.  Naive: per-statement EXEC over the unpruned
-               space of the same width, per-pair TRANS. *)
-            let measured =
-              (clusters * (1 + generated))
-              + ((n_configs - exec_skipped) * clusters)
-              + n_survivors
-            in
+            (* What-if accounting.  Measured: the [cost_model.calls] the
+               instrumented rerun made — one per atom, i.e. per (cluster,
+               candidate) while scoring and per (cluster, universe
+               structure) while filling EXEC.  Naive: per-statement EXEC
+               over the unpruned space of the same width, per-pair TRANS. *)
             let naive_configs = 1 + generated + (generated * (generated - 1) / 2) in
             let naive =
               (total_statements * naive_configs) + (naive_configs * naive_configs)
@@ -1405,7 +1397,6 @@ let configspace_suite ~(options : options) () =
               cg_pruned = pruned;
               cg_clusters = clusters;
               cg_configs = n_configs;
-              cg_exec_skipped = exec_skipped;
               cg_trans_memoized = trans_memoized;
               cg_pipeline_s = pipeline_s;
               cg_solve_s = solve_s;
@@ -1427,7 +1418,7 @@ let configspace_suite ~(options : options) () =
 let write_configspace_json path entries =
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-configspace/1\",\"rows\":%d,\"value_range\":%d,\
+    "{\"schema\":\"cddpd-bench-configspace/2\",\"rows\":%d,\"value_range\":%d,\
      \"columns\":%d,\"statements_per_step\":%d,\"runs\":%d,\"cores\":%d,\
      \"max_width\":%d,\
      \"max_structures\":%d,\"max_configs\":%d,\"k\":%d,\"cells\":["
@@ -1441,7 +1432,7 @@ let write_configspace_json path entries =
         "%s{\"candidates_cap\":%d,\"n_steps\":%d,\"statements\":%d,\
          \"generated\":%d,\"survivors\":%d,\"pruned\":%d,\"prune_ratio\":%s,\
          \"clusters\":%d,\"compression_ratio\":%s,\"configs\":%d,\
-         \"exec_columns_skipped\":%d,\"trans_builds_memoized\":%d,\
+         \"trans_builds_memoized\":%d,\
          \"pipeline_median_s\":%s,\"solve_s\":%s,\"solve_cost\":%s,\
          \"changes\":%d,\"whatif\":{\"measured\":%d,\
          \"naive_unpruned_configs\":%d,\"naive_unpruned\":%d,\
@@ -1456,7 +1447,7 @@ let write_configspace_json path entries =
         e.cg_clusters
         (json_float
            (float_of_int e.cg_statements /. float_of_int (max 1 e.cg_clusters)))
-        e.cg_configs e.cg_exec_skipped e.cg_trans_memoized
+        e.cg_configs e.cg_trans_memoized
         (json_float6 e.cg_pipeline_s) (json_float6 e.cg_solve_s)
         (json_float e.cg_cost) e.cg_changes e.cg_measured_whatif
         e.cg_naive_configs e.cg_naive_whatif

@@ -16,36 +16,82 @@ let predicate_column pred =
   match pred with
   | Ast.Cmp { column; _ } | Ast.Between { column; _ } -> column
 
-let tally table bump statement =
+(* -- the workload tally ---------------------------------------------------------
+
+   Everything the frequency-based candidates read from a workload: how
+   often each indexable column appears in a predicate on the table, and
+   which indexable columns its aggregates group by.  Both are kept sorted
+   by column name, so tallies of separate statement batches merge into
+   exactly the tally of their concatenation. *)
+
+type tally = {
+  columns : (string * int) list;  (** predicate-column occurrences, by name *)
+  group_bys : string list;  (** distinct grouping columns, by name *)
+}
+
+let empty_tally = { columns = []; group_bys = [] }
+
+let tally table statements =
+  let counts = Hashtbl.create 8 in
+  let groups = Hashtbl.create 4 in
   let consider statement_table where =
     if String.equal statement_table table.Schema.name then
       List.iter
         (fun pred ->
           let column = predicate_column pred in
-          if is_indexable table column then bump column)
+          if is_indexable table column then
+            Hashtbl.replace counts column
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts column)))
         where
   in
-  match statement with
-  | Ast.Insert _ -> ()
-  | Ast.Select select -> consider select.Ast.table select.Ast.where
-  | Ast.Select_agg { table = statement_table; where; _ } -> consider statement_table where
-  | Ast.Delete { table = statement_table; where } -> consider statement_table where
-  | Ast.Update { table = statement_table; where; _ } -> consider statement_table where
+  Array.iter
+    (fun statement ->
+      match statement with
+      | Ast.Insert _ -> ()
+      | Ast.Select select -> consider select.Ast.table select.Ast.where
+      | Ast.Select_agg { table = statement_table; group_by; where; _ } ->
+          if String.equal statement_table table.Schema.name && is_indexable table group_by then
+            Hashtbl.replace groups group_by ();
+          consider statement_table where
+      | Ast.Delete { table = statement_table; where } -> consider statement_table where
+      | Ast.Update { table = statement_table; where; _ } -> consider statement_table where)
+    statements;
+  (* cddpd-lint: allow determinism — fold builds an unordered tally; the result is sorted by name *)
+  let columns = Hashtbl.fold (fun column count acc -> (column, count) :: acc) counts [] in
+  (* cddpd-lint: allow determinism — fold collects keys that are sorted by String.compare *)
+  let group_bys = Hashtbl.fold (fun group_by () acc -> group_by :: acc) groups [] in
+  {
+    columns = List.sort (fun (c1, _) (c2, _) -> String.compare c1 c2) columns;
+    group_bys = List.sort String.compare group_bys;
+  }
 
-let column_frequencies table statements =
-  let counts = Hashtbl.create 8 in
-  let bump column =
-    Hashtbl.replace counts column (1 + Option.value ~default:0 (Hashtbl.find_opt counts column))
+let merge a b =
+  let rec columns xs ys =
+    match (xs, ys) with
+    | [], rest | rest, [] -> rest
+    | (c1, n1) :: r1, (c2, n2) :: r2 ->
+        let c = String.compare c1 c2 in
+        if c = 0 then (c1, n1 + n2) :: columns r1 r2
+        else if c < 0 then (c1, n1) :: columns r1 ys
+        else (c2, n2) :: columns xs r2
   in
-  Array.iter (tally table bump) statements;
-  (* cddpd-lint: allow determinism — fold builds an unordered tally; the result is sorted on the next line *)
-  Hashtbl.fold (fun column count acc -> (column, count) :: acc) counts []
-  |> List.sort (fun (c1, n1) (c2, n2) ->
-         let c = Int.compare n2 n1 in
-         if c <> 0 then c else String.compare c1 c2)
+  {
+    columns = columns a.columns b.columns;
+    group_bys = List.sort_uniq String.compare (a.group_bys @ b.group_bys);
+  }
 
-let from_statements table ?(composite_pairs = 0) statements =
-  let frequencies = column_frequencies table statements in
+(* Most frequent first, ties broken by name. *)
+let frequencies t =
+  List.sort
+    (fun (c1, n1) (c2, n2) ->
+      let c = Int.compare n2 n1 in
+      if c <> 0 then c else String.compare c1 c2)
+    t.columns
+
+let column_frequencies table statements = frequencies (tally table statements)
+
+let indexes_of_tally table ~composite_pairs t =
+  let frequencies = frequencies t in
   let singles =
     List.map
       (fun (column, _) -> Index_def.make ~table:table.Schema.name ~columns:[ column ])
@@ -77,26 +123,20 @@ let from_statements table ?(composite_pairs = 0) statements =
   in
   dedup [] [] all
 
-let view_candidates table statements =
-  let seen = Hashtbl.create 4 in
-  Array.iter
-    (fun statement ->
-      match statement with
-      | Ast.Select_agg { table = statement_table; group_by; _ }
-        when String.equal statement_table table.Schema.name
-             && is_indexable table group_by ->
-          Hashtbl.replace seen group_by ()
-      | Ast.Select_agg _ | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ ->
-          ())
-    statements;
-  (* cddpd-lint: allow determinism — fold collects keys that are sorted by String.compare below *)
-  Hashtbl.fold (fun group_by () acc -> group_by :: acc) seen []
-  |> List.sort String.compare
-  |> List.map (fun group_by -> View_def.make ~table:table.Schema.name ~group_by)
+let views_of_tally table t =
+  List.map (fun group_by -> View_def.make ~table:table.Schema.name ~group_by) t.group_bys
+
+let from_statements table ?(composite_pairs = 0) statements =
+  indexes_of_tally table ~composite_pairs (tally table statements)
+
+let view_candidates table statements = views_of_tally table (tally table statements)
+
+let structures_of_tally table ?(composite_pairs = 0) t =
+  List.map Structure.index (indexes_of_tally table ~composite_pairs t)
+  @ List.map Structure.view (views_of_tally table t)
 
 let structures_from_statements table ?composite_pairs statements =
-  List.map Structure.index (from_statements table ?composite_pairs statements)
-  @ List.map Structure.view (view_candidates table statements)
+  structures_of_tally table ?composite_pairs (tally table statements)
 
 (* -- multi-column syntactic generation -------------------------------------- *)
 

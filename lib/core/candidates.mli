@@ -37,7 +37,32 @@ val structures_from_statements :
   ?composite_pairs:int ->
   Cddpd_sql.Ast.statement array ->
   Cddpd_catalog.Structure.t list
-(** Index candidates ({!from_statements}) followed by view candidates. *)
+(** Index candidates ({!from_statements}) followed by view candidates:
+    {!structures_of_tally} applied to the statements' {!tally}. *)
+
+(** {1 Tallies}
+
+    The frequency-based candidates above read a workload only through
+    its tally, and tallies merge: the merged tallies of several statement
+    batches equal the tally of their concatenation, so a caller that
+    slides a window over a statement stream (the serve loop) tallies each
+    batch once and merges. *)
+
+type tally
+(** Per-column predicate occurrence counts on one table, and the set of
+    columns its aggregates group by (indexable columns only). *)
+
+val empty_tally : tally
+(** The tally of no statements; the unit of {!merge}. *)
+
+val tally : Cddpd_catalog.Schema.table -> Cddpd_sql.Ast.statement array -> tally
+
+val merge : tally -> tally -> tally
+(** [merge (tally t a) (tally t b)] is [tally t (Array.append a b)]. *)
+
+val structures_of_tally :
+  Cddpd_catalog.Schema.table -> ?composite_pairs:int -> tally -> Cddpd_catalog.Structure.t list
+(** The candidates {!structures_from_statements} derives, from a tally. *)
 
 val generate :
   Cddpd_catalog.Schema.table ->

@@ -5,8 +5,7 @@ module Cost_key = Cddpd_engine.Cost_key
 module Table_stats = Cddpd_engine.Table_stats
 module Design = Cddpd_catalog.Design
 module Structure = Cddpd_catalog.Structure
-module Index_def = Cddpd_catalog.Index_def
-module View_def = Cddpd_catalog.View_def
+module Plan = Cddpd_engine.Plan
 module Staged_dag = Cddpd_graph.Staged_dag
 module Parallel = Cddpd_util.Parallel
 module Compress = Cddpd_workload.Compress
@@ -15,7 +14,6 @@ module Obs = Cddpd_obs
 let m_builds = Obs.Registry.counter "problem.builds"
 let m_domains_used = Obs.Registry.counter "problem.build.domains_used"
 let m_clusters = Obs.Registry.counter "workload.clusters"
-let m_exec_skipped = Obs.Registry.counter "problem.exec_columns_skipped"
 let m_trans_memoized = Obs.Registry.counter "problem.trans_builds_memoized"
 let m_reopt_exec_reused = Obs.Registry.counter "reopt.exec_columns_reused"
 let m_reopt_clusters_recosted = Obs.Registry.counter "reopt.clusters_recosted"
@@ -45,91 +43,9 @@ let n_steps t = Array.length t.steps
 
 let n_configs t = Config_space.size t.space
 
-(* Below this many EXEC evaluations the build is not worth fork/join
-   overhead and runs sequentially on the calling domain. *)
+(* Below this many composed EXEC cells (clusters x configurations) the
+   fill is not worth fork/join overhead and runs on the calling domain. *)
 let sequential_threshold = 2048
-
-(* -- structure relevance ------------------------------------------------------ *)
-
-(* Which structures can influence any statement's what-if cost.  Two
-   configurations whose designs agree on their relevant subsets have
-   bit-identical EXEC columns, so one column fill serves both (the
-   [problem.exec_columns_skipped] optimization).  The rules mirror the
-   cost model exactly: DML pays maintenance for every structure on its
-   table; a SELECT reads an index only through a seek (sargable leading
-   column) or an index-only scan (key covers the referenced columns); an
-   aggregate reads a view only when the group columns match. *)
-module String_set = Set.Make (String)
-
-type table_relevance = {
-  mutable dml : bool;
-  mutable predicate_columns : String_set.t;
-  mutable covered_sets : string list list;  (** sorted referenced-column sets *)
-  mutable group_columns : String_set.t;
-}
-
-let relevance_summary steps =
-  let tables = Hashtbl.create 8 in
-  let info table =
-    match Hashtbl.find_opt tables table with
-    | Some info -> info
-    | None ->
-        let info =
-          {
-            dml = false;
-            predicate_columns = String_set.empty;
-            covered_sets = [];
-            group_columns = String_set.empty;
-          }
-        in
-        Hashtbl.replace tables table info;
-        info
-  in
-  let predicate_column pred =
-    match pred with Ast.Cmp { column; _ } | Ast.Between { column; _ } -> column
-  in
-  let note statement =
-    match statement with
-    | Ast.Insert { table; _ } -> (info table).dml <- true
-    | Ast.Delete { table; _ } | Ast.Update { table; _ } -> (info table).dml <- true
-    | Ast.Select_agg { table; group_by; _ } ->
-        let info = info table in
-        info.group_columns <- String_set.add group_by info.group_columns
-    | Ast.Select { table; where; projection } ->
-        let info = info table in
-        List.iter
-          (fun pred ->
-            info.predicate_columns <-
-              String_set.add (predicate_column pred) info.predicate_columns)
-          where;
-        (match projection with
-        | Ast.Star -> ()
-        | Ast.Columns _ ->
-            let set =
-              List.sort_uniq String.compare (Ast.referenced_columns statement)
-            in
-            if not (List.mem set info.covered_sets) then
-              info.covered_sets <- set :: info.covered_sets)
-  in
-  Array.iter (fun step -> Array.iter note step) steps;
-  tables
-
-let structure_is_relevant tables structure =
-  match Hashtbl.find_opt tables (Structure.table structure) with
-  | None -> false
-  | Some info -> (
-      info.dml
-      ||
-      match structure with
-      | Structure.View view -> String_set.mem (View_def.group_by view) info.group_columns
-      | Structure.Index index ->
-          let columns = Index_def.columns index in
-          (match columns with
-          | leading :: _ -> String_set.mem leading info.predicate_columns
-          | [] -> false)
-          || List.exists
-               (fun set -> List.for_all (fun c -> List.mem c columns) set)
-               info.covered_sets)
 
 let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
@@ -137,17 +53,26 @@ let popcount x =
 
 (* -- incremental re-optimization state ---------------------------------------- *)
 
-(* What one build leaves behind for the next: every exec cluster cost
-   keyed by (design key, cluster key), the TRANS matrix keyed by design
-   key, and the statistics fingerprints everything was computed under.
-   Lookups are exact — {!Cost_key} keys are cost identities (equal keys
-   imply equal cost), so a match proves the stored float is bit-identical
-   to what a fresh computation would produce. *)
+(* One cluster's atoms ({!Cost_model.atom}), carried from build to build of
+   a session.  [access] and [maintenance] are indexed by session structure
+   id; [nan] marks a structure not yet evaluated for this cluster (a real
+   access cost is finite or [infinity], never [nan]).  Keys are exact cost
+   identities — equal cluster and structure keys under unchanged
+   statistics imply equal atoms — so a stored atom is the bit-identical
+   float a fresh evaluation would produce. *)
+type atom_row = {
+  bound : Cost_model.bound;  (** the cluster's representative, bound once *)
+  base : float;  (** {!Cost_model.base_plan}'s cost *)
+  mutable access : float array;
+  mutable maintenance : float array;
+}
+
+(* What one build leaves behind for the next: the atom rows of its
+   clusters (each with every atom the session has evaluated for it), the
+   TRANS matrix keyed by design key, and the statistics fingerprints
+   everything was computed under. *)
 type reuse_summary = {
-  s_cluster_id_of : (string, int) Hashtbl.t;
-      (** cluster cost-identity key -> previous cluster id *)
-  s_by_design : (string, float array) Hashtbl.t;
-      (** design key -> per-previous-cluster exec costs *)
+  s_rows : (string, atom_row) Hashtbl.t;  (** cluster cost identity -> atoms *)
   s_id_of_design : (string, int) Hashtbl.t;  (** design key -> previous config id *)
   s_trans : float array array;
   s_fingerprints : (string, string) Hashtbl.t;  (** table -> stats fingerprint *)
@@ -164,6 +89,8 @@ module Reuse = struct
 
   type t = {
     cache : Cost_cache.t;  (** TRANS structure-build memo only *)
+    structure_ids : (string, int) Hashtbl.t;
+        (** structure cost identity -> session id, the atom rows' index *)
     mutable summary : reuse_summary option;
     mutable t_builds : int;
     mutable t_exec_columns_reused : int;
@@ -175,6 +102,7 @@ module Reuse = struct
   let create () =
     {
       cache = Cost_cache.create ();
+      structure_ids = Hashtbl.create 32;
       summary = None;
       t_builds = 0;
       t_exec_columns_reused = 0;
@@ -252,8 +180,8 @@ let key_statements stats_of statement_keys flat =
   | None -> Array.map (fun s -> Cost_key.statement (stats_of (Ast.table_of s)) s) flat
 
 (* Stage 2, cluster: statements with equal keys have equal cost under every
-   design, so each configuration pays one what-if call per cluster instead
-   of per statement. *)
+   design, so each configuration composes one cost per cluster instead of
+   per statement. *)
 type clusters = {
   keys : string array;  (** cluster id -> cost identity *)
   reps : Ast.statement array;  (** cluster id -> representative statement *)
@@ -275,180 +203,177 @@ let cluster steps flat keys =
   let first = clustering.Compress.representatives in
   { keys = Array.map (fun i -> keys.(i)) first; reps = Array.map (fun i -> flat.(i)) first; of_step }
 
-(* Stage 3, relevant-column fill: every cluster's cost under every
-   configuration, one cost array per configuration.  Configurations whose
-   designs agree on the workload-relevant structures have bit-identical
-   columns, so only the first of each class is filled and the rest share
-   its array.  Equal keys imply equal relevance inputs (table, statement
-   kind, columns read), so the representatives summarise the workload.
-   A cell whose design and cluster both appeared in the previous build is
-   copied from the summary; every other cell is a bound what-if call.
-   Returns, per configuration, the first configuration of its class and
-   its cost array. *)
-let fill_columns ~params ~stats_of ~jobs (reuse : Reuse.t) prev ~designs ~design_keys
-    clusters =
-  let n_configs = Array.length designs in
-  let n_clusters = Array.length clusters.reps in
-  let relevance = relevance_summary [| clusters.reps |] in
-  let relevant_key =
-    let memo = Hashtbl.create 32 in
-    fun structure ->
-      let key = Cost_key.structure structure in
-      match Hashtbl.find_opt memo key with
-      | Some r -> r
-      | None ->
-          let r = structure_is_relevant relevance structure in
-          Hashtbl.replace memo key r;
-          r
+(* The structure universe: every structure of the space once, sorted by
+   [Structure.compare] — which is [Design.fold]'s order — and each
+   configuration's members as ascending universe positions, so visiting
+   them in order visits the design in fold order. *)
+type universe = {
+  structures : Structure.t array;
+  structure_keys : string array;
+  members : int array array;  (** config id -> universe positions, ascending *)
+}
+
+let universe_of designs =
+  let structures =
+    Array.of_list (Design.structures (Array.fold_left Design.union Design.empty designs))
   in
-  let column_src = Array.make n_configs 0 in
-  let fill_configs =
-    let first_by_fingerprint = Hashtbl.create 64 in
-    let out = ref [] in
-    for c = 0 to n_configs - 1 do
-      let relevant =
-        Design.fold
-          (fun s acc -> if relevant_key s then Design.add_structure s acc else acc)
-          designs.(c) Design.empty
-      in
-      let fingerprint = Cost_key.design relevant in
-      match Hashtbl.find_opt first_by_fingerprint fingerprint with
-      | Some first -> column_src.(c) <- first
-      | None ->
-          Hashtbl.replace first_by_fingerprint fingerprint c;
-          column_src.(c) <- c;
-          out := c :: !out
-    done;
-    Array.of_list (List.rev !out)
-  in
-  Obs.Counter.add m_exec_skipped (n_configs - Array.length fill_configs);
-  (* Delta against the previous build: each cluster's previous id (-1 when
-     new) and each filled column's previous cluster costs. *)
-  let prev_cluster =
+  let structure_keys = Array.map Cost_key.structure structures in
+  let position = Hashtbl.create (max 16 (Array.length structures)) in
+  Array.iteri (fun i key -> Hashtbl.replace position key i) structure_keys;
+  let members =
     Array.map
-      (fun k ->
-        match Option.bind prev (fun s -> Hashtbl.find_opt s.s_cluster_id_of k) with
+      (fun design ->
+        Array.of_list
+          (List.map
+             (fun s -> Hashtbl.find position (Cost_key.structure s))
+             (Design.structures design)))
+      designs
+  in
+  { structures; structure_keys; members }
+
+(* Stage 3, fill: every cluster's atom for every universe structure, then
+   every configuration's cluster costs composed from them.  A cluster
+   whose cost identity the previous build also had keeps its row, and
+   with it every atom the session already evaluated; only the missing
+   (cluster, structure) pairs reach the cost model, on the calling domain,
+   so the [cost_model.calls] count does not depend on [jobs].  Composing
+   a cell folds the design's atoms exactly as {!Cost_model.bound_cost}
+   does — strict [<] from the base cost, maintenance summed in member
+   order — so it is the same float; the compose loops run across [jobs]
+   domains.  Returns the rows (for the session summary) and one cost array
+   per configuration. *)
+let fill_columns ~params ~stats_of ?jobs (reuse : Reuse.t) prev universe clusters =
+  let n_configs = Array.length universe.members in
+  let n_clusters = Array.length clusters.reps in
+  let structure_ids = reuse.Reuse.structure_ids in
+  let sid =
+    Array.map
+      (fun key ->
+        match Hashtbl.find_opt structure_ids key with
         | Some id -> id
-        | None -> -1)
+        | None ->
+            let id = Hashtbl.length structure_ids in
+            Hashtbl.replace structure_ids key id;
+            id)
+      universe.structure_keys
+  in
+  let n_ids = Hashtbl.length structure_ids in
+  let grow a = Array.append a (Array.make (n_ids - Array.length a) Float.nan) in
+  let recosted = ref 0 in
+  let fresh = Array.make (Array.length sid) false in
+  let rows =
+    Array.mapi
+      (fun r key ->
+        let row =
+          match Option.bind prev (fun s -> Hashtbl.find_opt s.s_rows key) with
+          | Some row -> row
+          | None ->
+              incr recosted;
+              let rep = clusters.reps.(r) in
+              let bound = Cost_model.bind (stats_of (Ast.table_of rep)) rep in
+              let base = (Cost_model.base_plan params bound).Plan.estimated_cost in
+              { bound; base; access = [||]; maintenance = [||] }
+        in
+        if Array.length row.access < n_ids then begin
+          row.access <- grow row.access;
+          row.maintenance <- grow row.maintenance
+        end;
+        Array.iteri
+          (fun u id ->
+            if Float.is_nan row.access.(id) then begin
+              let atom = Cost_model.atom params row.bound universe.structures.(u) in
+              row.access.(id) <- Cost_model.access_cost atom;
+              row.maintenance.(id) <- atom.Cost_model.maintenance;
+              fresh.(u) <- true
+            end)
+          sid;
+        row)
       clusters.keys
   in
-  let prev_costs =
-    Array.map
-      (fun c -> Option.bind prev (fun s -> Hashtbl.find_opt s.s_by_design design_keys.(c)))
-      fill_configs
-  in
-  let recosted = Array.fold_left (fun acc p -> if p < 0 then acc + 1 else acc) 0 prev_cluster in
-  reuse.Reuse.t_clusters_recosted <- reuse.Reuse.t_clusters_recosted + recosted;
-  Obs.Counter.add m_reopt_clusters_recosted recosted;
-  if recosted = 0 then begin
-    let reused = Array.fold_left (fun acc pc -> if Option.is_some pc then acc + 1 else acc) 0 prev_costs in
+  reuse.Reuse.t_clusters_recosted <- reuse.Reuse.t_clusters_recosted + !recosted;
+  Obs.Counter.add m_reopt_clusters_recosted !recosted;
+  (* A column is reused when every atom it composes was already known. *)
+  if Option.is_some prev && !recosted = 0 then begin
+    let reused =
+      Array.fold_left
+        (fun acc members -> if Array.exists (fun u -> fresh.(u)) members then acc else acc + 1)
+        0 universe.members
+    in
     reuse.Reuse.t_exec_columns_reused <- reuse.Reuse.t_exec_columns_reused + reused;
     Obs.Counter.add m_reopt_exec_reused reused
   end;
-  (* Bind, on this domain, exactly the representatives some filled column
-     recosts: their selectivities are computed once here.  Within one build
-     each (cluster, relevance class) cell is unique, so no memo could hit;
-     across builds the reuse summary is the memo. *)
-  let every_column_known = Array.for_all Option.is_some prev_costs in
-  let bound =
-    Array.mapi
-      (fun r rep ->
-        if prev_cluster.(r) >= 0 && every_column_known then None
-        else Some (Cost_model.bind (stats_of (Ast.table_of rep)) rep))
-      clusters.reps
+  let member_ids = Array.map (Array.map (fun u -> sid.(u))) universe.members in
+  let writes = Array.map (fun rep -> not (Ast.is_read_only rep)) clusters.reps in
+  let jobs =
+    if n_clusters * n_configs < sequential_threshold then 1
+    else Parallel.resolve_jobs ?jobs ~n:n_configs ()
   in
+  Obs.Counter.add m_domains_used jobs;
   let columns = Array.make n_configs [||] in
-  (* cddpd-lint: allow domain-race — workers read the bound statements and previous costs prepared above and write disjoint entries of columns; obs counter writes are main-domain gated by Switch.active *)
-  Parallel.map_chunks ~jobs ~n:(Array.length fill_configs) (fun ~lo ~hi ->
-      for t = lo to hi - 1 do
-        let c = fill_configs.(t) in
-        let design = designs.(c) in
-        (* Filled in place: a copied cell then moves an unboxed float. *)
+  Parallel.map_chunks ~jobs ~n:n_configs (fun ~lo ~hi ->
+      for c = lo to hi - 1 do
+        let ids = member_ids.(c) in
         let costs = Array.make n_clusters 0.0 in
         for r = 0 to n_clusters - 1 do
-          costs.(r) <-
-            (match (prev_costs.(t), bound.(r)) with
-            | Some pc, _ when prev_cluster.(r) >= 0 -> pc.(prev_cluster.(r))
-            | _, Some b -> Cost_model.bound_cost params b design
-            | _, None -> assert false (* bound above: this cell is recosted *))
+          let row = rows.(r) in
+          let best = ref row.base in
+          let maintenance = ref 0.0 in
+          for m = 0 to Array.length ids - 1 do
+            let access = row.access.(ids.(m)) in
+            if access < !best then best := access;
+            if writes.(r) then maintenance := !maintenance +. row.maintenance.(ids.(m))
+          done;
+          costs.(r) <- Cost_model.compose params row.bound ~access:!best ~maintenance:!maintenance
         done;
         columns.(c) <- costs
       done)
   |> ignore;
-  Array.iteri (fun c src -> if src <> c then columns.(c) <- columns.(src)) column_src;
-  (column_src, columns)
+  (rows, columns)
 
 (* Stage 4, expand: sum each step's cluster costs in the original statement
    order — the floats the naive per-statement fold adds, in the same order,
-   so every cell is bit-identical to it.  A shared column copies the cell
-   of its class's first configuration, which has the lower index. *)
-let expand clusters ~column_src columns =
+   so every cell is bit-identical to it. *)
+let expand clusters columns =
   Array.map
     (fun ids ->
-      let row = Array.make (Array.length columns) 0.0 in
-      for c = 0 to Array.length columns - 1 do
-        let src = column_src.(c) in
-        if src <> c then row.(c) <- row.(src)
-        else begin
-          let costs = columns.(c) in
+      Array.map
+        (fun costs ->
           let acc = ref 0.0 in
           for q = 0 to Array.length ids - 1 do
             acc := !acc +. costs.(ids.(q))
           done;
-          row.(c) <- !acc
-        end
-      done;
-      row)
+          !acc)
+        columns)
     clusters.of_step
 
-(* Stage 5, TRANS: designs become bitmasks over the sorted structure
-   universe and every structure's build cost is computed once up front
-   (through the session's build memo), so the n_configs^2 pairs only pay
-   word-level set arithmetic — with a per-domain memo on the
-   added-structure mask, a pair whose build set was already summed costs a
-   single lookup.  Mask bits are visited in ascending universe order, which
-   is exactly [Design.fold]'s sorted order over the diff, so each entry is
-   the bit-identical float [Cost_model.transition_cost] computes.  Pairs
-   of configurations that both existed in the previous build (matched by
+(* Stage 5, TRANS: designs become bitmasks over the structure universe and
+   every structure's build cost is computed once up front (through the
+   session's build memo), so the n_configs^2 pairs only pay word-level
+   set arithmetic — with a per-domain memo on the added-structure mask, a
+   pair whose build set was already summed costs a single lookup.  Mask
+   bits are visited in ascending universe order, which is exactly
+   [Design.fold]'s sorted order over the diff, so each entry is the
+   bit-identical float [Cost_model.transition_cost] computes.  Pairs of
+   configurations that both existed in the previous build (matched by
    design key, statistics unchanged) copy their entry verbatim. *)
-let fill_trans ~params ~stats_of ?jobs (reuse : Reuse.t) prev ~designs ~design_keys =
-  let n_configs = Array.length designs in
-  let universe =
-    let seen = Hashtbl.create 32 in
-    Array.iter
-      (fun design ->
-        Design.fold
-          (fun s () ->
-            let key = Cost_key.structure s in
-            if not (Hashtbl.mem seen key) then Hashtbl.replace seen key s)
-          design ())
-      designs;
-    (* cddpd-lint: allow determinism — fold collects members that are sorted by Structure.compare below *)
-    let members = Hashtbl.fold (fun _ s acc -> s :: acc) seen [] in
-    Array.of_list (List.sort Structure.compare members)
-  in
-  let n_structures = Array.length universe in
-  let index_of = Hashtbl.create (max 16 n_structures) in
-  Array.iteri (fun i s -> Hashtbl.replace index_of (Cost_key.structure s) i) universe;
+let fill_trans ~params ~stats_of ?jobs (reuse : Reuse.t) prev universe ~design_keys =
+  let n_configs = Array.length universe.members in
+  let n_structures = Array.length universe.structures in
   let build_cost =
     Array.map
       (fun s ->
         Cost_cache.structure_build_cost reuse.Reuse.cache params
           (stats_of (Structure.table s))
           s)
-      universe
+      universe.structures
   in
   let words = max 1 ((n_structures + 62) / 63) in
-  let mask_of design =
+  let mask_of members =
     let mask = Array.make words 0 in
-    Design.fold
-      (fun s () ->
-        let i = Hashtbl.find index_of (Cost_key.structure s) in
-        mask.(i / 63) <- mask.(i / 63) lor (1 lsl (i mod 63)))
-      design ();
+    Array.iter (fun i -> mask.(i / 63) <- mask.(i / 63) lor (1 lsl (i mod 63))) members;
     mask
   in
-  let masks = Array.map mask_of designs in
+  let masks = Array.map mask_of universe.members in
   let prev_of =
     Array.map
       (fun dk ->
@@ -521,29 +446,21 @@ let fill_trans ~params ~stats_of ?jobs (reuse : Reuse.t) prev ~designs ~design_k
   trans
 
 (* Stage 6, summary: hand the completed state to the session, so the next
-   build reuses this one's cluster costs and TRANS entries as long as keys
-   match and the statistics fingerprints still hold.  A column copied from
-   its relevance class shares the source's cost array — a valid (design,
-   cluster) cost table because the classes were computed over exactly the
-   statements these clusters represent. *)
-let record_summary (reuse : Reuse.t) ~stats_tbl ~design_keys clusters columns trans =
-  let s_cluster_id_of = Hashtbl.create (max 16 (Array.length clusters.keys)) in
-  Array.iteri (fun id k -> Hashtbl.replace s_cluster_id_of k id) clusters.keys;
-  let n_configs = Array.length design_keys in
-  let s_by_design = Hashtbl.create (max 16 n_configs) in
-  let s_id_of_design = Hashtbl.create (max 16 n_configs) in
-  Array.iteri
-    (fun c dk ->
-      Hashtbl.replace s_by_design dk columns.(c);
-      Hashtbl.replace s_id_of_design dk c)
-    design_keys;
+   build reuses this one's atom rows and TRANS entries as long as keys
+   match and the statistics fingerprints still hold.  Rows of clusters
+   this build did not see are dropped, which bounds the session by the
+   workload it is currently costing. *)
+let record_summary (reuse : Reuse.t) ~stats_tbl ~design_keys clusters rows trans =
+  let s_rows = Hashtbl.create (max 16 (Array.length clusters.keys)) in
+  Array.iteri (fun r k -> Hashtbl.replace s_rows k rows.(r)) clusters.keys;
+  let s_id_of_design = Hashtbl.create (max 16 (Array.length design_keys)) in
+  Array.iteri (fun c dk -> Hashtbl.replace s_id_of_design dk c) design_keys;
   let s_fingerprints = Hashtbl.create 8 in
   (* Keyed copy into a fresh table: each key is visited once. *)
   Seq.iter
     (fun (t, stats) -> Hashtbl.replace s_fingerprints t (Table_stats.fingerprint stats))
     (Hashtbl.to_seq stats_tbl);
-  reuse.Reuse.summary <-
-    Some { s_cluster_id_of; s_by_design; s_id_of_design; s_trans = trans; s_fingerprints };
+  reuse.Reuse.summary <- Some { s_rows; s_id_of_design; s_trans = trans; s_fingerprints };
   reuse.Reuse.t_builds <- reuse.Reuse.t_builds + 1
 
 let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false) ?jobs
@@ -559,25 +476,27 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   let stats_of table = Hashtbl.find stats_tbl table in
   let prev = trusted_summary reuse stats_tbl in
   let flat = Array.concat (Array.to_list steps) in
-  let exec_jobs =
-    if Array.length flat * n_configs < sequential_threshold then 1
-    else Parallel.resolve_jobs ?jobs ~n:n_configs ()
-  in
-  Obs.Counter.add m_domains_used exec_jobs;
-  let clusters, columns, exec =
+  let universe = universe_of designs in
+  let clusters, rows, exec =
     Obs.Span.with_span "problem.build.exec" @@ fun () ->
-    let clusters = cluster steps flat (key_statements stats_of statement_keys flat) in
-    let column_src, columns =
-      fill_columns ~params ~stats_of ~jobs:exec_jobs reuse prev ~designs ~design_keys
-        clusters
+    let keys =
+      Obs.Span.with_span "problem.build.key" (fun () ->
+          key_statements stats_of statement_keys flat)
     in
-    (clusters, columns, expand clusters ~column_src columns)
+    let clusters =
+      Obs.Span.with_span "problem.build.cluster" (fun () -> cluster steps flat keys)
+    in
+    let rows, columns =
+      Obs.Span.with_span "problem.build.fill" (fun () ->
+          fill_columns ~params ~stats_of ?jobs reuse prev universe clusters)
+    in
+    (clusters, rows, Obs.Span.with_span "problem.build.expand" (fun () -> expand clusters columns))
   in
   let trans =
     Obs.Span.with_span "problem.build.trans" @@ fun () ->
-    fill_trans ~params ~stats_of ?jobs reuse prev ~designs ~design_keys
+    fill_trans ~params ~stats_of ?jobs reuse prev universe ~design_keys
   in
-  record_summary reuse ~stats_tbl ~design_keys clusters columns trans;
+  record_summary reuse ~stats_tbl ~design_keys clusters rows trans;
   Cost_cache.publish_obs reuse.Reuse.cache;
   make_t ~steps ~space ~initial:initial_id ~exec ~trans ~count_initial_change
 

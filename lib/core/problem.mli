@@ -35,20 +35,22 @@ type t = private {
 module Reuse : sig
   type t
   (** Persistent state an advisor session threads through successive
-      {!build} calls: the previous build's compressed cluster table,
-      per-design cluster costs, and TRANS matrix, all keyed by
-      {!Cddpd_engine.Cost_key} cost identities, plus a
-      {!Cddpd_engine.Cost_cache} that holds only the TRANS structure-build
-      memo.  The cluster-cost table is the session's EXEC memo: within
-      one build every (cluster, relevance class) cell is unique, so
-      statement entries could never hit.  A build given a [Reuse.t]
-      copies every exec cluster cost whose (design, cluster) identity
-      already appeared in the previous build and every TRANS entry
-      between configuration pairs that both existed before, and only
-      calls the cost model for the delta.  Reuse never changes a result:
-      keys are exact cost identities and statistics changes are fenced by
-      per-table fingerprints ({!Cddpd_engine.Table_stats.fingerprint}),
-      so matrices are bit-identical to a from-scratch build.
+      {!build} calls: per-cluster rows of {!Cddpd_engine.Cost_model.atom}s
+      keyed by (cluster cost identity, structure cost identity), the
+      previous build's TRANS matrix keyed by design cost identity
+      ({!Cddpd_engine.Cost_key}), and a {!Cddpd_engine.Cost_cache} that
+      holds only the TRANS structure-build memo.  The atom rows are the
+      session's EXEC memo: a build given a [Reuse.t] evaluates only the
+      (cluster, structure) atoms no earlier build evaluated for a cluster
+      the previous build also had, composes every configuration from the
+      rows, and copies every TRANS entry between configuration pairs that
+      both existed before.  A build whose clusters and structures all
+      appeared in the previous build therefore makes no what-if call.
+      Rows of clusters the latest build did not see are dropped.  Reuse
+      never changes a result: keys are exact cost identities and
+      statistics changes are fenced by per-table fingerprints
+      ({!Cddpd_engine.Table_stats.fingerprint}), so matrices are
+      bit-identical to a from-scratch build.
 
       A [Reuse.t] is only sound while the cost-model parameters behind
       it are fixed (the same contract as {!Cddpd_engine.Cost_cache}) and
@@ -57,7 +59,9 @@ module Reuse : sig
   type tallies = {
     builds : int;  (** builds threaded through this session state *)
     exec_columns_reused : int;
-        (** filled EXEC columns served entirely from the previous build *)
+        (** EXEC columns composed wholly from reused atoms: every cluster
+            had a row in the previous build and no structure of the
+            configuration needed a new atom *)
     clusters_recosted : int;
         (** clusters with no match in the previous build's table *)
     trans_blocks_reused : int;
@@ -71,8 +75,9 @@ module Reuse : sig
   (** Fresh session state with an empty summary and build memo. *)
 
   val flush : t -> unit
-  (** Drop the previous-build summary and the structure build memo, as a
-      statistics invalidation would.  The next build recosts everything. *)
+  (** Drop the atom rows, the previous TRANS matrix and the structure
+      build memo, as a statistics invalidation would.  The next build
+      recosts everything. *)
 
   val tallies : t -> tallies
   (** Cumulative reuse accounting — the plain-int mirror of the
@@ -100,31 +105,32 @@ val build :
     convention).  Raises [Invalid_argument] if [steps] is empty or
     [initial] is not in the space.
 
-    The build runs in stages.  It keys every statement by its
-    {!Cddpd_engine.Cost_key} cost identity, clusters equal keys
-    ([workload.clusters]), and fills one EXEC column per class of
-    configurations whose designs agree on the workload-relevant
-    structures ([problem.exec_columns_skipped] counts the columns
-    shared).  Each recosted cluster's representative is bound once
-    ({!Cddpd_engine.Cost_model.bind}) and its cells are costed with
-    {!Cddpd_engine.Cost_model.bound_cost}.  Cluster costs are then
-    re-expanded by summing them in the original statement order.  The
-    columns are filled across [jobs] domains (default
+    The build runs in stages, each under its own span inside
+    [problem.build.exec].  It keys every statement by its
+    {!Cddpd_engine.Cost_key} cost identity ([problem.build.key]) and
+    clusters equal keys ([problem.build.cluster], [workload.clusters]).
+    The fill ([problem.build.fill]) binds each new cluster's
+    representative once ({!Cddpd_engine.Cost_model.bind}), evaluates its
+    {!Cddpd_engine.Cost_model.atom} for every structure of the space —
+    one [cost_model.calls] each, on the calling domain — and composes
+    every configuration's cluster costs from the atoms of its structures,
+    a few float operations per structure, across [jobs] domains (default
     {!Cddpd_util.Parallel.default_jobs}; small instances always run
-    sequentially).  TRANS pays per {e distinct structure-delta}: designs
-    are bitmasks over the sorted structure universe and each added-set
-    build sum is memoized per domain (the [problem.trans_builds_memoized]
-    counter), never per config pair.
+    sequentially).  Cluster costs are then re-expanded by summing them in
+    the original statement order ([problem.build.expand]).  TRANS pays
+    per {e distinct structure-delta}: designs are bitmasks over the
+    sorted structure universe and each added-set build sum is memoized
+    per domain (the [problem.trans_builds_memoized] counter), never per
+    config pair.
 
     [reuse] threads the session state of {!Reuse} through the build:
-    exec cluster costs and TRANS entries already known from the previous
-    build are copied instead of recomputed (instrumented as
-    [reopt.exec_columns_reused], [reopt.clusters_recosted],
-    [reopt.trans_blocks_reused], [reopt.stats_invalidations]), structure
-    build costs are memoized in the session's cache, and the finished
-    build replaces the session summary.  Without [reuse] the build runs
-    in a fresh session of its own: an empty session is the from-scratch
-    build.
+    atoms and TRANS entries already known are copied instead of
+    recomputed (instrumented as [reopt.exec_columns_reused],
+    [reopt.clusters_recosted], [reopt.trans_blocks_reused],
+    [reopt.stats_invalidations]), structure build costs are memoized in
+    the session's cache, and the finished build replaces the session
+    summary.  Without [reuse] the build runs in a fresh session of its
+    own: an empty session is the from-scratch build.
 
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
@@ -138,9 +144,9 @@ val build :
     [exec.(s).(c)] is the left fold of
     {!Cddpd_engine.Cost_model.statement_cost} over step [s] under
     configuration [c]'s design, and [trans.(i).(j)] is
-    {!Cddpd_engine.Cost_model.transition_cost}.  Clustering re-expands
-    cluster costs in the original statement order; column sharing only
-    merges columns the cost model provably computes equal; reuse only
+    {!Cddpd_engine.Cost_model.transition_cost}.  Composition folds a
+    design's atoms exactly as [statement_cost] does; clustering
+    re-expands cluster costs in the original statement order; reuse only
     copies floats whose cost identity proves them equal to a fresh
     computation.  [stats_of] is called only from the calling domain.
     See docs/PERFORMANCE.md. *)

@@ -4,18 +4,18 @@
     {e between} re-optimizations, so that consecutive drift events do not
     pay from-scratch costing and cold-started search:
 
-    - a persistent {!Problem.Reuse} session: the previous build's
-      compressed cluster table and TRANS matrix, which {!Problem.build}
-      consults to copy unchanged exec columns and TRANS entries and
-      recost only the delta, plus a {!Cddpd_engine.Cost_cache} whose
-      structure build memo stays warm across builds;
+    - a persistent {!Problem.Reuse} session: per-cluster atom rows and
+      the previous TRANS matrix, which {!Problem.build} consults to
+      evaluate only the (cluster, structure) atoms it has not seen and
+      copy unchanged TRANS entries, plus a {!Cddpd_engine.Cost_cache}
+      whose structure build memo stays warm across builds;
     - warm-started solving: {!solve} seeds the exact solvers'
       branch-and-bound with the incumbent's hold-at-C0 what-if cost
       (a feasible zero-change schedule, hence always a valid upper
       bound), via {!Optimizer.solve}'s [upper_bound].
 
     Everything is bit-identical to the from-scratch path: reuse only
-    copies floats whose {!Cddpd_engine.Cost_key} cost identity proves
+    copies floats whose {!Cddpd_engine.Cost_key} cost identities prove
     them equal, statistics changes are fenced by per-table fingerprints,
     and warm bounds never change what the exact solvers return — only
     how fast.  Property-tested over random drift traces in

@@ -21,7 +21,7 @@
     results are the {e bit-identical} floats the uncached computation
     produces — memoization never changes an answer, only whether
     {!Cost_model.statement_cost} runs (so the [cost_model.calls] counter
-    counts misses only when a cache is in front).
+    counts the atoms of misses only when a cache is in front).
 
     {2 Eviction}
 

@@ -290,41 +290,48 @@ let index_seek_plan params b index =
           estimated_cost = cost;
         }
 
-(* The cheapest access path for the bound statement's WHERE clause: the
-   SELECT's own plan, or the victim search of a DELETE/UPDATE. *)
-let bound_select_plan params b design =
-  let scan =
-    {
-      Plan.path = Plan.Full_scan;
-      estimated_rows = bound_rows b;
-      estimated_cost = full_scan_cost params b.stats;
-    }
-  in
-  let consider candidate best =
-    match candidate with
-    | Some plan when plan.Plan.estimated_cost < best.Plan.estimated_cost -> plan
-    | Some _ | None -> best
-  in
-  let best =
-    Design.fold_indexes
-      (fun index best ->
-        if not (String.equal (Index_def.table index) b.table) then best
-        else
-          best
-          |> consider (index_seek_plan params b index)
-          |> consider (index_only_scan_plan params b index))
-      design scan
-  in
-  Plan.count_choice best;
-  best
+(* -- atoms ---------------------------------------------------------------------
 
-let choose_plan params stats design select =
-  bound_select_plan params (bind stats (Ast.Select select)) design
+   A statement's cost under a design is fixed by its per-structure atoms
+   (CoPhy's atomic configurations): the cheapest access path through each
+   structure, and the maintenance each structure adds per affected row of
+   a write.  Every plan choice and every EXEC formula below is a fold over
+   them — the one place a seek, a covering scan, a view probe or a
+   maintenance term is costed.
 
-let select_cost params stats design select =
-  (choose_plan params stats design select).Plan.estimated_cost
+   The fold starts from the structure-free plan and replaces the incumbent
+   only with a strictly cheaper atom, so equal costs keep the earlier
+   structure in design order (and, inside one index, a seek beats an
+   equally cheap covering scan); maintenance terms are summed in
+   [Design.fold] order, indexes before views.  A caller that keeps atoms
+   and composes a design from them in the same order (the EXEC fill of
+   [Problem.build]) gets the bit-identical float. *)
 
-(* -- aggregate queries ------------------------------------------------------ *)
+type atom = { access : Plan.t option; maintenance : float }
+
+(* Groups an aggregate over [group_by] produces, from the column histogram. *)
+let agg_groups stats group_by =
+  match Table_stats.histogram stats group_by with
+  | Some h -> float_of_int (max 1 (Histogram.n_distinct h))
+  | None -> Float.max 1.0 (float_of_int (Table_stats.row_count stats) /. 10.)
+
+let base_plan params b =
+  match b.statement with
+  | Ast.Select_agg { group_by; _ } ->
+      (* Scan the heap and aggregate on the fly. *)
+      {
+        Plan.path = Plan.Full_scan;
+        estimated_rows = agg_groups b.stats group_by;
+        estimated_cost =
+          full_scan_cost params b.stats
+          +. (params.row_cpu *. float_of_int (Table_stats.row_count b.stats));
+      }
+  | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ ->
+      {
+        Plan.path = Plan.Full_scan;
+        estimated_rows = bound_rows b;
+        estimated_cost = full_scan_cost params b.stats;
+      }
 
 (* A view answers the aggregate query iff it groups by the same column and
    every predicate is an equality on that column (the probe key). *)
@@ -347,51 +354,127 @@ let group_eq_value ~group_by ~where =
       | Ast.Cmp _ | Ast.Between _ -> None)
     where
 
-let choose_agg_plan params stats design ~table ~group_by ~where =
-  (* Baseline: scan the heap and aggregate on the fly. *)
-  let groups =
-    match Table_stats.histogram stats group_by with
-    | Some h -> float_of_int (max 1 (Histogram.n_distinct h))
-    | None -> Float.max 1.0 (float_of_int (Table_stats.row_count stats) /. 10.)
-  in
-  let scan =
-    {
-      Plan.path = Plan.Full_scan;
-      estimated_rows = groups;
-      estimated_cost =
-        full_scan_cost params stats
-        +. (params.row_cpu *. float_of_int (Table_stats.row_count stats));
-    }
-  in
-  let best =
-    Design.fold_views
-      (fun view best ->
-        if
-          String.equal (View_def.table view) table
-          && view_answers ~group_by ~where view
-        then begin
-          let group_value = group_eq_value ~group_by ~where in
-          let cost =
-            match group_value with
-            | Some _ ->
-                (* Probe: tree descent plus one heap fetch. *)
-                params.page_io *. float_of_int (view_height params ~stats view + 1)
-            | None ->
-                (* Scan every view row via the tree leaves and heap pages. *)
-                params.page_io *. float_of_int (view_size_pages params ~stats view)
-                +. (params.row_cpu *. groups)
-          in
-          let estimated_rows = match group_value with Some _ -> 1.0 | None -> groups in
-          if cost < best.Plan.estimated_cost then
-            { Plan.path = Plan.View_probe { view; group_value }; estimated_rows;
-              estimated_cost = cost }
-          else best
-        end
-        else best)
-      design scan
-  in
+(* An index serves the WHERE clause by a seek or, when it covers the
+   statement, a leaf scan; the seek wins a tie. *)
+let index_access params b index =
+  match (index_seek_plan params b index, index_only_scan_plan params b index) with
+  | Some seek, Some cover when cover.Plan.estimated_cost < seek.Plan.estimated_cost ->
+      Some cover
+  | (Some _ as seek), _ -> seek
+  | None, cover -> cover
+
+let view_plan params b view =
+  match b.statement with
+  | Ast.Select_agg { group_by; where; _ } when view_answers ~group_by ~where view ->
+      let group_value = group_eq_value ~group_by ~where in
+      let cost =
+        match group_value with
+        | Some _ ->
+            (* Probe: tree descent plus one heap fetch. *)
+            params.page_io *. float_of_int (view_height params ~stats:b.stats view + 1)
+        | None ->
+            (* Scan every view row via the tree leaves and heap pages. *)
+            params.page_io *. float_of_int (view_size_pages params ~stats:b.stats view)
+            +. (params.row_cpu *. agg_groups b.stats group_by)
+      in
+      let estimated_rows =
+        match group_value with Some _ -> 1.0 | None -> agg_groups b.stats group_by
+      in
+      Some
+        { Plan.path = Plan.View_probe { view; group_value }; estimated_rows; estimated_cost = cost }
+  | Ast.Select_agg _ | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ -> None
+
+(* Per affected base row: each index pays a root-to-leaf update; each view
+   pays a lookup plus a row rewrite. *)
+let maintenance_term params b structure =
+  match structure with
+  | Structure.Index index ->
+      params.page_io
+      *. float_of_int (index_height params ~rows:(Table_stats.row_count b.stats) index + 1)
+  | Structure.View view ->
+      params.page_io *. float_of_int (view_height params ~stats:b.stats view + 3)
+
+(* The atom without the what-if tally: execution-time planning folds it
+   too, and is not a what-if call. *)
+let atom_of params b structure =
+  if not (String.equal (Structure.table structure) b.table) then
+    { access = None; maintenance = 0.0 }
+  else
+    let access =
+      match (structure, b.statement) with
+      | Structure.Index index, (Ast.Select _ | Ast.Delete _ | Ast.Update _) ->
+          index_access params b index
+      | Structure.View view, _ -> view_plan params b view
+      | Structure.Index _, (Ast.Select_agg _ | Ast.Insert _) -> None
+    in
+    let maintenance =
+      if Ast.is_read_only b.statement then 0.0 else maintenance_term params b structure
+    in
+    { access; maintenance }
+
+let atom params b structure =
+  Obs.Counter.incr m_calls;
+  atom_of params b structure
+
+let access_cost a = match a.access with Some plan -> plan.Plan.estimated_cost | None -> infinity
+
+(* The one fold: the cheapest plan over the design's atoms and their
+   summed maintenance.  A read's or another table's atom carries a zero
+   term, and adding [0.0] to the non-negative running sum leaves its bits
+   unchanged. *)
+let fold_atoms atom params b design =
+  Design.fold
+    (fun structure (best, maintenance) ->
+      let a = atom params b structure in
+      let best =
+        match a.access with
+        | Some plan when plan.Plan.estimated_cost < best.Plan.estimated_cost -> plan
+        | Some _ | None -> best
+      in
+      (best, maintenance +. a.maintenance))
+    design (base_plan params b, 0.0)
+
+let compose params b ~access ~maintenance =
+  match b.statement with
+  | Ast.Select _ | Ast.Select_agg _ -> access
+  | Ast.Insert _ -> params.page_io +. maintenance
+  | Ast.Delete _ ->
+      (* Find the victims like a SELECT * (never covered, so the plan
+         yields heap rows), then pay one write and the maintenance per
+         affected row. *)
+      access +. (bound_rows b *. (params.page_io +. maintenance))
+  | Ast.Update _ ->
+      (* Delete the old version, insert the new one: two heap writes and
+         double index maintenance per affected row. *)
+      2.0 *. (access +. (bound_rows b *. (params.page_io +. maintenance)))
+
+(* The chosen plan of a bound statement: the SELECT's own plan, the
+   aggregate's view or scan, or the victim search of a DELETE/UPDATE. *)
+let bound_plan params b design =
+  let best, _ = fold_atoms atom_of params b design in
   Plan.count_choice best;
   best
+
+let choose_plan params stats design select = bound_plan params (bind stats (Ast.Select select)) design
+
+let select_cost params stats design select =
+  (choose_plan params stats design select).Plan.estimated_cost
+
+let choose_agg_plan params stats design ~table ~group_by ~where =
+  (* The aggregate function is not a cost input. *)
+  bound_plan params
+    (bind stats (Ast.Select_agg { table; group_by; aggregate = Ast.Count_star; where }))
+    design
+
+let bound_cost params b design =
+  let best, maintenance = fold_atoms atom params b design in
+  (match b.statement with
+  | Ast.Insert _ -> ()
+  | Ast.Select _ | Ast.Select_agg _ | Ast.Delete _ | Ast.Update _ -> Plan.count_choice best);
+  compose params b ~access:best.Plan.estimated_cost ~maintenance
+
+let statement_cost params stats design statement =
+  bound_cost params (bind stats statement) design
 
 (* -- plan-memo rebinding ----------------------------------------------------
 
@@ -468,52 +551,6 @@ let rebind_agg_plan ~group_by ~where plan =
       | Some _, (Some _ as group_value) ->
           Some { plan with Plan.path = Plan.View_probe { view; group_value } }
       | None, Some _ | Some _, None -> None)
-
-(* Per affected base row: each index pays a root-to-leaf update; each view
-   pays a lookup plus a row rewrite. *)
-let index_maintenance_cost params stats design table =
-  let index_part =
-    Design.fold_indexes
-      (fun index acc ->
-        if String.equal (Index_def.table index) table then
-          acc
-          +. (params.page_io
-             *. float_of_int
-                  (index_height params ~rows:(Table_stats.row_count stats) index + 1))
-        else acc)
-      design 0.0
-  in
-  Design.fold_views
-    (fun view acc ->
-      if String.equal (View_def.table view) table then
-        acc +. (params.page_io *. float_of_int (view_height params ~stats view + 3))
-      else acc)
-    design index_part
-
-(* DELETE/UPDATE find their victims like a SELECT * (never covered, so the
-   plan always yields heap rows), then pay one write and index
-   maintenance per affected row. *)
-let dml_cost params b design =
-  let find = (bound_select_plan params b design).Plan.estimated_cost in
-  let maintenance = index_maintenance_cost params b.stats design b.table in
-  find +. (bound_rows b *. (params.page_io +. maintenance))
-
-let bound_cost params b design =
-  Obs.Counter.incr m_calls;
-  match b.statement with
-  | Ast.Select _ -> (bound_select_plan params b design).Plan.estimated_cost
-  | Ast.Select_agg { table; group_by; where; _ } ->
-      (choose_agg_plan params b.stats design ~table ~group_by ~where).Plan.estimated_cost
-  | Ast.Insert { table; _ } ->
-      params.page_io +. index_maintenance_cost params b.stats design table
-  | Ast.Delete _ -> dml_cost params b design
-  | Ast.Update _ ->
-      (* Delete the old version, insert the new one: two heap writes and
-         double index maintenance per affected row. *)
-      2.0 *. dml_cost params b design
-
-let statement_cost params stats design statement =
-  bound_cost params (bind stats statement) design
 
 (* -- transitions ---------------------------------------------------------- *)
 

@@ -62,7 +62,22 @@ val choose_plan :
   params -> Table_stats.t -> Cddpd_catalog.Design.t -> Cddpd_sql.Ast.select -> Plan.t
 (** Pick the cheapest access path for the select under the design:
     the full scan, or any index whose leading columns are bound by equality
-    predicates (optionally followed by one range-bound column). *)
+    predicates (optionally followed by one range-bound column), or whose
+    key covers the select.  A fold over the design's {!atom}s that counts
+    no what-if calls: it is the executor's planner. *)
+
+val choose_agg_plan :
+  params ->
+  Table_stats.t ->
+  Cddpd_catalog.Design.t ->
+  table:string ->
+  group_by:string ->
+  where:Cddpd_sql.Ast.predicate list ->
+  Plan.t
+(** Access path for an aggregate query: a matching materialized view (probe
+    or scan) when the design has one and every predicate is an equality on
+    the grouping column, else a full scan with on-the-fly aggregation.
+    Like {!choose_plan}, an uncounted fold over the design's atoms. *)
 
 val select_cost :
   params -> Table_stats.t -> Cddpd_catalog.Design.t -> Cddpd_sql.Ast.select -> float
@@ -114,22 +129,78 @@ val bind : Table_stats.t -> Cddpd_sql.Ast.statement -> bound
 
 val bound_cost : params -> bound -> Cddpd_catalog.Design.t -> float
 (** EXEC(S, C) of a bound statement: [bound_cost params (bind stats s) d]
-    is [statement_cost params stats d s], bit for bit.  Each call counts
-    one [cost_model.calls] evaluation. *)
+    is [statement_cost params stats d s], bit for bit.  It evaluates one
+    {!atom} per structure of the design (each one [cost_model.calls]) and
+    {!compose}s them. *)
+
+(** {1 Atoms}
+
+    A statement's cost under a design is fixed by its per-structure
+    {e atoms} (CoPhy's atomic configurations): the cheapest access path
+    through each structure and the maintenance each structure adds per
+    affected row of a write.  Every plan choice and EXEC formula of this
+    module is a fold over atoms: start from {!base_plan}, replace the
+    incumbent only with a strictly cheaper atom (so equal costs keep the
+    earlier structure in design order), and sum the maintenance terms in
+    [Design.fold] order, indexes before views.  A caller that keeps the
+    atoms of many structures can therefore cost any design made of them
+    by composition — a few float operations per structure — and get the
+    bit-identical float {!bound_cost} returns. *)
+
+type atom = {
+  access : Plan.t option;
+      (** the cheapest plan through the structure: an index seek (which
+          wins a tie with the covering leaf scan) or covering scan for a
+          SELECT or a DELETE/UPDATE victim search, a view probe or scan for
+          an aggregate it answers; [None] when the structure cannot serve
+          the statement (another table, or the wrong kind) *)
+  maintenance : float;
+      (** per-affected-row maintenance for INSERT/DELETE/UPDATE on the
+          structure's table; [0.0] for reads, which compute none, and for
+          structures on other tables *)
+}
+
+val atom : params -> bound -> Cddpd_catalog.Structure.t -> atom
+(** The statement's atom for one structure.  One atom is one what-if
+    evaluation: each call counts one [cost_model.calls]. *)
+
+val access_cost : atom -> float
+(** The atom's access cost; [infinity] when it has no plan. *)
+
+val base_plan : params -> bound -> Plan.t
+(** The structure-free plan every fold starts from: a heap scan (with
+    on-the-fly aggregation for an aggregate). *)
+
+val compose : params -> bound -> access:float -> maintenance:float -> float
+(** EXEC of the bound statement given its chosen access cost and its
+    summed maintenance: the access cost for reads; one heap write plus
+    maintenance for an INSERT; for a DELETE the victim search plus one
+    write and the maintenance per affected row, doubled for an UPDATE. *)
+
+(** {2 Atom ingredients}
+
+    The per-structure plans and terms an atom is made of, each formula in
+    exactly one place.  {!atom} checks the structure's table and kind
+    first; these do not. *)
+
+val index_seek_plan : params -> bound -> Cddpd_catalog.Index_def.t -> Plan.t option
+(** An index seek on the WHERE clause: an equality-bound key prefix,
+    optionally followed by one range-bound column.  [None] when no key
+    prefix is sargable. *)
+
+val index_only_scan_plan : params -> bound -> Cddpd_catalog.Index_def.t -> Plan.t option
+(** A covering leaf-level scan, when the index key holds every column the
+    statement references ([None] for [*] projections and DML). *)
+
+val view_plan : params -> bound -> Cddpd_catalog.View_def.t -> Plan.t option
+(** A view probe (group equality) or view scan, when the statement is an
+    aggregate the view answers. *)
+
+val maintenance_term : params -> bound -> Cddpd_catalog.Structure.t -> float
+(** The structure's per-affected-row maintenance: a root-to-leaf update
+    for an index, a lookup plus a row rewrite for a view. *)
 
 (** {1 TRANS} *)
-
-val choose_agg_plan :
-  params ->
-  Table_stats.t ->
-  Cddpd_catalog.Design.t ->
-  table:string ->
-  group_by:string ->
-  where:Cddpd_sql.Ast.predicate list ->
-  Plan.t
-(** Access path for an aggregate query: a matching materialized view (probe
-    or scan) when the design has one and every predicate is an equality on
-    the grouping column, else a full scan with on-the-fly aggregation. *)
 
 val build_cost : params -> Table_stats.t -> Cddpd_catalog.Index_def.t -> float
 (** Scan the table, sort the entries, write the index pages. *)

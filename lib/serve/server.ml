@@ -13,6 +13,7 @@ module Solution = Cddpd_core.Solution
 module Optimizer = Cddpd_core.Optimizer
 module Online_tuner = Cddpd_core.Online_tuner
 module Reopt = Cddpd_core.Reopt
+module Candidates = Cddpd_core.Candidates
 module Table_stats = Cddpd_engine.Table_stats
 module Compress = Cddpd_workload.Compress
 module Cost_key = Cddpd_engine.Cost_key
@@ -144,12 +145,16 @@ type probation = { prev_design : Design.t }
    whether every statement is on the served table (the keys are computed
    under that table's statistics), and the statistics fingerprint they
    were computed under.  Re-optimization reuses the keys only while the
-   fingerprint still matches the live statistics. *)
+   fingerprint still matches the live statistics.  The window's candidate
+   tally is computed the first time a re-optimization reads it, then kept:
+   a window that ages through the history is tallied once, and a window no
+   re-optimization reads is never tallied. *)
 type history_window = {
   h_statements : Ast.statement array;
   h_keys : string array;
   h_uniform : bool;
   h_fingerprint : string;
+  h_tally : Candidates.tally Lazy.t;
 }
 
 type t = {
@@ -259,18 +264,24 @@ let feed_key t entry statement =
           (key, gen))
   | None -> (compute (), gen)
 
-(* The candidate structures of a re-optimization: derived from the recent
-   statements, plus whatever the incumbent design already materialises —
-   C0 must be a configuration of the space it is the seed of. *)
-let candidate_structures t statements =
-  let schema =
-    match Database.schema t.db t.cfg.table with
-    | Some schema -> schema
-    | None -> assert false
+let schema t =
+  match Database.schema t.db t.cfg.table with
+  | Some schema -> schema
+  | None -> assert false (* checked by [create] *)
+
+(* The candidate structures of a re-optimization: derived from the merged
+   tallies of the windows it optimizes over, plus whatever the incumbent
+   design already materialises — C0 must be a configuration of the space
+   it is the seed of. *)
+let candidate_structures t windows =
+  Obs.Span.with_span "serve.candidates" @@ fun () ->
+  let tally =
+    List.fold_left
+      (fun acc h -> Candidates.merge acc (Lazy.force h.h_tally))
+      Candidates.empty_tally windows
   in
   let derived =
-    Cddpd_core.Candidates.structures_from_statements schema
-      ~composite_pairs:t.cfg.composite_pairs statements
+    Candidates.structures_of_tally (schema t) ~composite_pairs:t.cfg.composite_pairs tally
   in
   let incumbent = Design.structures (Database.current_design t.db) in
   derived
@@ -282,11 +293,14 @@ let max_structures t =
   let incumbent = Design.cardinality (Database.current_design t.db) in
   Option.map (fun m -> max m incumbent) t.cfg.max_structures_per_config
 
-let build_problem ?statement_keys t steps =
+(* One problem over the given history windows, oldest first: one step per
+   window. *)
+let build_problem ?statement_keys t windows =
+  let steps = Array.of_list (List.map (fun h -> h.h_statements) windows) in
   let request =
     {
       (Advisor.default_request ~steps ~table:t.cfg.table) with
-      Advisor.candidates = Some (candidate_structures t (Array.concat (Array.to_list steps)));
+      Advisor.candidates = Some (candidate_structures t windows);
       max_structures_per_config = max_structures t;
       space_bound_bytes = t.cfg.space_bound_bytes;
       initial = Database.current_design t.db;
@@ -339,7 +353,6 @@ let check_probation t ~stats ~window ~measured_io =
    the incumbent design as C0, guarded before deployment. *)
 let reoptimize_continuous t ~fingerprint =
   let history = List.rev t.history_windows in
-  let steps = Array.of_list (List.map (fun h -> h.h_statements) history) in
   (* The per-window cost-identity keys double as the build's statement
      keys, but only while they are provably current: every statement on
      the served table (whose statistics keyed them) and every window
@@ -352,7 +365,7 @@ let reoptimize_continuous t ~fingerprint =
     then Some (Array.concat (List.map (fun h -> h.h_keys) history))
     else None
   in
-  let problem = build_problem ?statement_keys t steps in
+  let problem = build_problem ?statement_keys t history in
   let incumbent = Database.current_design t.db in
   match
     Reopt.solve t.reopt problem ~method_name:t.cfg.method_name ~k:t.cfg.k
@@ -385,7 +398,7 @@ let reoptimize_continuous t ~fingerprint =
    granularity — no constraint, no guard, no probation. *)
 let reoptimize_reactive t window =
   let statement_keys = if window.h_uniform then Some window.h_keys else None in
-  let problem = build_problem ?statement_keys t [| window.h_statements |] in
+  let problem = build_problem ?statement_keys t [ window ] in
   let initial = problem.Problem.initial in
   let params =
     { Online_tuner.default_params with Online_tuner.horizon = t.cfg.horizon }
@@ -443,6 +456,7 @@ let close_window t window fed_keys fed_gens =
       h_uniform =
         Array.for_all (fun s -> String.equal (Ast.table_of s) t.cfg.table) window;
       h_fingerprint = fingerprint;
+      h_tally = lazy (Candidates.tally (schema t) window);
     }
   in
   let drift = Option.map (fun prev -> Drift.distance prev profile) t.prev_profile in

@@ -118,7 +118,7 @@ type window_report = {
   action : action;
   reopt_s : float;  (** wall seconds spent re-optimizing (0 when none ran) *)
   reopt_whatif_calls : int;
-      (** what-if cost-model calls ([cost_model.calls]) this window's
+      (** what-if atom evaluations ([cost_model.calls]) this window's
           re-optimization made — build, solve and guard together; 0 when
           none ran or when instrumentation is off *)
 }

@@ -1,14 +1,23 @@
 (* Naive oracles shared by the tests that pin an optimised path to them.
 
+   EXEC: the per-design fold the cost model used before costing was split
+   into per-structure atoms.  One pass over the design per statement:
+   every index on the statement's table is tried by seek and then by
+   covering scan, and every view that answers an aggregate by probe or
+   scan, each replacing the incumbent plan only when strictly cheaper;
+   maintenance is summed over the table's indexes, then over its views.
+   The formulas of the individual plans are the cost model's own; what
+   this pins is how they combine.
+
    Problem.build: the matrices are defined as
 
-     exec.(s).(c)  = left fold of Cost_model.statement_cost over step s
+     exec.(s).(c)  = left fold of [statement_cost] (below) over step s
                      under configuration c's design
      trans.(i).(j) = Cost_model.transition_cost from design i to design j
 
-   with no clustering, column sharing, memo, session state or domain
-   split between them and the cost model.  Every optimisation of the
-   build must leave its matrices equal to these, bit for bit.
+   with no clustering, atoms, memo, session state or domain split between
+   them and the formulas.  Every optimisation of the build must leave its
+   matrices equal to these, bit for bit.
 
    Statistics: a histogram is the sorted-array bucketing loop over a
    copy of the column, and a table's statistics are that loop over every
@@ -24,6 +33,11 @@ module Database = Cddpd_engine.Database
 module Cost_model = Cddpd_engine.Cost_model
 module Config_space = Cddpd_core.Config_space
 module Problem = Cddpd_core.Problem
+module Plan = Cddpd_engine.Plan
+module Design = Cddpd_catalog.Design
+module Structure = Cddpd_catalog.Structure
+module Index_def = Cddpd_catalog.Index_def
+module View_def = Cddpd_catalog.View_def
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -33,10 +47,73 @@ let matrix_same_bits a b =
        (fun r1 r2 -> Array.length r1 = Array.length r2 && Array.for_all2 same_bits r1 r2)
        a b
 
+(* -- EXEC: the per-design fold -------------------------------------------------- *)
+
+let consider candidate best =
+  match candidate with
+  | Some plan when plan.Plan.estimated_cost < best.Plan.estimated_cost -> plan
+  | Some _ | None -> best
+
+(* The chosen plan: the SELECT's own, the aggregate's, or the victim
+   search of a DELETE/UPDATE. *)
+let plan params stats design statement =
+  let b = Cost_model.bind stats statement in
+  let table = Ast.table_of statement in
+  match statement with
+  | Ast.Select_agg _ ->
+      Design.fold_views
+        (fun view best ->
+          if String.equal (View_def.table view) table then
+            consider (Cost_model.view_plan params b view) best
+          else best)
+        design (Cost_model.base_plan params b)
+  | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ ->
+      Design.fold_indexes
+        (fun index best ->
+          if String.equal (Index_def.table index) table then
+            best
+            |> consider (Cost_model.index_seek_plan params b index)
+            |> consider (Cost_model.index_only_scan_plan params b index)
+          else best)
+        design (Cost_model.base_plan params b)
+
+let maintenance params stats design table statement =
+  let b = Cost_model.bind stats statement in
+  let index_part =
+    Design.fold_indexes
+      (fun index acc ->
+        if String.equal (Index_def.table index) table then
+          acc +. Cost_model.maintenance_term params b (Structure.index index)
+        else acc)
+      design 0.0
+  in
+  Design.fold_views
+    (fun view acc ->
+      if String.equal (View_def.table view) table then
+        acc +. Cost_model.maintenance_term params b (Structure.view view)
+      else acc)
+    design index_part
+
+let statement_cost params stats design statement =
+  let find () = plan params stats design statement in
+  let table = Ast.table_of statement in
+  let dml () =
+    let find = find () in
+    (* The victim search's rows: the WHERE clause's estimate. *)
+    find.Plan.estimated_cost
+    +. find.Plan.estimated_rows
+       *. (params.Cost_model.page_io +. maintenance params stats design table statement)
+  in
+  match statement with
+  | Ast.Select _ | Ast.Select_agg _ -> (find ()).Plan.estimated_cost
+  | Ast.Insert _ -> params.Cost_model.page_io +. maintenance params stats design table statement
+  | Ast.Delete _ -> dml ()
+  | Ast.Update _ -> 2.0 *. dml ()
+
 let exec params ~stats_of design step =
   Array.fold_left
     (fun acc statement ->
-      acc +. Cost_model.statement_cost params (stats_of (Ast.table_of statement)) design statement)
+      acc +. statement_cost params (stats_of (Ast.table_of statement)) design statement)
     0.0 step
 
 (* The oracle instance over the steps, space and initial configuration of

@@ -164,6 +164,75 @@ let test_view_candidates_none_without_aggregates () =
   Alcotest.(check int) "no views from point queries" 0
     (List.length (Candidates.view_candidates paper_schema (w1_statements ())))
 
+(* Merged per-window tallies give the candidates of the concatenated
+   history, in the same order.  Few statements over few columns make
+   frequency ties common; aggregate windows add views, a text column and
+   another table's statements must be ignored. *)
+let tally_schema =
+  Schema.table "t"
+    [
+      ("a", Schema.Int_type);
+      ("b", Schema.Int_type);
+      ("c", Schema.Int_type);
+      ("d", Schema.Int_type);
+      ("e", Schema.Text_type);
+    ]
+
+let gen_tally_window =
+  QCheck.Gen.(
+    let column = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+    let predicate =
+      map2
+        (fun column op -> Ast.Cmp { column; op; value = Tuple.Int 1 })
+        column
+        (oneofl [ Ast.Eq; Ast.Lt ])
+    in
+    let where = list_size (int_bound 3) predicate in
+    let statement =
+      frequency
+        [
+          ( 4,
+            map2
+              (fun table where -> Ast.Select { projection = Ast.Star; table; where })
+              (frequencyl [ (5, "t"); (1, "other") ])
+              where );
+          ( 2,
+            map2
+              (fun group_by where ->
+                Ast.Select_agg { table = "t"; group_by; aggregate = Ast.Count_star; where })
+              column where );
+          (1, map (fun where -> Ast.Delete { table = "t"; where }) where);
+          (1, map (fun where -> Ast.Update { table = "t"; assignments = []; where }) where);
+          (1, return (Ast.Insert { table = "t"; values = [] }));
+        ]
+    in
+    map Array.of_list (list_size (int_bound 6) statement))
+
+let tally_merge_prop =
+  QCheck.Test.make ~name:"merged window tallies = tally of the concatenation" ~count:300
+    (QCheck.make
+       ~print:(fun (pairs, windows) ->
+         Printf.sprintf "composite_pairs %d\n%s" pairs
+           (String.concat "\n--\n"
+              (List.map
+                 (fun w ->
+                   String.concat "\n" (Array.to_list (Array.map Cddpd_sql.Printer.to_string w)))
+                 windows)))
+       QCheck.Gen.(pair (int_bound 3) (list_size (int_range 1 5) gen_tally_window)))
+    (fun (composite_pairs, windows) ->
+      let expected =
+        Candidates.structures_from_statements tally_schema ~composite_pairs
+          (Array.concat windows)
+      in
+      let tallies = List.map (Candidates.tally tally_schema) windows in
+      let merged_left = List.fold_left Candidates.merge Candidates.empty_tally tallies in
+      let merged_right = List.fold_right Candidates.merge tallies Candidates.empty_tally in
+      List.for_all
+        (fun merged ->
+          List.equal Structure.equal expected
+            (Candidates.structures_of_tally tally_schema ~composite_pairs merged))
+        [ merged_left; merged_right ])
+
 let index_columns structure =
   match Structure.as_index structure with
   | Some ix -> Some (Index_def.columns ix)
@@ -752,6 +821,7 @@ let () =
             test_candidates_generate_multi_column;
           Alcotest.test_case "generator keeps views" `Quick
             test_candidates_generate_includes_views;
+          QCheck_alcotest.to_alcotest tally_merge_prop;
         ] );
       ( "problem",
         [

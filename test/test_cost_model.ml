@@ -278,6 +278,194 @@ let exec_estimate_sane_prop =
        in
        bare > 0.0 && Float.is_finite bare && indexed > 0.0 && indexed <= bare)
 
+(* -- atoms: composition = the per-design fold ---------------------------------- *)
+
+(* Every plan choice and EXEC formula is a fold over per-structure atoms;
+   it must equal the per-design fold of the naive oracle bit for bit —
+   the same cost bits and the same chosen plan — on every statement kind
+   under random designs of indexes and views over two tables.  Parameters
+   are drawn off the integers so that maintenance sums round, and a
+   narrow value range makes equal selectivities (hence equal atom costs,
+   the tie-breaking cases) common. *)
+
+module Table_stats = Cddpd_engine.Table_stats
+module Structure = Cddpd_catalog.Structure
+module View_def = Cddpd_catalog.View_def
+
+let atom_tables = [ ("t", [ "a"; "b"; "c"; "d" ]); ("u", [ "a"; "b"; "c" ]) ]
+
+let gen_atom_case =
+  QCheck.Gen.(
+    let gen_params =
+      map
+        (fun (page_io, row_cpu, rid_fetch, leaf_fill) ->
+          { params with Cost_model.page_io; row_cpu; rid_fetch; leaf_fill })
+        (quad (float_range 0.3 2.0)
+           (oneof [ return 0.0; float_range 0.0001 0.01 ])
+           (float_range 0.2 2.0) (float_range 0.5 1.0))
+    in
+    let gen_stats columns =
+      int_range 1 4000 >>= fun rows ->
+      int_range 1 200 >>= fun pages ->
+      int_range 2 40 >>= fun range ->
+      map
+        (fun seeds ->
+          let histograms =
+            List.map2
+              (fun column seed ->
+                let rng = Rng.create seed in
+                (column, Naive.histogram ~buckets:8 (Array.init (max 1 (rows / 10)) (fun _ -> Rng.int rng range))))
+              columns seeds
+          in
+          Table_stats.make ~row_count:rows ~page_count:pages ~histograms)
+        (list_repeat (List.length columns) small_nat)
+    in
+    let gen_statement =
+      oneofl atom_tables >>= fun (table, columns) ->
+      let value = map (fun v -> Tuple.Int v) (int_bound 40) in
+      let predicate =
+        oneof
+          [
+            map3
+              (fun column op value -> Ast.Cmp { column; op; value })
+              (oneofl columns)
+              (oneofl [ Ast.Eq; Ast.Eq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ])
+              value;
+            map3
+              (fun column lo hi -> Ast.Between { column; low = Tuple.Int lo; high = Tuple.Int hi })
+              (oneofl columns) (int_bound 40) (int_bound 40);
+          ]
+      in
+      let where = list_size (int_bound 3) predicate in
+      frequency
+        [
+          ( 4,
+            map2
+              (fun projection where -> Ast.Select { projection; table; where })
+              (oneof
+                 [
+                   return Ast.Star;
+                   map (fun cs -> Ast.Columns cs) (list_size (int_range 1 3) (oneofl columns));
+                 ])
+              where );
+          ( 3,
+            oneofl columns >>= fun group_by ->
+            map2
+              (fun group_eq where ->
+                let where =
+                  match group_eq with
+                  | Some v -> Ast.Cmp { column = group_by; op = Ast.Eq; value = Tuple.Int v } :: where
+                  | None -> where
+                in
+                Ast.Select_agg { table; group_by; aggregate = Ast.Count_star; where })
+              (opt (int_bound 40))
+              (oneof [ return []; where ]) );
+          (1, map (fun vs -> Ast.Insert { table; values = vs }) (list_repeat (List.length columns) value));
+          (1, map (fun where -> Ast.Delete { table; where }) where);
+          ( 1,
+            map3
+              (fun column v where -> Ast.Update { table; assignments = [ (column, v) ]; where })
+              (oneofl columns) value where );
+        ]
+    in
+    let gen_structure =
+      oneofl atom_tables >>= fun (table, columns) ->
+      frequency
+        [
+          ( 3,
+            map
+              (fun cs -> Structure.index (Index_def.make ~table ~columns:(List.sort_uniq String.compare cs)))
+              (list_size (int_range 1 2) (oneofl columns)) );
+          (1, map (fun group_by -> Structure.view (View_def.make ~table ~group_by)) (oneofl columns));
+        ]
+    in
+    quad gen_params
+      (pair (gen_stats (List.assoc "t" atom_tables)) (gen_stats (List.assoc "u" atom_tables)))
+      (list_size (int_range 1 8) gen_statement)
+      (list_size (int_range 1 3) (list_size (int_bound 6) gen_structure)))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_plan (p1 : Plan.t) (p2 : Plan.t) =
+  p1.Plan.path = p2.Plan.path
+  && same_bits p1.Plan.estimated_cost p2.Plan.estimated_cost
+  && same_bits p1.Plan.estimated_rows p2.Plan.estimated_rows
+
+(* Per design: the atom folds of the cost model against the per-design
+   fold.  Across designs: Problem.build, which evaluates each (statement,
+   structure) atom once and composes every configuration's cells from
+   them, against the per-design fold summed per step. *)
+let atoms_match_per_design_fold (params, (stats_t, stats_u), statements, designs) =
+  let stats_of table = if String.equal table "t" then stats_t else stats_u in
+  let designs = List.map Design.of_structures designs in
+  let per_design design =
+    List.for_all
+      (fun statement ->
+        let stats = stats_of (Ast.table_of statement) in
+        let chosen =
+          match statement with
+          | Ast.Select select -> Cost_model.choose_plan params stats design select
+          | Ast.Select_agg { table; group_by; where; _ } ->
+              Cost_model.choose_agg_plan params stats design ~table ~group_by ~where
+          | Ast.Insert { table; _ } | Ast.Delete { table; _ } | Ast.Update { table; _ } ->
+              Cost_model.choose_plan params stats design
+                { Ast.projection = Ast.Star; table; where = Ast.where_of statement }
+        in
+        same_bits
+          (Cost_model.statement_cost params stats design statement)
+          (Naive.statement_cost params stats design statement)
+        && same_plan chosen (Naive.plan params stats design statement))
+      statements
+  in
+  let composed () =
+    let space = Cddpd_core.Config_space.of_designs (Design.empty :: designs) in
+    let steps = Array.of_list (List.map (fun s -> [| s |]) statements) in
+    let problem =
+      Cddpd_core.Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ~jobs:1 ()
+    in
+    Array.for_all2
+      (fun step row ->
+        Array.for_all2
+          (fun design cell -> same_bits cell (Naive.exec params ~stats_of design step))
+          (Cddpd_core.Config_space.designs space) row)
+      steps problem.Cddpd_core.Problem.exec
+  in
+  List.for_all per_design designs && composed ()
+
+(* Inside one index the seek beats an equally cheap covering scan.  With
+   no per-row CPU charge, a covering range seek that matches every row
+   costs exactly the leaf scan at these sizes. *)
+let test_seek_wins_cover_tie () =
+  let params = { params with Cost_model.row_cpu = 0.0; leaf_fill = 0.9 } in
+  let stats =
+    Table_stats.make ~row_count:1684 ~page_count:1000
+      ~histograms:[ ("a", Naive.histogram (Array.init 100 (fun i -> i mod 10))) ]
+  in
+  let select = select_of "SELECT a FROM t WHERE a >= 0" in
+  let b = Cost_model.bind stats (Ast.Select select) in
+  let cost plan = (Option.get plan).Plan.estimated_cost in
+  Alcotest.(check (float 0.0))
+    "seek and covering scan tie" (cost (Cost_model.index_seek_plan params b (index [ "a" ])))
+    (cost (Cost_model.index_only_scan_plan params b (index [ "a" ])));
+  let design = Design.singleton (index [ "a" ]) in
+  let chosen = Cost_model.choose_plan params stats design select in
+  Alcotest.(check bool)
+    "the seek is chosen" true
+    (match chosen.Plan.path with Plan.Index_seek _ -> true | _ -> false);
+  Alcotest.(check bool)
+    "as in the per-design fold" true
+    (same_plan chosen (Naive.plan params stats design (Ast.Select select)))
+
+let atoms_match_prop =
+  QCheck.Test.make ~name:"atom composition = per-design fold (cost bits and plan)" ~count:500
+    (QCheck.make
+       ~print:(fun (p, _, statements, designs) ->
+         Printf.sprintf "page_io %h\n%s\ndesigns %s" p.Cost_model.page_io
+           (String.concat "\n" (List.map Cddpd_sql.Printer.to_string statements))
+           (String.concat " " (List.map (fun d -> Design.name (Design.of_structures d)) designs)))
+       gen_atom_case)
+    atoms_match_per_design_fold
+
 let () =
   Alcotest.run "cost_model"
     [
@@ -308,5 +496,8 @@ let () =
           Alcotest.test_case "DML costs" `Quick test_dml_costs;
           Alcotest.test_case "choose_plan shape" `Quick test_choose_plan_shape;
           QCheck_alcotest.to_alcotest exec_estimate_sane_prop;
+          Alcotest.test_case "seek wins a tie with its covering scan" `Quick
+            test_seek_wins_cover_tie;
+          QCheck_alcotest.to_alcotest atoms_match_prop;
         ] );
     ]

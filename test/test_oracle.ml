@@ -89,6 +89,7 @@ let gen_statement =
 type build_spec = {
   steps : Ast.statement array array;
   picks : bool list;
+  rotate : int;  (** candidate order is rotated by this much *)
   with_keys : bool;
   load : int array list;
 }
@@ -102,10 +103,10 @@ let gen_session =
     in
     let gen_build =
       map
-        (fun (steps, picks, with_keys, load) ->
-          { steps = Array.of_list steps; picks; with_keys; load })
+        (fun ((steps, rotate), picks, with_keys, load) ->
+          { steps = Array.of_list steps; picks; rotate; with_keys; load })
         (quad
-           (list_size (int_range 1 3) gen_step)
+           (pair (list_size (int_range 1 3) gen_step) (int_bound (List.length candidates - 1)))
            (list_repeat (List.length candidates) bool)
            bool
            (oneof
@@ -144,6 +145,13 @@ let make_db () =
          Array.init 4 (fun _ -> Tuple.Int (Cddpd_util.Rng.int rng value_range))));
   db
 
+let rotate n xs =
+  let n = if xs = [] then 0 else n mod List.length xs in
+  List.filteri (fun i _ -> i >= n) xs @ List.filteri (fun i _ -> i < n) xs
+
+let build_space picked =
+  Config_space.enumerate ~candidates:picked ~max_structures:2 ~size_of:(fun _ -> 1) ()
+
 (* Run one session; whether every build matched the oracle, and the
    session's reuse tallies. *)
 let run_session (jobs, builds) =
@@ -156,10 +164,8 @@ let run_session (jobs, builds) =
         if b.load <> [] then
           Database.load db ~table:"t"
             (Array.of_list (List.map (Array.map (fun v -> Tuple.Int v)) b.load));
-        let picked = List.filteri (fun i _ -> List.nth b.picks i) candidates in
-        let space =
-          Config_space.enumerate ~candidates:picked ~max_structures:2 ~size_of:(fun _ -> 1) ()
-        in
+        let picked = rotate b.rotate (List.filteri (fun i _ -> List.nth b.picks i) candidates) in
+        let space = build_space picked in
         let statement_keys =
           if b.with_keys then
             Some
@@ -203,6 +209,87 @@ let test_oracle_reaches_reuse_paths () =
       ("statistics invalidations", fun t -> t.Problem.Reuse.stats_invalidations);
     ]
 
+(* -- drift-shaped sessions -------------------------------------------------- *)
+
+module Candidates = Cddpd_core.Candidates
+module Obs = Cddpd_obs
+
+(* A phase's statements: point reads whose leading predicate column is the
+   phase's column, plus an aggregate grouped by it and a DELETE on it. *)
+let phase_statements column =
+  let cmp c v = Ast.Cmp { column = c; op = Ast.Eq; value = Tuple.Int v } in
+  Array.init 12 (fun i ->
+      match i mod 6 with
+      | 4 -> Ast.Select_agg { table = "t"; group_by = column; aggregate = Ast.Count_star; where = [ cmp column i ] }
+      | 5 -> Ast.Delete { table = "t"; where = [ cmp column (i * 7) ] }
+      | j ->
+          Ast.Select
+            {
+              projection = Ast.Columns [ List.nth columns ((j + 1) mod 4) ];
+              table = "t";
+              where = cmp column (i * 3) :: (if j = 0 then [ cmp "b" 4 ] else []);
+            })
+
+(* The serve loop's shape: a sliding history over phases whose leading
+   column rotates a -> b -> c -> d -> a, candidates derived from the
+   history (so structures leave, come back, and change rank), and rows
+   loaded mid-session.  Every build must equal the oracle. *)
+let test_rotating_session_matches_oracle () =
+  let db = make_db () in
+  let stats_of table = Database.table_stats db table in
+  let session = Problem.Reuse.create () in
+  let history = ref [] in
+  List.iteri
+    (fun i column ->
+      if i = 6 then
+        Database.load db ~table:"t"
+          (Array.init 30 (fun r -> Array.init 4 (fun c -> Tuple.Int ((r * 7) + c))));
+      history := phase_statements column :: !history;
+      let steps = Array.of_list (List.rev (List.filteri (fun i _ -> i < 3) !history)) in
+      let picked =
+        Candidates.structures_from_statements schema ~composite_pairs:1
+          (Array.concat (Array.to_list steps))
+      in
+      let problem =
+        Problem.build ~params ~stats_of ~steps ~space:(build_space picked) ~initial:Design.empty
+          ~reuse:session ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "build %d (phase %s) = oracle" i column)
+        true
+        (Naive.matches params ~stats_of problem))
+    [ "a"; "b"; "c"; "d"; "a"; "b"; "c"; "d"; "a" ];
+  let tallies = Problem.Reuse.tallies session in
+  Alcotest.(check int) "one statistics invalidation" 1 tallies.Problem.Reuse.stats_invalidations
+
+(* A build whose clusters and structures all appeared in the previous
+   build of its session composes every cell from stored atoms: it makes
+   no what-if call at all. *)
+let test_seen_build_costs_nothing () =
+  let db = make_db () in
+  let stats_of table = Database.table_stats db table in
+  let session = Problem.Reuse.create () in
+  let calls = Obs.Registry.counter "cost_model.calls" in
+  let build steps picked =
+    let before = Obs.Counter.value calls in
+    let problem =
+      Problem.build ~params ~stats_of ~steps ~space:(build_space picked) ~initial:Design.empty
+        ~reuse:session ()
+    in
+    Alcotest.(check bool) "= oracle" true (Naive.matches params ~stats_of problem);
+    Obs.Counter.value calls - before
+  in
+  let was_enabled = Obs.Registry.enabled () in
+  Obs.Registry.enable ();
+  Fun.protect ~finally:(fun () -> if not was_enabled then Obs.Registry.disable ()) @@ fun () ->
+  let wa = phase_statements "a" and wb = phase_statements "b" in
+  let first = build [| wa; wb |] candidates in
+  Alcotest.(check bool) "the first build evaluates atoms" true (first > 0);
+  (* Fewer steps, a sub-space in another order: every cluster and every
+     structure is already known. *)
+  Alcotest.(check int) "seen clusters and structures: no call" 0
+    (build [| wb |] (rotate 3 (List.filteri (fun i _ -> i mod 2 = 0) candidates)))
+
 let () =
   Alcotest.run "oracle"
     [
@@ -211,5 +298,9 @@ let () =
           QCheck_alcotest.to_alcotest reuse_session_matches_oracle;
           Alcotest.test_case "oracle sessions reach every reuse path" `Quick
             test_oracle_reaches_reuse_paths;
+          Alcotest.test_case "rotating drift session = oracle" `Quick
+            test_rotating_session_matches_oracle;
+          Alcotest.test_case "a build of seen clusters and structures makes no call" `Quick
+            test_seen_build_costs_nothing;
         ] );
     ]
