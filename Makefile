@@ -10,7 +10,7 @@
 #                     or adding audited waivers
 #   make bench-smoke  quick perf sanity
 #   make serve-smoke  replay a canned trace through `cddpd serve --once`
-#                     and assert the cddpd-serve/1 JSON status
+#                     and assert the cddpd-serve/2 JSON status
 #   make perf-smoke   one-second runs of the serve benchmark (perfbench/)
 #                     on every workload: its correctness gate only
 #   make cli-smoke    bad command lines and bad statements end in usage
@@ -62,7 +62,7 @@ bench:
 
 # End-to-end smoke of the online advisor (docs/SERVE.md): generate a
 # short drifting trace, serve it once, and assert the machine-readable
-# status against the cddpd-serve/1 golden schema — every key, plus the
+# status against the cddpd-serve/2 golden schema — every key, plus the
 # invariant that the drifting trace actually triggered the loop.
 serve-smoke:
 	$(DUNE) build bin/cddpd.exe
@@ -70,7 +70,7 @@ serve-smoke:
 	$(DUNE) exec bin/cddpd.exe -- serve --once --input _serve_smoke_trace.sql \
 	  --rows 5000 --value-range 1000 --window 100 $(if $(JOBS),--jobs $(JOBS)) \
 	  --status > _serve_smoke_status.json
-	@grep -q '"schema":"cddpd-serve/1"' _serve_smoke_status.json
+	@grep -q '"schema":"cddpd-serve/2"' _serve_smoke_status.json
 	@for key in regime windows statements residual_statements drift_events \
 	  reoptimizations deployments rejections rollbacks exec_logical_io \
 	  trans_logical_io final_design; do \

@@ -1226,7 +1226,6 @@ type configspace_entry = {
   cg_pruned : int;
   cg_clusters : int;
   cg_configs : int;
-  cg_trans_memoized : int;
   cg_pipeline_s : float;
   cg_solve_s : float;
   cg_cost : float;
@@ -1315,9 +1314,6 @@ let configspace_suite ~(options : options) () =
                   configspace_pipeline ~params ~stats_of ~steps ~flat cap)
             in
             let measured = snapshot_counter delta "cost_model.calls" in
-            let trans_memoized =
-              snapshot_counter delta "problem.trans_builds_memoized"
-            in
             let t0 = Unix.gettimeofday () in
             let solution =
               match
@@ -1397,7 +1393,6 @@ let configspace_suite ~(options : options) () =
               cg_pruned = pruned;
               cg_clusters = clusters;
               cg_configs = n_configs;
-              cg_trans_memoized = trans_memoized;
               cg_pipeline_s = pipeline_s;
               cg_solve_s = solve_s;
               cg_cost = solution.Solution.cost;
@@ -1418,7 +1413,7 @@ let configspace_suite ~(options : options) () =
 let write_configspace_json path entries =
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-configspace/2\",\"rows\":%d,\"value_range\":%d,\
+    "{\"schema\":\"cddpd-bench-configspace/3\",\"rows\":%d,\"value_range\":%d,\
      \"columns\":%d,\"statements_per_step\":%d,\"runs\":%d,\"cores\":%d,\
      \"max_width\":%d,\
      \"max_structures\":%d,\"max_configs\":%d,\"k\":%d,\"cells\":["
@@ -1432,7 +1427,6 @@ let write_configspace_json path entries =
         "%s{\"candidates_cap\":%d,\"n_steps\":%d,\"statements\":%d,\
          \"generated\":%d,\"survivors\":%d,\"pruned\":%d,\"prune_ratio\":%s,\
          \"clusters\":%d,\"compression_ratio\":%s,\"configs\":%d,\
-         \"trans_builds_memoized\":%d,\
          \"pipeline_median_s\":%s,\"solve_s\":%s,\"solve_cost\":%s,\
          \"changes\":%d,\"whatif\":{\"measured\":%d,\
          \"naive_unpruned_configs\":%d,\"naive_unpruned\":%d,\
@@ -1447,7 +1441,7 @@ let write_configspace_json path entries =
         e.cg_clusters
         (json_float
            (float_of_int e.cg_statements /. float_of_int (max 1 e.cg_clusters)))
-        e.cg_configs e.cg_trans_memoized
+        e.cg_configs
         (json_float6 e.cg_pipeline_s) (json_float6 e.cg_solve_s)
         (json_float e.cg_cost) e.cg_changes e.cg_measured_whatif
         e.cg_naive_configs e.cg_naive_whatif
@@ -1462,6 +1456,70 @@ let write_configspace_json path entries =
     entries;
   output_string oc "]}\n";
   close_out oc
+
+(* The exact gate against the committed file, run before it is
+   overwritten: every cell it records must reappear with the same matrix
+   digest, solve cost and measured what-if calls, compared as printed.  A
+   missing file skips the check. *)
+let configspace_compare path entries =
+  if Sys.file_exists path then begin
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    (* The position just past the first [tag] in [s] at or after [i]. *)
+    let rec after s tag i =
+      if i + String.length tag > String.length s then None
+      else if String.equal (String.sub s i (String.length tag)) tag then
+        Some (i + String.length tag)
+      else after s tag (i + 1)
+    in
+    (* The raw value after ["name":] in [cell], quotes stripped. *)
+    let field cell name =
+      match after cell (Printf.sprintf "\"%s\":" name) 0 with
+      | None -> failwith (Printf.sprintf "configspace: %s has no %s field" path name)
+      | Some start ->
+          let stop = ref start in
+          while !stop < String.length cell && cell.[!stop] <> ',' && cell.[!stop] <> '}' do
+            incr stop
+          done;
+          String.concat "" (String.split_on_char '"' (String.sub cell start (!stop - start)))
+    in
+    (* Each cell from its ["candidates_cap"] to the next one's. *)
+    let tag = "\"candidates_cap\":" in
+    let rec cells i =
+      match after text tag i with
+      | None -> []
+      | Some start ->
+          let stop =
+            match after text tag start with
+            | Some next -> next - String.length tag
+            | None -> String.length text
+          in
+          String.sub text (start - String.length tag) (stop - start + String.length tag)
+          :: cells stop
+    in
+    List.iter
+      (fun cell ->
+        let cap = field cell "candidates_cap" and n = field cell "n_steps" in
+        match
+          List.find_opt
+            (fun e -> string_of_int e.cg_cap = cap && string_of_int e.cg_n = n)
+            entries
+        with
+        | None -> failwith (Printf.sprintf "configspace: no cell cap=%s n=%s" cap n)
+        | Some e ->
+            List.iter
+              (fun (name, recorded, now) ->
+                if not (String.equal recorded now) then
+                  failwith
+                    (Printf.sprintf "configspace: cap=%s n=%s %s is %s, %s records %s" cap
+                       n name now path recorded))
+              [
+                ("digest", field cell "digest", e.cg_digest);
+                ("solve_cost", field cell "solve_cost", json_float e.cg_cost);
+                ("measured what-ifs", field cell "measured", string_of_int e.cg_measured_whatif);
+              ])
+      (cells 0);
+    Printf.printf "\n(every cell matches %s: digest, solve cost, what-ifs)\n%!" path
+  end
 
 (* -- serve suite: incremental re-optimization across windows --------------- *)
 
@@ -1551,7 +1609,6 @@ type serve_cell = {
   se_reopt_s : float;
   se_exec_reused : int;
   se_recosted : int;
-  se_trans_reused : int;
 }
 
 type serve_arm = {
@@ -1596,8 +1653,6 @@ let serve_run_arm ~reuse trace =
               se_exec_reused =
                 dr (fun t -> t.Problem.Reuse.exec_columns_reused);
               se_recosted = dr (fun t -> t.Problem.Reuse.clusters_recosted);
-              se_trans_reused =
-                dr (fun t -> t.Problem.Reuse.trans_blocks_reused);
             }
             :: !cells;
           prev := now)
@@ -1679,7 +1734,6 @@ let serve_suite () =
         ("incr ms", Cddpd_util.Text_table.Right);
         ("cols reused", Cddpd_util.Text_table.Right);
         ("recosted", Cddpd_util.Text_table.Right);
-        ("trans reused", Cddpd_util.Text_table.Right);
       ]
   in
   Array.iteri
@@ -1697,7 +1751,6 @@ let serve_suite () =
           Printf.sprintf "%.1f" (c.se_reopt_s *. 1e3);
           string_of_int c.se_exec_reused;
           string_of_int c.se_recosted;
-          string_of_int c.se_trans_reused;
         ])
     scratch.se_cells;
   Cddpd_util.Text_table.print table;
@@ -1733,11 +1786,10 @@ let serve_suite () =
     (reopt_s_incr *. 1e3);
   Printf.printf
     "incremental session: %d builds, %d exec columns reused, %d clusters \
-     recosted, %d trans blocks reused, cache %d/%d hit/miss\n%!"
+     recosted, atom memo %d/%d hit/miss\n%!"
     incr.se_stats.Reopt.reuse.Problem.Reuse.builds
     incr.se_stats.Reopt.reuse.Problem.Reuse.exec_columns_reused
     incr.se_stats.Reopt.reuse.Problem.Reuse.clusters_recosted
-    incr.se_stats.Reopt.reuse.Problem.Reuse.trans_blocks_reused
     incr.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.hits
     incr.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.misses;
   (scratch, incr, clusters)
@@ -1753,7 +1805,7 @@ let write_serve_json path (scratch, incr, clusters) =
   in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-serve/1\",\"rows\":%d,\"value_range\":%d,\
+    "{\"schema\":\"cddpd-bench-serve/2\",\"rows\":%d,\"value_range\":%d,\
      \"window\":%d,\"pool\":%d,\"history\":%d,\"k\":%d,\"method\":\"%s\",\
      \"jobs\":1,\"cores\":%d,\"phases\":\"%s\",\"cells\":["
     serve_rows serve_value_range serve_window serve_pool_size
@@ -1768,14 +1820,12 @@ let write_serve_json path (scratch, incr, clusters) =
         "%s{\"index\":%d,\"phase\":\"%s\",\"stable\":%b,\"clusters\":%d,\
          \"digest_equal\":%b,\"from_scratch\":{\"whatif_calls\":%d,\
          \"reopt_s\":%s},\"incremental\":{\"whatif_calls\":%d,\"reopt_s\":%s,\
-         \"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
-         \"trans_blocks_reused\":%d}}"
+         \"exec_columns_reused\":%d,\"clusters_recosted\":%d}}"
         (if i = 0 then "" else ",")
         i (Obs.Sink.json_escape serve_phases.(i)) serve_stable.(i) clusters.(i)
         (String.equal s.se_digest c.se_digest)
         s.se_whatif (json_float6 s.se_reopt_s) c.se_whatif
-        (json_float6 c.se_reopt_s) c.se_exec_reused c.se_recosted
-        c.se_trans_reused)
+        (json_float6 c.se_reopt_s) c.se_exec_reused c.se_recosted)
     scratch.se_cells;
   Printf.fprintf oc
     "],\"stable\":{\"windows\":%d,\"whatif_calls_from_scratch\":%d,\
@@ -1792,7 +1842,7 @@ let write_serve_json path (scratch, incr, clusters) =
     "\"totals\":{\"wall_from_scratch_s\":%s,\"wall_incremental_s\":%s,\
      \"incremental\":{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
      \"builds\":%d,\"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
-     \"trans_blocks_reused\":%d,\"stats_invalidations\":%d,\
+     \"stats_invalidations\":%d,\
      \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
      \"generations\":%d}},\"from_scratch\":{\"reoptimizations\":%d,\
      \"warm_start_bounds\":%d}},\"digests_identical\":true}\n"
@@ -1800,7 +1850,6 @@ let write_serve_json path (scratch, incr, clusters) =
     incr.se_stats.Reopt.reoptimizations incr.se_stats.Reopt.warm_start_bounds
     tallies.Problem.Reuse.builds tallies.Problem.Reuse.exec_columns_reused
     tallies.Problem.Reuse.clusters_recosted
-    tallies.Problem.Reuse.trans_blocks_reused
     tallies.Problem.Reuse.stats_invalidations
     cache.Cddpd_engine.Cost_cache.hits cache.Cddpd_engine.Cost_cache.misses
     cache.Cddpd_engine.Cost_cache.evictions
@@ -2180,6 +2229,7 @@ let () =
       | "configspace" ->
           banner "Configspace: design-space scaling pipeline";
           let entries = configspace_suite ~options () in
+          configspace_compare options.configspace_out entries;
           write_configspace_json options.configspace_out entries;
           Printf.printf "\n(wrote design-space scaling baseline to %s)\n%!"
             options.configspace_out

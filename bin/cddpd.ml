@@ -458,7 +458,7 @@ let no_reopt_reuse_arg =
        & info [ "no-reopt-reuse" ]
            ~doc:"Disable incremental re-optimization: every drift event \
                  rebuilds cost matrices from scratch instead of reusing the \
-                 previous window-set's cluster costs and TRANS entries. \
+                 previous window-set's per-cluster atom costs. \
                  Results are bit-identical either way; this is the escape \
                  hatch (and the from-scratch arm of bench --suite serve).")
 
@@ -474,9 +474,8 @@ let no_template_cache_arg =
 let no_plan_cache_arg =
   Arg.(value & flag
        & info [ "no-plan-cache" ]
-           ~doc:"Disable the plan-choice memo and the probation what-if \
-                 cache: every statement re-runs plan selection against the \
-                 cost model. Results are bit-identical either way; this is \
+           ~doc:"Disable the plan-choice memo: every statement re-runs \
+                 plan selection against the cost model. Results are bit-identical either way; this is \
                  the escape hatch (and the slow arm of bench --suite \
                  ingest).")
 
@@ -484,7 +483,7 @@ let status_json_arg =
   Arg.(value & flag
        & info [ "status" ]
            ~doc:"Emit the run summary as one JSON object (schema \
-                 cddpd-serve/1) instead of per-window lines and a text \
+                 cddpd-serve/2) instead of per-window lines and a text \
                  summary.")
 
 let action_to_string = function
@@ -516,14 +515,13 @@ let reopt_json (stats : Cddpd_core.Reopt.stats) =
   Printf.sprintf
     "{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
      \"builds_reused\":%d,\"exec_columns_reused\":%d,\
-     \"clusters_recosted\":%d,\"trans_blocks_reused\":%d,\
-     \"stats_invalidations\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\
-     \"evictions\":%d,\"generations\":%d}}"
+     \"clusters_recosted\":%d,\"stats_invalidations\":%d,\
+     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
+     \"generations\":%d}}"
     stats.Cddpd_core.Reopt.reoptimizations stats.Cddpd_core.Reopt.warm_start_bounds
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.builds
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.exec_columns_reused
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.clusters_recosted
-    stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.trans_blocks_reused
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.stats_invalidations
     stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.hits
     stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.misses
@@ -532,7 +530,7 @@ let reopt_json (stats : Cddpd_core.Reopt.stats) =
 
 let report_json (report : Server.report) =
   Printf.sprintf
-    "{\"schema\":\"cddpd-serve/1\",\"regime\":\"%s\",\"windows\":%d,\
+    "{\"schema\":\"cddpd-serve/2\",\"regime\":\"%s\",\"windows\":%d,\
      \"statements\":%d,\"residual_statements\":%d,\"drift_events\":%d,\
      \"reoptimizations\":%d,\"deployments\":%d,\"rejections\":%d,\
      \"rollbacks\":%d,\"exec_logical_io\":%d,\"trans_logical_io\":%d,\

@@ -35,26 +35,19 @@ type t = private {
 module Reuse : sig
   type t
   (** Persistent state an advisor session threads through successive
-      {!build} calls: per-cluster rows of {!Cddpd_engine.Cost_model.atom}s
-      keyed by (cluster cost identity, structure cost identity), the
-      previous build's TRANS matrix keyed by design cost identity
-      ({!Cddpd_engine.Cost_key}), and a {!Cddpd_engine.Cost_cache} that
-      holds only the TRANS structure-build memo.  The atom rows are the
-      session's EXEC memo: a build given a [Reuse.t] evaluates only the
-      (cluster, structure) atoms no earlier build evaluated for a cluster
-      the previous build also had, composes every configuration from the
-      rows, and copies every TRANS entry between configuration pairs that
-      both existed before.  A build whose clusters and structures all
-      appeared in the previous build therefore makes no what-if call.
-      Rows of clusters the latest build did not see are dropped.  Reuse
-      never changes a result: keys are exact cost identities and
-      statistics changes are fenced by per-table fingerprints
-      ({!Cddpd_engine.Table_stats.fingerprint}), so matrices are
-      bit-identical to a from-scratch build.
+      {!build} calls: one {!Cddpd_engine.Cost_cache} of per-(cluster,
+      structure) atom rows, which is the session's EXEC memo, and the
+      reuse tallies.  A build given a [Reuse.t] evaluates only the atoms
+      no earlier build evaluated for a cluster the previous build also
+      had, and composes every configuration from the rows; a build whose
+      clusters and structures all appeared in the previous build
+      therefore makes no what-if call.  Reuse never changes a result: the
+      memo's keys are exact cost identities and its statistics fence
+      flushes it on any fingerprint change, so matrices are bit-identical
+      to a from-scratch build.
 
       A [Reuse.t] is only sound while the cost-model parameters behind
-      it are fixed (the same contract as {!Cddpd_engine.Cost_cache}) and
-      must not be shared across concurrent builds. *)
+      it are fixed and must not be shared across concurrent builds. *)
 
   type tallies = {
     builds : int;  (** builds threaded through this session state *)
@@ -63,29 +56,22 @@ module Reuse : sig
             had a row in the previous build and no structure of the
             configuration needed a new atom *)
     clusters_recosted : int;
-        (** clusters with no match in the previous build's table *)
-    trans_blocks_reused : int;
-        (** TRANS entries copied verbatim from the previous matrix *)
+        (** clusters with no row in the memo *)
     stats_invalidations : int;
-        (** summaries dropped because a table's statistics fingerprint
-            changed (forces a full recost; the build memo is flushed) *)
+        (** memo flushes by the statistics fence — the memo's
+            [generations], not a second count *)
   }
 
   val create : unit -> t
-  (** Fresh session state with an empty summary and build memo. *)
+  (** Fresh session state with an empty memo. *)
 
-  val flush : t -> unit
-  (** Drop the atom rows, the previous TRANS matrix and the structure
-      build memo, as a statistics invalidation would.  The next build
-      recosts everything. *)
+  val memo : t -> Cddpd_engine.Cost_cache.t
+  (** The session's atom memo; its {!Cddpd_engine.Cost_cache.stats} are
+      the session's what-if hits and misses. *)
 
   val tallies : t -> tallies
   (** Cumulative reuse accounting — the plain-int mirror of the
       [reopt.*] counters, readable with instrumentation off. *)
-
-  val cache_stats : t -> Cddpd_engine.Cost_cache.stats
-  (** The session cache's hit/miss tallies: structure-build lookups of
-      the TRANS fill. *)
 end
 
 val build :
@@ -117,20 +103,16 @@ val build :
     a few float operations per structure, across [jobs] domains (default
     {!Cddpd_util.Parallel.default_jobs}; small instances always run
     sequentially).  Cluster costs are then re-expanded by summing them in
-    the original statement order ([problem.build.expand]).  TRANS pays
-    per {e distinct structure-delta}: designs are bitmasks over the
-    sorted structure universe and each added-set build sum is memoized
-    per domain (the [problem.trans_builds_memoized] counter), never per
-    config pair.
+    the original statement order ([problem.build.expand]).  TRANS
+    ([problem.build.trans]) computes every structure's build cost once
+    and sums each pair's added structures from those, a few float
+    additions per entry.
 
-    [reuse] threads the session state of {!Reuse} through the build:
-    atoms and TRANS entries already known are copied instead of
-    recomputed (instrumented as [reopt.exec_columns_reused],
-    [reopt.clusters_recosted], [reopt.trans_blocks_reused],
-    [reopt.stats_invalidations]), structure build costs are memoized in
-    the session's cache, and the finished build replaces the session
-    summary.  Without [reuse] the build runs in a fresh session of its
-    own: an empty session is the from-scratch build.
+    [reuse] threads the session state of {!Reuse} through the build: the
+    fill reads and extends the session's atom memo (instrumented as
+    [reopt.exec_columns_reused], [reopt.clusters_recosted] and the
+    [cost_cache.*] counters).  Without [reuse] the build runs in a fresh
+    session of its own: an empty session is the from-scratch build.
 
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
@@ -146,9 +128,9 @@ val build :
     configuration [c]'s design, and [trans.(i).(j)] is
     {!Cddpd_engine.Cost_model.transition_cost}.  Composition folds a
     design's atoms exactly as [statement_cost] does; clustering
-    re-expands cluster costs in the original statement order; reuse only
-    copies floats whose cost identity proves them equal to a fresh
-    computation.  [stats_of] is called only from the calling domain.
+    re-expands cluster costs in the original statement order; the memo
+    only returns atoms whose cost identity proves them equal to a fresh
+    evaluation.  [stats_of] is called only from the calling domain.
     See docs/PERFORMANCE.md. *)
 
 val of_matrices :

@@ -23,10 +23,6 @@ let create ?(reuse = true) db =
     warm_start_bounds = 0;
   }
 
-let reuse_enabled t = Option.is_some t.reuse
-
-let flush t = Option.iter Problem.Reuse.flush t.reuse
-
 let build_problem ?statement_keys t request =
   t.reoptimizations <- t.reoptimizations + 1;
   Advisor.build_problem ?reuse:t.reuse ?statement_keys t.db request
@@ -47,23 +43,12 @@ let solve ?k ?jobs ?max_paths ?max_queue t problem ~method_name =
   Optimizer.solve problem ~method_name ?k ?jobs ?max_paths ?max_queue
     ~upper_bound:(hold_bound problem) ()
 
+(* Without reuse, a fresh session's zero tallies. *)
 let stats t =
-  let reuse, cache =
-    match t.reuse with
-    | Some r -> (Problem.Reuse.tallies r, Problem.Reuse.cache_stats r)
-    | None ->
-        ( {
-            Problem.Reuse.builds = 0;
-            exec_columns_reused = 0;
-            clusters_recosted = 0;
-            trans_blocks_reused = 0;
-            stats_invalidations = 0;
-          },
-          Cost_cache.stats Cost_cache.disabled )
-  in
+  let reuse = match t.reuse with Some r -> r | None -> Problem.Reuse.create () in
   {
     reoptimizations = t.reoptimizations;
     warm_start_bounds = t.warm_start_bounds;
-    reuse;
-    cache;
+    reuse = Problem.Reuse.tallies reuse;
+    cache = Cost_cache.stats (Problem.Reuse.memo reuse);
   }

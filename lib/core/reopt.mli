@@ -4,18 +4,17 @@
     {e between} re-optimizations, so that consecutive drift events do not
     pay from-scratch costing and cold-started search:
 
-    - a persistent {!Problem.Reuse} session: per-cluster atom rows and
-      the previous TRANS matrix, which {!Problem.build} consults to
-      evaluate only the (cluster, structure) atoms it has not seen and
-      copy unchanged TRANS entries, plus a {!Cddpd_engine.Cost_cache}
-      whose structure build memo stays warm across builds;
+    - a persistent {!Problem.Reuse} session: the
+      {!Cddpd_engine.Cost_cache} of per-cluster atom rows, which
+      {!Problem.build} consults to evaluate only the (cluster, structure)
+      atoms it has not seen;
     - warm-started solving: {!solve} seeds the exact solvers'
       branch-and-bound with the incumbent's hold-at-C0 what-if cost
       (a feasible zero-change schedule, hence always a valid upper
       bound), via {!Optimizer.solve}'s [upper_bound].
 
     Everything is bit-identical to the from-scratch path: reuse only
-    copies floats whose {!Cddpd_engine.Cost_key} cost identities prove
+    reads atoms whose {!Cddpd_engine.Cost_key} cost identities prove
     them equal, statistics changes are fenced by per-table fingerprints,
     and warm bounds never change what the exact solvers return — only
     how fast.  Property-tested over random drift traces in
@@ -31,11 +30,10 @@ type stats = {
   reoptimizations : int;  (** problems built through this session *)
   warm_start_bounds : int;  (** solves seeded with a hold-at-C0 bound *)
   reuse : Problem.Reuse.tallies;
-      (** exec/TRANS reuse accounting (zeros when reuse is disabled) *)
+      (** exec reuse accounting (zeros when reuse is disabled) *)
   cache : Cddpd_engine.Cost_cache.stats;
-      (** the persistent cache's hits/misses/evictions/generations:
-          structure build lookups of the TRANS fill (zeros when reuse is
-          disabled — builds then use per-build caches) *)
+      (** the session's atom memo: atoms read and evaluated, rows evicted,
+          statistics flushes (zeros when reuse is disabled) *)
 }
 
 val create : ?reuse:bool -> Cddpd_engine.Database.t -> t
@@ -43,8 +41,6 @@ val create : ?reuse:bool -> Cddpd_engine.Database.t -> t
     persistent {!Problem.Reuse} state; with [reuse:false] every
     {!build_problem} is a from-scratch build (the [--no-reopt-reuse]
     escape hatch) and only warm-started solving remains. *)
-
-val reuse_enabled : t -> bool
 
 val build_problem :
   ?statement_keys:string array -> t -> Advisor.request -> Problem.t
@@ -66,10 +62,6 @@ val solve :
     incumbent's hold-at-C0 cost of [problem] (always a valid bound: the
     hold schedule makes zero changes).  Identical results to an unseeded
     solve, measured by [reopt.warm_start_bound_used]. *)
-
-val flush : t -> unit
-(** Drop the reuse summary and build memo (see {!Problem.Reuse.flush});
-    the next build recosts from scratch.  No-op when reuse is off. *)
 
 val stats : t -> stats
 (** Session accounting, readable with instrumentation off — what

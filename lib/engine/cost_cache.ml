@@ -1,3 +1,4 @@
+module Ast = Cddpd_sql.Ast
 module Obs = Cddpd_obs
 
 let m_hits = Obs.Registry.counter "cost_cache.hits"
@@ -7,131 +8,128 @@ let m_generations = Obs.Registry.counter "cost_cache.generations"
 
 type stats = { hits : int; misses : int; evictions : int; generations : int }
 
-type cache = {
-  capacity : int;
-  mutable current : (string, float) Hashtbl.t;
-  mutable previous : (string, float) Hashtbl.t;
-  builds : (string, float) Hashtbl.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-  generations : int Atomic.t;
-  (* publish_obs watermarks *)
-  mutable published_hits : int;
-  mutable published_misses : int;
-  mutable published_evictions : int;
-  mutable published_generations : int;
+(* [access] and [maintenance] are indexed by session structure id; [nan]
+   marks an atom not yet evaluated (a real access cost is finite or
+   [infinity], never [nan]). *)
+type row = {
+  bound : Cost_model.bound;
+  base : float;
+  mutable access : float array;
+  mutable maintenance : float array;
 }
 
-type t = Disabled | Enabled of cache
+type t = {
+  structure_ids : (string, int) Hashtbl.t;  (** structure cost identity -> session id *)
+  mutable rows : (string, row) Hashtbl.t;  (** cluster cost identity -> atoms *)
+  fingerprints : (string, string) Hashtbl.t;  (** table -> stats fingerprint *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable generations : int;
+}
 
-let default_capacity = 65536
-
-let create ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Cost_cache.create: capacity < 1";
-  Enabled
-    {
-      capacity;
-      current = Hashtbl.create (min capacity 1024);
-      previous = Hashtbl.create 16;
-      builds = Hashtbl.create 64;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      evictions = Atomic.make 0;
-      generations = Atomic.make 0;
-      published_hits = 0;
-      published_misses = 0;
-      published_evictions = 0;
-      published_generations = 0;
-    }
-
-let disabled = Disabled
+let create () =
+  {
+    structure_ids = Hashtbl.create 32;
+    rows = Hashtbl.create 16;
+    fingerprints = Hashtbl.create 8;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    generations = 0;
+  }
 
 let stats t =
-  match t with
-  | Disabled -> { hits = 0; misses = 0; evictions = 0; generations = 0 }
-  | Enabled c ->
-      {
-        hits = Atomic.get c.hits;
-        misses = Atomic.get c.misses;
-        evictions = Atomic.get c.evictions;
-        generations = Atomic.get c.generations;
-      }
+  { hits = t.hits; misses = t.misses; evictions = t.evictions; generations = t.generations }
 
-let publish_obs t =
-  match t with
-  | Disabled -> ()
-  | Enabled c ->
-      let hits = Atomic.get c.hits
-      and misses = Atomic.get c.misses
-      and evictions = Atomic.get c.evictions
-      and generations = Atomic.get c.generations in
-      Obs.Counter.add m_hits (hits - c.published_hits);
-      Obs.Counter.add m_misses (misses - c.published_misses);
-      Obs.Counter.add m_evictions (evictions - c.published_evictions);
-      Obs.Counter.add m_generations (generations - c.published_generations);
-      c.published_hits <- hits;
-      c.published_misses <- misses;
-      c.published_evictions <- evictions;
-      c.published_generations <- generations
-
-(* -- generational statement-entry store ------------------------------------- *)
-
-let insert c key v =
-  if Hashtbl.length c.current >= c.capacity then begin
-    let discarded = Hashtbl.length c.previous in
-    if discarded > 0 then ignore (Atomic.fetch_and_add c.evictions discarded);
-    Atomic.incr c.generations;
-    c.previous <- c.current;
-    c.current <- Hashtbl.create (min c.capacity 1024)
+(* The statistics fence: rows are only trusted while every table they were
+   computed under still fingerprints the same.  Any mismatch flushes them
+   all.  The snapshot then becomes the one the next build is checked
+   against. *)
+let fence t snapshot =
+  (* Keyed lookups under an order-insensitive [exists]. *)
+  let stale =
+    Seq.exists
+      (fun (table, stats) ->
+        match Hashtbl.find_opt t.fingerprints table with
+        | Some recorded -> not (String.equal recorded (Table_stats.fingerprint stats))
+        | None -> false)
+      (Hashtbl.to_seq snapshot)
+  in
+  if stale then begin
+    t.rows <- Hashtbl.create 16;
+    t.generations <- t.generations + 1;
+    Obs.Counter.incr m_generations
   end;
-  Hashtbl.replace c.current key v
+  Hashtbl.reset t.fingerprints;
+  (* Keyed copy into an emptied table: each key is visited once. *)
+  Seq.iter
+    (fun (table, stats) -> Hashtbl.replace t.fingerprints table (Table_stats.fingerprint stats))
+    (Hashtbl.to_seq snapshot)
 
-let find_or_compute c key compute =
-  match Hashtbl.find_opt c.current key with
-  | Some v ->
-      Atomic.incr c.hits;
-      v
-  | None -> (
-      match Hashtbl.find_opt c.previous key with
-      | Some v ->
-          (* Promote, so rotation keeps hot entries. *)
-          Atomic.incr c.hits;
-          insert c key v;
-          v
-      | None ->
-          Atomic.incr c.misses;
-          let v = compute () in
-          insert c key v;
-          v)
+type lookup = { rows : row array; ids : int array; recosted : int; fresh : bool array }
 
-(* -- cached costing ---------------------------------------------------------- *)
-
-let statement_cost t params stats ~design ?design_key statement =
-  match t with
-  | Disabled -> Cost_model.statement_cost params stats design statement
-  | Enabled c ->
-      let design_key =
-        match design_key with Some k -> k | None -> Cost_key.design design
-      in
-      find_or_compute c
-        (Cost_key.statement_under_design ~design ~design_key stats statement)
-        (fun () -> Cost_model.statement_cost params stats design statement)
-
-let structure_build_cost t params stats structure =
-  match t with
-  | Disabled -> Cost_model.structure_build_cost params stats structure
-  | Enabled c -> (
-      let key = Cost_key.structure structure in
-      match Hashtbl.find_opt c.builds key with
-      | Some v ->
-          Atomic.incr c.hits;
-          v
-      | None ->
-          Atomic.incr c.misses;
-          let v = Cost_model.structure_build_cost params stats structure in
-          Hashtbl.replace c.builds key v;
-          v)
-
-let invalidate_builds t =
-  match t with Disabled -> () | Enabled c -> Hashtbl.reset c.builds
+let lookup t params ~snapshot ~structures ~structure_keys ~cluster_keys ~reps =
+  fence t snapshot;
+  let ids =
+    Array.map
+      (fun key ->
+        match Hashtbl.find_opt t.structure_ids key with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length t.structure_ids in
+            Hashtbl.replace t.structure_ids key id;
+            id)
+      structure_keys
+  in
+  let n_ids = Hashtbl.length t.structure_ids in
+  let grow a = Array.append a (Array.make (n_ids - Array.length a) Float.nan) in
+  let previous = t.rows in
+  let current = Hashtbl.create (max 16 (Array.length cluster_keys)) in
+  let kept = ref 0 and recosted = ref 0 and hits = ref 0 and misses = ref 0 in
+  let fresh = Array.make (Array.length ids) false in
+  let rows =
+    Array.mapi
+      (fun r key ->
+        let row =
+          match Hashtbl.find_opt previous key with
+          | Some row ->
+              incr kept;
+              row
+          | None ->
+              incr recosted;
+              let rep = reps.(r) in
+              let bound = Cost_model.bind (Hashtbl.find snapshot (Ast.table_of rep)) rep in
+              let base = (Cost_model.base_plan params bound).Plan.estimated_cost in
+              { bound; base; access = [||]; maintenance = [||] }
+        in
+        if Array.length row.access < n_ids then begin
+          row.access <- grow row.access;
+          row.maintenance <- grow row.maintenance
+        end;
+        Array.iteri
+          (fun u id ->
+            if Float.is_nan row.access.(id) then begin
+              let atom = Cost_model.atom params row.bound structures.(u) in
+              row.access.(id) <- Cost_model.access_cost atom;
+              row.maintenance.(id) <- atom.Cost_model.maintenance;
+              fresh.(u) <- true;
+              incr misses
+            end
+            else incr hits)
+          ids;
+        Hashtbl.replace current key row;
+        row)
+      cluster_keys
+  in
+  (* Rows of clusters this build did not see are dropped, which bounds the
+     memo by the workload it is currently costing. *)
+  let evicted = Hashtbl.length previous - !kept in
+  t.rows <- current;
+  t.hits <- t.hits + !hits;
+  t.misses <- t.misses + !misses;
+  t.evictions <- t.evictions + evicted;
+  Obs.Counter.add m_hits !hits;
+  Obs.Counter.add m_misses !misses;
+  Obs.Counter.add m_evictions evicted;
+  { rows; ids; recosted = !recosted; fresh }

@@ -3,7 +3,6 @@ module Tuple = Cddpd_storage.Tuple
 module Structure = Cddpd_catalog.Structure
 module Index_def = Cddpd_catalog.Index_def
 module View_def = Cddpd_catalog.View_def
-module Design = Cddpd_catalog.Design
 
 (* Int vs Text decides whether a value participates in index-prefix and
    range matching (int_value in Cost_model), independently of selectivity. *)
@@ -96,40 +95,3 @@ let structure s =
         (String.concat "," (Index_def.columns i))
   | Structure.View v ->
       Printf.sprintf "V:%s:%s" (View_def.table v) (View_def.group_by v)
-
-let design d =
-  (* Design.fold visits the underlying sorted set in order, so equal
-     designs always serialise identically. *)
-  let parts = Design.fold (fun s acc -> structure s :: acc) d [] in
-  String.concat "|" (List.rev parts)
-
-(* DML pays maintenance for every view on its table, and a view's
-   maintenance cost reads the view's height, which grows with the distinct
-   count of its group column: a statistic {!statement} does not carry.  The
-   design key names those views, so their group cardinalities, in design
-   order, complete the key.  Reads never depend on them: an aggregate only
-   reads a view grouped on its own group column, whose cardinality
-   {!statement} already holds. *)
-let view_cardinalities buf stats design table =
-  Design.fold_views
-    (fun view () ->
-      if String.equal (View_def.table view) table then begin
-        Buffer.add_char buf '~';
-        Buffer.add_string buf
-          (string_of_int
-             (match Table_stats.histogram stats (View_def.group_by view) with
-             | Some h -> Histogram.n_distinct h
-             | None -> -1))
-      end)
-    design ()
-
-let statement_under_design ~design ~design_key stats stmt =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf design_key;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (statement stats stmt);
-  (match stmt with
-  | Ast.Insert { table; _ } | Ast.Delete { table; _ } | Ast.Update { table; _ } ->
-      view_cardinalities buf stats design table
-  | Ast.Select _ | Ast.Select_agg _ -> ());
-  Buffer.contents buf

@@ -18,15 +18,17 @@
     INSERT values, UPDATE assignments, the aggregate function — are
     deliberately left out, which is where the memo hit rate comes from.
 
-    Soundness invariant: equal {!statement_under_design} keys imply equal
-    [statement_cost], even across statistics snapshots (asserted by
-    property test against random statements and statistics).  Equal
-    {!statement} keys imply equal cost under every design only within one
-    snapshot: they leave out the group cardinalities of views on a DML
-    statement's table, which the under-design key adds.
-    Anyone extending the cost model to read a new statement field must
-    extend the key too.  Structure and design keys remain injective:
-    distinct designs always get distinct keys. *)
+    Soundness invariant: within one statistics snapshot, equal
+    {!statement} keys imply bit-equal [statement_cost] under every design
+    (asserted by property test against random statements and designs).
+    That is what clustering relies on: {!Cddpd_core.Problem.build} and
+    serve's probation check cost one representative per key.  Across
+    snapshots the key is not enough — it leaves out, for instance, the
+    group cardinality of the views a DML statement maintains — so memos
+    that outlive a snapshot fence on {!Table_stats.fingerprint} instead
+    ({!Cost_cache}).  Anyone extending the cost model to read a new
+    statement field must extend the key too.  Structure keys are
+    injective. *)
 
 val statement : Table_stats.t -> Cddpd_sql.Ast.statement -> string
 (** The statement's cost identity under the given table statistics. *)
@@ -35,20 +37,3 @@ val structure : Cddpd_catalog.Structure.t -> string
 (** ["I:<table>:<col>,<col>"] for an index, ["V:<table>:<col>"] for a
     materialized view.  Unlike {!Cddpd_catalog.Structure.name}, the table
     is part of the key. *)
-
-val design : Cddpd_catalog.Design.t -> string
-(** The design's structure keys joined with ["|"], in the design's
-    canonical (sorted-set) order; [""] for the empty design. *)
-
-val statement_under_design :
-  design:Cddpd_catalog.Design.t ->
-  design_key:string ->
-  Table_stats.t ->
-  Cddpd_sql.Ast.statement ->
-  string
-(** The memo key of one [EXEC(S, C)] evaluation: [design_key] (which must
-    be [design design]), a newline, then {!statement}; for DML, followed by
-    the group-column distinct count of each of the design's views on the
-    statement's table — view maintenance cost reads it and {!statement}
-    does not.  Neither component can contain a newline, so the pairing is
-    unambiguous.  Equal keys imply equal {!Cost_model.statement_cost}. *)

@@ -478,7 +478,7 @@ let statement_cost params stats design statement =
 
 (* -- plan-memo rebinding ----------------------------------------------------
 
-   A plan cached under a [Cost_key.statement_under_design] key fixes the
+   A plan cached under a [Cost_key.statement] key fixes the
    access-path shape and the estimator's floats: the key embeds the
    projection, the predicate sequence (operator, column, literal kind) and
    the exact selectivity bits of every predicate, and the cost formulas

@@ -210,8 +210,7 @@ val view_build_cost : params -> Table_stats.t -> Cddpd_catalog.View_def.t -> flo
 
 val structure_build_cost : params -> Table_stats.t -> Cddpd_catalog.Structure.t -> float
 (** {!build_cost} or {!view_build_cost}, by structure kind — the
-    per-structure term {!transition_cost} sums (and {!Cost_cache}
-    memoizes). *)
+    per-structure term {!transition_cost} sums. *)
 
 val transition_cost :
   params ->

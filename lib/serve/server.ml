@@ -5,7 +5,6 @@ module Design = Cddpd_catalog.Design
 module Structure = Cddpd_catalog.Structure
 module Database = Cddpd_engine.Database
 module Cost_model = Cddpd_engine.Cost_model
-module Cost_cache = Cddpd_engine.Cost_cache
 module Problem = Cddpd_core.Problem
 module Config_space = Cddpd_core.Config_space
 module Advisor = Cddpd_core.Advisor
@@ -166,7 +165,6 @@ type t = {
   buf_keys : string array;  (* feed-time cost keys; "" for deferred DML *)
   buf_gens : int array;  (* statistics generation each key was computed under; -1 = deferred *)
   parse_cache : Template.t option;  (* None when cfg.template_cache is off *)
-  probe_cache : Cost_cache.t;  (* probation what-ifs; pass-through when plan_cache is off *)
   intern : (string, string) Hashtbl.t;  (* physical sharing of equal cost keys *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
   mutable fill : int;
@@ -202,7 +200,6 @@ let create ?(on_window = fun _ -> ()) db cfg =
     buf_keys = Array.make cfg.window "";
     buf_gens = Array.make cfg.window (-1);
     parse_cache = (if cfg.template_cache then Some (Template.create ()) else None);
-    probe_cache = (if cfg.plan_cache then Cost_cache.create () else Cost_cache.disabled);
     intern = Hashtbl.create 256;
     window_started_s = 0.0;
     fill = 0;
@@ -321,24 +318,24 @@ let migrate_measured t target =
 (* Rollback check: the window that just closed ran under a design deployed
    one window ago.  Compare its measured I/O against the what-if cost of
    the pre-deployment design on the same statements; a regression beyond
-   [rollback_factor] restores the previous design. *)
-let check_probation t ~stats ~window ~measured_io =
+   [rollback_factor] restores the previous design.  [clustering] groups
+   the window by its cost keys under [stats], so equal keys cost the same:
+   each cluster's representative is costed once, and the cluster costs
+   are summed in statement order — the floats, and the order, of the
+   per-statement fold. *)
+let check_probation t ~stats ~window ~clustering ~measured_io =
   match t.probation with
   | None -> None
   | Some { prev_design } ->
       t.probation <- None;
       let params = Database.params t.db in
-      (* What-if the window's repeated templates through the probe cache:
-         bit-identical memoization (see Cost_cache), pass-through when the
-         fast path is off. *)
-      let design_key = Cost_key.design prev_design in
+      let costs =
+        Array.map
+          (fun i -> Cost_model.statement_cost params stats prev_design window.(i))
+          clustering.Compress.representatives
+      in
       let expected =
-        Array.fold_left
-          (fun acc statement ->
-            acc
-            +. Cost_cache.statement_cost t.probe_cache params stats
-                 ~design:prev_design ~design_key statement)
-          0.0 window
+        Array.fold_left (fun acc c -> acc +. costs.(c)) 0.0 clustering.Compress.cluster_of
       in
       let measured = float_of_int measured_io in
       if measured > t.cfg.rollback_factor *. expected then begin
@@ -447,7 +444,8 @@ let close_window t window fed_keys fed_gens =
         else intern t (Cost_key.statement stats s))
       window
   in
-  let profile = Drift.profile_of_clustering ~keys (Compress.cluster_keys keys) in
+  let clustering = Compress.cluster_keys keys in
+  let profile = Drift.profile_of_clustering ~keys clustering in
   let fingerprint = Table_stats.fingerprint stats in
   let closed =
     {
@@ -483,7 +481,7 @@ let close_window t window fed_keys fed_gens =
     (action, elapsed, Obs.Counter.value m_cost_model_calls - !whatif_before)
   in
   let action, reopt_s, reopt_whatif_calls =
-    match check_probation t ~stats ~window ~measured_io with
+    match check_probation t ~stats ~window ~clustering ~measured_io with
     | Some rolled_back -> (rolled_back, 0.0, 0)
     | None -> (
         match t.cfg.regime with

@@ -76,11 +76,10 @@ type config = {
           bit-identical results *)
   plan_cache : bool;
       (** memoize plan choice on cost identity (flushed on every design
-          change) for read-only
-          statements against the served table, and what-if probation costs
-          through a {!Cddpd_engine.Cost_cache} (default [true]); [false]
-          is the [--no-plan-cache] escape hatch — every statement is
-          planned from scratch, with bit-identical results *)
+          change) for read-only statements against the served table
+          (default [true]); [false] is the [--no-plan-cache] escape
+          hatch — every statement is planned from scratch, with
+          bit-identical results *)
 }
 
 val default_config : table:string -> config
@@ -138,7 +137,7 @@ type report = {
   final_design : Cddpd_catalog.Design.t;
   reopt : Cddpd_core.Reopt.stats;
       (** the re-optimization session's accounting: builds, reuse tallies,
-          warm-start bounds, and the persistent cost cache's
+          warm-start bounds, and the atom memo's
           hits/misses/evictions/generations *)
 }
 

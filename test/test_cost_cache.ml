@@ -1,8 +1,8 @@
-(* Cost-cache and parallel-build tests: memoization must be invisible
-   (bit-identical costs), Problem.build must equal the naive oracle
-   (naive.ml) in matrices and solver outputs whatever the domain count,
-   and the collision-safe keys must actually distinguish distinct
-   inputs. *)
+(* Cost-key, atom-memo and parallel-build tests: equal cost keys must
+   mean equal costs (what clustering relies on), Problem.build must equal
+   the naive oracle (naive.ml) in matrices and solver outputs whatever the
+   domain count, and the session's atom memo (Cost_cache) must account for
+   what it reads, evaluates, evicts and flushes. *)
 
 module Tuple = Cddpd_storage.Tuple
 module Schema = Cddpd_catalog.Schema
@@ -125,32 +125,12 @@ let gen_design =
           Design.empty picks structure_pool)
       (flatten_l (List.map (fun _ -> bool) structure_pool)))
 
-let arb_statement_design =
-  QCheck.make
-    ~print:(fun (s, d) -> Cddpd_sql.Printer.to_string s ^ " under " ^ Design.name d)
-    QCheck.Gen.(pair gen_statement gen_design)
-
 (* -- properties -------------------------------------------------------------- *)
-
-(* One shared cache across all iterations: later iterations hit entries
-   cached by earlier ones, so the property also covers the hit path. *)
-let shared_cache = Cost_cache.create ()
-
-let cached_equals_uncached_prop =
-  QCheck.Test.make ~name:"cached EXEC == uncached EXEC (bit-identical)" ~count:500
-    arb_statement_design (fun (statement, design) ->
-      let direct = Cost_model.statement_cost params stats design statement in
-      let cached = Cost_cache.statement_cost shared_cache params stats ~design statement in
-      let cached_again =
-        Cost_cache.statement_cost shared_cache params stats ~design statement
-      in
-      same_float direct cached && same_float direct cached_again)
 
 (* Statistics snapshots that agree on everything but column [c]: its
    histogram is rebuilt with [distinct] values, so statements that never
    read [c] keep their selectivities while views grouped on [c] change
-   height.  A memo keyed across such snapshots (the serve loop's probation
-   cache outlives statistics refreshes) must still tell them apart. *)
+   height. *)
 let with_c_distinct distinct =
   let rows = Cddpd_engine.Table_stats.row_count stats in
   Cddpd_engine.Table_stats.make ~row_count:rows
@@ -166,39 +146,81 @@ let with_c_distinct distinct =
 
 let stats_pool = [| stats; with_c_distinct 150; with_c_distinct 155; with_c_distinct 400 |]
 
-(* The statement key is a cost identity, not a syntactic one: distinct
-   statements may share a key (that is where the hit rate comes from), but
-   equal under-design keys must imply bit-equal costs under every design
-   and every statistics snapshot. *)
-let key_sound_prop =
-  let arb =
-    QCheck.make
-      ~print:(fun ((s, d), i) ->
-        Printf.sprintf "%s under %s, stats %d" (Cddpd_sql.Printer.to_string s) (Design.name d) i)
-      QCheck.Gen.(
-        pair (pair gen_statement gen_design) (int_bound (Array.length stats_pool - 1)))
-  in
-  (* Half the pairs cost one statement and design under two snapshots,
-     where equal keys with unequal costs would be likeliest. *)
-  QCheck.Test.make ~name:"equal cost keys => bit-equal costs" ~count:1000
-    (QCheck.triple arb arb QCheck.bool)
-    (fun (((s1, d1), i1), ((s2, d2), i2), same) ->
-      let s2, d2 = if same then (s1, d1) else (s2, d2) in
-      let key s d i =
-        Cost_key.statement_under_design ~design:d ~design_key:(Cost_key.design d)
-          stats_pool.(i) s
-      in
-      (not (String.equal (key s1 d1 i1) (key s2 d2 i2)))
-      || same_float
-           (Cost_model.statement_cost params stats_pool.(i1) d1 s1)
-           (Cost_model.statement_cost params stats_pool.(i2) d2 s2))
+(* The same statement shape with fresh literals: predicate constants,
+   INSERT values, UPDATE assignments and the aggregate function redrawn.
+   Such siblings often share a cost key, which is the case clustering
+   exploits. *)
+let gen_sibling statement =
+  QCheck.Gen.(
+    let value = map (fun v -> Tuple.Int v) (int_bound 399) in
+    let pred = function
+      | Ast.Cmp c -> map (fun value -> Ast.Cmp { c with value }) value
+      | Ast.Between b ->
+          map2
+            (fun x y ->
+              Ast.Between { b with low = Tuple.Int (min x y); high = Tuple.Int (max x y) })
+            (int_bound 399) (int_bound 399)
+    in
+    let where ps = flatten_l (List.map pred ps) in
+    match statement with
+    | Ast.Select s -> map (fun where -> Ast.Select { s with where }) (where s.where)
+    | Ast.Select_agg s ->
+        map2
+          (fun aggregate where -> Ast.Select_agg { s with aggregate; where })
+          (oneof [ return Ast.Count_star; map (fun c -> Ast.Sum c) (oneofl columns) ])
+          (where s.where)
+    | Ast.Insert i -> map (fun values -> Ast.Insert { i with values }) (list_repeat 4 value)
+    | Ast.Delete d -> map (fun where -> Ast.Delete { d with where }) (where d.where)
+    | Ast.Update u ->
+        map2
+          (fun v where ->
+            Ast.Update
+              { u with assignments = List.map (fun (c, _) -> (c, v)) u.assignments; where })
+          value (where u.where))
 
-(* Regression: DELETE under a view pays the view's maintenance, whose
-   height follows the group column's distinct count.  Two snapshots that
-   differ only there share the statement key but not the cost, so the
-   under-design key — and with it a cache that outlives the refresh —
-   must separate them. *)
-let test_view_cardinality_in_key () =
+(* The statement key is a cost identity, not a syntactic one: distinct
+   statements may share a key (that is where clustering's savings come
+   from), but within one statistics snapshot equal keys must imply
+   bit-equal costs under every design. *)
+let key_sound_prop =
+  let gen =
+    QCheck.Gen.(
+      gen_statement >>= fun s1 ->
+      quad (return s1) (gen_sibling s1)
+        (int_bound (Array.length stats_pool - 1))
+        (list_repeat 3 gen_design))
+  in
+  QCheck.Test.make ~name:"equal cost keys => bit-equal costs" ~count:1000
+    (QCheck.make
+       ~print:(fun (s1, s2, i, _) ->
+         Printf.sprintf "%s / %s, stats %d" (Cddpd_sql.Printer.to_string s1)
+           (Cddpd_sql.Printer.to_string s2) i)
+       gen)
+    (fun (s1, s2, i, designs) ->
+      let snapshot = stats_pool.(i) in
+      (not (String.equal (Cost_key.statement snapshot s1) (Cost_key.statement snapshot s2)))
+      || List.for_all
+           (fun d ->
+             same_float
+               (Cost_model.statement_cost params snapshot d s1)
+               (Cost_model.statement_cost params snapshot d s2))
+           designs)
+
+(* A one-table problem over synthetic statistics, for the fence tests. *)
+let view_g = Structure.view (View_def.make ~table:"t" ~group_by:"g")
+
+let build_under ?reuse snapshot steps =
+  Problem.build ~params
+    ~stats_of:(fun _ -> snapshot)
+    ~steps ~space:(Config_space.single_structure [ view_g ]) ~initial:Design.empty ?reuse ()
+
+(* Regression and fence: DELETE under a view pays the view's maintenance,
+   whose height follows the group column's distinct count.  Two snapshots
+   that differ only there share the statement key but not the cost, so a
+   memo that outlives the refresh must not serve the old atoms: the
+   fingerprints differ, and the session build after the refresh counts
+   one generation and recosts its cluster. *)
+let test_view_cardinality_fence () =
   let rows = 20_000 in
   let snapshot g_distinct =
     Cddpd_engine.Table_stats.make ~row_count:rows ~page_count:400
@@ -212,24 +234,29 @@ let test_view_cardinality_in_key () =
   let delete =
     Ast.Delete { table = "t"; where = [ Ast.Cmp { column = "a"; op = Ast.Eq; value = Tuple.Int 5 } ] }
   in
-  let design = Design.add_view (View_def.make ~table:"t" ~group_by:"g") Design.empty in
+  let design = Design.add_structure view_g Design.empty in
   let cost s = Cost_model.statement_cost params s design delete in
   Alcotest.(check string) "statement keys agree" (Cost_key.statement before delete)
     (Cost_key.statement after delete);
   Alcotest.(check bool) "costs differ" false (same_float (cost before) (cost after));
-  let key s = Cost_key.statement_under_design ~design ~design_key:(Cost_key.design design) s delete in
-  Alcotest.(check bool) "under-design keys differ" false (String.equal (key before) (key after));
-  let cache = Cost_cache.create () in
-  let through s = Cost_cache.statement_cost cache params s ~design delete in
-  Alcotest.(check bool) "cache before" true (same_float (cost before) (through before));
-  Alcotest.(check bool) "cache after the refresh" true (same_float (cost after) (through after))
-
-let design_key_injective_prop =
-  QCheck.Test.make ~name:"distinct designs => distinct design keys" ~count:300
-    (QCheck.pair arb_statement_design arb_statement_design)
-    (fun ((_, d1), (_, d2)) ->
-      QCheck.assume (not (Design.equal d1 d2));
-      not (String.equal (Cost_key.design d1) (Cost_key.design d2)))
+  Alcotest.(check bool) "fingerprints differ" false
+    (String.equal
+       (Cddpd_engine.Table_stats.fingerprint before)
+       (Cddpd_engine.Table_stats.fingerprint after));
+  let reuse = Problem.Reuse.create () in
+  let steps = [| [| delete |] |] in
+  let check_build label snapshot =
+    let built = build_under ~reuse snapshot steps in
+    Alcotest.(check bool) (label ^ " = oracle") true
+      (Naive.matches params ~stats_of:(fun _ -> snapshot) built)
+  in
+  check_build "before" before;
+  check_build "after the refresh" after;
+  let memo = Cost_cache.stats (Problem.Reuse.memo reuse) in
+  Alcotest.(check int) "one generation" 1 memo.Cost_cache.generations;
+  Alcotest.(check int) "the cluster recosted" 2
+    (Problem.Reuse.tallies reuse).Problem.Reuse.clusters_recosted;
+  Alcotest.(check int) "no atom read across the refresh" 0 memo.Cost_cache.hits
 
 (* -- Problem.build determinism ------------------------------------------------ *)
 
@@ -292,55 +319,72 @@ let test_solvers_bit_identical_to_oracle () =
         build_jobs)
     methods
 
-(* -- cache mechanics ----------------------------------------------------------- *)
+(* -- atom-memo accounting -------------------------------------------------------- *)
 
+let n_structures space =
+  List.length
+    (Design.structures
+       (Array.fold_left Design.union Design.empty (Config_space.designs space)))
+
+(* A build whose clusters and structures were all seen before reads every
+   atom from the memo: no miss, clusters x structures hits.  Misses are
+   the builds' what-if calls. *)
 let test_cache_hits_and_misses () =
-  let cache = Cost_cache.create () in
-  let statement = Ast.Select { projection = Ast.Star; table = "t"; where = [] } in
-  let design = Design.empty in
-  let v1 = Cost_cache.statement_cost cache params stats ~design statement in
-  let v2 = Cost_cache.statement_cost cache params stats ~design statement in
-  Alcotest.(check bool) "same value" true (same_float v1 v2);
-  let s = Cost_cache.stats cache in
-  Alcotest.(check int) "one miss" 1 s.Cost_cache.misses;
-  Alcotest.(check int) "one hit" 1 s.Cost_cache.hits
-
-let test_cache_eviction_keeps_answers () =
-  let cache = Cost_cache.create ~capacity:4 () in
-  let rand = Random.State.make [| 7 |] in
-  let statements = Array.init 40 (fun _ -> QCheck.Gen.generate1 ~rand gen_statement) in
-  let design = Design.singleton (index [ "a" ]) in
-  Array.iter
-    (fun statement ->
-      let direct = Cost_model.statement_cost params stats design statement in
-      let cached = Cost_cache.statement_cost cache params stats ~design statement in
-      Alcotest.(check bool) "answer survives eviction pressure" true
-        (same_float direct cached))
-    statements;
-  let s = Cost_cache.stats cache in
-  Alcotest.(check bool) "evictions happened" true (s.Cost_cache.evictions > 0)
-
-let test_disabled_cache_passthrough () =
-  let statement = Ast.Select { projection = Ast.Star; table = "t"; where = [] } in
-  let direct = Cost_model.statement_cost params stats Design.empty statement in
-  let through =
-    Cost_cache.statement_cost Cost_cache.disabled params stats ~design:Design.empty
-      statement
+  let reuse = Problem.Reuse.create () in
+  let calls = Cddpd_obs.Registry.counter "cost_model.calls" in
+  let was_enabled = Cddpd_obs.Registry.enabled () in
+  Cddpd_obs.Registry.enable ();
+  Fun.protect ~finally:(fun () -> if not was_enabled then Cddpd_obs.Registry.disable ())
+  @@ fun () ->
+  let before = Cddpd_obs.Counter.value calls in
+  let first =
+    Problem.build ~params ~stats_of ~steps:steps_for_build ~space ~initial:Design.empty ~reuse ()
   in
-  Alcotest.(check bool) "same value" true (same_float direct through);
-  let s = Cost_cache.stats Cost_cache.disabled in
-  Alcotest.(check int) "no stats" 0 (s.Cost_cache.hits + s.Cost_cache.misses)
+  let clusters = (Problem.Reuse.tallies reuse).Problem.Reuse.clusters_recosted in
+  let atoms = clusters * n_structures space in
+  let s1 = Cost_cache.stats (Problem.Reuse.memo reuse) in
+  Alcotest.(check int) "first build: every atom a miss" atoms s1.Cost_cache.misses;
+  Alcotest.(check int) "first build: no hit" 0 s1.Cost_cache.hits;
+  Alcotest.(check int) "misses = what-if calls" s1.Cost_cache.misses
+    (Cddpd_obs.Counter.value calls - before);
+  let second =
+    Problem.build ~params ~stats_of ~steps:steps_for_build ~space ~initial:Design.empty ~reuse ()
+  in
+  let s2 = Cost_cache.stats (Problem.Reuse.memo reuse) in
+  Alcotest.(check int) "seen build: no miss" 0 (s2.Cost_cache.misses - s1.Cost_cache.misses);
+  Alcotest.(check int) "seen build: clusters x structures hits" atoms
+    (s2.Cost_cache.hits - s1.Cost_cache.hits);
+  Alcotest.(check bool) "same matrices" true
+    (Naive.matrix_same_bits first.Problem.exec second.Problem.exec
+    && Naive.matrix_same_bits first.Problem.trans second.Problem.trans)
+
+(* A cluster the next build lacks is evicted, and the build that evicted
+   it still equals the oracle. *)
+let test_cache_eviction_keeps_answers () =
+  let reuse = Problem.Reuse.create () in
+  let build steps =
+    let built = Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ~reuse () in
+    Alcotest.(check bool) "= oracle" true (Naive.matches params ~stats_of built);
+    (Problem.Reuse.tallies reuse).Problem.Reuse.clusters_recosted
+  in
+  let all_clusters = build steps_for_build in
+  let last = [| steps_for_build.(Array.length steps_for_build - 1) |] in
+  let fresh_reuse = Problem.Reuse.create () in
+  ignore (Problem.build ~params ~stats_of ~steps:last ~space ~initial:Design.empty ~reuse:fresh_reuse ());
+  let last_clusters = (Problem.Reuse.tallies fresh_reuse).Problem.Reuse.clusters_recosted in
+  Alcotest.(check bool) "the last step lacks some clusters" true (last_clusters < all_clusters);
+  Alcotest.(check int) "nothing recosted" all_clusters (build last);
+  Alcotest.(check int) "the missing clusters evicted" (all_clusters - last_clusters)
+    (Cost_cache.stats (Problem.Reuse.memo reuse)).Cost_cache.evictions
 
 let () =
   Alcotest.run "cost_cache"
     [
       ( "equivalence",
         [
-          QCheck_alcotest.to_alcotest cached_equals_uncached_prop;
           QCheck_alcotest.to_alcotest key_sound_prop;
-          QCheck_alcotest.to_alcotest design_key_injective_prop;
-          Alcotest.test_case "view cardinality in the under-design key" `Quick
-            test_view_cardinality_in_key;
+          Alcotest.test_case "view cardinality refresh fences the atom memo" `Quick
+            test_view_cardinality_fence;
         ] );
       ( "problem_build",
         [
@@ -354,6 +398,5 @@ let () =
           Alcotest.test_case "hits and misses" `Quick test_cache_hits_and_misses;
           Alcotest.test_case "eviction keeps answers" `Quick
             test_cache_eviction_keeps_answers;
-          Alcotest.test_case "disabled passthrough" `Quick test_disabled_cache_passthrough;
         ] );
     ]

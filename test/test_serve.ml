@@ -271,6 +271,70 @@ let test_serve_rollback_on_regression () =
     report.Server.windows;
   Alcotest.(check bool) "rollback visible in a window report" true !saw_rollback
 
+(* Probation composes the window's cost from its clusters.  The probation
+   window mixes repeated reads, an aggregate, DML and a statement on a
+   second table, under a pre-deployment design with a view: [expected]
+   must be the per-statement [statement_cost] fold, bit for bit, and the
+   rollback decision the one that fold implies. *)
+let test_serve_probation_composes_clusters () =
+  let window = 50 in
+  let other = Schema.table "u" [ ("x", Schema.Int_type); ("y", Schema.Int_type) ] in
+  let make () =
+    let db = Database.create ~pool_capacity:2048 [ paper_schema; other ] in
+    Database.load db ~table:"t"
+      (Cddpd_workload.Data_gen.uniform_rows ~columns:4 ~rows ~value_range ~seed:3);
+    Database.load db ~table:"u"
+      (Cddpd_workload.Data_gen.uniform_rows ~columns:2 ~rows:500 ~value_range:50 ~seed:4);
+    Database.analyze db;
+    Database.migrate_to db
+      (Design.add_structure
+         (Structure.view (Cddpd_catalog.View_def.make ~table:"t" ~group_by:"b"))
+         Design.empty);
+    db
+  in
+  let probation_window =
+    Array.init window (fun i ->
+        Parser.parse_exn
+          (match i mod 10 with
+          | 0 -> "SELECT b, COUNT(*) FROM t GROUP BY b"
+          | 1 -> Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)" i (i mod 7) i 3
+          | 2 -> Printf.sprintf "UPDATE t SET c = %d WHERE a = %d" i (1 + i)
+          | 3 -> Printf.sprintf "DELETE FROM t WHERE b = %d" (600 + i)
+          | 4 -> Printf.sprintf "SELECT y FROM u WHERE x = %d" (i mod 3)
+          | j -> Printf.sprintf "SELECT * FROM t WHERE a = %d" (1 + (j mod 2 * 37))))
+  in
+  let trace = Array.append (phase "a" window) probation_window in
+  let run rollback_factor =
+    let db = make () in
+    let prev_design = Database.current_design db in
+    let report =
+      Server.run db { (serve_config ~window ()) with Server.rollback_factor } trace
+    in
+    Alcotest.(check bool) "window 0 deployed" true
+      (match report.Server.windows.(0).Server.action with
+      | Server.Deployed _ -> true
+      | _ -> false);
+    let stats = Database.table_stats db "t" in
+    let fold =
+      Array.fold_left
+        (fun acc s ->
+          acc +. Cddpd_engine.Cost_model.statement_cost (Database.params db) stats prev_design s)
+        0.0 probation_window
+    in
+    (report.Server.windows.(1), fold)
+  in
+  (* A zero factor rolls back on any I/O, which exposes [expected]. *)
+  (match run 0.0 with
+  | { Server.action = Server.Rolled_back { expected; _ }; _ }, fold ->
+      Alcotest.(check bool) "expected = per-statement fold (bits)" true
+        (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float fold))
+  | _ -> Alcotest.fail "probation window should roll back at factor 0");
+  let factor = (Server.default_config ~table:"t").Server.rollback_factor in
+  let w, fold = run factor in
+  Alcotest.(check bool) "rollback decision = the fold's"
+    (float_of_int w.Server.exec_logical_io > factor *. fold)
+    (match w.Server.action with Server.Rolled_back _ -> true | _ -> false)
+
 let test_serve_reactive_unguarded () =
   let window = 50 in
   let report =
@@ -531,7 +595,6 @@ let reuse_tallies session = (Reopt.stats session).Reopt.reuse
 type reuse_delta = {
   d_exec_reused : int;
   d_recosted : int;
-  d_trans_reused : int;
   d_invalidations : int;
 }
 
@@ -555,9 +618,6 @@ let checked_build name session db request =
     d_recosted =
       after.Problem.Reuse.clusters_recosted
       - before.Problem.Reuse.clusters_recosted;
-    d_trans_reused =
-      after.Problem.Reuse.trans_blocks_reused
-      - before.Problem.Reuse.trans_blocks_reused;
     d_invalidations =
       after.Problem.Reuse.stats_invalidations
       - before.Problem.Reuse.stats_invalidations;
@@ -584,7 +644,6 @@ let test_reopt_diff_stable_add_drop () =
   let d = checked_build "stable rebuild" session db (reopt_request [| wa |]) in
   Alcotest.(check int) "stable rebuild recosts nothing" 0 d.d_recosted;
   Alcotest.(check bool) "exec columns copied" true (d.d_exec_reused > 0);
-  Alcotest.(check bool) "trans entries copied" true (d.d_trans_reused > 0);
   let d =
     checked_build "added phase" session db (reopt_request [| wa; wb |])
   in
@@ -629,7 +688,7 @@ let test_serve_reuse_bit_identical () =
     "reuse on = reuse off" (report_fingerprint from_scratch)
     (report_fingerprint with_reuse);
   Alcotest.(check bool) "the session actually reused state" true
-    (with_reuse.Server.reopt.Reopt.reuse.Problem.Reuse.trans_blocks_reused > 0);
+    (with_reuse.Server.reopt.Reopt.cache.Cddpd_engine.Cost_cache.hits > 0);
   Alcotest.(check int) "from-scratch arm carries no reuse state" 0
     from_scratch.Server.reopt.Reopt.reuse.Problem.Reuse.builds
 
@@ -663,6 +722,8 @@ let () =
             test_serve_regret_guard_rejects;
           Alcotest.test_case "rollback on regression" `Quick
             test_serve_rollback_on_regression;
+          Alcotest.test_case "probation composes the window's clusters" `Quick
+            test_serve_probation_composes_clusters;
           Alcotest.test_case "reactive is unguarded" `Quick
             test_serve_reactive_unguarded;
           Alcotest.test_case "non-positive threshold" `Quick
