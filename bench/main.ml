@@ -259,9 +259,46 @@ let micro (session : Session.t) =
           | Error _ -> failwith "micro: parse_cached failed")
         sql_pool
   in
+  (* Storage micros: the scan kernels under the serve benchmark's
+     "writes" shape — the paper's 4-column table, 5,000 rows (52 heap
+     pages) in a 24-frame pool, a point predicate matching ~5 rows — so
+     every run also pays the pool's misses and readahead.  Statements run
+     through [Database.execute] with their plan memoized, as serve does. *)
+  let scan_micro ~indexes ~path sql =
+    let db = Cddpd_engine.Database.create ~pool_capacity:24 [ Setup.schema ] in
+    let rng = Rng.create 17 in
+    Cddpd_engine.Database.load db ~table:"t"
+      (Array.init 5_000 (fun _ ->
+           Array.init 4 (fun _ -> Cddpd_storage.Tuple.Int (Rng.int rng 1_000))));
+    List.iter
+      (fun columns ->
+        Cddpd_engine.Database.build_index db (Cddpd_catalog.Index_def.make ~table:"t" ~columns))
+      indexes;
+    let statement = Cddpd_sql.Parser.parse_exn sql in
+    let statement_key =
+      Cddpd_engine.Cost_key.statement (Cddpd_engine.Database.table_stats db "t") statement
+    in
+    let run () = Cddpd_engine.Database.execute ~statement_key ~skip_check:true db statement in
+    (match (run ()).Cddpd_engine.Database.plan with
+    | Some plan when path plan.Cddpd_engine.Plan.path -> ()
+    | Some _ | None -> failwith ("micro: unexpected access path for " ^ sql));
+    fun () -> ignore (run ())
+  in
+  let heap_full_scan =
+    scan_micro ~indexes:[]
+      ~path:(function Cddpd_engine.Plan.Full_scan -> true | _ -> false)
+      "SELECT a FROM t WHERE b = 17"
+  in
+  let index_only_scan =
+    scan_micro ~indexes:[ [ "a"; "b" ] ]
+      ~path:(function Cddpd_engine.Plan.Index_only_scan _ -> true | _ -> false)
+      "SELECT b FROM t WHERE b = 17"
+  in
   let tests =
     Test.make_grouped ~name:"cddpd"
       [
+        Test.make ~name:"storage/heap-full-scan" (Staged.stage heap_full_scan);
+        Test.make ~name:"storage/index-only-scan" (Staged.stage index_only_scan);
         Test.make ~name:"sql/tokenize-64" (Staged.stage tokenize_pool);
         Test.make ~name:"sql/parse-64" (Staged.stage parse_pool);
         Test.make ~name:"sql/parse-cached-64" (Staged.stage parse_cached_pool);

@@ -22,6 +22,7 @@ type column_counts = { column : string; position : int; counts : Value_counts.t 
 
 type table_state = {
   schema : Schema.table;
+  layout : Filter.layout; (* where each column sits in a heap record *)
   heap : Heap_file.t;
   int_columns : column_counts list; (* declared order *)
   mutable indexes : Index.t list;
@@ -68,6 +69,7 @@ let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_param
       Hashtbl.replace tables schema.Schema.name
         {
           schema;
+          layout = Filter.heap_layout schema;
           heap = Heap_file.create pool;
           int_columns;
           indexes = [];
@@ -313,239 +315,79 @@ let pool_accesses t =
 
 let disk_reads t = (Disk.stats t.disk).Disk.reads
 
-let compare_matches op c =
-  match op with
-  | Ast.Eq -> c = 0
-  | Ast.Lt -> c < 0
-  | Ast.Le -> c <= 0
-  | Ast.Gt -> c > 0
-  | Ast.Ge -> c >= 0
-
-let eval_predicate schema tuple pred =
-  match pred with
-  | Ast.Cmp { column; op; value } ->
-      let pos = Schema.column_index_exn schema column in
-      compare_matches op (Tuple.compare_value tuple.(pos) value)
-  | Ast.Between { column; low; high } ->
-      let pos = Schema.column_index_exn schema column in
-      Tuple.compare_value tuple.(pos) low >= 0
-      && Tuple.compare_value tuple.(pos) high <= 0
-
-(* Field accessor for a record encoded at [base] in [buf].  When every
-   column before [pos] is an integer the field offset is fixed, so the
-   accessor is a direct 8-byte read (the scan hot path); otherwise it
-   falls back to the generic walk. *)
-let compile_field_read schema pos =
-  let columns = schema.Schema.columns in
-  let rec all_int_prefix i cols =
-    match cols with
-    | [] -> true
-    | (c : Schema.column) :: rest ->
-        i >= pos || (c.Schema.ty = Schema.Int_type && all_int_prefix (i + 1) rest)
-  in
-  match List.nth_opt columns pos with
-  | Some { Schema.ty = Schema.Int_type; _ } when all_int_prefix 0 columns ->
-      (* tag byte at base + 2 + 9*pos, payload right after *)
-      let off = 2 + (9 * pos) + 1 in
-      fun buf base -> Tuple.Int (Int64.to_int (Bytes.get_int64_le buf (base + off)))
-  | Some _ | None -> fun buf base -> Tuple.get_field_at buf ~base pos
-
-(* Compile the conjunction to run against encoded records, resolving
-   column positions and field offsets once — the scan hot path must not
-   decode whole tuples or search the schema per row. *)
-let compile_predicates_slices schema preds =
-  (* Fixed-offset integer predicate: compare without boxing the field and
-     with the operator resolved at compile time. *)
-  let int_fast_path column op v =
-    let pos = Schema.column_index_exn schema column in
-    let columns = schema.Schema.columns in
-    let all_int_prefix =
-      List.for_all (fun (c : Schema.column) -> c.Schema.ty = Schema.Int_type) columns
-    in
-    if not all_int_prefix then None
-    else
-      let off = 2 + (9 * pos) + 1 in
-      let read buf base = Int64.to_int (Bytes.get_int64_le buf (base + off)) in
-      Some
-        (match op with
-        | Ast.Eq -> fun buf base -> read buf base = v
-        | Ast.Lt -> fun buf base -> read buf base < v
-        | Ast.Le -> fun buf base -> read buf base <= v
-        | Ast.Gt -> fun buf base -> read buf base > v
-        | Ast.Ge -> fun buf base -> read buf base >= v)
-  in
-  let compile pred =
-    match pred with
-    | Ast.Cmp { column; op; value = Tuple.Int v } when Option.is_some (int_fast_path column op v)
-      -> (
-        match int_fast_path column op v with Some test -> test | None -> assert false)
-    | Ast.Cmp { column; op; value } ->
-        let read = compile_field_read schema (Schema.column_index_exn schema column) in
-        fun buf base -> compare_matches op (Tuple.compare_value (read buf base) value)
-    | Ast.Between { column; low = Tuple.Int lo; high = Tuple.Int hi }
-      when Option.is_some (int_fast_path column Ast.Ge lo) ->
-        let ge = Option.get (int_fast_path column Ast.Ge lo) in
-        let le = Option.get (int_fast_path column Ast.Le hi) in
-        fun buf base -> ge buf base && le buf base
-    | Ast.Between { column; low; high } ->
-        let read = compile_field_read schema (Schema.column_index_exn schema column) in
-        fun buf base ->
-          let v = read buf base in
-          Tuple.compare_value v low >= 0 && Tuple.compare_value v high <= 0
-  in
-  match List.map compile preds with
-  | [] -> fun _buf _base -> true
-  | [ single ] -> single
-  | compiled -> fun buf base -> List.for_all (fun test -> test buf base) compiled
-
-let compile_project_slices schema projection =
+(* The projection over a layout's records, columns resolved once. *)
+let compile_projection layout projection =
   let positions =
     match projection with
-    | Ast.Star -> List.init (Schema.arity schema) (fun i -> i)
-    | Ast.Columns cs -> List.map (Schema.column_index_exn schema) cs
+    | Ast.Star -> Array.init (Filter.arity layout) Fun.id
+    | Ast.Columns cs -> Array.of_list (List.map (Filter.position layout) cs)
   in
-  let reads = Array.of_list (List.map (compile_field_read schema) positions) in
-  fun buf base -> Array.map (fun read -> read buf base) reads
+  fun buf base -> Array.map (fun pos -> Filter.read layout pos buf base) positions
 
-let project schema projection tuple =
-  match projection with
-  | Ast.Star -> tuple
-  | Ast.Columns cs ->
-      let positions = List.map (Schema.column_index_exn schema) cs in
-      Array.of_list (List.map (fun pos -> tuple.(pos)) positions)
+let find_index state def =
+  match List.find_opt (fun i -> Index_def.equal (Index.def i) def) state.indexes with
+  | Some index -> index
+  | None -> failwith "Database: plan references an index that is not materialised"
 
-let key_position key_columns column =
-  let rec go i columns =
-    match columns with
-    | [] -> failwith "Database: covering plan references a non-key column"
-    | c :: rest -> if String.equal c column then i else go (i + 1) rest
-  in
-  go 0 key_columns
-
-(* Compile the conjunction to run against index entries (leaf buffer +
-   entry offset; key column j's value at offset + 8j); only valid when
-   every predicate column is a key column, which covering plans guarantee.
-   Int-typed comparisons are resolved at compile time since index keys are
-   always integers. *)
-let compile_predicates_on_entry key_columns preds =
-  let int_bound name value =
-    match value with
-    | Tuple.Int v -> v
-    | Tuple.Text _ -> failwith ("Database: covering plan with text literal in " ^ name)
-  in
-  let entry_value buf pos off = Int64.to_int (Bytes.get_int64_le buf (pos + off)) in
-  let compile pred =
-    match pred with
-    | Ast.Cmp { column; op; value } -> (
-        let off = 8 * key_position key_columns column in
-        let v = int_bound column value in
-        match op with
-        | Ast.Eq -> fun buf pos -> entry_value buf pos off = v
-        | Ast.Lt -> fun buf pos -> entry_value buf pos off < v
-        | Ast.Le -> fun buf pos -> entry_value buf pos off <= v
-        | Ast.Gt -> fun buf pos -> entry_value buf pos off > v
-        | Ast.Ge -> fun buf pos -> entry_value buf pos off >= v)
-    | Ast.Between { column; low; high } ->
-        let off = 8 * key_position key_columns column in
-        let lo = int_bound column low and hi = int_bound column high in
-        fun buf pos ->
-          let v = entry_value buf pos off in
-          v >= lo && v <= hi
-  in
-  match List.map compile preds with
-  | [] -> fun _buf _pos -> true
-  | [ single ] -> single
-  | compiled -> fun buf pos -> List.for_all (fun test -> test buf pos) compiled
-
-(* Compile the projection against index entries. *)
-let compile_project_entry key_columns projection =
-  match projection with
-  | Ast.Star -> failwith "Database: covering plan with * projection"
-  | Ast.Columns cs ->
-      let offsets = Array.of_list (List.map (fun c -> 8 * key_position key_columns c) cs) in
-      fun buf pos ->
-        Array.map
-          (fun off -> Tuple.Int (Int64.to_int (Bytes.get_int64_le buf (pos + off))))
-          offsets
-
-let run_select state (select : Ast.select) plan =
-  let matches tuple = List.for_all (eval_predicate state.schema tuple) select.Ast.where in
-  let emit = project state.schema select.Ast.projection in
-  let find_index def =
-    match List.find_opt (fun i -> Index_def.equal (Index.def i) def) state.indexes with
-    | Some index -> index
-    | None -> failwith "Database: plan references an index that is not materialised"
-  in
+(* The heap rows a plan reads, in access order: [take buf base page slot]
+   on every record that passes [filter].  A full scan tests the ranges in
+   the heap kernel's page loop; a non-covering seek fetches its rids in
+   key order (after the whole index walk, so the page sequence is the
+   walk's, then the fetches') and tests the fetched record in place. *)
+let iter_heap_matches state filter (plan : Plan.t) take =
   match plan.Plan.path with
   | Plan.Full_scan ->
-      let row_matches = compile_predicates_slices state.schema select.Ast.where in
-      let emit_slice = compile_project_slices state.schema select.Ast.projection in
-      let rows = ref [] in
-      Heap_file.iter_slices state.heap (fun buf base ->
-          if row_matches buf base then rows := emit_slice buf base :: !rows);
-      List.rev !rows
-  | Plan.Index_seek { index = def; eq_prefix; range; covering } ->
-      let index = find_index def in
-      if covering then
-        let key_columns = Index.columns index in
-        let entry_matches = compile_predicates_on_entry key_columns select.Ast.where in
-        let emit_entry = compile_project_entry key_columns select.Ast.projection in
-        let rows = ref [] in
-        Index.probe_slices index ~eq_prefix ~range (fun buf pos ->
-            if entry_matches buf pos then rows := emit_entry buf pos :: !rows);
-        List.rev !rows
-      else
-        let rids = Index.probe index ~eq_prefix ~range in
-        List.filter_map
-          (fun rid ->
-            match Heap_file.fetch state.heap rid with
-            | Some tuple when matches tuple -> Some (emit tuple)
-            | Some _ | None -> None)
-          rids
+      Heap_file.scan state.heap ~ranges:(Filter.ranges filter) (fun buf base page slot ->
+          if Filter.residual filter buf base then take buf base page slot)
+  | Plan.Index_seek { index = def; eq_prefix; range; covering = _ } ->
+      List.iter
+        (fun (rid : Heap_file.rid) ->
+          Heap_file.fetch_slice state.heap rid ~ranges:(Filter.ranges filter) (fun buf base ->
+              if Filter.residual filter buf base then
+                take buf base rid.Heap_file.page rid.Heap_file.slot))
+        (Index.probe (find_index state def) ~eq_prefix ~range)
+  | Plan.Index_only_scan _ | Plan.View_probe _ ->
+      failwith "Database: plan does not read heap rows"
+
+let run_select state (select : Ast.select) plan =
+  let where = select.Ast.where in
+  let rows = ref [] in
+  let entry_rows index walk =
+    let layout = Index.layout index in
+    let filter = Filter.compile layout where in
+    let emit =
+      match select.Ast.projection with
+      | Ast.Star -> failwith "Database: covering plan with * projection"
+      | Ast.Columns _ as projection -> compile_projection layout projection
+    in
+    walk ~ranges:(Filter.ranges filter) (fun buf pos ->
+        if Filter.residual filter buf pos then rows := emit buf pos :: !rows)
+  in
+  (match plan.Plan.path with
+  | Plan.Index_seek { index = def; eq_prefix; range; covering = true } ->
+      let index = find_index state def in
+      entry_rows index (Index.probe_slices index ~eq_prefix ~range)
   | Plan.Index_only_scan { index = def } ->
-      let index = find_index def in
-      let key_columns = Index.columns index in
-      let entry_matches = compile_predicates_on_entry key_columns select.Ast.where in
-      let emit_entry = compile_project_entry key_columns select.Ast.projection in
-      let rows = ref [] in
-      Index.scan_slices index (fun buf pos ->
-          if entry_matches buf pos then rows := emit_entry buf pos :: !rows);
-      List.rev !rows
-  | Plan.View_probe _ -> failwith "Database: view plan for a non-aggregate query"
+      let index = find_index state def in
+      entry_rows index (Index.scan_slices index)
+  | Plan.Full_scan | Plan.Index_seek { covering = false; _ } ->
+      let emit = compile_projection state.layout select.Ast.projection in
+      iter_heap_matches state (Filter.compile state.layout where) plan
+        (fun buf base _page _slot -> rows := emit buf base :: !rows)
+  | Plan.View_probe _ -> failwith "Database: view plan for a non-aggregate query");
+  List.rev !rows
 
 (* Victim collection for DELETE/UPDATE: plan the WHERE clause like a
-   SELECT * (never covered, so the plan yields heap rows) and return the
+   SELECT * (never covered, so the plan reads heap rows) and return the
    matching (rid, tuple) pairs before any mutation. *)
 let collect_matching t state ~table ~where =
   let find_select = { Ast.projection = Ast.Star; table; where } in
   let stats = table_stats t table in
   let plan = Cost_model.choose_plan t.params stats (current_design t) find_select in
-  let matches tuple = List.for_all (eval_predicate state.schema tuple) where in
-  let victims =
-    match plan.Plan.path with
-    | Plan.Full_scan ->
-        let out = ref [] in
-        Heap_file.iter state.heap (fun rid tuple ->
-            if matches tuple then out := (rid, tuple) :: !out);
-        List.rev !out
-    | Plan.Index_seek { index = def; eq_prefix; range; covering = _ } ->
-        let index =
-          match
-            List.find_opt (fun i -> Index_def.equal (Index.def i) def) state.indexes
-          with
-          | Some index -> index
-          | None -> failwith "Database: plan references an index that is not materialised"
-        in
-        Index.probe index ~eq_prefix ~range
-        |> List.filter_map (fun rid ->
-               match Heap_file.fetch state.heap rid with
-               | Some tuple when matches tuple -> Some (rid, tuple)
-               | Some _ | None -> None)
-    | Plan.Index_only_scan _ | Plan.View_probe _ ->
-        (* Star projections are never covered, and DML never plans views. *)
-        assert false
-  in
-  (victims, plan)
+  let victims = ref [] in
+  iter_heap_matches state (Filter.compile state.layout where) plan (fun buf base page slot ->
+      victims := ({ Heap_file.page; slot }, Tuple.decode_at buf ~base) :: !victims);
+  (List.rev !victims, plan)
 
 let delete_row state rid tuple =
   if Heap_file.delete state.heap rid then
@@ -624,25 +466,22 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
           List.rev !out)
   | Plan.Full_scan ->
       (* Hash aggregation over a filtered scan. *)
-      let matches = compile_predicates_slices state.schema where in
-      let group_read = compile_field_read state.schema (Schema.column_index_exn state.schema group_by) in
-      let agg_read =
+      let group = Filter.position state.layout group_by in
+      let summed =
         match aggregate with
         | Ast.Count_star -> None
-        | Ast.Sum column ->
-            Some (compile_field_read state.schema (Schema.column_index_exn state.schema column))
+        | Ast.Sum column -> Some (Filter.position state.layout column)
       in
       let groups = Hashtbl.create 64 in
-      Heap_file.iter_slices state.heap (fun buf base ->
-          if matches buf base then begin
-            let g = Tuple.int_exn (group_read buf base) in
-            let delta =
-              match agg_read with
-              | None -> 1
-              | Some read -> Tuple.int_exn (read buf base)
-            in
-            Hashtbl.replace groups g (delta + Option.value ~default:0 (Hashtbl.find_opt groups g))
-          end);
+      iter_heap_matches state (Filter.compile state.layout where) plan
+        (fun buf base _page _slot ->
+          let g = Filter.read_int state.layout group buf base in
+          let delta =
+            match summed with
+            | None -> 1
+            | Some pos -> Filter.read_int state.layout pos buf base
+          in
+          Hashtbl.replace groups g (delta + Option.value ~default:0 (Hashtbl.find_opt groups g)));
       Hashtbl.to_seq groups |> List.of_seq
       |> List.sort (fun (g1, v1) (g2, v2) ->
              let c = Int.compare g1 g2 in

@@ -8,9 +8,12 @@ type t = {
   def : Index_def.t;
   tree : Btree.t;
   positions : int array; (* tuple positions of the key columns *)
+  layout : Filter.layout; (* where each key column sits in an entry *)
 }
 
 let def t = t.def
+
+let layout t = t.layout
 
 let key_positions schema index =
   List.map
@@ -108,7 +111,12 @@ let sort_keys ~key_len (keys : int array array) =
 
 let of_sorted_keys pool index positions keys =
   let key_len = Array.length positions + 2 in
-  { def = index; tree = Btree.bulk_load pool ~key_len keys; positions }
+  {
+    def = index;
+    tree = Btree.bulk_load pool ~key_len keys;
+    positions;
+    layout = Filter.entry_layout (Index_def.columns index);
+  }
 
 let build pool schema heap index =
   let positions = key_positions schema index in
@@ -134,8 +142,10 @@ let insert_entry t tuple rid = Btree.insert t.tree (physical_key t.positions tup
 
 let delete_entry t tuple rid = Btree.delete t.tree (physical_key t.positions tuple rid)
 
-let columns t = Index_def.columns t.def
-
+(* The key range of a seek.  The range bounds on the column after the
+   prefix are intersected as inclusive intervals ({!Filter.interval}), so
+   a bound at the int edges gives an empty interval (lo > hi, which the
+   tree answers without fetching a page) instead of wrapping. *)
 let probe_bounds t ~eq_prefix ~range =
   let n = Array.length t.positions in
   let plen = List.length eq_prefix in
@@ -152,53 +162,37 @@ let probe_bounds t ~eq_prefix ~range =
   | None -> ()
   | Some (low_bound, high_bound) ->
       if plen >= n then invalid_arg "Index.probe: range bound beyond the key";
-      (match low_bound with
-      | None -> ()
-      | Some { Plan.op; value } -> (
-          match op with
-          | Cddpd_sql.Ast.Gt -> lo.(plen) <- value + 1
-          | Cddpd_sql.Ast.Ge -> lo.(plen) <- value
-          | Cddpd_sql.Ast.Eq | Cddpd_sql.Ast.Lt | Cddpd_sql.Ast.Le ->
-              invalid_arg "Index.probe: not a lower bound"));
-      (match high_bound with
-      | None -> ()
-      | Some { Plan.op; value } -> (
-          match op with
-          | Cddpd_sql.Ast.Lt -> hi.(plen) <- value - 1
-          | Cddpd_sql.Ast.Le -> hi.(plen) <- value
-          | Cddpd_sql.Ast.Eq | Cddpd_sql.Ast.Gt | Cddpd_sql.Ast.Ge ->
-              invalid_arg "Index.probe: not an upper bound")));
+      let narrow ~valid bound =
+        match bound with
+        | None -> ()
+        | Some { Plan.op; value } ->
+            if not (List.mem op valid) then invalid_arg "Index.probe: misplaced range bound";
+            let b_lo, b_hi = Filter.interval op value in
+            lo.(plen) <- max lo.(plen) b_lo;
+            hi.(plen) <- min hi.(plen) b_hi
+      in
+      narrow ~valid:[ Cddpd_sql.Ast.Gt; Cddpd_sql.Ast.Ge ] low_bound;
+      narrow ~valid:[ Cddpd_sql.Ast.Lt; Cddpd_sql.Ast.Le ] high_bound);
   (lo, hi)
 
 let probe t ~eq_prefix ~range =
   let n = Array.length t.positions in
   let lo, hi = probe_bounds t ~eq_prefix ~range in
   let rids = ref [] in
-  Btree.iter_range t.tree ~lo ~hi (fun key ->
-      rids := { Heap_file.page = key.(n); slot = key.(n + 1) } :: !rids);
+  Btree.iter_range_slices t.tree ~lo ~hi ~ranges:Cddpd_storage.Ranges.none (fun buf pos ->
+      let field j = Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))) in
+      rids := { Heap_file.page = field n; slot = field (n + 1) } :: !rids);
   List.rev !rids
 
-let probe_entries t ~eq_prefix ~range =
-  let n = Array.length t.positions in
+let probe_slices t ~eq_prefix ~range ~ranges f =
   let lo, hi = probe_bounds t ~eq_prefix ~range in
-  let entries = ref [] in
-  Btree.iter_range t.tree ~lo ~hi (fun key ->
-      entries := Array.sub key 0 n :: !entries);
-  List.rev !entries
+  Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
 
-let scan_entries t f =
-  let n = Array.length t.positions in
-  Btree.iter_all t.tree (fun key -> f (Array.sub key 0 n))
-
-let probe_slices t ~eq_prefix ~range f =
-  let lo, hi = probe_bounds t ~eq_prefix ~range in
-  Btree.iter_range_slices t.tree ~lo ~hi f
-
-let scan_slices t f =
+let scan_slices t ~ranges f =
   let key_len = Array.length t.positions + 2 in
   let lo = Array.make key_len min_int in
   let hi = Array.make key_len max_int in
-  Btree.iter_range_slices t.tree ~lo ~hi f
+  Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
 
 let height t = Btree.height t.tree
 

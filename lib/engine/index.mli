@@ -35,6 +35,9 @@ val build_of_rows :
 
 val def : t -> Cddpd_catalog.Index_def.t
 
+val layout : t -> Filter.layout
+(** Where each key column sits in an entry: column [j] at [8 * j]. *)
+
 val insert_entry : t -> Cddpd_storage.Tuple.t -> Cddpd_storage.Heap_file.rid -> unit
 (** Index maintenance after a heap insert. *)
 
@@ -42,47 +45,35 @@ val delete_entry : t -> Cddpd_storage.Tuple.t -> Cddpd_storage.Heap_file.rid -> 
 (** Index maintenance after a heap delete; returns whether the entry was
     present. *)
 
-val columns : t -> string list
-(** The key columns, in index order. *)
-
 val probe :
   t ->
   eq_prefix:int list ->
   range:(Plan.range_bound option * Plan.range_bound option) option ->
   Cddpd_storage.Heap_file.rid list
 (** Rids whose column values match the equality prefix and optional range
-    bound on the following column, in key order.  Raises
-    [Invalid_argument] if the prefix is longer than the key. *)
-
-val probe_entries :
-  t ->
-  eq_prefix:int list ->
-  range:(Plan.range_bound option * Plan.range_bound option) option ->
-  int array list
-(** Like {!probe} but returns the logical key values (one [int array] per
-    matching entry, in index-column order) — the data a covering seek
-    answers from without heap access. *)
-
-val scan_entries : t -> (int array -> unit) -> unit
-(** Iterate every entry's logical key values in key order: the access path
-    behind {!Plan.Index_only_scan}. *)
+    bound on the following column, in key order: the rids a non-covering
+    seek fetches.  The bounds become inclusive intervals through
+    {!Filter.interval}, so a bound at the int edges ([< min_int],
+    [> max_int]) selects nothing and fetches no page.  Raises
+    [Invalid_argument] if the prefix is longer than the key or a bound
+    sits on the wrong side. *)
 
 val probe_slices :
   t ->
   eq_prefix:int list ->
   range:(Plan.range_bound option * Plan.range_bound option) option ->
+  ranges:Cddpd_storage.Ranges.t ->
   (bytes -> int -> unit) ->
   unit
-(** Zero-allocation variant of {!probe_entries}: the callback receives the
-    leaf page buffer and the byte offset of each matching entry (key
-    column [j]'s value at [offset + 8 * j]), valid only during the
-    call. *)
+(** The covering seek: {!probe}'s key range walked by
+    {!Cddpd_storage.Btree.iter_range_slices}, testing [ranges] on every
+    entry in place.  The callback receives the leaf page buffer and the
+    byte offset of each matching entry (key column [j]'s value at
+    [offset + 8 * j]), valid only during the call. *)
 
-val scan_slices : t -> (bytes -> int -> unit) -> unit
-(** Zero-allocation variant of {!scan_entries}: the callback receives the
-    leaf page buffer and the byte offset of the entry (key column [j]'s
-    value is the 64-bit little-endian integer at [offset + 8 * j]), valid
-    only during the call. *)
+val scan_slices : t -> ranges:Cddpd_storage.Ranges.t -> (bytes -> int -> unit) -> unit
+(** The index-only scan: every entry in key order through the same
+    kernel, the callback reached only by entries that pass [ranges]. *)
 
 val height : t -> int
 

@@ -44,26 +44,20 @@ let fingerprint t = t.fingerprint
 
 let default_selectivity = 0.1
 
-let int_value v = match v with Tuple.Int i -> Some i | Tuple.Text _ -> None
-
+(* Ranges go through the filter's inclusive interval, so a bound at the
+   int edges is empty (selectivity 0) instead of wrapping round to the
+   whole table.  An unbounded side is [min_int]/[max_int], which the
+   histogram clamps to its buckets exactly as it would an absent bound. *)
 let predicate_selectivity t pred =
-  match pred with
-  | Ast.Cmp { column; op; value } -> (
-      match (histogram t column, int_value value) with
-      | Some h, Some v -> (
-          match op with
-          | Ast.Eq -> Histogram.selectivity_eq h v
-          | Ast.Lt -> Histogram.selectivity_range h ~lo:None ~hi:(Some (v - 1))
-          | Ast.Le -> Histogram.selectivity_range h ~lo:None ~hi:(Some v)
-          | Ast.Gt -> Histogram.selectivity_range h ~lo:(Some (v + 1)) ~hi:None
-          | Ast.Ge -> Histogram.selectivity_range h ~lo:(Some v) ~hi:None)
-      | None, _ | _, None -> default_selectivity)
-  | Ast.Between { column; low; high } -> (
-      match (histogram t column, int_value low, int_value high) with
-      | Some h, Some lo, Some hi when lo <= hi ->
-          Histogram.selectivity_range h ~lo:(Some lo) ~hi:(Some hi)
-      | Some _, Some _, Some _ -> 0.0
-      | _ -> default_selectivity)
+  let column = match pred with Ast.Cmp { column; _ } | Ast.Between { column; _ } -> column in
+  match (histogram t column, pred) with
+  | Some h, Ast.Cmp { op = Ast.Eq; value = Tuple.Int v; _ } -> Histogram.selectivity_eq h v
+  | Some h, (Ast.Cmp _ | Ast.Between _) -> (
+      match Filter.predicate_interval pred with
+      | Some (lo, hi) when lo > hi -> 0.0
+      | Some (lo, hi) -> Histogram.selectivity_range h ~lo:(Some lo) ~hi:(Some hi)
+      | None -> default_selectivity)
+  | None, _ -> default_selectivity
 
 let conjunction_selectivity t preds =
   List.fold_left (fun acc pred -> acc *. predicate_selectivity t pred) 1.0 preds

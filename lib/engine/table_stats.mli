@@ -36,7 +36,9 @@ val default_selectivity : float
 (** Fallback selectivity (0.1) used when no histogram is available. *)
 
 val predicate_selectivity : t -> Cddpd_sql.Ast.predicate -> float
-(** Estimated fraction of rows satisfying the predicate. *)
+(** Estimated fraction of rows satisfying the predicate.  Ranges are
+    the inclusive intervals of {!Filter.predicate_interval}, so an empty
+    one ([< min_int], [> max_int], a reversed [BETWEEN]) estimates 0. *)
 
 val conjunction_selectivity : t -> Cddpd_sql.Ast.predicate list -> float
 (** Product of per-predicate selectivities (independence assumption). *)

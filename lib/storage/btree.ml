@@ -74,28 +74,65 @@ let compare_key t a b =
   in
   go 0
 
-(* First index in [0, n) whose key is >= [key]; n if none. *)
-let lower_bound t ~get page key =
-  let n = node_n page in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if compare_key t (get t page mid) key < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+(* Unchecked little-endian reads for the search and the leaf walk.  Each
+   node's key run is bounds-checked once ([check_run]) before any key in
+   it is read, and a searched key never outgrows its slot, so no read
+   leaves the page. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-(* Child to descend into for [key]: number of separators <= key. *)
+let i64 buf i = Int64.to_int (if Sys.big_endian then swap64 (get64u buf i) else get64u buf i)
+
+let check_run buf ~first ~stride n =
+  if first + (n * stride) > Bytes.length buf then invalid_arg "Btree: node overruns its page"
+
+(* The key stored at byte [pos] of [buf] compared with [key] from
+   component [j] on, in place: the search and the walk never materialise
+   a stored key. *)
+let rec compare_stored buf pos key j =
+  if j = Array.length key then 0
+  else
+    let v = i64 buf (pos + (j * 8)) in
+    let k = Array.unsafe_get key j in
+    if v < k then -1 else if v > k then 1 else compare_stored buf pos key (j + 1)
+
+(* Binary search over the [n] keys stored at [first + i * stride]: the
+   first index whose key is >= [key] ([~strict:false]) or > [key]
+   ([~strict:true]); [n] if none. *)
+let search buf ~first ~stride n key ~strict =
+  if 8 * Array.length key > stride then invalid_arg "Btree: key longer than its slot";
+  check_run buf ~first ~stride n;
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = compare_stored buf (first + (mid * stride)) key 0 in
+    if c < 0 || (strict && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* First leaf index whose key is >= [key]. *)
+let leaf_lower_bound t page key =
+  search (Page.to_bytes page) ~first:header ~stride:(key_bytes t) (node_n page) key
+    ~strict:false
+
+(* First separator index whose key is >= [key]: where a new separator goes. *)
+let separator_lower_bound t page key =
+  search (Page.to_bytes page) ~first:(int_key_pos t 0) ~stride:(key_bytes t + 4)
+    (node_n page) key ~strict:false
+
+(* Child to descend into for [key]: the number of separators <= key. *)
 let descend_index t page key =
-  let n = node_n page in
-  let rec go lo hi =
-    (* first separator index with sep > key; that index = child index *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if compare_key t (int_key t page mid) key <= 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+  search (Page.to_bytes page) ~first:(int_key_pos t 0) ~stride:(key_bytes t + 4)
+    (node_n page) key ~strict:true
+
+(* Whether leaf entry [i] holds exactly [key]. *)
+let leaf_key_equals t page i key =
+  let buf = Page.to_bytes page in
+  i < node_n page
+  && begin
+       check_run buf ~first:header ~stride:(key_bytes t) (i + 1);
+       compare_stored buf (leaf_key_pos t i) key 0 = 0
+     end
 
 (* -- construction -------------------------------------------------------- *)
 
@@ -151,8 +188,7 @@ let mem t key =
   check_key t key;
   let leaf = find_leaf t t.root key in
   with_node t leaf (fun _handle page ->
-      let i = lower_bound t ~get:leaf_key page key in
-      i < node_n page && compare_key t (leaf_key t page i) key = 0)
+      leaf_key_equals t page (leaf_lower_bound t page key) key)
 
 (* -- insertion ----------------------------------------------------------- *)
 
@@ -191,7 +227,7 @@ let rec insert_rec t pid key =
       | Some { sep; right } ->
           Buffer_pool.mark_dirty handle;
           if node_n page < internal_capacity t then begin
-            let pos = lower_bound t ~get:int_key page sep in
+            let pos = separator_lower_bound t page sep in
             internal_insert_at t page pos sep right;
             None
           end
@@ -202,8 +238,8 @@ let rec insert_rec t pid key =
   result
 
 and insert_leaf t handle page key =
-  let i = lower_bound t ~get:leaf_key page key in
-  if i < node_n page && compare_key t (leaf_key t page i) key = 0 then None
+  let i = leaf_lower_bound t page key in
+  if leaf_key_equals t page i key then None
   else begin
     Buffer_pool.mark_dirty handle;
     t.entries <- t.entries + 1;
@@ -227,9 +263,8 @@ and insert_leaf t handle page key =
       set_next_leaf page (Buffer_pool.page_id right_handle);
       let sep = leaf_key t right_page 0 in
       if compare_key t key sep < 0 then
-        leaf_insert_at t page (lower_bound t ~get:leaf_key page key) key
-      else
-        leaf_insert_at t right_page (lower_bound t ~get:leaf_key right_page key) key;
+        leaf_insert_at t page (leaf_lower_bound t page key) key
+      else leaf_insert_at t right_page (leaf_lower_bound t right_page key) key;
       let right = Buffer_pool.page_id right_handle in
       Buffer_pool.unpin t.pool right_handle;
       Some { sep = leaf_key t right_page 0; right }
@@ -244,7 +279,7 @@ and split_internal t _handle page sep rc =
   let n = node_n page in
   let keys = Array.init n (fun i -> int_key t page i) in
   let children = Array.init (n + 1) (fun i -> child t page i) in
-  let pos = lower_bound t ~get:int_key page sep in
+  let pos = separator_lower_bound t page sep in
   let all_keys = Array.make (n + 1) sep in
   let all_children = Array.make (n + 2) rc in
   Array.blit keys 0 all_keys 0 pos;
@@ -290,8 +325,8 @@ let delete t key =
   check_key t key;
   let leaf = find_leaf t t.root key in
   with_node t leaf (fun handle page ->
-      let i = lower_bound t ~get:leaf_key page key in
-      if i < node_n page && compare_key t (leaf_key t page i) key = 0 then begin
+      let i = leaf_lower_bound t page key in
+      if leaf_key_equals t page i key then begin
         let n = node_n page in
         if i < n - 1 then
           Page.move page ~src:(leaf_key_pos t (i + 1)) ~dst:(leaf_key_pos t i)
@@ -305,47 +340,57 @@ let delete t key =
 
 (* -- range iteration ------------------------------------------------------ *)
 
-let iter_range_slices t ~lo ~hi f =
+(* Whether the flattened (offset, lo, hi) triples [r] all hold for the
+   entry at [pos].  The same inlined loop as [Heap_file]'s, kept local for
+   the same reason: library modules are compiled without cross-module
+   inlining in the default build, and a call per entry costs about as
+   much as the test itself. *)
+let[@inline always] ranges_hold r buf pos =
+  let i = ref 0 and hold = ref true in
+  while !hold && !i < Array.length r do
+    let v = i64 buf (pos + Array.unsafe_get r !i) in
+    hold := v >= Array.unsafe_get r (!i + 1) && v <= Array.unsafe_get r (!i + 2);
+    i := !i + 3
+  done;
+  !hold
+
+(* One leaf of the range walk: the entries from [start] up to the first
+   key above [hi] (found by binary search, so no entry is compared with
+   [hi] in the loop), the ranges tested on each and the matches passed to
+   [f].  The next leaf's id, or -1 once a key above [hi] was seen. *)
+let walk_leaf t page start hi r f =
+  let buf = Page.to_bytes page in
+  let kb = key_bytes t in
+  let n = node_n page in
+  let stop = search buf ~first:header ~stride:kb n hi ~strict:true in
+  for i = start to stop - 1 do
+    let pos = header + (i * kb) in
+    if ranges_hold r buf pos then f buf pos
+  done;
+  if stop < n then -1 else next_leaf page
+
+let iter_range_slices t ~lo ~hi ~ranges f =
   check_key t lo;
   check_key t hi;
+  if Ranges.reach ranges > key_bytes t then invalid_arg "Btree: ranges reach past the key";
+  let r = Ranges.triples ranges in
   if compare_key t lo hi <= 0 then begin
-    let leaf = find_leaf t t.root lo in
-    let rec walk pid =
-      if pid <> -1 then
-        let continue_with =
-          with_node t pid (fun _handle page ->
-              let n = node_n page in
-              let start = lower_bound t ~get:leaf_key page lo in
-              let buf = Page.to_bytes page in
-              let within_hi pos =
-                let rec go j =
-                  if j = t.key_len then true
-                  else
-                    let v = Int64.to_int (Bytes.get_int64_le buf (pos + (j * 8))) in
-                    if v < hi.(j) then true else if v > hi.(j) then false else go (j + 1)
-                in
-                go 0
-              in
-              let rec emit i =
-                if i >= n then Some (next_leaf page)
-                else begin
-                  let pos = leaf_key_pos t i in
-                  if not (within_hi pos) then None
-                  else begin
-                    f buf pos;
-                    emit (i + 1)
-                  end
-                end
-              in
-              emit start)
-        in
-        match continue_with with None -> () | Some next -> walk next
-    in
-    walk leaf
+    let pid = ref (find_leaf t t.root lo) in
+    while !pid <> -1 do
+      let handle = Buffer_pool.fetch t.pool !pid in
+      let page = Buffer_pool.page handle in
+      match walk_leaf t page (leaf_lower_bound t page lo) hi r f with
+      | next ->
+          Buffer_pool.unpin t.pool handle;
+          pid := next
+      | exception exn ->
+          Buffer_pool.unpin t.pool handle;
+          raise exn
+    done
   end
 
 let iter_range t ~lo ~hi f =
-  iter_range_slices t ~lo ~hi (fun buf pos ->
+  iter_range_slices t ~lo ~hi ~ranges:Ranges.none (fun buf pos ->
       f (Array.init t.key_len (fun j -> Int64.to_int (Bytes.get_int64_le buf (pos + (j * 8))))))
 
 let iter_prefix t ~prefix f =

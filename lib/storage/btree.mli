@@ -39,15 +39,21 @@ val delete : t -> int array -> bool
 
 val iter_range : t -> lo:int array -> hi:int array -> (int array -> unit) -> unit
 (** [iter_range t ~lo ~hi f] applies [f] to every stored key [k] with
-    [lo <= k <= hi] (lexicographic), in ascending order. *)
+    [lo <= k <= hi] (lexicographic), in ascending order, as a fresh
+    array: {!iter_range_slices} with {!Ranges.none}. *)
 
 val iter_range_slices :
-  t -> lo:int array -> hi:int array -> (bytes -> int -> unit) -> unit
-(** Like {!iter_range} but the callback receives the leaf page's buffer
-    and the byte offset of the entry; key component [j] is the 64-bit
-    little-endian integer at [offset + 8 * j].  The buffer is only valid
-    for the duration of the call.  This is the zero-allocation path behind
-    covering index scans. *)
+  t -> lo:int array -> hi:int array -> ranges:Ranges.t -> (bytes -> int -> unit) -> unit
+(** The range-walk kernel behind every index access path.
+    [iter_range_slices t ~lo ~hi ~ranges f] walks the stored keys [k] with
+    [lo <= k <= hi] (lexicographic) in ascending order, tests [ranges] on
+    each entry in place and calls [f] only on the matches, with the leaf
+    page's buffer and the entry's byte offset: key component [j] is the
+    64-bit little-endian integer at [offset + 8 * j].  The buffer is only
+    valid for the duration of the call.  The descent and the leaf walk
+    compare stored keys in place and allocate nothing per entry.  Pages
+    are fetched exactly as a plain walk would (root to leaf, then leaf by
+    leaf); when [lo > hi] no page is fetched at all. *)
 
 val iter_prefix : t -> prefix:int array -> (int array -> unit) -> unit
 (** [iter_prefix t ~prefix f] applies [f] to every key whose first

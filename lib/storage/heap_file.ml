@@ -10,6 +10,7 @@ type t = {
   pool : Buffer_pool.t;
   mutable pages : int list; (* reversed: head is the last page *)
   mutable page_count : int;
+  mutable run : int array; (* the pages oldest first; stale while shorter than page_count *)
   mutable live : int;
 }
 
@@ -24,7 +25,7 @@ let compare_rid a b =
 let header_size = 4
 let slot_size = 4
 
-let create pool = { pool; pages = []; page_count = 0; live = 0 }
+let create pool = { pool; pages = []; page_count = 0; run = [||]; live = 0 }
 
 let slot_count page = Page.get_u16 page 0
 let set_slot_count page n = Page.set_u16 page 0 n
@@ -110,18 +111,49 @@ let with_page t pid f =
   Buffer_pool.unpin t.pool handle;
   result
 
-let fetch t rid =
-  let check_slot page =
-    if rid.slot < 0 || rid.slot >= slot_count page then
-      invalid_arg "Heap_file.fetch: slot out of range"
-  in
+(* -- the scan kernel ---------------------------------------------------------
+
+   Unchecked little-endian reads for the kernel's inner loops.  A page's
+   slot directory is bounds-checked once per page, and a record's reach
+   ([Ranges.reach]) once per record before any range is read, so no read
+   leaves the page. *)
+external get16u : bytes -> int -> int = "%caml_bytes_get16u"
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap16 : int -> int = "%bswap16"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let u16 buf i = if Sys.big_endian then swap16 (get16u buf i) else get16u buf i
+let i64 buf i = Int64.to_int (if Sys.big_endian then swap64 (get64u buf i) else get64u buf i)
+
+(* Whether the flattened (offset, lo, hi) triples [r] all hold for the
+   record at [base].  Inlined into the page loop; the loop lives here and
+   again in [Btree], not in [Ranges], because library modules are
+   compiled without cross-module inlining in the default build, and a
+   call per record costs about as much as the test itself. *)
+let[@inline always] ranges_hold r buf base =
+  let i = ref 0 and hold = ref true in
+  while !hold && !i < Array.length r do
+    let v = i64 buf (base + Array.unsafe_get r !i) in
+    hold := v >= Array.unsafe_get r (!i + 1) && v <= Array.unsafe_get r (!i + 2);
+    i := !i + 3
+  done;
+  !hold
+
+let fetch_slice t rid ~ranges f =
   with_page t rid.page (fun _handle page ->
-      check_slot page;
-      let len = slot_length page rid.slot in
-      if len = 0 then None
-      else
-        let data = Page.get_bytes page ~pos:(slot_offset page rid.slot) ~len in
-        Some (Tuple.decode data))
+      if rid.slot < 0 || rid.slot >= slot_count page then
+        invalid_arg "Heap_file.fetch: slot out of range";
+      if slot_length page rid.slot > 0 then begin
+        let buf = Page.to_bytes page and base = slot_offset page rid.slot in
+        if base + Ranges.reach ranges > Bytes.length buf then
+          invalid_arg "Heap_file: record shorter than its ranges";
+        if ranges_hold (Ranges.triples ranges) buf base then f buf base
+      end)
+
+let fetch t rid =
+  let tuple = ref None in
+  fetch_slice t rid ~ranges:Ranges.none (fun buf base -> tuple := Some (Tuple.decode_at buf ~base));
+  !tuple
 
 let delete t rid =
   with_page t rid.page (fun handle page ->
@@ -136,54 +168,48 @@ let delete t rid =
         true
       end)
 
-(* Full scans materialize the page run once (oldest first) and go through
-   the pool's sequential path: scan-resistant eviction plus readahead, no
-   per-page allocation beyond the run array itself. *)
+(* Full scans go through the pool's sequential path over the page run
+   (oldest first): scan-resistant eviction plus readahead.  The run is
+   rebuilt only after the file grew, so a scan allocates nothing. *)
 let scan_run t =
-  let n = t.page_count in
-  let run = Array.make n (-1) in
-  let i = ref (n - 1) in
-  List.iter
-    (fun pid ->
-      run.(!i) <- pid;
-      decr i)
-    t.pages;
-  run
+  if Array.length t.run <> t.page_count then begin
+    let run = Array.make t.page_count (-1) in
+    List.iteri (fun i pid -> run.(t.page_count - 1 - i) <- pid) t.pages;
+    t.run <- run
+  end;
+  t.run
 
-let scan_pages t f =
+(* One page of the scan kernel: the slot directory read inline, the
+   ranges tested in place, the callback reached only by matches. *)
+let scan_page buf pid r reach f =
+  let n = Bytes.get_uint16_le buf 0 in
+  if header_size + (n * slot_size) > Bytes.length buf then
+    invalid_arg "Heap_file: slot directory overruns the page";
+  let last_base = Bytes.length buf - reach in
+  for slot = 0 to n - 1 do
+    let dir = header_size + (slot * slot_size) in
+    if u16 buf (dir + 2) > 0 then begin
+      let base = u16 buf dir in
+      if base > last_base then invalid_arg "Heap_file: record shorter than its ranges";
+      if ranges_hold r buf base then f buf base pid slot
+    end
+  done
+
+let scan t ~ranges f =
+  let r = Ranges.triples ranges and reach = Ranges.reach ranges in
   let run = scan_run t in
-  Array.iteri
-    (fun pos pid ->
-      let handle = Buffer_pool.fetch_sequential t.pool ~run ~pos in
-      let finish () = Buffer_pool.unpin t.pool handle in
-      (try f pid (Buffer_pool.page handle)
-       with exn ->
-         finish ();
-         raise exn);
-      finish ())
-    run
+  for pos = 0 to Array.length run - 1 do
+    let handle = Buffer_pool.fetch_sequential t.pool ~run ~pos in
+    match scan_page (Page.to_bytes (Buffer_pool.page handle)) run.(pos) r reach f with
+    | () -> Buffer_pool.unpin t.pool handle
+    | exception exn ->
+        Buffer_pool.unpin t.pool handle;
+        raise exn
+  done
 
-let iter_raw t f =
-  scan_pages t (fun pid page ->
-      for slot = 0 to slot_count page - 1 do
-        let len = slot_length page slot in
-        if len > 0 then
-          f { page = pid; slot } (Page.get_bytes page ~pos:(slot_offset page slot) ~len)
-      done)
-
-let iter t f = iter_raw t (fun rid data -> f rid (Tuple.decode data))
-
-let iter_slices t f =
-  scan_pages t (fun _pid page ->
-      let buf = Page.to_bytes page in
-      for slot = 0 to slot_count page - 1 do
-        if slot_length page slot > 0 then f buf (slot_offset page slot)
-      done)
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun rid tuple -> acc := f !acc rid tuple);
-  !acc
+let iter t f =
+  scan t ~ranges:Ranges.none (fun buf base page slot ->
+      f { page; slot } (Tuple.decode_at buf ~base))
 
 let n_tuples t = t.live
 

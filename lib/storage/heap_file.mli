@@ -24,31 +24,35 @@ val insert : t -> Tuple.t -> rid
     fit in an empty page. *)
 
 val fetch : t -> rid -> Tuple.t option
-(** [fetch t rid] returns the tuple, or [None] if the slot was deleted.
-    Raises [Invalid_argument] on an out-of-range rid. *)
+(** [fetch t rid] returns the decoded tuple, or [None] if the slot was
+    deleted: {!fetch_slice} with {!Ranges.none}.  Raises
+    [Invalid_argument] on an out-of-range rid. *)
+
+val fetch_slice : t -> rid -> ranges:Ranges.t -> (bytes -> int -> unit) -> unit
+(** The single-record kernel.  [fetch_slice t rid ~ranges f] tests
+    [ranges] in place on the live record of [rid] and calls [f buf base]
+    on it only when they hold: the page buffer and the record's byte
+    offset, valid only during the call (read fields with
+    {!Tuple.get_field_at}).  It does nothing if the slot was deleted.
+    One page access, no decoding.  Raises [Invalid_argument] on an
+    out-of-range rid. *)
 
 val delete : t -> rid -> bool
 (** Clear the slot; returns whether a live tuple was there. *)
 
+val scan : t -> ranges:Ranges.t -> (bytes -> int -> int -> int -> unit) -> unit
+(** The full-scan kernel.  [scan t ~ranges f] visits every page in
+    storage order through {!Buffer_pool.fetch_sequential} (scan-resistant
+    eviction plus readahead, unchanged logical-I/O accounting: one access
+    per page), reads each page's slot directory inline, tests [ranges] on
+    every live record in place and calls [f buf base page slot] only on
+    the records that match: the page buffer, the record's byte offset
+    (valid only during the call), and the record's rid as two ints.  The
+    loop allocates nothing per record; every full scan goes through it. *)
+
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
-(** Full scan in storage order, skipping deleted slots.  All full scans
-    ({!iter}, {!iter_raw}, {!iter_slices}, {!fold}) go through
-    {!Buffer_pool.fetch_sequential}: scan-resistant eviction plus
-    readahead, with unchanged logical-I/O accounting. *)
-
-val iter_raw : t -> (rid -> bytes -> unit) -> unit
-(** Full scan passing the encoded record instead of decoding it — fields
-    can then be extracted lazily with {!Tuple.get_field}. *)
-
-val iter_slices : t -> (bytes -> int -> unit) -> unit
-(** Zero-copy full scan: the callback receives the page buffer and the
-    byte offset of the encoded record (extract fields with
-    {!Tuple.get_field_at}), valid only for the duration of the call — the
-    executor's scan hot path (no per-row allocation at all: even the rid
-    is omitted). *)
-
-val fold : t -> init:'a -> f:('a -> rid -> Tuple.t -> 'a) -> 'a
-(** Folding full scan. *)
+(** Full scan in storage order, skipping deleted slots, decoding every
+    tuple: {!scan} with {!Ranges.none}. *)
 
 val n_tuples : t -> int
 (** Live tuple count. *)

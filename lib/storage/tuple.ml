@@ -101,11 +101,13 @@ let get_field_at buf ~base i =
 
 let get_field buf i = get_field_at buf ~base:0 i
 
-let decode buf =
+let int_field_offset i = 2 + (9 * i) + 1
+
+let decode_at buf ~base =
   let fail () = invalid_arg "Tuple.decode: malformed tuple" in
-  if Bytes.length buf < 2 then fail ();
-  let n = Bytes.get_uint16_le buf 0 in
-  let pos = ref 2 in
+  if base < 0 || base + 2 > Bytes.length buf then fail ();
+  let n = Bytes.get_uint16_le buf base in
+  let pos = ref (base + 2) in
   let read_field () =
     if !pos >= Bytes.length buf then fail ();
     let tag = Bytes.get_uint8 buf !pos in
@@ -131,3 +133,5 @@ let decode buf =
     out.(i) <- read_field ()
   done;
   out
+
+let decode buf = decode_at buf ~base:0

@@ -38,6 +38,15 @@ val encode : t -> bytes
 val decode : bytes -> t
 (** Deserialize; raises [Invalid_argument] on malformed input. *)
 
+val decode_at : bytes -> base:int -> t
+(** Like {!decode} for a tuple encoded at offset [base] inside a larger
+    buffer (e.g. directly inside a page). *)
+
+val int_field_offset : int -> int
+(** Byte offset, from the start of an encoded tuple, of field [i]'s
+    64-bit little-endian payload when fields [0..i] are all [Int]s: the
+    fixed offsets the scan kernels test ranges at. *)
+
 val field_count : bytes -> int
 (** Number of fields of an encoded tuple without decoding it. *)
 

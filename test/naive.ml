@@ -22,7 +22,12 @@
    Statistics: a histogram is the sorted-array bucketing loop over a
    copy of the column, and a table's statistics are that loop over every
    integer column of a full heap scan.  The maintained value counts must
-   give snapshots with the same fingerprint. *)
+   give snapshots with the same fingerprint.
+
+   Execution: a SELECT decodes every heap row and evaluates each
+   predicate on the decoded tuple, visiting the rows in the order the
+   plan's access path does.  The executor's compiled filters and scan
+   kernels must return the same rows in the same order. *)
 
 module Ast = Cddpd_sql.Ast
 module Schema = Cddpd_catalog.Schema
@@ -197,3 +202,48 @@ let table_stats db table =
   in
   Table_stats.make ~row_count:(Array.length rows) ~page_count:(Database.page_count db table)
     ~histograms
+
+(* -- execution -------------------------------------------------------------- *)
+
+let satisfies schema tuple pred =
+  let field column = tuple.(Schema.column_index_exn schema column) in
+  match pred with
+  | Ast.Cmp { column; op; value } -> (
+      let c = Tuple.compare_value (field column) value in
+      match op with
+      | Ast.Eq -> c = 0
+      | Ast.Lt -> c < 0
+      | Ast.Le -> c <= 0
+      | Ast.Gt -> c > 0
+      | Ast.Ge -> c >= 0)
+  | Ast.Between { column; low; high } ->
+      Tuple.compare_value (field column) low >= 0 && Tuple.compare_value (field column) high <= 0
+
+(* The rows [select] returns when run through [path].  A full scan visits
+   the heap in storage order.  An index path visits its entries in key
+   order: the key columns' values, ties broken by rid, and the heap is
+   append-only, so rid order is storage order and a stable sort of the
+   storage-order rows by the key columns gives the index's order. *)
+let select db (select : Ast.select) path =
+  let schema = Option.get (Database.schema db select.Ast.table) in
+  let rows = ref [] in
+  Database.scan db select.Ast.table (fun tuple -> rows := tuple :: !rows);
+  let rows = List.rev !rows in
+  let visited =
+    match path with
+    | Plan.Full_scan -> rows
+    | Plan.Index_seek { index; _ } | Plan.Index_only_scan { index } ->
+        let positions = List.map (Schema.column_index_exn schema) (Index_def.columns index) in
+        let key tuple = List.map (fun pos -> tuple.(pos)) positions in
+        List.stable_sort (fun a b -> List.compare Tuple.compare_value (key a) (key b)) rows
+    | Plan.View_probe _ -> invalid_arg "Naive.select: view plan"
+  in
+  let project tuple =
+    match select.Ast.projection with
+    | Ast.Star -> tuple
+    | Ast.Columns cs ->
+        Array.of_list (List.map (fun c -> tuple.(Schema.column_index_exn schema c)) cs)
+  in
+  visited
+  |> List.filter (fun tuple -> List.for_all (satisfies schema tuple) select.Ast.where)
+  |> List.map project

@@ -278,15 +278,19 @@ let slices_agree_prop =
       List.iter (Btree.insert tree) keys;
       let lo = [| 5; min_int |] and hi = [| 25; max_int |] in
       let via_arrays = collect_range tree ~lo ~hi in
+      (* The kernel's in-place ranges pass exactly the entries a filter
+         over the materialised keys would: component 1 in [10, 20]. *)
       let via_slices = ref [] in
-      Btree.iter_range_slices tree ~lo ~hi (fun buf pos ->
+      Btree.iter_range_slices tree ~lo ~hi
+        ~ranges:(Cddpd_storage.Ranges.of_list [ (8, 10, 20) ])
+        (fun buf pos ->
           via_slices :=
             [|
               Int64.to_int (Bytes.get_int64_le buf pos);
               Int64.to_int (Bytes.get_int64_le buf (pos + 8));
             |]
             :: !via_slices);
-      via_arrays = List.rev !via_slices)
+      List.filter (fun k -> k.(1) >= 10 && k.(1) <= 20) via_arrays = List.rev !via_slices)
 
 let () =
   Alcotest.run "btree"

@@ -725,6 +725,234 @@ let test_tiny_pool_correctness () =
   Alcotest.(check bool) "thrashing pool reads from disk" true
     (result.Database.physical_io > 0)
 
+(* -- compiled filters and scan kernels vs the naive executor --------------------- *)
+
+(* Two tables, each larger than its 8-frame pool: the paper's all-integer
+   shape, whose predicates all become in-place ranges, and one with a text
+   column before the integers, whose heap predicates all stay residual
+   (their offsets vary per row) while its index entries still take
+   ranges. *)
+let oracle_rows = 2000
+let oracle_value_range = 40
+
+let text_schema =
+  Schema.table "t"
+    [
+      ("name", Schema.Text_type);
+      ("a", Schema.Int_type);
+      ("b", Schema.Int_type);
+      ("c", Schema.Int_type);
+    ]
+
+let oracle_db ~text designs =
+  let schema = if text then text_schema else paper_schema in
+  let db = Database.create ~pool_capacity:8 [ schema ] in
+  let rng = Rng.create 13 in
+  Database.load db ~table:"t"
+    (Array.init oracle_rows (fun i ->
+         let int () = Tuple.Int (Rng.int rng oracle_value_range) in
+         if text then [| Tuple.Text (Printf.sprintf "k%d" (i mod 10)); int (); int (); int () |]
+         else Array.init 4 (fun _ -> int ())));
+  List.iter (fun cols -> Database.build_index db (index cols)) designs;
+  db
+
+let edge_literals = [ min_int; min_int + 1; -1; 0; oracle_value_range; max_int - 1; max_int ]
+
+let gen_int_literal =
+  QCheck.Gen.(
+    frequency [ (4, int_range (-2) (oracle_value_range + 2)); (1, oneofl edge_literals) ])
+
+let gen_predicate ~text =
+  let open QCheck.Gen in
+  let int_columns = if text then [ "a"; "b"; "c" ] else [ "a"; "b"; "c"; "d" ] in
+  let op = oneofl [ Ast.Eq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+  let int_pred =
+    let* column = oneofl int_columns in
+    frequency
+      [
+        ( 5,
+          map2 (fun op v -> Ast.Cmp { column; op; value = Tuple.Int v }) op gen_int_literal );
+        (* bounds drawn independently, so often reversed *)
+        ( 2,
+          map2
+            (fun lo hi -> Ast.Between { column; low = Tuple.Int lo; high = Tuple.Int hi })
+            gen_int_literal gen_int_literal );
+      ]
+  in
+  let text_pred =
+    let literal = map (fun s -> Tuple.Text s) (oneofl [ ""; "k3"; "k7"; "zz" ]) in
+    frequency
+      [
+        (3, map2 (fun op value -> Ast.Cmp { column = "name"; op; value }) op literal);
+        (1, map2 (fun low high -> Ast.Between { column = "name"; low; high }) literal literal);
+      ]
+  in
+  if text then frequency [ (3, int_pred); (1, text_pred) ] else int_pred
+
+let gen_projection ~text =
+  let columns = if text then [ "name"; "a"; "b"; "c" ] else [ "a"; "b"; "c"; "d" ] in
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Ast.Star);
+        ( 3,
+          map
+            (fun picks ->
+              match List.filteri (fun i _ -> List.nth picks i) columns with
+              | [] -> Ast.Columns [ List.hd columns ]
+              | cs -> Ast.Columns cs)
+            (list_repeat (List.length columns) bool) );
+      ])
+
+let oracle_designs ~text =
+  if text then [ []; [ [ "a" ] ]; [ [ "a"; "b" ] ]; [ [ "b"; "c" ]; [ "a" ] ] ]
+  else
+    [ []; [ [ "a" ] ]; [ [ "b" ] ]; [ [ "a"; "b" ] ]; [ [ "b"; "c"; "d" ] ]; [ [ "a" ]; [ "c"; "d" ] ] ]
+
+type oracle_case = {
+  text : bool;
+  design : string list list;
+  selects : Ast.select list;
+  dml_where : Ast.predicate list;
+}
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let* text = bool in
+  let* design = oneofl (oracle_designs ~text) in
+  let where = list_size (int_range 0 3) (gen_predicate ~text) in
+  let* selects =
+    list_repeat 4
+      (map2 (fun projection where -> { Ast.projection; table = "t"; where }) (gen_projection ~text) where)
+  in
+  let* dml_where = list_size (int_range 1 2) (gen_predicate ~text) in
+  return { text; design; selects; dml_where }
+
+let print_oracle_case c =
+  Printf.sprintf "%s table, design [%s]; %s; DELETE/UPDATE WHERE %s"
+    (if c.text then "text" else "int")
+    (String.concat "; " (List.map (String.concat ",") c.design))
+    (String.concat "; "
+       (List.map (fun s -> Cddpd_sql.Printer.to_string (Ast.Select s)) c.selects))
+    (Cddpd_sql.Printer.to_string (Ast.Delete { table = "t"; where = c.dml_where }))
+
+(* Every select returns the oracle's rows in the oracle's order for the
+   path the planner chose, and a full scan reads each heap page once;
+   DELETE and UPDATE find exactly the oracle's victims.  The selects run
+   again after the DML, over a heap with holes and appended rows. *)
+let exec_matches_naive_prop =
+  QCheck.Test.make ~name:"compiled filters = naive decode-and-evaluate" ~count:60
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun c ->
+      let db = oracle_db ~text:c.text c.design in
+      let check_selects () =
+        List.for_all
+          (fun select ->
+            let result = Database.execute db (Ast.Select select) in
+            let path = (Option.get result.Database.plan).Plan.path in
+            let rows_agree = result.Database.rows = Naive.select db select path in
+            let io_agrees =
+              match path with
+              | Plan.Full_scan -> result.Database.logical_io = Database.page_count db "t"
+              | Plan.Index_seek _ | Plan.Index_only_scan _ | Plan.View_probe _ -> true
+            in
+            rows_agree && io_agrees)
+          c.selects
+      in
+      let victims () =
+        List.length
+          (Naive.select db { Ast.projection = Ast.Star; table = "t"; where = c.dml_where } Plan.Full_scan)
+      in
+      let before = check_selects () in
+      let expected_updated = victims () in
+      let updated =
+        Database.execute db
+          (Ast.Update { table = "t"; assignments = [ ("c", Tuple.Int 1) ]; where = c.dml_where })
+      in
+      let expected_deleted = victims () in
+      let deleted = Database.execute db (Ast.Delete { table = "t"; where = c.dml_where }) in
+      before
+      && updated.Database.affected = expected_updated
+      && deleted.Database.affected = expected_deleted
+      && victims () = 0
+      && check_selects ())
+
+(* The operator-to-range conversion must not wrap at the int edges:
+   [< min_int] and [> max_int] are empty (no row, selectivity 0, and a
+   probe that fetches no more than the tree's height plus one page);
+   [<= max_int] and [>= min_int] are everything. *)
+let test_int_edge_bounds () =
+  let db, data = make_db ~rows:5000 ~value_range:1000 () in
+  Database.build_index db (index [ "a" ]);
+  let stats = Database.table_stats db "t" in
+  let cmp op v = Ast.Cmp { column = "a"; op; value = Tuple.Int v } in
+  List.iter
+    (fun (label, pred, expected_rows) ->
+      let select = { Ast.projection = Ast.Columns [ "a" ]; table = "t"; where = [ pred ] } in
+      let result = Database.execute db (Ast.Select select) in
+      let plan = Option.get result.Database.plan in
+      Alcotest.(check int) (label ^ ": rows") expected_rows (List.length result.Database.rows);
+      let sel = Table_stats.predicate_selectivity stats pred in
+      if expected_rows = 0 then begin
+        Alcotest.(check (float 0.0)) (label ^ ": selectivity") 0.0 sel;
+        Alcotest.(check bool) (label ^ ": estimate near zero") true (plan.Plan.estimated_rows < 1.0);
+        (* I(a) over 5000 entries is two levels deep. *)
+        Alcotest.(check bool) (label ^ ": at most height + 1 pages") true
+          (result.Database.logical_io <= 3)
+      end
+      else Alcotest.(check bool) (label ^ ": selectivity ~1") true (sel > 0.99))
+    [
+      ("a < min_int", cmp Ast.Lt min_int, 0);
+      ("a > max_int", cmp Ast.Gt max_int, 0);
+      ("a <= max_int", cmp Ast.Le max_int, Array.length data);
+      ("a >= min_int", cmp Ast.Ge min_int, Array.length data);
+    ];
+  (* The probe itself: an empty interval fetches no page at all. *)
+  let pool = Cddpd_storage.Buffer_pool.create ~capacity:64 (Cddpd_storage.Disk.create ()) in
+  let probe_index =
+    Cddpd_engine.Index.build_of_rows pool paper_schema (index [ "a" ]) ~rows:data
+      ~rids:(Array.mapi (fun i _ -> { Cddpd_storage.Heap_file.page = i / 100; slot = i mod 100 }) data)
+  in
+  List.iter
+    (fun (label, bounds) ->
+      let before = Cddpd_storage.Buffer_pool.stats pool in
+      let rids = Cddpd_engine.Index.probe probe_index ~eq_prefix:[] ~range:(Some bounds) in
+      let after = Cddpd_storage.Buffer_pool.stats pool in
+      let accesses (s : Cddpd_storage.Buffer_pool.stats) = s.hits + s.misses in
+      Alcotest.(check int) (label ^ ": probe rows") 0 (List.length rids);
+      Alcotest.(check bool) (label ^ ": probe pages <= height + 1") true
+        (accesses after - accesses before <= Cddpd_engine.Index.height probe_index + 1))
+    [
+      ("probe < min_int", (None, Some { Plan.op = Ast.Lt; value = min_int }));
+      ("probe > max_int", (Some { Plan.op = Ast.Gt; value = max_int }, None));
+    ]
+
+(* The scan kernels allocate nothing per row or entry: a 5,000-row full
+   scan and a 5,000-entry index-only scan, each under a selective
+   two-predicate filter (so the result rows are few), each allocate less
+   than one minor-heap word per row. *)
+let test_scan_allocation () =
+  let db, data = make_db ~rows:5000 ~value_range:1000 () in
+  let words_per_row sql =
+    let statement = Cddpd_sql.Parser.parse_exn sql in
+    ignore (Database.execute db statement);
+    let before = Gc.minor_words () in
+    let result = Database.execute db statement in
+    let words = Gc.minor_words () -. before in
+    (result, words /. float_of_int (Array.length data))
+  in
+  let scan, scan_words = words_per_row "SELECT a FROM t WHERE b = 17 AND c >= 0" in
+  Alcotest.(check bool) "full scan chosen" true
+    ((Option.get scan.Database.plan).Plan.path = Plan.Full_scan);
+  if scan_words >= 1.0 then Alcotest.failf "full scan: %.2f words per row" scan_words;
+  Database.build_index db (index [ "a"; "b" ]);
+  let only, only_words = words_per_row "SELECT b FROM t WHERE b = 17 AND b >= 0" in
+  (match (Option.get only.Database.plan).Plan.path with
+  | Plan.Index_only_scan _ -> ()
+  | Plan.Full_scan | Plan.Index_seek _ | Plan.View_probe _ ->
+      Alcotest.fail "expected an index-only scan");
+  if only_words >= 1.0 then Alcotest.failf "index-only scan: %.2f words per entry" only_words
+
 (* -- incremental statistics ------------------------------------------------------- *)
 
 (* [build] and [of_counts] must bucket every multiset exactly like the
@@ -1086,6 +1314,9 @@ let () =
           Alcotest.test_case "I/O measured" `Quick test_exec_io_measured;
           Alcotest.test_case "semantic errors raise" `Quick test_exec_semantic_error_raises;
           QCheck_alcotest.to_alcotest exec_design_independent_prop;
+          QCheck_alcotest.to_alcotest exec_matches_naive_prop;
+          Alcotest.test_case "int edge bounds" `Quick test_int_edge_bounds;
+          Alcotest.test_case "scan kernels allocate nothing per row" `Quick test_scan_allocation;
         ] );
       ( "dml",
         [

@@ -444,15 +444,28 @@ let test_heap_iter_order_matches_insert () =
     (List.init n (fun i -> i))
     (List.rev !seen)
 
-let test_heap_iter_slices_agrees () =
+let test_heap_scan_kernel () =
   let heap = make_heap () in
-  for i = 0 to 99 do
-    ignore (Heap_file.insert heap [| Tuple.Int i; Tuple.Int (i * 2) |])
-  done;
-  let total = ref 0 in
-  Heap_file.iter_slices heap (fun buf base ->
-      total := !total + Tuple.int_exn (Tuple.get_field_at buf ~base 1));
-  Alcotest.(check int) "sum via slices" (2 * (99 * 100 / 2)) !total
+  let rids =
+    Array.init 1000 (fun i -> Heap_file.insert heap [| Tuple.Int i; Tuple.Int (i * 2) |])
+  in
+  ignore (Heap_file.delete heap rids.(40));
+  (* field 1 in [60, 100]: rows 30..50, minus the deleted row 40 *)
+  let ranges = Cddpd_storage.Ranges.of_list [ (Tuple.int_field_offset 1, 60, 100) ] in
+  let seen = ref [] in
+  Heap_file.scan heap ~ranges (fun buf base page slot ->
+      let row = Tuple.int_exn (Tuple.get_field_at buf ~base 0) in
+      Alcotest.(check bool) "rid is the row's" true
+        (Heap_file.compare_rid { Heap_file.page; slot } rids.(row) = 0);
+      seen := row :: !seen);
+  Alcotest.(check (list int)) "matches in storage order"
+    (List.filter (fun i -> i <> 40) (List.init 21 (fun i -> 30 + i)))
+    (List.rev !seen);
+  let all = ref 0 in
+  Heap_file.scan heap ~ranges:Cddpd_storage.Ranges.none (fun _ _ _ _ -> incr all);
+  Alcotest.(check int) "no ranges: every live row" 999 !all;
+  let empty = Cddpd_storage.Ranges.of_list [ (Tuple.int_field_offset 0, max_int, min_int) ] in
+  Heap_file.scan heap ~ranges:empty (fun _ _ _ _ -> Alcotest.fail "empty range matched")
 
 let test_heap_oversize_tuple () =
   let heap = make_heap () in
@@ -550,7 +563,7 @@ let () =
           Alcotest.test_case "delete" `Quick test_heap_delete;
           Alcotest.test_case "multi-page" `Quick test_heap_multi_page;
           Alcotest.test_case "iter order" `Quick test_heap_iter_order_matches_insert;
-          Alcotest.test_case "iter_slices" `Quick test_heap_iter_slices_agrees;
+          Alcotest.test_case "scan kernel" `Quick test_heap_scan_kernel;
           Alcotest.test_case "oversize tuple" `Quick test_heap_oversize_tuple;
           QCheck_alcotest.to_alcotest heap_model_prop;
         ] );
