@@ -1842,7 +1842,7 @@ let write_serve_json path (scratch, incr, clusters) =
   in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-serve/2\",\"rows\":%d,\"value_range\":%d,\
+    "{\"schema\":\"cddpd-bench-serve/3\",\"rows\":%d,\"value_range\":%d,\
      \"window\":%d,\"pool\":%d,\"history\":%d,\"k\":%d,\"method\":\"%s\",\
      \"jobs\":1,\"cores\":%d,\"phases\":\"%s\",\"cells\":["
     serve_rows serve_value_range serve_window serve_pool_size
@@ -1879,18 +1879,14 @@ let write_serve_json path (scratch, incr, clusters) =
     "\"totals\":{\"wall_from_scratch_s\":%s,\"wall_incremental_s\":%s,\
      \"incremental\":{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
      \"builds\":%d,\"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
-     \"stats_invalidations\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
-     \"generations\":%d}},\"from_scratch\":{\"reoptimizations\":%d,\
+     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d}},\"from_scratch\":{\"reoptimizations\":%d,\
      \"warm_start_bounds\":%d}},\"digests_identical\":true}\n"
     (json_float6 scratch.se_wall_s) (json_float6 incr.se_wall_s)
     incr.se_stats.Reopt.reoptimizations incr.se_stats.Reopt.warm_start_bounds
     tallies.Problem.Reuse.builds tallies.Problem.Reuse.exec_columns_reused
     tallies.Problem.Reuse.clusters_recosted
-    tallies.Problem.Reuse.stats_invalidations
     cache.Cddpd_engine.Cost_cache.hits cache.Cddpd_engine.Cost_cache.misses
     cache.Cddpd_engine.Cost_cache.evictions
-    cache.Cddpd_engine.Cost_cache.generations
     scratch.se_stats.Reopt.reoptimizations
     scratch.se_stats.Reopt.warm_start_bounds;
   close_out oc

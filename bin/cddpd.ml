@@ -483,7 +483,7 @@ let status_json_arg =
   Arg.(value & flag
        & info [ "status" ]
            ~doc:"Emit the run summary as one JSON object (schema \
-                 cddpd-serve/2) instead of per-window lines and a text \
+                 cddpd-serve/3) instead of per-window lines and a text \
                  summary.")
 
 let action_to_string = function
@@ -515,22 +515,19 @@ let reopt_json (stats : Cddpd_core.Reopt.stats) =
   Printf.sprintf
     "{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
      \"builds_reused\":%d,\"exec_columns_reused\":%d,\
-     \"clusters_recosted\":%d,\"stats_invalidations\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
-     \"generations\":%d}}"
+     \"clusters_recosted\":%d,\
+     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d}}"
     stats.Cddpd_core.Reopt.reoptimizations stats.Cddpd_core.Reopt.warm_start_bounds
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.builds
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.exec_columns_reused
     stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.clusters_recosted
-    stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.stats_invalidations
     stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.hits
     stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.misses
     stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.evictions
-    stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.generations
 
 let report_json (report : Server.report) =
   Printf.sprintf
-    "{\"schema\":\"cddpd-serve/2\",\"regime\":\"%s\",\"windows\":%d,\
+    "{\"schema\":\"cddpd-serve/3\",\"regime\":\"%s\",\"windows\":%d,\
      \"statements\":%d,\"residual_statements\":%d,\"drift_events\":%d,\
      \"reoptimizations\":%d,\"deployments\":%d,\"rejections\":%d,\
      \"rollbacks\":%d,\"exec_logical_io\":%d,\"trans_logical_io\":%d,\

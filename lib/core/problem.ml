@@ -47,7 +47,6 @@ module Reuse = struct
     builds : int;
     exec_columns_reused : int;
     clusters_recosted : int;
-    stats_invalidations : int;
   }
 
   type t = {
@@ -67,7 +66,6 @@ module Reuse = struct
       builds = t.t_builds;
       exec_columns_reused = t.t_exec_columns_reused;
       clusters_recosted = t.t_clusters_recosted;
-      stats_invalidations = (Cost_cache.stats t.memo).Cost_cache.generations;
     }
 end
 

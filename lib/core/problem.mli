@@ -41,10 +41,10 @@ module Reuse : sig
       no earlier build evaluated for a cluster the previous build also
       had, and composes every configuration from the rows; a build whose
       clusters and structures all appeared in the previous build
-      therefore makes no what-if call.  Reuse never changes a result: the
-      memo's keys are exact cost identities and its statistics fence
-      flushes it on any fingerprint change, so matrices are bit-identical
-      to a from-scratch build.
+      therefore makes no what-if call.  Reuse never changes a result,
+      across statistics refreshes too: the memo's keys are the atoms'
+      complete inputs (see {!Cddpd_engine.Cost_cache}), so matrices are
+      bit-identical to a from-scratch build.
 
       A [Reuse.t] is only sound while the cost-model parameters behind
       it are fixed and must not be shared across concurrent builds. *)
@@ -57,9 +57,6 @@ module Reuse : sig
             configuration needed a new atom *)
     clusters_recosted : int;
         (** clusters with no row in the memo *)
-    stats_invalidations : int;
-        (** memo flushes by the statistics fence — the memo's
-            [generations], not a second count *)
   }
 
   val create : unit -> t
@@ -117,8 +114,9 @@ val build :
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
     skipping the keying pass; the caller must guarantee they equal the
-    keys under the current statistics (serve checks per-window
-    statistics fingerprints before passing them).  Raises
+    keys under the statistics [stats_of] returns now (serve passes them
+    only when every window was keyed under the current
+    {!Cddpd_engine.Database.stats_generation}).  Raises
     [Invalid_argument] on a length mismatch.
 
     The matrices are bit-identical to the naive definition, whatever the

@@ -15,8 +15,8 @@
 
     Everything is bit-identical to the from-scratch path: reuse only
     reads atoms whose {!Cddpd_engine.Cost_key} cost identities prove
-    them equal, statistics changes are fenced by per-table fingerprints,
-    and warm bounds never change what the exact solvers return — only
+    them equal, under whatever statistics the build sees, and warm
+    bounds never change what the exact solvers return — only
     how fast.  Property-tested over random drift traces in
     [test_serve.ml].
 
@@ -32,8 +32,8 @@ type stats = {
   reuse : Problem.Reuse.tallies;
       (** exec reuse accounting (zeros when reuse is disabled) *)
   cache : Cddpd_engine.Cost_cache.stats;
-      (** the session's atom memo: atoms read and evaluated, rows evicted,
-          statistics flushes (zeros when reuse is disabled) *)
+      (** the session's atom memo: atoms read and evaluated, rows evicted
+          (zeros when reuse is disabled) *)
 }
 
 val create : ?reuse:bool -> Cddpd_engine.Database.t -> t
@@ -47,7 +47,7 @@ val build_problem :
 (** {!Advisor.build_problem} threaded through the session's reuse state.
     [statement_keys] as in {!Problem.build} — precomputed cost-identity
     keys for the request's concatenated steps, valid only under the
-    current statistics (callers check fingerprints). *)
+    current statistics (serve checks the statistics generation). *)
 
 val solve :
   ?k:int ->

@@ -10,12 +10,14 @@
     one memo across builds, so a build evaluates only the atoms no
     earlier build evaluated for a cluster the previous build also had.
 
-    A stored atom is the bit-identical float a fresh evaluation would
-    produce: equal cluster and structure keys under unchanged statistics
-    imply equal atoms.  Statistics changes are fenced by per-table
-    fingerprints ({!Table_stats.fingerprint}): a lookup under a snapshot
-    in which any table the previous lookup saw fingerprints differently
-    flushes every row first.  Rows are also only sound while the
+    A stored atom is the bit-identical float a fresh evaluation under
+    the current statistics would produce: a row's key and a structure's
+    identity ({!Cost_key.structure} with its {!Cost_key.structure_stats})
+    are the atom's complete inputs, so rows need no statistics fence.  A
+    structure whose [structure_stats] moved keeps its id and has its
+    column cleared, so the memo's width follows the structures, not the
+    refreshes; a kept row's missing atoms are evaluated from a binding
+    under the current snapshot.  Rows are only sound while the
     cost-model parameters behind them are fixed.
 
     The tables are unsynchronised: use a memo from one domain at a time.
@@ -33,11 +35,16 @@ type stats = {
       (** atoms evaluated — one [cost_model.calls] each, so across a
           session's builds this equals their fill's what-if calls *)
   evictions : int;  (** rows dropped because the latest lookup lacked their cluster *)
-  generations : int;  (** flushes by the statistics fingerprint fence *)
+  generations : int;
+      (** always [0]: the memo has no statistics fence to count.  The
+          field stays because perfbench's serve benchmark still prints
+          it; it goes when that benchmark is next changed. *)
 }
 
 type row = private {
-  bound : Cost_model.bound;  (** the cluster's representative, bound once *)
+  mutable bound : Cost_model.bound;
+      (** the cluster's representative, bound when the row was made or,
+          later, when it last needed an atom *)
   base : float;  (** {!Cost_model.base_plan}'s cost *)
   mutable access : float array;
       (** {!Cost_model.access_cost} of each atom, by session structure id *)
@@ -68,8 +75,7 @@ val lookup :
   lookup
 (** The rows of the clusters [cluster_keys] (distinct, with
     representatives [reps]) for every structure of [structures] (keyed
-    by [structure_keys]).  Applies the statistics fence against
-    [snapshot] — which must hold every table of [reps] — then reuses
-    each cluster's row if the memo has it, binds a new one otherwise,
-    and evaluates only the missing atoms.  Afterwards the memo holds
-    exactly these clusters' rows. *)
+    by [structure_keys]) under [snapshot], which must hold every table
+    of [reps] and [structures].  Reuses each cluster's row if the memo
+    has it, binds a new one otherwise, and evaluates only the missing
+    atoms.  Afterwards the memo holds exactly these clusters' rows. *)

@@ -39,8 +39,8 @@ let add_pred stats buf pred =
 
 let statement stats stmt =
   let buf = Buffer.create 96 in
-  (* Table-shape fingerprint: every cost formula scales with these, and a
-     cache handle may outlive one statistics snapshot. *)
+  (* Table shape: every cost formula scales with these, and a key must
+     stay an identity across statistics snapshots. *)
   Buffer.add_string buf
     (Printf.sprintf "%d.%d.%d@" (Table_stats.row_count stats)
        (Table_stats.page_count stats) (Table_stats.n_histograms stats));
@@ -95,3 +95,8 @@ let structure s =
         (String.concat "," (Index_def.columns i))
   | Structure.View v ->
       Printf.sprintf "V:%s:%s" (View_def.table v) (View_def.group_by v)
+
+let structure_stats stats s =
+  match s with
+  | Structure.Index _ -> 0
+  | Structure.View v -> Cost_model.view_rows stats v

@@ -19,16 +19,15 @@
     deliberately left out, which is where the memo hit rate comes from.
 
     Soundness invariant: within one statistics snapshot, equal
-    {!statement} keys imply bit-equal [statement_cost] under every design
-    (asserted by property test against random statements and designs).
-    That is what clustering relies on: {!Cddpd_core.Problem.build} and
-    serve's probation check cost one representative per key.  Across
-    snapshots the key is not enough — it leaves out, for instance, the
-    group cardinality of the views a DML statement maintains — so memos
-    that outlive a snapshot fence on {!Table_stats.fingerprint} instead
-    ({!Cost_cache}).  Anyone extending the cost model to read a new
-    statement field must extend the key too.  Structure keys are
-    injective. *)
+    {!statement} keys imply bit-equal [statement_cost] under every design,
+    which is what clustering relies on ({!Cddpd_core.Problem.build} and
+    serve's probation check cost one representative per key).  Across
+    snapshots, equal {!statement} keys and equal structure identities
+    ({!structure} with {!structure_stats}) imply bit-equal
+    {!Cost_model.atom}s, which is what lets {!Cost_cache} rows outlive a
+    refresh.  Both are property-tested.  Anyone extending the cost model
+    to read a new statement field or statistic must extend the key that
+    carries it.  Structure keys are injective. *)
 
 val statement : Table_stats.t -> Cddpd_sql.Ast.statement -> string
 (** The statement's cost identity under the given table statistics. *)
@@ -37,3 +36,10 @@ val structure : Cddpd_catalog.Structure.t -> string
 (** ["I:<table>:<col>,<col>"] for an index, ["V:<table>:<col>"] for a
     materialized view.  Unlike {!Cddpd_catalog.Structure.name}, the table
     is part of the key. *)
+
+val structure_stats : Table_stats.t -> Cddpd_catalog.Structure.t -> int
+(** The one statistic a structure's atoms read that no {!statement} key
+    carries: a view's group count ({!Cost_model.view_rows}), which sizes
+    its lookup tree and so the maintenance a write pays through it; [0]
+    for an index, whose atoms read only the table shape and
+    selectivities the statement key already holds. *)

@@ -573,5 +573,3 @@ let io_counters t = (pool_accesses t, disk_reads t)
 let reset_io_counters t =
   Buffer_pool.reset_stats t.pool;
   Disk.reset_stats t.disk
-
-let drop_buffer_cache t = Buffer_pool.drop_cache t.pool

@@ -128,6 +128,3 @@ val io_counters : t -> int * int
 (** Cumulative (logical, physical) I/O since creation or the last reset. *)
 
 val reset_io_counters : t -> unit
-
-val drop_buffer_cache : t -> unit
-(** Force the next accesses to hit the simulated disk (cold cache). *)

@@ -5,10 +5,11 @@ type t = {
   row_count : int;
   page_count : int;
   histograms : (string * Histogram.t) list;
-  fingerprint : string;
 }
 
-let compute_fingerprint ~row_count ~page_count ~histograms =
+let make ~row_count ~page_count ~histograms = { row_count; page_count; histograms }
+
+let fingerprint { row_count; page_count; histograms } =
   let buf = Buffer.create 4096 in
   let add i = Buffer.add_int64_le buf (Int64.of_int i) in
   add row_count;
@@ -21,17 +22,6 @@ let compute_fingerprint ~row_count ~page_count ~histograms =
     histograms;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The fingerprint is computed here, once, rather than on demand: snapshots
-   are read from several domains during a parallel build, and a plain
-   field needs no synchronisation. *)
-let make ~row_count ~page_count ~histograms =
-  {
-    row_count;
-    page_count;
-    histograms;
-    fingerprint = compute_fingerprint ~row_count ~page_count ~histograms;
-  }
-
 let row_count t = t.row_count
 
 let page_count t = t.page_count
@@ -39,8 +29,6 @@ let page_count t = t.page_count
 let histogram t column = List.assoc_opt column t.histograms
 
 let n_histograms t = List.length t.histograms
-
-let fingerprint t = t.fingerprint
 
 let default_selectivity = 0.1
 

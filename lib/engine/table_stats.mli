@@ -10,8 +10,7 @@ val make :
   page_count:int ->
   histograms:(string * Histogram.t) list ->
   t
-(** Assemble statistics (normally done by [Database.analyze]).  Computes
-    the {!fingerprint} once, here. *)
+(** Assemble statistics (normally done by [Database.analyze]). *)
 
 val row_count : t -> int
 
@@ -28,9 +27,9 @@ val fingerprint : t -> string
     row count, page count, and every histogram's full contents (via
     {!Histogram.add_fingerprint_bytes}).  Equal fingerprints imply every
     cost-model estimate over the two statistics snapshots is
-    bit-identical — the invalidation test for state (memoized build
-    costs, precomputed {!Cost_key} statement keys) that outlives a
-    statistics refresh.  Computed by {!make}, so reading it is free. *)
+    bit-identical: an equality oracle for checks that an incrementally
+    maintained snapshot equals a rescan.  Computed on each call (an MD5
+    over every histogram), so keep it off hot paths. *)
 
 val default_selectivity : float
 (** Fallback selectivity (0.1) used when no histogram is available. *)

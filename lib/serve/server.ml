@@ -13,7 +13,6 @@ module Optimizer = Cddpd_core.Optimizer
 module Online_tuner = Cddpd_core.Online_tuner
 module Reopt = Cddpd_core.Reopt
 module Candidates = Cddpd_core.Candidates
-module Table_stats = Cddpd_engine.Table_stats
 module Compress = Cddpd_workload.Compress
 module Cost_key = Cddpd_engine.Cost_key
 module Check = Cddpd_engine.Check
@@ -142,9 +141,9 @@ type probation = { prev_design : Design.t }
 (* One closed window in the sliding history: the statements plus the
    cost-identity pass serve already paid for drift detection — the keys,
    whether every statement is on the served table (the keys are computed
-   under that table's statistics), and the statistics fingerprint they
-   were computed under.  Re-optimization reuses the keys only while the
-   fingerprint still matches the live statistics.  The window's candidate
+   under that table's statistics), and the statistics generation they
+   were computed under.  Re-optimization reuses the keys only while that
+   generation is still current.  The window's candidate
    tally is computed the first time a re-optimization reads it, then kept:
    a window that ages through the history is tallied once, and a window no
    re-optimization reads is never tallied. *)
@@ -152,7 +151,7 @@ type history_window = {
   h_statements : Ast.statement array;
   h_keys : string array;
   h_uniform : bool;
-  h_fingerprint : string;
+  h_generation : int;
   h_tally : Candidates.tally Lazy.t;
 }
 
@@ -348,16 +347,17 @@ let check_probation t ~stats ~window ~clustering ~measured_io =
 
 (* One constrained re-optimization over the recent windows, seeded with
    the incumbent design as C0, guarded before deployment. *)
-let reoptimize_continuous t ~fingerprint =
+let reoptimize_continuous t ~generation =
   let history = List.rev t.history_windows in
   (* The per-window cost-identity keys double as the build's statement
      keys, but only while they are provably current: every statement on
      the served table (whose statistics keyed them) and every window
-     keyed under statistics that still fingerprint the same. *)
+     keyed under the current statistics generation.  A generation can
+     move while the keys stay equal; they are then recomputed, equal. *)
   let statement_keys =
     if
       List.for_all
-        (fun h -> h.h_uniform && String.equal h.h_fingerprint fingerprint)
+        (fun h -> h.h_uniform && h.h_generation = generation)
         history
     then Some (Array.concat (List.map (fun h -> h.h_keys) history))
     else None
@@ -435,7 +435,7 @@ let close_window t window fed_keys fed_gens =
      compute — the snapshot is physically the same object — so it rides
      through untouched.  Anything older (fed before mid-window DML) or
      deferred (DML itself) is keyed here, exactly as the single close-time
-     pass always did.  The keys feed drift detection and, fingerprint
+     pass always did.  The keys feed drift detection and, generation
      permitting, the incremental problem build. *)
   let keys =
     Array.mapi
@@ -446,14 +446,13 @@ let close_window t window fed_keys fed_gens =
   in
   let clustering = Compress.cluster_keys keys in
   let profile = Drift.profile_of_clustering ~keys clustering in
-  let fingerprint = Table_stats.fingerprint stats in
   let closed =
     {
       h_statements = window;
       h_keys = keys;
       h_uniform =
         Array.for_all (fun s -> String.equal (Ast.table_of s) t.cfg.table) window;
-      h_fingerprint = fingerprint;
+      h_generation = gen;
       h_tally = lazy (Candidates.tally (schema t) window);
     }
   in
@@ -490,7 +489,7 @@ let close_window t window fed_keys fed_gens =
         | Continuous ->
             if index = 0 || drifted then
               reoptimize "serve.reoptimize" (fun () ->
-                  reoptimize_continuous t ~fingerprint)
+                  reoptimize_continuous t ~generation:gen)
             else (No_action, 0.0, 0))
   in
   t.prev_profile <- Some profile;

@@ -137,8 +137,7 @@ type report = {
   final_design : Cddpd_catalog.Design.t;
   reopt : Cddpd_core.Reopt.stats;
       (** the re-optimization session's accounting: builds, reuse tallies,
-          warm-start bounds, and the atom memo's
-          hits/misses/evictions/generations *)
+          warm-start bounds, and the atom memo's hits/misses/evictions *)
 }
 
 type t
@@ -154,7 +153,7 @@ val config : t -> config
 
 val reopt_stats : t -> Cddpd_core.Reopt.stats
 (** Live re-optimization session accounting (also included in
-    {!finish}'s report) — cache generations and evictions between
+    {!finish}'s report) — atom-memo hits, misses and evictions between
     re-optimizations, reuse tallies, warm-start bounds. *)
 
 val feed : t -> Cddpd_sql.Ast.statement -> window_report option

@@ -2,7 +2,7 @@
    mean equal costs (what clustering relies on), Problem.build must equal
    the naive oracle (naive.ml) in matrices and solver outputs whatever the
    domain count, and the session's atom memo (Cost_cache) must account for
-   what it reads, evaluates, evicts and flushes. *)
+   what it reads, evaluates and evicts, across statistics refreshes too. *)
 
 module Tuple = Cddpd_storage.Tuple
 module Schema = Cddpd_catalog.Schema
@@ -206,57 +206,195 @@ let key_sound_prop =
                (Cost_model.statement_cost params snapshot d s2))
            designs)
 
-(* A one-table problem over synthetic statistics, for the fence tests. *)
+(* Equal (statement key, structure identity) under two snapshots reached
+   by DML must mean bit-equal atoms: the atom memo keeps rows across
+   statistics refreshes on exactly this.  Each case loads a small table,
+   runs a few random writes (mostly UPDATEs, which keep the row count but
+   move the written column's histogram, and with it the group count of a
+   view on that column), and compares a statement under the old snapshot
+   with a sibling under the new one, for every index of the pool and a
+   view on every column.
+
+   Every column starts with exactly [groups] distinct values, the largest
+   group count whose view lookup tree (shaped like a one-column index) is
+   still one level shorter, so a write that adds a value grows every
+   view on its column by a level. *)
+let groups =
+  let shape = index [ "a" ] in
+  let height rows = Cost_model.index_height params ~rows shape in
+  let rec last_before_growth n =
+    if height (n + 1) > height n then n else last_before_growth (n + 1)
+  in
+  last_before_growth 1
+
+let boundary_db () =
+  let db = Database.create ~pool_capacity:1024 [ schema ] in
+  let rng = Rng.create 11 in
+  Database.load db ~table:"t"
+    (Array.init (3 * groups) (fun i ->
+         Array.init 4 (fun _ -> Tuple.Int (if i < groups then i else Rng.int rng groups))));
+  db
+
+let gen_write =
+  QCheck.Gen.(
+    let eq column v = [ Ast.Cmp { column; op = Ast.Eq; value = Tuple.Int v } ] in
+    frequency
+      [
+        ( 4,
+          map2
+            (fun (set, v) (column, w) ->
+              Ast.Update { table = "t"; assignments = [ (set, Tuple.Int v) ]; where = eq column w })
+            (pair (oneofl columns) (int_bound (2 * groups)))
+            (pair (oneofl columns) (int_bound groups)) );
+        ( 1,
+          map2
+            (fun column w -> Ast.Delete { table = "t"; where = eq column w })
+            (oneofl columns) (int_bound groups) );
+        ( 1,
+          map
+            (fun vs -> Ast.Insert { table = "t"; values = List.map (fun v -> Tuple.Int v) vs })
+            (list_repeat 4 (int_bound (2 * groups))) );
+      ])
+
+let cross_snapshot_structures =
+  List.filter (function Structure.Index _ -> true | Structure.View _ -> false) structure_pool
+  @ List.map (fun g -> Structure.view (View_def.make ~table:"t" ~group_by:g)) columns
+
+let cross_snapshot_prop =
+  let gen =
+    QCheck.Gen.(
+      gen_statement >>= fun s1 ->
+      triple (return s1)
+        (oneof [ return s1; gen_sibling s1 ])
+        (list_size (int_range 1 4) gen_write))
+  in
+  QCheck.Test.make ~name:"equal keys across DML snapshots => bit-equal atoms" ~count:300
+    (QCheck.make
+       ~print:(fun (s1, s2, writes) ->
+         Printf.sprintf "%s / %s after %s" (Cddpd_sql.Printer.to_string s1)
+           (Cddpd_sql.Printer.to_string s2)
+           (String.concat "; " (List.map Cddpd_sql.Printer.to_string writes)))
+       gen)
+    (fun (s1, s2, writes) ->
+      let db = boundary_db () in
+      let before = Database.table_stats db "t" in
+      List.iter (fun w -> ignore (Database.execute db w)) writes;
+      let after = Database.table_stats db "t" in
+      (not (String.equal (Cost_key.statement before s1) (Cost_key.statement after s2)))
+      ||
+      let b1 = Cost_model.bind before s1 and b2 = Cost_model.bind after s2 in
+      let compose b = Cost_model.compose params b ~access:1.5 ~maintenance:2.5 in
+      same_float (Cost_model.base_plan params b1).Cddpd_engine.Plan.estimated_cost
+        (Cost_model.base_plan params b2).Cddpd_engine.Plan.estimated_cost
+      && same_float (compose b1) (compose b2)
+      && List.for_all
+           (fun structure ->
+             Cost_key.structure_stats before structure <> Cost_key.structure_stats after structure
+             ||
+             let a1 = Cost_model.atom params b1 structure
+             and a2 = Cost_model.atom params b2 structure in
+             same_float (Cost_model.access_cost a1) (Cost_model.access_cost a2)
+             && same_float a1.Cost_model.maintenance a2.Cost_model.maintenance)
+           cross_snapshot_structures)
+
+(* One-table problems over synthetic statistics that differ only in the
+   distinct count of the view's group column [g]. *)
 let view_g = Structure.view (View_def.make ~table:"t" ~group_by:"g")
 
-let build_under ?reuse snapshot steps =
+let index_a = Structure.index (index [ "a" ])
+
+let g_snapshot g_distinct =
+  let rows = 20_000 in
+  Cddpd_engine.Table_stats.make ~row_count:rows ~page_count:400
+    ~histograms:
+      [
+        ("a", Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod 1000)));
+        ("g", Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod g_distinct)));
+      ]
+
+let delete_a =
+  Ast.Delete { table = "t"; where = [ Ast.Cmp { column = "a"; op = Ast.Eq; value = Tuple.Int 5 } ] }
+
+let build_under ?reuse snapshot structures steps =
   Problem.build ~params
     ~stats_of:(fun _ -> snapshot)
-    ~steps ~space:(Config_space.single_structure [ view_g ]) ~initial:Design.empty ?reuse ()
+    ~steps ~space:(Config_space.single_structure structures) ~initial:Design.empty ?reuse ()
 
-(* Regression and fence: DELETE under a view pays the view's maintenance,
-   whose height follows the group column's distinct count.  Two snapshots
-   that differ only there share the statement key but not the cost, so a
-   memo that outlives the refresh must not serve the old atoms: the
-   fingerprints differ, and the session build after the refresh counts
-   one generation and recosts its cluster. *)
-let test_view_cardinality_fence () =
-  let rows = 20_000 in
-  let snapshot g_distinct =
-    Cddpd_engine.Table_stats.make ~row_count:rows ~page_count:400
-      ~histograms:
-        [
-          ("a", Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod 1000)));
-          ("g", Cddpd_engine.Histogram.build (Array.init rows (fun i -> i mod g_distinct)));
-        ]
-  in
-  let before = snapshot 150 and after = snapshot 155 in
-  let delete =
-    Ast.Delete { table = "t"; where = [ Ast.Cmp { column = "a"; op = Ast.Eq; value = Tuple.Int 5 } ] }
-  in
+let check_oracle label snapshot built =
+  Alcotest.(check bool) (label ^ " = oracle") true
+    (Naive.matches params ~stats_of:(fun _ -> snapshot) built)
+
+(* Regression: DELETE under a view pays the view's maintenance, whose
+   height follows the group column's distinct count.  Two snapshots that
+   differ only there (150 and 155 groups: one leaf page or two) share the
+   statement key but not the cost, so the view's identity differs between
+   them: the session build after the refresh keeps the cluster's row,
+   reads its index atom, and recosts only the view's. *)
+let test_view_cardinality_refresh () =
+  let before = g_snapshot 150 and after = g_snapshot 155 in
   let design = Design.add_structure view_g Design.empty in
-  let cost s = Cost_model.statement_cost params s design delete in
-  Alcotest.(check string) "statement keys agree" (Cost_key.statement before delete)
-    (Cost_key.statement after delete);
+  let cost s = Cost_model.statement_cost params s design delete_a in
+  Alcotest.(check string) "statement keys agree" (Cost_key.statement before delete_a)
+    (Cost_key.statement after delete_a);
   Alcotest.(check bool) "costs differ" false (same_float (cost before) (cost after));
-  Alcotest.(check bool) "fingerprints differ" false
-    (String.equal
-       (Cddpd_engine.Table_stats.fingerprint before)
-       (Cddpd_engine.Table_stats.fingerprint after));
+  Alcotest.(check bool) "view identities differ" false
+    (Cost_key.structure_stats before view_g = Cost_key.structure_stats after view_g);
   let reuse = Problem.Reuse.create () in
-  let steps = [| [| delete |] |] in
-  let check_build label snapshot =
-    let built = build_under ~reuse snapshot steps in
-    Alcotest.(check bool) (label ^ " = oracle") true
-      (Naive.matches params ~stats_of:(fun _ -> snapshot) built)
-  in
-  check_build "before" before;
-  check_build "after the refresh" after;
-  let memo = Cost_cache.stats (Problem.Reuse.memo reuse) in
-  Alcotest.(check int) "one generation" 1 memo.Cost_cache.generations;
-  Alcotest.(check int) "the cluster recosted" 2
+  let steps = [| [| delete_a |] |] in
+  check_oracle "before" before (build_under ~reuse before [ index_a; view_g ] steps);
+  let s1 = Cost_cache.stats (Problem.Reuse.memo reuse) in
+  check_oracle "after the refresh" after (build_under ~reuse after [ index_a; view_g ] steps);
+  let s2 = Cost_cache.stats (Problem.Reuse.memo reuse) in
+  Alcotest.(check int) "the cluster's row kept" 1
     (Problem.Reuse.tallies reuse).Problem.Reuse.clusters_recosted;
-  Alcotest.(check int) "no atom read across the refresh" 0 memo.Cost_cache.hits
+  Alcotest.(check int) "the index atom read" 1 (s2.Cost_cache.hits - s1.Cost_cache.hits);
+  Alcotest.(check int) "only the view atom recosted" 1
+    (s2.Cost_cache.misses - s1.Cost_cache.misses)
+
+(* A row kept across a refresh was bound under the old snapshot.  A
+   structure the new build adds must be costed from a binding under the
+   new one, or the view's maintenance reads the old group count. *)
+let test_added_structure_after_refresh () =
+  let reuse = Problem.Reuse.create () in
+  let steps = [| [| delete_a |] |] in
+  ignore (build_under ~reuse (g_snapshot 150) [ index_a ] steps);
+  let after = g_snapshot 155 in
+  check_oracle "B adds the view" after (build_under ~reuse after [ index_a; view_g ] steps);
+  Alcotest.(check int) "the row was kept" 1
+    (Problem.Reuse.tallies reuse).Problem.Reuse.clusters_recosted
+
+(* Refreshes that move a view's group count back and forth clear its
+   column instead of taking new ids: rows stay as wide as the structures,
+   and every stored atom equals a fresh evaluation under the current
+   snapshot. *)
+let test_ids_bounded_across_refreshes () =
+  let memo = Cost_cache.create () in
+  let structures = [| index_a; view_g |] in
+  let structure_keys = Array.map Cost_key.structure structures in
+  List.iter
+    (fun g_distinct ->
+      let stats = g_snapshot g_distinct in
+      let snapshot = Hashtbl.create 1 in
+      Hashtbl.replace snapshot "t" stats;
+      let { Cost_cache.rows; ids; _ } =
+        Cost_cache.lookup memo params ~snapshot ~structures ~structure_keys
+          ~cluster_keys:[| Cost_key.statement stats delete_a |]
+          ~reps:[| delete_a |]
+      in
+      let fresh = Cost_model.bind stats delete_a in
+      Array.iter
+        (fun row ->
+          Alcotest.(check int) "row width = structures" (Array.length structures)
+            (Array.length row.Cost_cache.access);
+          Array.iteri
+            (fun u id ->
+              let atom = Cost_model.atom params fresh structures.(u) in
+              Alcotest.(check bool) "atom = fresh evaluation" true
+                (same_float row.Cost_cache.access.(id) (Cost_model.access_cost atom)
+                && same_float row.Cost_cache.maintenance.(id) atom.Cost_model.maintenance))
+            ids)
+        rows)
+    [ 150; 155; 150; 155; 160; 150; 400 ]
 
 (* -- Problem.build determinism ------------------------------------------------ *)
 
@@ -383,8 +521,13 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest key_sound_prop;
-          Alcotest.test_case "view cardinality refresh fences the atom memo" `Quick
-            test_view_cardinality_fence;
+          QCheck_alcotest.to_alcotest cross_snapshot_prop;
+          Alcotest.test_case "view cardinality refresh recosts the view atom" `Quick
+            test_view_cardinality_refresh;
+          Alcotest.test_case "a structure added after a refresh = oracle" `Quick
+            test_added_structure_after_refresh;
+          Alcotest.test_case "ids stay bounded across refreshes" `Quick
+            test_ids_bounded_across_refreshes;
         ] );
       ( "problem_build",
         [
