@@ -264,12 +264,13 @@ let micro (session : Session.t) =
      pages) in a 24-frame pool, a point predicate matching ~5 rows — so
      every run also pays the pool's misses and readahead.  Statements run
      through [Database.execute] with their plan memoized, as serve does. *)
-  let scan_micro ~indexes ~path sql =
-    let db = Cddpd_engine.Database.create ~pool_capacity:24 [ Setup.schema ] in
+  let scan_micro ?(schema = Setup.schema) ~indexes ~path sql =
+    let db = Cddpd_engine.Database.create ~pool_capacity:24 [ schema ] in
     let rng = Rng.create 17 in
+    let width = List.length schema.Cddpd_catalog.Schema.columns in
     Cddpd_engine.Database.load db ~table:"t"
       (Array.init 5_000 (fun _ ->
-           Array.init 4 (fun _ -> Cddpd_storage.Tuple.Int (Rng.int rng 1_000))));
+           Array.init width (fun _ -> Cddpd_storage.Tuple.Int (Rng.int rng 1_000))));
     List.iter
       (fun columns ->
         Cddpd_engine.Database.build_index db (Cddpd_catalog.Index_def.make ~table:"t" ~columns))
@@ -294,11 +295,27 @@ let micro (session : Session.t) =
       ~path:(function Cddpd_engine.Plan.Index_only_scan _ -> true | _ -> false)
       "SELECT b FROM t WHERE b = 17"
   in
+  (* The serve benchmark's steady template: seven predicates over an
+     8-column table with I(a) and I(b), answered by a non-covering seek
+     on I(a) straight from the warm plan memo. *)
+  let memoized_seek =
+    scan_micro
+      ~schema:
+        (Cddpd_catalog.Schema.table "t"
+           (List.map
+              (fun c -> (c, Cddpd_catalog.Schema.Int_type))
+              [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]))
+      ~indexes:[ [ "a" ]; [ "b" ] ]
+      ~path:(function Cddpd_engine.Plan.Index_seek _ -> true | _ -> false)
+      "SELECT a, b FROM t WHERE a = 17 AND c BETWEEN 100 AND 140 AND d = 18 AND e = 12 \
+       AND f = 35 AND g = 22 AND h = 18"
+  in
   let tests =
     Test.make_grouped ~name:"cddpd"
       [
         Test.make ~name:"storage/heap-full-scan" (Staged.stage heap_full_scan);
         Test.make ~name:"storage/index-only-scan" (Staged.stage index_only_scan);
+        Test.make ~name:"engine/memoized-seek" (Staged.stage memoized_seek);
         Test.make ~name:"sql/tokenize-64" (Staged.stage tokenize_pool);
         Test.make ~name:"sql/parse-64" (Staged.stage parse_pool);
         Test.make ~name:"sql/parse-cached-64" (Staged.stage parse_cached_pool);

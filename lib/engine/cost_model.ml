@@ -3,7 +3,6 @@ module Index_def = Cddpd_catalog.Index_def
 module View_def = Cddpd_catalog.View_def
 module Structure = Cddpd_catalog.Structure
 module Design = Cddpd_catalog.Design
-module Tuple = Cddpd_storage.Tuple
 module Page = Cddpd_storage.Page
 
 (* -- observability ----------------------------------------------------------- *)
@@ -117,8 +116,6 @@ let design_size_bytes params ~stats_of design =
 
 (* -- plan selection ------------------------------------------------------- *)
 
-let int_value v = match v with Tuple.Int i -> Some i | Tuple.Text _ -> None
-
 let full_scan_cost params stats =
   let pages = float_of_int (max 1 (Table_stats.page_count stats)) in
   let rows = float_of_int (Table_stats.row_count stats) in
@@ -140,7 +137,6 @@ type bound = {
   where : Ast.predicate list;
   sels : float array;  (** [where]'s selectivities, in WHERE order *)
   conj : float;  (** their left-fold product: the conjunction selectivity *)
-  eq : (string * Ast.value) list;  (** [Ast.eq_columns] of [where] *)
   referenced : string list option;
       (** columns an index must hold to cover the statement; [None] when
           nothing can cover it ([*] projections, DML victim search) *)
@@ -167,41 +163,11 @@ let bind stats statement =
     where;
     sels;
     conj = Array.fold_left ( *. ) 1.0 sels;
-    eq = Ast.eq_columns { Ast.projection = Ast.Star; table; where };
     referenced;
   }
 
 (* [Table_stats.estimate_rows] over the bound WHERE clause. *)
 let bound_rows b = b.conj *. float_of_int (Table_stats.row_count b.stats)
-
-(* A range bound on the column right after the equality prefix, if the
-   query has exactly one usable comparison on it. *)
-let range_on_column where column =
-  let bounds =
-    List.filter_map
-      (fun pred ->
-        match pred with
-        | Ast.Cmp { op = Ast.Eq; _ } -> None
-        | Ast.Cmp { column = c; op; value } when String.equal c column -> (
-            match int_value value with
-            | Some v -> Some (`Cmp (op, v))
-            | None -> None)
-        | Ast.Between { column = c; low; high } when String.equal c column -> (
-            match (int_value low, int_value high) with
-            | Some lo, Some hi -> Some (`Between (lo, hi))
-            | _ -> None)
-        | Ast.Cmp _ | Ast.Between _ -> None)
-      where
-  in
-  match bounds with
-  | [ `Cmp (op, v) ] -> (
-      match op with
-      | Ast.Lt | Ast.Le -> Some (None, Some { Plan.op; value = v })
-      | Ast.Gt | Ast.Ge -> Some (Some { Plan.op; value = v }, None)
-      | Ast.Eq -> None)
-  | [ `Between (lo, hi) ] ->
-      Some (Some { Plan.op = Ast.Ge; value = lo }, Some { Plan.op = Ast.Le; value = hi })
-  | [] | _ :: _ :: _ -> None
 
 (* The predicates an index seek with prefix [eq_cols] and optional range on
    [range_col] covers, for selectivity purposes. *)
@@ -242,30 +208,16 @@ let index_only_scan_plan params b index =
       }
 
 (* Try to use [index] for the bound statement's WHERE clause; None if the
-   index gives no sargable prefix. *)
+   index gives no sargable prefix.  {!Filter.seek} decides the seek's
+   shape. *)
 let index_seek_plan params b index =
-  let rec match_prefix columns acc =
-    match columns with
-    | [] -> (List.rev acc, None)
-    | col :: rest -> (
-        match List.assoc_opt col b.eq with
-        | Some value -> (
-            match int_value value with
-            | Some v -> match_prefix rest ((col, v) :: acc)
-            | None -> (List.rev acc, Some col))
-        | None -> (List.rev acc, Some col))
-  in
-  let prefix, next_col = match_prefix (Index_def.columns index) [] in
-  let range =
-    match next_col with
-    | Some col -> range_on_column b.where col
-    | None -> None
-  in
-  match (prefix, range) with
-  | [], None -> None
-  | _ ->
-      let eq_cols = List.map fst prefix in
-      let range_col = match range with Some _ -> next_col | None -> None in
+  let key = Index_def.columns index in
+  match Filter.seek key b.where with
+  | { Filter.eq = []; range = None } -> None
+  | { Filter.eq; range } ->
+      let prefix = List.length eq and range = Option.is_some range in
+      let eq_cols = List.filteri (fun i _ -> i < prefix) key in
+      let range_col = if range then List.nth_opt key prefix else None in
       let sel = seek_selectivity b eq_cols range_col in
       let rows = float_of_int (Table_stats.row_count b.stats) in
       let matched = sel *. rows in
@@ -284,8 +236,7 @@ let index_seek_plan params b index =
       in
       Some
         {
-          Plan.path =
-            Plan.Index_seek { index; eq_prefix = List.map snd prefix; range; covering };
+          Plan.path = Plan.Index_seek { index; prefix; range; covering };
           estimated_rows = b.conj *. rows;
           estimated_cost = cost;
         }
@@ -344,16 +295,6 @@ let view_answers ~group_by ~where view =
          | Ast.Cmp _ | Ast.Between _ -> false)
        where
 
-let group_eq_value ~group_by ~where =
-  List.find_map
-    (fun pred ->
-      match pred with
-      | Ast.Cmp { column; op = Ast.Eq; value = Tuple.Int v }
-        when String.equal column group_by ->
-          Some v
-      | Ast.Cmp _ | Ast.Between _ -> None)
-    where
-
 (* An index serves the WHERE clause by a seek or, when it covers the
    statement, a leaf scan; the seek wins a tie. *)
 let index_access params b index =
@@ -366,22 +307,20 @@ let index_access params b index =
 let view_plan params b view =
   match b.statement with
   | Ast.Select_agg { group_by; where; _ } when view_answers ~group_by ~where view ->
-      let group_value = group_eq_value ~group_by ~where in
+      (* A view's lookup tree is keyed by the group value: the seek rule on
+         that one column decides between a probe and a scan. *)
+      let point = (Filter.seek [ group_by ] where).Filter.eq <> [] in
       let cost =
-        match group_value with
-        | Some _ ->
-            (* Probe: tree descent plus one heap fetch. *)
-            params.page_io *. float_of_int (view_height params ~stats:b.stats view + 1)
-        | None ->
-            (* Scan every view row via the tree leaves and heap pages. *)
-            params.page_io *. float_of_int (view_size_pages params ~stats:b.stats view)
-            +. (params.row_cpu *. agg_groups b.stats group_by)
+        if point then
+          (* Probe: tree descent plus one heap fetch. *)
+          params.page_io *. float_of_int (view_height params ~stats:b.stats view + 1)
+        else
+          (* Scan every view row via the tree leaves and heap pages. *)
+          params.page_io *. float_of_int (view_size_pages params ~stats:b.stats view)
+          +. (params.row_cpu *. agg_groups b.stats group_by)
       in
-      let estimated_rows =
-        match group_value with Some _ -> 1.0 | None -> agg_groups b.stats group_by
-      in
-      Some
-        { Plan.path = Plan.View_probe { view; group_value }; estimated_rows; estimated_cost = cost }
+      let estimated_rows = if point then 1.0 else agg_groups b.stats group_by in
+      Some { Plan.path = Plan.View_probe { view; point }; estimated_rows; estimated_cost = cost }
   | Ast.Select_agg _ | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ -> None
 
 (* Per affected base row: each index pays a root-to-leaf update; each view
@@ -475,82 +414,6 @@ let bound_cost params b design =
 
 let statement_cost params stats design statement =
   bound_cost params (bind stats statement) design
-
-(* -- plan-memo rebinding ----------------------------------------------------
-
-   A plan cached under a [Cost_key.statement] key fixes the
-   access-path shape and the estimator's floats: the key embeds the
-   projection, the predicate sequence (operator, column, literal kind) and
-   the exact selectivity bits of every predicate, and the cost formulas
-   read a statement only through those, so key-equal statements choose the
-   bit-identical plan.  What the cached plan cannot carry is the *literal*
-   bindings of the statement that populated the entry.  Rebinding replays
-   only the literal extraction of [index_seek_plan] / [choose_agg_plan]
-   against the new statement — the same prefix walk over the same index
-   key, the same single-range rule — leaving every float untouched.
-   [None] (caller recomputes from scratch) is the defensive answer to any
-   structural surprise, which cannot happen for a correctly keyed call. *)
-
-let rebind_select_plan select plan =
-  match plan.Plan.path with
-  | Plan.Full_scan | Plan.Index_only_scan _ ->
-      (* No literals in the path. *)
-      Some plan
-  | Plan.View_probe _ -> None
-  | Plan.Index_seek { index; eq_prefix; range; covering } -> (
-      let eq = Ast.eq_columns select in
-      (* Re-extract the equality prefix: same key columns, new literals. *)
-      let rec take columns k acc =
-        if k = 0 then Some (List.rev acc)
-        else
-          match columns with
-          | [] -> None
-          | col :: rest -> (
-              match List.assoc_opt col eq with
-              | Some value -> (
-                  match int_value value with
-                  | Some v -> take rest (k - 1) (v :: acc)
-                  | None -> None)
-              | None -> None)
-      in
-      let n = List.length eq_prefix in
-      let key_columns = Index_def.columns index in
-      match take key_columns n [] with
-      | None -> None
-      | Some eq_prefix -> (
-          let range' =
-            match List.nth_opt key_columns n with
-            | Some col -> range_on_column select.Ast.where col
-            | None -> None
-          in
-          (* The cached floats assume the same seek shape: the range must
-             be present in both or neither. *)
-          match (range, range') with
-          | None, None ->
-              Some
-                {
-                  plan with
-                  Plan.path = Plan.Index_seek { index; eq_prefix; range = None; covering };
-                }
-          | Some _, (Some _ as range') ->
-              Some
-                {
-                  plan with
-                  Plan.path = Plan.Index_seek { index; eq_prefix; range = range'; covering };
-                }
-          | None, Some _ | Some _, None -> None))
-
-let rebind_agg_plan ~group_by ~where plan =
-  match plan.Plan.path with
-  | Plan.Full_scan -> Some plan
-  | Plan.Index_seek _ | Plan.Index_only_scan _ -> None
-  | Plan.View_probe { view; group_value } -> (
-      let group_value' = group_eq_value ~group_by ~where in
-      match (group_value, group_value') with
-      | None, None -> Some plan
-      | Some _, (Some _ as group_value) ->
-          Some { plan with Plan.path = Plan.View_probe { view; group_value } }
-      | None, Some _ | Some _, None -> None)
 
 (* -- transitions ---------------------------------------------------------- *)
 

@@ -64,7 +64,10 @@ val choose_plan :
     the full scan, or any index whose leading columns are bound by equality
     predicates (optionally followed by one range-bound column), or whose
     key covers the select.  A fold over the design's {!atom}s that counts
-    no what-if calls: it is the executor's planner. *)
+    no what-if calls: it is the executor's planner.  The plan holds the
+    path's shape and the estimator's floats, never a literal, and the
+    {!Cost_key} pins every input they read: a plan chosen for one
+    statement is the plan of every statement with the same key. *)
 
 val choose_agg_plan :
   params ->
@@ -82,22 +85,6 @@ val choose_agg_plan :
 val select_cost :
   params -> Table_stats.t -> Cddpd_catalog.Design.t -> Cddpd_sql.Ast.select -> float
 (** Cost of the chosen plan. *)
-
-val rebind_select_plan : Cddpd_sql.Ast.select -> Plan.t -> Plan.t option
-(** [rebind_select_plan select plan] re-extracts [select]'s literals into
-    a plan memoized under the statement's [Cost_key] (which pins the plan
-    shape and the estimator's floats but not literal bindings): the
-    equality-prefix values and range bounds of an index seek.  [None] when
-    the plan's shape does not fit the statement — impossible for a
-    key-equal statement; callers then recompute with {!choose_plan}. *)
-
-val rebind_agg_plan :
-  group_by:string ->
-  where:Cddpd_sql.Ast.predicate list ->
-  Plan.t ->
-  Plan.t option
-(** {!rebind_select_plan} for aggregate plans: rebinds the view-probe
-    group value. *)
 
 val statement_cost :
   params -> Table_stats.t -> Cddpd_catalog.Design.t -> Cddpd_sql.Ast.statement -> float
@@ -185,16 +172,17 @@ val compose : params -> bound -> access:float -> maintenance:float -> float
 
 val index_seek_plan : params -> bound -> Cddpd_catalog.Index_def.t -> Plan.t option
 (** An index seek on the WHERE clause: an equality-bound key prefix,
-    optionally followed by one range-bound column.  [None] when no key
-    prefix is sargable. *)
+    optionally followed by one range-bound column, as {!Filter.seek}
+    decides them.  [None] when that rule uses no predicate. *)
 
 val index_only_scan_plan : params -> bound -> Cddpd_catalog.Index_def.t -> Plan.t option
 (** A covering leaf-level scan, when the index key holds every column the
     statement references ([None] for [*] projections and DML). *)
 
 val view_plan : params -> bound -> Cddpd_catalog.View_def.t -> Plan.t option
-(** A view probe (group equality) or view scan, when the statement is an
-    aggregate the view answers. *)
+(** A view probe (a group equality, by {!Filter.seek} on the grouping
+    column) or view scan, when the statement is an aggregate the view
+    answers. *)
 
 val maintenance_term : params -> bound -> Cddpd_catalog.Structure.t -> float
 (** The structure's per-affected-row maintenance: a root-to-leaf update

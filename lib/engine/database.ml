@@ -329,30 +329,36 @@ let find_index state def =
   | Some index -> index
   | None -> failwith "Database: plan references an index that is not materialised"
 
+(* The key interval a seek on [index] walks for the WHERE clause: the
+   statement's own literals, by the rule that chose the plan's shape. *)
+let seek_of index where = Filter.seek (Index_def.columns (Index.def index)) where
+
 (* The heap rows a plan reads, in access order: [take buf base page slot]
-   on every record that passes [filter].  A full scan tests the ranges in
-   the heap kernel's page loop; a non-covering seek fetches its rids in
-   key order (after the whole index walk, so the page sequence is the
-   walk's, then the fetches') and tests the fetched record in place. *)
-let iter_heap_matches state filter (plan : Plan.t) take =
+   on every record that passes [where]'s filter.  A full scan tests the
+   ranges in the heap kernel's page loop; a non-covering seek fetches its
+   rids in key order (after the whole index walk, so the page sequence is
+   the walk's, then the fetches') and tests the fetched record in place. *)
+let iter_heap_matches state where (plan : Plan.t) take =
+  let filter = Filter.compile state.layout where in
   match plan.Plan.path with
   | Plan.Full_scan ->
       Heap_file.scan state.heap ~ranges:(Filter.ranges filter) (fun buf base page slot ->
           if Filter.residual filter buf base then take buf base page slot)
-  | Plan.Index_seek { index = def; eq_prefix; range; covering = _ } ->
+  | Plan.Index_seek { index = def; _ } ->
+      let index = find_index state def in
       List.iter
         (fun (rid : Heap_file.rid) ->
           Heap_file.fetch_slice state.heap rid ~ranges:(Filter.ranges filter) (fun buf base ->
               if Filter.residual filter buf base then
                 take buf base rid.Heap_file.page rid.Heap_file.slot))
-        (Index.probe (find_index state def) ~eq_prefix ~range)
+        (Index.probe index (seek_of index where))
   | Plan.Index_only_scan _ | Plan.View_probe _ ->
       failwith "Database: plan does not read heap rows"
 
 let run_select state (select : Ast.select) plan =
   let where = select.Ast.where in
   let rows = ref [] in
-  let entry_rows index walk =
+  let entry_rows index seek =
     let layout = Index.layout index in
     let filter = Filter.compile layout where in
     let emit =
@@ -360,20 +366,19 @@ let run_select state (select : Ast.select) plan =
       | Ast.Star -> failwith "Database: covering plan with * projection"
       | Ast.Columns _ as projection -> compile_projection layout projection
     in
-    walk ~ranges:(Filter.ranges filter) (fun buf pos ->
+    Index.probe_slices index seek ~ranges:(Filter.ranges filter) (fun buf pos ->
         if Filter.residual filter buf pos then rows := emit buf pos :: !rows)
   in
   (match plan.Plan.path with
-  | Plan.Index_seek { index = def; eq_prefix; range; covering = true } ->
+  | Plan.Index_seek { index = def; covering = true; _ } ->
       let index = find_index state def in
-      entry_rows index (Index.probe_slices index ~eq_prefix ~range)
+      entry_rows index (seek_of index where)
   | Plan.Index_only_scan { index = def } ->
-      let index = find_index state def in
-      entry_rows index (Index.scan_slices index)
+      entry_rows (find_index state def) Filter.unbounded
   | Plan.Full_scan | Plan.Index_seek { covering = false; _ } ->
       let emit = compile_projection state.layout select.Ast.projection in
-      iter_heap_matches state (Filter.compile state.layout where) plan
-        (fun buf base _page _slot -> rows := emit buf base :: !rows)
+      iter_heap_matches state where plan (fun buf base _page _slot ->
+          rows := emit buf base :: !rows)
   | Plan.View_probe _ -> failwith "Database: view plan for a non-aggregate query");
   List.rev !rows
 
@@ -385,7 +390,7 @@ let collect_matching t state ~table ~where =
   let stats = table_stats t table in
   let plan = Cost_model.choose_plan t.params stats (current_design t) find_select in
   let victims = ref [] in
-  iter_heap_matches state (Filter.compile state.layout where) plan (fun buf base page slot ->
+  iter_heap_matches state where plan (fun buf base page slot ->
       victims := ({ Heap_file.page; slot }, Tuple.decode_at buf ~base) :: !victims);
   (List.rev !victims, plan)
 
@@ -431,7 +436,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
   let state = table_state t table in
   let emit group value = [| Tuple.Int group; Tuple.Int value |] in
   match plan.Plan.path with
-  | Plan.View_probe { view = view_def; group_value } -> (
+  | Plan.View_probe { view = view_def; _ } -> (
       let view =
         match
           List.find_opt
@@ -455,12 +460,21 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
         in
         emit row.Mat_view.group_value value
       in
-      match group_value with
-      | Some g -> (
+      (* The view's tree is keyed by the group value: the seek rule on the
+         grouping column gives the statement's own probe literal.  Every
+         predicate is an equality on that column, and the group must pass
+         them all: [a = 5 AND a = 6] selects nothing. *)
+      match (Filter.seek [ group_by ] where).Filter.eq with
+      | g :: _ -> (
+          let admits pred =
+            match Filter.predicate_interval pred with
+            | Some (lo, hi) -> lo <= g && g <= hi
+            | None -> false
+          in
           match Mat_view.lookup view g with
-          | Some row -> [ of_row row ]
-          | None -> [])
-      | None ->
+          | Some row when List.for_all admits where -> [ of_row row ]
+          | Some _ | None -> [])
+      | [] ->
           let out = ref [] in
           Mat_view.scan view (fun row -> out := of_row row :: !out);
           List.rev !out)
@@ -473,8 +487,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
         | Ast.Sum column -> Some (Filter.position state.layout column)
       in
       let groups = Hashtbl.create 64 in
-      iter_heap_matches state (Filter.compile state.layout where) plan
-        (fun buf base _page _slot ->
+      iter_heap_matches state where plan (fun buf base _page _slot ->
           let g = Filter.read_int state.layout group buf base in
           let delta =
             match summed with
@@ -493,24 +506,18 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
 (* Plan-choice memo, engaged only when the caller passes the statement's
    cost-identity key (serve's ingest fast path).  The key is self-fencing
    against statistics churn and [design_changed] flushes the memo on every
-   structure change — see {!Plan_cache} — so a hit returns the
-   bit-identical plan a fresh choice would make, with the statement's own
-   literals rebound into the cached path.  [Plan.count_choice] keeps the
-   plan.chosen.* metrics consistent with the slow path. *)
-let memoized_plan t ~statement_key ~rebind compute =
+   structure change — see {!Plan_cache} — so a hit is the bit-identical
+   plan a fresh choice would make: plans carry no literal, and execution
+   takes the statement's own through {!Filter.seek}.  [Plan.count_choice]
+   keeps the plan.chosen.* metrics consistent with the slow path. *)
+let memoized_plan t ~statement_key compute =
   match statement_key with
   | None -> compute ()
   | Some key -> (
       match Plan_cache.find t.plan_cache key with
-      | Some cached -> (
-          match rebind cached with
-          | Some plan ->
-              Plan.count_choice plan;
-              plan
-          | None ->
-              let plan = compute () in
-              Plan_cache.store t.plan_cache key plan;
-              plan)
+      | Some plan ->
+          Plan.count_choice plan;
+          plan
       | None ->
           let plan = compute () in
           Plan_cache.store t.plan_cache key plan;
@@ -527,9 +534,7 @@ let execute ?statement_key ?(skip_check = false) t statement =
     | Ast.Select select ->
         let state = table_state t select.Ast.table in
         let plan =
-          memoized_plan t ~statement_key
-            ~rebind:(Cost_model.rebind_select_plan select)
-            (fun () ->
+          memoized_plan t ~statement_key (fun () ->
               Cost_model.choose_plan t.params
                 (table_stats t select.Ast.table)
                 (current_design t) select)
@@ -537,9 +542,7 @@ let execute ?statement_key ?(skip_check = false) t statement =
         (run_select state select plan, 0, Some plan)
     | Ast.Select_agg { table; group_by; aggregate; where } ->
         let plan =
-          memoized_plan t ~statement_key
-            ~rebind:(Cost_model.rebind_agg_plan ~group_by ~where)
-            (fun () ->
+          memoized_plan t ~statement_key (fun () ->
               Cost_model.choose_agg_plan t.params (table_stats t table)
                 (current_design t) ~table ~group_by ~where)
         in
@@ -569,7 +572,3 @@ let execute_sql t sql = execute t (Parser.parse_exn sql)
 (* -- measurement ---------------------------------------------------------- *)
 
 let io_counters t = (pool_accesses t, disk_reads t)
-
-let reset_io_counters t =
-  Buffer_pool.reset_stats t.pool;
-  Disk.reset_stats t.disk

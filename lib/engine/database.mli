@@ -83,9 +83,6 @@ val current_design : t -> Cddpd_catalog.Design.t
 val build_index : t -> Cddpd_catalog.Index_def.t -> unit
 (** Materialise an index (no-op if already present). *)
 
-val drop_index : t -> Cddpd_catalog.Index_def.t -> unit
-(** Remove an index (no-op if absent). *)
-
 val migrate_to : t -> Cddpd_catalog.Design.t -> unit
 (** Build and drop indexes so the materialised design equals the target —
     the physical realisation of a TRANS step. *)
@@ -107,11 +104,19 @@ val execute :
     semantic errors.
 
     [statement_key] engages the plan-choice memo for SELECT and aggregate
-    statements: it must be [Cost_key.statement] of this statement under
+    statements: it should be [Cost_key.statement] of this statement under
     the table's *current* statistics (see {!stats_generation}).  A memo
-    hit skips {!Cost_model.choose_plan} and returns the bit-identical
-    plan with this statement's literals rebound; results and I/O are
-    unchanged.  [skip_check] (default [false]) skips semantic validation;
+    hit skips {!Cost_model.choose_plan} and runs the bit-identical plan;
+    plans hold no literal, and the executor takes the seek interval and
+    a view probe's group value from this statement ({!Filter.seek}), so
+    results and I/O are unchanged.  On a SELECT, a wrong key can cost
+    I/O, never rows: the seek interval comes from this statement's own
+    predicates, and the filter re-tests every one.  (It can still make
+    execution raise [Invalid_argument]: a memoized covering plan meeting
+    a statement that references a column outside the index key.)  An
+    aggregate needs its own key: a memoized view plan reads only the
+    grouping column.
+    [skip_check] (default [false]) skips semantic validation;
     only pass [true] for a statement that already passed it against an
     unchanged schema, as serve's template cache does. *)
 
@@ -125,6 +130,5 @@ val execute_sql : t -> string -> exec_result
 (** {1 Measurement} *)
 
 val io_counters : t -> int * int
-(** Cumulative (logical, physical) I/O since creation or the last reset. *)
+(** Cumulative (logical, physical) I/O since creation. *)
 
-val reset_io_counters : t -> unit

@@ -19,6 +19,45 @@ let predicate_interval pred =
   | Ast.Between { low = Tuple.Int lo; high = Tuple.Int hi; _ } -> Some (lo, hi)
   | Ast.Cmp { value = Tuple.Text _; _ } | Ast.Between _ -> None
 
+(* -- index seeks ---------------------------------------------------------- *)
+
+type seek = { eq : int list; range : (int * int) option }
+
+let unbounded = { eq = []; range = None }
+
+let first_eq column where =
+  List.find_map
+    (fun pred ->
+      match pred with
+      | Ast.Cmp { column = c; op = Ast.Eq; value } when String.equal c column -> Some value
+      | Ast.Cmp _ | Ast.Between _ -> None)
+    where
+
+(* The interval of the one usable comparison on [column], if there is
+   exactly one: equalities and text literals are not usable. *)
+let single_range column where =
+  let usable =
+    List.filter_map
+      (fun pred ->
+        match pred with
+        | Ast.Cmp { op = Ast.Eq; _ } -> None
+        | Ast.Cmp { column = c; _ } | Ast.Between { column = c; _ } ->
+            if String.equal c column then predicate_interval pred else None)
+      where
+  in
+  match usable with [ interval ] -> Some interval | [] | _ :: _ :: _ -> None
+
+let seek key where =
+  let rec walk columns eq =
+    match columns with
+    | [] -> { eq = List.rev eq; range = None }
+    | column :: rest -> (
+        match first_eq column where with
+        | Some (Tuple.Int v) -> walk rest (v :: eq)
+        | Some (Tuple.Text _) | None -> { eq = List.rev eq; range = single_range column where })
+  in
+  walk key []
+
 (* -- layouts ---------------------------------------------------------------- *)
 
 (* Where a column's value lives in a record: an integer at a fixed byte

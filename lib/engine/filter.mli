@@ -25,6 +25,31 @@ val predicate_interval : Cddpd_sql.Ast.predicate -> (int * int) option
     [(low, high)] for [BETWEEN] (empty when reversed); [None] when a
     literal is text. *)
 
+(** {1 Index seeks} *)
+
+type seek = {
+  eq : int list;  (** one literal per leading key column, in key order *)
+  range : (int * int) option;  (** the interval on the next key column *)
+}
+(** The key interval of a seek: equal to [eq] on the leading key columns
+    and, with [range], inside the inclusive interval on the column after
+    them. *)
+
+val unbounded : seek
+(** The whole key: no equality, no range. *)
+
+val seek : string list -> Cddpd_sql.Ast.predicate list -> seek
+(** [seek key where] is the one rule for which predicates an index seek
+    on the key columns [key] uses.  It walks the key: a column whose
+    first equality predicate has an integer literal adds that literal to
+    [eq]; the first column without one ends the prefix, and gets a
+    [range] when exactly one usable comparison sits on it (a non-equality
+    [Cmp] or a [BETWEEN] with integer literals: {!predicate_interval}, so
+    a reversed [BETWEEN] is empty).  It never fails; a predicate it does
+    not use only widens the interval, and the executor's filter re-tests
+    every predicate.  The cost model reads the seek's shape from it
+    (prefix length, range or not), the executor its interval. *)
+
 (** {1 Layouts} *)
 
 type layout

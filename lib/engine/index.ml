@@ -142,60 +142,36 @@ let insert_entry t tuple rid = Btree.insert t.tree (physical_key t.positions tup
 
 let delete_entry t tuple rid = Btree.delete t.tree (physical_key t.positions tuple rid)
 
-(* The key range of a seek.  The range bounds on the column after the
-   prefix are intersected as inclusive intervals ({!Filter.interval}), so
-   a bound at the int edges gives an empty interval (lo > hi, which the
-   tree answers without fetching a page) instead of wrapping. *)
-let probe_bounds t ~eq_prefix ~range =
-  let n = Array.length t.positions in
-  let plen = List.length eq_prefix in
-  if plen > n then invalid_arg "Index.probe: prefix longer than the key";
-  let key_len = n + 2 in
+(* A seek's key interval in the tree's key space: the rid components
+   stay unbounded.  An empty range (lo > hi, as {!Filter.interval} gives
+   at the int edges) makes the tree fetch no page. *)
+let bounds t { Filter.eq; range } =
+  let key_len = Array.length t.positions + 2 in
   let lo = Array.make key_len min_int in
   let hi = Array.make key_len max_int in
   List.iteri
     (fun i v ->
       lo.(i) <- v;
       hi.(i) <- v)
-    eq_prefix;
-  (match range with
-  | None -> ()
-  | Some (low_bound, high_bound) ->
-      if plen >= n then invalid_arg "Index.probe: range bound beyond the key";
-      let narrow ~valid bound =
-        match bound with
-        | None -> ()
-        | Some { Plan.op; value } ->
-            if not (List.mem op valid) then invalid_arg "Index.probe: misplaced range bound";
-            let b_lo, b_hi = Filter.interval op value in
-            lo.(plen) <- max lo.(plen) b_lo;
-            hi.(plen) <- min hi.(plen) b_hi
-      in
-      narrow ~valid:[ Cddpd_sql.Ast.Gt; Cddpd_sql.Ast.Ge ] low_bound;
-      narrow ~valid:[ Cddpd_sql.Ast.Lt; Cddpd_sql.Ast.Le ] high_bound);
+    eq;
+  Option.iter
+    (fun (l, h) ->
+      let next = List.length eq in
+      lo.(next) <- l;
+      hi.(next) <- h)
+    range;
   (lo, hi)
 
-let probe t ~eq_prefix ~range =
+let probe_slices t seek ~ranges f =
+  let lo, hi = bounds t seek in
+  Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
+
+let probe t seek =
   let n = Array.length t.positions in
-  let lo, hi = probe_bounds t ~eq_prefix ~range in
   let rids = ref [] in
-  Btree.iter_range_slices t.tree ~lo ~hi ~ranges:Cddpd_storage.Ranges.none (fun buf pos ->
+  probe_slices t seek ~ranges:Cddpd_storage.Ranges.none (fun buf pos ->
       let field j = Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))) in
       rids := { Heap_file.page = field n; slot = field (n + 1) } :: !rids);
   List.rev !rids
 
-let probe_slices t ~eq_prefix ~range ~ranges f =
-  let lo, hi = probe_bounds t ~eq_prefix ~range in
-  Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
-
-let scan_slices t ~ranges f =
-  let key_len = Array.length t.positions + 2 in
-  let lo = Array.make key_len min_int in
-  let hi = Array.make key_len max_int in
-  Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
-
 let height t = Btree.height t.tree
-
-let n_pages t = Btree.n_pages t.tree
-
-let n_entries t = Btree.n_entries t.tree

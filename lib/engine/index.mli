@@ -45,38 +45,18 @@ val delete_entry : t -> Cddpd_storage.Tuple.t -> Cddpd_storage.Heap_file.rid -> 
 (** Index maintenance after a heap delete; returns whether the entry was
     present. *)
 
-val probe :
-  t ->
-  eq_prefix:int list ->
-  range:(Plan.range_bound option * Plan.range_bound option) option ->
-  Cddpd_storage.Heap_file.rid list
-(** Rids whose column values match the equality prefix and optional range
-    bound on the following column, in key order: the rids a non-covering
-    seek fetches.  The bounds become inclusive intervals through
-    {!Filter.interval}, so a bound at the int edges ([< min_int],
-    [> max_int]) selects nothing and fetches no page.  Raises
-    [Invalid_argument] if the prefix is longer than the key or a bound
-    sits on the wrong side. *)
+val probe : t -> Filter.seek -> Cddpd_storage.Heap_file.rid list
+(** Rids whose key lies in the seek's interval ({!Filter.seek} over this
+    index's key columns), in key order: the rids a non-covering seek
+    fetches.  An empty range selects nothing and fetches no page. *)
 
 val probe_slices :
-  t ->
-  eq_prefix:int list ->
-  range:(Plan.range_bound option * Plan.range_bound option) option ->
-  ranges:Cddpd_storage.Ranges.t ->
-  (bytes -> int -> unit) ->
-  unit
-(** The covering seek: {!probe}'s key range walked by
+  t -> Filter.seek -> ranges:Cddpd_storage.Ranges.t -> (bytes -> int -> unit) -> unit
+(** The covering seek, and with {!Filter.unbounded} the index-only scan:
+    {!probe}'s key interval walked by
     {!Cddpd_storage.Btree.iter_range_slices}, testing [ranges] on every
     entry in place.  The callback receives the leaf page buffer and the
     byte offset of each matching entry (key column [j]'s value at
     [offset + 8 * j]), valid only during the call. *)
 
-val scan_slices : t -> ranges:Cddpd_storage.Ranges.t -> (bytes -> int -> unit) -> unit
-(** The index-only scan: every entry in key order through the same
-    kernel, the callback reached only by entries that pass [ranges]. *)
-
 val height : t -> int
-
-val n_pages : t -> int
-
-val n_entries : t -> int

@@ -12,7 +12,6 @@ type t = {
   group_pos : int;
   sum_columns : string list;
   sum_positions : int array;
-  mutable groups : int;
 }
 
 type row = { group_value : int; count : int; sums : int array }
@@ -20,12 +19,6 @@ type row = { group_value : int; count : int; sums : int array }
 let def t = t.def
 
 let sum_columns t = t.sum_columns
-
-let n_groups t = t.groups
-
-let n_pages t = Heap_file.n_pages t.heap + Btree.n_pages t.tree
-
-let height t = Btree.height t.tree
 
 (* View rows are stored as tuples [g; count; sums...]. *)
 let encode_row row =
@@ -91,8 +84,7 @@ let apply_base_change t tuple ~sign =
       remove_row t group_value rid;
       let count = old_row.count + sign in
       if count < 0 then failwith "Mat_view: negative group count";
-      if count = 0 then t.groups <- t.groups - 1
-      else
+      if count > 0 then
         store_row t
           {
             group_value;
@@ -101,7 +93,6 @@ let apply_base_change t tuple ~sign =
           }
   | None ->
       if sign < 0 then failwith "Mat_view: delete for an absent group";
-      t.groups <- t.groups + 1;
       store_row t { group_value; count = 1; sums = delta }
 
 let apply_insert t tuple = apply_base_change t tuple ~sign:1
@@ -148,7 +139,6 @@ let build pool schema heap view =
       group_pos;
       sum_columns;
       sum_positions;
-      groups = Hashtbl.length groups;
     }
   in
   (* Store in ascending group order so the heap is clustered by group. *)

@@ -44,11 +44,3 @@ val apply_delete : t -> Cddpd_storage.Tuple.t -> unit
 (** Reflect a base-table delete; removes the group row when its count
     reaches zero.  Raises [Failure] if the group is not present (the view
     would be inconsistent with the base table). *)
-
-val n_groups : t -> int
-
-val n_pages : t -> int
-(** Heap plus B+-tree pages. *)
-
-val height : t -> int
-(** Lookup B+-tree height. *)

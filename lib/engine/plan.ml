@@ -1,21 +1,10 @@
-module Ast = Cddpd_sql.Ast
 module Index_def = Cddpd_catalog.Index_def
-
-type range_bound = { op : Ast.cmp; value : int }
 
 type access_path =
   | Full_scan
-  | Index_seek of {
-      index : Index_def.t;
-      eq_prefix : int list;
-      range : (range_bound option * range_bound option) option;
-      covering : bool;
-    }
+  | Index_seek of { index : Index_def.t; prefix : int; range : bool; covering : bool }
   | Index_only_scan of { index : Index_def.t }
-  | View_probe of {
-      view : Cddpd_catalog.View_def.t;
-      group_value : int option;
-    }
+  | View_probe of { view : Cddpd_catalog.View_def.t; point : bool }
 
 type t = { path : access_path; estimated_rows : float; estimated_cost : float }
 
@@ -35,39 +24,3 @@ let count_choice t =
     | Index_seek _ -> m_index_seek
     | Index_only_scan _ -> m_index_only_scan
     | View_probe _ -> m_view_probe)
-
-let cmp_to_string op =
-  match op with
-  | Ast.Eq -> "="
-  | Ast.Lt -> "<"
-  | Ast.Le -> "<="
-  | Ast.Gt -> ">"
-  | Ast.Ge -> ">="
-
-let pp_access_path ppf path =
-  match path with
-  | Full_scan -> Format.pp_print_string ppf "full scan"
-  | Index_seek { index; eq_prefix; range; covering } ->
-      Format.fprintf ppf "seek %s eq=(%s)%s" (Index_def.name index)
-        (String.concat "," (List.map string_of_int eq_prefix))
-        (if covering then " covering" else "");
-      (match range with
-      | None -> ()
-      | Some (lo, hi) ->
-          let bound_to_string b =
-            match b with
-            | None -> ""
-            | Some { op; value } -> Printf.sprintf "%s%d" (cmp_to_string op) value
-          in
-          Format.fprintf ppf " range=[%s;%s]" (bound_to_string lo) (bound_to_string hi))
-  | Index_only_scan { index } ->
-      Format.fprintf ppf "index-only scan %s" (Index_def.name index)
-  | View_probe { view; group_value } -> (
-      match group_value with
-      | Some v ->
-          Format.fprintf ppf "view probe %s g=%d" (Cddpd_catalog.View_def.name view) v
-      | None -> Format.fprintf ppf "view scan %s" (Cddpd_catalog.View_def.name view))
-
-let pp ppf t =
-  Format.fprintf ppf "%a (rows=%.1f cost=%.2f)" pp_access_path t.path
-    t.estimated_rows t.estimated_cost

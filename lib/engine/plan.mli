@@ -1,19 +1,16 @@
 (** Physical access plans for select statements. *)
 
-type range_bound = {
-  op : Cddpd_sql.Ast.cmp; (** never [Eq] *)
-  value : int;
-}
-
+(** A plan names the access path's shape, never a literal: the executor
+    takes the literals from the statement it runs, through
+    {!Filter.seek}, so a memoized plan serves every statement with the
+    same cost identity. *)
 type access_path =
   | Full_scan
       (** Scan every heap page, filter, project. *)
   | Index_seek of {
       index : Cddpd_catalog.Index_def.t;
-      eq_prefix : int list;
-          (** Constants bound by equality to the index's leading columns. *)
-      range : (range_bound option * range_bound option) option;
-          (** Optional lower/upper bound on the next index column. *)
+      prefix : int;  (** leading key columns bound by equality *)
+      range : bool;  (** whether the next key column is range-bound *)
       covering : bool;
           (** Every column the query references is in the index key, so no
               heap fetches are needed. *)
@@ -25,8 +22,7 @@ type access_path =
           b alone. *)
   | View_probe of {
       view : Cddpd_catalog.View_def.t;
-      group_value : int option;
-          (** [Some v]: fetch one group's row; [None]: scan all groups *)
+      point : bool;  (** fetch one group's row; [false]: scan all groups *)
     }
       (** Answer an aggregate query from a materialized view instead of the
           base table (only for [Select_agg] statements whose predicates are
@@ -42,7 +38,3 @@ val count_choice : t -> unit
 (** Bump the [plan.chosen.*] observability counter matching this plan's
     access path.  The planner calls it once per winning plan; a no-op
     while instrumentation is disabled. *)
-
-val pp_access_path : Format.formatter -> access_path -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -8,9 +8,9 @@
    The database flushes the memo on every structure change, so an entry
    always holds a plan chosen under the current design.
 
-   Cached plans fix the access-path *shape* and the estimator's floats;
-   literal bindings ([eq_prefix], range bounds, group probes) are rebound
-   per statement by [Cost_model.rebind_select_plan]/[rebind_agg_plan]. *)
+   A plan is an access-path shape plus the estimator's floats, with no
+   literal in it, so a hit is returned as is: the executor takes each
+   statement's literals from the statement ([Filter.seek]). *)
 
 module Obs = Cddpd_obs
 

@@ -3,11 +3,10 @@
     The key is self-fencing against statistics churn — it embeds the
     statistics shape and the exact selectivity bits of every predicate.
     It does not name the design: the owner must call {!invalidate} on
-    every design change, which makes a hit carry the bit-identical plan
-    shape and estimator floats a fresh [Cost_model.choose_plan] would
-    produce under the current design.  Literal bindings inside the cached
-    path must still be rebound per statement (see
-    [Cost_model.rebind_select_plan]).  Single-domain. *)
+    every design change, which makes a hit the bit-identical plan a
+    fresh [Cost_model.choose_plan] would produce under the current
+    design.  Plans hold no literal ({!Plan.access_path}), so a hit needs
+    no rebinding.  Single-domain. *)
 
 type stats = {
   hits : int;

@@ -31,16 +31,11 @@ val fingerprint : t -> string
     maintained snapshot equals a rescan.  Computed on each call (an MD5
     over every histogram), so keep it off hot paths. *)
 
-val default_selectivity : float
-(** Fallback selectivity (0.1) used when no histogram is available. *)
-
 val predicate_selectivity : t -> Cddpd_sql.Ast.predicate -> float
 (** Estimated fraction of rows satisfying the predicate.  Ranges are
     the inclusive intervals of {!Filter.predicate_interval}, so an empty
     one ([< min_int], [> max_int], a reversed [BETWEEN]) estimates 0. *)
 
-val conjunction_selectivity : t -> Cddpd_sql.Ast.predicate list -> float
-(** Product of per-predicate selectivities (independence assumption). *)
-
 val estimate_rows : t -> Cddpd_sql.Ast.predicate list -> float
-(** [conjunction_selectivity * row_count]. *)
+(** The product of the predicates' selectivities (independence
+    assumption) times the row count. *)

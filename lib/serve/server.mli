@@ -75,11 +75,12 @@ type config = {
           hatch — {!feed_sql} parses every text from scratch, with
           bit-identical results *)
   plan_cache : bool;
-      (** memoize plan choice on cost identity (flushed on every design
-          change) for read-only statements against the served table
-          (default [true]); [false] is the [--no-plan-cache] escape
-          hatch — every statement is planned from scratch, with
-          bit-identical results *)
+      (** memoize plan choice on the statement's cost key (flushed on
+          every design change) for read-only statements against the
+          served table (default [true]): a hit is the plan, which holds
+          no literal.  [false] is the [--no-plan-cache] escape hatch —
+          every statement is planned from scratch, with bit-identical
+          results *)
 }
 
 val default_config : table:string -> config

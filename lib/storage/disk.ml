@@ -53,7 +53,3 @@ let write_from t pid src =
   Page.blit ~src ~dst:t.pages.(pid)
 
 let stats t = { reads = t.read_count; writes = t.write_count; allocated = t.used }
-
-let reset_stats t =
-  t.read_count <- 0;
-  t.write_count <- 0

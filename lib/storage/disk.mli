@@ -46,6 +46,3 @@ val write_from : t -> int -> Page.t -> unit
 
 val stats : t -> stats
 (** Cumulative I/O counters. *)
-
-val reset_stats : t -> unit
-(** Zero the I/O counters (allocation count is preserved). *)

@@ -11,6 +11,7 @@ module Histogram = Cddpd_engine.Histogram
 module Table_stats = Cddpd_engine.Table_stats
 module Check = Cddpd_engine.Check
 module Plan = Cddpd_engine.Plan
+module Filter = Cddpd_engine.Filter
 module Database = Cddpd_engine.Database
 module Rng = Cddpd_util.Rng
 
@@ -287,8 +288,7 @@ let test_plan_composite_prefix_and_range () =
   let db, _ = make_db () in
   Database.build_index db (index [ "a"; "b" ]);
   match plan_of db "SELECT a, b FROM t WHERE a = 5 AND b BETWEEN 3 AND 9" with
-  | Plan.Index_seek { eq_prefix = [ 5 ]; range = Some (Some _, Some _); covering = true; _ }
-    -> ()
+  | Plan.Index_seek { prefix = 1; range = true; covering = true; _ } -> ()
   | _ -> Alcotest.fail "expected covering seek with prefix and range"
 
 let test_plan_prefers_seek_over_scan () =
@@ -511,7 +511,7 @@ let test_view_count_matches_scan () =
   Database.migrate_to db (Design.empty |> Design.add_view (view "a"));
   let view_result = Database.execute_sql db sql in
   (match view_result.Database.plan with
-  | Some { Plan.path = Plan.View_probe { group_value = None; _ }; _ } -> ()
+  | Some { Plan.path = Plan.View_probe { point = false; _ }; _ } -> ()
   | _ -> Alcotest.fail "expected a view scan");
   Alcotest.(check bool) "same answers" true
     (rows_as_pairs scan_result = rows_as_pairs view_result);
@@ -525,13 +525,26 @@ let test_view_sum_and_probe () =
   Database.migrate_to db (Design.empty |> Design.add_view (view "c"));
   let result = Database.execute_sql db "SELECT c, SUM(b) FROM t WHERE c = 7 GROUP BY c" in
   (match result.Database.plan with
-  | Some { Plan.path = Plan.View_probe { group_value = Some 7; _ }; _ } -> ()
+  | Some { Plan.path = Plan.View_probe { point = true; _ }; _ } -> ()
   | _ -> Alcotest.fail "expected a view probe");
   let expected =
     reference_groups data ~group_pos:2 ~agg:(`Sum 1)
     |> List.filter (fun (g, _) -> g = 7)
   in
   Alcotest.(check bool) "probe matches reference" true (rows_as_pairs result = expected)
+
+(* The probe takes the first group equality; the rest must still hold. *)
+let test_view_probe_contradiction () =
+  let db, _ = make_db ~rows:2000 ~value_range:50 () in
+  let sql = "SELECT a, COUNT(*) FROM t WHERE a = 5 AND a = 6 GROUP BY a" in
+  let via_scan = Database.execute_sql db sql in
+  Database.migrate_to db (Design.empty |> Design.add_view (view "a"));
+  let via_view = Database.execute_sql db sql in
+  (match via_view.Database.plan with
+  | Some { Plan.path = Plan.View_probe { point = true; _ }; _ } -> ()
+  | _ -> Alcotest.fail "expected a view probe");
+  Alcotest.(check int) "no group passes both" 0 (List.length via_view.Database.rows);
+  Alcotest.(check bool) "view = scan" true (rows_as_pairs via_view = rows_as_pairs via_scan)
 
 let test_view_not_used_for_filtered_aggregates () =
   (* A predicate on a non-group column disqualifies the view. *)
@@ -648,7 +661,8 @@ let test_plan_memo_equiv () =
           (Printf.sprintf "SELECT a FROM t WHERE a BETWEEN %d AND %d" v (v + 50)))
       values
   in
-  (* Repeats with fresh literals: memo hits must rebind, not replay. *)
+  (* Repeats with fresh literals: a memo hit's plan must seek with the
+     statement's own literals, not the first statement's. *)
   queries [ 5; 9; 13; 5; 9 ];
   let warm = Database.plan_cache_stats memo in
   Alcotest.(check bool) "memo hits happened" true (warm.Plan_cache.hits > 0);
@@ -677,11 +691,17 @@ let test_plan_memo_view_probe () =
     (fun g ->
       let sql = Printf.sprintf "SELECT a, COUNT(*) FROM t WHERE a = %d GROUP BY a" g in
       memo_step memo fresh sql;
-      (* The memoized probe must carry THIS statement's group value. *)
-      match (Database.execute ~statement_key:"probe" memo (Cddpd_sql.Parser.parse_exn sql)).Database.plan with
-      | Some { Plan.path = Plan.View_probe { group_value = Some v; _ }; _ } ->
-          Alcotest.(check int) "rebound group value" g v
-      | _ -> Alcotest.fail "expected a view probe")
+      (* Every statement shares one memo entry; the probe must still
+         answer with THIS statement's group. *)
+      let result =
+        Database.execute ~statement_key:"probe" memo (Cddpd_sql.Parser.parse_exn sql)
+      in
+      (match result.Database.plan with
+      | Some { Plan.path = Plan.View_probe { point = true; _ }; _ } -> ()
+      | _ -> Alcotest.fail "expected a view probe");
+      match rows_as_pairs result with
+      | [ (v, _) ] -> Alcotest.(check int) "the statement's group" g v
+      | _ -> Alcotest.fail "expected one group row")
     [ 3; 4; 3; 5 ]
 
 let test_stats_generation_fence () =
@@ -809,11 +829,51 @@ let oracle_designs ~text =
   else
     [ []; [ [ "a" ] ]; [ [ "b" ] ]; [ [ "a"; "b" ] ]; [ [ "b"; "c"; "d" ] ]; [ [ "a" ]; [ "c"; "d" ] ] ]
 
+(* WHERE clauses for seeks on I(a,b): each key column gets nothing, one
+   equality, a repeated equality, one range (a comparison or a BETWEEN,
+   often reversed) or two comparisons (so the seek takes no range), with
+   literals that reach the int edges; sometimes a residual on c. *)
+let gen_seek_where =
+  let open QCheck.Gen in
+  let cmp column op = map (fun v -> Ast.Cmp { column; op; value = Tuple.Int v }) gen_int_literal in
+  let range column =
+    frequency
+      [
+        (3, oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] >>= cmp column);
+        ( 2,
+          map2
+            (fun lo hi -> Ast.Between { column; low = Tuple.Int lo; high = Tuple.Int hi })
+            gen_int_literal gen_int_literal );
+      ]
+  in
+  let on column =
+    frequency
+      [
+        (1, return []);
+        (4, list_repeat 1 (cmp column Ast.Eq));
+        (1, list_repeat 2 (cmp column Ast.Eq));
+        (2, list_repeat 1 (range column));
+        (1, list_repeat 2 (range column));
+      ]
+  in
+  let* on_a = on "a" in
+  let* on_b = on "b" in
+  let* residual = frequency [ (3, return []); (1, list_repeat 1 (range "c")) ] in
+  shuffle_l (on_a @ on_b @ residual)
+
+let gen_seek_select =
+  QCheck.Gen.map2
+    (fun projection where -> { Ast.projection; table = "t"; where })
+    (QCheck.Gen.oneofl
+       [ Ast.Star; Ast.Columns [ "a" ]; Ast.Columns [ "b" ]; Ast.Columns [ "a"; "b" ] ])
+    gen_seek_where
+
 type oracle_case = {
   text : bool;
   design : string list list;
   selects : Ast.select list;
   dml_where : Ast.predicate list;
+  seek_selects : Ast.select list;  (** run through the plan memo on I(a,b) *)
 }
 
 let gen_oracle_case =
@@ -826,15 +886,60 @@ let gen_oracle_case =
       (map2 (fun projection where -> { Ast.projection; table = "t"; where }) (gen_projection ~text) where)
   in
   let* dml_where = list_size (int_range 1 2) (gen_predicate ~text) in
-  return { text; design; selects; dml_where }
+  let* seek_selects = list_repeat 3 gen_seek_select in
+  return { text; design; selects; dml_where; seek_selects }
+
+let print_selects selects =
+  String.concat "; " (List.map (fun s -> Cddpd_sql.Printer.to_string (Ast.Select s)) selects)
 
 let print_oracle_case c =
-  Printf.sprintf "%s table, design [%s]; %s; DELETE/UPDATE WHERE %s"
+  Printf.sprintf "%s table, design [%s]; %s; DELETE/UPDATE WHERE %s; memoized on I(a,b): %s"
     (if c.text then "text" else "int")
     (String.concat "; " (List.map (String.concat ",") c.design))
-    (String.concat "; "
-       (List.map (fun s -> Cddpd_sql.Printer.to_string (Ast.Select s)) c.selects))
+    (print_selects c.selects)
     (Cddpd_sql.Printer.to_string (Ast.Delete { table = "t"; where = c.dml_where }))
+    (print_selects c.seek_selects)
+
+(* A sibling of [select] under the same cost key: each literal replaced,
+   where one exists, by another with bit-equal selectivity. *)
+let seek_literals = List.init 45 (fun i -> i - 2) @ edge_literals
+
+let sibling stats (select : Ast.select) =
+  let sel pred = Int64.bits_of_float (Table_stats.predicate_selectivity stats pred) in
+  let refresh pred =
+    let candidates =
+      match pred with
+      | Ast.Cmp c -> List.map (fun v -> Ast.Cmp { c with value = Tuple.Int v }) seek_literals
+      | Ast.Between b ->
+          List.concat_map
+            (fun lo ->
+              List.map
+                (fun hi -> Ast.Between { b with low = Tuple.Int lo; high = Tuple.Int hi })
+                seek_literals)
+            seek_literals
+    in
+    Option.value ~default:pred
+      (List.find_opt (fun q -> q <> pred && Int64.equal (sel q) (sel pred)) candidates)
+  in
+  { select with Ast.where = List.map refresh select.Ast.where }
+
+(* The memo arm: a sibling with fresh literals stores the plan under the
+   shared key, the select then hits it, and must return the oracle's rows
+   with the I/O fresh planning spends. *)
+let memo_hit_matches_naive db (select : Ast.select) =
+  let stats = Database.table_stats db "t" in
+  let key s = Cost_key.statement stats (Ast.Select s) in
+  let warm = sibling stats select in
+  ignore (Database.execute ~statement_key:(key warm) db (Ast.Select warm));
+  let hits = (Database.plan_cache_stats db).Plan_cache.hits in
+  let memo = Database.execute ~statement_key:(key select) db (Ast.Select select) in
+  let fresh = Database.execute db (Ast.Select select) in
+  let path = (Option.get memo.Database.plan).Plan.path in
+  String.equal (key warm) (key select)
+  && (Database.plan_cache_stats db).Plan_cache.hits = hits + 1
+  && memo.Database.plan = fresh.Database.plan
+  && memo.Database.logical_io = fresh.Database.logical_io
+  && memo.Database.rows = Naive.select db select path
 
 (* Every select returns the oracle's rows in the oracle's order for the
    path the planner chose, and a full scan reads each heap page once;
@@ -871,11 +976,54 @@ let exec_matches_naive_prop =
       in
       let expected_deleted = victims () in
       let deleted = Database.execute db (Ast.Delete { table = "t"; where = c.dml_where }) in
+      let seek_db = oracle_db ~text:false [ [ "a"; "b" ] ] in
       before
       && updated.Database.affected = expected_updated
       && deleted.Database.affected = expected_deleted
       && victims () = 0
-      && check_selects ())
+      && check_selects ()
+      && List.for_all (memo_hit_matches_naive seek_db) c.seek_selects)
+
+(* A key is the caller's promise that the statement matches the memoized
+   plan.  A wrong one may cost I/O, never rows: a seek plan memoized for
+   a two-column prefix meets statements of the same table and projection
+   that lack a prefix literal, and each must return the oracle's rows
+   through the memoized path without raising. *)
+let test_plan_memo_wrong_key () =
+  let db = oracle_db ~text:false [ [ "a"; "b" ] ] in
+  let stats = Database.table_stats db "t" in
+  List.iter
+    (fun (warm, others) ->
+      let warm = Cddpd_sql.Parser.parse_exn warm in
+      let statement_key = Cost_key.statement stats warm in
+      let plan = (Database.execute ~statement_key db warm).Database.plan in
+      (match plan with
+      | Some { Plan.path = Plan.Index_seek { prefix = 2; _ }; _ } -> ()
+      | _ -> Alcotest.fail "expected a two-column seek");
+      List.iter
+        (fun sql ->
+          let result = Database.execute ~statement_key db (Cddpd_sql.Parser.parse_exn sql) in
+          let select =
+            match Cddpd_sql.Parser.parse_exn sql with
+            | Ast.Select s -> s
+            | Ast.Select_agg _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ ->
+                Alcotest.fail "not a select"
+          in
+          if result.Database.plan <> plan then Alcotest.failf "memo missed for %s" sql;
+          if result.Database.rows <> Naive.select db select (Option.get plan).Plan.path then
+            Alcotest.failf "rows differ for %s" sql)
+        others)
+    [
+      ( "SELECT a, b FROM t WHERE a = 5 AND b = 7",
+        [
+          "SELECT a, b FROM t WHERE b = 7";
+          "SELECT a, b FROM t WHERE a > 5 AND b = 7";
+          "SELECT a, b FROM t WHERE a = 5";
+          "SELECT a, b FROM t WHERE b BETWEEN 3 AND 9";
+        ] );
+      ( "SELECT * FROM t WHERE a = 5 AND b = 7",
+        [ "SELECT * FROM t WHERE b = 7 AND c = 2"; "SELECT * FROM t WHERE a = 5 AND a = 6" ] );
+    ]
 
 (* The operator-to-range conversion must not wrap at the int edges:
    [< min_int] and [> max_int] are empty (no row, selectivity 0, and a
@@ -916,15 +1064,17 @@ let test_int_edge_bounds () =
   List.iter
     (fun (label, bounds) ->
       let before = Cddpd_storage.Buffer_pool.stats pool in
-      let rids = Cddpd_engine.Index.probe probe_index ~eq_prefix:[] ~range:(Some bounds) in
+      let rids =
+        Cddpd_engine.Index.probe probe_index { Filter.eq = []; range = Some bounds }
+      in
       let after = Cddpd_storage.Buffer_pool.stats pool in
       let accesses (s : Cddpd_storage.Buffer_pool.stats) = s.hits + s.misses in
       Alcotest.(check int) (label ^ ": probe rows") 0 (List.length rids);
       Alcotest.(check bool) (label ^ ": probe pages <= height + 1") true
         (accesses after - accesses before <= Cddpd_engine.Index.height probe_index + 1))
     [
-      ("probe < min_int", (None, Some { Plan.op = Ast.Lt; value = min_int }));
-      ("probe > max_int", (Some { Plan.op = Ast.Gt; value = max_int }, None));
+      ("probe < min_int", Filter.interval Ast.Lt min_int);
+      ("probe > max_int", Filter.interval Ast.Gt max_int);
     ]
 
 (* The scan kernels allocate nothing per row or entry: a 5,000-row full
@@ -1339,6 +1489,8 @@ let () =
         [
           Alcotest.test_case "count matches scan" `Quick test_view_count_matches_scan;
           Alcotest.test_case "sum and probe" `Quick test_view_sum_and_probe;
+          Alcotest.test_case "contradictory group equalities" `Quick
+            test_view_probe_contradiction;
           Alcotest.test_case "filtered aggregates bypass views" `Quick
             test_view_not_used_for_filtered_aggregates;
           Alcotest.test_case "maintained under DML" `Quick test_view_maintained_under_dml;
@@ -1354,6 +1506,7 @@ let () =
             test_plan_memo_view_probe;
           Alcotest.test_case "stats generation fence" `Quick
             test_stats_generation_fence;
+          Alcotest.test_case "wrong key costs I/O, never rows" `Quick test_plan_memo_wrong_key;
         ] );
       ( "statistics",
         [
