@@ -114,9 +114,10 @@ val build :
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
     skipping the keying pass; the caller must guarantee they equal the
-    keys under the statistics [stats_of] returns now (serve passes them
-    only when every window was keyed under the current
-    {!Cddpd_engine.Database.stats_generation}).  Raises
+    keys under the statistics [stats_of] returns now (serve carries each
+    history window's keys to the current snapshot first, re-keying the
+    statements {!Cddpd_engine.Cost_key.same_inputs} cannot prove
+    unchanged).  Raises
     [Invalid_argument] on a length mismatch.
 
     The matrices are bit-identical to the naive definition, whatever the

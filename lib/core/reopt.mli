@@ -47,7 +47,7 @@ val build_problem :
 (** {!Advisor.build_problem} threaded through the session's reuse state.
     [statement_keys] as in {!Problem.build} — precomputed cost-identity
     keys for the request's concatenated steps, valid only under the
-    current statistics (serve checks the statistics generation). *)
+    current statistics. *)
 
 val solve :
   ?k:int ->

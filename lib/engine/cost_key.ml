@@ -88,6 +88,32 @@ let statement stats stmt =
       add_preds where);
   Buffer.contents buf
 
+(* Physically the same histogram in both snapshots, or none in either:
+   [Value_counts] hands out the same object while the column is
+   untouched, and histograms are immutable. *)
+let same_histogram ~was ~now column =
+  match (Table_stats.histogram was column, Table_stats.histogram now column) with
+  | Some a, Some b -> a == b
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let same_pred_inputs ~was ~now pred =
+  match pred with
+  | Ast.Cmp { column; _ } | Ast.Between { column; _ } -> same_histogram ~was ~now column
+
+let same_inputs ~was ~now stmt =
+  was == now
+  || Table_stats.row_count was = Table_stats.row_count now
+     && Table_stats.page_count was = Table_stats.page_count now
+     && Table_stats.n_histograms was = Table_stats.n_histograms now
+     &&
+     match stmt with
+     | Ast.Select { where; _ } | Ast.Delete { where; _ } | Ast.Update { where; _ } ->
+         List.for_all (same_pred_inputs ~was ~now) where
+     | Ast.Select_agg { group_by; where; _ } ->
+         same_histogram ~was ~now group_by && List.for_all (same_pred_inputs ~was ~now) where
+     | Ast.Insert _ -> true
+
 let structure s =
   match s with
   | Structure.Index i ->

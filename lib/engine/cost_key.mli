@@ -32,6 +32,19 @@
 val statement : Table_stats.t -> Cddpd_sql.Ast.statement -> string
 (** The statement's cost identity under the given table statistics. *)
 
+val same_inputs : was:Table_stats.t -> now:Table_stats.t -> Cddpd_sql.Ast.statement -> bool
+(** [same_inputs ~was ~now stmt] proves, without printing either key,
+    that [statement was stmt] equals [statement now stmt]: the snapshots
+    are physically the same, or their row count, page count and
+    histogram count are equal and every column the key reads (each
+    predicate's column, and an aggregate's grouping column) has
+    physically the same histogram in both (or none in either).  A
+    column's histogram stays the same object while DML leaves its values
+    untouched ({!Value_counts.histogram}), so after a write this holds for
+    every statement that reads no rewritten column.  [false] only means
+    "not proven": the keys may still be equal.  The one staleness rule
+    for keys carried across statistics snapshots. *)
+
 val structure : Cddpd_catalog.Structure.t -> string
 (** ["I:<table>:<col>,<col>"] for an index, ["V:<table>:<col>"] for a
     materialized view.  Unlike {!Cddpd_catalog.Structure.name}, the table

@@ -184,6 +184,13 @@ val view_plan : params -> bound -> Cddpd_catalog.View_def.t -> Plan.t option
     column) or view scan, when the statement is an aggregate the view
     answers. *)
 
+val view_answers :
+  group_by:string -> where:Cddpd_sql.Ast.predicate list -> Cddpd_catalog.View_def.t -> bool
+(** Whether the view answers the aggregate: it groups by [group_by] and
+    every predicate is an equality on that column.  The one rule for
+    both the planner's {!view_plan} and the executor's check of a
+    memoized view plan. *)
+
 val maintenance_term : params -> bound -> Cddpd_catalog.Structure.t -> float
 (** The structure's per-affected-row maintenance: a root-to-leaf update
     for an index, a lookup plus a row rewrite for a view. *)

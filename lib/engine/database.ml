@@ -333,14 +333,15 @@ let find_index state def =
    statement's own literals, by the rule that chose the plan's shape. *)
 let seek_of index where = Filter.seek (Index_def.columns (Index.def index)) where
 
-(* The heap rows a plan reads, in access order: [take buf base page slot]
-   on every record that passes [where]'s filter.  A full scan tests the
-   ranges in the heap kernel's page loop; a non-covering seek fetches its
-   rids in key order (after the whole index walk, so the page sequence is
-   the walk's, then the fetches') and tests the fetched record in place. *)
-let iter_heap_matches state where (plan : Plan.t) take =
+(* The heap rows an access path reads, in access order: [take buf base
+   page slot] on every record that passes [where]'s filter.  A full scan
+   tests the ranges in the heap kernel's page loop; a non-covering seek
+   fetches its rids in key order (after the whole index walk, so the page
+   sequence is the walk's, then the fetches') and tests the fetched record
+   in place. *)
+let iter_heap_matches state where (path : Plan.access_path) take =
   let filter = Filter.compile state.layout where in
-  match plan.Plan.path with
+  match path with
   | Plan.Full_scan ->
       Heap_file.scan state.heap ~ranges:(Filter.ranges filter) (fun buf base page slot ->
           if Filter.residual filter buf base then take buf base page slot)
@@ -377,7 +378,7 @@ let run_select state (select : Ast.select) plan =
       entry_rows (find_index state def) Filter.unbounded
   | Plan.Full_scan | Plan.Index_seek { covering = false; _ } ->
       let emit = compile_projection state.layout select.Ast.projection in
-      iter_heap_matches state where plan (fun buf base _page _slot ->
+      iter_heap_matches state where plan.Plan.path (fun buf base _page _slot ->
           rows := emit buf base :: !rows)
   | Plan.View_probe _ -> failwith "Database: view plan for a non-aggregate query");
   List.rev !rows
@@ -390,7 +391,7 @@ let collect_matching t state ~table ~where =
   let stats = table_stats t table in
   let plan = Cost_model.choose_plan t.params stats (current_design t) find_select in
   let victims = ref [] in
-  iter_heap_matches state where plan (fun buf base page slot ->
+  iter_heap_matches state where plan.Plan.path (fun buf base page slot ->
       victims := ({ Heap_file.page; slot }, Tuple.decode_at buf ~base) :: !victims);
   (List.rev !victims, plan)
 
@@ -431,12 +432,17 @@ let run_update t ~table ~assignments ~where =
   (List.length victims, plan)
 
 (* Run an aggregate query: either from a matching materialized view or by
-   scanning and hashing on the fly. *)
+   scanning and hashing on the fly.  A view plan is run only when the
+   planner's own rule ({!Cost_model.view_answers}) says the view answers
+   this statement: a memoized plan met under a wrong key falls back to
+   the hash aggregate over a full scan, so the key costs I/O, never
+   rows. *)
 let run_select_agg t ~table ~group_by ~aggregate ~where plan =
   let state = table_state t table in
   let emit group value = [| Tuple.Int group; Tuple.Int value |] in
   match plan.Plan.path with
-  | Plan.View_probe { view = view_def; _ } -> (
+  | Plan.View_probe { view = view_def; _ }
+    when Cost_model.view_answers ~group_by ~where view_def -> (
       let view =
         match
           List.find_opt
@@ -478,7 +484,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
           let out = ref [] in
           Mat_view.scan view (fun row -> out := of_row row :: !out);
           List.rev !out)
-  | Plan.Full_scan ->
+  | Plan.View_probe _ | Plan.Full_scan ->
       (* Hash aggregation over a filtered scan. *)
       let group = Filter.position state.layout group_by in
       let summed =
@@ -487,7 +493,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
         | Ast.Sum column -> Some (Filter.position state.layout column)
       in
       let groups = Hashtbl.create 64 in
-      iter_heap_matches state where plan (fun buf base _page _slot ->
+      iter_heap_matches state where Plan.Full_scan (fun buf base _page _slot ->
           let g = Filter.read_int state.layout group buf base in
           let delta =
             match summed with

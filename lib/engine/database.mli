@@ -113,9 +113,11 @@ val execute :
     I/O, never rows: the seek interval comes from this statement's own
     predicates, and the filter re-tests every one.  (It can still make
     execution raise [Invalid_argument]: a memoized covering plan meeting
-    a statement that references a column outside the index key.)  An
-    aggregate needs its own key: a memoized view plan reads only the
-    grouping column.
+    a statement that references a column outside the index key.)  On an
+    aggregate, too, a wrong key costs I/O, never rows: a memoized view
+    plan runs only when the planner's own rule
+    ({!Cost_model.view_answers}) says the view answers this statement,
+    and otherwise the executor hash-aggregates over a full scan.
     [skip_check] (default [false]) skips semantic validation;
     only pass [true] for a statement that already passed it against an
     unchanged schema, as serve's template cache does. *)

@@ -118,13 +118,26 @@ let of_sorted_keys pool index positions keys =
     layout = Filter.entry_layout (Index_def.columns index);
   }
 
+(* One heap scan through the kernel: each live record's key columns are
+   read in place, no tuple is decoded, and the keys land in an array
+   sized by the live-tuple count. *)
 let build pool schema heap index =
   let positions = key_positions schema index in
-  let entries = ref [] in
-  Heap_file.iter heap (fun rid tuple ->
-      entries := physical_key positions tuple rid :: !entries);
-  let keys = Array.of_list !entries in
-  sort_keys ~key_len:(Array.length positions + 2) keys;
+  let layout = Filter.heap_layout schema in
+  let n = Array.length positions in
+  let keys = Array.make (Heap_file.n_tuples heap) [||] in
+  let filled = ref 0 in
+  Heap_file.scan heap ~ranges:Cddpd_storage.Ranges.none (fun buf base page slot ->
+      let key = Array.make (n + 2) 0 in
+      for i = 0 to n - 1 do
+        key.(i) <- Filter.read_int layout positions.(i) buf base
+      done;
+      key.(n) <- page;
+      key.(n + 1) <- slot;
+      keys.(!filled) <- key;
+      incr filled);
+  assert (!filled = Array.length keys);
+  sort_keys ~key_len:(n + 2) keys;
   of_sorted_keys pool index positions keys
 
 let build_of_rows pool schema index ~rows ~rids =

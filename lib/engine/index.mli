@@ -13,7 +13,10 @@ val build :
   Cddpd_storage.Heap_file.t ->
   Cddpd_catalog.Index_def.t ->
   t
-(** Scan the heap, sort, and bulk-load the tree.  The sort packs each key
+(** Scan the heap, sort, and bulk-load the tree.  The scan is the heap
+    kernel ({!Cddpd_storage.Heap_file.scan}): each live record's key
+    columns are read in place ({!Filter.read_int}), no tuple is decoded,
+    and the keys fill an array sized by the live-tuple count.  The sort packs each key
     into a single word whenever the observed component ranges fit 62 bits
     (they essentially always do) and sorts the packed ints monomorphically
     ({!Cddpd_util.Int_sort}).  Raises [Invalid_argument] if the definition

@@ -15,6 +15,7 @@ module Reopt = Cddpd_core.Reopt
 module Candidates = Cddpd_core.Candidates
 module Compress = Cddpd_workload.Compress
 module Cost_key = Cddpd_engine.Cost_key
+module Table_stats = Cddpd_engine.Table_stats
 module Check = Cddpd_engine.Check
 module Timer = Cddpd_util.Timer
 module Obs = Cddpd_obs
@@ -141,9 +142,11 @@ type probation = { prev_design : Design.t }
 (* One closed window in the sliding history: the statements plus the
    cost-identity pass serve already paid for drift detection — the keys,
    whether every statement is on the served table (the keys are computed
-   under that table's statistics), and the statistics generation they
-   were computed under.  Re-optimization reuses the keys only while that
-   generation is still current.  The window's candidate
+   under that table's statistics), and the statistics snapshot they were
+   computed under.  Each re-optimization carries the keys to its own
+   snapshot ([rekey]): a statement is re-keyed only when
+   [Cost_key.same_inputs] cannot prove its key unchanged, and the
+   refreshed keys replace the old ones.  The window's candidate
    tally is computed the first time a re-optimization reads it, then kept:
    a window that ages through the history is tallied once, and a window no
    re-optimization reads is never tallied. *)
@@ -151,7 +154,7 @@ type history_window = {
   h_statements : Ast.statement array;
   h_keys : string array;
   h_uniform : bool;
-  h_generation : int;
+  mutable h_stats : Table_stats.t;
   h_tally : Candidates.tally Lazy.t;
 }
 
@@ -260,6 +263,20 @@ let feed_key t entry statement =
           (key, gen))
   | None -> (compute (), gen)
 
+(* Carry a history window's keys to the snapshot [stats]: a key is kept
+   when [Cost_key.same_inputs] proves it unchanged, recomputed
+   otherwise. *)
+let rekey t ~stats h =
+  if h.h_stats != stats then begin
+    let was = h.h_stats in
+    Array.iteri
+      (fun i statement ->
+        if not (Cost_key.same_inputs ~was ~now:stats statement) then
+          h.h_keys.(i) <- intern t (Cost_key.statement stats statement))
+      h.h_statements;
+    h.h_stats <- stats
+  end
+
 let schema t =
   match Database.schema t.db t.cfg.table with
   | Some schema -> schema
@@ -345,24 +362,25 @@ let check_probation t ~stats ~window ~clustering ~measured_io =
       end
       else None
 
+(* The per-window cost-identity keys double as the build's statement keys
+   once every window is carried to the current snapshot: only statements
+   whose key inputs moved are re-keyed.  Keys are computed under the
+   served table's statistics, so a window with a statement on another
+   table passes none. *)
+let history_keys t =
+  let history = List.rev t.history_windows in
+  if List.for_all (fun h -> h.h_uniform) history then begin
+    let stats = Database.table_stats t.db t.cfg.table in
+    List.iter (rekey t ~stats) history;
+    Some (Array.concat (List.map (fun h -> h.h_keys) history))
+  end
+  else None
+
 (* One constrained re-optimization over the recent windows, seeded with
    the incumbent design as C0, guarded before deployment. *)
-let reoptimize_continuous t ~generation =
+let reoptimize_continuous t =
   let history = List.rev t.history_windows in
-  (* The per-window cost-identity keys double as the build's statement
-     keys, but only while they are provably current: every statement on
-     the served table (whose statistics keyed them) and every window
-     keyed under the current statistics generation.  A generation can
-     move while the keys stay equal; they are then recomputed, equal. *)
-  let statement_keys =
-    if
-      List.for_all
-        (fun h -> h.h_uniform && h.h_generation = generation)
-        history
-    then Some (Array.concat (List.map (fun h -> h.h_keys) history))
-    else None
-  in
-  let problem = build_problem ?statement_keys t history in
+  let problem = build_problem ?statement_keys:(history_keys t) t history in
   let incumbent = Database.current_design t.db in
   match
     Reopt.solve t.reopt problem ~method_name:t.cfg.method_name ~k:t.cfg.k
@@ -434,9 +452,8 @@ let close_window t window fed_keys fed_gens =
      under the current statistics generation *is* the key this pass would
      compute — the snapshot is physically the same object — so it rides
      through untouched.  Anything older (fed before mid-window DML) or
-     deferred (DML itself) is keyed here, exactly as the single close-time
-     pass always did.  The keys feed drift detection and, generation
-     permitting, the incremental problem build. *)
+     deferred (DML itself) is keyed here.  The keys feed drift detection
+     and the incremental problem build. *)
   let keys =
     Array.mapi
       (fun i s ->
@@ -452,7 +469,7 @@ let close_window t window fed_keys fed_gens =
       h_keys = keys;
       h_uniform =
         Array.for_all (fun s -> String.equal (Ast.table_of s) t.cfg.table) window;
-      h_generation = gen;
+      h_stats = stats;
       h_tally = lazy (Candidates.tally (schema t) window);
     }
   in
@@ -489,7 +506,7 @@ let close_window t window fed_keys fed_gens =
         | Continuous ->
             if index = 0 || drifted then
               reoptimize "serve.reoptimize" (fun () ->
-                  reoptimize_continuous t ~generation:gen)
+                  reoptimize_continuous t)
             else (No_action, 0.0, 0))
   in
   t.prev_profile <- Some profile;

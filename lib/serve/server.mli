@@ -157,6 +157,16 @@ val reopt_stats : t -> Cddpd_core.Reopt.stats
     {!finish}'s report) — atom-memo hits, misses and evictions between
     re-optimizations, reuse tallies, warm-start bounds. *)
 
+val history_keys : t -> string array option
+(** The statement keys a continuous re-optimization hands
+    {!Cddpd_core.Problem.build}: the history windows' cost-identity keys,
+    oldest window first, each equal to {!Cddpd_engine.Cost_key.statement}
+    of its statement under the served table's current statistics.  The
+    windows keep the keys computed at close and the snapshot they were
+    computed under; this carries them to the current snapshot, re-keying
+    only the statements for which {!Cddpd_engine.Cost_key.same_inputs}
+    fails.  [None] when a window holds a statement on another table. *)
+
 val feed : t -> Cddpd_sql.Ast.statement -> window_report option
 (** Execute one arriving statement and buffer it; when it completes a
     window, run the window-close protocol and return its report.

@@ -34,22 +34,6 @@ type statement =
 
 let equal_statement (a : statement) (b : statement) = a = b
 
-let eq_columns select =
-  List.filter_map
-    (fun pred ->
-      match pred with
-      | Cmp { column; op = Eq; value } -> Some (column, value)
-      | Cmp _ | Between _ -> None)
-    select.where
-
-let range_columns select =
-  List.filter_map
-    (fun pred ->
-      match pred with
-      | Cmp { op = Eq; _ } -> None
-      | Cmp { column; _ } | Between { column; _ } -> Some column)
-    select.where
-
 let predicate_column pred =
   match pred with Cmp { column; _ } | Between { column; _ } -> column
 

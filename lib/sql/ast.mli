@@ -46,13 +46,6 @@ type statement =
 val equal_statement : statement -> statement -> bool
 (** Structural equality. *)
 
-val eq_columns : select -> (string * value) list
-(** Columns constrained by equality, with their constants, in predicate
-    order.  BETWEEN and inequality predicates are excluded. *)
-
-val range_columns : select -> string list
-(** Columns constrained by a non-equality predicate, in predicate order. *)
-
 val referenced_columns : statement -> string list
 (** Every column mentioned anywhere in the statement (deduplicated,
     in first-mention order).  For DELETE/UPDATE these are the predicate

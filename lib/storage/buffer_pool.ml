@@ -15,6 +15,7 @@ type frame = {
   mutable pins : int;
   mutable dirty : bool;
   mutable referenced : bool; (* second-chance bit *)
+  mutable prefetched : bool; (* read ahead and not fetched since *)
 }
 
 type handle = frame
@@ -53,7 +54,14 @@ let create ?(capacity = 256) ?(readahead = default_readahead) disk =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity <= 0";
   if readahead < 0 then invalid_arg "Buffer_pool.create: readahead < 0";
   let make_frame _ =
-    { pid = -1; buffer = Page.create (); pins = 0; dirty = false; referenced = false }
+    {
+      pid = -1;
+      buffer = Page.create ();
+      pins = 0;
+      dirty = false;
+      referenced = false;
+      prefetched = false;
+    }
   in
   let frames = Array.init capacity make_frame in
   {
@@ -62,9 +70,7 @@ let create ?(capacity = 256) ?(readahead = default_readahead) disk =
     table = Hashtbl.create (capacity * 2);
     free = List.init capacity (fun i -> i);
     hand = 0;
-    (* A prefetch batch must never be forced to evict its own leader, so
-       leave headroom for the pinned leader plus one victim slot. *)
-    readahead = min readahead (max 0 (capacity - 2));
+    readahead;
     last = make_frame 0 (* dummy: pid = -1 never matches a real fetch *);
     hit_count = 0;
     miss_count = 0;
@@ -110,36 +116,45 @@ let victim t =
       t.frames.(i)
   | [] -> clock_sweep t
 
-(* Scan-resistant victim selection for sequential loads: take a free frame
-   or an already-unreferenced unpinned frame, but never clear reference
-   bits while searching.  Because sequential fetches leave their own
-   frames unreferenced, a scan recycles its own trail of frames instead of
-   demoting (and eventually flushing) the referenced working set.  If one
-   full revolution finds nothing (everything referenced or pinned), fall
-   back to the normal clearing sweep so the fetch still terminates. *)
-let seq_victim t =
+(* Scan-resistant victim search: the index of a free frame, else of the
+   first unpinned, unreferenced frame the hand meets within one
+   revolution (with [spare_prefetches], also one holding no unconsumed
+   prefetch), or -1.  It never clears a reference bit.  Because sequential fetches
+   leave their own frames unreferenced, a scan recycles its own trail of
+   frames instead of demoting (and eventually flushing) the referenced
+   working set. *)
+let unreferenced_frame t ~spare_prefetches =
   match t.free with
   | i :: rest ->
       t.free <- rest;
-      t.frames.(i)
+      i
   | [] ->
       let n = Array.length t.frames in
       let rec sweep remaining =
-        if remaining = 0 then clock_sweep t
+        if remaining = 0 then -1
         else begin
-          let frame = t.frames.(t.hand) in
-          t.hand <- (t.hand + 1) mod n;
-          if frame.pins = 0 && not frame.referenced then frame
+          let i = t.hand in
+          let frame = t.frames.(i) in
+          t.hand <- (i + 1) mod n;
+          if frame.pins = 0 && (not frame.referenced) && not (spare_prefetches && frame.prefetched)
+          then i
           else sweep (remaining - 1)
         end
       in
       sweep n
+
+(* A sequential miss's own frame: if every frame is referenced or pinned,
+   fall back to the clearing sweep so the fetch still terminates. *)
+let seq_victim t =
+  let i = unreferenced_frame t ~spare_prefetches:false in
+  if i >= 0 then t.frames.(i) else clock_sweep t
 
 let evict t frame =
   if frame.pid <> -1 then begin
     write_back t frame;
     Hashtbl.remove t.table frame.pid;
     frame.pid <- -1;
+    frame.prefetched <- false;
     t.eviction_count <- t.eviction_count + 1;
     Obs.Counter.incr m_evictions
   end
@@ -162,6 +177,7 @@ let fetch t pid =
       | Some frame ->
           record_hit t frame;
           frame.referenced <- true;
+          frame.prefetched <- false;
           frame
       | None ->
           t.miss_count <- t.miss_count + 1;
@@ -179,32 +195,37 @@ let fetch t pid =
     t.last <- frame;
     frame
 
-(* Prefetch the next non-resident pages of [run] into unpinned,
-   unreferenced frames (first in line for recycling), reading them from
-   disk in one batch.  Called with the leader frame pinned, so the batch
-   cannot evict it.  In a pathologically small pool a prefetched frame may
-   be recycled before its page is consumed — the page is then simply a
-   regular miss later; correctness and logical-I/O accounting are
-   unaffected. *)
+(* Prefetch the next non-resident pages of [run], each read straight into
+   its frame.  A batch takes only frames that hold nothing anyone still
+   wants: free ones, or unpinned, unreferenced ones that hold no
+   unconsumed prefetch.  So it never evicts the pinned leader, the
+   referenced working set or its own earlier pages, and it stops at the
+   first page for which one revolution finds no such frame.  Correctness
+   and logical-I/O accounting never depend on how far it got. *)
 let readahead_batch t ~run ~pos =
-  let stop = min (Array.length run - 1) (pos + t.readahead) in
-  let batch = ref [] in
-  for j = pos + 1 to stop do
-    let pid = run.(j) in
-    if not (Hashtbl.mem t.table pid) then begin
-      let frame = seq_victim t in
-      evict t frame;
-      frame.pid <- pid;
-      frame.pins <- 0;
-      frame.dirty <- false;
-      frame.referenced <- false;
-      Hashtbl.replace t.table pid frame;
-      batch := (pid, frame.buffer) :: !batch;
-      t.readahead_count <- t.readahead_count + 1;
-      Obs.Counter.incr m_readahead_pages
-    end
-  done;
-  match !batch with [] -> () | pairs -> Disk.read_batch t.disk (List.rev pairs)
+  let stop = Int.min (Array.length run - 1) (pos + t.readahead) in
+  let rec prefetch j =
+    if j <= stop then
+      let pid = run.(j) in
+      if Hashtbl.mem t.table pid then prefetch (j + 1)
+      else
+        let i = unreferenced_frame t ~spare_prefetches:true in
+        if i >= 0 then begin
+          let frame = t.frames.(i) in
+          evict t frame;
+          Disk.read_into t.disk pid frame.buffer;
+          frame.pid <- pid;
+          frame.pins <- 0;
+          frame.dirty <- false;
+          frame.referenced <- false;
+          frame.prefetched <- true;
+          Hashtbl.replace t.table pid frame;
+          t.readahead_count <- t.readahead_count + 1;
+          Obs.Counter.incr m_readahead_pages;
+          prefetch (j + 1)
+        end
+  in
+  prefetch (pos + 1)
 
 let fetch_sequential t ~run ~pos =
   let pid = run.(pos) in
@@ -221,6 +242,7 @@ let fetch_sequential t ~run ~pos =
       match Hashtbl.find_opt t.table pid with
       | Some frame ->
           record_hit t frame;
+          frame.prefetched <- false;
           frame
       | None ->
           t.miss_count <- t.miss_count + 1;
@@ -273,6 +295,7 @@ let drop_cache t =
         write_back t frame;
         Hashtbl.remove t.table frame.pid;
         frame.pid <- -1;
+        frame.prefetched <- false;
         t.free <- i :: t.free
       end)
     t.frames

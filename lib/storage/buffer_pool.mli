@@ -35,7 +35,7 @@
     {2 Sequential scans}
 
     {!fetch_sequential} is the scan hot path used by
-    [Heap_file.iter]/[iter_slices].  It differs from {!fetch} in three
+    [Heap_file.scan].  It differs from {!fetch} in three
     ways, none of which change logical-I/O accounting (a scan fetch is
     still exactly one hit or one miss):
 
@@ -48,8 +48,17 @@
       fetch still terminates.)
     - {e readahead}: a sequential miss prefetches up to the pool's
       readahead budget of upcoming non-resident pages of the scan's page
-      run in one {!Disk.read_batch}, so they are hits when the scan
-      reaches them.  Prefetched frames sit unpinned and unreferenced.
+      run, each read straight into its frame, so they are hits when the
+      scan reaches them.  A prefetched frame sits unpinned and
+      unreferenced, marked as an unconsumed prefetch until its first
+      fetch.  A batch takes only free frames, or unpinned, unreferenced
+      frames that hold no unconsumed prefetch, and it never clears a
+      reference bit: it stops early when one revolution of the hand finds
+      no such frame.  So it never evicts its own pinned leader, the
+      referenced working set or its own earlier prefetches: with nothing
+      else touching the pool mid-scan, a scan reads each page of its run
+      from disk at most once (a page no batch had a frame for is simply
+      a miss when the scan reaches it).
     - {e last-page memo}: consecutive fetches of the same page (common
       when a scan re-reads the tail page) skip the hash-table probe via a
       one-entry memo.  The memo needs no invalidation: it is validated by
@@ -84,8 +93,8 @@ val create : ?capacity:int -> ?readahead:int -> Disk.t -> t
 (** [create ?capacity ?readahead disk] makes a pool holding at most
     [capacity] pages (default 256).  [readahead] bounds how many upcoming
     pages a sequential miss prefetches (default {!default_readahead};
-    [0] disables readahead; internally clamped to [capacity - 2] so a
-    batch can never evict its own pinned leader).  Raises
+    [0] disables readahead; a batch also stops when no spare frame is
+    left, see the module preamble).  Raises
     [Invalid_argument] if [capacity <= 0] or [readahead < 0]. *)
 
 val capacity : t -> int

@@ -43,9 +43,6 @@ let read_into t pid dst =
   Obs.Counter.incr m_page_reads;
   Page.blit ~src:t.pages.(pid) ~dst
 
-let read_batch t pairs =
-  List.iter (fun (pid, dst) -> read_into t pid dst) pairs
-
 let write_from t pid src =
   check t pid "write_from";
   t.write_count <- t.write_count + 1;

@@ -33,13 +33,6 @@ val read_into : t -> int -> Page.t -> unit
 (** [read_into t pid dst] copies page [pid] from the disk into [dst],
     counting one read.  Raises [Invalid_argument] on an unallocated id. *)
 
-val read_batch : t -> (int * Page.t) list -> unit
-(** [read_batch t pairs] reads each [(pid, dst)] pair in order — the
-    buffer pool's readahead entry point.  The simulated device has no
-    seek cost, so a batch costs exactly one counted read per page; a real
-    device would coalesce the run into one large transfer.  Raises
-    [Invalid_argument] on an unallocated id. *)
-
 val write_from : t -> int -> Page.t -> unit
 (** [write_from t pid src] copies [src] onto page [pid], counting one
     write.  Raises [Invalid_argument] on an unallocated id. *)

@@ -14,7 +14,7 @@ let sort (a : int array) =
       let s = !src and d = !dst in
       let i = ref 0 in
       while !i < n do
-        let mid = min (!i + !width) n and hi = min (!i + (2 * !width)) n in
+        let mid = Int.min (!i + !width) n and hi = Int.min (!i + (2 * !width)) n in
         let l = ref !i and r = ref mid and o = ref !i in
         while !l < mid && !r < hi do
           let x = Array.unsafe_get s !l and y = Array.unsafe_get s !r in

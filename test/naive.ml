@@ -27,11 +27,18 @@
    Execution: a SELECT decodes every heap row and evaluates each
    predicate on the decoded tuple, visiting the rows in the order the
    plan's access path does.  The executor's compiled filters and scan
-   kernels must return the same rows in the same order. *)
+   kernels must return the same rows in the same order.
+
+   Index builds: every live heap row decoded, its key columns and rid
+   gathered into one array per entry, the arrays sorted by comparator and
+   bulk-loaded.  [Index.build] must give the same entries in the same
+   order for the same logical I/O. *)
 
 module Ast = Cddpd_sql.Ast
 module Schema = Cddpd_catalog.Schema
 module Tuple = Cddpd_storage.Tuple
+module Heap_file = Cddpd_storage.Heap_file
+module Btree = Cddpd_storage.Btree
 module Histogram = Cddpd_engine.Histogram
 module Table_stats = Cddpd_engine.Table_stats
 module Database = Cddpd_engine.Database
@@ -247,3 +254,15 @@ let select db (select : Ast.select) path =
   visited
   |> List.filter (fun tuple -> List.for_all (satisfies schema tuple) select.Ast.where)
   |> List.map project
+
+(* -- index builds ------------------------------------------------------------ *)
+
+let index_build pool schema heap columns =
+  let positions = List.map (Schema.column_index_exn schema) columns in
+  let keys = ref [] in
+  Heap_file.iter heap (fun rid tuple ->
+      let values = List.map (fun pos -> Tuple.int_exn tuple.(pos)) positions in
+      keys := Array.of_list (values @ [ rid.Heap_file.page; rid.Heap_file.slot ]) :: !keys);
+  let keys = Array.of_list !keys in
+  Array.sort (fun a b -> List.compare Int.compare (Array.to_list a) (Array.to_list b)) keys;
+  Btree.bulk_load pool ~key_len:(List.length positions + 2) keys

@@ -297,6 +297,34 @@ let cross_snapshot_prop =
              && same_float a1.Cost_model.maintenance a2.Cost_model.maintenance)
            cross_snapshot_structures)
 
+(* [Cost_key.same_inputs] is a proof of key equality: after random writes,
+   whenever it holds, the statement's key under the new snapshot is the
+   key under the old one.  [same_inputs_outcomes] counts the verdicts
+   (not proven, proven) so the test can require that the generator
+   produces both. *)
+let same_inputs_outcomes = [| 0; 0 |]
+
+let same_inputs_prop =
+  QCheck.Test.make ~name:"same_inputs => equal keys across DML snapshots" ~count:300
+    (QCheck.make
+       ~print:(fun (s, writes) ->
+         Printf.sprintf "%s after %s" (Cddpd_sql.Printer.to_string s)
+           (String.concat "; " (List.map Cddpd_sql.Printer.to_string writes)))
+       QCheck.Gen.(pair gen_statement (list_size (int_range 1 3) gen_write)))
+    (fun (s, writes) ->
+      let db = boundary_db () in
+      let was = Database.table_stats db "t" in
+      List.iter (fun w -> ignore (Database.execute db w)) writes;
+      let now = Database.table_stats db "t" in
+      let same = Cost_key.same_inputs ~was ~now s in
+      same_inputs_outcomes.(Bool.to_int same) <- same_inputs_outcomes.(Bool.to_int same) + 1;
+      (not same) || String.equal (Cost_key.statement was s) (Cost_key.statement now s))
+
+let test_same_inputs_sound () =
+  QCheck.Test.check_exn same_inputs_prop;
+  Alcotest.(check bool) "some keys carried" true (same_inputs_outcomes.(1) > 0);
+  Alcotest.(check bool) "some keys not proven" true (same_inputs_outcomes.(0) > 0)
+
 (* One-table problems over synthetic statistics that differ only in the
    distinct count of the view's group column [g]. *)
 let view_g = Structure.view (View_def.make ~table:"t" ~group_by:"g")
@@ -522,6 +550,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest key_sound_prop;
           QCheck_alcotest.to_alcotest cross_snapshot_prop;
+          Alcotest.test_case "same_inputs => equal keys across DML (both verdicts)" `Quick
+            test_same_inputs_sound;
           Alcotest.test_case "view cardinality refresh recosts the view atom" `Quick
             test_view_cardinality_refresh;
           Alcotest.test_case "a structure added after a refresh = oracle" `Quick

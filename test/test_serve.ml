@@ -362,6 +362,59 @@ let test_serve_reopt_every_window_when_threshold_nonpositive () =
   Alcotest.(check int) "every window re-optimizes" 3
     report.Server.reoptimizations
 
+(* The keys a continuous re-optimization hands Problem.build
+   ([Server.history_keys]) must equal fresh [Cost_key.statement] keys of
+   the history's statements under the current statistics, after every
+   window of a stream whose writes move each input a key reads: UPDATEs
+   of a non-key column (the page count can grow while the row count and
+   every read histogram stay), UPDATEs of a predicate column (a histogram
+   moves while the counts stay), INSERTs and DELETEs (the row count
+   moves).  INSERTs and DELETEs are rare, so some windows add a heap page
+   while the row count stays: dropping either the page-count compare or
+   the histogram check from [Cost_key.same_inputs] fails this test. *)
+let test_serve_history_keys_fresh () =
+  let window = 20 and history = 4 in
+  let db = make_db () in
+  let cfg =
+    { (serve_config ~window ()) with Server.drift_threshold = -1.0; history }
+  in
+  let server = Server.create db cfg in
+  let text i =
+    let v k = (i * k) mod value_range in
+    if i mod 10 = 3 then Printf.sprintf "UPDATE t SET b = %d WHERE a = %d" (v 13) (v 7)
+    else if i mod 10 = 7 then Printf.sprintf "UPDATE t SET a = %d WHERE c = %d" (i mod 50) (v 11)
+    else if i mod 100 = 12 then
+      Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)" (v 3) (v 5) (v 7) (v 9)
+    else if i mod 100 = 81 then Printf.sprintf "DELETE FROM t WHERE d = %d" (v 17)
+    else
+      match i mod 4 with
+      | 0 -> Printf.sprintf "SELECT * FROM t WHERE a = %d" (v 37)
+      | 1 -> Printf.sprintf "SELECT a, b FROM t WHERE a < %d AND b > %d" (v 29) (v 31)
+      | 2 -> Printf.sprintf "SELECT a, COUNT(*) FROM t WHERE a = %d GROUP BY a" (v 19)
+      | _ -> Printf.sprintf "SELECT * FROM t WHERE c BETWEEN %d AND %d" (v 23) (v 23 + 40)
+  in
+  let fed = ref [] and closed = ref [] in
+  for i = 0 to (20 * window) - 1 do
+    let sql = text i in
+    fed := Parser.parse_exn sql :: !fed;
+    match Server.feed_sql server sql with
+    | Error e -> Alcotest.failf "rejected %S: %s" sql e
+    | Ok None -> ()
+    | Ok (Some report) ->
+        closed := Array.of_list (List.rev !fed) :: !closed;
+        fed := [];
+        let windows = List.rev (List.filteri (fun i _ -> i < history) !closed) in
+        let stats = Database.table_stats db "t" in
+        let fresh =
+          Array.map (Cddpd_engine.Cost_key.statement stats) (Array.concat windows)
+        in
+        Alcotest.(check (option (array string)))
+          (Printf.sprintf "window %d: keys = fresh keys" report.Server.index)
+          (Some fresh) (Server.history_keys server)
+  done;
+  Alcotest.(check int) "every window re-optimized" 20
+    (Server.finish server).Server.reoptimizations
+
 let test_serve_validates_config () =
   let db = make_db () in
   Alcotest.check_raises "window"
@@ -728,6 +781,8 @@ let () =
             test_serve_reactive_unguarded;
           Alcotest.test_case "non-positive threshold" `Quick
             test_serve_reopt_every_window_when_threshold_nonpositive;
+          Alcotest.test_case "history keys = fresh keys over DML" `Quick
+            test_serve_history_keys_fresh;
           Alcotest.test_case "config validation" `Quick test_serve_validates_config;
           Alcotest.test_case "invalid statements are skipped" `Quick
             test_serve_skips_invalid_statements;

@@ -423,25 +423,6 @@ let parse_cached_equiv_prop =
 
 (* -- Ast helpers ---------------------------------------------------------------- *)
 
-let test_eq_columns () =
-  let select =
-    {
-      Ast.projection = Ast.Columns [ "x" ];
-      table = "t";
-      where =
-        [
-          Ast.Cmp { column = "a"; op = Ast.Eq; value = Tuple.Int 1 };
-          Ast.Cmp { column = "b"; op = Ast.Lt; value = Tuple.Int 2 };
-          Ast.Between { column = "c"; low = Tuple.Int 0; high = Tuple.Int 9 };
-          Ast.Cmp { column = "d"; op = Ast.Eq; value = Tuple.Int 4 };
-        ];
-    }
-  in
-  Alcotest.(check (list (pair string bool))) "eq columns"
-    [ ("a", true); ("d", true) ]
-    (List.map (fun (c, _) -> (c, true)) (Ast.eq_columns select));
-  Alcotest.(check (list string)) "range columns" [ "b"; "c" ] (Ast.range_columns select)
-
 let test_referenced_columns () =
   let s = parse_ok "SELECT a, b FROM t WHERE c = 1 AND a > 0" in
   Alcotest.(check (list string)) "deduplicated, in order" [ "a"; "b"; "c" ]
@@ -502,7 +483,6 @@ let () =
         ] );
       ( "ast",
         [
-          Alcotest.test_case "eq/range columns" `Quick test_eq_columns;
           Alcotest.test_case "referenced columns" `Quick test_referenced_columns;
         ] );
     ]

@@ -256,6 +256,41 @@ let test_pool_scan_resistance () =
   Alcotest.(check int) "working set hits" (before.Buffer_pool.hits + 2)
     after.Buffer_pool.hits
 
+(* The shape of a full scan of a table larger than the pool while an
+   index's pages stay hot: 24 frames, readahead 8, and a referenced
+   working set of 19 pages, so only 5 frames are spare when the 52-page
+   scan starts.  Each batch takes spare frames only and stops when none
+   is left, so it never evicts its own prefetches (which would re-read
+   them, several times per page) nor clears the working set's reference
+   bits. *)
+let test_pool_readahead_bounded () =
+  let scan_pages = 52 and hot = 19 and cold = 5 in
+  let d = make_stamped_disk (scan_pages + hot + cold) in
+  let pool = Buffer_pool.create ~capacity:24 ~readahead:8 d in
+  let hot_pids = List.init hot (fun i -> scan_pages + i) in
+  let touch pid = Buffer_pool.unpin pool (Buffer_pool.fetch pool pid) in
+  List.iter touch hot_pids;
+  let reads_before = (Disk.stats d).Disk.reads and before = Buffer_pool.stats pool in
+  let run = scan_run scan_pages in
+  for pos = 0 to scan_pages - 1 do
+    let h = Buffer_pool.fetch_sequential pool ~run ~pos in
+    Alcotest.(check int) "scan content" pos (Page.get_i64 (Buffer_pool.page h) 0);
+    Buffer_pool.unpin pool h
+  done;
+  let after = Buffer_pool.stats pool in
+  Alcotest.(check int) "each page read from disk once" scan_pages
+    ((Disk.stats d).Disk.reads - reads_before);
+  Alcotest.(check int) "logical I/O: one access per page" scan_pages
+    (after.Buffer_pool.hits + after.Buffer_pool.misses - before.Buffer_pool.hits
+   - before.Buffer_pool.misses);
+  (* Reference bits survived: the clock sweep of [cold] ordinary misses
+     takes the scan's unreferenced trail, so every hot page stays. *)
+  List.iter touch (List.init cold (fun i -> scan_pages + hot + i));
+  let misses = (Buffer_pool.stats pool).Buffer_pool.misses in
+  List.iter touch hot_pids;
+  Alcotest.(check int) "working set still resident" misses
+    (Buffer_pool.stats pool).Buffer_pool.misses
+
 let test_pool_scan_logical_io_invariant () =
   (* Readahead changes the hit/miss split, never the total: a scan of n
      pages counts exactly n logical fetches either way. *)
@@ -537,6 +572,8 @@ let () =
           Alcotest.test_case "readahead accounting" `Quick test_pool_readahead_accounting;
           Alcotest.test_case "readahead disabled" `Quick test_pool_readahead_disabled;
           Alcotest.test_case "scan resistance" `Quick test_pool_scan_resistance;
+          Alcotest.test_case "readahead bounded by spare frames" `Quick
+            test_pool_readahead_bounded;
           Alcotest.test_case "scan logical I/O invariant" `Quick
             test_pool_scan_logical_io_invariant;
           Alcotest.test_case "memo same-page fetches" `Quick test_pool_memo_same_page;
