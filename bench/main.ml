@@ -215,13 +215,19 @@ let writes_micro_db ?(schema = Setup.schema) ~indexes () =
   db
 
 (* [sql] through [Database.execute] with its plan memoized, as serve runs
-   it; fails unless the plan's access path satisfies [path]. *)
-let memoized_micro db ~path sql =
+   a text's first execution, or with [prepared] through one prepared
+   statement, as serve runs a repeated text; fails unless the plan's
+   access path satisfies [path]. *)
+let memoized_micro ?(prepared = false) db ~path sql =
+  let module Database = Cddpd_engine.Database in
   let statement = Cddpd_sql.Parser.parse_exn sql in
-  let statement_key =
-    Cddpd_engine.Cost_key.statement (Cddpd_engine.Database.table_stats db "t") statement
+  let statement_key = Cddpd_engine.Cost_key.statement (Database.table_stats db "t") statement in
+  let run =
+    if prepared then
+      let handle = Database.prepare statement in
+      fun () -> Database.run ~statement_key db handle
+    else fun () -> Database.execute ~statement_key ~skip_check:true db statement
   in
-  let run () = Cddpd_engine.Database.execute ~statement_key ~skip_check:true db statement in
   (match (run ()).Cddpd_engine.Database.plan with
   | Some plan when path plan.Cddpd_engine.Plan.path -> ()
   | Some _ | None -> failwith ("micro: unexpected access path for " ^ sql));
@@ -318,8 +324,8 @@ let micro (session : Session.t) =
      pages) in a 24-frame pool, a point predicate matching ~5 rows — so
      every run also pays the pool's misses and readahead.  Statements run
      through [Database.execute] with their plan memoized, as serve does. *)
-  let scan_micro ?schema ~indexes ~path sql =
-    let run = memoized_micro (writes_micro_db ?schema ~indexes ()) ~path sql in
+  let scan_micro ?prepared ?schema ~indexes ~path sql =
+    let run = memoized_micro ?prepared (writes_micro_db ?schema ~indexes ()) ~path sql in
     fun () -> ignore (run ())
   in
   let full_scan_path = function Cddpd_engine.Plan.Full_scan -> true | _ -> false in
@@ -345,9 +351,11 @@ let micro (session : Session.t) =
   in
   (* The serve benchmark's steady template: seven predicates over an
      8-column table with I(a) and I(b), answered by a non-covering seek
-     on I(a) straight from the warm plan memo. *)
-  let memoized_seek =
-    scan_micro
+     on I(a) straight from the warm plan memo; [prepared-seek] runs it
+     through its prepared statement, which compiles nothing after the
+     first run. *)
+  let steady_seek ?prepared () =
+    scan_micro ?prepared
       ~schema:
         (Cddpd_catalog.Schema.table "t"
            (List.map
@@ -358,6 +366,7 @@ let micro (session : Session.t) =
       "SELECT a, b FROM t WHERE a = 17 AND c BETWEEN 100 AND 140 AND d = 18 AND e = 12 \
        AND f = 35 AND g = 22 AND h = 18"
   in
+  let memoized_seek = steady_seek () and prepared_seek = steady_seek ~prepared:true () in
   let tests =
     Test.make_grouped ~name:"cddpd"
       [
@@ -365,6 +374,7 @@ let micro (session : Session.t) =
         Test.make ~name:"storage/index-only-scan" (Staged.stage index_only_scan);
         Test.make ~name:"storage/small-pool-scan" (Staged.stage small_pool_scan);
         Test.make ~name:"engine/memoized-seek" (Staged.stage memoized_seek);
+        Test.make ~name:"engine/prepared-seek" (Staged.stage prepared_seek);
         Test.make ~name:"sql/tokenize-64" (Staged.stage tokenize_pool);
         Test.make ~name:"sql/parse-64" (Staged.stage parse_pool);
         Test.make ~name:"sql/parse-cached-64" (Staged.stage parse_cached_pool);

@@ -266,17 +266,18 @@ let agg_groups stats group_by =
   | Some h -> float_of_int (max 1 (Histogram.n_distinct h))
   | None -> Float.max 1.0 (float_of_int (Table_stats.row_count stats) /. 10.)
 
+(* Scan the heap and aggregate on the fly. *)
+let agg_scan_plan params stats ~group_by =
+  {
+    Plan.path = Plan.Full_scan;
+    estimated_rows = agg_groups stats group_by;
+    estimated_cost =
+      full_scan_cost params stats +. (params.row_cpu *. float_of_int (Table_stats.row_count stats));
+  }
+
 let base_plan params b =
   match b.statement with
-  | Ast.Select_agg { group_by; _ } ->
-      (* Scan the heap and aggregate on the fly. *)
-      {
-        Plan.path = Plan.Full_scan;
-        estimated_rows = agg_groups b.stats group_by;
-        estimated_cost =
-          full_scan_cost params b.stats
-          +. (params.row_cpu *. float_of_int (Table_stats.row_count b.stats));
-      }
+  | Ast.Select_agg { group_by; _ } -> agg_scan_plan params b.stats ~group_by
   | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _ ->
       {
         Plan.path = Plan.Full_scan;

@@ -82,6 +82,13 @@ val choose_agg_plan :
     the grouping column, else a full scan with on-the-fly aggregation.
     Like {!choose_plan}, an uncounted fold over the design's atoms. *)
 
+val agg_scan_plan : params -> Table_stats.t -> group_by:string -> Plan.t
+(** The structure-free plan of an aggregate: a full scan that hashes
+    groups on the fly, with its estimates.  It is {!choose_agg_plan}'s
+    plan under an empty design, and the plan the executor runs and
+    reports when a memoized view plan meets an aggregate the view does
+    not answer. *)
+
 val select_cost :
   params -> Table_stats.t -> Cddpd_catalog.Design.t -> Cddpd_sql.Ast.select -> float
 (** Cost of the chosen plan. *)

@@ -309,38 +309,111 @@ type exec_result = {
   physical_io : int;
 }
 
-let pool_accesses t =
-  let s = Buffer_pool.stats t.pool in
-  s.Buffer_pool.hits + s.Buffer_pool.misses
+let pool_accesses t = Buffer_pool.accesses t.pool
 
-let disk_reads t = (Disk.stats t.disk).Disk.reads
+let disk_reads t = Disk.reads t.disk
+
+(* -- prepared statements ----------------------------------------------------
+
+   A handle on one statement compiles, lazily, the three things execution
+   derives from the text alone: the WHERE filter, the projection, and an
+   index seek's key interval.  Each slot holds one compile and the layout
+   it was compiled against ([table_state.layout] for heap records,
+   [Index.layout] for an index's entries), compared physically: every
+   table and every index build owns its layout, so a compile is never
+   applied to another heap or index.  A dropped and rebuilt index, or
+   another database, recompiles; so does a plan that moves between the
+   heap and an index. *)
+
+(* The key of a slot that holds no compile: a layout nothing owns. *)
+let unset = Filter.entry_layout []
+
+let no_filter = Filter.compile unset []
+
+let no_emit : bytes -> int -> Tuple.t = fun _buf _base -> [||]
+
+let no_bounds = { Index.lo = [||]; hi = [||] }
+
+type prepared = {
+  statement : Ast.statement;
+  mutable filter_on : Filter.layout;
+  mutable filter : Filter.t;
+  mutable emit_on : Filter.layout;
+  mutable emit : bytes -> int -> Tuple.t;
+  mutable bounds_on : Filter.layout;
+  mutable bounds : Index.bounds;
+}
+
+let prepare statement =
+  {
+    statement;
+    filter_on = unset;
+    filter = no_filter;
+    emit_on = unset;
+    emit = no_emit;
+    bounds_on = unset;
+    bounds = no_bounds;
+  }
+
+let where_of (statement : Ast.statement) =
+  match statement with
+  | Ast.Select { Ast.where; _ }
+  | Ast.Select_agg { where; _ }
+  | Ast.Delete { where; _ }
+  | Ast.Update { where; _ } ->
+      where
+  | Ast.Insert _ -> []
+
+let filter_for p layout =
+  if p.filter_on != layout then begin
+    p.filter <- Filter.compile layout (where_of p.statement);
+    p.filter_on <- layout
+  end;
+  p.filter
 
 (* The projection over a layout's records, columns resolved once. *)
-let compile_projection layout projection =
-  let positions =
-    match projection with
-    | Ast.Star -> Array.init (Filter.arity layout) Fun.id
-    | Ast.Columns cs -> Array.of_list (List.map (Filter.position layout) cs)
-  in
-  fun buf base -> Array.map (fun pos -> Filter.read layout pos buf base) positions
+let emit_for p layout projection =
+  if p.emit_on != layout then begin
+    let positions =
+      match projection with
+      | Ast.Star -> Array.init (Filter.arity layout) Fun.id
+      | Ast.Columns cs -> Array.of_list (List.map (Filter.position layout) cs)
+    in
+    p.emit <-
+      (fun buf base ->
+        let row = Array.make (Array.length positions) (Tuple.Int 0) in
+        for i = 0 to Array.length positions - 1 do
+          row.(i) <- Filter.read layout positions.(i) buf base
+        done;
+        row);
+    p.emit_on <- layout
+  end;
+  p.emit
+
+(* The key interval a seek on [index] walks for the WHERE clause: the
+   statement's own literals, by the rule that chose the plan's shape. *)
+let bounds_for p index =
+  let layout = Index.layout index in
+  if p.bounds_on != layout then begin
+    p.bounds <-
+      Index.bounds index (Filter.seek (Index_def.columns (Index.def index)) (where_of p.statement));
+    p.bounds_on <- layout
+  end;
+  p.bounds
 
 let find_index state def =
   match List.find_opt (fun i -> Index_def.equal (Index.def i) def) state.indexes with
   | Some index -> index
   | None -> failwith "Database: plan references an index that is not materialised"
 
-(* The key interval a seek on [index] walks for the WHERE clause: the
-   statement's own literals, by the rule that chose the plan's shape. *)
-let seek_of index where = Filter.seek (Index_def.columns (Index.def index)) where
-
 (* The heap rows an access path reads, in access order: [take buf base
-   page slot] on every record that passes [where]'s filter.  A full scan
-   tests the ranges in the heap kernel's page loop; a non-covering seek
-   fetches its rids in key order (after the whole index walk, so the page
-   sequence is the walk's, then the fetches') and tests the fetched record
-   in place. *)
-let iter_heap_matches state where (path : Plan.access_path) take =
-  let filter = Filter.compile state.layout where in
+   page slot] on every record that passes the handle's filter.  A full
+   scan tests the ranges in the heap kernel's page loop; a non-covering
+   seek fetches its rids in key order (after the whole index walk, so the
+   page sequence is the walk's, then the fetches') and tests the fetched
+   record in place. *)
+let iter_heap_matches state p (path : Plan.access_path) take =
+  let filter = filter_for p state.layout in
   match path with
   | Plan.Full_scan ->
       Heap_file.scan state.heap ~ranges:(Filter.ranges filter) (fun buf base page slot ->
@@ -352,46 +425,47 @@ let iter_heap_matches state where (path : Plan.access_path) take =
           Heap_file.fetch_slice state.heap rid ~ranges:(Filter.ranges filter) (fun buf base ->
               if Filter.residual filter buf base then
                 take buf base rid.Heap_file.page rid.Heap_file.slot))
-        (Index.probe index (seek_of index where))
+        (Index.probe index (bounds_for p index))
   | Plan.Index_only_scan _ | Plan.View_probe _ ->
       failwith "Database: plan does not read heap rows"
 
-let run_select state (select : Ast.select) plan =
-  let where = select.Ast.where in
-  let rows = ref [] in
-  let entry_rows index seek =
-    let layout = Index.layout index in
-    let filter = Filter.compile layout where in
-    let emit =
-      match select.Ast.projection with
-      | Ast.Star -> failwith "Database: covering plan with * projection"
-      | Ast.Columns _ as projection -> compile_projection layout projection
-    in
-    Index.probe_slices index seek ~ranges:(Filter.ranges filter) (fun buf pos ->
-        if Filter.residual filter buf pos then rows := emit buf pos :: !rows)
+(* A covering plan's rows: the index entries in [bounds] that pass the
+   handle's filter, projected from the entry. *)
+let entry_rows p (select : Ast.select) rows index bounds =
+  let layout = Index.layout index in
+  let filter = filter_for p layout in
+  let emit =
+    match select.Ast.projection with
+    | Ast.Star -> failwith "Database: covering plan with * projection"
+    | Ast.Columns _ as projection -> emit_for p layout projection
   in
-  (match plan.Plan.path with
+  Index.probe_slices index bounds ~ranges:(Filter.ranges filter) (fun buf pos ->
+      if Filter.residual filter buf pos then rows := emit buf pos :: !rows)
+
+let run_select state p (select : Ast.select) (path : Plan.access_path) =
+  let rows = ref [] in
+  (match path with
   | Plan.Index_seek { index = def; covering = true; _ } ->
       let index = find_index state def in
-      entry_rows index (seek_of index where)
+      entry_rows p select rows index (bounds_for p index)
   | Plan.Index_only_scan { index = def } ->
-      entry_rows (find_index state def) Filter.unbounded
+      let index = find_index state def in
+      entry_rows p select rows index (Index.bounds index Filter.unbounded)
   | Plan.Full_scan | Plan.Index_seek { covering = false; _ } ->
-      let emit = compile_projection state.layout select.Ast.projection in
-      iter_heap_matches state where plan.Plan.path (fun buf base _page _slot ->
-          rows := emit buf base :: !rows)
+      let emit = emit_for p state.layout select.Ast.projection in
+      iter_heap_matches state p path (fun buf base _page _slot -> rows := emit buf base :: !rows)
   | Plan.View_probe _ -> failwith "Database: view plan for a non-aggregate query");
   List.rev !rows
 
 (* Victim collection for DELETE/UPDATE: plan the WHERE clause like a
    SELECT * (never covered, so the plan reads heap rows) and return the
    matching (rid, tuple) pairs before any mutation. *)
-let collect_matching t state ~table ~where =
+let collect_matching t state p ~table ~where =
   let find_select = { Ast.projection = Ast.Star; table; where } in
   let stats = table_stats t table in
   let plan = Cost_model.choose_plan t.params stats (current_design t) find_select in
   let victims = ref [] in
-  iter_heap_matches state where plan.Plan.path (fun buf base page slot ->
+  iter_heap_matches state p plan.Plan.path (fun buf base page slot ->
       victims := ({ Heap_file.page; slot }, Tuple.decode_at buf ~base) :: !victims);
   (List.rev !victims, plan)
 
@@ -403,16 +477,16 @@ let delete_row state rid tuple =
   List.iter (fun index -> ignore (Index.delete_entry index tuple rid)) state.indexes;
   List.iter (fun view -> Mat_view.apply_delete view tuple) state.views
 
-let run_delete t ~table ~where =
+let run_delete t p ~table ~where =
   let state = table_state t table in
-  let victims, plan = collect_matching t state ~table ~where in
+  let victims, plan = collect_matching t state p ~table ~where in
   List.iter (fun (rid, tuple) -> delete_row state rid tuple) victims;
   invalidate_stats state;
   (List.length victims, plan)
 
-let run_update t ~table ~assignments ~where =
+let run_update t p ~table ~assignments ~where =
   let state = table_state t table in
-  let victims, plan = collect_matching t state ~table ~where in
+  let victims, plan = collect_matching t state p ~table ~where in
   let apply tuple =
     let updated = Array.copy tuple in
     List.iter
@@ -431,18 +505,14 @@ let run_update t ~table ~assignments ~where =
   invalidate_stats state;
   (List.length victims, plan)
 
-(* Run an aggregate query: either from a matching materialized view or by
-   scanning and hashing on the fly.  A view plan is run only when the
-   planner's own rule ({!Cost_model.view_answers}) says the view answers
-   this statement: a memoized plan met under a wrong key falls back to
-   the hash aggregate over a full scan, so the key costs I/O, never
-   rows. *)
-let run_select_agg t ~table ~group_by ~aggregate ~where plan =
+(* Run an aggregate query under its runnable plan ({!runnable}): from a
+   materialized view that answers it, or by scanning and hashing on the
+   fly. *)
+let run_select_agg t p ~table ~group_by ~aggregate ~where (path : Plan.access_path) =
   let state = table_state t table in
   let emit group value = [| Tuple.Int group; Tuple.Int value |] in
-  match plan.Plan.path with
-  | Plan.View_probe { view = view_def; _ }
-    when Cost_model.view_answers ~group_by ~where view_def -> (
+  match path with
+  | Plan.View_probe { view = view_def; _ } -> (
       let view =
         match
           List.find_opt
@@ -484,7 +554,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
           let out = ref [] in
           Mat_view.scan view (fun row -> out := of_row row :: !out);
           List.rev !out)
-  | Plan.View_probe _ | Plan.Full_scan ->
+  | Plan.Full_scan ->
       (* Hash aggregation over a filtered scan. *)
       let group = Filter.position state.layout group_by in
       let summed =
@@ -493,7 +563,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
         | Ast.Sum column -> Some (Filter.position state.layout column)
       in
       let groups = Hashtbl.create 64 in
-      iter_heap_matches state where Plan.Full_scan (fun buf base _page _slot ->
+      iter_heap_matches state p Plan.Full_scan (fun buf base _page _slot ->
           let g = Filter.read_int state.layout group buf base in
           let delta =
             match summed with
@@ -509,60 +579,73 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
   | Plan.Index_seek _ | Plan.Index_only_scan _ ->
       failwith "Database: unexpected plan for an aggregate query"
 
+(* Planning a SELECT or an aggregate from scratch; the planner counts its
+   choice. *)
+let fresh_plan t (statement : Ast.statement) =
+  match statement with
+  | Ast.Select select ->
+      Cost_model.choose_plan t.params (table_stats t select.Ast.table) (current_design t) select
+  | Ast.Select_agg { table; group_by; where; _ } ->
+      Cost_model.choose_agg_plan t.params (table_stats t table) (current_design t) ~table
+        ~group_by ~where
+  | Ast.Insert _ | Ast.Delete _ | Ast.Update _ -> invalid_arg "Database: not a read"
+
+(* The plan a memoized plan runs as for this statement.  A view plan runs
+   only when the planner's own rule ({!Cost_model.view_answers}) says the
+   view answers the aggregate: met under a wrong key, it becomes the hash
+   aggregate over a full scan, so the key costs I/O, never rows.  A plan
+   the planner chose always runs as chosen. *)
+let runnable t (statement : Ast.statement) (plan : Plan.t) =
+  match (statement, plan.Plan.path) with
+  | Ast.Select_agg { table; group_by; where; _ }, Plan.View_probe { view; _ }
+    when not (Cost_model.view_answers ~group_by ~where view) ->
+      Cost_model.agg_scan_plan t.params (table_stats t table) ~group_by
+  | _, (Plan.Full_scan | Plan.Index_seek _ | Plan.Index_only_scan _ | Plan.View_probe _) -> plan
+
 (* Plan-choice memo, engaged only when the caller passes the statement's
    cost-identity key (serve's ingest fast path).  The key is self-fencing
    against statistics churn and [design_changed] flushes the memo on every
    structure change — see {!Plan_cache} — so a hit is the bit-identical
    plan a fresh choice would make: plans carry no literal, and execution
-   takes the statement's own through {!Filter.seek}.  [Plan.count_choice]
-   keeps the plan.chosen.* metrics consistent with the slow path. *)
-let memoized_plan t ~statement_key compute =
+   takes the statement's own through {!Filter.seek}.  A hit counts the
+   plan that runs ([Plan.count_choice]), as the planner counts its own. *)
+let read_plan t ~statement_key statement =
   match statement_key with
-  | None -> compute ()
+  | None -> fresh_plan t statement
   | Some key -> (
       match Plan_cache.find t.plan_cache key with
       | Some plan ->
+          let plan = runnable t statement plan in
           Plan.count_choice plan;
           plan
       | None ->
-          let plan = compute () in
+          let plan = fresh_plan t statement in
           Plan_cache.store t.plan_cache key plan;
           plan)
 
 let plan_cache_stats t = Plan_cache.stats t.plan_cache
 
-let execute ?statement_key ?(skip_check = false) t statement =
-  if not skip_check then Check.statement_exn (tables t) statement;
+let run ?statement_key t p =
   let logical_before = pool_accesses t in
   let physical_before = disk_reads t in
   let rows, affected, plan =
-    match statement with
+    match p.statement with
     | Ast.Select select ->
-        let state = table_state t select.Ast.table in
-        let plan =
-          memoized_plan t ~statement_key (fun () ->
-              Cost_model.choose_plan t.params
-                (table_stats t select.Ast.table)
-                (current_design t) select)
-        in
-        (run_select state select plan, 0, Some plan)
+        let plan = read_plan t ~statement_key p.statement in
+        (run_select (table_state t select.Ast.table) p select plan.Plan.path, 0, Some plan)
     | Ast.Select_agg { table; group_by; aggregate; where } ->
-        let plan =
-          memoized_plan t ~statement_key (fun () ->
-              Cost_model.choose_agg_plan t.params (table_stats t table)
-                (current_design t) ~table ~group_by ~where)
-        in
-        (run_select_agg t ~table ~group_by ~aggregate ~where plan, 0, Some plan)
+        let plan = read_plan t ~statement_key p.statement in
+        (run_select_agg t p ~table ~group_by ~aggregate ~where plan.Plan.path, 0, Some plan)
     | Ast.Insert { table; values } ->
         let state = table_state t table in
         insert_row state (Array.of_list values);
         invalidate_stats state;
         ([], 1, None)
     | Ast.Delete { table; where } ->
-        let affected, plan = run_delete t ~table ~where in
+        let affected, plan = run_delete t p ~table ~where in
         ([], affected, Some plan)
     | Ast.Update { table; assignments; where } ->
-        let affected, plan = run_update t ~table ~assignments ~where in
+        let affected, plan = run_update t p ~table ~assignments ~where in
         ([], affected, Some plan)
   in
   {
@@ -572,6 +655,10 @@ let execute ?statement_key ?(skip_check = false) t statement =
     logical_io = pool_accesses t - logical_before;
     physical_io = disk_reads t - physical_before;
   }
+
+let execute ?statement_key ?(skip_check = false) t statement =
+  if not skip_check then Check.statement_exn (tables t) statement;
+  run ?statement_key t (prepare statement)
 
 let execute_sql t sql = execute t (Parser.parse_exn sql)
 

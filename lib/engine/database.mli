@@ -98,10 +98,31 @@ type exec_result = {
   physical_io : int;  (** disk page reads *)
 }
 
+type prepared
+(** A handle on one statement: what its execution derives from the text
+    alone, compiled lazily and kept.  Three compiles: the WHERE filter
+    ({!Filter.compile}), the projection, and an index seek's key interval
+    ({!Index.bounds} of {!Filter.seek}).  Each is keyed by the physical
+    layout it was compiled against (a table's heap records or one index
+    build's entries), so a handle never applies a compile made for
+    another heap or index: after a migration, or on another database, it
+    recompiles.  Plan choice is not part of the handle; it stays with the
+    plan-choice memo.  A handle is single-domain. *)
+
+val prepare : Cddpd_sql.Ast.statement -> prepared
+(** A handle that has compiled nothing yet (no validation either). *)
+
+val run : ?statement_key:string -> t -> prepared -> exec_result
+(** Plan and run the handle's statement, compiling what the chosen plan
+    needs on first use against each layout.  [statement_key] is as for
+    {!execute}.  No semantic validation: the statement must already have
+    passed {!Check.statement} against this database's schema.  Rows,
+    plan and I/O equal a fresh {!execute}'s. *)
+
 val execute :
   ?statement_key:string -> ?skip_check:bool -> t -> Cddpd_sql.Ast.statement -> exec_result
-(** Validate, plan, and run one statement.  Raises [Invalid_argument] on
-    semantic errors.
+(** Validate, then {!run} a transient handle ({!prepare}): one statement,
+    planned and run.  Raises [Invalid_argument] on semantic errors.
 
     [statement_key] engages the plan-choice memo for SELECT and aggregate
     statements: it should be [Cost_key.statement] of this statement under
@@ -116,8 +137,10 @@ val execute :
     a statement that references a column outside the index key.)  On an
     aggregate, too, a wrong key costs I/O, never rows: a memoized view
     plan runs only when the planner's own rule
-    ({!Cost_model.view_answers}) says the view answers this statement,
-    and otherwise the executor hash-aggregates over a full scan.
+    ({!Cost_model.view_answers}) says the view answers this statement;
+    otherwise the executor hash-aggregates over a full scan, and the
+    result's [plan] (and the [plan.chosen.*] count) is that scan's
+    ({!Cost_model.agg_scan_plan}), the path that ran.
     [skip_check] (default [false]) skips semantic validation;
     only pass [true] for a statement that already passed it against an
     unchanged schema, as serve's template cache does. *)
@@ -132,5 +155,6 @@ val execute_sql : t -> string -> exec_result
 (** {1 Measurement} *)
 
 val io_counters : t -> int * int
-(** Cumulative (logical, physical) I/O since creation. *)
+(** Cumulative (logical, physical) I/O since creation: buffer pool page
+    accesses and disk page reads. *)
 

@@ -4,11 +4,16 @@ module Tuple = Cddpd_storage.Tuple
 module Schema = Cddpd_catalog.Schema
 module Index_def = Cddpd_catalog.Index_def
 
+(* A seek's key interval in the tree's key space: inclusive [lo] and [hi]
+   keys, rid components unbounded. *)
+type bounds = { lo : int array; hi : int array }
+
 type t = {
   def : Index_def.t;
   tree : Btree.t;
   positions : int array; (* tuple positions of the key columns *)
   layout : Filter.layout; (* where each key column sits in an entry *)
+  whole : bounds; (* the unbounded seek's interval: every entry *)
 }
 
 let def t = t.def
@@ -116,6 +121,7 @@ let of_sorted_keys pool index positions keys =
     tree = Btree.bulk_load pool ~key_len keys;
     positions;
     layout = Filter.entry_layout (Index_def.columns index);
+    whole = { lo = Array.make key_len min_int; hi = Array.make key_len max_int };
   }
 
 (* One heap scan through the kernel: each live record's key columns are
@@ -155,34 +161,34 @@ let insert_entry t tuple rid = Btree.insert t.tree (physical_key t.positions tup
 
 let delete_entry t tuple rid = Btree.delete t.tree (physical_key t.positions tuple rid)
 
-(* A seek's key interval in the tree's key space: the rid components
-   stay unbounded.  An empty range (lo > hi, as {!Filter.interval} gives
-   at the int edges) makes the tree fetch no page. *)
+(* An empty range (lo > hi, as {!Filter.interval} gives at the int edges)
+   makes the tree fetch no page. *)
 let bounds t { Filter.eq; range } =
-  let key_len = Array.length t.positions + 2 in
-  let lo = Array.make key_len min_int in
-  let hi = Array.make key_len max_int in
-  List.iteri
-    (fun i v ->
-      lo.(i) <- v;
-      hi.(i) <- v)
-    eq;
-  Option.iter
-    (fun (l, h) ->
-      let next = List.length eq in
-      lo.(next) <- l;
-      hi.(next) <- h)
-    range;
-  (lo, hi)
+  match (eq, range) with
+  | [], None -> t.whole
+  | _ :: _, _ | [], Some _ ->
+      let key_len = Array.length t.positions + 2 in
+      let lo = Array.make key_len min_int in
+      let hi = Array.make key_len max_int in
+      List.iteri
+        (fun i v ->
+          lo.(i) <- v;
+          hi.(i) <- v)
+        eq;
+      Option.iter
+        (fun (l, h) ->
+          let next = List.length eq in
+          lo.(next) <- l;
+          hi.(next) <- h)
+        range;
+      { lo; hi }
 
-let probe_slices t seek ~ranges f =
-  let lo, hi = bounds t seek in
-  Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
+let probe_slices t { lo; hi } ~ranges f = Btree.iter_range_slices t.tree ~lo ~hi ~ranges f
 
-let probe t seek =
+let probe t bounds =
   let n = Array.length t.positions in
   let rids = ref [] in
-  probe_slices t seek ~ranges:Cddpd_storage.Ranges.none (fun buf pos ->
+  probe_slices t bounds ~ranges:Cddpd_storage.Ranges.none (fun buf pos ->
       let field j = Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))) in
       rids := { Heap_file.page = field n; slot = field (n + 1) } :: !rids);
   List.rev !rids

@@ -48,15 +48,25 @@ val delete_entry : t -> Cddpd_storage.Tuple.t -> Cddpd_storage.Heap_file.rid -> 
 (** Index maintenance after a heap delete; returns whether the entry was
     present. *)
 
-val probe : t -> Filter.seek -> Cddpd_storage.Heap_file.rid list
-(** Rids whose key lies in the seek's interval ({!Filter.seek} over this
-    index's key columns), in key order: the rids a non-covering seek
-    fetches.  An empty range selects nothing and fetches no page. *)
+type bounds = { lo : int array; hi : int array }
+(** A seek's key interval in this index's key space: inclusive low and
+    high keys over the key columns, the rid components unbounded. *)
+
+val bounds : t -> Filter.seek -> bounds
+(** The key interval of a seek ({!Filter.seek} over this index's key
+    columns).  The unbounded seek's interval is built once per index and
+    shared; any other seek's is fresh, so a caller that runs the same seek
+    again keeps the result. *)
+
+val probe : t -> bounds -> Cddpd_storage.Heap_file.rid list
+(** Rids whose key lies in the interval, in key order: the rids a
+    non-covering seek fetches.  An empty range selects nothing and fetches
+    no page. *)
 
 val probe_slices :
-  t -> Filter.seek -> ranges:Cddpd_storage.Ranges.t -> (bytes -> int -> unit) -> unit
-(** The covering seek, and with {!Filter.unbounded} the index-only scan:
-    {!probe}'s key interval walked by
+  t -> bounds -> ranges:Cddpd_storage.Ranges.t -> (bytes -> int -> unit) -> unit
+(** The covering seek, and with the unbounded seek's interval the
+    index-only scan: {!probe}'s key interval walked by
     {!Cddpd_storage.Btree.iter_range_slices}, testing [ranges] on every
     entry in place.  The callback receives the leaf page buffer and the
     byte offset of each matching entry (key column [j]'s value at

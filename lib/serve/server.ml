@@ -166,7 +166,7 @@ type t = {
   buf : Ast.statement array;
   buf_keys : string array;  (* feed-time cost keys; "" for deferred DML *)
   buf_gens : int array;  (* statistics generation each key was computed under; -1 = deferred *)
-  parse_cache : Template.t option;  (* None when cfg.template_cache is off *)
+  parse_cache : Database.prepared Template.t option;  (* None when cfg.template_cache is off *)
   intern : (string, string) Hashtbl.t;  (* physical sharing of equal cost keys *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
   mutable fill : int;
@@ -227,6 +227,8 @@ let reopt_stats t = Reopt.stats t.reopt
 
 let template_stats t = Option.map Template.stats t.parse_cache
 
+let statement_cache t = t.parse_cache
+
 (* Physical sharing of equal cost keys: repeated templates produce the
    same key string once per window otherwise.  Bounded; a reset only
    costs the sharing, never correctness. *)
@@ -253,7 +255,7 @@ let feed_key t entry statement =
     let stats = Database.table_stats t.db t.cfg.table in
     intern t (Cost_key.statement stats statement)
   in
-  match (entry : Template.entry option) with
+  match (entry : _ Template.entry option) with
   | Some entry -> (
       match entry.Template.cost_tag with
       | Some (g, key) when g = gen -> (key, gen)
@@ -531,7 +533,7 @@ let close_window t window fed_keys fed_gens =
   t.on_window report;
   report
 
-let feed_statement t ?entry ~skip_check statement =
+let feed_statement t ?entry prepared statement =
   if t.fill = 0 && Obs.Registry.enabled () then
     t.window_started_s <- Obs.Span.now_s ();
   let read_only = Ast.is_read_only statement in
@@ -549,7 +551,7 @@ let feed_statement t ?entry ~skip_check statement =
     then Some key
     else None
   in
-  let result = Database.execute ?statement_key ~skip_check t.db statement in
+  let result = Database.run ?statement_key t.db prepared in
   t.statements <- t.statements + 1;
   t.exec_io <- t.exec_io + result.Database.logical_io;
   t.window_io <- t.window_io + result.Database.logical_io;
@@ -567,19 +569,34 @@ let feed_statement t ?entry ~skip_check statement =
   end
   else None
 
-let feed t statement = feed_statement t ~skip_check:false statement
+let feed t statement =
+  Check.statement_exn (Database.tables t.db) statement;
+  feed_statement t (Database.prepare statement) statement
 
 (* Semantic validation runs before the statement is keyed, executed or
    buffered, so a statement the schema rejects is skipped like a lexical
    error.  A cache entry remembers that its statement passed: repeated
-   texts skip the check. *)
+   texts skip the check.  [validated] also tells a repeated text from a
+   first sight: a text runs its first execution on a transient handle and
+   keeps one from its second on, so a text seen once keeps nothing. *)
 let feed_checked t ?entry statement =
   let validated = match entry with Some e -> e.Template.validated | None -> false in
   match if validated then Ok () else Check.statement (Database.tables t.db) statement with
   | Error e -> Error e
   | Ok () ->
-      Option.iter (fun e -> e.Template.validated <- true) entry;
-      Ok (feed_statement t ?entry ~skip_check:true statement)
+      let prepared =
+        match entry with
+        | Some ({ Template.prepared = Some prepared; _ } : _ Template.entry) -> prepared
+        | Some e when validated ->
+            let prepared = Database.prepare statement in
+            e.Template.prepared <- Some prepared;
+            prepared
+        | Some e ->
+            e.Template.validated <- true;
+            Database.prepare statement
+        | None -> Database.prepare statement
+      in
+      Ok (feed_statement t ?entry prepared statement)
 
 let feed_sql t sql =
   match t.parse_cache with

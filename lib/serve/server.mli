@@ -168,8 +168,10 @@ val history_keys : t -> string array option
     fails.  [None] when a window holds a statement on another table. *)
 
 val feed : t -> Cddpd_sql.Ast.statement -> window_report option
-(** Execute one arriving statement and buffer it; when it completes a
-    window, run the window-close protocol and return its report.
+(** Check one arriving statement against the schema (raising
+    [Invalid_argument] if it fails), execute it on a transient prepared
+    statement and buffer it; when it completes a window, run the
+    window-close protocol and return its report.
     Read-only statements are cost-keyed on arrival under the current
     statistics generation, so the window close reuses instead of
     recomputing their identities (see
@@ -179,7 +181,12 @@ val feed_sql : t -> string -> (window_report option, string) result
 (** Parse one arriving statement text and {!feed} it — the ingest fast
     path.  With [config.template_cache] on, parsing goes through
     {!Cddpd_sql.Parser.parse_cached}: a repeated text reuses its AST,
-    cost key, and semantic validation; a fresh text is parsed.
+    cost key, semantic validation and prepared statement
+    ({!Cddpd_engine.Database.prepared}); a fresh text is parsed.  A
+    text's first execution runs on a transient handle, and its second
+    stores the handle in the text's cache entry, so a text seen once
+    keeps nothing.  Without the cache every statement runs on a
+    transient handle, with bit-identical results.
     A statement is checked against the schema ({!Cddpd_engine.Check})
     before it is keyed or executed.  [Error] carries the parse or check
     error message; nothing was executed or buffered. *)
@@ -187,6 +194,13 @@ val feed_sql : t -> string -> (window_report option, string) result
 val template_stats : t -> Cddpd_sql.Template.stats option
 (** The statement cache's hit/miss counters; [None] when
     [config.template_cache] is off. *)
+
+val statement_cache : t -> Cddpd_engine.Database.prepared Cddpd_sql.Template.t option
+(** The statement cache itself, for inspection; [None] when
+    [config.template_cache] is off.  A text's entry holds its parsed
+    statement, cost tag, validation bit and, from the text's second
+    execution on, its prepared statement.  A lookup through
+    {!Cddpd_sql.Template.find_exact} counts a hit. *)
 
 val finish : t -> report
 (** The run summary.  Statements still in the open window have been

@@ -24,7 +24,7 @@ val parse : string -> (Ast.statement, string) result
 val parse_exn : string -> Ast.statement
 (** Like {!parse} but raises {!Parse_error}. *)
 
-val parse_cached : Template.t -> string -> (Template.entry, string) result
+val parse_cached : 'p Template.t -> string -> ('p Template.entry, string) result
 (** Like {!parse}, but a repeated text returns its cached entry for one
     string hash; only exact texts are reused.  A fresh text is lexed,
     parsed and added to [cache].  The returned statement (and any error

@@ -2,22 +2,24 @@
 
    Production traces are overwhelmingly a small set of repeated statement
    texts (the observation workload collectors such as AIM build on), so
-   the cache maps raw statement text to its parsed [Ast.statement]: a
-   repeated text costs one string hash.  A fresh text is lexed and parsed
-   for real, so every answer is bit-identical to a fresh parse. *)
+   the cache maps raw statement text to its parsed [Ast.statement] and the
+   caller's per-text payload: a repeated text costs one string hash.  A
+   fresh text is lexed and parsed for real, so every answer is
+   bit-identical to a fresh parse. *)
 
 module Obs = Cddpd_obs
 
-type entry = {
+type 'p entry = {
   statement : Ast.statement;
   mutable cost_tag : (int * string) option;
   mutable validated : bool;
+  mutable prepared : 'p option;
 }
 
 type stats = { exact_hits : int; misses : int; entries : int }
 
-type t = {
-  exact : (string, entry) Hashtbl.t;
+type 'p t = {
+  exact : (string, 'p entry) Hashtbl.t;
   capacity : int;
   mutable exact_hits : int;
   mutable misses : int;
@@ -44,9 +46,10 @@ let find_exact t text =
 let add_exact t text statement =
   t.misses <- t.misses + 1;
   Obs.Counter.incr m_misses;
-  let entry = { statement; cost_tag = None; validated = false } in
+  let entry = { statement; cost_tag = None; validated = false; prepared = None } in
   (* Wholesale reset on overflow: dropped entries only lose their memo
-     slots ([cost_tag], [validated]), which are recomputed on demand. *)
+     slots ([cost_tag], [validated], [prepared]), which are recomputed on
+     demand. *)
   if Hashtbl.length t.exact >= t.capacity then Hashtbl.reset t.exact;
   Hashtbl.replace t.exact text entry;
   entry

@@ -3,12 +3,14 @@
     One table keyed on raw statement text: a repeated text returns its
     parsed statement (plus per-text memo slots) for one string hash.  A
     fresh text is lexed and parsed for real, so every answer is
-    bit-identical to a fresh parse.
+    bit-identical to a fresh parse.  ['p] is the type of the caller's
+    per-text payload ({!entry.prepared}); serve stores its execution
+    handle there.
 
     The cache is single-domain (serve's ingest loop); it is not
     thread-safe. *)
 
-type entry = {
+type 'p entry = {
   statement : Ast.statement;  (** parse result for the cached text *)
   mutable cost_tag : (int * string) option;
       (** caller-owned memo slot: serve stamps it with
@@ -18,6 +20,10 @@ type entry = {
       (** set by the caller once the statement has passed semantic checks
           against the live schema; sound as long as the schema is fixed,
           which serve guarantees *)
+  mutable prepared : 'p option;
+      (** caller-owned payload slot, [None] in a fresh entry: serve keeps
+          the text's prepared statement here from its second execution
+          on, so a text seen once keeps nothing *)
 }
 
 type stats = {
@@ -26,17 +32,17 @@ type stats = {
   entries : int;  (** distinct texts currently cached *)
 }
 
-type t
+type 'p t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> 'p t
 (** [create ()] makes an empty cache.  [capacity] bounds the table;
     overflow resets it wholesale (entries are pure memos). *)
 
-val stats : t -> stats
+val stats : 'p t -> stats
 
-val find_exact : t -> string -> entry option
+val find_exact : 'p t -> string -> 'p entry option
 (** Exact-text lookup; counts a hit when it succeeds. *)
 
-val add_exact : t -> string -> Ast.statement -> entry
+val add_exact : 'p t -> string -> Ast.statement -> 'p entry
 (** Insert the parse result for [text], count the miss, and return the
     (fresh) entry. *)

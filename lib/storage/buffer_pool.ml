@@ -309,6 +309,8 @@ let stats t =
     readahead_pages = t.readahead_count;
   }
 
+let accesses t = t.hit_count + t.miss_count
+
 let reset_stats t =
   t.hit_count <- 0;
   t.miss_count <- 0;

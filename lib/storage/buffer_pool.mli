@@ -144,5 +144,9 @@ val drop_cache : t -> unit
 val stats : t -> stats
 (** Cumulative per-pool counters. *)
 
+val accesses : t -> int
+(** [hits + misses] of {!stats}, without building the record: the
+    logical I/O counter a statement's execution is measured by. *)
+
 val reset_stats : t -> unit
 (** Zero the counters. *)

@@ -50,3 +50,5 @@ let write_from t pid src =
   Page.blit ~src ~dst:t.pages.(pid)
 
 let stats t = { reads = t.read_count; writes = t.write_count; allocated = t.used }
+
+let reads t = t.read_count

@@ -39,3 +39,6 @@ val write_from : t -> int -> Page.t -> unit
 
 val stats : t -> stats
 (** Cumulative I/O counters. *)
+
+val reads : t -> int
+(** The [reads] of {!stats}, without building the record. *)

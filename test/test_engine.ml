@@ -816,7 +816,9 @@ let test_index_build_matches_naive () =
       let naive, naive_io = measured (fun () -> Naive.index_build pool schema heap columns) in
       let key_len = List.length columns + 2 in
       let entries = ref [] in
-      Cddpd_engine.Index.probe_slices built Filter.unbounded ~ranges:Cddpd_storage.Ranges.none
+      Cddpd_engine.Index.probe_slices built
+        (Cddpd_engine.Index.bounds built Filter.unbounded)
+        ~ranges:Cddpd_storage.Ranges.none
         (fun buf pos ->
           entries :=
             Array.init key_len (fun j -> Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))))
@@ -1039,6 +1041,153 @@ let exec_matches_naive_prop =
       && check_selects ()
       && List.for_all (memo_hit_matches_naive seek_db) c.seek_selects)
 
+(* -- prepared statements ------------------------------------------------------ *)
+
+(* The aggregate a naive pass computes: the matching rows grouped by
+   [group_by], one [| group; value |] row per group, in group order. *)
+let naive_aggregate db ~group_by ~aggregate ~where =
+  let schema = Option.get (Database.schema db "t") in
+  let int_of column tuple = Tuple.int_exn tuple.(Schema.column_index_exn schema column) in
+  let groups = Hashtbl.create 64 in
+  Database.scan db "t" (fun tuple ->
+      if List.for_all (Naive.satisfies schema tuple) where then begin
+        let g = int_of group_by tuple in
+        let delta = match aggregate with Ast.Count_star -> 1 | Ast.Sum c -> int_of c tuple in
+        Hashtbl.replace groups g (delta + Option.value ~default:0 (Hashtbl.find_opt groups g))
+      end);
+  Hashtbl.fold (fun g v acc -> [| Tuple.Int g; Tuple.Int v |] :: acc) groups []
+  |> List.sort compare
+
+(* Heap-only, non-covering, covering and view designs, then heap-only
+   and the first index again (a rebuilt index has a new layout): every
+   handle meets the heap, several indexes' entries and a view, and moves
+   between them. *)
+let prepared_designs ~text =
+  let design indexes views =
+    List.fold_left (fun d v -> Design.add_view (view v) d)
+      (List.fold_left (fun d cols -> Design.add (index cols) d) Design.empty indexes)
+      views
+  in
+  let covering = if text then [ "a"; "b"; "c" ] else [ "a"; "b"; "c"; "d" ] in
+  [
+    design [] [];
+    design [ [ "a" ] ] [];
+    design [ covering ] [];
+    design [ [ "a"; "b" ] ] [ "a" ];
+    design [ [ "b"; "c" ]; [ "a" ] ] [];
+    design [] [ "a" ];
+    design [ [ "a" ] ] [];
+  ]
+
+(* Each select, aggregate and DELETE/UPDATE of an oracle case runs through
+   one handle, again and again, on one database, and as a fresh
+   [Database.execute] on a twin fed the same operations.  Between rounds
+   both migrate to the next design, take an INSERT batch and the DML,
+   and are analyzed.  Every run must match the fresh one in rows, plan
+   and logical I/O, and the naive rows (aggregates compared as sets: a
+   view scan reads the view heap in storage order).  Reads through a
+   handle pass their cost key, as serve does, so the plan memo is in
+   play too. *)
+let prepared_matches_fresh_prop =
+  QCheck.Test.make ~name:"prepared handle = fresh execute" ~count:30
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun c ->
+      let handled = oracle_db ~text:c.text [] and fresh = oracle_db ~text:c.text [] in
+      let aggregates =
+        List.mapi
+          (fun i (select : Ast.select) ->
+            Ast.Select_agg
+              {
+                table = "t";
+                group_by = "a";
+                aggregate = (if i mod 2 = 0 then Ast.Count_star else Ast.Sum "b");
+                where = select.Ast.where;
+              })
+          c.selects
+        @ List.map
+            (fun (select : Ast.select) ->
+              (* only the equalities on the grouping column: a view answers it *)
+              let on_a = function
+                | Ast.Cmp { column = "a"; op = Ast.Eq; _ } -> true
+                | Ast.Cmp _ | Ast.Between _ -> false
+              in
+              Ast.Select_agg
+                {
+                  table = "t";
+                  group_by = "a";
+                  aggregate = Ast.Sum "b";
+                  where = List.filter on_a select.Ast.where;
+                })
+            c.seek_selects
+      in
+      let reads =
+        List.map (fun s -> Ast.Select s) (c.selects @ c.seek_selects)
+        @ aggregates
+      in
+      let writes =
+        [
+          Ast.Update { table = "t"; assignments = [ ("c", Tuple.Int 1) ]; where = c.dml_where };
+          Ast.Delete { table = "t"; where = c.dml_where };
+        ]
+      in
+      let handles = List.map (fun s -> (s, Database.prepare s)) (reads @ writes) in
+      let agree statement (got : Database.exec_result) (want : Database.exec_result) =
+        let sql = Cddpd_sql.Printer.to_string statement in
+        if got.Database.rows <> want.Database.rows then
+          QCheck.Test.fail_reportf "%s: rows differ from a fresh execute" sql;
+        if got.Database.plan <> want.Database.plan then
+          QCheck.Test.fail_reportf "%s: plan differs from a fresh execute" sql;
+        if got.Database.logical_io <> want.Database.logical_io then
+          QCheck.Test.fail_reportf "%s: logical I/O %d, fresh %d" sql got.Database.logical_io
+            want.Database.logical_io;
+        let naive_ok =
+          match statement with
+          | Ast.Select select ->
+              let path = (Option.get got.Database.plan).Plan.path in
+              got.Database.rows = Naive.select handled select path
+          | Ast.Select_agg { group_by; aggregate; where; _ } ->
+              List.sort compare got.Database.rows
+              = naive_aggregate handled ~group_by ~aggregate ~where
+          | Ast.Insert _ | Ast.Delete _ | Ast.Update _ -> true
+        in
+        if not naive_ok then QCheck.Test.fail_reportf "%s: rows differ from the naive rows" sql
+      in
+      let run (statement, handle) =
+        let statement_key =
+          if Ast.is_read_only statement then
+            Some (Cost_key.statement (Database.table_stats handled "t") statement)
+          else None
+        in
+        let victims =
+          match statement with
+          | Ast.Update { where; _ } | Ast.Delete { where; _ } ->
+              let star = { Ast.projection = Ast.Star; table = "t"; where } in
+              List.length (Naive.select handled star Plan.Full_scan)
+          | Ast.Select _ | Ast.Select_agg _ | Ast.Insert _ -> 0
+        in
+        let got = Database.run ?statement_key handled handle in
+        agree statement got (Database.execute fresh statement);
+        if got.Database.affected <> victims && not (Ast.is_read_only statement) then
+          QCheck.Test.fail_reportf "%s: %d rows affected, naive %d"
+            (Cddpd_sql.Printer.to_string statement) got.Database.affected victims
+      in
+      List.iteri
+        (fun round design ->
+          List.iter (fun db -> Database.migrate_to db design) [ handled; fresh ];
+          List.iter (fun h -> if Ast.is_read_only (fst h) then (run h; run h)) handles;
+          let batch =
+            Array.init 50 (fun i ->
+                let int k = Tuple.Int (((round * 50) + (i * k)) mod oracle_value_range) in
+                if c.text then
+                  [| Tuple.Text (Printf.sprintf "k%d" (i mod 10)); int 1; int 3; int 7 |]
+                else [| int 1; int 3; int 7; int 11 |])
+          in
+          List.iter (fun db -> Database.load db ~table:"t" batch) [ handled; fresh ];
+          List.iter (fun h -> if not (Ast.is_read_only (fst h)) then run h) handles;
+          List.iter Database.analyze [ handled; fresh ])
+        (prepared_designs ~text:c.text);
+      true)
+
 (* A key is the caller's promise that the statement matches the memoized
    plan.  A wrong one may cost I/O, never rows: a seek plan memoized for
    a two-column prefix meets statements of the same table and projection
@@ -1082,7 +1231,10 @@ let test_plan_memo_wrong_key () =
   (* Aggregates: a memoized view plan meeting a statement the view does
      not answer (a predicate off the grouping column, or another grouping
      column) runs the hash aggregate over a full scan instead, so its
-     rows are those of a fresh plan. *)
+     rows are those of a fresh plan.  The memo hits, and the result
+     reports (and [plan.chosen.*] counts) the full scan that ran, which
+     under this design is also the fresh plan. *)
+  let chosen path = Cddpd_obs.Counter.value (Cddpd_obs.Registry.counter ("plan.chosen." ^ path)) in
   let db, _ = make_db ~rows:2000 ~value_range:50 () in
   Database.migrate_to db (Design.empty |> Design.add_view (view "a"));
   List.iter
@@ -1098,8 +1250,20 @@ let test_plan_memo_wrong_key () =
         (fun sql ->
           let statement = Cddpd_sql.Parser.parse_exn sql in
           let fresh = Database.execute db statement in
-          let result = Database.execute ~statement_key db statement in
-          if result.Database.plan <> plan then Alcotest.failf "memo missed for %s" sql;
+          let hits = (Database.plan_cache_stats db).Plan_cache.hits in
+          let scans = chosen "full_scan" and probes = chosen "view_probe" in
+          let result =
+            Cddpd_obs.Registry.with_enabled (fun () -> Database.execute ~statement_key db statement)
+          in
+          if (Database.plan_cache_stats db).Plan_cache.hits <> hits + 1 then
+            Alcotest.failf "memo missed for %s" sql;
+          (match result.Database.plan with
+          | Some { Plan.path = Plan.Full_scan; _ } -> ()
+          | Some _ | None -> Alcotest.failf "%s: reported plan is not the full scan that ran" sql);
+          if result.Database.plan <> fresh.Database.plan then
+            Alcotest.failf "%s: reported plan differs from a fresh plan" sql;
+          if chosen "full_scan" <> scans + 1 || chosen "view_probe" <> probes then
+            Alcotest.failf "%s: plan.chosen.* did not count the full scan" sql;
           if result.Database.rows <> fresh.Database.rows then Alcotest.failf "rows differ for %s" sql)
         others)
     [
@@ -1157,7 +1321,8 @@ let test_int_edge_bounds () =
     (fun (label, bounds) ->
       let before = Cddpd_storage.Buffer_pool.stats pool in
       let rids =
-        Cddpd_engine.Index.probe probe_index { Filter.eq = []; range = Some bounds }
+        Cddpd_engine.Index.probe probe_index
+          (Cddpd_engine.Index.bounds probe_index { Filter.eq = []; range = Some bounds })
       in
       let after = Cddpd_storage.Buffer_pool.stats pool in
       let accesses (s : Cddpd_storage.Buffer_pool.stats) = s.hits + s.misses in
@@ -1194,6 +1359,47 @@ let test_scan_allocation () =
   | Plan.Full_scan | Plan.Index_seek _ | Plan.View_probe _ ->
       Alcotest.fail "expected an index-only scan");
   if only_words >= 1.0 then Alcotest.failf "index-only scan: %.2f words per entry" only_words
+
+(* A repeated seek through its prepared statement re-derives nothing: the
+   serve benchmark's steady template (seven predicates over an 8-column
+   table with I(a) and I(b), a non-covering seek on I(a) from the warm
+   plan memo) allocates at most [prepared_seek_words] per execution.
+   Measured at 250 words; compiling the filter, projection and seek
+   interval on every execution, as a fresh [Database.execute] does,
+   takes about 475. *)
+let prepared_seek_words = 320.0
+
+let test_prepared_seek_allocation () =
+  let columns = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] in
+  let db =
+    Database.create ~pool_capacity:1024
+      [ Schema.table "t" (List.map (fun c -> (c, Schema.Int_type)) columns) ]
+  in
+  let rng = Rng.create 7 in
+  Database.load db ~table:"t"
+    (Array.init 5000 (fun _ -> Array.init 8 (fun _ -> Tuple.Int (Rng.int rng 1000))));
+  List.iter (fun cs -> Database.build_index db (index cs)) [ [ "a" ]; [ "b" ] ];
+  Database.analyze db;
+  let statement =
+    Cddpd_sql.Parser.parse_exn
+      "SELECT a, b FROM t WHERE a = 17 AND c BETWEEN 100 AND 140 AND d = 18 AND e = 12 AND f = 35 \
+       AND g = 22 AND h = 18"
+  in
+  let statement_key = Cost_key.statement (Database.table_stats db "t") statement in
+  let handle = Database.prepare statement in
+  let first = Database.run ~statement_key db handle in
+  (match (Option.get first.Database.plan).Plan.path with
+  | Plan.Index_seek { covering = false; _ } -> ()
+  | Plan.Full_scan | Plan.Index_seek _ | Plan.Index_only_scan _ | Plan.View_probe _ ->
+      Alcotest.fail "expected a non-covering seek");
+  let runs = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Database.run ~statement_key db handle)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int runs in
+  if words > prepared_seek_words then
+    Alcotest.failf "prepared seek: %.1f words per execution (bound %.0f)" words prepared_seek_words
 
 (* -- incremental statistics ------------------------------------------------------- *)
 
@@ -1557,8 +1763,11 @@ let () =
           Alcotest.test_case "semantic errors raise" `Quick test_exec_semantic_error_raises;
           QCheck_alcotest.to_alcotest exec_design_independent_prop;
           QCheck_alcotest.to_alcotest exec_matches_naive_prop;
+          QCheck_alcotest.to_alcotest prepared_matches_fresh_prop;
           Alcotest.test_case "int edge bounds" `Quick test_int_edge_bounds;
           Alcotest.test_case "scan kernels allocate nothing per row" `Quick test_scan_allocation;
+          Alcotest.test_case "prepared seek allocation bounded" `Quick
+            test_prepared_seek_allocation;
         ] );
       ( "dml",
         [

@@ -477,6 +477,68 @@ let test_serve_cache_flags_bit_identical () =
   | Some s ->
       Alcotest.(check bool) "exact hits" true (s.Cddpd_sql.Template.exact_hits > 0)
 
+(* A text keeps a prepared statement from its second execution on: one
+   fed once leaves its entry's [prepared] empty, one fed twice or more
+   holds a handle.  The stream drifts, so handles meet deployments and
+   DML between their runs, and the report must equal that of a server
+   with no statement cache, which runs every statement on a transient
+   handle. *)
+let test_serve_prepared_on_second_feed () =
+  let window = 50 in
+  let texts =
+    let phase_texts column n =
+      Array.init n (fun i ->
+          match i mod 10 with
+          | 0 ->
+              Printf.sprintf "SELECT * FROM t WHERE %s = %d AND b >= %d" column
+                (1 + ((i * 37) mod value_range)) (i mod 7)
+          | 3 ->
+              Printf.sprintf "SELECT %s, COUNT(*) FROM t WHERE %s = %d GROUP BY %s" column column
+                (i mod 3) column
+          | 6 -> Printf.sprintf "UPDATE t SET d = %d WHERE %s = %d" (i mod 4) column (1 + (i mod 5))
+          | 8 ->
+              Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)"
+                (1 + (i mod value_range)) (i mod value_range) (i mod 7) (i mod 11)
+          | _ -> Printf.sprintf "SELECT a, %s FROM t WHERE %s = %d" column column (1 + (i mod 6)))
+    in
+    Array.concat
+      [ phase_texts "a" (3 * window); phase_texts "c" window; phase_texts "a" (2 * window) ]
+  in
+  let run ~cache =
+    let server =
+      Server.create (make_db ()) { (serve_config ~window ()) with Server.template_cache = cache }
+    in
+    Array.iter
+      (fun sql ->
+        match Server.feed_sql server sql with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "rejected %S: %s" sql e)
+      texts;
+    (Server.finish server, Server.statement_cache server)
+  in
+  let cached, statement_cache = run ~cache:true in
+  let uncached, _ = run ~cache:false in
+  Alcotest.(check string) "reports bit-identical" (report_fingerprint uncached)
+    (report_fingerprint cached);
+  let cache = Option.get statement_cache in
+  let seen = Hashtbl.create 64 in
+  Array.iter
+    (fun sql -> Hashtbl.replace seen sql (1 + Option.value ~default:0 (Hashtbl.find_opt seen sql)))
+    texts;
+  let once = ref 0 and repeated = ref 0 in
+  Hashtbl.iter
+    (fun sql count ->
+      match Cddpd_sql.Template.find_exact cache sql with
+      | None -> Alcotest.failf "%S not cached" sql
+      | Some entry -> (
+          match (count, entry.Cddpd_sql.Template.prepared) with
+          | 1, None -> incr once
+          | 1, Some _ -> Alcotest.failf "%S was fed once but keeps a handle" sql
+          | _, Some _ -> incr repeated
+          | _, None -> Alcotest.failf "%S was fed %d times but keeps no handle" sql count))
+    seen;
+  Alcotest.(check bool) "texts seen once and texts repeated" true (!once > 0 && !repeated > 0)
+
 (* A statement that parses but fails the schema check is rejected by
    [feed_sql] like a lexical error: [Error], nothing executed or buffered,
    and the loop keeps serving.  Repeating the text must be rejected again,
@@ -788,6 +850,8 @@ let () =
             test_serve_skips_invalid_statements;
           Alcotest.test_case "cache flags bit-identical" `Quick
             test_serve_cache_flags_bit_identical;
+          Alcotest.test_case "prepared from the second feed" `Quick
+            test_serve_prepared_on_second_feed;
         ] );
       ( "reopt",
         [
