@@ -13,7 +13,8 @@
 #                     and assert the cddpd-serve/3 JSON status
 #   make perf-smoke   one-second traced runs of the serve benchmark
 #                     (perfbench/) on every workload: its correctness
-#                     gates only
+#                     gates, and its deterministic counters against
+#                     PERF_COUNTERS.json
 #   make cli-smoke    bad command lines and bad statements end in usage
 #                     errors and skipped statements, never in a crash
 
@@ -95,13 +96,20 @@ serve-smoke:
 # layer probe's per-window I/O (the one perfbench path that runs
 # Database.execute with a statement key, i.e. the plan memo) must equal
 # the served windows'.  On a 2-vCPU host it costs steady/drift/writes
-# 16.5/6.2/8.9 s against 11.9/5.1/6.5 s untraced.
+# 16.5/6.2/8.9 s against 11.9/5.1/6.5 s untraced.  Each run's result
+# line then goes through tools/perf_counters.py, which compares the
+# deterministic counters (what-if calls, logical I/O per statement, DP
+# edges relaxed, statistics refreshes, re-optimizations, deployments,
+# rollbacks) exactly with the seed-1 values pinned in PERF_COUNTERS.json.
 PERF_WORKLOADS = steady drift writes
 
 perf-smoke:
 	@for w in $(PERF_WORKLOADS); do \
 	  echo "perf-smoke: $$w"; \
-	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 || exit 1; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1) \
+	    || { printf '%s\n' "$$out"; exit 1; }; \
+	  printf '%s\n' "$$out" | python3 tools/perf_counters.py --workload $$w PERF_COUNTERS.json \
+	    || exit 1; \
 	done
 
 # Out-of-range arguments and a k-requiring method without -k must each

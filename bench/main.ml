@@ -225,6 +225,7 @@ let memoized_micro ?(prepared = false) db ~path sql =
   let run =
     if prepared then
       let handle = Database.prepare statement in
+      let statement_key = Cddpd_engine.Cost_key.id statement_key in
       fun () -> Database.run ~statement_key db handle
     else fun () -> Database.execute ~statement_key ~skip_check:true db statement
   in
@@ -367,6 +368,62 @@ let micro (session : Session.t) =
        AND f = 35 AND g = 22 AND h = 18"
   in
   let memoized_seek = steady_seek () and prepared_seek = steady_seek ~prepared:true () in
+  (* Window close's clustering pass over one window of the serve
+     benchmark's drift traffic: 1,000 cost keys (~190 bytes each) of its
+     7-predicate template, drawn from 48 pooled texts with every 20th
+     fresh, each distinct key shared as serve shares it.
+     [close-window-strings] clusters the key strings, hashing each one;
+     [close-window-ids] clusters their ids ({!Cddpd_engine.Cost_key.id}),
+     reading the hash each id stored when it was made. *)
+  let close_window_strings, close_window_ids =
+    let module Cost_key = Cddpd_engine.Cost_key in
+    let module Compress = Cddpd_workload.Compress in
+    let db =
+      writes_micro_db
+        ~schema:
+          (Cddpd_catalog.Schema.table "t"
+             (List.map
+                (fun c -> (c, Cddpd_catalog.Schema.Int_type))
+                [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]))
+        ~indexes:[ [ "a" ]; [ "b" ] ] ()
+    in
+    let stats = Cddpd_engine.Database.table_stats db "t" in
+    let rng = Rng.create 11 in
+    let text () =
+      let v () = Rng.int rng 1_000 in
+      let lo = v () in
+      Printf.sprintf
+        "SELECT a, b FROM t WHERE b = %d AND c BETWEEN %d AND %d AND d = %d AND e = %d \
+         AND f = %d AND g = %d AND h = %d"
+        (v ()) lo (lo + 40) (v ()) (v ()) (v ()) (v ()) (v ())
+    in
+    let pool = Array.init 48 (fun _ -> text ()) in
+    let strings = Hashtbl.create 64 and ids = Cost_key.Id_tbl.create 64 in
+    let keys =
+      Array.init 1_000 (fun i ->
+          let sql = if i mod 20 = 0 then text () else pool.(i mod 48) in
+          let key = Cost_key.statement stats (Cddpd_sql.Parser.parse_exn sql) in
+          match Hashtbl.find_opt strings key with
+          | Some shared -> shared
+          | None ->
+              Hashtbl.add strings key key;
+              key)
+    in
+    let key_ids =
+      Array.map
+        (fun key ->
+          let id = Cost_key.id key in
+          match Cost_key.Id_tbl.find_opt ids id with
+          | Some shared -> shared
+          | None ->
+              Cost_key.Id_tbl.add ids id id;
+              id)
+        keys
+    in
+    ( (fun () -> ignore (Compress.cluster_keys keys)),
+      fun () ->
+        ignore (Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal key_ids) )
+  in
   let tests =
     Test.make_grouped ~name:"cddpd"
       [
@@ -375,6 +432,8 @@ let micro (session : Session.t) =
         Test.make ~name:"storage/small-pool-scan" (Staged.stage small_pool_scan);
         Test.make ~name:"engine/memoized-seek" (Staged.stage memoized_seek);
         Test.make ~name:"engine/prepared-seek" (Staged.stage prepared_seek);
+        Test.make ~name:"serve/close-window-strings" (Staged.stage close_window_strings);
+        Test.make ~name:"serve/close-window-ids" (Staged.stage close_window_ids);
         Test.make ~name:"sql/tokenize-64" (Staged.stage tokenize_pool);
         Test.make ~name:"sql/parse-64" (Staged.stage parse_pool);
         Test.make ~name:"sql/parse-cached-64" (Staged.stage parse_cached_pool);

@@ -60,7 +60,7 @@ type recommendation = {
 
 val build_problem :
   ?reuse:Problem.Reuse.t ->
-  ?statement_keys:string array ->
+  ?statement_keys:Cddpd_engine.Cost_key.id array ->
   Cddpd_engine.Database.t ->
   request ->
   Problem.t

@@ -31,30 +31,34 @@ type tally = {
 
 let empty_tally = { columns = []; group_bys = [] }
 
-let tally table statements =
+let tally_weighted table statements ~weights =
+  if Array.length weights <> Array.length statements then
+    invalid_arg "Candidates.tally_weighted: one weight per statement";
   let counts = Hashtbl.create 8 in
   let groups = Hashtbl.create 4 in
-  let consider statement_table where =
+  let consider weight statement_table where =
     if String.equal statement_table table.Schema.name then
       List.iter
         (fun pred ->
           let column = predicate_column pred in
           if is_indexable table column then
             Hashtbl.replace counts column
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts column)))
+              (weight + Option.value ~default:0 (Hashtbl.find_opt counts column)))
         where
   in
-  Array.iter
-    (fun statement ->
+  Array.iteri
+    (fun i statement ->
+      let weight = weights.(i) in
+      if weight <= 0 then invalid_arg "Candidates.tally_weighted: weights must be positive";
       match statement with
       | Ast.Insert _ -> ()
-      | Ast.Select select -> consider select.Ast.table select.Ast.where
+      | Ast.Select select -> consider weight select.Ast.table select.Ast.where
       | Ast.Select_agg { table = statement_table; group_by; where; _ } ->
           if String.equal statement_table table.Schema.name && is_indexable table group_by then
             Hashtbl.replace groups group_by ();
-          consider statement_table where
-      | Ast.Delete { table = statement_table; where } -> consider statement_table where
-      | Ast.Update { table = statement_table; where; _ } -> consider statement_table where)
+          consider weight statement_table where
+      | Ast.Delete { table = statement_table; where } -> consider weight statement_table where
+      | Ast.Update { table = statement_table; where; _ } -> consider weight statement_table where)
     statements;
   (* cddpd-lint: allow determinism — fold builds an unordered tally; the result is sorted by name *)
   let columns = Hashtbl.fold (fun column count acc -> (column, count) :: acc) counts [] in
@@ -64,6 +68,9 @@ let tally table statements =
     columns = List.sort (fun (c1, _) (c2, _) -> String.compare c1 c2) columns;
     group_bys = List.sort String.compare group_bys;
   }
+
+let tally table statements =
+  tally_weighted table statements ~weights:(Array.make (Array.length statements) 1)
 
 let merge a b =
   let rec columns xs ys =

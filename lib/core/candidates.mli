@@ -57,6 +57,17 @@ val empty_tally : tally
 
 val tally : Cddpd_catalog.Schema.table -> Cddpd_sql.Ast.statement array -> tally
 
+val tally_weighted :
+  Cddpd_catalog.Schema.table -> Cddpd_sql.Ast.statement array -> weights:int array -> tally
+(** [tally_weighted table statements ~weights] counts statement [i]
+    [weights.(i)] times: the {!tally} of the array in which each
+    statement is repeated that often.  Serve tallies each closed window
+    from its cost-identity clusters, the representatives weighted by
+    cluster size; members of one cluster share a cost key, which names
+    the table, every predicate column and the grouping column, so this
+    equals the tally of every member.  Raises [Invalid_argument] unless
+    there is one positive weight per statement. *)
+
 val merge : tally -> tally -> tally
 (** [merge (tally t a) (tally t b)] is [tally t (Array.append a b)]. *)
 

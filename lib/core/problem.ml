@@ -86,27 +86,27 @@ let snapshot_stats stats_of steps designs =
     designs;
   stats_tbl
 
-(* Stage 1, key: every statement's {!Cost_key} cost identity under the
-   snapshot statistics, unless the caller already paid for them. *)
+(* Stage 1, key: every statement's hashed {!Cost_key} cost identity under
+   the snapshot statistics, unless the caller already paid for them. *)
 let key_statements stats_of statement_keys flat =
   match statement_keys with
   | Some keys ->
       if Array.length keys <> Array.length flat then
         invalid_arg "Problem.build: statement_keys length mismatch";
       keys
-  | None -> Array.map (fun s -> Cost_key.statement (stats_of (Ast.table_of s)) s) flat
+  | None -> Array.map (fun s -> Cost_key.id (Cost_key.statement (stats_of (Ast.table_of s)) s)) flat
 
 (* Stage 2, cluster: statements with equal keys have equal cost under every
    design, so each configuration composes one cost per cluster instead of
    per statement. *)
 type clusters = {
-  keys : string array;  (** cluster id -> cost identity *)
+  keys : Cost_key.id array;  (** cluster id -> cost identity *)
   reps : Ast.statement array;  (** cluster id -> representative statement *)
   of_step : int array array;  (** cluster id of each statement, step by step *)
 }
 
 let cluster steps flat keys =
-  let clustering = Compress.cluster_keys keys in
+  let clustering = Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys in
   Obs.Counter.add m_clusters (Compress.n_clusters clustering);
   let pos = ref 0 in
   let of_step =

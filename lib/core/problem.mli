@@ -80,7 +80,7 @@ val build :
   ?count_initial_change:bool ->
   ?jobs:int ->
   ?reuse:Reuse.t ->
-  ?statement_keys:string array ->
+  ?statement_keys:Cddpd_engine.Cost_key.id array ->
   unit ->
   t
 (** Compute the cost matrices from the what-if cost model.
@@ -89,9 +89,11 @@ val build :
     [initial] is not in the space.
 
     The build runs in stages, each under its own span inside
-    [problem.build.exec].  It keys every statement by its
-    {!Cddpd_engine.Cost_key} cost identity ([problem.build.key]) and
-    clusters equal keys ([problem.build.cluster], [workload.clusters]).
+    [problem.build.exec].  It keys every statement by its hashed
+    {!Cddpd_engine.Cost_key} cost identity ({!Cddpd_engine.Cost_key.id},
+    [problem.build.key]) and clusters equal keys by their stored hashes
+    ([problem.build.cluster], [workload.clusters]); the fill's atom memo
+    looks the clusters up by the same ids.
     The fill ([problem.build.fill]) binds each new cluster's
     representative once ({!Cddpd_engine.Cost_model.bind}), evaluates its
     {!Cddpd_engine.Cost_model.atom} for every structure of the space —
@@ -112,8 +114,9 @@ val build :
     session of its own: an empty session is the from-scratch build.
 
     [statement_keys] hands the build precomputed
-    {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
-    skipping the keying pass; the caller must guarantee they equal the
+    {!Cddpd_engine.Cost_key.statement} keys, hashed
+    ({!Cddpd_engine.Cost_key.id}), for the concatenated steps, skipping
+    the keying pass; the caller must guarantee they equal the
     keys under the statistics [stats_of] returns now (serve carries each
     history window's keys to the current snapshot first, re-keying the
     statements {!Cddpd_engine.Cost_key.same_inputs} cannot prove

@@ -43,10 +43,10 @@ val create : ?reuse:bool -> Cddpd_engine.Database.t -> t
     escape hatch) and only warm-started solving remains. *)
 
 val build_problem :
-  ?statement_keys:string array -> t -> Advisor.request -> Problem.t
+  ?statement_keys:Cddpd_engine.Cost_key.id array -> t -> Advisor.request -> Problem.t
 (** {!Advisor.build_problem} threaded through the session's reuse state.
-    [statement_keys] as in {!Problem.build} — precomputed cost-identity
-    keys for the request's concatenated steps, valid only under the
+    [statement_keys] as in {!Problem.build} — precomputed hashed
+    cost-identity keys for the request's concatenated steps, valid only under the
     current statistics. *)
 
 val solve :

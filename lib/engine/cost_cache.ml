@@ -24,14 +24,20 @@ type slot = { id : int; mutable structure_stats : int }
 
 type t = {
   slots : (string, slot) Hashtbl.t;  (** structure cost identity -> slot *)
-  mutable rows : (string, row) Hashtbl.t;  (** cluster cost identity -> atoms *)
+  mutable rows : row Cost_key.Id_tbl.t;  (** cluster cost identity -> atoms *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
 let create () =
-  { slots = Hashtbl.create 32; rows = Hashtbl.create 16; hits = 0; misses = 0; evictions = 0 }
+  {
+    slots = Hashtbl.create 32;
+    rows = Cost_key.Id_tbl.create 16;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+  }
 
 let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions; generations = 0 }
 
@@ -70,14 +76,14 @@ let lookup t params ~snapshot ~structures ~structure_keys ~cluster_keys ~reps =
   let n_ids = Hashtbl.length t.slots in
   let grow a = Array.append a (Array.make (n_ids - Array.length a) Float.nan) in
   let previous = t.rows in
-  let current = Hashtbl.create (max 16 (Array.length cluster_keys)) in
+  let current = Cost_key.Id_tbl.create (max 16 (Array.length cluster_keys)) in
   let kept = ref 0 and recosted = ref 0 and hits = ref 0 and misses = ref 0 in
   let fresh = Array.make (Array.length ids) false in
   let bind rep = Cost_model.bind (stats_of (Ast.table_of rep)) rep in
   let rows =
     Array.mapi
       (fun r key ->
-        let kept_row = Hashtbl.find_opt previous key in
+        let kept_row = Cost_key.Id_tbl.find_opt previous key in
         let row =
           match kept_row with
           | Some row ->
@@ -113,13 +119,13 @@ let lookup t params ~snapshot ~structures ~structure_keys ~cluster_keys ~reps =
             end
             else incr hits)
           ids;
-        Hashtbl.replace current key row;
+        Cost_key.Id_tbl.replace current key row;
         row)
       cluster_keys
   in
   (* Rows of clusters this build did not see are dropped, which bounds the
      memo by the workload it is currently costing. *)
-  let evicted = Hashtbl.length previous - !kept in
+  let evicted = Cost_key.Id_tbl.length previous - !kept in
   t.rows <- current;
   t.hits <- t.hits + !hits;
   t.misses <- t.misses + !misses;

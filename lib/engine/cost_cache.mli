@@ -1,10 +1,12 @@
 (** The what-if memo: per-(cluster, structure) atom rows.
 
-    One row per statement cluster, keyed by the cluster's
-    {!Cost_key.statement} cost identity, holding the cluster's
-    representative bound once ({!Cost_model.bind}), its base-plan cost,
-    and one {!Cost_model.atom} per structure, indexed by a session id
-    assigned to each {!Cost_key.structure} identity on first sight.
+    One row per statement cluster, keyed by the cluster's hashed
+    {!Cost_key.statement} cost identity ({!Cost_key.id}, so a lookup
+    reads the stored hash instead of re-hashing the key), holding the
+    cluster's representative bound once ({!Cost_model.bind}), its
+    base-plan cost, and one {!Cost_model.atom} per structure, indexed by
+    a session id assigned to each {!Cost_key.structure} identity on
+    first sight.
     {!Cddpd_core.Problem.build} composes every configuration's cluster
     costs from these rows; a {!Cddpd_core.Problem.Reuse} session keeps
     one memo across builds, so a build evaluates only the atoms no
@@ -70,7 +72,7 @@ val lookup :
   snapshot:(string, Table_stats.t) Hashtbl.t ->
   structures:Cddpd_catalog.Structure.t array ->
   structure_keys:string array ->
-  cluster_keys:string array ->
+  cluster_keys:Cost_key.id array ->
   reps:Cddpd_sql.Ast.statement array ->
   lookup
 (** The rows of the clusters [cluster_keys] (distinct, with

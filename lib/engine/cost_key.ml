@@ -88,6 +88,23 @@ let statement stats stmt =
       add_preds where);
   Buffer.contents buf
 
+type id = { key : string; hash : int }
+
+let id key = { key; hash = Hashtbl.hash key }
+
+(* Equality is the full key: the stored hash only rejects unequal keys
+   early, and an interned id meets itself physically. *)
+let id_equal a b = a == b || (a.hash = b.hash && String.equal a.key b.key)
+
+let id_hash i = i.hash
+
+module Id_tbl = Hashtbl.Make (struct
+  type t = id
+
+  let equal = id_equal
+  let hash = id_hash
+end)
+
 (* Physically the same histogram in both snapshots, or none in either:
    [Value_counts] hands out the same object while the column is
    untouched, and histograms are immutable. *)

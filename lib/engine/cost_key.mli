@@ -32,6 +32,36 @@
 val statement : Table_stats.t -> Cddpd_sql.Ast.statement -> string
 (** The statement's cost identity under the given table statistics. *)
 
+(** {1 Hashed identities}
+
+    A key is a few hundred bytes, and every memo and clustering pass on
+    serve's path looks it up.  An {!id} carries the key with its hash,
+    computed once when the key is made, so each later table lookup reads
+    the stored hash instead of re-hashing the string.  Equality is still
+    the full key ({!id_equal}), so every soundness argument above holds
+    for ids unchanged: the hash is never taken as the key. *)
+
+type id = private {
+  key : string;  (** the {!statement} key *)
+  hash : int;  (** [Hashtbl.hash key] *)
+}
+
+val id : string -> id
+(** [id key] hashes [key] once.  Serve makes one id per computed key and
+    shares it ({!Cddpd_serve.Server}), so equal keys are usually the same
+    id physically. *)
+
+val id_equal : id -> id -> bool
+(** Physical equality, or equal hashes and equal keys. *)
+
+val id_hash : id -> int
+(** The stored hash, which agrees with {!id_equal}: the [hash] a
+    clustering pass over ids passes ({!Cddpd_workload.Compress.cluster_by}). *)
+
+module Id_tbl : Hashtbl.S with type key = id
+(** Tables keyed by ids: lookups read the stored hash and compare keys
+    with {!id_equal}. *)
+
 val same_inputs : was:Table_stats.t -> now:Table_stats.t -> Cddpd_sql.Ast.statement -> bool
 (** [same_inputs ~was ~now stmt] proves, without printing either key,
     that [statement was stmt] equals [statement now stmt]: the snapshots

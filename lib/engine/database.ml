@@ -551,9 +551,15 @@ let run_select_agg t p ~table ~group_by ~aggregate ~where (path : Plan.access_pa
           | Some row when List.for_all admits where -> [ of_row row ]
           | Some _ | None -> [])
       | [] ->
+          (* The view heap's order follows past DML; rows leave in
+             ascending group order, the hash aggregate's. *)
           let out = ref [] in
-          Mat_view.scan view (fun row -> out := of_row row :: !out);
-          List.rev !out)
+          Mat_view.scan view (fun row -> out := row :: !out);
+          List.sort
+            (fun (r1 : Mat_view.row) (r2 : Mat_view.row) ->
+              Int.compare r1.Mat_view.group_value r2.Mat_view.group_value)
+            !out
+          |> List.map of_row)
   | Plan.Full_scan ->
       (* Hash aggregation over a filtered scan. *)
       let group = Filter.position state.layout group_by in
@@ -658,7 +664,7 @@ let run ?statement_key t p =
 
 let execute ?statement_key ?(skip_check = false) t statement =
   if not skip_check then Check.statement_exn (tables t) statement;
-  run ?statement_key t (prepare statement)
+  run ?statement_key:(Option.map Cost_key.id statement_key) t (prepare statement)
 
 let execute_sql t sql = execute t (Parser.parse_exn sql)
 

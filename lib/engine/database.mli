@@ -90,7 +90,9 @@ val migrate_to : t -> Cddpd_catalog.Design.t -> unit
 (** {1 Execution} *)
 
 type exec_result = {
-  rows : Cddpd_storage.Tuple.t list;  (** result rows, in access order *)
+  rows : Cddpd_storage.Tuple.t list;
+      (** result rows: a SELECT's in access order, an aggregate's in
+          ascending group order whichever plan ran *)
   affected : int;  (** rows inserted / deleted / updated *)
   plan : Plan.t option;
       (** the chosen plan (selects and the find phase of DELETE/UPDATE) *)
@@ -112,12 +114,14 @@ type prepared
 val prepare : Cddpd_sql.Ast.statement -> prepared
 (** A handle that has compiled nothing yet (no validation either). *)
 
-val run : ?statement_key:string -> t -> prepared -> exec_result
+val run : ?statement_key:Cost_key.id -> t -> prepared -> exec_result
 (** Plan and run the handle's statement, compiling what the chosen plan
     needs on first use against each layout.  [statement_key] is as for
-    {!execute}.  No semantic validation: the statement must already have
-    passed {!Check.statement} against this database's schema.  Rows,
-    plan and I/O equal a fresh {!execute}'s. *)
+    {!execute}, already hashed ({!Cost_key.id}): serve hashes each key
+    once, when it computes it, and passes that id on every execution.
+    No semantic validation: the statement must already have passed
+    {!Check.statement} against this database's schema.  Rows, plan and
+    I/O equal a fresh {!execute}'s. *)
 
 val execute :
   ?statement_key:string -> ?skip_check:bool -> t -> Cddpd_sql.Ast.statement -> exec_result
@@ -126,7 +130,8 @@ val execute :
 
     [statement_key] engages the plan-choice memo for SELECT and aggregate
     statements: it should be [Cost_key.statement] of this statement under
-    the table's *current* statistics (see {!stats_generation}).  A memo
+    the table's *current* statistics (see {!stats_generation}); it is
+    hashed once per call ({!Cost_key.id}) and passed to {!run}.  A memo
     hit skips {!Cost_model.choose_plan} and runs the bit-identical plan;
     plans hold no literal, and the executor takes the seek interval and
     a view probe's group value from this statement ({!Filter.seek}), so

@@ -1,6 +1,7 @@
 (* Plan-choice memo for the serve ingest fast path.
 
-   Keys are [Cost_key.statement] strings.  They are self-fencing against
+   Keys are hashed [Cost_key.statement] identities ([Cost_key.id]), so a
+   lookup reads the key's stored hash.  They are self-fencing against
    statistics churn: a key embeds the statistics shape and the exact
    selectivity bits of every predicate, so a stale snapshot yields a
    different key and no statistics invalidation is needed.  Keys do not
@@ -22,7 +23,7 @@ type stats = {
 }
 
 type t = {
-  table : (string, Plan.t) Hashtbl.t;
+  table : Plan.t Cost_key.Id_tbl.t;
   capacity : int;
   mutable hits : int;
   mutable misses : int;
@@ -37,7 +38,7 @@ let default_capacity = 8192
 
 let create ?(capacity = default_capacity) () =
   {
-    table = Hashtbl.create 256;
+    table = Cost_key.Id_tbl.create 256;
     capacity = max 16 capacity;
     hits = 0;
     misses = 0;
@@ -49,11 +50,11 @@ let stats t =
     hits = t.hits;
     misses = t.misses;
     invalidations = t.invalidations;
-    entries = Hashtbl.length t.table;
+    entries = Cost_key.Id_tbl.length t.table;
   }
 
 let find t key =
-  match Hashtbl.find_opt t.table key with
+  match Cost_key.Id_tbl.find_opt t.table key with
   | Some plan ->
       t.hits <- t.hits + 1;
       Obs.Counter.incr m_hits;
@@ -64,12 +65,12 @@ let find t key =
       None
 
 let store t key plan =
-  if Hashtbl.length t.table >= t.capacity then Hashtbl.reset t.table;
-  Hashtbl.replace t.table key plan
+  if Cost_key.Id_tbl.length t.table >= t.capacity then Cost_key.Id_tbl.reset t.table;
+  Cost_key.Id_tbl.replace t.table key plan
 
 let invalidate t =
-  if Hashtbl.length t.table > 0 then begin
-    Hashtbl.reset t.table;
+  if Cost_key.Id_tbl.length t.table > 0 then begin
+    Cost_key.Id_tbl.reset t.table;
     t.invalidations <- t.invalidations + 1;
     Obs.Counter.incr m_invalidations
   end

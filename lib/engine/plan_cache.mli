@@ -1,4 +1,6 @@
-(** Plan-choice memo keyed on [Cost_key.statement] strings.
+(** Plan-choice memo keyed on hashed [Cost_key.statement] identities
+    ({!Cost_key.id}): a lookup reads the id's stored hash and compares
+    the full key, so it never re-hashes the key string.
 
     The key is self-fencing against statistics churn — it embeds the
     statistics shape and the exact selectivity bits of every predicate.
@@ -22,10 +24,10 @@ val create : ?capacity:int -> unit -> t
 
 val stats : t -> stats
 
-val find : t -> string -> Plan.t option
+val find : t -> Cost_key.id -> Plan.t option
 (** Lookup; counts a hit or a miss. *)
 
-val store : t -> string -> Plan.t -> unit
+val store : t -> Cost_key.id -> Plan.t -> unit
 
 val invalidate : t -> unit
 (** Flush after a deployed-design change — the memo's only design fence.

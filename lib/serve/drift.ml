@@ -11,13 +11,14 @@ let profile_of_clustering ~keys clustering =
     let reps = clustering.Compress.representatives in
     let counts = clustering.Compress.counts in
     List.init (Array.length reps) (fun id ->
-        (keys.(reps.(id)), float_of_int counts.(id) /. total))
+        (keys.(reps.(id)).Cost_key.key, float_of_int counts.(id) /. total))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   end
 
 let profile ~stats statements =
-  let keys = Array.map (fun s -> Cost_key.statement stats s) statements in
-  profile_of_clustering ~keys (Compress.cluster_keys keys)
+  let keys = Array.map (fun s -> Cost_key.id (Cost_key.statement stats s)) statements in
+  profile_of_clustering ~keys
+    (Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys)
 
 let distance a b =
   let rec go a b acc =

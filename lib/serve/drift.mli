@@ -29,12 +29,15 @@ val profile :
     building via {!profile_of_clustering}. *)
 
 val profile_of_clustering :
-  keys:string array -> Cddpd_workload.Compress.t -> profile
-(** The profile of a window whose cost-identity keys and clustering the
-    caller already computed ([Compress.cluster_keys keys]).  Equal to
-    [profile] on the same window: serve computes each window's keys once
-    and feeds both drift detection and the incremental problem build
-    from that single cost-identity pass. *)
+  keys:Cddpd_engine.Cost_key.id array -> Cddpd_workload.Compress.t -> profile
+(** The profile of a window whose hashed cost-identity keys and
+    clustering the caller already computed
+    ([Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys]).
+    Equal to [profile] on the same window: serve computes each window's
+    keys once and feeds both drift detection and the incremental problem
+    build from that single cost-identity pass.  Profiles stay keyed by
+    the key strings ({!Cddpd_engine.Cost_key.id}'s [key]), so
+    {!distance} sums its floats in key order. *)
 
 val distance : profile -> profile -> float
 (** L1 distance between two profiles, in [\[0, 2\]]. *)

@@ -147,12 +147,14 @@ type probation = { prev_design : Design.t }
    snapshot ([rekey]): a statement is re-keyed only when
    [Cost_key.same_inputs] cannot prove its key unchanged, and the
    refreshed keys replace the old ones.  The window's candidate
-   tally is computed the first time a re-optimization reads it, then kept:
-   a window that ages through the history is tallied once, and a window no
-   re-optimization reads is never tallied. *)
+   tally, taken over its cost-identity clusters (a representative per
+   cluster, weighted by its size), is computed the first time a
+   re-optimization reads it, then kept: a window that ages through the
+   history is tallied once, and a window no re-optimization reads is
+   never tallied. *)
 type history_window = {
   h_statements : Ast.statement array;
-  h_keys : string array;
+  h_keys : Cost_key.id array;
   h_uniform : bool;
   mutable h_stats : Table_stats.t;
   h_tally : Candidates.tally Lazy.t;
@@ -164,10 +166,11 @@ type t = {
   reopt : Reopt.t;
   on_window : window_report -> unit;
   buf : Ast.statement array;
-  buf_keys : string array;  (* feed-time cost keys; "" for deferred DML *)
+  buf_keys : Cost_key.id array;  (* feed-time cost keys; [no_key] for deferred DML *)
   buf_gens : int array;  (* statistics generation each key was computed under; -1 = deferred *)
-  parse_cache : Database.prepared Template.t option;  (* None when cfg.template_cache is off *)
-  intern : (string, string) Hashtbl.t;  (* physical sharing of equal cost keys *)
+  parse_cache : (Database.prepared, Cost_key.id) Template.t option;
+      (* None when cfg.template_cache is off *)
+  intern : Cost_key.id Cost_key.Id_tbl.t;  (* one shared id per distinct cost key *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
   mutable fill : int;
   mutable window_index : int;
@@ -186,6 +189,9 @@ type t = {
   mutable rollbacks : int;
 }
 
+(* The key slot of a DML statement until window close keys it. *)
+let no_key = Cost_key.id ""
+
 let create ?(on_window = fun _ -> ()) db cfg =
   if cfg.window <= 0 then invalid_arg "Server.create: window must be positive";
   if cfg.history <= 0 then invalid_arg "Server.create: history must be positive";
@@ -199,10 +205,10 @@ let create ?(on_window = fun _ -> ()) db cfg =
     reopt = Reopt.create ~reuse:cfg.reopt_reuse db;
     on_window;
     buf = Array.make cfg.window (Ast.Select { projection = Ast.Star; table = cfg.table; where = [] });
-    buf_keys = Array.make cfg.window "";
+    buf_keys = Array.make cfg.window no_key;
     buf_gens = Array.make cfg.window (-1);
     parse_cache = (if cfg.template_cache then Some (Template.create ()) else None);
-    intern = Hashtbl.create 256;
+    intern = Cost_key.Id_tbl.create 256;
     window_started_s = 0.0;
     fill = 0;
     window_index = 0;
@@ -229,18 +235,20 @@ let template_stats t = Option.map Template.stats t.parse_cache
 
 let statement_cache t = t.parse_cache
 
-(* Physical sharing of equal cost keys: repeated templates produce the
-   same key string once per window otherwise.  Bounded; a reset only
-   costs the sharing, never correctness. *)
+(* Every computed cost key becomes an id here, hashed once; equal keys
+   share one id physically, so every later table lookup and clustering
+   pass reads the stored hash and compares ids with one [==].  Bounded; a
+   reset only costs the sharing, never correctness. *)
 let intern_capacity = 16_384
 
 let intern t key =
-  match Hashtbl.find_opt t.intern key with
+  let id = Cost_key.id key in
+  match Cost_key.Id_tbl.find_opt t.intern id with
   | Some shared -> shared
   | None ->
-      if Hashtbl.length t.intern >= intern_capacity then Hashtbl.reset t.intern;
-      Hashtbl.add t.intern key key;
-      key
+      if Cost_key.Id_tbl.length t.intern >= intern_capacity then Cost_key.Id_tbl.reset t.intern;
+      Cost_key.Id_tbl.add t.intern id id;
+      id
 
 (* Feed-time half of the one-pass cost-identity pipeline: key a read-only
    statement under the served table's *current* statistics, tagged with
@@ -255,7 +263,7 @@ let feed_key t entry statement =
     let stats = Database.table_stats t.db t.cfg.table in
     intern t (Cost_key.statement stats statement)
   in
-  match (entry : _ Template.entry option) with
+  match (entry : (_, Cost_key.id) Template.entry option) with
   | Some entry -> (
       match entry.Template.cost_tag with
       | Some (g, key) when g = gen -> (key, gen)
@@ -463,7 +471,7 @@ let close_window t window fed_keys fed_gens =
         else intern t (Cost_key.statement stats s))
       window
   in
-  let clustering = Compress.cluster_keys keys in
+  let clustering = Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys in
   let profile = Drift.profile_of_clustering ~keys clustering in
   let closed =
     {
@@ -472,7 +480,12 @@ let close_window t window fed_keys fed_gens =
       h_uniform =
         Array.for_all (fun s -> String.equal (Ast.table_of s) t.cfg.table) window;
       h_stats = stats;
-      h_tally = lazy (Candidates.tally (schema t) window);
+      h_tally =
+        lazy
+          (let reps = clustering.Compress.representatives in
+           Candidates.tally_weighted (schema t)
+             (Array.map (fun i -> window.(i)) reps)
+             ~weights:clustering.Compress.counts);
     }
   in
   let drift = Option.map (fun prev -> Drift.distance prev profile) t.prev_profile in
@@ -540,7 +553,7 @@ let feed_statement t ?entry prepared statement =
   (* Key read-only statements now; defer DML to window close — keying DML
      here would force a histogram rebuild that its own execution is about
      to invalidate. *)
-  let key, gen = if read_only then feed_key t entry statement else ("", -1) in
+  let key, gen = if read_only then feed_key t entry statement else (no_key, -1) in
   (* The plan memo only understands keys computed under the statement's
      own table's statistics; serve keys everything under the served table
      (the drift convention), so only that table's reads pass one. *)

@@ -157,11 +157,15 @@ val reopt_stats : t -> Cddpd_core.Reopt.stats
     {!finish}'s report) — atom-memo hits, misses and evictions between
     re-optimizations, reuse tallies, warm-start bounds. *)
 
-val history_keys : t -> string array option
+val history_keys : t -> Cddpd_engine.Cost_key.id array option
 (** The statement keys a continuous re-optimization hands
-    {!Cddpd_core.Problem.build}: the history windows' cost-identity keys,
-    oldest window first, each equal to {!Cddpd_engine.Cost_key.statement}
-    of its statement under the served table's current statistics.  The
+    {!Cddpd_core.Problem.build}: the history windows' hashed cost-identity
+    keys, oldest window first, each [key] equal to
+    {!Cddpd_engine.Cost_key.statement} of its statement under the served
+    table's current statistics.  Serve hashes a key once, when it
+    computes it ({!Cddpd_engine.Cost_key.id}), and shares one id among
+    equal keys; the same ids key the plan memo at feed time, the window
+    close's clustering, the build's clustering and the atom memo.  The
     windows keep the keys computed at close and the snapshot they were
     computed under; this carries them to the current snapshot, re-keying
     only the statements for which {!Cddpd_engine.Cost_key.same_inputs}
@@ -195,10 +199,12 @@ val template_stats : t -> Cddpd_sql.Template.stats option
 (** The statement cache's hit/miss counters; [None] when
     [config.template_cache] is off. *)
 
-val statement_cache : t -> Cddpd_engine.Database.prepared Cddpd_sql.Template.t option
+val statement_cache :
+  t -> (Cddpd_engine.Database.prepared, Cddpd_engine.Cost_key.id) Cddpd_sql.Template.t option
 (** The statement cache itself, for inspection; [None] when
     [config.template_cache] is off.  A text's entry holds its parsed
-    statement, cost tag, validation bit and, from the text's second
+    statement, cost tag (statistics generation and hashed cost key),
+    validation bit and, from the text's second
     execution on, its prepared statement.  A lookup through
     {!Cddpd_sql.Template.find_exact} counts a hit. *)
 

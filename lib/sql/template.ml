@@ -3,23 +3,23 @@
    Production traces are overwhelmingly a small set of repeated statement
    texts (the observation workload collectors such as AIM build on), so
    the cache maps raw statement text to its parsed [Ast.statement] and the
-   caller's per-text payload: a repeated text costs one string hash.  A
-   fresh text is lexed and parsed for real, so every answer is
-   bit-identical to a fresh parse. *)
+   caller's per-text payload and cost key: a repeated text costs one
+   string hash.  A fresh text is lexed and parsed for real, so every
+   answer is bit-identical to a fresh parse. *)
 
 module Obs = Cddpd_obs
 
-type 'p entry = {
+type ('p, 'k) entry = {
   statement : Ast.statement;
-  mutable cost_tag : (int * string) option;
+  mutable cost_tag : (int * 'k) option;
   mutable validated : bool;
   mutable prepared : 'p option;
 }
 
 type stats = { exact_hits : int; misses : int; entries : int }
 
-type 'p t = {
-  exact : (string, 'p entry) Hashtbl.t;
+type ('p, 'k) t = {
+  exact : (string, ('p, 'k) entry) Hashtbl.t;
   capacity : int;
   mutable exact_hits : int;
   mutable misses : int;

@@ -4,18 +4,21 @@
     parsed statement (plus per-text memo slots) for one string hash.  A
     fresh text is lexed and parsed for real, so every answer is
     bit-identical to a fresh parse.  ['p] is the type of the caller's
-    per-text payload ({!entry.prepared}); serve stores its execution
-    handle there.
+    per-text payload ({!entry.prepared}) and ['k] the type of its cost
+    key ({!entry.cost_tag}); serve stores its execution handle and its
+    hashed cost identity there, so this library never sees the cost
+    model.
 
     The cache is single-domain (serve's ingest loop); it is not
     thread-safe. *)
 
-type 'p entry = {
+type ('p, 'k) entry = {
   statement : Ast.statement;  (** parse result for the cached text *)
-  mutable cost_tag : (int * string) option;
+  mutable cost_tag : (int * 'k) option;
       (** caller-owned memo slot: serve stamps it with
-          [(statistics generation, cost-identity key)] so a repeated text
-          skips re-keying while the snapshot is unchanged *)
+          [(statistics generation, hashed cost-identity key)] so a
+          repeated text skips re-keying, and re-hashing, while the
+          snapshot is unchanged *)
   mutable validated : bool;
       (** set by the caller once the statement has passed semantic checks
           against the live schema; sound as long as the schema is fixed,
@@ -32,17 +35,17 @@ type stats = {
   entries : int;  (** distinct texts currently cached *)
 }
 
-type 'p t
+type ('p, 'k) t
 
-val create : ?capacity:int -> unit -> 'p t
+val create : ?capacity:int -> unit -> ('p, 'k) t
 (** [create ()] makes an empty cache.  [capacity] bounds the table;
     overflow resets it wholesale (entries are pure memos). *)
 
-val stats : 'p t -> stats
+val stats : ('p, 'k) t -> stats
 
-val find_exact : 'p t -> string -> 'p entry option
+val find_exact : ('p, 'k) t -> string -> ('p, 'k) entry option
 (** Exact-text lookup; counts a hit when it succeeds. *)
 
-val add_exact : 'p t -> string -> Ast.statement -> 'p entry
+val add_exact : ('p, 'k) t -> string -> Ast.statement -> ('p, 'k) entry
 (** Insert the parse result for [text], count the miss, and return the
     (fresh) entry. *)

@@ -233,6 +233,28 @@ let tally_merge_prop =
             (Candidates.structures_of_tally tally_schema ~composite_pairs merged))
         [ merged_left; merged_right ])
 
+(* A window's tally taken over its cost-identity clusters, each
+   representative weighted by its cluster's size, equals the tally of
+   every statement: members of a cluster share a cost key, which names
+   their table, predicate columns and grouping column.  Serve tallies its
+   history windows this way. *)
+let tally_clusters_prop =
+  let module Cost_key = Cddpd_engine.Cost_key in
+  let module Compress = Cddpd_workload.Compress in
+  let stats = Cddpd_engine.Table_stats.make ~row_count:1000 ~page_count:10 ~histograms:[] in
+  QCheck.Test.make ~name:"cluster-weighted tally = statement tally" ~count:300
+    (QCheck.make
+       ~print:(fun w ->
+         String.concat "\n" (Array.to_list (Array.map Cddpd_sql.Printer.to_string w)))
+       QCheck.Gen.(map Array.concat (list_size (int_range 1 8) gen_tally_window)))
+    (fun statements ->
+      let keys = Array.map (fun s -> Cost_key.id (Cost_key.statement stats s)) statements in
+      let c = Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys in
+      Candidates.tally_weighted tally_schema
+        (Array.map (fun i -> statements.(i)) c.Compress.representatives)
+        ~weights:c.Compress.counts
+      = Candidates.tally tally_schema statements)
+
 let index_columns structure =
   match Structure.as_index structure with
   | Some ix -> Some (Index_def.columns ix)
@@ -822,6 +844,7 @@ let () =
           Alcotest.test_case "generator keeps views" `Quick
             test_candidates_generate_includes_views;
           QCheck_alcotest.to_alcotest tally_merge_prop;
+          QCheck_alcotest.to_alcotest tally_clusters_prop;
         ] );
       ( "problem",
         [

@@ -406,7 +406,7 @@ let test_ids_bounded_across_refreshes () =
       Hashtbl.replace snapshot "t" stats;
       let { Cost_cache.rows; ids; _ } =
         Cost_cache.lookup memo params ~snapshot ~structures ~structure_keys
-          ~cluster_keys:[| Cost_key.statement stats delete_a |]
+          ~cluster_keys:[| Cost_key.id (Cost_key.statement stats delete_a) |]
           ~reps:[| delete_a |]
       in
       let fresh = Cost_model.bind stats delete_a in

@@ -192,7 +192,7 @@ let run_session (jobs, builds) =
           if b.with_keys then
             Some
               (Array.map
-                 (fun s -> Cost_key.statement (stats_of (Ast.table_of s)) s)
+                 (fun s -> Cost_key.id (Cost_key.statement (stats_of (Ast.table_of s)) s))
                  (Array.concat (Array.to_list b.steps)))
           else None
         in

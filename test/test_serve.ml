@@ -410,7 +410,10 @@ let test_serve_history_keys_fresh () =
         in
         Alcotest.(check (option (array string)))
           (Printf.sprintf "window %d: keys = fresh keys" report.Server.index)
-          (Some fresh) (Server.history_keys server)
+          (Some fresh)
+          (Option.map
+             (Array.map (fun (id : Cddpd_engine.Cost_key.id) -> id.Cddpd_engine.Cost_key.key))
+             (Server.history_keys server))
   done;
   Alcotest.(check int) "every window re-optimized" 20
     (Server.finish server).Server.reoptimizations
@@ -686,7 +689,7 @@ let reopt_bit_identity_prop =
             if step mod 2 = 0 then
               Some
                 (Array.map
-                   (fun s -> Cost_key.statement stats s)
+                   (fun s -> Cost_key.id (Cost_key.statement stats s))
                    (Array.concat (Array.to_list steps)))
             else None
           in

@@ -431,6 +431,39 @@ let compress_partition_prop =
       (* counts sum to n items *)
       && Array.fold_left ( + ) 0 c.Compress.counts = Array.length items)
 
+(* Clustering hashed cost identities through [cluster_by] gives the
+   string-keyed clustering.  Keys are long (a shared 160-byte prefix, as
+   cost keys share their table shape), drawn from a few values so most
+   repeat, and every occurrence is built afresh: equal keys are
+   physically distinct strings and distinct ids, except where an id is
+   shared on purpose, as serve shares them.  A constant hash shows that
+   equality alone decides membership. *)
+module Cost_key = Cddpd_engine.Cost_key
+
+let compress_ids_prop =
+  QCheck.Test.make ~name:"id clustering = string clustering" ~count:200
+    QCheck.(array_of_size Gen.(int_bound 60) (pair (int_bound 7) bool))
+    (fun draws ->
+      let prefix = String.make 160 'k' in
+      let keys = Array.map (fun (v, _) -> Printf.sprintf "%s%d" prefix v) draws in
+      let shared = Hashtbl.create 8 in
+      let ids =
+        Array.mapi
+          (fun i (v, share) ->
+            let fresh = Cost_key.id keys.(i) in
+            if not share then fresh
+            else
+              match Hashtbl.find_opt shared v with
+              | Some id -> id
+              | None ->
+                  Hashtbl.replace shared v fresh;
+                  fresh)
+          draws
+      in
+      let by_string = Compress.cluster_keys keys in
+      by_string = Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal ids
+      && by_string = Compress.cluster_by ~hash:(fun _ -> 0) ~equal:String.equal keys)
+
 let () =
   Alcotest.run "workload"
     [
@@ -501,5 +534,6 @@ let () =
           Alcotest.test_case "distinct and empty" `Quick
             test_compress_all_distinct_and_empty;
           QCheck_alcotest.to_alcotest compress_partition_prop;
+          QCheck_alcotest.to_alcotest compress_ids_prop;
         ] );
     ]
