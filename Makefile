@@ -8,7 +8,9 @@
 #   make lint-update-baseline
 #                     regenerate lint-baseline.json after burning down
 #                     or adding audited waivers
-#   make bench-smoke  quick perf sanity
+#   make bench-smoke  quick perf sanity: compares with the committed
+#                     BENCH_*.json baselines, writes only under _build/bench/
+#   make bench-update regenerate the committed BENCH_*.json baselines
 #   make serve-smoke  replay a canned trace through `cddpd serve --once`
 #                     and assert the cddpd-serve/3 JSON status
 #   make perf-smoke   one-second traced runs of the serve benchmark
@@ -21,7 +23,7 @@
 DUNE ?= dune
 JOBS ?=
 
-.PHONY: all build check test lint lint-update-baseline bench-smoke bench serve-smoke perf-smoke cli-smoke clean
+.PHONY: all build check test lint lint-update-baseline bench-smoke bench-update bench serve-smoke perf-smoke cli-smoke clean
 
 all: build
 
@@ -51,13 +53,36 @@ lint-update-baseline:
 	$(DUNE) build @check tools/lint/cddpd_lint.exe
 	$(DUNE) exec tools/lint/cddpd_lint.exe -- --root . --write-baseline lint-baseline.json
 
-# Quick perf sanity: micro-benchmarks + a timed Problem.build, writing
-# BENCH_micro.json for machine consumption.  Pass JOBS=1 to force the
-# sequential path.  The serve suite carries its own hard gates: per-window
-# digests must match between the incremental and from-scratch arms, and
-# stable-phase windows must hit the what-if-call reduction floor.
+# Quick perf sanity: micro-benchmarks + a timed Problem.build and every
+# gated suite.  Pass JOBS=1 to force the sequential path.  It compares and
+# never rewrites: every result file goes under $(BENCH_OUT)/, so the tree
+# stays clean.  The committed configspace and experiments baselines are
+# copied there first, and each suite checks its fresh result against that
+# copy before overwriting it: the configspace cells exactly, and the
+# figure digest on every sweep arm that ran (the paper-fidelity gate).
+# The serve suite carries its own hard gates: per-window digests must
+# match between the incremental and from-scratch arms, and stable-phase
+# windows must hit the what-if-call reduction floor.
+BENCH_OUT = _build/bench
+BENCH_SUITES = micro solvers experiments configspace serve ingest
+
 bench-smoke:
-	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) micro solvers experiments configspace serve ingest
+	@mkdir -p $(BENCH_OUT)
+	cp BENCH_configspace.json BENCH_experiments.json $(BENCH_OUT)/
+	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) $(BENCH_SUITES) \
+	  --obs-out $(BENCH_OUT)/BENCH_obs.json --micro-out $(BENCH_OUT)/BENCH_micro.json \
+	  --solvers-out $(BENCH_OUT)/BENCH_solvers.json \
+	  --experiments-out $(BENCH_OUT)/BENCH_experiments.json \
+	  --configspace-out $(BENCH_OUT)/BENCH_configspace.json \
+	  --serve-out $(BENCH_OUT)/BENCH_serve.json --ingest-out $(BENCH_OUT)/BENCH_ingest.json
+
+# The only target that writes the committed baselines (the same run as
+# bench-smoke, writing at the repository root).  The configspace and
+# experiments gates still compare with the files they replace, so a
+# change that moves a digest on purpose deletes that file first and says
+# why.
+bench-update:
+	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) $(BENCH_SUITES)
 
 bench:
 	$(DUNE) exec bench/main.exe -- $(if $(JOBS),--jobs $(JOBS)) all

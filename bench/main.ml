@@ -335,6 +335,23 @@ let micro (session : Session.t) =
   let index_only_scan =
     scan_micro ~indexes:[ [ "a"; "b" ] ] ~path:index_only_path "SELECT b FROM t WHERE b = 17"
   in
+  (* The heap full scan with an equality on [c]: each heap page's
+     synopsis decides whether its record loop runs at all; every page is
+     still fetched.  One counted run gives the pages fetched and skipped
+     per scan, reported next to the table. *)
+  let heap_eq_scan, heap_eq_fetched, heap_eq_skipped =
+    let run =
+      memoized_micro (writes_micro_db ~indexes:[] ()) ~path:full_scan_path
+        "SELECT c FROM t WHERE c = 17"
+    in
+    let fetched = Obs.Registry.counter "buffer_pool.scan_fetches"
+    and skipped = Obs.Registry.counter "heap_file.pages_skipped" in
+    let f0 = Obs.Counter.value fetched and s0 = Obs.Counter.value skipped in
+    Obs.Registry.with_enabled (fun () -> ignore (run ()));
+    ( (fun () -> ignore (run ())),
+      Obs.Counter.value fetched - f0,
+      Obs.Counter.value skipped - s0 )
+  in
   (* A full scan of the 52-page heap right after an index-only scan of
      I(a,b) has left the pool's frames referenced: readahead may take only
      the frames nobody still wants.  One run is the pair; the full scan's
@@ -429,6 +446,7 @@ let micro (session : Session.t) =
       [
         Test.make ~name:"storage/heap-full-scan" (Staged.stage heap_full_scan);
         Test.make ~name:"storage/index-only-scan" (Staged.stage index_only_scan);
+        Test.make ~name:"storage/heap-eq-scan" (Staged.stage heap_eq_scan);
         Test.make ~name:"storage/small-pool-scan" (Staged.stage small_pool_scan);
         Test.make ~name:"engine/memoized-seek" (Staged.stage memoized_seek);
         Test.make ~name:"engine/prepared-seek" (Staged.stage prepared_seek);
@@ -508,6 +526,8 @@ let micro (session : Session.t) =
   Cddpd_util.Text_table.print table;
   Printf.printf "storage/small-pool-scan: %d disk reads per full scan of %d heap pages\n"
     small_pool_reads small_pool_pages;
+  Printf.printf "storage/heap-eq-scan: %d pages fetched, %d pages skipped per scan\n"
+    heap_eq_fetched heap_eq_skipped;
   rows
 
 (* -- machine-readable micro summary (BENCH_micro.json) -------------------- *)
@@ -532,6 +552,26 @@ let json_float f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
 (* Solver timings sit in the sub-millisecond range at small n; keep enough
    digits for the ratios to stay meaningful. *)
 let json_float6 f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
+
+(* Reading back a committed baseline, enough for the exact gates: the
+   position just past the first [tag] in [s] at or after [i]. *)
+let rec json_after s tag i =
+  if i + String.length tag > String.length s then None
+  else if String.equal (String.sub s i (String.length tag)) tag then Some (i + String.length tag)
+  else json_after s tag (i + 1)
+
+(* The raw value after ["name":] in [text] (the first one at or after
+   [from]), quotes stripped, with the position just past it. *)
+let json_field ?(from = 0) ~path text name =
+  match json_after text (Printf.sprintf "\"%s\":" name) from with
+  | None -> failwith (Printf.sprintf "%s has no %s field" path name)
+  | Some start ->
+      let stop = ref start in
+      while !stop < String.length text && text.[!stop] <> ',' && text.[!stop] <> '}' do
+        incr stop
+      done;
+      ( String.concat "" (String.split_on_char '"' (String.sub text start (!stop - start))),
+        !stop )
 
 (* -- statistics-refresh micro --------------------------------------------- *)
 
@@ -1119,6 +1159,29 @@ let write_experiments_json path ~(config : Setup.config) arms bulk =
     bulk.bk_output_equal;
   close_out oc
 
+(* The figure digest is the paper-fidelity gate: when the committed file
+   exists (read before it is overwritten), every arm that ran must give
+   the digest it records.  A missing file skips the check. *)
+let experiments_compare path arms =
+  if Sys.file_exists path then begin
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let rec recorded from =
+      match json_field ~from ~path text "digest" with
+      | "", next -> recorded next
+      | digest, _ -> digest
+      | exception Failure _ -> failwith (Printf.sprintf "experiments: %s records no digest" path)
+    in
+    let digest = recorded 0 in
+    List.iter
+      (fun a ->
+        if (not a.ex_skipped) && not (String.equal a.ex_digest digest) then
+          failwith
+            (Printf.sprintf "experiments: readahead=%d cell_jobs=%d digest is %s, %s records %s"
+               a.ex_readahead a.ex_cell_jobs a.ex_digest path digest))
+      arms;
+    Printf.printf "(every arm that ran matches %s: figure digest %s)\n%!" path digest
+  end
+
 let experiments_suite ~(options : options) () =
   (* Timed arms must not be skewed by main-domain metric recording. *)
   let was_enabled = Obs.Registry.enabled () in
@@ -1178,6 +1241,7 @@ let experiments_suite ~(options : options) () =
     (if bulk.bk_output_equal then "equal" else "DIFFER");
   if not bulk.bk_output_equal then
     failwith "experiments: bulk load state differs from row-at-a-time load";
+  experiments_compare options.experiments_out arms;
   write_experiments_json options.experiments_out ~config arms bulk
 
 (* -- configspace suite: the design-space scaling pipeline ------------------ *)
@@ -1639,32 +1703,15 @@ let write_configspace_json path entries =
 let configspace_compare path entries =
   if Sys.file_exists path then begin
     let text = In_channel.with_open_bin path In_channel.input_all in
-    (* The position just past the first [tag] in [s] at or after [i]. *)
-    let rec after s tag i =
-      if i + String.length tag > String.length s then None
-      else if String.equal (String.sub s i (String.length tag)) tag then
-        Some (i + String.length tag)
-      else after s tag (i + 1)
-    in
-    (* The raw value after ["name":] in [cell], quotes stripped. *)
-    let field cell name =
-      match after cell (Printf.sprintf "\"%s\":" name) 0 with
-      | None -> failwith (Printf.sprintf "configspace: %s has no %s field" path name)
-      | Some start ->
-          let stop = ref start in
-          while !stop < String.length cell && cell.[!stop] <> ',' && cell.[!stop] <> '}' do
-            incr stop
-          done;
-          String.concat "" (String.split_on_char '"' (String.sub cell start (!stop - start)))
-    in
+    let field cell name = fst (json_field ~path:("configspace: " ^ path) cell name) in
     (* Each cell from its ["candidates_cap"] to the next one's. *)
     let tag = "\"candidates_cap\":" in
     let rec cells i =
-      match after text tag i with
+      match json_after text tag i with
       | None -> []
       | Some start ->
           let stop =
-            match after text tag start with
+            match json_after text tag start with
             | Some next -> next - String.length tag
             | None -> String.length text
           in

@@ -9,9 +9,12 @@ let m_write_backs = Obs.Registry.counter "buffer_pool.write_backs"
 let m_scan_fetches = Obs.Registry.counter "buffer_pool.scan_fetches"
 let m_readahead_pages = Obs.Registry.counter "buffer_pool.readahead_pages"
 
+(* A frame holds the disk's stored page itself ([Disk.read]), so a miss
+   and a write-back move no bytes; an empty frame points at [placeholder],
+   which nothing writes to because no live handle reaches it. *)
 type frame = {
   mutable pid : int; (* -1 when the frame is empty *)
-  buffer : Page.t;
+  mutable buffer : Page.t;
   mutable pins : int;
   mutable dirty : bool;
   mutable referenced : bool; (* second-chance bit *)
@@ -50,13 +53,15 @@ type stats = {
 
 let default_readahead = 8
 
+let placeholder = Page.create ()
+
 let create ?(capacity = 256) ?(readahead = default_readahead) disk =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity <= 0";
   if readahead < 0 then invalid_arg "Buffer_pool.create: readahead < 0";
   let make_frame _ =
     {
       pid = -1;
-      buffer = Page.create ();
+      buffer = placeholder;
       pins = 0;
       dirty = false;
       referenced = false;
@@ -83,7 +88,7 @@ let capacity t = Array.length t.frames
 
 let write_back t frame =
   if frame.dirty then begin
-    Disk.write_from t.disk frame.pid frame.buffer;
+    Disk.write t.disk frame.pid;
     Obs.Counter.incr m_write_backs;
     frame.dirty <- false
   end
@@ -184,7 +189,7 @@ let fetch t pid =
           Obs.Counter.incr m_misses;
           let frame = victim t in
           evict t frame;
-          Disk.read_into t.disk pid frame.buffer;
+          frame.buffer <- Disk.read t.disk pid;
           frame.pid <- pid;
           frame.pins <- 1;
           frame.dirty <- false;
@@ -195,8 +200,8 @@ let fetch t pid =
     t.last <- frame;
     frame
 
-(* Prefetch the next non-resident pages of [run], each read straight into
-   its frame.  A batch takes only frames that hold nothing anyone still
+(* Prefetch the next non-resident pages of [run], each into a spare
+   frame.  A batch takes only frames that hold nothing anyone still
    wants: free ones, or unpinned, unreferenced ones that hold no
    unconsumed prefetch.  So it never evicts the pinned leader, the
    referenced working set or its own earlier pages, and it stops at the
@@ -213,7 +218,7 @@ let readahead_batch t ~run ~pos =
         if i >= 0 then begin
           let frame = t.frames.(i) in
           evict t frame;
-          Disk.read_into t.disk pid frame.buffer;
+          frame.buffer <- Disk.read t.disk pid;
           frame.pid <- pid;
           frame.pins <- 0;
           frame.dirty <- false;
@@ -249,7 +254,7 @@ let fetch_sequential t ~run ~pos =
           Obs.Counter.incr m_misses;
           let frame = seq_victim t in
           evict t frame;
-          Disk.read_into t.disk pid frame.buffer;
+          frame.buffer <- Disk.read t.disk pid;
           frame.pid <- pid;
           frame.pins <- 1;
           frame.dirty <- false;
@@ -262,10 +267,10 @@ let fetch_sequential t ~run ~pos =
     frame
 
 let allocate t =
-  let pid = Disk.allocate t.disk in
+  let pid, page = Disk.allocate t.disk in
   let frame = victim t in
   evict t frame;
-  Page.zero frame.buffer;
+  frame.buffer <- page;
   frame.pid <- pid;
   frame.pins <- 1;
   frame.dirty <- true;
@@ -295,6 +300,7 @@ let drop_cache t =
         write_back t frame;
         Hashtbl.remove t.table frame.pid;
         frame.pid <- -1;
+        frame.buffer <- placeholder;
         frame.prefetched <- false;
         t.free <- i :: t.free
       end)

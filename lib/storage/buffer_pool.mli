@@ -6,6 +6,16 @@
     back to disk.  Hit and miss counters let the engine report logical vs.
     physical I/O.
 
+    {2 Frames alias the stored page}
+
+    A frame holds the {!Disk}'s stored page itself ({!Disk.read}), not a
+    private copy: a miss or a readahead counts one disk read and copies
+    nothing, and a dirty write-back counts one disk write and copies
+    nothing.  A frame therefore owns no page memory of its own.  Because
+    the bytes a pinned handle mutates are the stored bytes, a mutation is
+    never lost; {!mark_dirty} still decides whether eviction (or a flush)
+    counts a write-back, which is what the I/O accounting measures.
+
     {2 Pin/unpin discipline}
 
     Every handle returned by {!fetch}, {!fetch_sequential} or {!allocate}
@@ -16,8 +26,9 @@
     evictable when the count returns to zero.  Holding many pins
     concurrently risks [Failure] on a miss — eviction needs at least one
     unpinned frame — so access methods pin briefly: fetch, read/write,
-    unpin.  Mutating a pinned page's buffer is only durable if
-    {!mark_dirty} is called before the pin is released.
+    unpin.  A pinned page's buffer must be marked with {!mark_dirty}
+    before the pin is released whenever it was mutated, so that its
+    write-back is counted.
 
     {2 Clock-sweep eviction policy}
 
@@ -48,8 +59,8 @@
       fetch still terminates.)
     - {e readahead}: a sequential miss prefetches up to the pool's
       readahead budget of upcoming non-resident pages of the scan's page
-      run, each read straight into its frame, so they are hits when the
-      scan reaches them.  A prefetched frame sits unpinned and
+      run, each taking a spare frame, so they are hits when the scan
+      reaches them.  A prefetched frame sits unpinned and
       unreferenced, marked as an unconsumed prefetch until its first
       fetch.  A batch takes only free frames, or unpinned, unreferenced
       frames that hold no unconsumed prefetch, and it never clears a
@@ -125,7 +136,10 @@ val page_id : handle -> int
 (** The disk page id of the pinned page. *)
 
 val mark_dirty : handle -> unit
-(** Record that the page buffer was modified so eviction writes it back. *)
+(** Record that the page buffer was modified, so that eviction (or
+    {!flush_all}) counts one write-back for it.  Without it the mutation
+    still reaches the stored page (the frame aliases it), but no write is
+    counted. *)
 
 val unpin : t -> handle -> unit
 (** Release one pin (must pair with the {!fetch}/{!allocate} that took
@@ -137,9 +151,10 @@ val flush_all : t -> unit
 (** Write all dirty pages back to disk (pages stay cached). *)
 
 val drop_cache : t -> unit
-(** Flush and forget every unpinned frame: the next access to any page is a
-    disk read.  Used to measure cold-cache costs.  Raises [Failure] if a
-    frame is still pinned. *)
+(** Flush and forget every unpinned frame (each emptied frame lets go of
+    its page): the next access to any page is a disk read.  Used to
+    measure cold-cache costs.  Raises [Failure] if a frame is still
+    pinned. *)
 
 val stats : t -> stats
 (** Cumulative per-pool counters. *)

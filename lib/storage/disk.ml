@@ -26,10 +26,11 @@ let grow t =
 let allocate t =
   if t.used >= Array.length t.pages then grow t;
   let pid = t.used in
-  t.pages.(pid) <- Page.create ();
+  let page = Page.create () in
+  t.pages.(pid) <- page;
   t.used <- t.used + 1;
   Obs.Counter.incr m_pages_allocated;
-  pid
+  (pid, page)
 
 let n_pages t = t.used
 
@@ -37,17 +38,16 @@ let check t pid name =
   if pid < 0 || pid >= t.used then
     invalid_arg (Printf.sprintf "Disk.%s: page %d not allocated" name pid)
 
-let read_into t pid dst =
-  check t pid "read_into";
+let read t pid =
+  check t pid "read";
   t.read_count <- t.read_count + 1;
   Obs.Counter.incr m_page_reads;
-  Page.blit ~src:t.pages.(pid) ~dst
+  t.pages.(pid)
 
-let write_from t pid src =
-  check t pid "write_from";
+let write t pid =
+  check t pid "write";
   t.write_count <- t.write_count + 1;
-  Obs.Counter.incr m_page_writes;
-  Page.blit ~src ~dst:t.pages.(pid)
+  Obs.Counter.incr m_page_writes
 
 let stats t = { reads = t.read_count; writes = t.write_count; allocated = t.used }
 

@@ -9,9 +9,10 @@
     Invariants: page ids are dense — [allocate] returns consecutive ids
     starting at 0, ids are never reused, and any read/write of an
     unallocated id is a programming error ([Invalid_argument]), never a
-    silent grow.  Reads and writes copy whole pages by value, so a page
-    buffer handed to [read_into] can be mutated freely without aliasing
-    the store.  Every transfer bumps the corresponding per-disk counter
+    silent grow.  A transfer moves no bytes: {!read} hands out the stored
+    page itself, so a mutation of it is a mutation of the disk page, and
+    {!write} only counts.  What a transfer costs is its count: every
+    {!read} and {!write} bumps the corresponding per-disk counter
     ({!stats}) and, when instrumentation is enabled, the process-wide
     observability counters [disk.page_reads], [disk.page_writes] and
     [disk.pages_allocated] (see docs/OBSERVABILITY.md). *)
@@ -23,19 +24,22 @@ type stats = { reads : int; writes : int; allocated : int }
 val create : unit -> t
 (** An empty disk. *)
 
-val allocate : t -> int
-(** [allocate t] reserves a fresh zeroed page and returns its page id. *)
+val allocate : t -> int * Page.t
+(** [allocate t] reserves a fresh zeroed page and returns its page id and
+    the stored page.  No read is counted: a fresh page holds nothing to
+    read. *)
 
 val n_pages : t -> int
 (** Number of allocated pages. *)
 
-val read_into : t -> int -> Page.t -> unit
-(** [read_into t pid dst] copies page [pid] from the disk into [dst],
-    counting one read.  Raises [Invalid_argument] on an unallocated id. *)
+val read : t -> int -> Page.t
+(** [read t pid] is page [pid] as stored (not a copy), counting one read.
+    Raises [Invalid_argument] on an unallocated id. *)
 
-val write_from : t -> int -> Page.t -> unit
-(** [write_from t pid src] copies [src] onto page [pid], counting one
-    write.  Raises [Invalid_argument] on an unallocated id. *)
+val write : t -> int -> unit
+(** [write t pid] counts one write of page [pid], whose stored bytes the
+    caller has already changed in place.  Raises [Invalid_argument] on an
+    unallocated id. *)
 
 val stats : t -> stats
 (** Cumulative I/O counters. *)

@@ -6,11 +6,28 @@
              (length 0 marks a deleted slot)
    A fresh page has slot count 0 and free_end = Page.size. *)
 
+module Obs = Cddpd_obs
+
+let m_pages_skipped = Obs.Registry.counter "heap_file.pages_skipped"
+
+(* A page's equality synopsis: a bitset of hashed (field, value) pairs over
+   the leading Int fields of the records in slots [0, covered), built by
+   [scan] from the page bytes it fetched anyway.  Records are only
+   appended or tombstoned, so a hashed slot never changes and each slot
+   is hashed once.  [prefix] is the fewest leading Int fields among the
+   live records hashed ([max_int] while there are none): a field below it
+   sits at its fixed offset in every live record of the page.  So a clear
+   bit for a field below [prefix] proves that no live record holds the
+   value there; a set bit proves nothing (a collision, or a record deleted
+   since). *)
+type synopsis = { bits : Bytes.t; mutable covered : int; mutable prefix : int }
+
 type t = {
   pool : Buffer_pool.t;
   mutable pages : int list; (* reversed: head is the last page *)
   mutable page_count : int;
   mutable run : int array; (* the pages oldest first; stale while shorter than page_count *)
+  mutable synopses : synopsis array; (* one per page of [run], same positions *)
   mutable live : int;
 }
 
@@ -25,7 +42,7 @@ let compare_rid a b =
 let header_size = 4
 let slot_size = 4
 
-let create pool = { pool; pages = []; page_count = 0; run = [||]; live = 0 }
+let create pool = { pool; pages = []; page_count = 0; run = [||]; synopses = [||]; live = 0 }
 
 let slot_count page = Page.get_u16 page 0
 let set_slot_count page n = Page.set_u16 page 0 n
@@ -168,23 +185,81 @@ let delete t rid =
         true
       end)
 
+(* -- equality synopses ------------------------------------------------------ *)
+
+let synopsis_log2 = 12 (* 4,096 bits: 512 bytes a page *)
+
+let synopsis_bit ~field v =
+  ((v + (field * 0x9E3779B97F4A7C1)) * 0x2545F4914F6CDD1D) lsr (Sys.int_size - synopsis_log2)
+
+let fresh_synopsis () =
+  { bits = Bytes.make ((1 lsl synopsis_log2) / 8) '\000'; covered = 0; prefix = max_int }
+
+(* Hash the slots appended since the last cover: [n] is the page's slot
+   count, its directory already checked against the page. *)
+let cover syn buf n =
+  if syn.covered < n then begin
+    let bits = syn.bits in
+    let set field v =
+      let b = synopsis_bit ~field v in
+      Bytes.set_uint8 bits (b lsr 3) (Bytes.get_uint8 bits (b lsr 3) lor (1 lsl (b land 7)))
+    in
+    for slot = syn.covered to n - 1 do
+      let dir = header_size + (slot * slot_size) in
+      if u16 buf (dir + 2) > 0 then
+        syn.prefix <- Int.min syn.prefix (Tuple.int_prefix buf ~base:(u16 buf dir) set)
+    done;
+    syn.covered <- n
+  end
+
+(* Whether the synopsis proves that no live record of its page holds one
+   of the equalities [eq] ([field; value] pairs, flattened) from pair [i]
+   on.  Top-level, so a page's test allocates no closure. *)
+let rec excludes syn eq i =
+  i < Array.length eq
+  && (eq.(i) < syn.prefix
+      && (let b = synopsis_bit ~field:eq.(i) eq.(i + 1) in
+          Bytes.get_uint8 syn.bits (b lsr 3) land (1 lsl (b land 7)) = 0)
+     || excludes syn eq (i + 2))
+
+(* The ranges [(off, v, v)] at an Int field's fixed offset, as flattened
+   [field; v] pairs: the ones a synopsis can decide. *)
+let equalities r =
+  let eq = ref [] in
+  for k = (Array.length r / 3) - 1 downto 0 do
+    match Tuple.int_field_of_offset r.(3 * k) with
+    | Some field when r.((3 * k) + 1) = r.((3 * k) + 2) -> eq := field :: r.((3 * k) + 1) :: !eq
+    | Some _ | None -> ()
+  done;
+  Array.of_list !eq
+
+(* -- full scans ------------------------------------------------------------- *)
+
 (* Full scans go through the pool's sequential path over the page run
-   (oldest first): scan-resistant eviction plus readahead.  The run is
-   rebuilt only after the file grew, so a scan allocates nothing. *)
+   (oldest first): scan-resistant eviction plus readahead.  The run (and
+   the synopses beside it) is rebuilt only after the file grew, so a scan
+   allocates nothing per page. *)
 let scan_run t =
   if Array.length t.run <> t.page_count then begin
     let run = Array.make t.page_count (-1) in
     List.iteri (fun i pid -> run.(t.page_count - 1 - i) <- pid) t.pages;
-    t.run <- run
+    t.run <- run;
+    let old = t.synopses in
+    t.synopses <-
+      Array.init t.page_count (fun i -> if i < Array.length old then old.(i) else fresh_synopsis ())
   end;
   t.run
 
-(* One page of the scan kernel: the slot directory read inline, the
-   ranges tested in place, the callback reached only by matches. *)
-let scan_page buf pid r reach f =
+(* The page's slot count, once its directory is known to fit the page. *)
+let checked_slot_count buf =
   let n = Bytes.get_uint16_le buf 0 in
   if header_size + (n * slot_size) > Bytes.length buf then
     invalid_arg "Heap_file: slot directory overruns the page";
+  n
+
+(* One page of the scan kernel: the slot directory read inline, the
+   ranges tested in place, the callback reached only by matches. *)
+let scan_page buf n pid r reach f =
   let last_base = Bytes.length buf - reach in
   for slot = 0 to n - 1 do
     let dir = header_size + (slot * slot_size) in
@@ -195,12 +270,27 @@ let scan_page buf pid r reach f =
     end
   done
 
+(* A page whose synopsis excludes an equality is still fetched (the same
+   logical and physical I/O as a page scanned); only its record loop is
+   skipped. *)
 let scan t ~ranges f =
   let r = Ranges.triples ranges and reach = Ranges.reach ranges in
+  let eq = equalities r in
   let run = scan_run t in
   for pos = 0 to Array.length run - 1 do
     let handle = Buffer_pool.fetch_sequential t.pool ~run ~pos in
-    match scan_page (Page.to_bytes (Buffer_pool.page handle)) run.(pos) r reach f with
+    match
+      let buf = Page.to_bytes (Buffer_pool.page handle) in
+      let n = checked_slot_count buf in
+      let skip =
+        Array.length eq > 0
+        &&
+        let syn = t.synopses.(pos) in
+        cover syn buf n;
+        excludes syn eq 0
+      in
+      if skip then Obs.Counter.incr m_pages_skipped else scan_page buf n run.(pos) r reach f
+    with
     | () -> Buffer_pool.unpin t.pool handle
     | exception exn ->
         Buffer_pool.unpin t.pool handle;

@@ -48,7 +48,25 @@ val scan : t -> ranges:Ranges.t -> (bytes -> int -> int -> int -> unit) -> unit
     every live record in place and calls [f buf base page slot] only on
     the records that match: the page buffer, the record's byte offset
     (valid only during the call), and the record's rid as two ints.  The
-    loop allocates nothing per record; every full scan goes through it. *)
+    loop allocates nothing per record; every full scan goes through it.
+
+    Each page keeps an equality synopsis: a fixed-size bitset of hashed
+    (field, value) pairs over its records' leading [Int] fields, which
+    the scan builds from the bytes it has fetched, hashing each slot once.
+    When a range [(off, v, v)] sits at the fixed offset
+    ({!Tuple.int_field_offset}) of a field that is [Int] in every live
+    record of the page, and the synopsis has no bit for [v] there, no
+    record of the page can match: the scan skips that page's record loop
+    and counts it in [heap_file.pages_skipped].  A skipped page is still
+    fetched and unpinned like any other, so the scan's logical and
+    physical I/O are the same as without synopses.  A synopsis may say
+    "maybe" for a value only deleted records held, never "no" for a value
+    a live record holds. *)
+
+val synopsis_bit : field:int -> int -> int
+(** [synopsis_bit ~field v] is the bit of a page's synopsis that records
+    value [v] at [Int] field [field].  Exposed so that tests can choose
+    distinct values that share a bit. *)
 
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
 (** Full scan in storage order, skipping deleted slots, decoding every

@@ -4,12 +4,6 @@ type t = bytes
 
 let create () = Bytes.make size '\000'
 
-let copy t = Bytes.copy t
-
-let blit ~src ~dst = Bytes.blit src 0 dst 0 size
-
-let zero t = Bytes.fill t 0 size '\000'
-
 let check t pos len name =
   if pos < 0 || pos + len > Bytes.length t then
     invalid_arg (Printf.sprintf "Page.%s: offset %d (+%d) out of bounds" name pos len)

@@ -14,15 +14,6 @@ type t
 val create : unit -> t
 (** A fresh zeroed page. *)
 
-val copy : t -> t
-(** An independent copy of the page contents. *)
-
-val blit : src:t -> dst:t -> unit
-(** Copy the full contents of [src] over [dst]. *)
-
-val zero : t -> unit
-(** Reset all bytes to 0. *)
-
 val get_i64 : t -> int -> int
 (** Read a 64-bit signed integer. *)
 

@@ -103,6 +103,22 @@ let get_field buf i = get_field_at buf ~base:0 i
 
 let int_field_offset i = 2 + (9 * i) + 1
 
+let int_field_of_offset off =
+  let i = (off - int_field_offset 0) / 9 in
+  if i >= 0 && int_field_offset i = off then Some i else None
+
+let int_prefix buf ~base f =
+  if base < 0 || base + 2 > Bytes.length buf then invalid_arg "Tuple.int_prefix: malformed tuple";
+  let n = Bytes.get_uint16_le buf base in
+  let rec walk i pos =
+    if i < n && pos + 9 <= Bytes.length buf && Bytes.get_uint8 buf pos = tag_int then begin
+      f i (Int64.to_int (Bytes.get_int64_le buf (pos + 1)));
+      walk (i + 1) (pos + 9)
+    end
+    else i
+  in
+  walk 0 (base + 2)
+
 let decode_at buf ~base =
   let fail () = invalid_arg "Tuple.decode: malformed tuple" in
   if base < 0 || base + 2 > Bytes.length buf then fail ();

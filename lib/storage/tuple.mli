@@ -47,6 +47,17 @@ val int_field_offset : int -> int
     64-bit little-endian payload when fields [0..i] are all [Int]s: the
     fixed offsets the scan kernels test ranges at. *)
 
+val int_field_of_offset : int -> int option
+(** The inverse of {!int_field_offset}: [Some i] when [off] is
+    [int_field_offset i], [None] for any other offset. *)
+
+val int_prefix : bytes -> base:int -> (int -> int -> unit) -> int
+(** [int_prefix buf ~base f] calls [f i v] on each field [i] of the
+    leading run of [Int] fields of the tuple encoded at [base], in field
+    order, and returns how many there are: the fields that sit at
+    {!int_field_offset}.  It stops at the first [Text] field, and at a
+    field that would run past the buffer. *)
+
 val field_count : bytes -> int
 (** Number of fields of an encoded tuple without decoding it. *)
 

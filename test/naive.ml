@@ -29,6 +29,12 @@
    plan's access path does.  The executor's compiled filters and scan
    kernels must return the same rows in the same order.
 
+   Heap scans: the scan kernel with no ranges, so no page is ever
+   skipped, and each (offset, lo, hi) triple tested on the raw bytes of
+   every live record.  A scan with ranges, and the per-page synopses that
+   let it skip pages, must return the same records in the same order for
+   the same page accesses.
+
    Index builds: every live heap row decoded, its key columns and rid
    gathered into one array per entry, the arrays sorted by comparator and
    bulk-loaded.  [Index.build] must give the same entries in the same
@@ -254,6 +260,22 @@ let select db (select : Ast.select) path =
   visited
   |> List.filter (fun tuple -> List.for_all (satisfies schema tuple) select.Ast.where)
   |> List.map project
+
+(* -- heap scans --------------------------------------------------------------- *)
+
+(* The records a scan with [triples] (as [Ranges.of_list] takes them)
+   returns, as (page, slot, tuple) in storage order. *)
+let heap_scan heap triples =
+  let out = ref [] in
+  Heap_file.scan heap ~ranges:Cddpd_storage.Ranges.none (fun buf base page slot ->
+      if
+        List.for_all
+          (fun (off, lo, hi) ->
+            let v = Int64.to_int (Bytes.get_int64_le buf (base + off)) in
+            lo <= v && v <= hi)
+          triples
+      then out := (page, slot, Tuple.decode_at buf ~base) :: !out);
+  List.rev !out
 
 (* -- index builds ------------------------------------------------------------ *)
 
