@@ -56,19 +56,23 @@ lint-update-baseline:
 # Quick perf sanity: micro-benchmarks + a timed Problem.build and every
 # gated suite.  Pass JOBS=1 to force the sequential path.  It compares and
 # never rewrites: every result file goes under $(BENCH_OUT)/, so the tree
-# stays clean.  The committed configspace and experiments baselines are
-# copied there first, and each suite checks its fresh result against that
-# copy before overwriting it: the configspace cells exactly, and the
-# figure digest on every sweep arm that ran (the paper-fidelity gate).
-# The serve suite carries its own hard gates: per-window digests must
-# match between the incremental and from-scratch arms, and stable-phase
-# windows must hit the what-if-call reduction floor.
+# stays clean.  The committed configspace, experiments, serve and ingest
+# baselines are copied there first, and each suite checks its fresh result
+# against that copy before overwriting it: the configspace cells exactly,
+# the figure digest on every sweep arm that ran (the paper-fidelity gate),
+# and every deterministic serve and ingest field exactly (what-if calls,
+# reuse tallies, atom-memo and plan-memo counters, logical I/O; wall times
+# stay ungated).  The serve and ingest suites also carry their own hard
+# gates: per-window digests must match between each suite's two arms,
+# stable-phase windows must hit the what-if-call reduction floor, and the
+# ingest path must clear its throughput floor over the reference path.
 BENCH_OUT = _build/bench
 BENCH_SUITES = micro solvers experiments configspace serve ingest
 
 bench-smoke:
 	@mkdir -p $(BENCH_OUT)
-	cp BENCH_configspace.json BENCH_experiments.json $(BENCH_OUT)/
+	cp BENCH_configspace.json BENCH_experiments.json BENCH_serve.json BENCH_ingest.json \
+	  $(BENCH_OUT)/
 	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) $(BENCH_SUITES) \
 	  --obs-out $(BENCH_OUT)/BENCH_obs.json --micro-out $(BENCH_OUT)/BENCH_micro.json \
 	  --solvers-out $(BENCH_OUT)/BENCH_solvers.json \
@@ -77,8 +81,9 @@ bench-smoke:
 	  --serve-out $(BENCH_OUT)/BENCH_serve.json --ingest-out $(BENCH_OUT)/BENCH_ingest.json
 
 # The only target that writes the committed baselines (the same run as
-# bench-smoke, writing at the repository root).  The configspace and
-# experiments gates still compare with the files they replace, so a
+# bench-smoke, writing at the repository root).  The configspace,
+# experiments, serve and ingest gates still compare with the files they
+# replace, so a
 # change that moves a digest on purpose deletes that file first and says
 # why.
 bench-update:

@@ -573,6 +573,70 @@ let json_field ?(from = 0) ~path text name =
       ( String.concat "" (String.split_on_char '"' (String.sub text start (!stop - start))),
         !stop )
 
+(* The raw value at [names] in [text]: each name but the last moves past
+   the first ["name":] at or after where the previous one led, and the
+   last is read with [json_field]. *)
+let json_walk ~path text names =
+  let rec go from = function
+    | [] -> invalid_arg "json_walk: no field"
+    | [ name ] -> fst (json_field ~from ~path text name)
+    | name :: rest -> (
+        match json_after text (Printf.sprintf "\"%s\":" name) from with
+        | Some next -> go next rest
+        | None -> failwith (Printf.sprintf "%s has no %s field" path name))
+  in
+  go 0 names
+
+(* The records of [text] that start with the key [tag] (["name":]), each
+   running to the next one's start or to the end of [text]. *)
+let json_records text tag =
+  let rec from i =
+    match json_after text tag i with
+    | None -> []
+    | Some start ->
+        let first = start - String.length tag in
+        let stop =
+          match json_after text tag start with
+          | Some next -> next - String.length tag
+          | None -> String.length text
+        in
+        String.sub text first (stop - first) :: from stop
+  in
+  from 0
+
+(* The exact gate against a committed baseline, run before it is
+   overwritten: every field path in [fields] must read the same in the
+   [fresh] JSON as in the file at [path], and so must every path of
+   [records]'s field list within each record its tag starts, records
+   paired by position.  Only deterministic fields are listed; wall times
+   never are.  A missing file skips the check. *)
+let baseline_compare ~suite ?records ~fields path fresh =
+  if Sys.file_exists path then begin
+    let recorded = In_channel.with_open_bin path In_channel.input_all in
+    let check where was_text now_text names =
+      let was = json_walk ~path was_text names in
+      let now = json_walk ~path:(suite ^ " result") now_text names in
+      if not (String.equal was now) then
+        failwith
+          (Printf.sprintf "%s: %s%s is %s, %s records %s" suite where
+             (String.concat "." names) now path was)
+    in
+    List.iter (check "" recorded fresh) fields;
+    Option.iter
+      (fun (tag, record_fields) ->
+        let was = json_records recorded tag and now = json_records fresh tag in
+        if List.length was <> List.length now then
+          failwith
+            (Printf.sprintf "%s: %d records, %s records %d" suite (List.length now) path
+               (List.length was));
+        List.iteri
+          (fun i (w, n) ->
+            List.iter (check (Printf.sprintf "record %d " i) w n) record_fields)
+          (List.combine was now))
+      records;
+    Printf.printf "(every deterministic field matches %s)\n%!" path
+  end
+
 (* -- statistics-refresh micro --------------------------------------------- *)
 
 (* One statistics refresh after a single-row-rewriting UPDATE on the
@@ -1704,20 +1768,6 @@ let configspace_compare path entries =
   if Sys.file_exists path then begin
     let text = In_channel.with_open_bin path In_channel.input_all in
     let field cell name = fst (json_field ~path:("configspace: " ^ path) cell name) in
-    (* Each cell from its ["candidates_cap"] to the next one's. *)
-    let tag = "\"candidates_cap\":" in
-    let rec cells i =
-      match json_after text tag i with
-      | None -> []
-      | Some start ->
-          let stop =
-            match json_after text tag start with
-            | Some next -> next - String.length tag
-            | None -> String.length text
-          in
-          String.sub text (start - String.length tag) (stop - start + String.length tag)
-          :: cells stop
-    in
     List.iter
       (fun cell ->
         let cap = field cell "candidates_cap" and n = field cell "n_steps" in
@@ -1739,7 +1789,7 @@ let configspace_compare path entries =
                 ("solve_cost", field cell "solve_cost", json_float e.cg_cost);
                 ("measured what-ifs", field cell "measured", string_of_int e.cg_measured_whatif);
               ])
-      (cells 0);
+      (json_records text "\"candidates_cap\":");
     Printf.printf "\n(every cell matches %s: digest, solve cost, what-ifs)\n%!" path
   end
 
@@ -1747,8 +1797,9 @@ let configspace_compare path entries =
 
 (* Two serve runs over the same phased trace on identically-seeded
    databases — one threading the persistent {!Reopt} session (the
-   default), one with reuse disabled ([--no-reopt-reuse]'s from-scratch
-   path) — with drift detection forced to re-optimize at every window
+   default), one with [Server.config.reopt_reuse] off, the from-scratch
+   reference this suite alone runs — with drift detection forced to
+   re-optimize at every window
    close, so the stable-phase windows expose the incremental rebuild.
    Instrumentation stays ENABLED for both arms: the headline is what-if
    call counts, and [cost_model.calls] is silent otherwise.  Wall times
@@ -1863,8 +1914,9 @@ let serve_run_arm ~reuse trace =
   Array.iter
     (fun stmt ->
       match Server.feed server stmt with
-      | None -> ()
-      | Some w ->
+      | Error message -> failwith ("serve: statement rejected: " ^ message)
+      | Ok None -> ()
+      | Ok (Some w) ->
           let now = Server.reopt_stats server in
           let dr f = f now.Reopt.reuse - f !prev.Reopt.reuse in
           cells :=
@@ -2016,7 +2068,7 @@ let serve_suite () =
     incr.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.misses;
   (scratch, incr, clusters)
 
-let write_serve_json path (scratch, incr, clusters) =
+let serve_json (scratch, incr, clusters) =
   let cfg = serve_server_config ~reuse:true in
   let calls_scratch = serve_stable_sum (fun c -> c.se_whatif) scratch in
   let calls_incr = serve_stable_sum (fun c -> c.se_whatif) incr in
@@ -2025,8 +2077,8 @@ let write_serve_json path (scratch, incr, clusters) =
   let stable_windows =
     Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 serve_stable
   in
-  let oc = open_out path in
-  Printf.fprintf oc
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf
     "{\"schema\":\"cddpd-bench-serve/3\",\"rows\":%d,\"value_range\":%d,\
      \"window\":%d,\"pool\":%d,\"history\":%d,\"k\":%d,\"method\":\"%s\",\
      \"jobs\":1,\"cores\":%d,\"phases\":\"%s\",\"cells\":["
@@ -2038,7 +2090,7 @@ let write_serve_json path (scratch, incr, clusters) =
   Array.iteri
     (fun i (s : serve_cell) ->
       let c = incr.se_cells.(i) in
-      Printf.fprintf oc
+      Printf.bprintf buf
         "%s{\"index\":%d,\"phase\":\"%s\",\"stable\":%b,\"clusters\":%d,\
          \"digest_equal\":%b,\"from_scratch\":{\"whatif_calls\":%d,\
          \"reopt_s\":%s},\"incremental\":{\"whatif_calls\":%d,\"reopt_s\":%s,\
@@ -2049,7 +2101,7 @@ let write_serve_json path (scratch, incr, clusters) =
         s.se_whatif (json_float6 s.se_reopt_s) c.se_whatif
         (json_float6 c.se_reopt_s) c.se_exec_reused c.se_recosted)
     scratch.se_cells;
-  Printf.fprintf oc
+  Printf.bprintf buf
     "],\"stable\":{\"windows\":%d,\"whatif_calls_from_scratch\":%d,\
      \"whatif_calls_incremental\":%d,\"whatif_ratio\":%s,\
      \"reopt_s_from_scratch\":%s,\"reopt_s_incremental\":%s,\"speedup\":%s},"
@@ -2060,7 +2112,7 @@ let write_serve_json path (scratch, incr, clusters) =
     (json_float (reopt_s_scratch /. reopt_s_incr));
   let tallies = incr.se_stats.Reopt.reuse in
   let cache = incr.se_stats.Reopt.cache in
-  Printf.fprintf oc
+  Printf.bprintf buf
     "\"totals\":{\"wall_from_scratch_s\":%s,\"wall_incremental_s\":%s,\
      \"incremental\":{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
      \"builds\":%d,\"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
@@ -2074,17 +2126,44 @@ let write_serve_json path (scratch, incr, clusters) =
     cache.Cddpd_engine.Cost_cache.evictions
     scratch.se_stats.Reopt.reoptimizations
     scratch.se_stats.Reopt.warm_start_bounds;
-  close_out oc
+  Buffer.contents buf
+
+(* The serve gate: every deterministic field of the committed baseline —
+   per window, the cluster table and both arms' what-if calls and the
+   incremental reuse tallies; the stable-window totals; the incremental
+   session's builds and atom memo — must reappear exactly.  Wall times
+   stay ungated. *)
+let serve_compare path json =
+  baseline_compare ~suite:"serve" path json
+    ~records:
+      ( "\"index\":",
+        [
+          [ "phase" ]; [ "stable" ]; [ "clusters" ]; [ "digest_equal" ];
+          [ "from_scratch"; "whatif_calls" ]; [ "incremental"; "whatif_calls" ];
+          [ "incremental"; "exec_columns_reused" ]; [ "incremental"; "clusters_recosted" ];
+        ] )
+    ~fields:
+      ([ [ "rows" ]; [ "value_range" ]; [ "window" ]; [ "pool" ]; [ "history" ]; [ "k" ];
+         [ "method" ]; [ "phases" ]; [ "windows" ]; [ "whatif_calls_from_scratch" ];
+         [ "whatif_calls_incremental" ]; [ "whatif_ratio" ] ]
+      @ List.map
+          (fun name -> [ "totals"; "incremental"; name ])
+          [ "reoptimizations"; "warm_start_bounds"; "builds"; "exec_columns_reused";
+            "clusters_recosted" ]
+      @ List.map (fun name -> [ "totals"; "incremental"; "cache"; name ])
+          [ "hits"; "misses"; "evictions" ]
+      @ List.map (fun name -> [ "totals"; "from_scratch"; name ])
+          [ "reoptimizations"; "warm_start_bounds" ])
 
 (* -- ingest suite: serve statement fast path -------------------------------- *)
 
 (* The same phased raw-SQL trace replayed through two serve loops on
-   identically-seeded databases: the fast path (statement-template cache,
-   one-pass cost keys, plan-choice memo — the defaults) against
-   [--no-template-cache --no-plan-cache].  The caches claim bit-identity,
-   so every window's control decisions, drift distances, what-if call
-   counts and measured I/O must agree between the arms — checked with
-   failwith on every run, not just recorded.  The headline is ingest
+   identically-seeded databases: the fast path ([Server.feed_sql]:
+   statement-template cache, one-pass cost keys, plan-choice memo) against
+   the memo-free reference ([Parser.parse] + [Server.feed]).  The caches
+   claim bit-identity, so every window's control decisions, drift
+   distances, what-if call counts and measured I/O must agree between the
+   arms — checked with failwith on every run, not just recorded.  The headline is ingest
    statement throughput: per-feed wall time is split into an ingest
    bucket (feeds that only execute and buffer) and a close bucket (the
    one feed per window that also runs drift detection, re-optimization
@@ -2169,14 +2248,8 @@ let ingest_trace () =
     ingest_phases;
   Array.of_list (List.rev !texts)
 
-let ingest_config ~fast =
-  {
-    (Server.default_config ~table:"t") with
-    Server.window = ingest_window;
-    jobs = Some 1;
-    template_cache = fast;
-    plan_cache = fast;
-  }
+let ingest_config =
+  { (Server.default_config ~table:"t") with Server.window = ingest_window; jobs = Some 1 }
 
 (* The serve digest plus the window's what-if call count: the caches must
    not change how much cost-model work re-optimization does either. *)
@@ -2192,13 +2265,19 @@ type ingest_arm = {
   in_exec_io : int;
   in_trans_io : int;
   in_report_digest : string;  (** the final report's counters, bit-precise *)
-  in_template : Template.stats option;
+  in_template : Template.stats option;  (** [None] on the reference arm *)
   in_plan : Plan_cache.stats;
 }
 
+(* The fast arm feeds raw text; the reference arm parses each text from
+   scratch inside the timed feed, so both arms pay for parsing. *)
 let ingest_run_arm ~fast trace =
   let db = ingest_db () in
-  let server = Server.create db (ingest_config ~fast) in
+  let server = Server.create db ingest_config in
+  let feed text =
+    if fast then Server.feed_sql server text
+    else Result.bind (Parser.parse text) (Server.feed server)
+  in
   let digests = ref [] in
   let ingest_s = ref 0.0 in
   let close_s = ref 0.0 in
@@ -2206,14 +2285,14 @@ let ingest_run_arm ~fast trace =
   Array.iter
     (fun text ->
       let t0 = Unix.gettimeofday () in
-      match Server.feed_sql server text with
+      match feed text with
       | Ok None ->
           ingest_s := !ingest_s +. (Unix.gettimeofday () -. t0);
           incr ingest_n
       | Ok (Some w) ->
           close_s := !close_s +. (Unix.gettimeofday () -. t0);
           digests := ingest_window_digest w :: !digests
-      | Error message -> failwith ("ingest: parse error: " ^ message))
+      | Error message -> failwith ("ingest: statement rejected: " ^ message))
     trace;
   let report = Server.finish server in
   let report_digest =
@@ -2233,7 +2312,7 @@ let ingest_run_arm ~fast trace =
     in_exec_io = report.Server.exec_logical_io;
     in_trans_io = report.Server.trans_logical_io;
     in_report_digest = report_digest;
-    in_template = Server.template_stats server;
+    in_template = (if fast then Some (Server.template_stats server) else None);
     in_plan = Cddpd_engine.Database.plan_cache_stats db;
   }
 
@@ -2256,34 +2335,34 @@ let ingest_suite () =
     (Array.length ingest_phases) ingest_window ingest_pool_size
     ingest_churn_every
     (String.concat "" (Array.to_list ingest_phases));
-  let slow = ingest_run_arm ~fast:false trace in
+  let reference = ingest_run_arm ~fast:false trace in
   let fast = ingest_run_arm ~fast:true trace in
   let n = Array.length ingest_phases in
   if
-    Array.length slow.in_digests <> n || Array.length fast.in_digests <> n
+    Array.length reference.in_digests <> n || Array.length fast.in_digests <> n
   then failwith "ingest: expected one closed window per phase entry";
   Array.iteri
     (fun i d ->
       if not (String.equal d fast.in_digests.(i)) then
         failwith
           (Printf.sprintf
-             "ingest: window %d differs between slow and fast arms:\n\
-             \  slow %s\n  fast %s"
+             "ingest: window %d differs between reference and fast arms:\n\
+             \  reference %s\n  fast      %s"
              i d fast.in_digests.(i)))
-    slow.in_digests;
-  if not (String.equal slow.in_report_digest fast.in_report_digest) then
+    reference.in_digests;
+  if not (String.equal reference.in_report_digest fast.in_report_digest) then
     failwith
       (Printf.sprintf
-         "ingest: final reports differ:\n  slow %s\n  fast %s"
-         slow.in_report_digest fast.in_report_digest);
-  let ratio = ingest_rate fast /. ingest_rate slow in
+         "ingest: final reports differ:\n  reference %s\n  fast      %s"
+         reference.in_report_digest fast.in_report_digest);
+  let ratio = ingest_rate fast /. ingest_rate reference in
   Printf.printf
-    "slow arm (--no-template-cache --no-plan-cache): %d ingest statements \
+    "reference arm (Parser.parse + Server.feed): %d ingest statements \
      in %.3fs (%.0f/s), window closes %.3fs\n%!"
-    slow.in_ingest_statements slow.in_ingest_s (ingest_rate slow)
-    slow.in_close_s;
+    reference.in_ingest_statements reference.in_ingest_s (ingest_rate reference)
+    reference.in_close_s;
   Printf.printf
-    "fast arm (defaults):                            %d ingest statements \
+    "fast arm (Server.feed_sql):                 %d ingest statements \
      in %.3fs (%.0f/s), window closes %.3fs\n%!"
     fast.in_ingest_statements fast.in_ingest_s (ingest_rate fast)
     fast.in_close_s;
@@ -2304,12 +2383,14 @@ let ingest_suite () =
   if ratio < ingest_min_ratio then
     failwith
       (Printf.sprintf
-         "ingest: fast/slow throughput ratio %.2fx below the %.0fx floor \
+         "ingest: fast/reference throughput ratio %.2fx below the %.0fx floor \
           (%.0f/s vs %.0f/s)"
-         ratio ingest_min_ratio (ingest_rate fast) (ingest_rate slow));
-  (slow, fast, ratio)
+         ratio ingest_min_ratio (ingest_rate fast) (ingest_rate reference));
+  (reference, fast, ratio)
 
-let write_ingest_json path (slow, fast, ratio) =
+(* The reference arm is recorded under the key "slow": the committed
+   baseline's schema fixes it, and the exact gate reads it. *)
+let ingest_json (reference, fast, ratio) =
   let arm_json a =
     Printf.sprintf
       "{\"statements\":%d,\"ingest_statements\":%d,\"ingest_wall_s\":%s,\
@@ -2329,8 +2410,7 @@ let write_ingest_json path (slow, fast, ratio) =
       a.in_plan.Plan_cache.hits a.in_plan.Plan_cache.misses
       a.in_plan.Plan_cache.invalidations a.in_plan.Plan_cache.entries
   in
-  let oc = open_out path in
-  Printf.fprintf oc
+  Printf.sprintf
     "{\"schema\":\"cddpd-bench-ingest/2\",\"rows\":%d,\"value_range\":%d,\
      \"window\":%d,\"pool\":%d,\"churn_every\":%d,\"phases\":\"%s\",\
      \"jobs\":1,\"cores\":%d,\"fast\":%s,\"slow\":%s,\
@@ -2339,9 +2419,29 @@ let write_ingest_json path (slow, fast, ratio) =
     ingest_churn_every
     (Obs.Sink.json_escape (String.concat "" (Array.to_list ingest_phases)))
     (Cddpd_util.Parallel.ncpu ())
-    (arm_json fast) (arm_json slow) (json_float ratio)
-    (json_float ingest_min_ratio);
-  close_out oc
+    (arm_json fast) (arm_json reference) (json_float ratio)
+    (json_float ingest_min_ratio)
+
+(* The ingest gate: the trace shape, and per arm the statement counts,
+   the measured execution and migration I/O and the memo counters, must
+   match the committed baseline exactly.  Wall times and the throughput
+   ratio stay ungated here; the ratio has its own floor. *)
+let ingest_compare path json =
+  let arm name =
+    List.map (fun field -> [ name; field ])
+      [ "statements"; "ingest_statements"; "exec_logical_io"; "trans_logical_io" ]
+    @ List.map (fun field -> [ name; "plan_cache"; field ])
+        [ "hits"; "misses"; "invalidations"; "entries" ]
+  in
+  baseline_compare ~suite:"ingest" path json
+    ~fields:
+      ([ [ "rows" ]; [ "value_range" ]; [ "window" ]; [ "pool" ]; [ "churn_every" ];
+         [ "phases" ] ]
+      @ arm "fast"
+      @ List.map (fun field -> [ "fast"; "template_cache"; field ])
+          [ "exact_hits"; "misses"; "entries" ]
+      @ arm "slow"
+      @ [ [ "slow"; "template_cache" ] ])
 
 let () =
   let ({ experiments; config; metrics; obs_out; micro_out; solvers_out;
@@ -2453,14 +2553,16 @@ let () =
             options.configspace_out
       | "serve" ->
           banner "Serve: incremental re-optimization across windows";
-          let arms = serve_suite () in
-          write_serve_json options.serve_out arms;
+          let json = serve_json (serve_suite ()) in
+          serve_compare options.serve_out json;
+          Out_channel.with_open_bin options.serve_out (fun oc -> output_string oc json);
           Printf.printf "\n(wrote incremental re-optimization baseline to %s)\n%!"
             options.serve_out
       | "ingest" ->
           banner "Ingest: serve statement fast path";
-          let arms = ingest_suite () in
-          write_ingest_json options.ingest_out arms;
+          let json = ingest_json (ingest_suite ()) in
+          ingest_compare options.ingest_out json;
+          Out_channel.with_open_bin options.ingest_out (fun oc -> output_string oc json);
           Printf.printf "\n(wrote ingest fast-path baseline to %s)\n%!"
             options.ingest_out
       | _ -> usage ())

@@ -453,32 +453,6 @@ let once_arg =
            ~doc:"Drain the input and exit (requires $(b,--input)); the smoke \
                  mode CI replays a canned trace through.")
 
-let no_reopt_reuse_arg =
-  Arg.(value & flag
-       & info [ "no-reopt-reuse" ]
-           ~doc:"Disable incremental re-optimization: every drift event \
-                 rebuilds cost matrices from scratch instead of reusing the \
-                 previous window-set's per-cluster atom costs. \
-                 Results are bit-identical either way; this is the escape \
-                 hatch (and the from-scratch arm of bench --suite serve).")
-
-let no_template_cache_arg =
-  Arg.(value & flag
-       & info [ "no-template-cache" ]
-           ~doc:"Disable the statement cache: every arriving text is lexed \
-                 and parsed from scratch instead of reusing the cached AST \
-                 of a repeated text. Results are bit-identical either way; \
-                 this is the escape hatch (and the slow arm of bench --suite \
-                 ingest).")
-
-let no_plan_cache_arg =
-  Arg.(value & flag
-       & info [ "no-plan-cache" ]
-           ~doc:"Disable the plan-choice memo: every statement re-runs \
-                 plan selection against the cost model. Results are bit-identical either way; this is \
-                 the escape hatch (and the slow arm of bench --suite \
-                 ingest).")
-
 let status_json_arg =
   Arg.(value & flag
        & info [ "status" ]
@@ -608,8 +582,8 @@ let feed_file server path =
       loop 1)
 
 let serve input once regime window history horizon drift_threshold regret_budget
-    rollback_factor k method_name rows value_range seed readahead jobs
-    no_reopt_reuse no_template_cache no_plan_cache status_json metrics trace =
+    rollback_factor k method_name rows value_range seed readahead jobs status_json
+    metrics trace =
   apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   if once && input = None then begin
@@ -620,10 +594,7 @@ let serve input once regime window history horizon drift_threshold regret_budget
     let cfg =
       { serve_defaults with
         Server.regime; window; history; horizon; drift_threshold; regret_budget;
-        rollback_factor; k; method_name; jobs;
-        reopt_reuse = not no_reopt_reuse;
-        template_cache = not no_template_cache;
-        plan_cache = not no_plan_cache }
+        rollback_factor; k; method_name; jobs }
     in
     let db = Setup.make_database (config_of ~readahead rows value_range seed 1.0) in
     let on_window = if status_json then fun _ -> () else print_window_line in
@@ -646,9 +617,8 @@ let serve_cmd =
     Term.(const serve $ serve_input_arg $ once_arg $ regime_arg $ window_arg
           $ history_arg $ horizon_arg $ drift_threshold_arg $ regret_budget_arg
           $ rollback_factor_arg $ serve_k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_reopt_reuse_arg $ no_template_cache_arg
-          $ no_plan_cache_arg $ status_json_arg $ metrics_arg $ trace_spans_arg)
+          $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg $ status_json_arg
+          $ metrics_arg $ trace_spans_arg)
 
 (* -- main ---------------------------------------------------------------------- *)
 

@@ -39,8 +39,10 @@ type stats = {
 val create : ?reuse:bool -> Cddpd_engine.Database.t -> t
 (** A fresh session over [db].  [reuse] (default [true]) enables the
     persistent {!Problem.Reuse} state; with [reuse:false] every
-    {!build_problem} is a from-scratch build (the [--no-reopt-reuse]
-    escape hatch) and only warm-started solving remains. *)
+    {!build_problem} is a from-scratch build and only warm-started
+    solving remains.  No flag sets it: the serve bench's from-scratch arm
+    ([Server.config.reopt_reuse]) is its one [false] caller, the reference
+    the incremental path's what-if-call gate compares against. *)
 
 val build_problem :
   ?statement_keys:Cddpd_engine.Cost_key.id array -> t -> Advisor.request -> Problem.t

@@ -68,8 +68,6 @@ type config = {
   space_bound_bytes : int option;
   jobs : int option;
   reopt_reuse : bool;
-  template_cache : bool;
-  plan_cache : bool;
 }
 
 let default_config ~table =
@@ -89,8 +87,6 @@ let default_config ~table =
     space_bound_bytes = None;
     jobs = None;
     reopt_reuse = true;
-    template_cache = true;
-    plan_cache = true;
   }
 
 type action =
@@ -168,8 +164,7 @@ type t = {
   buf : Ast.statement array;
   buf_keys : Cost_key.id array;  (* feed-time cost keys; [no_key] for deferred DML *)
   buf_gens : int array;  (* statistics generation each key was computed under; -1 = deferred *)
-  parse_cache : (Database.prepared, Cost_key.id) Template.t option;
-      (* None when cfg.template_cache is off *)
+  parse_cache : (Database.prepared, Cost_key.id) Template.t;
   intern : Cost_key.id Cost_key.Id_tbl.t;  (* one shared id per distinct cost key *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
   mutable fill : int;
@@ -207,7 +202,7 @@ let create ?(on_window = fun _ -> ()) db cfg =
     buf = Array.make cfg.window (Ast.Select { projection = Ast.Star; table = cfg.table; where = [] });
     buf_keys = Array.make cfg.window no_key;
     buf_gens = Array.make cfg.window (-1);
-    parse_cache = (if cfg.template_cache then Some (Template.create ()) else None);
+    parse_cache = Template.create ();
     intern = Cost_key.Id_tbl.create 256;
     window_started_s = 0.0;
     fill = 0;
@@ -227,11 +222,9 @@ let create ?(on_window = fun _ -> ()) db cfg =
     rollbacks = 0;
   }
 
-let config t = t.cfg
-
 let reopt_stats t = Reopt.stats t.reopt
 
-let template_stats t = Option.map Template.stats t.parse_cache
+let template_stats t = Template.stats t.parse_cache
 
 let statement_cache t = t.parse_cache
 
@@ -546,7 +539,10 @@ let close_window t window fed_keys fed_gens =
   t.on_window report;
   report
 
-let feed_statement t ?entry prepared statement =
+(* [plan_memo] passes the statement's cost key to the plan memo; only the
+   ingest path ({!feed_sql}) sets it, so {!feed} stays the memo-free
+   reference. *)
+let feed_statement t ~plan_memo ?entry prepared statement =
   if t.fill = 0 && Obs.Registry.enabled () then
     t.window_started_s <- Obs.Span.now_s ();
   let read_only = Ast.is_read_only statement in
@@ -558,10 +554,8 @@ let feed_statement t ?entry prepared statement =
      own table's statistics; serve keys everything under the served table
      (the drift convention), so only that table's reads pass one. *)
   let statement_key =
-    if
-      t.cfg.plan_cache && read_only
-      && String.equal (Ast.table_of statement) t.cfg.table
-    then Some key
+    if plan_memo && read_only && String.equal (Ast.table_of statement) t.cfg.table then
+      Some key
     else None
   in
   let result = Database.run ?statement_key t.db prepared in
@@ -582,45 +576,39 @@ let feed_statement t ?entry prepared statement =
   end
   else None
 
-let feed t statement =
-  Check.statement_exn (Database.tables t.db) statement;
-  feed_statement t (Database.prepare statement) statement
-
 (* Semantic validation runs before the statement is keyed, executed or
    buffered, so a statement the schema rejects is skipped like a lexical
-   error.  A cache entry remembers that its statement passed: repeated
-   texts skip the check.  [validated] also tells a repeated text from a
-   first sight: a text runs its first execution on a transient handle and
-   keeps one from its second on, so a text seen once keeps nothing. *)
-let feed_checked t ?entry statement =
-  let validated = match entry with Some e -> e.Template.validated | None -> false in
-  match if validated then Ok () else Check.statement (Database.tables t.db) statement with
+   error. *)
+let feed t statement =
+  match Check.statement (Database.tables t.db) statement with
   | Error e -> Error e
-  | Ok () ->
-      let prepared =
-        match entry with
-        | Some ({ Template.prepared = Some prepared; _ } : _ Template.entry) -> prepared
-        | Some e when validated ->
-            let prepared = Database.prepare statement in
-            e.Template.prepared <- Some prepared;
-            prepared
-        | Some e ->
-            e.Template.validated <- true;
-            Database.prepare statement
-        | None -> Database.prepare statement
-      in
-      Ok (feed_statement t ?entry prepared statement)
+  | Ok () -> Ok (feed_statement t ~plan_memo:false (Database.prepare statement) statement)
 
+(* A cache entry remembers that its statement passed the check: repeated
+   texts skip it.  [validated] also tells a repeated text from a first
+   sight: a text runs its first execution on a transient handle and keeps
+   one from its second on, so a text seen once keeps nothing. *)
 let feed_sql t sql =
-  match t.parse_cache with
-  | Some cache -> (
-      match Parser.parse_cached cache sql with
-      | Ok entry -> feed_checked t ~entry entry.Template.statement
-      | Error e -> Error e)
-  | None -> (
-      match Parser.parse sql with
-      | Ok statement -> feed_checked t statement
-      | Error e -> Error e)
+  match Parser.parse_cached t.parse_cache sql with
+  | Error e -> Error e
+  | Ok entry -> (
+      let statement = entry.Template.statement in
+      let validated = entry.Template.validated in
+      match if validated then Ok () else Check.statement (Database.tables t.db) statement with
+      | Error e -> Error e
+      | Ok () ->
+          let prepared =
+            match entry.Template.prepared with
+            | Some prepared -> prepared
+            | None when validated ->
+                let prepared = Database.prepare statement in
+                entry.Template.prepared <- Some prepared;
+                prepared
+            | None ->
+                entry.Template.validated <- true;
+                Database.prepare statement
+          in
+          Ok (feed_statement t ~plan_memo:true ~entry prepared statement))
 
 let finish t =
   {

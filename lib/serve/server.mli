@@ -65,22 +65,11 @@ type config = {
   jobs : int option;  (** domains for {!Cddpd_core.Problem.build} *)
   reopt_reuse : bool;
       (** thread a persistent {!Cddpd_core.Reopt} session through
-          re-optimizations (default [true]); [false] is the
-          [--no-reopt-reuse] escape hatch — every re-optimization builds
-          from scratch, with bit-identical results *)
-  template_cache : bool;
-      (** parse arriving SQL through a statement cache: a repeated text
-          reuses its parsed AST, and a fresh text is parsed and cached
-          (default [true]); [false] is the [--no-template-cache] escape
-          hatch — {!feed_sql} parses every text from scratch, with
-          bit-identical results *)
-  plan_cache : bool;
-      (** memoize plan choice on the statement's cost key (flushed on
-          every design change) for read-only statements against the
-          served table (default [true]): a hit is the plan, which holds
-          no literal.  [false] is the [--no-plan-cache] escape hatch —
-          every statement is planned from scratch, with bit-identical
-          results *)
+          re-optimizations (default [true]); [false] builds every
+          re-optimization from scratch, with bit-identical results.  No
+          flag sets it: its one [false] caller is the serve bench's
+          from-scratch arm, the reference its what-if-call gate compares
+          against. *)
 }
 
 val default_config : table:string -> config
@@ -150,8 +139,6 @@ val create :
     hook the CLI prints from.  Raises [Invalid_argument] on a non-positive
     [window], [history] or [horizon], or an unknown [table]. *)
 
-val config : t -> config
-
 val reopt_stats : t -> Cddpd_core.Reopt.stats
 (** Live re-optimization session accounting (also included in
     {!finish}'s report) — atom-memo hits, misses and evictions between
@@ -171,42 +158,43 @@ val history_keys : t -> Cddpd_engine.Cost_key.id array option
     only the statements for which {!Cddpd_engine.Cost_key.same_inputs}
     fails.  [None] when a window holds a statement on another table. *)
 
-val feed : t -> Cddpd_sql.Ast.statement -> window_report option
-(** Check one arriving statement against the schema (raising
-    [Invalid_argument] if it fails), execute it on a transient prepared
-    statement and buffer it; when it completes a window, run the
-    window-close protocol and return its report.
-    Read-only statements are cost-keyed on arrival under the current
-    statistics generation, so the window close reuses instead of
-    recomputing their identities (see
-    {!Cddpd_engine.Database.stats_generation}). *)
+val feed : t -> Cddpd_sql.Ast.statement -> (window_report option, string) result
+(** The memo-free reference path: check one arriving statement against
+    the schema ({!Cddpd_engine.Check}), execute it on a transient prepared
+    statement with no plan-memo key, and buffer it; when it completes a
+    window, run the window-close protocol and return its report.  It
+    memoizes nothing per text or per key: read-only statements are
+    cost-keyed on arrival under the current statistics generation, as on
+    {!feed_sql}, so the window close reuses instead of recomputing their
+    identities (see {!Cddpd_engine.Database.stats_generation}).  No
+    production path calls it; [Parser.parse] + [feed] is what tests and
+    bench compare {!feed_sql} against, and the two give bit-identical
+    reports.  [Error] carries the check's message: the statement was
+    skipped, and nothing was executed, keyed or buffered. *)
 
 val feed_sql : t -> string -> (window_report option, string) result
-(** Parse one arriving statement text and {!feed} it — the ingest fast
-    path.  With [config.template_cache] on, parsing goes through
-    {!Cddpd_sql.Parser.parse_cached}: a repeated text reuses its AST,
-    cost key, semantic validation and prepared statement
-    ({!Cddpd_engine.Database.prepared}); a fresh text is parsed.  A
-    text's first execution runs on a transient handle, and its second
-    stores the handle in the text's cache entry, so a text seen once
-    keeps nothing.  Without the cache every statement runs on a
-    transient handle, with bit-identical results.
-    A statement is checked against the schema ({!Cddpd_engine.Check})
+(** Parse one arriving statement text and serve it — the ingest path.
+    Parsing goes through {!Cddpd_sql.Parser.parse_cached}: a repeated text
+    reuses its AST, cost key, semantic validation and prepared statement
+    ({!Cddpd_engine.Database.prepared}); a fresh text is parsed.  A text's
+    first execution runs on a transient handle, and its second stores the
+    handle in the text's cache entry, so a text seen once keeps nothing.
+    Plan choice for the served table's reads is memoized on the
+    statement's cost key.  A statement is checked against the schema
     before it is keyed or executed.  [Error] carries the parse or check
-    error message; nothing was executed or buffered. *)
+    error message; nothing was executed or buffered.  Reports equal
+    {!feed}'s on the parsed statements, bit for bit. *)
 
-val template_stats : t -> Cddpd_sql.Template.stats option
-(** The statement cache's hit/miss counters; [None] when
-    [config.template_cache] is off. *)
+val template_stats : t -> Cddpd_sql.Template.stats
+(** The statement cache's hit/miss counters. *)
 
 val statement_cache :
-  t -> (Cddpd_engine.Database.prepared, Cddpd_engine.Cost_key.id) Cddpd_sql.Template.t option
-(** The statement cache itself, for inspection; [None] when
-    [config.template_cache] is off.  A text's entry holds its parsed
-    statement, cost tag (statistics generation and hashed cost key),
-    validation bit and, from the text's second
-    execution on, its prepared statement.  A lookup through
-    {!Cddpd_sql.Template.find_exact} counts a hit. *)
+  t -> (Cddpd_engine.Database.prepared, Cddpd_engine.Cost_key.id) Cddpd_sql.Template.t
+(** The statement cache itself, for inspection.  A text's entry holds its
+    parsed statement, cost tag (statistics generation and hashed cost
+    key), validation bit and, from the text's second execution on, its
+    prepared statement.  A lookup through {!Cddpd_sql.Template.find_exact}
+    counts a hit. *)
 
 val finish : t -> report
 (** The run summary.  Statements still in the open window have been
@@ -220,4 +208,5 @@ val run :
   config ->
   Cddpd_sql.Ast.statement array ->
   report
-(** [create], [feed] the whole trace, [finish] — the [--once] mode. *)
+(** [create], [feed] the whole trace, [finish].  A statement {!feed}
+    rejects is skipped. *)

@@ -427,65 +427,94 @@ let test_serve_validates_config () =
     (Invalid_argument "Server.create: unknown table missing") (fun () ->
       ignore (Server.create db { (serve_config ()) with Server.table = "missing" }))
 
-(* The ingest fast path (template cache + plan memo + feed-time cost keys)
-   must be a pure speedup: the same raw texts fed through [feed_sql] with
-   both caches off — the [--no-template-cache --no-plan-cache] arm — must
-   produce a bit-identical report. *)
-let test_serve_cache_flags_bit_identical () =
-  let window = 50 in
-  let texts =
-    let phase_texts column n =
-      Array.init n (fun i ->
-          if i mod 17 = 9 then
-            (* some DML so the non-read-only path is exercised too *)
-            Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)"
-              (1 + (i mod value_range))
-              (i mod value_range) (i mod 7) (i mod 11)
-          else
-            Printf.sprintf "SELECT * FROM t WHERE %s = %d" column
-              (1 + ((i * 37) mod value_range)))
-    in
-    Array.concat
-      [
-        phase_texts "a" (3 * window);
-        phase_texts "c" window;
-        phase_texts "a" (2 * window);
-      ]
+(* The memo-free reference twin of [Server.feed_sql]: parse the text from
+   scratch, then [Server.feed], which keeps no statement cache and passes
+   no plan-memo key. *)
+let feed_reference server sql = Result.bind (Parser.parse sql) (Server.feed server)
+
+(* One statement of a random stream: a shape and two literals, each drawn
+   from a small pool (so texts repeat) or from the whole domain (fresh). *)
+let stream_text (shape, v, w) =
+  match shape with
+  | 0 -> Printf.sprintf "SELECT * FROM t WHERE a = %d" v
+  | 1 -> Printf.sprintf "SELECT * FROM t WHERE c = %d" v
+  | 2 -> Printf.sprintf "SELECT a, b FROM t WHERE b < %d AND d > %d" v w
+  | 3 -> Printf.sprintf "SELECT b, COUNT(*) FROM t WHERE a = %d GROUP BY b" v
+  | 4 -> "SELECT d, SUM(c) FROM t GROUP BY d"
+  | 5 -> Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)" v w (v mod 7) (w mod 11)
+  | 6 -> Printf.sprintf "UPDATE t SET d = %d WHERE a = %d" w v
+  | 7 -> Printf.sprintf "DELETE FROM t WHERE b = %d" v
+  | 8 -> Printf.sprintf "SELECT * FROM t WHERE nosuch = %d" v
+  | 9 -> Printf.sprintf "SELECT * FROM nosuch WHERE a = %d" v
+  | 10 -> "SELECT * FROM t WHERE a = 'x'"
+  | _ -> Printf.sprintf "SELEC * FROM t WHERE a = %d" v
+
+(* Reads dominate, as on a served stream; writes and rejected statements
+   are rarer but present in most streams. *)
+let stream_shape =
+  QCheck.Gen.(
+    frequency
+      [ (6, int_range 0 4); (2, int_range 5 7); (1, int_range 8 11) ])
+
+let stream_literal =
+  QCheck.Gen.(oneof [ int_range 1 6; int_range 1 value_range ])
+
+type stream = {
+  s_window : int;
+  s_regime : Server.regime;
+  s_texts : string array;
+}
+
+let random_stream =
+  let gen =
+    QCheck.Gen.(
+      int_range 5 50 >>= fun s_window ->
+      oneofl [ Server.Continuous; Server.Reactive ] >>= fun s_regime ->
+      int_range (3 * s_window) (6 * s_window) >>= fun n ->
+      array_repeat n (triple stream_shape stream_literal stream_literal) >|= fun specs ->
+      { s_window; s_regime; s_texts = Array.map stream_text specs })
   in
-  let run ~fast =
-    let cfg =
-      {
-        (serve_config ~window ()) with
-        Server.template_cache = fast;
-        plan_cache = fast;
-      }
-    in
-    let server = Server.create (make_db ()) cfg in
-    Array.iter
-      (fun sql ->
-        match Server.feed_sql server sql with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "parse error on %S: %s" sql e)
-      texts;
-    (Server.finish server, Server.template_stats server)
-  in
-  let fast_report, fast_stats = run ~fast:true in
-  let slow_report, slow_stats = run ~fast:false in
-  Alcotest.(check string) "reports bit-identical"
-    (report_fingerprint slow_report)
-    (report_fingerprint fast_report);
-  Alcotest.(check bool) "slow arm has no template cache" true (slow_stats = None);
-  match fast_stats with
-  | None -> Alcotest.fail "fast arm should expose template stats"
-  | Some s ->
-      Alcotest.(check bool) "exact hits" true (s.Cddpd_sql.Template.exact_hits > 0)
+  QCheck.make
+    ~print:(fun s ->
+      Printf.sprintf "window %d, %s:\n%s" s.s_window
+        (Server.regime_to_string s.s_regime)
+        (String.concat "\n" (Array.to_list s.s_texts)))
+    gen
+
+(* The ingest path (template cache, plan memo, feed-time cost keys,
+   prepared statements) is a pure speedup: every statement of a random
+   stream gets the same verdict and the same window report as on the
+   memo-free reference, the final reports are bit-identical, and the
+   reference never touched the plan memo. *)
+let feed_sql_equals_feed_prop =
+  QCheck.Test.make ~name:"feed_sql = feed (random streams)" ~count:20 random_stream
+    (fun s ->
+      let cfg = serve_config ~regime:s.s_regime ~window:s.s_window ~jobs:1 () in
+      let fast = Server.create (make_db ()) cfg in
+      let reference_db = make_db () in
+      let reference = Server.create reference_db cfg in
+      let verdict r = Result.map (Option.map window_fingerprint) r in
+      Array.iter
+        (fun sql ->
+          let f = verdict (Server.feed_sql fast sql) in
+          let r = verdict (feed_reference reference sql) in
+          if f <> r then
+            QCheck.Test.fail_reportf "%S: feed_sql %s, feed %s" sql
+              (match f with Ok _ -> "Ok" | Error e -> "Error " ^ e)
+              (match r with Ok _ -> "Ok" | Error e -> "Error " ^ e))
+        s.s_texts;
+      let plan = Database.plan_cache_stats reference_db in
+      String.equal
+        (report_fingerprint (Server.finish fast))
+        (report_fingerprint (Server.finish reference))
+      && plan.Cddpd_engine.Plan_cache.hits = 0
+      && plan.Cddpd_engine.Plan_cache.misses = 0)
 
 (* A text keeps a prepared statement from its second execution on: one
    fed once leaves its entry's [prepared] empty, one fed twice or more
    holds a handle.  The stream drifts, so handles meet deployments and
-   DML between their runs, and the report must equal that of a server
-   with no statement cache, which runs every statement on a transient
-   handle. *)
+   DML between their runs, and the report must equal the memo-free
+   reference's, which runs every statement on a transient handle. *)
 let test_serve_prepared_on_second_feed () =
   let window = 50 in
   let texts =
@@ -507,23 +536,21 @@ let test_serve_prepared_on_second_feed () =
     Array.concat
       [ phase_texts "a" (3 * window); phase_texts "c" window; phase_texts "a" (2 * window) ]
   in
-  let run ~cache =
-    let server =
-      Server.create (make_db ()) { (serve_config ~window ()) with Server.template_cache = cache }
-    in
+  let run feed =
+    let server = Server.create (make_db ()) (serve_config ~window ()) in
     Array.iter
       (fun sql ->
-        match Server.feed_sql server sql with
+        match feed server sql with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "rejected %S: %s" sql e)
       texts;
-    (Server.finish server, Server.statement_cache server)
+    (Server.finish server, server)
   in
-  let cached, statement_cache = run ~cache:true in
-  let uncached, _ = run ~cache:false in
-  Alcotest.(check string) "reports bit-identical" (report_fingerprint uncached)
+  let cached, server = run Server.feed_sql in
+  let reference, _ = run feed_reference in
+  Alcotest.(check string) "reports bit-identical" (report_fingerprint reference)
     (report_fingerprint cached);
-  let cache = Option.get statement_cache in
+  let cache = Server.statement_cache server in
   let seen = Hashtbl.create 64 in
   Array.iter
     (fun sql -> Hashtbl.replace seen sql (1 + Option.value ~default:0 (Hashtbl.find_opt seen sql)))
@@ -542,10 +569,10 @@ let test_serve_prepared_on_second_feed () =
     seen;
   Alcotest.(check bool) "texts seen once and texts repeated" true (!once > 0 && !repeated > 0)
 
-(* A statement that parses but fails the schema check is rejected by
-   [feed_sql] like a lexical error: [Error], nothing executed or buffered,
-   and the loop keeps serving.  Repeating the text must be rejected again,
-   with the template cache on or off. *)
+(* A statement that parses but fails the schema check is rejected like a
+   lexical error: [Error], nothing executed or buffered, and the loop
+   keeps serving.  Repeating the text must be rejected again, on the
+   ingest path and on the reference path alike. *)
 let test_serve_skips_invalid_statements () =
   let invalid =
     [
@@ -555,26 +582,42 @@ let test_serve_skips_invalid_statements () =
     ]
   in
   List.iter
-    (fun fast ->
-      let cfg =
-        { (serve_config ~window:5 ()) with Server.template_cache = fast; plan_cache = fast }
-      in
-      let server = Server.create (make_db ()) cfg in
+    (fun (path, feed) ->
+      let server = Server.create (make_db ()) (serve_config ~window:5 ()) in
       let served () = (Server.finish server).Server.statements in
       List.iteri
         (fun i (what, sql) ->
-          let label = Printf.sprintf "%s (caches %b)" what fast in
+          let label = Printf.sprintf "%s (%s)" what path in
           for _ = 1 to 2 do
-            (match Server.feed_sql server sql with
+            (match feed server sql with
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "%s: accepted %S" label sql);
             Alcotest.(check int) (label ^ ": nothing served") i (served ())
           done;
-          match Server.feed_sql server (Printf.sprintf "SELECT * FROM t WHERE a = %d" (i + 1)) with
+          match feed server (Printf.sprintf "SELECT * FROM t WHERE a = %d" (i + 1)) with
           | Ok _ -> Alcotest.(check int) (label ^ ": next statement served") (i + 1) (served ())
           | Error e -> Alcotest.failf "%s: valid statement rejected: %s" label e)
         invalid)
-    [ true; false ]
+    [ ("feed_sql", Server.feed_sql); ("feed", feed_reference) ]
+
+(* [Server.feed] skips an AST the schema rejects instead of raising:
+   [Error], and no statement is counted, executed or buffered; [run]
+   skips it the same way. *)
+let test_serve_feed_rejects_unknown_column () =
+  let bad = Parser.parse_exn "SELECT * FROM t WHERE nosuch = 3" in
+  let server = Server.create (make_db ()) (serve_config ~window:5 ()) in
+  (match Server.feed server bad with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "feed accepted an unknown column");
+  let report = Server.finish server in
+  Alcotest.(check int) "no statement counted" 0 report.Server.statements;
+  Alcotest.(check int) "nothing buffered" 0 report.Server.residual_statements;
+  Alcotest.(check int) "nothing executed" 0 report.Server.exec_logical_io;
+  let report =
+    Server.run (make_db ()) (serve_config ~window:5 ()) (Array.append [| bad |] (phase "a" 7))
+  in
+  Alcotest.(check int) "run skips it" 7 report.Server.statements;
+  Alcotest.(check int) "one window closed" 1 (Array.length report.Server.windows)
 
 (* -- Reopt: incremental re-optimization ------------------------------------ *)
 
@@ -851,8 +894,9 @@ let () =
           Alcotest.test_case "config validation" `Quick test_serve_validates_config;
           Alcotest.test_case "invalid statements are skipped" `Quick
             test_serve_skips_invalid_statements;
-          Alcotest.test_case "cache flags bit-identical" `Quick
-            test_serve_cache_flags_bit_identical;
+          Alcotest.test_case "feed skips an unknown column" `Quick
+            test_serve_feed_rejects_unknown_column;
+          QCheck_alcotest.to_alcotest feed_sql_equals_feed_prop;
           Alcotest.test_case "prepared from the second feed" `Quick
             test_serve_prepared_on_second_feed;
         ] );
