@@ -11,7 +11,7 @@
 #   make bench-smoke  quick perf sanity: compares with the committed
 #                     BENCH_*.json baselines, writes only under _build/bench/
 #   make bench-update regenerate the committed BENCH_*.json baselines
-#   make serve-smoke  replay a canned trace through `cddpd serve --once`
+#   make serve-smoke  replay a canned trace through `cddpd serve --input`
 #                     and assert the cddpd-serve/3 JSON status
 #   make perf-smoke   one-second traced runs of the serve benchmark
 #                     (perfbench/) on every workload: its correctness
@@ -99,7 +99,7 @@ bench:
 serve-smoke:
 	$(DUNE) build bin/cddpd.exe
 	$(DUNE) exec bin/cddpd.exe -- generate --workload W1 --scale 0.2 --value-range 1000 -o _serve_smoke_trace.sql
-	$(DUNE) exec bin/cddpd.exe -- serve --once --input _serve_smoke_trace.sql \
+	$(DUNE) exec bin/cddpd.exe -- serve --input _serve_smoke_trace.sql \
 	  --rows 5000 --value-range 1000 --window 100 $(if $(JOBS),--jobs $(JOBS)) \
 	  --status > _serve_smoke_status.json
 	@grep -q '"schema":"cddpd-serve/3"' _serve_smoke_status.json
@@ -142,10 +142,11 @@ perf-smoke:
 	    || exit 1; \
 	done
 
-# Out-of-range arguments and a k-requiring method without -k must each
-# exit non-zero without cmdliner's "internal error" (an uncaught
-# exception); a statement the schema rejects must be skipped by serve with
-# a warning, and the run must exit 0.
+# Out-of-range arguments, a k-requiring method without -k and the retired
+# --once flag must each exit non-zero without cmdliner's "internal error"
+# (an uncaught exception); a statement the schema rejects must be skipped
+# by serve with a warning, from stdin and from --input FILE alike, and
+# the run must exit 0 and print its report.
 CDDPD = ./_build/default/bin/cddpd.exe
 CLI_BAD = \
   "serve --window 0" \
@@ -162,6 +163,8 @@ cli-smoke:
 	$(DUNE) build bin/cddpd.exe
 	@$(CDDPD) generate --workload W1 --scale 0.01 -o _cli_smoke_trace.sql > /dev/null
 	@: > _cli_smoke_empty.sql
+	@head -n 1 _cli_smoke_trace.sql > _cli_smoke_serve.sql
+	@printf 'SELECT * FROM t WHERE nosuch = 3\n-- a comment line\n' >> _cli_smoke_serve.sql
 	@status=0; \
 	for args in $(CLI_BAD); do \
 	  out=$$($(CDDPD) $$args < /dev/null 2>&1); code=$$?; \
@@ -173,11 +176,21 @@ cli-smoke:
 	if [ $$code -ne 0 ]; then echo "cli-smoke: serve exited $$code on a bad statement: $$out"; status=1; fi; \
 	if ! echo "$$out" | grep -q 'skipping statement'; then \
 	  echo "cli-smoke: serve did not skip the bad statement: $$out"; status=1; fi; \
-	rm -f _cli_smoke_trace.sql _cli_smoke_empty.sql; \
+	out=$$($(CDDPD) serve --input _cli_smoke_serve.sql --rows 1000 2>&1); code=$$?; \
+	if [ $$code -ne 0 ]; then echo "cli-smoke: serve --input exited $$code: $$out"; status=1; fi; \
+	if [ $$(echo "$$out" | grep -c 'skipping statement') -ne 1 ]; then \
+	  echo "cli-smoke: serve --input did not warn exactly once: $$out"; status=1; fi; \
+	if ! echo "$$out" | grep -q '^serve: regime='; then \
+	  echo "cli-smoke: serve --input printed no report: $$out"; status=1; fi; \
+	out=$$($(CDDPD) serve --once --input _cli_smoke_serve.sql 2>&1); code=$$?; \
+	if [ $$code -eq 0 ] || ! echo "$$out" | grep -q "unknown option '--once'" \
+	  || echo "$$out" | grep -q 'internal error'; then \
+	  echo "cli-smoke: serve --once was not rejected as an unknown option: $$out"; status=1; fi; \
+	rm -f _cli_smoke_trace.sql _cli_smoke_empty.sql _cli_smoke_serve.sql; \
 	if [ $$status -eq 0 ]; then echo "cli-smoke: OK"; fi; \
 	exit $$status
 
 clean:
 	$(DUNE) clean
 	rm -f BENCH_micro.json BENCH_obs.json _serve_smoke_trace.sql _serve_smoke_status.json \
-	  _cli_smoke_trace.sql _cli_smoke_empty.sql
+	  _cli_smoke_trace.sql _cli_smoke_empty.sql _cli_smoke_serve.sql

@@ -447,12 +447,6 @@ let serve_input_arg =
        & info [ "i"; "input" ] ~docv:"FILE"
            ~doc:"Replay this trace file instead of streaming from stdin.")
 
-let once_arg =
-  Arg.(value & flag
-       & info [ "once" ]
-           ~doc:"Drain the input and exit (requires $(b,--input)); the smoke \
-                 mode CI replays a canned trace through.")
-
 let status_json_arg =
   Arg.(value & flag
        & info [ "status" ]
@@ -532,80 +526,53 @@ let print_report (report : Server.report) =
     report.Server.exec_logical_io report.Server.trans_logical_io
     (Design.name report.Server.final_design)
 
-(* Both feed loops replay raw statement text through Server.feed_sql, so
-   the template cache sees the original strings — parsing up front would
-   bypass the ingest fast path entirely. *)
-let feed_stdin server =
-  let rec loop () =
-    match In_channel.input_line stdin with
+(* The feed loop, for stdin and trace files alike: it replays raw
+   statement text through Server.feed_sql, so the template cache sees the
+   original strings — parsing up front would bypass the ingest fast path
+   entirely.  Blank lines and [#] / [--] comment lines are skipped; a
+   statement the server rejects is skipped with a warning naming its line,
+   so bad input never stops the tuner. *)
+let feed server ic =
+  let rec loop i =
+    match In_channel.input_line ic with
     | None -> ()
     | Some line ->
         let line = String.trim line in
-        if String.length line > 0 && not (String.length line >= 2 && String.sub line 0 2 = "--")
+        if line <> "" && line.[0] <> '#' && not (String.starts_with ~prefix:"--" line)
         then begin
           match Server.feed_sql server line with
           | Ok _ -> ()
           | Error message ->
-              Printf.eprintf "cddpd serve: skipping statement: %s\n%!" message
+              Printf.eprintf "cddpd serve: line %d: skipping statement: %s\n%!" i
+                message
         end;
-        loop ()
+        loop (i + 1)
   in
-  loop ()
+  loop 1
 
-(* Trace-file replay: same line conventions as Trace.load ([#] comments,
-   blank lines), same strictness (a parse error aborts naming the line). *)
-let feed_file server path =
-  let ic =
-    try open_in path
-    with Sys_error message ->
-      prerr_endline ("cddpd: cannot load trace: " ^ message);
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec loop i =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line ->
-            let trimmed = String.trim line in
-            if trimmed <> "" && trimmed.[0] <> '#' then begin
-              match Server.feed_sql server trimmed with
-              | Ok _ -> ()
-              | Error message ->
-                  Printf.eprintf "cddpd: cannot load trace: line %d: %s\n" i
-                    message;
-                  exit 1
-            end;
-            loop (i + 1)
-      in
-      loop 1)
-
-let serve input once regime window history horizon drift_threshold regret_budget
+let serve input regime window history horizon drift_threshold regret_budget
     rollback_factor k method_name rows value_range seed readahead jobs status_json
     metrics trace =
   apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
-  if once && input = None then begin
-    prerr_endline "cddpd: --once requires --input";
-    2
-  end
-  else begin
-    let cfg =
-      { serve_defaults with
-        Server.regime; window; history; horizon; drift_threshold; regret_budget;
-        rollback_factor; k; method_name; jobs }
-    in
-    let db = Setup.make_database (config_of ~readahead rows value_range seed 1.0) in
-    let on_window = if status_json then fun _ -> () else print_window_line in
-    let server = Server.create ~on_window db cfg in
-    (match input with
-    | Some path -> feed_file server path
-    | None -> feed_stdin server);
-    let report = Server.finish server in
-    if status_json then print_endline (report_json report) else print_report report;
-    0
-  end
+  let cfg =
+    { serve_defaults with
+      Server.regime; window; history; horizon; drift_threshold; regret_budget;
+      rollback_factor; k; method_name; jobs }
+  in
+  let db = Setup.make_database (config_of ~readahead rows value_range seed 1.0) in
+  let on_window = if status_json then fun _ -> () else print_window_line in
+  let server = Server.create ~on_window db cfg in
+  (match input with
+  | None -> feed server stdin
+  | Some path -> (
+      try In_channel.with_open_text path (feed server)
+      with Sys_error message ->
+        prerr_endline ("cddpd: cannot load trace: " ^ message);
+        exit 1));
+  let report = Server.finish server in
+  if status_json then print_endline (report_json report) else print_report report;
+  0
 
 let serve_cmd =
   Cmd.v
@@ -614,7 +581,7 @@ let serve_cmd =
              windowed ingest, drift detection, constrained re-optimization \
              seeded at the current design, regret-guarded deployment, and \
              rollback on regression (see docs/SERVE.md).")
-    Term.(const serve $ serve_input_arg $ once_arg $ regime_arg $ window_arg
+    Term.(const serve $ serve_input_arg $ regime_arg $ window_arg
           $ history_arg $ horizon_arg $ drift_threshold_arg $ regret_budget_arg
           $ rollback_factor_arg $ serve_k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg $ status_json_arg

@@ -14,25 +14,17 @@ let add_structure = Set.add
 
 let mem_structure = Set.mem
 
-let remove_structure = Set.remove
-
 let fold = Set.fold
 
 (* -- index-level ----------------------------------------------------------- *)
 
 let of_list indexes = Set.of_list (List.map Structure.index indexes)
 
-let to_list t = List.filter_map Structure.as_index (Set.elements t)
-
-let indexes = to_list
+let indexes t = List.filter_map Structure.as_index (Set.elements t)
 
 let singleton i = Set.singleton (Structure.index i)
 
-let mem i t = Set.mem (Structure.index i) t
-
 let add i t = Set.add (Structure.index i) t
-
-let remove i t = Set.remove (Structure.index i) t
 
 let fold_indexes f t init =
   Set.fold
@@ -44,8 +36,6 @@ let fold_indexes f t init =
 let views t = List.filter_map Structure.as_view (Set.elements t)
 
 let add_view v t = Set.add (Structure.view v) t
-
-let mem_view v t = Set.mem (Structure.view v) t
 
 let fold_views f t init =
   Set.fold
@@ -66,11 +56,7 @@ let compare = Set.compare
 
 let equal = Set.equal
 
-let subset = Set.subset
-
 let name t =
   if is_empty t then "{}"
   else
     Printf.sprintf "{%s}" (String.concat ", " (List.map Structure.name (structures t)))
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -4,7 +4,7 @@
     [C_i] of the paper.  Designs are immutable, canonically ordered sets
     with a total order so they can key maps and be deduplicated.
 
-    Index-only helpers ([of_list], [add], [mem], [indexes], ...) are kept
+    Index-only helpers ([of_list], [add], [indexes], ...) are kept
     alongside the structure-level API because most call sites deal in
     indexes. *)
 
@@ -24,8 +24,6 @@ val add_structure : Structure.t -> t -> t
 
 val mem_structure : Structure.t -> t -> bool
 
-val remove_structure : Structure.t -> t -> t
-
 val fold : (Structure.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** {1 Index-level helpers} *)
@@ -33,19 +31,12 @@ val fold : (Structure.t -> 'a -> 'a) -> t -> 'a -> 'a
 val of_list : Index_def.t list -> t
 (** Build from indexes only (duplicates collapsed). *)
 
-val to_list : t -> Index_def.t list
-(** The index members only, in canonical order (views are skipped). *)
-
 val indexes : t -> Index_def.t list
-(** Synonym of {!to_list}. *)
+(** The index members only, in canonical order (views are skipped). *)
 
 val singleton : Index_def.t -> t
 
-val mem : Index_def.t -> t -> bool
-
 val add : Index_def.t -> t -> t
-
-val remove : Index_def.t -> t -> t
 
 val fold_indexes : (Index_def.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -54,8 +45,6 @@ val fold_indexes : (Index_def.t -> 'a -> 'a) -> t -> 'a -> 'a
 val views : t -> View_def.t list
 
 val add_view : View_def.t -> t -> t
-
-val mem_view : View_def.t -> t -> bool
 
 val fold_views : (View_def.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -75,10 +64,5 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val subset : t -> t -> bool
-(** [subset a b]: every structure of [a] is in [b]. *)
-
 val name : t -> string
 (** Paper notation: ["{}"] for the empty design, ["{I(a,b), MV(c)}"], etc. *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,13 +18,3 @@ let compare a b =
   if c <> 0 then c else List.compare String.compare a.columns b.columns
 
 let equal a b = compare a b = 0
-
-let rec list_is_prefix xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _ :: _, [] -> false
-  | x :: xs, y :: ys -> String.equal x y && list_is_prefix xs ys
-
-let is_prefix_of a b = String.equal a.table b.table && list_is_prefix a.columns b.columns
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -23,10 +23,3 @@ val compare : t -> t -> int
 (** Total order (by table, then columns). *)
 
 val equal : t -> t -> bool
-
-val is_prefix_of : t -> t -> bool
-(** [is_prefix_of a b]: same table and [a]'s columns are a prefix of
-    [b]'s.  An index subsumed by another this way is redundant for
-    equality lookups. *)
-
-val pp : Format.formatter -> t -> unit

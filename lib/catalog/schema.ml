@@ -57,14 +57,3 @@ let validate_tuple t tuple =
           else Error (Printf.sprintf "column %s: type mismatch" c.name)
     in
     go 0 t.columns
-
-let pp_col_type ppf ty =
-  Format.pp_print_string ppf
-    (match ty with Int_type -> "int" | Text_type -> "text")
-
-let pp_table ppf t =
-  Format.fprintf ppf "%s(%a)" t.name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (c : column) -> Format.fprintf ppf "%s %a" c.name pp_col_type c.ty))
-    t.columns

@@ -30,6 +30,3 @@ val value_matches : col_type -> Cddpd_storage.Tuple.value -> bool
 
 val validate_tuple : table -> Cddpd_storage.Tuple.t -> (unit, string) result
 (** Check arity and per-column types. *)
-
-val pp_table : Format.formatter -> table -> unit
-(** Render as [name(col ty, ...)]. *)

@@ -21,5 +21,3 @@ let equal a b = compare a b = 0
 let as_index t = match t with Index i -> Some i | View _ -> None
 
 let as_view t = match t with View v -> Some v | Index _ -> None
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -26,5 +26,3 @@ val equal : t -> t -> bool
 val as_index : t -> Index_def.t option
 
 val as_view : t -> View_def.t option
-
-val pp : Format.formatter -> t -> unit

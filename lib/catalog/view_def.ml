@@ -13,5 +13,3 @@ let compare a b =
   if c <> 0 then c else String.compare a.group_by b.group_by
 
 let equal a b = compare a b = 0
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -23,5 +23,3 @@ val name : t -> string
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

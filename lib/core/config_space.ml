@@ -103,8 +103,3 @@ let restrict t ids =
   if kept = [] then invalid_arg "Config_space.restrict: empty selection";
   let mapping = Array.of_list kept in
   ({ designs = Array.map (fun id -> t.designs.(id)) mapping }, mapping)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%d configurations:@," (size t);
-  Array.iteri (fun i d -> Format.fprintf ppf "  %d: %a@," i Design.pp d) t.designs;
-  Format.fprintf ppf "@]"

@@ -57,5 +57,3 @@ val restrict : t -> int list -> t * int array
 (** [restrict t ids] is the sub-space containing the given configs (deduped,
     in given order) together with the mapping from new ids back to old ids.
     Used by GREEDY-SEQ to run the exact solver on a reduced space. *)
-
-val pp : Format.formatter -> t -> unit

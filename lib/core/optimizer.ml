@@ -28,6 +28,9 @@ let require_k method_name k =
         (Printf.sprintf "Optimizer.solve: method %s requires k"
            (Solution.method_to_string method_name))
 
+(* The hybrid rule (Section 6.4's conclusion): with [l] changes in the
+   unconstrained optimum, merge when [k > l / 2] (few merge steps),
+   solve the k-aware graph otherwise. *)
 let hybrid_uses_merging ~l ~k = k > l / 2
 
 (* Branch-and-bound seed for the exact solvers: the merging heuristic

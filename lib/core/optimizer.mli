@@ -48,8 +48,3 @@ val solve :
 
 val unconstrained : Problem.t -> Solution.t
 (** Convenience: the sequence-graph optimum. *)
-
-val hybrid_uses_merging : l:int -> k:int -> bool
-(** The hybrid rule (Section 6.4's conclusion): with [l] changes in the
-    unconstrained optimum, use merging when [k > l / 2] (few merge steps
-    needed), the k-aware graph otherwise. *)

@@ -166,7 +166,8 @@ let bind stats statement =
     referenced;
   }
 
-(* [Table_stats.estimate_rows] over the bound WHERE clause. *)
+(* Estimated rows matching the bound WHERE clause (independent
+   predicates). *)
 let bound_rows b = b.conj *. float_of_int (Table_stats.row_count b.stats)
 
 (* The predicates an index seek with prefix [eq_cols] and optional range on

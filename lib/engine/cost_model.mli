@@ -24,13 +24,6 @@ val default_params : params
 
 (** {1 Index size and shape} *)
 
-val index_leaf_entry_bytes : Cddpd_catalog.Index_def.t -> int
-(** Bytes per leaf entry: one 8-byte word per key column plus two for the
-    rid, matching [Btree]'s physical layout. *)
-
-val index_leaf_pages : params -> rows:int -> Cddpd_catalog.Index_def.t -> int
-(** Estimated leaf page count at the assumed fill factor. *)
-
 val index_size_pages : params -> rows:int -> Cddpd_catalog.Index_def.t -> int
 (** Estimated total page count (leaves + internal levels + root). *)
 
@@ -41,13 +34,6 @@ val index_height : params -> rows:int -> Cddpd_catalog.Index_def.t -> int
 
 val view_rows : Table_stats.t -> Cddpd_catalog.View_def.t -> int
 (** Estimated group count (distinct values of the grouping column). *)
-
-val view_size_pages : params -> stats:Table_stats.t -> Cddpd_catalog.View_def.t -> int
-
-val view_size_bytes : params -> stats:Table_stats.t -> Cddpd_catalog.View_def.t -> int
-
-val view_height : params -> stats:Table_stats.t -> Cddpd_catalog.View_def.t -> int
-(** Estimated lookup-tree height. *)
 
 val structure_size_bytes :
   params -> stats:Table_stats.t -> Cddpd_catalog.Structure.t -> int
@@ -204,14 +190,9 @@ val maintenance_term : params -> bound -> Cddpd_catalog.Structure.t -> float
 
 (** {1 TRANS} *)
 
-val build_cost : params -> Table_stats.t -> Cddpd_catalog.Index_def.t -> float
-(** Scan the table, sort the entries, write the index pages. *)
-
-val view_build_cost : params -> Table_stats.t -> Cddpd_catalog.View_def.t -> float
-(** Scan the table, aggregate, write the view pages. *)
-
 val structure_build_cost : params -> Table_stats.t -> Cddpd_catalog.Structure.t -> float
-(** {!build_cost} or {!view_build_cost}, by structure kind — the
+(** Building the structure: scan the table, then sort and write the
+    index pages or aggregate and write the view pages — the
     per-structure term {!transition_cost} sums. *)
 
 val transition_cost :

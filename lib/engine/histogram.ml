@@ -160,11 +160,3 @@ let selectivity_range t ~lo ~hi =
   end
 
 let buckets t = Array.copy t.buckets
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>histogram: %d values, %d distinct@," t.total t.total_distinct;
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "  [%d, %d] count=%d distinct=%d@," b.lo b.hi b.count b.distinct)
-    t.buckets;
-  Format.fprintf ppf "@]"

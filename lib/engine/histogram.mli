@@ -70,6 +70,3 @@ val min_value : t -> int option
 
 val max_value : t -> int option
 (** Largest value, [None] for an empty histogram. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug rendering of bucket boundaries and counts. *)

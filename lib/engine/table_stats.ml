@@ -46,9 +46,3 @@ let predicate_selectivity t pred =
       | Some (lo, hi) -> Histogram.selectivity_range h ~lo:(Some lo) ~hi:(Some hi)
       | None -> default_selectivity)
   | None, _ -> default_selectivity
-
-let conjunction_selectivity t preds =
-  List.fold_left (fun acc pred -> acc *. predicate_selectivity t pred) 1.0 preds
-
-let estimate_rows t preds =
-  conjunction_selectivity t preds *. float_of_int t.row_count

@@ -35,7 +35,3 @@ val predicate_selectivity : t -> Cddpd_sql.Ast.predicate -> float
 (** Estimated fraction of rows satisfying the predicate.  Ranges are
     the inclusive intervals of {!Filter.predicate_interval}, so an empty
     one ([< min_int], [> max_int], a reversed [BETWEEN]) estimates 0. *)
-
-val estimate_rows : t -> Cddpd_sql.Ast.predicate list -> float
-(** The product of the predicates' selectivities (independence
-    assumption) times the row count. *)

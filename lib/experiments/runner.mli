@@ -50,10 +50,6 @@ type 'a cell
 val cell : string -> (ctx -> 'a) -> 'a cell
 (** [cell label body] declares a cell. *)
 
-val default_cell_jobs : unit -> int
-(** The resolved default domain count: last {!set_default_cell_jobs}
-    value, else [CDDPD_JOBS], else {!Cddpd_util.Parallel.ncpu}. *)
-
 val set_default_cell_jobs : int -> unit
 (** Override the process default (the [--cell-jobs] CLI flag).  Raises
     [Invalid_argument] if [jobs < 1]. *)

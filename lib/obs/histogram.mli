@@ -30,8 +30,5 @@ val percentile : t -> float -> float
 
 val max_value : t -> float
 
-val values : t -> float array
-(** A copy of the recorded samples, in observation order. *)
-
 val reset : t -> unit
 (** Forget all samples (unconditionally). *)

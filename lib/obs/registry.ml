@@ -8,9 +8,6 @@ let counters : (string, Counter.t) Hashtbl.t = Hashtbl.create 64
 (* cddpd-lint: allow domain-unsafe-state — module-init registration on the main domain only *)
 let histograms : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
 
-(* cddpd-lint: allow domain-unsafe-state — hooks registered at module init on the main domain; reset runs on the main domain *)
-let reset_hooks : (unit -> unit) list ref = ref []
-
 let enabled () = !Switch.on
 
 let enable () = Switch.on := true
@@ -48,9 +45,6 @@ let fold_counters f init =
 let fold_histograms f init =
   Hashtbl.fold (fun _ h acc -> f h acc) histograms init
 
-let on_reset hook = reset_hooks := hook :: !reset_hooks
-
 let reset_values () =
   Hashtbl.iter (fun _ c -> Counter.reset c) counters;
-  Hashtbl.iter (fun _ h -> Histogram.reset h) histograms;
-  List.iter (fun hook -> hook ()) !reset_hooks
+  Hashtbl.iter (fun _ h -> Histogram.reset h) histograms

@@ -37,10 +37,6 @@ val fold_counters : (Counter.t -> 'a -> 'a) -> 'a -> 'a
 
 val fold_histograms : (Histogram.t -> 'a -> 'a) -> 'a -> 'a
 
-val on_reset : (unit -> unit) -> unit
-(** Register a hook run by {!reset_values} — used by instrumented modules
-    that keep auxiliary state (e.g. the cost model's repeat-lookup table). *)
-
 val reset_values : unit -> unit
-(** Zero every registered metric and run the {!on_reset} hooks.  The
-    registrations themselves persist. *)
+(** Zero every registered metric.  The registrations themselves
+    persist. *)

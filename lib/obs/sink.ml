@@ -78,6 +78,8 @@ let json_lines_string snapshot =
     (Snapshot.entries snapshot);
   Buffer.contents buffer
 
+(* The span tree as JSON lines, one per node, the root-to-node path in
+   "span". *)
 let span_json_lines () =
   let buffer = Buffer.create 1024 in
   let rec walk path node =
@@ -97,9 +99,6 @@ let render format snapshot =
   match format with
   | Table -> table_string snapshot
   | Json_lines -> json_lines_string snapshot
-
-let emit ?(channel = stdout) format snapshot =
-  output_string channel (render format snapshot)
 
 let write_file path format snapshot =
   let out = open_out path in

@@ -3,11 +3,6 @@
     [Parser.parse_exn (to_string s)] is structurally equal to [s] for every
     well-formed statement; this round-trip is property-tested. *)
 
-val value_to_string : Ast.value -> string
-(** SQL literal syntax (strings single-quoted, quotes doubled). *)
-
-val predicate_to_string : Ast.predicate -> string
-
 val to_string : Ast.statement -> string
 (** The canonical rendering, without a trailing semicolon. *)
 

@@ -154,8 +154,6 @@ let create pool ~key_len =
   Buffer_pool.unpin pool handle;
   t
 
-let key_len t = t.key_len
-
 let n_entries t = t.entries
 
 let height t = t.height

@@ -24,9 +24,6 @@ val bulk_load : Buffer_pool.t -> key_len:int -> int array array -> t
     [Invalid_argument] otherwise.  Leaves are packed to a 90% fill
     factor. *)
 
-val key_len : t -> int
-(** Number of components per key. *)
-
 val insert : t -> int array -> unit
 (** Insert a key; inserting an existing key is a no-op.  Raises
     [Invalid_argument] on a key of the wrong length. *)

@@ -84,8 +84,6 @@ let create ?(capacity = 256) ?(readahead = default_readahead) disk =
     readahead_count = 0;
   }
 
-let capacity t = Array.length t.frames
-
 let write_back t frame =
   if frame.dirty then begin
     Disk.write t.disk frame.pid;
@@ -288,9 +286,6 @@ let mark_dirty frame = frame.dirty <- true
 let unpin _t frame =
   if frame.pins <= 0 then invalid_arg "Buffer_pool.unpin: handle not pinned";
   frame.pins <- frame.pins - 1
-
-let flush_all t =
-  Array.iter (fun frame -> if frame.pid <> -1 then write_back t frame) t.frames
 
 let drop_cache t =
   Array.iteri

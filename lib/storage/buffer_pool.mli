@@ -108,9 +108,6 @@ val create : ?capacity:int -> ?readahead:int -> Disk.t -> t
     left, see the module preamble).  Raises
     [Invalid_argument] if [capacity <= 0] or [readahead < 0]. *)
 
-val capacity : t -> int
-(** The number of frames. *)
-
 val fetch : t -> int -> handle
 (** [fetch t pid] pins page [pid], reading it from disk on a miss (a hit
     costs no disk I/O).  Fetching a page that is already pinned returns
@@ -137,7 +134,7 @@ val page_id : handle -> int
 
 val mark_dirty : handle -> unit
 (** Record that the page buffer was modified, so that eviction (or
-    {!flush_all}) counts one write-back for it.  Without it the mutation
+    {!drop_cache}) counts one write-back for it.  Without it the mutation
     still reaches the stored page (the frame aliases it), but no write is
     counted. *)
 
@@ -146,9 +143,6 @@ val unpin : t -> handle -> unit
     it).  The page stays cached; it merely becomes evictable once its pin
     count reaches zero.  Raises [Invalid_argument] if the handle is not
     pinned. *)
-
-val flush_all : t -> unit
-(** Write all dirty pages back to disk (pages stay cached). *)
 
 val drop_cache : t -> unit
 (** Flush and forget every unpinned frame (each emptied frame lets go of

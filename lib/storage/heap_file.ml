@@ -33,8 +33,6 @@ type t = {
 
 type rid = { page : int; slot : int }
 
-let pp_rid ppf rid = Format.fprintf ppf "%d:%d" rid.page rid.slot
-
 let compare_rid a b =
   let c = compare a.page b.page in
   if c <> 0 then c else compare a.slot b.slot

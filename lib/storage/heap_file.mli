@@ -10,9 +10,6 @@ type t
 type rid = { page : int; slot : int }
 (** Record identifier: page id plus slot number within the page. *)
 
-val pp_rid : Format.formatter -> rid -> unit
-(** Render as [page:slot]. *)
-
 val compare_rid : rid -> rid -> int
 (** Lexicographic (page, slot) order. *)
 

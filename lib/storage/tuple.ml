@@ -30,9 +30,6 @@ let to_string t = Format.asprintf "%a" pp t
 let int_exn v =
   match v with Int i -> i | Text _ -> invalid_arg "Tuple.int_exn: Text value"
 
-let text_exn v =
-  match v with Text s -> s | Int _ -> invalid_arg "Tuple.text_exn: Int value"
-
 let tag_int = 0
 let tag_text = 1
 

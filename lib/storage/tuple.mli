@@ -14,9 +14,6 @@ val equal : t -> t -> bool
 val compare_value : value -> value -> int
 (** Total order: all [Int]s sort before all [Text]s. *)
 
-val pp_value : Format.formatter -> value -> unit
-(** Render a value ([Text] is single-quoted). *)
-
 val pp : Format.formatter -> t -> unit
 (** Render a tuple as [(v1, v2, ...)]. *)
 
@@ -25,9 +22,6 @@ val to_string : t -> string
 
 val int_exn : value -> int
 (** Extract an [Int]; raises [Invalid_argument] on [Text]. *)
-
-val text_exn : value -> string
-(** Extract a [Text]; raises [Invalid_argument] on [Int]. *)
 
 val encoded_size : t -> int
 (** Number of bytes {!encode} will produce. *)

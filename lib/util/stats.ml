@@ -13,8 +13,6 @@ let variance xs =
   let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
   acc /. float_of_int (Array.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let minimum xs =
   check_nonempty "Stats.minimum" xs;
   Array.fold_left min xs.(0) xs

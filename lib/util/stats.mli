@@ -6,9 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance.  Raises [Invalid_argument] on an empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation. *)
-
 val minimum : float array -> float
 (** Smallest element.  Raises [Invalid_argument] on an empty array. *)
 
@@ -19,9 +16,6 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], linear interpolation between
     order statistics.  Does not mutate [xs].  Raises [Invalid_argument] on
     an empty array or [p] outside [\[0,100\]]. *)
-
-val total : float array -> float
-(** Sum of the elements. *)
 
 val histogram_counts : float array -> buckets:int -> lo:float -> hi:float -> int array
 (** [histogram_counts xs ~buckets ~lo ~hi] counts elements per equal-width

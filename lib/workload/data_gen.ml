@@ -1,10 +1,6 @@
 module Rng = Cddpd_util.Rng
 module Tuple = Cddpd_storage.Tuple
 
-let paper_value_range = 500_000
-
-let paper_row_count = 2_500_000
-
 let uniform_rows ~columns ~rows ~value_range ~seed =
   if columns <= 0 then invalid_arg "Data_gen.uniform_rows: columns <= 0";
   if rows < 0 then invalid_arg "Data_gen.uniform_rows: rows < 0";

@@ -6,9 +6,3 @@ val uniform_rows :
   columns:int -> rows:int -> value_range:int -> seed:int -> Cddpd_storage.Tuple.t array
 (** Deterministic in [seed].  Raises [Invalid_argument] on non-positive
     [columns], [rows], or [value_range]. *)
-
-val paper_value_range : int
-(** 500,000, the paper's value domain. *)
-
-val paper_row_count : int
-(** 2,500,000, the paper's table size. *)

@@ -26,8 +26,6 @@ let weight t column =
     (fun acc (c, w) -> if String.equal c column then acc +. w else acc)
     0.0 t.weights
 
-let columns t = Array.to_list (Array.map fst t.weights)
-
 let sample_column t rng = Rng.pick_weighted rng t.weights
 
 let sample_query t ~table ~value_range rng =

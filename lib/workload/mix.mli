@@ -21,8 +21,6 @@ val weights : t -> (string * float) list
 val weight : t -> string -> float
 (** Normalised weight of a column (0 if absent). *)
 
-val columns : t -> string list
-
 val sample_column : t -> Cddpd_util.Rng.t -> string
 (** Draw a column according to the weights. *)
 

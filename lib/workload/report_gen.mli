@@ -5,19 +5,6 @@
     [SELECT g, COUNT( * )|SUM(c) FROM t \[WHERE g = v\] GROUP BY g]
     statements. *)
 
-val sample :
-  table:string ->
-  group_by:string ->
-  sum_columns:string list ->
-  ?probe_fraction:float ->
-  value_range:int ->
-  Cddpd_util.Rng.t ->
-  Cddpd_sql.Ast.statement
-(** One aggregate query: COUNT or SUM over a random column from
-    [sum_columns] (COUNT when the list is empty), grouped by [group_by];
-    with probability [probe_fraction] (default 0.5) the query probes a
-    single random group value instead of scanning all groups. *)
-
 val segment :
   table:string ->
   group_by:string ->
@@ -28,4 +15,8 @@ val segment :
   seed:int ->
   unit ->
   Cddpd_sql.Ast.statement array
-(** A deterministic batch of [n] reporting queries. *)
+(** A deterministic batch of [n] reporting queries.  Each is a COUNT or
+    a SUM over a random column from [sum_columns] (COUNT when the list is
+    empty), grouped by [group_by]; with probability [probe_fraction]
+    (default 0.5) it probes a single random group value instead of
+    scanning all groups. *)

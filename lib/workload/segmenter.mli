@@ -21,8 +21,6 @@ type params = {
       (** smallest allowed segment, in statements (default one window) *)
 }
 
-val default_params : params
-
 val column_profile : Cddpd_sql.Ast.statement array -> (string * float) list
 (** Relative frequency of each predicate column over the statements,
     most frequent first. *)

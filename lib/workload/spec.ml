@@ -19,8 +19,6 @@ let of_letters ?(queries_per_segment = 500) letters =
     (List.init (String.length letters) (fun i ->
          { mix = Mix.of_letter letters.[i]; n_queries = queries_per_segment }))
 
-let segments t = t.segments
-
 let n_segments t = List.length t.segments
 
 let total_queries t = List.fold_left (fun acc s -> acc + s.n_queries) 0 t.segments

@@ -16,8 +16,6 @@ val of_letters : ?queries_per_segment:int -> string -> t
 (** [of_letters "AABB"] builds uniform segments from mix letters (default
     500 queries each, the granularity of the paper's Table 2). *)
 
-val segments : t -> segment list
-
 val n_segments : t -> int
 
 val total_queries : t -> int

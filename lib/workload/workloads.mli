@@ -5,9 +5,9 @@
     5000 and 10000).  Within phases, the mixes alternate ("minor
     shifts"):
 
-    - [w1] alternates every 1000 queries (A A B B ... / C C D D ...),
-    - [w2] alternates every 500 queries (A B A B ... / C D C D ...),
-    - [w3] alternates every 1000 queries but out of phase with W1
+    - W1 alternates every 1000 queries (A A B B ... / C C D D ...),
+    - W2 alternates every 500 queries (A B A B ... / C D C D ...),
+    - W3 alternates every 1000 queries but out of phase with W1
       (B B A A ... / D D C C ...).
 
     [scale] multiplies every segment length (default 1 gives the paper's
@@ -15,7 +15,6 @@
 
 val w1 : ?scale:float -> unit -> Spec.t
 val w2 : ?scale:float -> unit -> Spec.t
-val w3 : ?scale:float -> unit -> Spec.t
 
 val by_name : string -> ?scale:float -> unit -> Spec.t
 (** ["W1"], ["W2"] or ["W3"] (case-insensitive); raises

@@ -1,9 +1,9 @@
 (* Tests for cddpd_lint (tools/lint): each rule gets a positive hit, a
-   clean pass and a waiver case on inline fixture snippets; R5/R6 run
-   through the driver on temporary fixture trees (including the
-   deliberate catalogue desync the acceptance criteria ask for); and a
-   final smoke test lints the real repository, asserting zero unwaived
-   findings at HEAD. *)
+   clean pass and a waiver case on inline fixture snippets (typechecked
+   in-process for the typed rules); R5/R6 run through the driver on
+   temporary fixture trees (including a deliberate catalogue desync);
+   and a final smoke test lints the real repository, asserting zero
+   unwaived findings and zero dead exports at HEAD. *)
 
 module L = Cddpd_lint_core.Lint_types
 module Config = Cddpd_lint_core.Lint_config
@@ -17,6 +17,7 @@ module Typed_rules = Cddpd_lint_core.Typed_rules
 module Type_safety = Cddpd_lint_core.Type_safety
 module Race = Cddpd_lint_core.Race
 module Baseline = Cddpd_lint_core.Baseline
+module Dead_export = Cddpd_lint_core.Dead_export
 
 let default_r3_dirs = [ "lib" ]
 
@@ -28,9 +29,6 @@ let hits rule (t : Rules.t) =
   List.filter
     (fun (f : L.finding) -> f.rule = rule && not f.waived)
     t.findings
-
-let waived_hits rule (t : Rules.t) =
-  List.filter (fun (f : L.finding) -> f.rule = rule && f.waived) t.findings
 
 let count = List.length
 
@@ -61,49 +59,27 @@ let with_tree files f =
       List.iter (fun (rel, content) -> write_file (Filename.concat root rel) content) files;
       f root)
 
-(* -- R1 poly-hash --------------------------------------------------------- *)
+let typecheck_exn ~path source =
+  match Cmt_loader.typecheck ~path source with
+  | Ok str -> str
+  | Error msg -> Alcotest.failf "fixture does not typecheck: %s" msg
 
-let test_poly_hash () =
-  let bad = check_source ~path:"lib/x/a.ml" "let f x = Hashtbl.hash x\n" in
-  Alcotest.(check int) "Hashtbl.hash flagged" 1 (count (hits L.Poly_hash bad));
-  let create = check_source ~path:"lib/x/a.ml" "let t = ()\nlet u = Hashtbl.create 4\n" in
-  Alcotest.(check int) "default-hash create flagged" 1 (count (hits L.Poly_hash create));
-  let make =
-    check_source ~path:"lib/x/a.ml"
-      "module H = Hashtbl.Make (String)\nlet u = H.create 4\n"
+(* Write [source] to [path] under [root], typecheck it and save its cmt
+   where dune would put it for a module of a library [x] in that dir. *)
+let plant_cmt root ?(path = "lib/x/a.ml") source =
+  let src_path = Filename.concat root path in
+  write_file src_path source;
+  let str = typecheck_exn ~path source in
+  let modname =
+    String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
   in
-  Alcotest.(check int) "Hashtbl.Make table clean" 0 (count (hits L.Poly_hash make));
-  let whitelisted = check_source ~path:"lib/engine/cost_cache.ml" "let u = Hashtbl.create 4\n" in
-  Alcotest.(check int) "whitelisted module clean" 0 (count (hits L.Poly_hash whitelisted));
-  let waived =
-    check_source ~path:"lib/x/a.ml"
-      "(* cddpd-lint: allow poly-hash -- string keys *)\nlet u = Hashtbl.create 4\n"
+  let cmt_path =
+    Filename.concat root
+      (Printf.sprintf "_build/default/%s/.x.objs/byte/x__%s.cmt"
+         (Filename.dirname path) modname)
   in
-  Alcotest.(check int) "waiver absorbs the hit" 0 (count (hits L.Poly_hash waived));
-  Alcotest.(check int) "waived finding still reported" 1
-    (count (waived_hits L.Poly_hash waived))
-
-(* -- R2 poly-compare ------------------------------------------------------ *)
-
-let test_poly_compare () =
-  let bare = check_source ~path:"lib/engine/a.ml" "let f xs = List.sort compare xs\n" in
-  Alcotest.(check int) "bare compare flagged" 1 (count (hits L.Poly_compare bare));
-  let float_eq = check_source ~path:"lib/core/a.ml" "let f x = x = 0.0\n" in
-  Alcotest.(check int) "float (=) flagged" 1 (count (hits L.Poly_compare float_eq));
-  let float_arith = check_source ~path:"lib/graph/a.ml" "let f a b c = a +. b <> c\n" in
-  Alcotest.(check int) "float arithmetic operand flagged" 1
-    (count (hits L.Poly_compare float_arith));
-  let int_eq = check_source ~path:"lib/core/a.ml" "let f x = x = 3\n" in
-  Alcotest.(check int) "int (=) not flagged" 0 (count (hits L.Poly_compare int_eq));
-  let typed = check_source ~path:"lib/engine/a.ml" "let f xs = List.sort Int.compare xs\n" in
-  Alcotest.(check int) "Int.compare clean" 0 (count (hits L.Poly_compare typed));
-  let cold = check_source ~path:"lib/workload/a.ml" "let f xs = List.sort compare xs\n" in
-  Alcotest.(check int) "outside hot dirs not flagged" 0 (count (hits L.Poly_compare cold));
-  let waived =
-    check_source ~path:"lib/engine/a.ml"
-      "let f x = x = 0.0 (* cddpd-lint: allow poly-compare -- exact sentinel *)\n"
-  in
-  Alcotest.(check int) "same-line waiver absorbs" 0 (count (hits L.Poly_compare waived))
+  Cmt_loader.save_cmt ~cmt_path ~modname:("X__" ^ modname) ~sourcefile:src_path
+    str
 
 (* -- R3 domain-unsafe-state ----------------------------------------------- *)
 
@@ -321,14 +297,13 @@ let test_obs_sync_span () =
 let test_each_rule_fires_through_driver () =
   with_tree
     [
-      ( "lib/x/a.ml",
-        "let t = Hashtbl.create 4\nlet f x = Hashtbl.hash x\nlet () = print_endline \"boo\"\n"
-      );
-      ("lib/core/hot.ml", "let f xs = List.sort compare xs\n");
       ("lib/core/hot.mli", "val f : int list -> int list\n");
       ("docs/OBSERVABILITY.md", "## Metric catalogue\n\n| `ghost.metric` | counter |\n");
     ]
     (fun root ->
+      plant_cmt root
+        "let t = Hashtbl.create 4\nlet f x = Hashtbl.hash x\nlet () = print_endline \"boo\"\n";
+      plant_cmt root ~path:"lib/core/hot.ml" "let f xs = List.sort compare xs\n";
       let config = { Config.default with domain_state_dirs = Some [ "lib" ] } in
       let report = Driver.run ~config ~root () in
       let rules_hit =
@@ -344,15 +319,15 @@ let test_each_rule_fires_through_driver () =
             true (List.mem rule rules_hit))
         [
           L.Poly_hash; L.Poly_compare; L.Domain_unsafe_state; L.Lib_hygiene;
-          L.Mli_coverage; L.Obs_catalogue_sync;
+          L.Mli_coverage; L.Obs_catalogue_sync; L.Dead_export;
         ])
 
 let test_rule_toggles () =
   with_tree
-    [ ("lib/x/a.ml", "let f x = Hashtbl.hash x\nlet g = ref 0\n");
-      ("lib/x/a.mli", "val f : 'a -> int\nval g : int ref\n");
+    [ ("lib/x/a.mli", "val f : 'a -> int\nval g : int ref\n");
       ("docs/OBSERVABILITY.md", "# empty\n") ]
     (fun root ->
+      plant_cmt root "let f x = Hashtbl.hash x\nlet g = ref 0\n";
       let config =
         Config.restrict { Config.default with domain_state_dirs = Some [] } [ L.Poly_hash ]
       in
@@ -392,22 +367,6 @@ let test_dune_scan () =
 
 (* -- cmt loader: locate, validate, fall back -------------------------------- *)
 
-let typecheck_exn ~path source =
-  match Cmt_loader.typecheck ~path source with
-  | Ok str -> str
-  | Error msg -> Alcotest.failf "fixture does not typecheck: %s" msg
-
-(* Typecheck [source], save its cmt where dune would put it for a
-   library [x] in lib/x/, and return the tree root. *)
-let plant_cmt root ~source =
-  let src_path = Filename.concat root "lib/x/a.ml" in
-  write_file src_path source;
-  let str = typecheck_exn ~path:"lib/x/a.ml" source in
-  let cmt_path =
-    Filename.concat root "_build/default/lib/x/.x.objs/byte/x__A.cmt"
-  in
-  Cmt_loader.save_cmt ~cmt_path ~modname:"A" ~sourcefile:src_path str
-
 let test_cmt_loader () =
   with_tree [] (fun root ->
       let source = "let answer = 42\n" in
@@ -419,7 +378,7 @@ let test_cmt_loader () =
       | Cmt_loader.Missing -> ()
       | s -> Alcotest.failf "expected Missing, got %s" (Cmt_loader.status_reason s));
       (* fresh cmt: Loaded, with the mangling stripped off the modname *)
-      plant_cmt root ~source;
+      plant_cmt root source;
       (match
          Cmt_loader.find ~root ~build_dirs:[ "_build/default" ]
            ~path:"lib/x/a.ml" ~source
@@ -480,7 +439,36 @@ let test_typed_poly () =
        let bad : (fk, int) Hashtbl.t = Hashtbl.create 16\n"
   in
   Alcotest.(check int) "concrete record key safe, float field unsafe" 1
-    (count record_findings)
+    (count record_findings);
+  (* one input per case: the instantiated type decides *)
+  let flagged rule source =
+    let _, fs = typed_findings ~path:"lib/x/a.ml" source in
+    count (List.filter (fun (f : L.finding) -> f.rule = rule) fs)
+  in
+  List.iter
+    (fun (what, rule, expected, source) ->
+      Alcotest.(check int) what expected (flagged rule source))
+    [
+      ("Hashtbl.hash at a type variable", L.Poly_hash, 1,
+       "let f x = Hashtbl.hash x\n");
+      ("Hashtbl.hash at int", L.Poly_hash, 0,
+       "let f (x : int) = Hashtbl.hash x\n");
+      ("seeded_hash at float", L.Poly_hash, 1,
+       "let f (x : float) = Hashtbl.seeded_hash 7 x\n");
+      ("default-hash create keyed on an abstract type", L.Poly_hash, 1,
+       "let tbl : (Buffer.t, int) Hashtbl.t = Hashtbl.create 4\n");
+      ("Hashtbl.Make table", L.Poly_hash, 0,
+       "module H = Hashtbl.Make (String)\nlet u : int H.t = H.create 4\n");
+      ("bare compare at float", L.Poly_compare, 1,
+       "let f (xs : float list) = List.sort compare xs\n");
+      ("bare compare at int", L.Poly_compare, 0,
+       "let f (xs : int list) = List.sort compare xs\n");
+      ("Int.compare", L.Poly_compare, 0,
+       "let f xs = List.sort Int.compare xs\n");
+      ("(<>) on float arithmetic", L.Poly_compare, 1,
+       "let f a b c = a +. b <> c\n");
+      ("(=) on a float literal", L.Poly_compare, 1, "let f x = x = 0.0\n");
+    ]
 
 (* -- R7: extraction and the cross-module fixpoint --------------------------- *)
 
@@ -575,6 +563,103 @@ let test_race_cross_module () =
   Alcotest.(check int) "plain-value ref does not propagate reach" 0
     (count via_value)
 
+(* -- R9 dead-export ------------------------------------------------------------ *)
+
+(* Caller fixtures typecheck against the stdlib alone, so each carries a
+   stand-in for library [Cddpd_x]; paths through it canonicalize exactly
+   as paths through the real library would. *)
+let stub_library =
+  "module Cddpd_x = struct\n\
+  \  module Counter = struct\n\
+  \    let orphan () = ()\n\
+  \    let called () = ()\n\
+  \    let at_init () = ()\n\
+  \    let via_alias () = ()\n\
+  \    let from_nested () = ()\n\
+  \    let self_only () = ()\n\
+  \    let waived () = ()\n\
+  \    module Sub = struct let deep () = () end\n\
+  \  end\n\
+  \  module Key = struct\n\
+  \    type t = int\n\
+  \    let compare = Int.compare\n\
+  \    let pp ppf = Format.pp_print_int ppf\n\
+  \  end\n\
+   end\n"
+
+let counter_mli =
+  "val orphan : unit -> unit\n\
+   val called : unit -> unit\n\
+   val at_init : unit -> unit\n\
+   val via_alias : unit -> unit\n\
+   val from_nested : unit -> unit\n\
+   val self_only : unit -> unit\n\
+   (* cddpd-lint: allow dead-export -- kept for interactive use *)\n\
+   val waived : unit -> unit\n\
+   module Sub : sig\n\
+  \  val deep : unit -> unit\n\
+   end\n"
+
+let test_dead_export () =
+  let uses ?(stub = true) source =
+    Dead_export.uses
+      (typecheck_exn ~path:"test/caller.ml"
+         ((if stub then stub_library else "") ^ source))
+  in
+  let callers =
+    [
+      uses "let go () = Cddpd_x.Counter.called ()\n";
+      uses "let () = Cddpd_x.Counter.at_init ()\n";
+      uses "module Obs = Cddpd_x\nlet tick () = Obs.Counter.via_alias ()\n";
+      uses
+        "module Inner = struct\n\
+        \  let f () = Cddpd_x.Counter.from_nested ()\n\
+         end\n";
+      uses "let d () = Cddpd_x.Counter.Sub.deep ()\n";
+      uses "module Keys = Set.Make (Cddpd_x.Key)\n";
+      (* the module itself: its own references are unqualified *)
+      uses ~stub:false
+        "let self_only () = ()\nlet orphan () = self_only ()\n\
+         let waived () = ()\n";
+    ]
+  in
+  let exports =
+    Dead_export.exports ~unit_path:(Dead_export.unit_path "Cddpd_x__Counter")
+      ~path:"lib/x/counter.mli" counter_mli
+  in
+  Alcotest.(check int) "every val, nested sig included" 8 (count exports);
+  let findings =
+    Waiver.apply (Waiver.scan counter_mli) (Dead_export.check callers exports)
+  in
+  let flagged =
+    List.filter_map
+      (fun (f : L.finding) ->
+        if f.waived then None else Some (List.hd (String.split_on_char ' ' f.message)))
+      findings
+  in
+  Alcotest.(check (list string))
+    "unreferenced and self-only exports flagged; other callers, let () \
+     bodies, aliases and nested modules count"
+    [ "Cddpd_x.Counter.orphan"; "Cddpd_x.Counter.self_only" ]
+    flagged;
+  (match List.filter (fun (f : L.finding) -> f.waived) findings with
+  | [ f ] ->
+      Alcotest.(check int) "the waiver covers the val below it" 8 f.line;
+      Alcotest.(check bool) "a waived export does not block" false (L.blocking f)
+  | fs -> Alcotest.failf "expected one waived finding, got %d" (count fs));
+  (* a functor argument uses what the parameter requires, not all of it *)
+  let key_mli = "type t\nval compare : t -> t -> int\nval pp : Format.formatter -> t -> unit\n" in
+  Alcotest.(check (list string)) "Set.Make (Key) uses Key.compare only"
+    [ "Cddpd_x.Key.pp" ]
+    (List.map
+       (fun (f : L.finding) -> List.hd (String.split_on_char ' ' f.message))
+       (Dead_export.check callers
+          (Dead_export.exports ~unit_path:[ "Cddpd_x"; "Key" ]
+             ~path:"lib/x/key.mli" key_mli)));
+  Alcotest.(check (list string)) "dune mangling splits into segments"
+    [ "Cddpd_obs"; "Counter" ]
+    (Dead_export.unit_path "Cddpd_obs__Counter")
+
 (* -- R8 determinism --------------------------------------------------------- *)
 
 let test_determinism () =
@@ -656,34 +741,6 @@ let test_baseline_diff () =
   Alcotest.(check int) "one shrunk entry to regenerate away" 1
     (count shrunk.Baseline.shrunk)
 
-(* -- fallback findings are advisory through the driver ----------------------- *)
-
-let test_fallback_advisory () =
-  with_tree
-    [
-      ("lib/x/a.ml", "let t = Hashtbl.create 4\n");
-      ("lib/x/a.mli", "val t : (int, int) Hashtbl.t\n");
-      ("docs/OBSERVABILITY.md", "# empty\n");
-    ]
-    (fun root ->
-      (* typed engine on, but the fixture tree has no _build: every file
-         falls back and R1 degrades to advisory *)
-      let config = { Config.default with domain_state_dirs = Some [] } in
-      let report = Driver.run ~config ~root () in
-      Alcotest.(check int) "nothing typed without cmts" 0 report.typed_files;
-      Alcotest.(check bool) "fallback recorded with a reason" true
-        (List.exists (fun (f, _) -> f = "lib/x/a.ml") report.fallbacks);
-      Alcotest.(check int) "R1 fallback finding is advisory" 1
-        (count (Driver.advisory report));
-      Alcotest.(check int) "advisory findings never block" 0
-        (count (Driver.blocking report));
-      (* --no-typed restores the strict syntactic behaviour *)
-      let report =
-        Driver.run ~config:{ config with Config.typed = false } ~root ()
-      in
-      Alcotest.(check int) "syntactic mode blocks again" 1
-        (count (Driver.blocking report)))
-
 (* -- the real repository lints clean at HEAD -------------------------------- *)
 
 let repo_root () =
@@ -705,6 +762,20 @@ let test_repo_smoke () =
   | None -> () (* source tree not visible from the test sandbox; skip *)
   | Some root ->
       let report = Driver.run ~root () in
+      List.iter
+        (fun (file, reason) -> Printf.eprintf "no cmt: %s: %s\n" file reason)
+        report.cmt_errors;
+      Alcotest.(check int) "every module has a fresh cmt (dune build @check)"
+        0
+        (count report.cmt_errors);
+      Alcotest.(check int) "no dead exports, waived or not" 0
+        (count
+           (List.filter
+              (fun (f : L.finding) -> f.rule = L.Dead_export)
+              report.findings));
+      Alcotest.(check bool) "test, example and perfbench modules count as callers"
+        true
+        (report.caller_files > 20);
       let blocking = Driver.blocking report in
       List.iter (fun f -> Printf.eprintf "unexpected: %s\n" (L.to_line f)) blocking;
       Alcotest.(check int) "repository lints clean (fix or waive new findings)" 0
@@ -733,8 +804,6 @@ let () =
     [
       ( "rules",
         [
-          Alcotest.test_case "R1 poly-hash" `Quick test_poly_hash;
-          Alcotest.test_case "R2 poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "R3 domain-unsafe-state" `Quick test_domain_unsafe_state;
           Alcotest.test_case "R4 lib-hygiene" `Quick test_lib_hygiene;
           Alcotest.test_case "waiver syntax" `Quick test_waiver_syntax;
@@ -750,7 +819,7 @@ let () =
           Alcotest.test_case "R8 determinism" `Quick test_determinism;
           Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "baseline diff" `Quick test_baseline_diff;
-          Alcotest.test_case "fallback is advisory" `Quick test_fallback_advisory;
+          Alcotest.test_case "R9 dead-export" `Quick test_dead_export;
         ] );
       ( "driver",
         [

@@ -1,8 +1,9 @@
 (* cddpd_lint — static analysis for the cddpd tree.
 
    Exit codes: 0 clean (no blocking findings, ratchet satisfied),
-   1 findings or ratchet growth, 2 usage or internal error.  See
-   docs/LINTING.md for the rule catalogue and the baseline workflow. *)
+   1 findings or ratchet growth, 2 usage or internal error, or a source
+   file without a fresh cmt.  See docs/LINTING.md for the rule catalogue
+   and the baseline workflow. *)
 
 module L = Cddpd_lint_core.Lint_types
 module Config = Cddpd_lint_core.Lint_config
@@ -32,7 +33,6 @@ let () =
   let disabled = ref [] in
   let show_waived = ref false in
   let list_rules = ref false in
-  let no_typed = ref false in
   let baseline_file = ref None in
   let write_baseline = ref None in
   let spec =
@@ -51,9 +51,6 @@ let () =
         Arg.String
           (fun s -> disabled := !disabled @ parse_rule_list ~flag:"--disable" s),
         "LIST turn these rules off" );
-      ( "--no-typed",
-        Arg.Set no_typed,
-        " skip cmt loading; syntactic R1/R2 become blocking again" );
       ( "--baseline",
         Arg.String (fun f -> baseline_file := Some f),
         "FILE enforce the waived-finding ratchet against FILE" );
@@ -77,12 +74,17 @@ let () =
   let config =
     let c = Config.default in
     let c = match !only with Some rules -> Config.restrict c rules | None -> c in
-    let c = Config.disable c !disabled in
-    if !no_typed then { c with Config.typed = false } else c
+    Config.disable c !disabled
   in
   match Driver.run ~config ~root:!root () with
   | exception e ->
       Printf.eprintf "cddpd_lint: internal error: %s\n" (Printexc.to_string e);
+      exit 2
+  | { Driver.cmt_errors = _ :: _ as errors; _ } ->
+      List.iter
+        (fun (file, reason) ->
+          Printf.eprintf "cddpd_lint: cannot analyze %s: %s\n" file reason)
+        errors;
       exit 2
   | report -> (
       let rendered =

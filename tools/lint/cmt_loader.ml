@@ -15,6 +15,7 @@
 type loaded = {
   structure : Typedtree.structure;
   modname : string;  (** short module name, mangling stripped *)
+  unit_name : string;
   cmt_path : string;
 }
 
@@ -26,8 +27,8 @@ type status =
 
 let status_reason = function
   | Loaded _ -> "loaded"
-  | Missing -> "no cmt artifact (build first: dune build)"
-  | Stale p -> Printf.sprintf "stale cmt %s (rebuild: dune build)" p
+  | Missing -> "no cmt artifact (build first: dune build @check)"
+  | Stale p -> Printf.sprintf "stale cmt %s (rebuild: dune build @check)" p
   | Unreadable m -> Printf.sprintf "unreadable cmt: %s" m
 
 let short_modname = Type_safety.strip_mangling
@@ -103,6 +104,7 @@ let find ~root ~build_dirs ~path ~source =
                         {
                           structure;
                           modname = short_modname info.Cmt_format.cmt_modname;
+                          unit_name = info.Cmt_format.cmt_modname;
                           cmt_path;
                         }
                     else try_all (Stale cmt_path) rest

@@ -7,6 +7,7 @@
 type loaded = {
   structure : Typedtree.structure;
   modname : string;  (** short module name, dune mangling stripped *)
+  unit_name : string;  (** the compilation unit, e.g. ["Cddpd_obs__Counter"] *)
   cmt_path : string;
 }
 
@@ -17,7 +18,7 @@ type status =
   | Unreadable of string  (** a cmt exists but could not be loaded *)
 
 val status_reason : status -> string
-(** Human-readable explanation for the fallback report. *)
+(** Human-readable explanation of why a cmt cannot be used. *)
 
 val find :
   root:string -> build_dirs:string list -> path:string -> source:string -> status

@@ -1,14 +1,12 @@
-(* The lint driver: walks the tree, loads each file's cmt (typed mode),
-   runs the typed per-file pass plus the syntactic AST pass, solves the
-   interprocedural race analysis, runs the filesystem rule (R5) and the
-   catalogue cross-check (R6), and renders reports.
+(* The lint driver: walks the tree, loads each file's cmt, runs the typed
+   per-file pass plus the syntactic AST pass, solves the interprocedural
+   race analysis and the dead-export check, runs the filesystem rule (R5)
+   and the catalogue cross-check (R6), and renders reports.
 
-   Typed mode per file: a fresh cmt gives exact R1/R2 and feeds the R7
-   extract; files with a missing/stale cmt fall back to the syntactic
-   R1/R2 heuristics *as advisory findings* — reported, never blocking —
-   so a cmt-less checkout cannot fail on heuristic noise while a full
-   build still gets the exact analysis.  The exit-code policy lives in
-   the executable: a run is clean iff [blocking] is empty. *)
+   A file whose cmt is missing, stale or unreadable is recorded in
+   [cmt_errors]; the executable refuses to report on such a tree.  The
+   exit-code policy lives in the executable: a run is clean iff
+   [blocking] is empty. *)
 
 module L = Lint_types
 
@@ -17,8 +15,8 @@ type report = {
   config : Lint_config.t;
   findings : L.finding list;  (** every finding, waived ones included *)
   files_scanned : int;
-  typed_files : int;  (** files analyzed from a fresh cmt *)
-  fallbacks : (string * string) list;  (** path, reason cmt was unusable *)
+  caller_files : int;
+  cmt_errors : (string * string) list;
   obs_dynamic : int;
   r3_dirs : string list;
   warnings : string list;
@@ -27,6 +25,10 @@ type report = {
 let read_file path =
   try Some (In_channel.with_open_text path In_channel.input_all)
   with Sys_error _ -> None
+
+(* The lib dir: R5 wants an interface for each of its modules, R9 a
+   caller for each of their exports. *)
+let lib_dir = "lib"
 
 (* Root-relative .ml files below [dir], skipping dot- and underscore-
    directories (_build) and anything that is not a plain source file. *)
@@ -58,7 +60,7 @@ let run ?(config = Lint_config.default) ~root () =
     | Some dirs -> dirs
     | None ->
         if Lint_config.enabled config L.Domain_unsafe_state then begin
-          let dirs = Dune_scan.domain_state_dirs ~root ~lib_dir:"lib" () in
+          let dirs = Dune_scan.domain_state_dirs ~root ~lib_dir () in
           if dirs = [] then
             warnings :=
               "domain-unsafe-state: no Parallel-linked libraries derived from \
@@ -68,40 +70,41 @@ let run ?(config = Lint_config.default) ~root () =
         end
         else []
   in
-  let files =
-    List.concat_map (fun dir -> ml_files ~root dir) config.scan_dirs
+  let files dirs = List.concat_map (fun dir -> ml_files ~root dir) dirs in
+  let readable rel =
+    match read_file (Filename.concat root rel) with
+    | None ->
+        warnings := Printf.sprintf "cannot read %s; skipped" rel :: !warnings;
+        None
+    | some -> some
   in
-  (* Pass 1: read each file, resolve its cmt, run the syntactic rules
-     with the poly mode the cmt status dictates. *)
-  let fallbacks = ref [] in
+  let cmt_errors = ref [] in
+  let load rel source =
+    match
+      Cmt_loader.find ~root ~build_dirs:config.build_dirs ~path:rel ~source
+    with
+    | Cmt_loader.Loaded l -> Some l
+    | status ->
+        cmt_errors := (rel, Cmt_loader.status_reason status) :: !cmt_errors;
+        None
+  in
+  (* Pass 1: read each file, resolve its cmt, run the syntactic rules.
+     Caller-dir modules are only loaded, for R9's references. *)
   let per_file =
     List.filter_map
       (fun rel ->
-        match read_file (Filename.concat root rel) with
-        | None ->
-            warnings := Printf.sprintf "cannot read %s; skipped" rel :: !warnings;
-            None
-        | Some source ->
-            let cmt =
-              if config.typed then
-                Cmt_loader.find ~root ~build_dirs:config.build_dirs ~path:rel
-                  ~source
-              else Cmt_loader.Missing
-            in
-            let loaded, poly =
-              match cmt with
-              | Cmt_loader.Loaded l -> (Some l, `Off)
-              | status ->
-                  if config.typed then
-                    fallbacks :=
-                      (rel, Cmt_loader.status_reason status) :: !fallbacks;
-                  (None, if config.typed then `Fallback else `Blocking)
-            in
-            let ast = Rules.check_source ~config ~r3_dirs ~poly ~path:rel source in
-            Some (rel, source, ast, loaded))
-      files
+        Option.map
+          (fun source ->
+            let ast = Rules.check_source ~config ~r3_dirs ~path:rel source in
+            (rel, source, ast, load rel source))
+          (readable rel))
+      (files config.scan_dirs)
   in
-  let fallbacks = List.rev !fallbacks in
+  let callers =
+    List.filter_map
+      (fun rel -> Option.bind (readable rel) (load rel))
+      (files Lint_config.caller_dirs)
+  in
   (* Pass 2: repo-wide type declaration table, then the typed per-file
      pass (exact R1/R2 + the R7 extract for each cmt-backed module). *)
   let types = Type_safety.create () in
@@ -133,7 +136,6 @@ let run ?(config = Lint_config.default) ~root () =
             (extract :: extracts, Waiver.apply (waivers_of rel) fs @ findings))
       ([], []) per_file
   in
-  let typed_files = List.length extracts in
   (* Pass 3: interprocedural R7 solve over all extracts; findings land
      at call sites and honour the call site's waivers. *)
   let race_findings =
@@ -145,6 +147,36 @@ let run ?(config = Lint_config.default) ~root () =
              | _ -> f)
     else []
   in
+  (* R9: every value a lib interface exports needs a reference from some
+     other module, caller dirs included.  The interface's own waivers
+     apply. *)
+  let dead_findings =
+    if not (Lint_config.enabled config L.Dead_export) then []
+    else
+      let dead =
+        Dead_export.check
+          (List.map
+             (fun (l : Cmt_loader.loaded) -> Dead_export.uses l.structure)
+             (List.filter_map (fun (_, _, _, loaded) -> loaded) per_file
+             @ callers))
+      in
+      List.concat_map
+        (fun (rel, _, _, loaded) ->
+          match loaded with
+          | Some (l : Cmt_loader.loaded) when Lint_config.under_dir ~dir:lib_dir rel
+            -> (
+              let mli = rel ^ "i" in
+              match read_file (Filename.concat root mli) with
+              | None -> []
+              | Some source ->
+                  Dead_export.exports
+                    ~unit_path:(Dead_export.unit_path l.unit_name)
+                    ~path:mli source
+                  |> dead
+                  |> Waiver.apply (Waiver.scan source))
+          | _ -> [])
+        per_file
+  in
   let ast_findings =
     List.concat_map (fun (_, _, (r : Rules.t), _) -> r.findings) per_file
   in
@@ -155,7 +187,7 @@ let run ?(config = Lint_config.default) ~root () =
     else
       List.filter_map
         (fun (rel, source, _, _) ->
-          if not (Lint_config.under_dir ~dir:"lib" rel) then None
+          if not (Lint_config.under_dir ~dir:lib_dir rel) then None
           else if Sys.file_exists (Filename.concat root (rel ^ "i")) then None
           else
             let f =
@@ -195,8 +227,8 @@ let run ?(config = Lint_config.default) ~root () =
   in
   let findings =
     List.sort L.compare_findings
-      (typed_findings @ race_findings @ ast_findings @ mli_findings
-     @ obs_findings)
+      (typed_findings @ race_findings @ dead_findings @ ast_findings
+     @ mli_findings @ obs_findings)
   in
   let obs_dynamic =
     List.fold_left
@@ -208,8 +240,8 @@ let run ?(config = Lint_config.default) ~root () =
     config;
     findings;
     files_scanned = List.length per_file;
-    typed_files;
-    fallbacks;
+    caller_files = List.length callers;
+    cmt_errors = List.rev !cmt_errors;
     obs_dynamic;
     r3_dirs;
     warnings = List.rev !warnings;
@@ -221,11 +253,6 @@ let unwaived report =
 let waived report = List.filter (fun (f : L.finding) -> f.waived) report.findings
 
 let blocking report = List.filter L.blocking report.findings
-
-let advisory report =
-  List.filter
-    (fun (f : L.finding) -> (not f.waived) && L.advisory f)
-    report.findings
 
 let render_text ?(show_waived = false) report =
   let buf = Buffer.create 1024 in
@@ -239,29 +266,20 @@ let render_text ?(show_waived = false) report =
         Buffer.add_char buf '\n'
       end)
     report.findings;
-  if report.config.typed && report.fallbacks <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "note: %d file(s) without a usable cmt analyzed syntactically \
-          (advisory): %s\n"
-         (List.length report.fallbacks)
-         (String.concat ", " (List.map fst report.fallbacks)));
   Buffer.add_string buf
     (Printf.sprintf
-       "cddpd-lint: %d file(s) scanned (%d typed, %d fallback), %d finding(s) \
-        (%d waived, %d advisory, %d blocking)\n"
-       report.files_scanned report.typed_files
-       (List.length report.fallbacks)
+       "cddpd-lint: %d file(s) scanned, %d caller file(s) loaded, %d \
+        finding(s) (%d waived, %d blocking)\n"
+       report.files_scanned report.caller_files
        (List.length report.findings)
        (List.length (waived report))
-       (List.length (advisory report))
        (List.length (blocking report)));
   Buffer.contents buf
 
 let render_json report =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"cddpd-lint/2\",\n";
+  Buffer.add_string buf "  \"schema\": \"cddpd-lint/3\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"root\": \"%s\",\n" (L.json_escape report.root));
   Buffer.add_string buf
@@ -277,15 +295,15 @@ let render_json report =
   Buffer.add_string buf
     (Printf.sprintf "  \"files_scanned\": %d,\n" report.files_scanned);
   Buffer.add_string buf
-    (Printf.sprintf "  \"typed_files\": %d,\n" report.typed_files);
+    (Printf.sprintf "  \"caller_files\": %d,\n" report.caller_files);
   Buffer.add_string buf
-    (Printf.sprintf "  \"fallbacks\": [%s],\n"
+    (Printf.sprintf "  \"cmt_errors\": [%s],\n"
        (String.concat ", "
           (List.map
              (fun (path, reason) ->
                Printf.sprintf "{\"file\": \"%s\", \"reason\": \"%s\"}"
                  (L.json_escape path) (L.json_escape reason))
-             report.fallbacks)));
+             report.cmt_errors)));
   Buffer.add_string buf
     (Printf.sprintf "  \"obs_dynamic_names\": %d,\n" report.obs_dynamic);
   Buffer.add_string buf
@@ -305,11 +323,9 @@ let render_json report =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"summary\": {\"total\": %d, \"waived\": %d, \"advisory\": %d, \
-        \"blocking\": %d}\n"
+       "  \"summary\": {\"total\": %d, \"waived\": %d, \"blocking\": %d}\n"
        (List.length report.findings)
        (List.length (waived report))
-       (List.length (advisory report))
        (List.length (blocking report)));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

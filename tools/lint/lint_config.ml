@@ -1,41 +1,31 @@
-(* Lint configuration: which rules run, where each rule looks, and the
-   audited whitelists.  Paths are relative to the lint root and use '/'
-   separators; a "dir" entry matches any file below it, scope lists may
-   also name individual files. *)
+(* Lint configuration: which rules run and where each rule looks.  Paths
+   are relative to the lint root and use '/' separators; a "dir" entry
+   matches any file below it, scope lists may also name individual
+   files. *)
 
 type t = {
   enabled : Lint_types.rule list;
   scan_dirs : string list;
-  poly_hash_whitelist : string list;
-  poly_compare_dirs : string list;
   domain_state_dirs : string list option;
   lib_hygiene_dirs : string list;
   lib_hygiene_exempt : string list;
   obs_scope : string;
   obs_doc : string;
-  typed : bool;
   build_dirs : string list;
   parallel_entries : string list;
   determinism_dirs : string list;
   determinism_exempt : string list;
 }
 
-(* The R1 whitelist only matters for the syntactic fallback (cmt missing
-   or stale): the typed rule checks the instantiated key type itself and
-   needs no whitelist.  These are the modules whose hashtables were
-   audited to key on strings or ints only, where Hashtbl.hash is exact. *)
 let default =
   {
     enabled = Lint_types.all_rules;
     scan_dirs = [ "lib"; "bin"; "bench"; "tools" ];
-    poly_hash_whitelist = [ "lib/engine/cost_key.ml"; "lib/engine/cost_cache.ml" ];
-    poly_compare_dirs = [ "lib/graph"; "lib/engine"; "lib/core"; "lib/util" ];
     domain_state_dirs = None;
     lib_hygiene_dirs = [ "lib" ];
     lib_hygiene_exempt = [ "lib/experiments" ];
     obs_scope = "lib";
     obs_doc = "docs/OBSERVABILITY.md";
-    typed = true;
     (* Candidate roots holding dune's cmt artifacts, tried in order.  "."
        covers running inside _build/default (the @lint alias); the second
        covers running from the repository root after a build. *)
@@ -51,6 +41,10 @@ let default =
     determinism_dirs = [ "lib" ];
     determinism_exempt = [ "lib/obs"; "lib/util/rng.ml" ];
   }
+
+(* Every other dir dune builds: a value only a test, an example or the
+   serve benchmark calls still has a caller. *)
+let caller_dirs = [ "test"; "examples"; "perfbench" ]
 
 let enabled t rule = List.mem rule t.enabled
 
@@ -74,5 +68,3 @@ let in_scope entries path =
   List.exists
     (fun entry -> normalize entry = normalize path || under_dir ~dir:entry path)
     entries
-
-let whitelisted t path = List.mem (normalize path) (List.map normalize t.poly_hash_whitelist)

@@ -1,16 +1,9 @@
-(** Lint configuration: enabled rules, rule scopes, audited whitelists.
-    All paths are relative to the lint root, '/'-separated. *)
+(** Lint configuration: enabled rules and rule scopes.  All paths are
+    relative to the lint root, '/'-separated. *)
 
 type t = {
   enabled : Lint_types.rule list;  (** rules that run *)
-  scan_dirs : string list;  (** root-relative dirs whose [.ml] files are parsed *)
-  poly_hash_whitelist : string list;
-      (** R1 syntactic fallback only: exact files allowed to use
-          default-hash hashtables (audited string/int keys) without a
-          waiver.  The typed rule checks the key type and ignores this. *)
-  poly_compare_dirs : string list;
-      (** R2 syntactic fallback only: dirs where bare compare/(=) is hot.
-          The typed rule runs repo-wide. *)
+  scan_dirs : string list;  (** root-relative dirs whose [.ml] files are linted *)
   domain_state_dirs : string list option;
       (** R3: dirs holding libraries reachable from [Parallel.run] worker
           domains; [None] means "derive from the dune library graph"
@@ -20,10 +13,6 @@ type t = {
       (** R4: sub-dirs whose contract is stdout reporting (lib/experiments) *)
   obs_scope : string;  (** R6: dir whose Obs literals are collected *)
   obs_doc : string;  (** R6: the catalogue document *)
-  typed : bool;
-      (** load cmt artifacts and run the typed rules (R1/R2 exact, R7);
-          files whose cmt is missing or stale fall back to the syntactic
-          heuristics, reported distinctly *)
   build_dirs : string list;
       (** candidate roots holding dune's [_build] cmt layout, tried in
           order (each is joined with the lint root) *)
@@ -38,6 +27,11 @@ type t = {
 
 val default : t
 (** The repo configuration described in [docs/LINTING.md]. *)
+
+val caller_dirs : string list
+(** R9: the dirs dune builds beyond [scan_dirs] (tests, examples, the
+    serve benchmark).  Their modules count as callers; their cmts are
+    loaded for references only, and no other rule looks at them. *)
 
 val enabled : t -> Lint_types.rule -> bool
 
@@ -55,6 +49,3 @@ val in_dirs : string list -> string -> bool
 
 val in_scope : string list -> string -> bool
 (** Like {!in_dirs}, but entries may also name an exact file. *)
-
-val whitelisted : t -> string -> bool
-(** Is this exact file on the R1 fallback whitelist? *)

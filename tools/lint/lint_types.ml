@@ -10,6 +10,7 @@ type rule =
   | Obs_catalogue_sync
   | Domain_race
   | Determinism
+  | Dead_export
   | Parse_error
 
 let all_rules =
@@ -22,6 +23,7 @@ let all_rules =
     Obs_catalogue_sync;
     Domain_race;
     Determinism;
+    Dead_export;
   ]
 
 let rule_id = function
@@ -33,6 +35,7 @@ let rule_id = function
   | Obs_catalogue_sync -> "obs-catalogue-sync"
   | Domain_race -> "domain-race"
   | Determinism -> "determinism"
+  | Dead_export -> "dead-export"
   | Parse_error -> "parse-error"
 
 let rule_code = function
@@ -44,6 +47,7 @@ let rule_code = function
   | Obs_catalogue_sync -> "R6"
   | Domain_race -> "R7"
   | Determinism -> "R8"
+  | Dead_export -> "R9"
   | Parse_error -> "R0"
 
 let rule_of_string s =
@@ -53,10 +57,10 @@ let rule_of_string s =
 let rule_doc = function
   | Poly_hash ->
       "Hashtbl.hash / default Hashtbl.create at key types containing floats, \
-       functions or abstract types (typed); whitelist heuristic as fallback"
+       functions or abstract types (typed)"
   | Poly_compare ->
       "polymorphic compare/(=) instantiated at float-, function- or \
-       abstract-carrying types (typed); float-evidence heuristic as fallback"
+       abstract-carrying types (typed)"
   | Domain_unsafe_state ->
       "unsynchronized module-toplevel mutable state in Parallel-linked libraries"
   | Lib_hygiene -> "Obj.magic / exit / stdout printing inside lib/"
@@ -69,21 +73,15 @@ let rule_doc = function
   | Determinism ->
       "result-order dependence on Hashtbl iteration; wall-clock/Random use \
        outside lib/util/rng.ml in result-affecting paths"
+  | Dead_export ->
+      "a value a lib/**/*.mli exports that no other module references (typed)"
   | Parse_error -> "source file failed to parse (not toggleable)"
 
-(* Where a finding came from.  [Typed] findings are exact (cmt-backed) and
-   blocking; [Syntactic] findings come from rules that never needed types
-   (R3-R6, R8) and are blocking; [Fallback] findings are the syntactic
-   R1/R2 heuristics running on a file whose cmt was missing or stale —
-   reported distinctly and advisory (never fail the run), because the
-   typed rules are the source of truth and re-audited waivers only cover
-   the typed engine's findings. *)
-type origin = Typed | Syntactic | Fallback
+(* Where a finding came from: the cmt-backed rules (R1, R2, R7, R9) or
+   the rules that never needed types (R3-R6, R8).  Both block. *)
+type origin = Typed | Syntactic
 
-let origin_id = function
-  | Typed -> "typed"
-  | Syntactic -> "syntactic"
-  | Fallback -> "fallback"
+let origin_id = function Typed -> "typed" | Syntactic -> "syntactic"
 
 type finding = {
   file : string;  (** path relative to the lint root *)
@@ -98,9 +96,7 @@ type finding = {
 let finding ?(col = 0) ?(origin = Syntactic) ~file ~line ~rule message =
   { file; line; col; rule; message; waived = false; origin }
 
-let advisory f = f.origin = Fallback
-
-let blocking f = (not f.waived) && not (advisory f)
+let blocking f = not f.waived
 
 let compare_findings a b =
   let c = String.compare a.file b.file in
@@ -116,9 +112,7 @@ let compare_findings a b =
         if c <> 0 then c else String.compare a.message b.message
 
 let to_line f =
-  Printf.sprintf "%s:%d: [%s]%s %s%s" f.file f.line (rule_id f.rule)
-    (if advisory f then " (fallback, advisory)" else "")
-    f.message
+  Printf.sprintf "%s:%d: [%s] %s%s" f.file f.line (rule_id f.rule) f.message
     (if f.waived then " (waived)" else "")
 
 let json_escape s =
@@ -139,6 +133,6 @@ let json_escape s =
 
 let to_json f =
   Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","origin":"%s","message":"%s","waived":%b,"advisory":%b}|}
+    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","origin":"%s","message":"%s","waived":%b}|}
     (json_escape f.file) f.line f.col (rule_id f.rule) (origin_id f.origin)
-    (json_escape f.message) f.waived (advisory f)
+    (json_escape f.message) f.waived

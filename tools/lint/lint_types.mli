@@ -9,10 +9,11 @@ type rule =
   | Obs_catalogue_sync  (** R6: obs names vs [docs/OBSERVABILITY.md] drift *)
   | Domain_race  (** R7: mutable state reachable from [Parallel] closures *)
   | Determinism  (** R8: Hashtbl iteration order / wall clock / ambient Random *)
+  | Dead_export  (** R9: a [lib/] export no other module references (typed) *)
   | Parse_error  (** internal: a source file failed to parse; never toggleable *)
 
 val all_rules : rule list
-(** The eight user-facing rules, in R1..R8 order ([Parse_error] excluded). *)
+(** The nine user-facing rules, in R1..R9 order ([Parse_error] excluded). *)
 
 val rule_id : rule -> string
 (** Stable kebab-case id, e.g. ["poly-hash"] — used in output lines, waiver
@@ -28,10 +29,8 @@ val rule_doc : rule -> string
 (** One-line description for [--list-rules]. *)
 
 type origin =
-  | Typed  (** exact, cmt-backed analysis — blocking *)
-  | Syntactic  (** type-free rules (R3-R6, R8) — blocking *)
-  | Fallback  (** syntactic R1/R2 heuristics on a file whose cmt is missing
-                  or stale — reported distinctly, advisory (never blocks) *)
+  | Typed  (** exact, cmt-backed analysis (R1, R2, R7, R9) *)
+  | Syntactic  (** type-free rules (R3-R6, R8) *)
 
 val origin_id : origin -> string
 
@@ -55,11 +54,8 @@ val finding :
   finding
 (** Build an unwaived finding ([origin] defaults to [Syntactic]). *)
 
-val advisory : finding -> bool
-(** [Fallback]-origin findings never fail a run. *)
-
 val blocking : finding -> bool
-(** Unwaived and not advisory: the findings that drive the exit code. *)
+(** Unwaived: the findings that drive the exit code. *)
 
 val compare_findings : finding -> finding -> int
 (** Order by file, line, column, rule, message — the report order. *)

@@ -1,18 +1,11 @@
 (* The per-file AST pass: parses one implementation with compiler-libs
-   and walks the parsetree with Ast_iterator, producing R1-R4 and R8
+   and walks the parsetree with Ast_iterator, producing R3, R4 and R8
    findings plus the Obs name literals that R6 cross-checks against the
-   catalogue.  Everything here is purely syntactic.
-
-   R1/R2 have a typed counterpart in [Typed_rules]; the [poly] mode
-   decides how the syntactic versions run: [`Blocking] when the typed
-   engine is off (legacy heuristics, blocking), [`Fallback] when the
-   file's cmt is missing or stale (same heuristics, advisory only), and
-   [`Off] when the typed pass already covered the file exactly. *)
+   catalogue.  Everything here is purely syntactic; the rules that need
+   types (R1, R2, R7, R9) read cmts instead. *)
 
 open Parsetree
 module L = Lint_types
-
-type poly_mode = [ `Blocking | `Fallback | `Off ]
 
 type obs_kind = Metric | Span
 
@@ -28,9 +21,8 @@ let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
 let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 
-let finding ?origin ~path ~loc ~rule message =
-  L.finding ~col:(col_of loc) ?origin ~file:path ~line:(line_of loc) ~rule
-    message
+let finding ~path ~loc ~rule message =
+  L.finding ~col:(col_of loc) ~file:path ~line:(line_of loc) ~rule message
 
 let ident_path e =
   match e.pexp_desc with
@@ -53,33 +45,6 @@ let rec peel e =
   match e.pexp_desc with
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> peel e
   | _ -> e
-
-(* -- R2 helpers ----------------------------------------------------------- *)
-
-let float_ops = [ "+."; "-."; "*."; "/."; "**"; "~-." ]
-
-let float_idents =
-  [ "infinity"; "neg_infinity"; "nan"; "epsilon_float"; "max_float"; "min_float" ]
-
-(* Syntactic evidence that an expression is a float: a float literal, a
-   float constant from Stdlib, float arithmetic, a [Float.*] call, or an
-   explicit [: float] annotation.  No type inference — ints never match. *)
-let floaty e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | Pexp_ident { txt; _ } -> (
-      match (try Longident.flatten txt with _ -> []) with
-      | [ id ] | [ "Stdlib"; id ] -> List.mem id float_idents
-      | _ -> false)
-  | Pexp_apply (f, _) -> (
-      match ident_path f with
-      | Some ([ op ] | [ "Stdlib"; op ]) when List.mem op float_ops -> true
-      | Some path when List.mem "Float" path -> true
-      | _ -> false)
-  | Pexp_constraint (_, { ptyp_desc = Ptyp_constr ({ txt = Lident "float"; _ }, []); _ })
-    ->
-      true
-  | _ -> false
 
 (* -- R3: module-toplevel mutable state ------------------------------------ *)
 
@@ -177,17 +142,8 @@ let print_names =
     "print_float"; "print_bytes";
   ]
 
-let check_expressions ~(config : Lint_config.t) ~(poly : poly_mode) ~path
-    structure acc obs obs_dynamic =
-  let poly_origin =
-    match poly with `Fallback -> L.Fallback | _ -> L.Syntactic
-  in
-  let r1 = poly <> `Off && Lint_config.enabled config L.Poly_hash in
-  let r2 =
-    poly <> `Off
-    && Lint_config.enabled config L.Poly_compare
-    && Lint_config.in_dirs config.poly_compare_dirs path
-  in
+let check_expressions ~(config : Lint_config.t) ~path structure acc obs
+    obs_dynamic =
   let r8 =
     Lint_config.enabled config L.Determinism
     && Lint_config.in_scope config.determinism_dirs path
@@ -199,34 +155,9 @@ let check_expressions ~(config : Lint_config.t) ~(poly : poly_mode) ~path
     && not (Lint_config.in_dirs config.lib_hygiene_exempt path)
   in
   let collect_obs = Lint_config.under_dir ~dir:config.obs_scope path in
-  let add ?origin ~loc ~rule message =
-    acc := finding ?origin ~path ~loc ~rule message :: !acc
-  in
-  let add_poly ~loc ~rule message = add ~origin:poly_origin ~loc ~rule message in
+  let add ~loc ~rule message = acc := finding ~path ~loc ~rule message :: !acc in
   let on_ident ~loc txt =
     let path_parts = try Longident.flatten txt with _ -> [] in
-    (if r1 then
-       match last2 path_parts with
-       | Some ("Hashtbl", (("hash" | "seeded_hash" | "hash_param") as fn)) ->
-           add_poly ~loc ~rule:L.Poly_hash
-             (Printf.sprintf
-                "Hashtbl.%s is polymorphic hashing (depth-bounded, collides on \
-                 deep/float values); hash a Cost_key-style injective digest \
-                 instead"
-                fn)
-       | Some ("Hashtbl", "create") when not (Lint_config.whitelisted config path) ->
-           add_poly ~loc ~rule:L.Poly_hash
-             "default-hash Hashtbl.create outside the audited whitelist; key on \
-              strings/ints (then waive, stating the key type) or use \
-              Hashtbl.Make with a sound hash"
-       | _ -> ());
-    (if r2 then
-       match path_parts with
-       | [ "compare" ] | [ "Stdlib"; "compare" ] ->
-           add_poly ~loc ~rule:L.Poly_compare
-             "bare polymorphic compare on a hot path; use Int.compare / \
-              Float.compare / a dedicated comparator"
-       | _ -> ());
     (if r8 then
        match last2 path_parts with
        | Some ("Hashtbl", (("fold" | "iter") as fn)) ->
@@ -270,16 +201,6 @@ let check_expressions ~(config : Lint_config.t) ~(poly : poly_mode) ~path
       | _ -> ()
   in
   let on_apply ~loc f args =
-    (if r2 then
-       match ident_path f with
-       | Some ([ (("=" | "<>") as op) ] | [ "Stdlib"; (("=" | "<>") as op) ])
-         when List.exists (fun (_, a) -> floaty a) args ->
-           add_poly ~loc ~rule:L.Poly_compare
-             (Printf.sprintf
-                "polymorphic (%s) on a float operand; use Float.equal (or an \
-                 epsilon comparison) so NaN/bit semantics are explicit"
-                op)
-       | _ -> ());
     if collect_obs then
       let record kind =
         match args with
@@ -315,7 +236,7 @@ let parse_impl ~path source =
   Lexing.set_filename lexbuf path;
   Parse.implementation lexbuf
 
-let check_source ~config ~r3_dirs ?(poly : poly_mode = `Blocking) ~path source =
+let check_source ~config ~r3_dirs ~path source =
   let acc = ref [] in
   let obs = ref [] in
   let obs_dynamic = ref 0 in
@@ -334,7 +255,7 @@ let check_source ~config ~r3_dirs ?(poly : poly_mode = `Blocking) ~path source =
       acc :=
         [ L.finding ~file:path ~line ~rule:L.Parse_error ("cannot parse: " ^ msg) ]
   | structure ->
-      check_expressions ~config ~poly ~path structure acc obs obs_dynamic;
+      check_expressions ~config ~path structure acc obs obs_dynamic;
       if
         Lint_config.enabled config L.Domain_unsafe_state
         && Lint_config.in_dirs r3_dirs path

@@ -1,19 +1,11 @@
-(** The per-file AST pass: rules R1 (poly-hash), R2 (poly-compare),
-    R3 (domain-unsafe-state), R4 (lib-hygiene) and R8 (determinism),
-    plus collection of the Obs name literals that R6 checks against the
-    catalogue.
+(** The per-file AST pass: rules R3 (domain-unsafe-state), R4
+    (lib-hygiene) and R8 (determinism), plus collection of the Obs name
+    literals that R6 checks against the catalogue.
 
     Purely syntactic: sources are parsed with compiler-libs
     ([Parse.implementation]) and walked with [Ast_iterator]; nothing is
-    typechecked here.  R1/R2 have an exact typed counterpart in
-    {!Typed_rules}; the [poly] mode selects how their syntactic
-    heuristics run on a given file.  Files that fail to parse yield a
-    single [Parse_error] finding instead of crashing the run. *)
-
-type poly_mode =
-  [ `Blocking  (** typed engine off: legacy heuristics, blocking *)
-  | `Fallback  (** cmt missing/stale: same heuristics, advisory only *)
-  | `Off  (** typed pass covered this file exactly; skip heuristics *) ]
+    typechecked here.  Files that fail to parse yield a single
+    [Parse_error] finding instead of crashing the run. *)
 
 type obs_kind = Metric | Span
 
@@ -33,7 +25,6 @@ type t = {
 val check_source :
   config:Lint_config.t ->
   r3_dirs:string list ->
-  ?poly:poly_mode ->
   path:string ->
   string ->
   t

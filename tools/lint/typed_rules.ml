@@ -2,8 +2,8 @@
    with [Tast_iterator] and produces
 
    - exact R1/R2 findings: polymorphic hash/compare *instantiated* at a
-     type containing floats, functions, mutable cells or abstract types —
-     no whitelist, no float-evidence heuristic, repo-wide;
+     type containing floats, functions, mutable cells or abstract types,
+     repo-wide;
 
    - the module's R7 extract: toplevel mutable roots, per-value reference
      edges (for interprocedural reach propagation in {!Race}), and every
