@@ -7,21 +7,24 @@
               [views] [space] [micro]
               [--rows N] [--value-range N] [--scale F] [--seed N]
               [--readahead N] [--quick]
-              [--jobs N]
-              [--no-metrics] [--obs-out FILE] [--micro-out FILE]
+              [--jobs N] [--cell-jobs N] [--no-metrics]
    With no experiment named, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
    paper's physical scale.  --jobs sets the Problem.build parallelism
    knob (docs/PERFORMANCE.md).
 
+   Result files: each suite with a machine-readable result (micro, solvers,
+   experiments, configspace, serve, ingest) writes it to
+   _build/bench/BENCH_<suite>.json and then gates it against the committed
+   BENCH_<suite>.json in the working directory, leaf by leaf ({!emit}).
+   Nothing here writes a committed file; `make bench-update` copies the
+   fresh results over them after a passing run.
+
    Observability: instrumentation (lib/obs) is enabled for the run unless
    --no-metrics is given, and a JSON-lines metrics + span dump is written
-   to BENCH_obs.json (--obs-out overrides the path) so successive PRs can
-   compare perf trajectories.  The Bechamel micro-benchmarks always run
-   with instrumentation disabled so their timings stay comparable across
-   runs regardless of flags; when "micro" runs, a machine-readable summary
-   (per-micro ns/run plus the median Problem.build wall time) is written
-   to BENCH_micro.json (--micro-out overrides the path). *)
+   to _build/bench/BENCH_obs.json.  The Bechamel micro-benchmarks always
+   run with instrumentation disabled so their timings stay comparable
+   across runs regardless of flags. *)
 
 module Setup = Cddpd_experiments.Setup
 module Session = Cddpd_experiments.Session
@@ -48,6 +51,7 @@ module Index_def = Cddpd_catalog.Index_def
 module Ast = Cddpd_sql.Ast
 module Mix = Cddpd_workload.Mix
 module Rng = Cddpd_util.Rng
+module Json = Cddpd_util.Json
 
 module Obs = Cddpd_obs
 
@@ -55,13 +59,6 @@ type options = {
   experiments : string list;
   config : Setup.config;
   metrics : bool;
-  obs_out : string;
-  micro_out : string;
-  solvers_out : string;
-  experiments_out : string;
-  configspace_out : string;
-  serve_out : string;
-  ingest_out : string;
   jobs : int option;
   cell_jobs : int option;
 }
@@ -75,25 +72,14 @@ let usage () =
   prerr_endline
     "usage: main.exe \
      [table1|table2|figure3|figure4|ablation|updates|views|space|micro|solvers|experiments|configspace|serve|ingest]... \
-     [--suite NAME] \
      [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] [--quick] \
-     [--jobs N] [--cell-jobs N] \
-     [--no-metrics] [--obs-out FILE] [--micro-out FILE] [--solvers-out FILE] \
-     [--experiments-out FILE] [--configspace-out FILE] [--serve-out FILE] \
-     [--ingest-out FILE]";
+     [--jobs N] [--cell-jobs N] [--no-metrics]";
   exit 2
 
 let parse_args () =
   let experiments = ref [] in
   let config = ref Setup.default_config in
   let metrics = ref true in
-  let obs_out = ref "BENCH_obs.json" in
-  let micro_out = ref "BENCH_micro.json" in
-  let solvers_out = ref "BENCH_solvers.json" in
-  let experiments_out = ref "BENCH_experiments.json" in
-  let configspace_out = ref "BENCH_configspace.json" in
-  let serve_out = ref "BENCH_serve.json" in
-  let ingest_out = ref "BENCH_ingest.json" in
   let jobs = ref None in
   let cell_jobs = ref None in
   let rec go args =
@@ -102,35 +88,10 @@ let parse_args () =
     | "--no-metrics" :: rest ->
         metrics := false;
         go rest
-    | "--obs-out" :: v :: rest ->
-        obs_out := v;
-        go rest
-    | "--micro-out" :: v :: rest ->
-        micro_out := v;
-        go rest
-    | "--solvers-out" :: v :: rest ->
-        solvers_out := v;
-        go rest
-    | "--experiments-out" :: v :: rest ->
-        experiments_out := v;
-        go rest
-    | "--configspace-out" :: v :: rest ->
-        configspace_out := v;
-        go rest
-    | "--serve-out" :: v :: rest ->
-        serve_out := v;
-        go rest
-    | "--ingest-out" :: v :: rest ->
-        ingest_out := v;
-        go rest
     | "--cell-jobs" :: v :: rest ->
         let j = int_of_string v in
         if j < 1 then usage ();
         cell_jobs := Some j;
-        go rest
-    | "--suite" :: v :: rest ->
-        if not (List.mem v all_experiments) then usage ();
-        experiments := v :: !experiments;
         go rest
     | "--jobs" :: v :: rest ->
         let j = int_of_string v in
@@ -175,13 +136,6 @@ let parse_args () =
     experiments;
     config = !config;
     metrics = !metrics;
-    obs_out = !obs_out;
-    micro_out = !micro_out;
-    solvers_out = !solvers_out;
-    experiments_out = !experiments_out;
-    configspace_out = !configspace_out;
-    serve_out = !serve_out;
-    ingest_out = !ingest_out;
     jobs = !jobs;
     cell_jobs = !cell_jobs;
   }
@@ -547,95 +501,39 @@ let time_problem_build (session : Session.t) =
   Array.sort Float.compare times;
   times.(problem_build_runs / 2)
 
-let json_float f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
+(* -- result files and the baseline gate ---------------------------------- *)
 
-(* Solver timings sit in the sub-millisecond range at small n; keep enough
-   digits for the ratios to stay meaningful. *)
-let json_float6 f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
+let bench_out = "_build/bench"
 
-(* Reading back a committed baseline, enough for the exact gates: the
-   position just past the first [tag] in [s] at or after [i]. *)
-let rec json_after s tag i =
-  if i + String.length tag > String.length s then None
-  else if String.equal (String.sub s i (String.length tag)) tag then Some (i + String.length tag)
-  else json_after s tag (i + 1)
+(* The leaves a run measures rather than computes: wall times (a key with
+   the word "s", seconds: [median_s], [reopt_s_from_scratch],
+   [ingest_statements_per_s]), ratios of wall times, the host's core count,
+   and an experiments arm's status (an arm that needs more cores than the
+   host has is skipped).  This is the one list: every other leaf of every
+   committed baseline is deterministic and gated exactly. *)
+let measured key =
+  List.exists (String.equal "s") (String.split_on_char '_' key)
+  || List.exists (String.equal key)
+       [ "speedup"; "parallel_speedup"; "throughput_ratio"; "cores"; "status" ]
 
-(* The raw value after ["name":] in [text] (the first one at or after
-   [from]), quotes stripped, with the position just past it. *)
-let json_field ?(from = 0) ~path text name =
-  match json_after text (Printf.sprintf "\"%s\":" name) from with
-  | None -> failwith (Printf.sprintf "%s has no %s field" path name)
-  | Some start ->
-      let stop = ref start in
-      while !stop < String.length text && text.[!stop] <> ',' && text.[!stop] <> '}' do
-        incr stop
-      done;
-      ( String.concat "" (String.split_on_char '"' (String.sub text start (!stop - start))),
-        !stop )
-
-(* The raw value at [names] in [text]: each name but the last moves past
-   the first ["name":] at or after where the previous one led, and the
-   last is read with [json_field]. *)
-let json_walk ~path text names =
-  let rec go from = function
-    | [] -> invalid_arg "json_walk: no field"
-    | [ name ] -> fst (json_field ~from ~path text name)
-    | name :: rest -> (
-        match json_after text (Printf.sprintf "\"%s\":" name) from with
-        | Some next -> go next rest
-        | None -> failwith (Printf.sprintf "%s has no %s field" path name))
-  in
-  go 0 names
-
-(* The records of [text] that start with the key [tag] (["name":]), each
-   running to the next one's start or to the end of [text]. *)
-let json_records text tag =
-  let rec from i =
-    match json_after text tag i with
-    | None -> []
-    | Some start ->
-        let first = start - String.length tag in
-        let stop =
-          match json_after text tag start with
-          | Some next -> next - String.length tag
-          | None -> String.length text
-        in
-        String.sub text first (stop - first) :: from stop
-  in
-  from 0
-
-(* The exact gate against a committed baseline, run before it is
-   overwritten: every field path in [fields] must read the same in the
-   [fresh] JSON as in the file at [path], and so must every path of
-   [records]'s field list within each record its tag starts, records
-   paired by position.  Only deterministic fields are listed; wall times
-   never are.  A missing file skips the check. *)
-let baseline_compare ~suite ?records ~fields path fresh =
-  if Sys.file_exists path then begin
-    let recorded = In_channel.with_open_bin path In_channel.input_all in
-    let check where was_text now_text names =
-      let was = json_walk ~path was_text names in
-      let now = json_walk ~path:(suite ^ " result") now_text names in
-      if not (String.equal was now) then
-        failwith
-          (Printf.sprintf "%s: %s%s is %s, %s records %s" suite where
-             (String.concat "." names) now path was)
-    in
-    List.iter (check "" recorded fresh) fields;
-    Option.iter
-      (fun (tag, record_fields) ->
-        let was = json_records recorded tag and now = json_records fresh tag in
-        if List.length was <> List.length now then
-          failwith
-            (Printf.sprintf "%s: %d records, %s records %d" suite (List.length now) path
-               (List.length was));
-        List.iteri
-          (fun i (w, n) ->
-            List.iter (check (Printf.sprintf "record %d " i) w n) record_fields)
-          (List.combine was now))
-      records;
-    Printf.printf "(every deterministic field matches %s)\n%!" path
-  end
+(* Writes [json] to _build/bench/BENCH_<suite>.json, then gates it
+   against the committed BENCH_<suite>.json: same keys, same array
+   lengths, every leaf but the {!measured} ones equal as printed.  A
+   suite with no committed file is not gated. *)
+let emit suite json =
+  let name = Printf.sprintf "BENCH_%s.json" suite in
+  let path = Filename.concat bench_out name in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Json.to_string json ^ "\n"));
+  Printf.printf "\n(wrote %s)\n%!" path;
+  if Sys.file_exists name then
+    match
+      Result.bind
+        (Json.parse (In_channel.with_open_bin name In_channel.input_all))
+        (fun recorded -> Json.diff ~skip:measured ~recorded json)
+    with
+    | Ok () -> Printf.printf "(every deterministic leaf matches %s)\n%!" name
+    | Error message -> failwith (Printf.sprintf "%s: %s in %s" suite message name)
+  else Printf.printf "(no committed %s: not gated)\n%!" name
 
 (* -- statistics-refresh micro --------------------------------------------- *)
 
@@ -701,30 +599,33 @@ let time_stats_refresh () =
   in
   { refresh_s = median refresh; rescan_s = median rescan }
 
-let write_micro_json path ~(options : options) ~build_s ~stats_refresh rows =
-  let oc = open_out path in
-  let jobs =
-    match options.jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ()
-  in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-micro/3\",\"rows\":%d,\"value_range\":%d,\
-     \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\
-     \"problem_build\":{\"runs\":%d,\"median_s\":%s},\
-     \"stats_refresh\":{\"rows\":5000,\"columns\":4,\"runs\":%d,\
-     \"median_s\":%s,\"rescan_median_s\":%s,\"fingerprints_equal\":true},\"micro\":["
-    options.config.Setup.rows options.config.Setup.value_range
-    options.config.Setup.scale options.config.Setup.seed jobs
-    (Cddpd_util.Parallel.ncpu ())
-    problem_build_runs (json_float build_s) stats_refresh_runs
-    (json_float6 stats_refresh.refresh_s) (json_float6 stats_refresh.rescan_s);
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "%s{\"name\":\"%s\",\"ns_per_run\":%s}"
-        (if i = 0 then "" else ",")
-        (Obs.Sink.json_escape name) (json_float ns))
-    rows;
-  output_string oc "]}\n";
-  close_out oc
+let micro_json ~(options : options) ~build_s ~stats_refresh rows =
+  let config = options.config in
+  let jobs = Option.value options.jobs ~default:(Cddpd_util.Parallel.default_jobs ()) in
+  Json.Object
+    [
+      ("schema", Json.String "cddpd-bench-micro/3"); ("rows", Json.int config.Setup.rows);
+      ("value_range", Json.int config.Setup.value_range);
+      ("scale", Json.fixed 3 config.Setup.scale); ("seed", Json.int config.Setup.seed);
+      ("jobs", Json.int jobs);
+      ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ( "problem_build",
+        Json.Object [ ("runs", Json.int problem_build_runs); ("median_s", Json.fixed 3 build_s) ] );
+      ( "stats_refresh",
+        Json.Object
+          [
+            ("rows", Json.int 5000); ("columns", Json.int 4); ("runs", Json.int stats_refresh_runs);
+            ("median_s", Json.fixed 6 stats_refresh.refresh_s);
+            ("rescan_median_s", Json.fixed 6 stats_refresh.rescan_s);
+            ("fingerprints_equal", Json.Bool true);
+          ] );
+      ( "micro",
+        Json.Array
+          (List.map
+             (fun (name, ns) ->
+               Json.Object [ ("name", Json.String name); ("ns_per_run", Json.fixed 3 ns) ])
+             rows) );
+    ]
 
 (* -- solvers suite: constrained solvers over large design spaces ---------- *)
 
@@ -978,38 +879,42 @@ let solvers_suite () =
 
 (* Timings in the JSON are medians of [solvers_runs]; speedups are the
    ratio of medians.  The file is tracked in git as the scaling baseline —
-   refresh it with `make bench-smoke` (docs/PERFORMANCE.md). *)
-let write_solvers_json path entries =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-solvers/1\",\"stages\":%d,\"phase_len\":%d,\
-     \"runs\":%d,\"cores\":%d,\"entries\":["
-    solvers_stages solvers_phase_len solvers_runs (Cddpd_util.Parallel.ncpu ());
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "%s{\"n\":%d,\"k\":%d,\"kaware_baseline_s\":%s,\"kaware_pruned_s\":%s,\
-         \"speedup\":%s,\"states_pruned\":%d,\"states_alive\":%d,\"ranking\":%s}"
-        (if i = 0 then "" else ",")
-        e.sv_n e.sv_k
-        (json_float6 e.sv_baseline_s)
-        (json_float6 e.sv_pruned_s)
-        (json_float (e.sv_baseline_s /. e.sv_pruned_s))
-        e.sv_states_pruned e.sv_states_alive
-        (match e.sv_ranking with
-        | None -> "null"
-        | Some (s, Rk_found { rank; queue_peak }) ->
-            Printf.sprintf
-              "{\"outcome\":\"found\",\"median_s\":%s,\"rank\":%d,\"queue_peak\":%d}"
-              (json_float6 s) rank queue_peak
-        | Some (s, Rk_gave_up { reason; examined; queue_peak }) ->
-            Printf.sprintf
-              "{\"outcome\":\"gave_up\",\"reason\":\"%s\",\"median_s\":%s,\
-               \"examined\":%d,\"queue_peak\":%d}"
-              (Obs.Sink.json_escape reason) (json_float6 s) examined queue_peak))
-    entries;
-  output_string oc "]}\n";
-  close_out oc
+   refresh it with `make bench-update` (docs/PERFORMANCE.md). *)
+let solvers_json entries =
+  let ranking = function
+    | None -> Json.Null
+    | Some (s, Rk_found { rank; queue_peak }) ->
+        Json.Object
+          [
+            ("outcome", Json.String "found"); ("median_s", Json.fixed 6 s); ("rank", Json.int rank);
+            ("queue_peak", Json.int queue_peak);
+          ]
+    | Some (s, Rk_gave_up { reason; examined; queue_peak }) ->
+        Json.Object
+          [
+            ("outcome", Json.String "gave_up"); ("reason", Json.String reason);
+            ("median_s", Json.fixed 6 s); ("examined", Json.int examined);
+            ("queue_peak", Json.int queue_peak);
+          ]
+  in
+  let entry e =
+    Json.Object
+      [
+        ("n", Json.int e.sv_n); ("k", Json.int e.sv_k);
+        ("kaware_baseline_s", Json.fixed 6 e.sv_baseline_s);
+        ("kaware_pruned_s", Json.fixed 6 e.sv_pruned_s);
+        ("speedup", Json.fixed 3 (e.sv_baseline_s /. e.sv_pruned_s));
+        ("states_pruned", Json.int e.sv_states_pruned);
+        ("states_alive", Json.int e.sv_states_alive); ("ranking", ranking e.sv_ranking);
+      ]
+  in
+  Json.Object
+    [
+      ("schema", Json.String "cddpd-bench-solvers/1"); ("stages", Json.int solvers_stages);
+      ("phase_len", Json.int solvers_phase_len); ("runs", Json.int solvers_runs);
+      ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("entries", Json.Array (List.map entry entries));
+    ]
 
 (* -- experiments suite: parallel cell runner + scan-optimized storage ----- *)
 
@@ -1171,80 +1076,52 @@ let experiments_bulk () =
   in
   { bk_bulk_s; bk_row_s; bk_output_equal }
 
-let write_experiments_json path ~(config : Setup.config) arms bulk =
+(* The figure digest is recorded once: the suite has already failed
+   unless every arm that ran gave the same one, and the baseline gate
+   compares it with the committed file's (the paper-fidelity gate). *)
+let experiments_json ~(config : Setup.config) arms bulk =
   let ran = List.filter (fun a -> not a.ex_skipped) arms in
-  let digests_identical =
-    match ran with
-    | first :: rest ->
-        List.for_all (fun a -> String.equal a.ex_digest first.ex_digest) rest
-    | [] -> true
-  in
   let speedup =
     let find jobs =
       List.find_opt
         (fun a ->
-          a.ex_cell_jobs = jobs
-          && a.ex_readahead = Cddpd_storage.Buffer_pool.default_readahead
-          && not a.ex_skipped)
-        arms
+          a.ex_cell_jobs = jobs && a.ex_readahead = Cddpd_storage.Buffer_pool.default_readahead)
+        ran
     in
     match (find 1, find 4) with
     | Some seq, Some par -> seq.ex_median_s /. par.ex_median_s
     | _ -> nan (* serialised as null: no honest multi-core measurement *)
   in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-experiments/1\",\"rows\":%d,\"value_range\":%d,\
-     \"scale\":%.3f,\"seed\":%d,\"runs\":%d,\"cores\":%d,\
-     \"figure4_ks\":[%s],\"figure4_repeats\":%d,\"sweep\":["
-    config.Setup.rows config.Setup.value_range config.Setup.scale
-    config.Setup.seed experiments_runs
-    (Cddpd_util.Parallel.ncpu ())
-    (String.concat "," (List.map string_of_int experiments_ks))
-    experiments_repeats;
-  List.iteri
-    (fun i a ->
-      Printf.fprintf oc
-        "%s{\"readahead\":%d,\"cell_jobs\":%d,\"median_s\":%s,\"digest\":\"%s\",\
-         \"status\":\"%s\"}"
-        (if i = 0 then "" else ",")
-        a.ex_readahead a.ex_cell_jobs (json_float6 a.ex_median_s)
-        (Obs.Sink.json_escape a.ex_digest)
-        (Obs.Sink.json_escape (if a.ex_skipped then "skipped_single_core" else "ok")))
-    arms;
-  Printf.fprintf oc
-    "],\"digests_identical\":%b,\"parallel_speedup\":%s,\
-     \"bulk_load\":{\"rows\":%d,\"indexes\":2,\"runs\":%d,\
-     \"bulk_median_s\":%s,\"row_median_s\":%s,\"speedup\":%s,\
-     \"output_equal\":%b}}\n"
-    digests_identical (json_float speedup) experiments_bulk_rows
-    experiments_runs (json_float6 bulk.bk_bulk_s) (json_float6 bulk.bk_row_s)
-    (json_float (bulk.bk_row_s /. bulk.bk_bulk_s))
-    bulk.bk_output_equal;
-  close_out oc
-
-(* The figure digest is the paper-fidelity gate: when the committed file
-   exists (read before it is overwritten), every arm that ran must give
-   the digest it records.  A missing file skips the check. *)
-let experiments_compare path arms =
-  if Sys.file_exists path then begin
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    let rec recorded from =
-      match json_field ~from ~path text "digest" with
-      | "", next -> recorded next
-      | digest, _ -> digest
-      | exception Failure _ -> failwith (Printf.sprintf "experiments: %s records no digest" path)
-    in
-    let digest = recorded 0 in
-    List.iter
-      (fun a ->
-        if (not a.ex_skipped) && not (String.equal a.ex_digest digest) then
-          failwith
-            (Printf.sprintf "experiments: readahead=%d cell_jobs=%d digest is %s, %s records %s"
-               a.ex_readahead a.ex_cell_jobs a.ex_digest path digest))
-      arms;
-    Printf.printf "(every arm that ran matches %s: figure digest %s)\n%!" path digest
-  end
+  let arm a =
+    Json.Object
+      [
+        ("readahead", Json.int a.ex_readahead); ("cell_jobs", Json.int a.ex_cell_jobs);
+        ("median_s", Json.fixed 6 a.ex_median_s);
+        ("status", Json.String (if a.ex_skipped then "skipped_single_core" else "ok"));
+      ]
+  in
+  Json.Object
+    [
+      ("schema", Json.String "cddpd-bench-experiments/2"); ("rows", Json.int config.Setup.rows);
+      ("value_range", Json.int config.Setup.value_range);
+      ("scale", Json.fixed 3 config.Setup.scale); ("seed", Json.int config.Setup.seed);
+      ("runs", Json.int experiments_runs);
+      ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("figure4_ks", Json.Array (List.map Json.int experiments_ks));
+      ("figure4_repeats", Json.int experiments_repeats);
+      ("digest", Json.String (match ran with a :: _ -> a.ex_digest | [] -> ""));
+      ("sweep", Json.Array (List.map arm arms)); ("digests_identical", Json.Bool true);
+      ("parallel_speedup", Json.fixed 3 speedup);
+      ( "bulk_load",
+        Json.Object
+          [
+            ("rows", Json.int experiments_bulk_rows); ("indexes", Json.int 2);
+            ("runs", Json.int experiments_runs); ("bulk_median_s", Json.fixed 6 bulk.bk_bulk_s);
+            ("row_median_s", Json.fixed 6 bulk.bk_row_s);
+            ("speedup", Json.fixed 3 (bulk.bk_row_s /. bulk.bk_bulk_s));
+            ("output_equal", Json.Bool bulk.bk_output_equal);
+          ] );
+    ]
 
 let experiments_suite ~(options : options) () =
   (* Timed arms must not be skewed by main-domain metric recording. *)
@@ -1305,8 +1182,7 @@ let experiments_suite ~(options : options) () =
     (if bulk.bk_output_equal then "equal" else "DIFFER");
   if not bulk.bk_output_equal then
     failwith "experiments: bulk load state differs from row-at-a-time load";
-  experiments_compare options.experiments_out arms;
-  write_experiments_json options.experiments_out ~config arms bulk
+  experiments_json ~config arms bulk
 
 (* -- configspace suite: the design-space scaling pipeline ------------------ *)
 
@@ -1541,8 +1417,7 @@ type configspace_entry = {
   cg_exact_checked : bool;
 }
 
-let configspace_suite ~(options : options) () =
-  ignore options;
+let configspace_suite () =
   let was_enabled = Obs.Registry.enabled () in
   Obs.Registry.disable ();
   Fun.protect
@@ -1713,85 +1588,44 @@ let configspace_suite ~(options : options) () =
   Cddpd_util.Text_table.print table;
   entries
 
-let write_configspace_json path entries =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-configspace/3\",\"rows\":%d,\"value_range\":%d,\
-     \"columns\":%d,\"statements_per_step\":%d,\"runs\":%d,\"cores\":%d,\
-     \"max_width\":%d,\
-     \"max_structures\":%d,\"max_configs\":%d,\"k\":%d,\"cells\":["
-    configspace_rows configspace_value_range configspace_columns
-    configspace_stmts_per_step configspace_runs (Cddpd_util.Parallel.ncpu ())
-    configspace_max_width
-    configspace_max_structures configspace_max_configs configspace_k;
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "%s{\"candidates_cap\":%d,\"n_steps\":%d,\"statements\":%d,\
-         \"generated\":%d,\"survivors\":%d,\"pruned\":%d,\"prune_ratio\":%s,\
-         \"clusters\":%d,\"compression_ratio\":%s,\"configs\":%d,\
-         \"pipeline_median_s\":%s,\"solve_s\":%s,\"solve_cost\":%s,\
-         \"changes\":%d,\"whatif\":{\"measured\":%d,\
-         \"naive_unpruned_configs\":%d,\"naive_unpruned\":%d,\
-         \"ratio_vs_naive\":%s,\"same_space_per_statement\":%d,\
-         \"ratio_vs_same_space\":%s},\"digest\":\"%s\",\
-         \"exact_arm_checked\":%b}"
-        (if i = 0 then "" else ",")
-        e.cg_cap e.cg_n e.cg_statements e.cg_generated e.cg_survivors
-        e.cg_pruned
-        (json_float
-           (float_of_int e.cg_pruned /. float_of_int (max 1 e.cg_generated)))
-        e.cg_clusters
-        (json_float
-           (float_of_int e.cg_statements /. float_of_int (max 1 e.cg_clusters)))
-        e.cg_configs
-        (json_float6 e.cg_pipeline_s) (json_float6 e.cg_solve_s)
-        (json_float e.cg_cost) e.cg_changes e.cg_measured_whatif
-        e.cg_naive_configs e.cg_naive_whatif
-        (json_float
-           (float_of_int e.cg_naive_whatif
-           /. float_of_int (max 1 e.cg_measured_whatif)))
-        e.cg_same_space_whatif
-        (json_float
-           (float_of_int e.cg_same_space_whatif
-           /. float_of_int (max 1 e.cg_measured_whatif)))
-        (Obs.Sink.json_escape e.cg_digest) e.cg_exact_checked)
-    entries;
-  output_string oc "]}\n";
-  close_out oc
-
-(* The exact gate against the committed file, run before it is
-   overwritten: every cell it records must reappear with the same matrix
-   digest, solve cost and measured what-if calls, compared as printed.  A
-   missing file skips the check. *)
-let configspace_compare path entries =
-  if Sys.file_exists path then begin
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    let field cell name = fst (json_field ~path:("configspace: " ^ path) cell name) in
-    List.iter
-      (fun cell ->
-        let cap = field cell "candidates_cap" and n = field cell "n_steps" in
-        match
-          List.find_opt
-            (fun e -> string_of_int e.cg_cap = cap && string_of_int e.cg_n = n)
-            entries
-        with
-        | None -> failwith (Printf.sprintf "configspace: no cell cap=%s n=%s" cap n)
-        | Some e ->
-            List.iter
-              (fun (name, recorded, now) ->
-                if not (String.equal recorded now) then
-                  failwith
-                    (Printf.sprintf "configspace: cap=%s n=%s %s is %s, %s records %s" cap
-                       n name now path recorded))
-              [
-                ("digest", field cell "digest", e.cg_digest);
-                ("solve_cost", field cell "solve_cost", json_float e.cg_cost);
-                ("measured what-ifs", field cell "measured", string_of_int e.cg_measured_whatif);
-              ])
-      (json_records text "\"candidates_cap\":");
-    Printf.printf "\n(every cell matches %s: digest, solve cost, what-ifs)\n%!" path
-  end
+let configspace_json entries =
+  let per a b = Json.fixed 3 (float_of_int a /. float_of_int (max 1 b)) in
+  let cell e =
+    Json.Object
+      [
+        ("candidates_cap", Json.int e.cg_cap); ("n_steps", Json.int e.cg_n);
+        ("statements", Json.int e.cg_statements); ("generated", Json.int e.cg_generated);
+        ("survivors", Json.int e.cg_survivors); ("pruned", Json.int e.cg_pruned);
+        ("prune_ratio", per e.cg_pruned e.cg_generated); ("clusters", Json.int e.cg_clusters);
+        ("compression_ratio", per e.cg_statements e.cg_clusters);
+        ("configs", Json.int e.cg_configs); ("pipeline_median_s", Json.fixed 6 e.cg_pipeline_s);
+        ("solve_s", Json.fixed 6 e.cg_solve_s); ("solve_cost", Json.fixed 3 e.cg_cost);
+        ("changes", Json.int e.cg_changes);
+        ( "whatif",
+          Json.Object
+            [
+              ("measured", Json.int e.cg_measured_whatif);
+              ("naive_unpruned_configs", Json.int e.cg_naive_configs);
+              ("naive_unpruned", Json.int e.cg_naive_whatif);
+              ("ratio_vs_naive", per e.cg_naive_whatif e.cg_measured_whatif);
+              ("same_space_per_statement", Json.int e.cg_same_space_whatif);
+              ("ratio_vs_same_space", per e.cg_same_space_whatif e.cg_measured_whatif);
+            ] );
+        ("digest", Json.String e.cg_digest); ("exact_arm_checked", Json.Bool e.cg_exact_checked);
+      ]
+  in
+  Json.Object
+    [
+      ("schema", Json.String "cddpd-bench-configspace/3"); ("rows", Json.int configspace_rows);
+      ("value_range", Json.int configspace_value_range);
+      ("columns", Json.int configspace_columns);
+      ("statements_per_step", Json.int configspace_stmts_per_step);
+      ("runs", Json.int configspace_runs); ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("max_width", Json.int configspace_max_width);
+      ("max_structures", Json.int configspace_max_structures);
+      ("max_configs", Json.int configspace_max_configs); ("k", Json.int configspace_k);
+      ("cells", Json.Array (List.map cell entries));
+    ]
 
 (* -- serve suite: incremental re-optimization across windows --------------- *)
 
@@ -2077,83 +1911,77 @@ let serve_json (scratch, incr, clusters) =
   let stable_windows =
     Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 serve_stable
   in
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"cddpd-bench-serve/3\",\"rows\":%d,\"value_range\":%d,\
-     \"window\":%d,\"pool\":%d,\"history\":%d,\"k\":%d,\"method\":\"%s\",\
-     \"jobs\":1,\"cores\":%d,\"phases\":\"%s\",\"cells\":["
-    serve_rows serve_value_range serve_window serve_pool_size
-    cfg.Server.history cfg.Server.k
-    (Obs.Sink.json_escape (Solution.method_to_string cfg.Server.method_name))
-    (Cddpd_util.Parallel.ncpu ())
-    (Obs.Sink.json_escape (String.concat "" (Array.to_list serve_phases)));
-  Array.iteri
-    (fun i (s : serve_cell) ->
-      let c = incr.se_cells.(i) in
-      Printf.bprintf buf
-        "%s{\"index\":%d,\"phase\":\"%s\",\"stable\":%b,\"clusters\":%d,\
-         \"digest_equal\":%b,\"from_scratch\":{\"whatif_calls\":%d,\
-         \"reopt_s\":%s},\"incremental\":{\"whatif_calls\":%d,\"reopt_s\":%s,\
-         \"exec_columns_reused\":%d,\"clusters_recosted\":%d}}"
-        (if i = 0 then "" else ",")
-        i (Obs.Sink.json_escape serve_phases.(i)) serve_stable.(i) clusters.(i)
-        (String.equal s.se_digest c.se_digest)
-        s.se_whatif (json_float6 s.se_reopt_s) c.se_whatif
-        (json_float6 c.se_reopt_s) c.se_exec_reused c.se_recosted)
-    scratch.se_cells;
-  Printf.bprintf buf
-    "],\"stable\":{\"windows\":%d,\"whatif_calls_from_scratch\":%d,\
-     \"whatif_calls_incremental\":%d,\"whatif_ratio\":%s,\
-     \"reopt_s_from_scratch\":%s,\"reopt_s_incremental\":%s,\"speedup\":%s},"
-    stable_windows calls_scratch calls_incr
-    (json_float
-       (float_of_int calls_scratch /. float_of_int (max 1 calls_incr)))
-    (json_float6 reopt_s_scratch) (json_float6 reopt_s_incr)
-    (json_float (reopt_s_scratch /. reopt_s_incr));
-  let tallies = incr.se_stats.Reopt.reuse in
-  let cache = incr.se_stats.Reopt.cache in
-  Printf.bprintf buf
-    "\"totals\":{\"wall_from_scratch_s\":%s,\"wall_incremental_s\":%s,\
-     \"incremental\":{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
-     \"builds\":%d,\"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d}},\"from_scratch\":{\"reoptimizations\":%d,\
-     \"warm_start_bounds\":%d}},\"digests_identical\":true}\n"
-    (json_float6 scratch.se_wall_s) (json_float6 incr.se_wall_s)
-    incr.se_stats.Reopt.reoptimizations incr.se_stats.Reopt.warm_start_bounds
-    tallies.Problem.Reuse.builds tallies.Problem.Reuse.exec_columns_reused
-    tallies.Problem.Reuse.clusters_recosted
-    cache.Cddpd_engine.Cost_cache.hits cache.Cddpd_engine.Cost_cache.misses
-    cache.Cddpd_engine.Cost_cache.evictions
-    scratch.se_stats.Reopt.reoptimizations
-    scratch.se_stats.Reopt.warm_start_bounds;
-  Buffer.contents buf
-
-(* The serve gate: every deterministic field of the committed baseline —
-   per window, the cluster table and both arms' what-if calls and the
-   incremental reuse tallies; the stable-window totals; the incremental
-   session's builds and atom memo — must reappear exactly.  Wall times
-   stay ungated. *)
-let serve_compare path json =
-  baseline_compare ~suite:"serve" path json
-    ~records:
-      ( "\"index\":",
-        [
-          [ "phase" ]; [ "stable" ]; [ "clusters" ]; [ "digest_equal" ];
-          [ "from_scratch"; "whatif_calls" ]; [ "incremental"; "whatif_calls" ];
-          [ "incremental"; "exec_columns_reused" ]; [ "incremental"; "clusters_recosted" ];
-        ] )
-    ~fields:
-      ([ [ "rows" ]; [ "value_range" ]; [ "window" ]; [ "pool" ]; [ "history" ]; [ "k" ];
-         [ "method" ]; [ "phases" ]; [ "windows" ]; [ "whatif_calls_from_scratch" ];
-         [ "whatif_calls_incremental" ]; [ "whatif_ratio" ] ]
-      @ List.map
-          (fun name -> [ "totals"; "incremental"; name ])
-          [ "reoptimizations"; "warm_start_bounds"; "builds"; "exec_columns_reused";
-            "clusters_recosted" ]
-      @ List.map (fun name -> [ "totals"; "incremental"; "cache"; name ])
-          [ "hits"; "misses"; "evictions" ]
-      @ List.map (fun name -> [ "totals"; "from_scratch"; name ])
-          [ "reoptimizations"; "warm_start_bounds" ])
+  let cell i (s : serve_cell) =
+    let c = incr.se_cells.(i) in
+    Json.Object
+      [
+        ("index", Json.int i); ("phase", Json.String serve_phases.(i));
+        ("stable", Json.Bool serve_stable.(i)); ("clusters", Json.int clusters.(i));
+        ("digest_equal", Json.Bool (String.equal s.se_digest c.se_digest));
+        ( "from_scratch",
+          Json.Object
+            [ ("whatif_calls", Json.int s.se_whatif); ("reopt_s", Json.fixed 6 s.se_reopt_s) ] );
+        ( "incremental",
+          Json.Object
+            [
+              ("whatif_calls", Json.int c.se_whatif); ("reopt_s", Json.fixed 6 c.se_reopt_s);
+              ("exec_columns_reused", Json.int c.se_exec_reused);
+              ("clusters_recosted", Json.int c.se_recosted);
+            ] );
+      ]
+  in
+  let session (s : Reopt.stats) rest =
+    ("reoptimizations", Json.int s.Reopt.reoptimizations)
+    :: ("warm_start_bounds", Json.int s.Reopt.warm_start_bounds)
+    :: rest
+  in
+  let tallies = incr.se_stats.Reopt.reuse and cache = incr.se_stats.Reopt.cache in
+  Json.Object
+    [
+      ("schema", Json.String "cddpd-bench-serve/3"); ("rows", Json.int serve_rows);
+      ("value_range", Json.int serve_value_range); ("window", Json.int serve_window);
+      ("pool", Json.int serve_pool_size); ("history", Json.int cfg.Server.history);
+      ("k", Json.int cfg.Server.k);
+      ("method", Json.String (Solution.method_to_string cfg.Server.method_name));
+      ("jobs", Json.int 1); ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("phases", Json.String (String.concat "" (Array.to_list serve_phases)));
+      ("cells", Json.Array (List.mapi cell (Array.to_list scratch.se_cells)));
+      ( "stable",
+        Json.Object
+          [
+            ("windows", Json.int stable_windows);
+            ("whatif_calls_from_scratch", Json.int calls_scratch);
+            ("whatif_calls_incremental", Json.int calls_incr);
+            ( "whatif_ratio",
+              Json.fixed 3 (float_of_int calls_scratch /. float_of_int (max 1 calls_incr)) );
+            ("reopt_s_from_scratch", Json.fixed 6 reopt_s_scratch);
+            ("reopt_s_incremental", Json.fixed 6 reopt_s_incr);
+            ("speedup", Json.fixed 3 (reopt_s_scratch /. reopt_s_incr));
+          ] );
+      ( "totals",
+        Json.Object
+          [
+            ("wall_from_scratch_s", Json.fixed 6 scratch.se_wall_s);
+            ("wall_incremental_s", Json.fixed 6 incr.se_wall_s);
+            ( "incremental",
+              Json.Object
+                (session incr.se_stats
+                   [
+                     ("builds", Json.int tallies.Problem.Reuse.builds);
+                     ("exec_columns_reused", Json.int tallies.Problem.Reuse.exec_columns_reused);
+                     ("clusters_recosted", Json.int tallies.Problem.Reuse.clusters_recosted);
+                     ( "cache",
+                       Json.Object
+                         [
+                           ("hits", Json.int cache.Cddpd_engine.Cost_cache.hits);
+                           ("misses", Json.int cache.Cddpd_engine.Cost_cache.misses);
+                           ("evictions", Json.int cache.Cddpd_engine.Cost_cache.evictions);
+                         ] );
+                   ]) );
+            ("from_scratch", Json.Object (session scratch.se_stats []));
+          ] );
+      ("digests_identical", Json.Bool true);
+    ]
 
 (* -- ingest suite: serve statement fast path -------------------------------- *)
 
@@ -2389,64 +2217,50 @@ let ingest_suite () =
   (reference, fast, ratio)
 
 (* The reference arm is recorded under the key "slow": the committed
-   baseline's schema fixes it, and the exact gate reads it. *)
+   baseline's schema fixes it. *)
 let ingest_json (reference, fast, ratio) =
   let arm_json a =
-    Printf.sprintf
-      "{\"statements\":%d,\"ingest_statements\":%d,\"ingest_wall_s\":%s,\
-       \"ingest_statements_per_s\":%s,\"close_wall_s\":%s,\
-       \"exec_logical_io\":%d,\"trans_logical_io\":%d,\
-       \"template_cache\":%s,\"plan_cache\":{\"hits\":%d,\"misses\":%d,\
-       \"invalidations\":%d,\"entries\":%d}}"
-      a.in_statements a.in_ingest_statements (json_float6 a.in_ingest_s)
-      (json_float (ingest_rate a))
-      (json_float6 a.in_close_s) a.in_exec_io a.in_trans_io
-      (match a.in_template with
-      | None -> "null"
-      | Some t ->
-          Printf.sprintf
-            "{\"exact_hits\":%d,\"misses\":%d,\"entries\":%d}"
-            t.Template.exact_hits t.Template.misses t.Template.entries)
-      a.in_plan.Plan_cache.hits a.in_plan.Plan_cache.misses
-      a.in_plan.Plan_cache.invalidations a.in_plan.Plan_cache.entries
+    Json.Object
+      [
+        ("statements", Json.int a.in_statements);
+        ("ingest_statements", Json.int a.in_ingest_statements);
+        ("ingest_wall_s", Json.fixed 6 a.in_ingest_s);
+        ("ingest_statements_per_s", Json.fixed 3 (ingest_rate a));
+        ("close_wall_s", Json.fixed 6 a.in_close_s);
+        ("exec_logical_io", Json.int a.in_exec_io); ("trans_logical_io", Json.int a.in_trans_io);
+        ( "template_cache",
+          match a.in_template with
+          | None -> Json.Null
+          | Some t ->
+              Json.Object
+                [
+                  ("exact_hits", Json.int t.Template.exact_hits);
+                  ("misses", Json.int t.Template.misses); ("entries", Json.int t.Template.entries);
+                ] );
+        ( "plan_cache",
+          Json.Object
+            [
+              ("hits", Json.int a.in_plan.Plan_cache.hits);
+              ("misses", Json.int a.in_plan.Plan_cache.misses);
+              ("invalidations", Json.int a.in_plan.Plan_cache.invalidations);
+              ("entries", Json.int a.in_plan.Plan_cache.entries);
+            ] );
+      ]
   in
-  Printf.sprintf
-    "{\"schema\":\"cddpd-bench-ingest/2\",\"rows\":%d,\"value_range\":%d,\
-     \"window\":%d,\"pool\":%d,\"churn_every\":%d,\"phases\":\"%s\",\
-     \"jobs\":1,\"cores\":%d,\"fast\":%s,\"slow\":%s,\
-     \"throughput_ratio\":%s,\"min_ratio\":%s,\"digests_identical\":true}\n"
-    ingest_rows ingest_value_range ingest_window ingest_pool_size
-    ingest_churn_every
-    (Obs.Sink.json_escape (String.concat "" (Array.to_list ingest_phases)))
-    (Cddpd_util.Parallel.ncpu ())
-    (arm_json fast) (arm_json reference) (json_float ratio)
-    (json_float ingest_min_ratio)
-
-(* The ingest gate: the trace shape, and per arm the statement counts,
-   the measured execution and migration I/O and the memo counters, must
-   match the committed baseline exactly.  Wall times and the throughput
-   ratio stay ungated here; the ratio has its own floor. *)
-let ingest_compare path json =
-  let arm name =
-    List.map (fun field -> [ name; field ])
-      [ "statements"; "ingest_statements"; "exec_logical_io"; "trans_logical_io" ]
-    @ List.map (fun field -> [ name; "plan_cache"; field ])
-        [ "hits"; "misses"; "invalidations"; "entries" ]
-  in
-  baseline_compare ~suite:"ingest" path json
-    ~fields:
-      ([ [ "rows" ]; [ "value_range" ]; [ "window" ]; [ "pool" ]; [ "churn_every" ];
-         [ "phases" ] ]
-      @ arm "fast"
-      @ List.map (fun field -> [ "fast"; "template_cache"; field ])
-          [ "exact_hits"; "misses"; "entries" ]
-      @ arm "slow"
-      @ [ [ "slow"; "template_cache" ] ])
+  Json.Object
+    [
+      ("schema", Json.String "cddpd-bench-ingest/2"); ("rows", Json.int ingest_rows);
+      ("value_range", Json.int ingest_value_range); ("window", Json.int ingest_window);
+      ("pool", Json.int ingest_pool_size); ("churn_every", Json.int ingest_churn_every);
+      ("phases", Json.String (String.concat "" (Array.to_list ingest_phases)));
+      ("jobs", Json.int 1); ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("fast", arm_json fast); ("slow", arm_json reference);
+      ("throughput_ratio", Json.fixed 3 ratio); ("min_ratio", Json.fixed 3 ingest_min_ratio);
+      ("digests_identical", Json.Bool true);
+    ]
 
 let () =
-  let ({ experiments; config; metrics; obs_out; micro_out; solvers_out;
-         experiments_out = _; configspace_out = _; serve_out = _;
-         ingest_out = _; jobs; cell_jobs } as options) =
+  let ({ experiments; config; metrics; jobs; cell_jobs } as options) =
     parse_args ()
   in
   (* Honesty clamp: more domains than cores measures scheduler thrash,
@@ -2471,6 +2285,9 @@ let () =
   | Some j -> Cddpd_experiments.Runner.set_default_cell_jobs j
   | None -> ());
   if metrics then Obs.Registry.enable ();
+  List.iter
+    (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+    [ Filename.dirname bench_out; bench_out ];
   Printf.printf
     "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d \
      jobs=%d\n%!"
@@ -2532,42 +2349,26 @@ let () =
             "statistics refresh after one UPDATE (5,000 x 4): median %.1fus; full rescan \
              %.1fus (%d runs, fingerprints equal)\n%!"
             (stats_refresh.refresh_s *. 1e6) (stats_refresh.rescan_s *. 1e6) stats_refresh_runs;
-          write_micro_json micro_out ~options ~build_s ~stats_refresh rows;
-          Printf.printf "(wrote micro summary to %s)\n%!" micro_out
+          emit "micro" (micro_json ~options ~build_s ~stats_refresh rows)
       | "solvers" ->
           banner "Solvers: constrained-solver scaling over large design spaces";
-          let entries = solvers_suite () in
-          write_solvers_json solvers_out entries;
-          Printf.printf "\n(wrote solver scaling baseline to %s)\n%!" solvers_out
+          emit "solvers" (solvers_json (solvers_suite ()))
       | "experiments" ->
           banner "Experiments: parallel cell runner + bulk load";
-          experiments_suite ~options ();
-          Printf.printf "\n(wrote experiment engine baseline to %s)\n%!"
-            options.experiments_out
+          emit "experiments" (experiments_suite ~options ())
       | "configspace" ->
           banner "Configspace: design-space scaling pipeline";
-          let entries = configspace_suite ~options () in
-          configspace_compare options.configspace_out entries;
-          write_configspace_json options.configspace_out entries;
-          Printf.printf "\n(wrote design-space scaling baseline to %s)\n%!"
-            options.configspace_out
+          emit "configspace" (configspace_json (configspace_suite ()))
       | "serve" ->
           banner "Serve: incremental re-optimization across windows";
-          let json = serve_json (serve_suite ()) in
-          serve_compare options.serve_out json;
-          Out_channel.with_open_bin options.serve_out (fun oc -> output_string oc json);
-          Printf.printf "\n(wrote incremental re-optimization baseline to %s)\n%!"
-            options.serve_out
+          emit "serve" (serve_json (serve_suite ()))
       | "ingest" ->
           banner "Ingest: serve statement fast path";
-          let json = ingest_json (ingest_suite ()) in
-          ingest_compare options.ingest_out json;
-          Out_channel.with_open_bin options.ingest_out (fun oc -> output_string oc json);
-          Printf.printf "\n(wrote ingest fast-path baseline to %s)\n%!"
-            options.ingest_out
+          emit "ingest" (ingest_json (ingest_suite ()))
       | _ -> usage ())
     experiments;
   if metrics then begin
-    Obs.Sink.write_file obs_out Obs.Sink.Json_lines (Obs.Snapshot.capture ());
-    Printf.printf "\n(wrote metrics snapshot + span tree to %s)\n%!" obs_out
+    let path = Filename.concat bench_out "BENCH_obs.json" in
+    Obs.Sink.write_file path Obs.Sink.Json_lines (Obs.Snapshot.capture ());
+    Printf.printf "\n(wrote metrics snapshot + span tree to %s)\n%!" path
   end

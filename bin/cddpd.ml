@@ -29,6 +29,7 @@ module Solution = Cddpd_core.Solution
 module Problem = Cddpd_core.Problem
 module Simulator = Cddpd_core.Simulator
 module Text_table = Cddpd_util.Text_table
+module Json = Cddpd_util.Json
 module Obs = Cddpd_obs
 
 open Cmdliner
@@ -480,37 +481,44 @@ let print_window_line r =
     (action_to_string r.Server.action)
 
 let reopt_json (stats : Cddpd_core.Reopt.stats) =
-  Printf.sprintf
-    "{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
-     \"builds_reused\":%d,\"exec_columns_reused\":%d,\
-     \"clusters_recosted\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d}}"
-    stats.Cddpd_core.Reopt.reoptimizations stats.Cddpd_core.Reopt.warm_start_bounds
-    stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.builds
-    stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.exec_columns_reused
-    stats.Cddpd_core.Reopt.reuse.Cddpd_core.Problem.Reuse.clusters_recosted
-    stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.hits
-    stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.misses
-    stats.Cddpd_core.Reopt.cache.Cddpd_engine.Cost_cache.evictions
+  let reuse = stats.Cddpd_core.Reopt.reuse and cache = stats.Cddpd_core.Reopt.cache in
+  Json.Object
+    [
+      ("reoptimizations", Json.int stats.Cddpd_core.Reopt.reoptimizations);
+      ("warm_start_bounds", Json.int stats.Cddpd_core.Reopt.warm_start_bounds);
+      ("builds_reused", Json.int reuse.Problem.Reuse.builds);
+      ("exec_columns_reused", Json.int reuse.Problem.Reuse.exec_columns_reused);
+      ("clusters_recosted", Json.int reuse.Problem.Reuse.clusters_recosted);
+      ( "cache",
+        Json.Object
+          [
+            ("hits", Json.int cache.Cddpd_engine.Cost_cache.hits);
+            ("misses", Json.int cache.Cddpd_engine.Cost_cache.misses);
+            ("evictions", Json.int cache.Cddpd_engine.Cost_cache.evictions);
+          ] );
+    ]
 
-let report_json (report : Server.report) =
-  Printf.sprintf
-    "{\"schema\":\"cddpd-serve/3\",\"regime\":\"%s\",\"windows\":%d,\
-     \"statements\":%d,\"residual_statements\":%d,\"drift_events\":%d,\
-     \"reoptimizations\":%d,\"deployments\":%d,\"rejections\":%d,\
-     \"rollbacks\":%d,\"exec_logical_io\":%d,\"trans_logical_io\":%d,\
-     \"final_design\":\"%s\",\"reopt\":%s}"
-    (Server.regime_to_string report.Server.regime)
-    (Array.length report.Server.windows)
-    report.Server.statements report.Server.residual_statements
-    report.Server.drift_events report.Server.reoptimizations
-    report.Server.deployments report.Server.rejections report.Server.rollbacks
-    report.Server.exec_logical_io report.Server.trans_logical_io
-    (Obs.Sink.json_escape
-       (String.concat ","
-          (List.map Cddpd_catalog.Structure.name
-             (Design.structures report.Server.final_design))))
-    (reopt_json report.Server.reopt)
+let report_json (r : Server.report) =
+  let final_design =
+    List.map Cddpd_catalog.Structure.name (Design.structures r.Server.final_design)
+  in
+  Json.to_string
+    (Json.Object
+       [
+         ("schema", Json.String "cddpd-serve/3");
+         ("regime", Json.String (Server.regime_to_string r.Server.regime));
+         ("windows", Json.int (Array.length r.Server.windows));
+         ("statements", Json.int r.Server.statements);
+         ("residual_statements", Json.int r.Server.residual_statements);
+         ("drift_events", Json.int r.Server.drift_events);
+         ("reoptimizations", Json.int r.Server.reoptimizations);
+         ("deployments", Json.int r.Server.deployments);
+         ("rejections", Json.int r.Server.rejections); ("rollbacks", Json.int r.Server.rollbacks);
+         ("exec_logical_io", Json.int r.Server.exec_logical_io);
+         ("trans_logical_io", Json.int r.Server.trans_logical_io);
+         ("final_design", Json.String (String.concat "," final_design));
+         ("reopt", reopt_json r.Server.reopt);
+       ])
 
 let print_report (report : Server.report) =
   Printf.printf

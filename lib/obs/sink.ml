@@ -1,4 +1,5 @@
 module Text_table = Cddpd_util.Text_table
+module Json = Cddpd_util.Json
 
 type format = Table | Json_lines
 
@@ -39,59 +40,42 @@ let table_string snapshot =
 
 (* -- JSON lines -------------------------------------------------------------- *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 (* JSON has no NaN/Infinity literals; clamp to null. *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.9g" x else "null"
+let json_float x = if Float.is_finite x then Json.Number (Printf.sprintf "%.9g" x) else Json.Null
+
+let json_lines lines =
+  String.concat "" (List.map (fun line -> Json.to_string (Json.Object line) ^ "\n") lines)
 
 let json_lines_string snapshot =
-  let buffer = Buffer.create 1024 in
-  List.iter
-    (fun (name, value) ->
-      (match value with
-      | Snapshot.Count n ->
-          Buffer.add_string buffer
-            (Printf.sprintf "{\"metric\":\"%s\",\"type\":\"counter\",\"value\":%d}"
-               (json_escape name) n)
-      | Snapshot.Dist d ->
-          Buffer.add_string buffer
-            (Printf.sprintf
-               "{\"metric\":\"%s\",\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"max\":%s}"
-               (json_escape name) d.Snapshot.count (json_float d.Snapshot.sum)
-               (json_float d.Snapshot.mean) (json_float d.Snapshot.p50)
-               (json_float d.Snapshot.p95) (json_float d.Snapshot.max_value)));
-      Buffer.add_char buffer '\n')
-    (Snapshot.entries snapshot);
-  Buffer.contents buffer
+  json_lines
+    (List.map
+       (fun (name, value) ->
+         ("metric", Json.String name)
+         ::
+         (match value with
+         | Snapshot.Count n -> [ ("type", Json.String "counter"); ("value", Json.int n) ]
+         | Snapshot.Dist d ->
+             [
+               ("type", Json.String "histogram");
+               ("count", Json.int d.Snapshot.count);
+               ("sum", json_float d.Snapshot.sum);
+               ("mean", json_float d.Snapshot.mean);
+               ("p50", json_float d.Snapshot.p50);
+               ("p95", json_float d.Snapshot.p95);
+               ("max", json_float d.Snapshot.max_value);
+             ]))
+       (Snapshot.entries snapshot))
 
 (* The span tree as JSON lines, one per node, the root-to-node path in
    "span". *)
 let span_json_lines () =
-  let buffer = Buffer.create 1024 in
   let rec walk path node =
     let path = path ^ Span.name node in
-    Buffer.add_string buffer
-      (Printf.sprintf
-         "{\"span\":\"%s\",\"calls\":%d,\"total_s\":%s}\n"
-         (json_escape path) (Span.calls node) (json_float (Span.total_s node)));
-    List.iter (walk (path ^ "/")) (Span.children node)
+    [ ("span", Json.String path); ("calls", Json.int (Span.calls node));
+      ("total_s", json_float (Span.total_s node)) ]
+    :: List.concat_map (walk (path ^ "/")) (Span.children node)
   in
-  List.iter (walk "") (Span.roots ());
-  Buffer.contents buffer
+  json_lines (List.concat_map (walk "") (Span.roots ()))
 
 (* -- dispatch ---------------------------------------------------------------- *)
 

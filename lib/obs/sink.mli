@@ -15,11 +15,6 @@ type format = Table | Json_lines
 
 val render : format -> Snapshot.t -> string
 
-val json_escape : string -> string
-(** [json_escape s] is the body of a JSON string literal for [s], without
-    the surrounding quotes: quote, backslash and control characters are
-    escaped. *)
-
 val write_file : string -> format -> Snapshot.t -> unit
 (** Write the snapshot to [path].  In [Json_lines] format the span-tree
     lines are appended after the metric lines. *)

@@ -626,8 +626,3 @@ let finish t =
     final_design = Database.current_design t.db;
     reopt = Reopt.stats t.reopt;
   }
-
-let run ?on_window db cfg trace =
-  let t = create ?on_window db cfg in
-  Array.iter (fun statement -> ignore (feed t statement)) trace;
-  finish t

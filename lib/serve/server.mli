@@ -201,12 +201,3 @@ val finish : t -> report
     executed (they were served on arrival) but took part in no window
     decision; they are counted as [residual_statements].  The loop can
     keep feeding after [finish] — the report is a snapshot. *)
-
-val run :
-  ?on_window:(window_report -> unit) ->
-  Cddpd_engine.Database.t ->
-  config ->
-  Cddpd_sql.Ast.statement array ->
-  report
-(** [create], [feed] the whole trace, [finish].  A statement {!feed}
-    rejects is skipped. *)

@@ -43,6 +43,13 @@ let phase column n =
         (Printf.sprintf "SELECT * FROM t WHERE %s = %d" column
            (1 + ((i * 37) mod value_range))))
 
+(* The whole trace through one server: create, feed every statement,
+   finish.  A statement the server rejects is skipped. *)
+let serve_all db cfg trace =
+  let server = Server.create db cfg in
+  Array.iter (fun statement -> ignore (Server.feed server statement)) trace;
+  Server.finish server
+
 (* -- Drift ----------------------------------------------------------------- *)
 
 let test_drift_identical_windows () =
@@ -176,7 +183,7 @@ let test_serve_deterministic_across_jobs () =
   let trace = drifting_trace ~window in
   let run jobs =
     report_fingerprint
-      (Server.run (make_db ()) (serve_config ~window ?jobs ()) trace)
+      (serve_all (make_db ()) (serve_config ~window ?jobs ()) trace)
   in
   let reference = run (Some 1) in
   List.iter
@@ -191,7 +198,7 @@ let test_serve_windowing () =
   let window = 50 in
   let cfg = serve_config ~window () in
   let report =
-    Server.run (make_db ()) cfg (phase "a" ((2 * window) + 7))
+    serve_all (make_db ()) cfg (phase "a" ((2 * window) + 7))
   in
   Alcotest.(check int) "two closed windows" 2 (Array.length report.Server.windows);
   Alcotest.(check int) "residual" 7 report.Server.residual_statements;
@@ -206,7 +213,7 @@ let test_serve_windowing () =
 let test_serve_continuous_deploys_on_drift () =
   let window = 50 in
   let report =
-    Server.run (make_db ()) (serve_config ~window ()) (drifting_trace ~window)
+    serve_all (make_db ()) (serve_config ~window ()) (drifting_trace ~window)
   in
   Alcotest.(check bool) "saw drift" true (report.Server.drift_events >= 1);
   Alcotest.(check bool) "re-optimized" true (report.Server.reoptimizations >= 1);
@@ -218,7 +225,7 @@ let test_serve_continuous_deploys_on_drift () =
 let test_serve_static_never_changes () =
   let window = 50 in
   let report =
-    Server.run (make_db ())
+    serve_all (make_db ())
       (serve_config ~regime:Server.Static ~window ())
       (drifting_trace ~window)
   in
@@ -233,7 +240,7 @@ let test_serve_regret_guard_rejects () =
   let cfg =
     { (serve_config ~window ()) with Server.regret_budget = -1e9 }
   in
-  let report = Server.run (make_db ()) cfg (drifting_trace ~window) in
+  let report = serve_all (make_db ()) cfg (drifting_trace ~window) in
   Alcotest.(check int) "nothing deployed" 0 report.Server.deployments;
   Alcotest.(check bool) "recommendations were rejected" true
     (report.Server.rejections >= 1);
@@ -254,7 +261,7 @@ let test_serve_rollback_on_regression () =
      window regresses against the what-if cost of the rolled-over design
      and must trigger the rollback path. *)
   let report =
-    Server.run (make_db ()) (serve_config ~window ()) (drifting_trace ~window)
+    serve_all (make_db ()) (serve_config ~window ()) (drifting_trace ~window)
   in
   Alcotest.(check bool) "rollback fired" true (report.Server.rollbacks >= 1);
   let saw_rollback = ref false in
@@ -308,7 +315,7 @@ let test_serve_probation_composes_clusters () =
     let db = make () in
     let prev_design = Database.current_design db in
     let report =
-      Server.run db { (serve_config ~window ()) with Server.rollback_factor } trace
+      serve_all db { (serve_config ~window ()) with Server.rollback_factor } trace
     in
     Alcotest.(check bool) "window 0 deployed" true
       (match report.Server.windows.(0).Server.action with
@@ -338,7 +345,7 @@ let test_serve_probation_composes_clusters () =
 let test_serve_reactive_unguarded () =
   let window = 50 in
   let report =
-    Server.run (make_db ())
+    serve_all (make_db ())
       (serve_config ~regime:Server.Reactive ~window ())
       (drifting_trace ~window)
   in
@@ -358,7 +365,7 @@ let test_serve_reactive_unguarded () =
 let test_serve_reopt_every_window_when_threshold_nonpositive () =
   let window = 50 in
   let cfg = { (serve_config ~window ()) with Server.drift_threshold = -1.0 } in
-  let report = Server.run (make_db ()) cfg (phase "a" (3 * window)) in
+  let report = serve_all (make_db ()) cfg (phase "a" (3 * window)) in
   Alcotest.(check int) "every window re-optimizes" 3
     report.Server.reoptimizations
 
@@ -614,7 +621,7 @@ let test_serve_feed_rejects_unknown_column () =
   Alcotest.(check int) "nothing buffered" 0 report.Server.residual_statements;
   Alcotest.(check int) "nothing executed" 0 report.Server.exec_logical_io;
   let report =
-    Server.run (make_db ()) (serve_config ~window:5 ()) (Array.append [| bad |] (phase "a" 7))
+    serve_all (make_db ()) (serve_config ~window:5 ()) (Array.append [| bad |] (phase "a" 7))
   in
   Alcotest.(check int) "run skips it" 7 report.Server.statements;
   Alcotest.(check int) "one window closed" 1 (Array.length report.Server.windows)
@@ -840,7 +847,7 @@ let test_serve_reuse_bit_identical () =
   let window = 50 in
   let trace = drifting_trace ~window in
   let run reuse =
-    Server.run (make_db ())
+    serve_all (make_db ())
       { (serve_config ~window ()) with Server.reopt_reuse = reuse }
       trace
   in

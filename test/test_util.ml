@@ -1,11 +1,12 @@
 (* Unit and property tests for Cddpd_util: Rng, Stats, Text_table,
-   Timer, Parallel. *)
+   Timer, Parallel, Json. *)
 
 module Rng = Cddpd_util.Rng
 module Stats = Cddpd_util.Stats
 module Text_table = Cddpd_util.Text_table
 module Timer = Cddpd_util.Timer
 module Parallel = Cddpd_util.Parallel
+module Json = Cddpd_util.Json
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -225,6 +226,94 @@ let parallel_sum_matches_sequential_prop =
       in
       List.fold_left ( + ) 0 chunk_sums = Array.fold_left ( + ) 0 values)
 
+(* -- Json ------------------------------------------------------------------ *)
+
+(* The committed baselines, copied next to the test directory by dune. *)
+let bench_baselines = [ "configspace"; "experiments"; "ingest"; "serve"; "solvers" ]
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let parse_exn text =
+  match Json.parse text with Ok v -> v | Error message -> Alcotest.failf "parse: %s" message
+
+let test_json_baselines_round_trip () =
+  List.iter
+    (fun suite ->
+      let text = read (Printf.sprintf "../BENCH_%s.json" suite) in
+      Alcotest.(check string)
+        (suite ^ " prints back byte for byte")
+        text
+        (Json.to_string (parse_exn text) ^ "\n"))
+    bench_baselines
+
+let test_json_lint_baseline_parses () =
+  match parse_exn (read "../lint-baseline.json") with
+  | Json.Object (("schema", Json.String "cddpd-lint-baseline/1") :: _) -> ()
+  | _ -> Alcotest.fail "lint-baseline.json: unexpected shape"
+
+let test_json_malformed () =
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Ok _ -> Alcotest.failf "%S parsed" text
+      | Error _ -> ())
+    [ {|{"a":[1,2|}; {|"\q"|}; {|{"a":1} x|}; "nope"; ""; "01"; "-"; {|"\u12"|}; {|"\u1_23"|} ]
+
+let test_json_escapes () =
+  let v = Json.String "quote \" backslash \\ newline \n tab \t nul \000 \xc3\xa9" in
+  let text = Json.to_string v in
+  Alcotest.(check string) "escaped"
+    ({|"quote \" backslash \\ newline \n tab \t nul \u0000 |} ^ "\xc3\xa9\"")
+    text;
+  Alcotest.(check bool) "round trip" true (parse_exn text = v);
+  Alcotest.(check bool) "\\u escapes decode to UTF-8" true
+    (parse_exn {|"\u00e9\ud83d\ude00"|} = Json.String "\xc3\xa9\xf0\x9f\x98\x80")
+
+(* [at path f v] rewrites the member of [v] that [path] reaches (object
+   keys and array indices) with [f]. *)
+let rec at path f v =
+  match (path, v) with
+  | [], v -> f v
+  | `K k :: rest, Json.Object members ->
+      Json.Object
+        (List.map (fun (k', x) -> if String.equal k k' then (k', at rest f x) else (k', x)) members)
+  | `I i :: rest, Json.Array items ->
+      Json.Array (List.mapi (fun j x -> if j = i then at rest f x else x) items)
+  | _ -> Alcotest.fail "no such path"
+
+let test_json_diff () =
+  let recorded = parse_exn (read "../BENCH_configspace.json") in
+  let diff fresh = Json.diff ~skip:(String.ends_with ~suffix:"_s") ~recorded fresh in
+  let expect_error name fresh needle =
+    match diff fresh with
+    | Ok () -> Alcotest.failf "%s: passed the gate" name
+    | Error message ->
+        let found =
+          let n = String.length needle in
+          let rec scan i =
+            i + n <= String.length message
+            && (String.equal (String.sub message i n) needle || scan (i + 1))
+          in
+          scan 0
+        in
+        if not found then Alcotest.failf "%s: %S does not name %s" name message needle
+  in
+  Alcotest.(check bool) "identical" true (Result.is_ok (diff recorded));
+  expect_error "altered leaf"
+    (at [ `K "cells"; `I 2; `K "whatif"; `K "measured" ] (fun _ -> Json.int (-1)) recorded)
+    "cells[2].whatif.measured";
+  Alcotest.(check bool) "altered wall time passes" true
+    (Result.is_ok
+       (diff (at [ `K "cells"; `I 2; `K "solve_s" ] (fun _ -> Json.Number "9.999999") recorded)));
+  expect_error "missing key"
+    (at [ `K "cells"; `I 0 ]
+       (function Json.Object (_ :: rest) -> Json.Object rest | v -> v)
+       recorded)
+    "cells[0].candidates_cap";
+  expect_error "extra array element"
+    (at [ `K "cells" ] (function Json.Array l -> Json.Array (l @ [ List.hd l ]) | v -> v) recorded)
+    "cells"
+
 let () =
   Alcotest.run "util"
     [
@@ -252,6 +341,14 @@ let () =
           Alcotest.test_case "percentile singleton" `Quick test_stats_percentile_single;
           Alcotest.test_case "empty input" `Quick test_stats_empty;
           Alcotest.test_case "histogram counts" `Quick test_stats_histogram_counts;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "committed baselines round-trip" `Quick test_json_baselines_round_trip;
+          Alcotest.test_case "lint baseline parses" `Quick test_json_lint_baseline_parses;
+          Alcotest.test_case "malformed input is an error" `Quick test_json_malformed;
+          Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "leaf-by-leaf diff" `Quick test_json_diff;
         ] );
       ( "text_table",
         [

@@ -8,11 +8,10 @@
      as a reminder to regenerate the baseline, never an error.
 
    Unwaived blocking findings never reach the baseline: they fail the
-   run directly.  The parser below reads only the JSON this module
-   renders (strings, ints, flat objects, one array) — deliberately not a
-   general JSON reader. *)
+   run directly.  The file is read with the repository's JSON parser. *)
 
 module L = Lint_types
+module Json = Cddpd_util.Json
 
 type entry = { file : string; rule : string; message : string; count : int }
 
@@ -43,148 +42,53 @@ let of_findings findings =
 let schema = "cddpd-lint-baseline/1"
 
 let render entries =
+  let str s = Json.to_string (Json.String s) in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"waived\": [" schema);
+  Buffer.add_string buf (Printf.sprintf "{\n  \"schema\": %s,\n  \"waived\": [" (str schema));
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"file\": \"%s\", \"rule\": \"%s\", \"count\": %d, \
-            \"message\": \"%s\"}"
-           (L.json_escape e.file) (L.json_escape e.rule) e.count
-           (L.json_escape e.message)))
+        (Printf.sprintf "\n    {\"file\": %s, \"rule\": %s, \"count\": %d, \"message\": %s}"
+           (str e.file) (str e.rule) e.count (str e.message)))
     (List.sort compare_entries entries);
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
-(* -- parsing our own output --------------------------------------------------- *)
-
-exception Bad of string
+(* -- parsing ----------------------------------------------------------------- *)
 
 let parse text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
+  let field name members =
+    List.find_map (fun (k, v) -> if String.equal k name then Some v else None) members
   in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> raise (Bad (Printf.sprintf "expected %c, got %c" c c'))
-    | None -> raise (Bad (Printf.sprintf "expected %c, got end of input" c))
+  let entry = function
+    | Json.Object m -> (
+        match (field "file" m, field "rule" m, field "message" m, field "count" m) with
+        | ( Some (Json.String file),
+            Some (Json.String rule),
+            Some (Json.String message),
+            Some (Json.Number n) ) ->
+            Option.to_result ~none:("bad count " ^ n)
+              (Option.map (fun count -> { file; rule; message; count }) (int_of_string_opt n))
+        | _ -> Error "a waived entry needs file, rule, message and count")
+    | _ -> Error "a waived entry is not an object"
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-          if !pos >= n then raise (Bad "unterminated escape");
-          let e = text.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'u' ->
-              if !pos + 4 > n then raise (Bad "truncated \\u escape");
-              let hex = String.sub text !pos 4 in
-              pos := !pos + 4;
-              let code = int_of_string ("0x" ^ hex) in
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%s" hex)
-          | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n && (match text.[!pos] with '0' .. '9' | '-' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then raise (Bad "expected integer");
-    int_of_string (String.sub text start (!pos - start))
-  in
-  let parse_entry () =
-    expect '{';
-    let file = ref "" and rule = ref "" and message = ref "" and count = ref 1 in
-    let rec fields () =
-      skip_ws ();
-      let name = parse_string () in
-      expect ':';
-      (match name with
-      | "file" -> file := parse_string ()
-      | "rule" -> rule := parse_string ()
-      | "message" -> message := parse_string ()
-      | "count" -> count := parse_int ()
-      | other -> raise (Bad ("unknown baseline field " ^ other)));
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          advance ();
-          fields ()
-      | _ -> expect '}'
-    in
-    fields ();
-    { file = !file; rule = !rule; message = !message; count = !count }
-  in
-  try
-    expect '{';
-    skip_ws ();
-    let s = parse_string () in
-    if s <> "schema" then raise (Bad "expected schema field first");
-    expect ':';
-    let v = parse_string () in
-    if v <> schema then raise (Bad ("unsupported baseline schema " ^ v));
-    expect ',';
-    skip_ws ();
-    let w = parse_string () in
-    if w <> "waived" then raise (Bad "expected waived field");
-    expect ':';
-    expect '[';
-    let entries = ref [] in
-    skip_ws ();
-    (match peek () with
-    | Some ']' -> advance ()
-    | _ ->
-        let rec items () =
-          entries := parse_entry () :: !entries;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              advance ();
-              items ()
-          | _ -> expect ']'
-        in
-        items ());
-    expect '}';
-    Ok (List.sort compare_entries (List.rev !entries))
-  with
-  | Bad msg -> Error msg
-  | Failure msg -> Error msg
+  match Json.parse text with
+  | Error _ as e -> e
+  | Ok (Json.Object top) -> (
+      match (field "schema" top, field "waived" top) with
+      | Some (Json.String s), Some (Json.Array items) when String.equal s schema ->
+          List.fold_right
+            (fun item acc ->
+              match (entry item, acc) with
+              | Ok e, Ok entries -> Ok (e :: entries)
+              | (Error _ as e), _ | _, (Error _ as e) -> e)
+            items (Ok [])
+          |> Result.map (List.sort compare_entries)
+      | Some (Json.String s), _ when not (String.equal s schema) ->
+          Error ("unsupported baseline schema " ^ s)
+      | _ -> Error "expected schema and waived fields")
+  | Ok _ -> Error "expected an object"
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with

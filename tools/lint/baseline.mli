@@ -15,7 +15,7 @@ val render : entry list -> string
 (** Stable JSON, sorted by key; safe to commit. *)
 
 val parse : string -> (entry list, string) result
-(** Reads only the JSON {!render} produces. *)
+(** Reads a baseline with {!Cddpd_util.Json.parse}. *)
 
 val load : string -> (entry list, string) result
 

@@ -9,6 +9,7 @@
    [blocking] is empty. *)
 
 module L = Lint_types
+module Json = Cddpd_util.Json
 
 type report = {
   root : string;
@@ -277,55 +278,40 @@ let render_text ?(show_waived = false) report =
   Buffer.contents buf
 
 let render_json report =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"cddpd-lint/3\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"root\": \"%s\",\n" (L.json_escape report.root));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"rules\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun r -> Printf.sprintf "\"%s\"" (L.rule_id r))
-             report.config.enabled)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"r3_dirs\": [%s],\n"
-       (String.concat ", "
-          (List.map (fun d -> Printf.sprintf "\"%s\"" (L.json_escape d)) report.r3_dirs)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"files_scanned\": %d,\n" report.files_scanned);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"caller_files\": %d,\n" report.caller_files);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cmt_errors\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun (path, reason) ->
-               Printf.sprintf "{\"file\": \"%s\", \"reason\": \"%s\"}"
-                 (L.json_escape path) (L.json_escape reason))
-             report.cmt_errors)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"obs_dynamic_names\": %d,\n" report.obs_dynamic);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warnings\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun w -> Printf.sprintf "\"%s\"" (L.json_escape w))
-             report.warnings)));
-  Buffer.add_string buf "  \"findings\": [\n";
-  List.iteri
-    (fun i f ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (L.to_json f);
-      if i < List.length report.findings - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    report.findings;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"summary\": {\"total\": %d, \"waived\": %d, \"blocking\": %d}\n"
-       (List.length report.findings)
-       (List.length (waived report))
-       (List.length (blocking report)));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let strings l = Json.Array (List.map (fun s -> Json.String s) l) in
+  let count l = Json.int (List.length l) in
+  let finding (f : L.finding) =
+    Json.Object
+      [
+        ("file", Json.String f.file); ("line", Json.int f.line); ("col", Json.int f.col);
+        ("rule", Json.String (L.rule_id f.rule)); ("origin", Json.String (L.origin_id f.origin));
+        ("message", Json.String f.message); ("waived", Json.Bool f.waived);
+      ]
+  in
+  Json.to_string
+    (Json.Object
+       [
+         ("schema", Json.String "cddpd-lint/3");
+         ("root", Json.String report.root);
+         ("rules", strings (List.map L.rule_id report.config.enabled));
+         ("r3_dirs", strings report.r3_dirs);
+         ("files_scanned", Json.int report.files_scanned);
+         ("caller_files", Json.int report.caller_files);
+         ( "cmt_errors",
+           Json.Array
+             (List.map
+                (fun (path, reason) ->
+                  Json.Object [ ("file", Json.String path); ("reason", Json.String reason) ])
+                report.cmt_errors) );
+         ("obs_dynamic_names", Json.int report.obs_dynamic);
+         ("warnings", strings report.warnings);
+         ("findings", Json.Array (List.map finding report.findings));
+         ( "summary",
+           Json.Object
+             [
+               ("total", count report.findings);
+               ("waived", count (waived report));
+               ("blocking", count (blocking report));
+             ] );
+       ])
+  ^ "\n"

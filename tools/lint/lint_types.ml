@@ -114,25 +114,3 @@ let compare_findings a b =
 let to_line f =
   Printf.sprintf "%s:%d: [%s] %s%s" f.file f.line (rule_id f.rule) f.message
     (if f.waived then " (waived)" else "")
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json f =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","origin":"%s","message":"%s","waived":%b}|}
-    (json_escape f.file) f.line f.col (rule_id f.rule) (origin_id f.origin)
-    (json_escape f.message) f.waived

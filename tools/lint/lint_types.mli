@@ -63,8 +63,3 @@ val compare_findings : finding -> finding -> int
 val to_line : finding -> string
 (** Render as [file:line: [rule-id] message]. *)
 
-val to_json : finding -> string
-(** Render as a single JSON object (no trailing newline). *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal. *)
