@@ -75,8 +75,9 @@ bench-smoke:
 
 # The only target that writes the committed baselines: bench-smoke, then,
 # once every gate has passed, a copy of its results over them.  A change
-# that moves a gated leaf on purpose deletes that baseline first (the
-# suite is then not gated) and says why.
+# that moves a gated leaf on purpose reads the moved leaves bench-smoke
+# names (every one, up to 20 and a count of the rest), then deletes that
+# baseline (the suite is then not gated) and says why.
 bench-update: bench-smoke
 	cp $(BENCH_BASELINES:%=$(BENCH_OUT)/BENCH_%.json) .
 

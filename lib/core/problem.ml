@@ -7,6 +7,7 @@ module Structure = Cddpd_catalog.Structure
 module Staged_dag = Cddpd_graph.Staged_dag
 module Parallel = Cddpd_util.Parallel
 module Compress = Cddpd_workload.Compress
+module Table_stats = Cddpd_engine.Table_stats
 module Obs = Cddpd_obs
 
 let m_builds = Obs.Registry.counter "problem.builds"
@@ -14,6 +15,7 @@ let m_domains_used = Obs.Registry.counter "problem.build.domains_used"
 let m_clusters = Obs.Registry.counter "workload.clusters"
 let m_reopt_exec_reused = Obs.Registry.counter "reopt.exec_columns_reused"
 let m_reopt_clusters_recosted = Obs.Registry.counter "reopt.clusters_recosted"
+let m_steps_reused = Obs.Registry.counter "problem.steps_reused"
 
 type t = {
   steps : Ast.statement array array;
@@ -42,6 +44,49 @@ let n_configs t = Config_space.size t.space
    fill is not worth fork/join overhead and runs on the calling domain. *)
 let sequential_threshold = 2048
 
+(* The structure universe: every structure of the space once, sorted by
+   [Structure.compare] — which is [Design.fold]'s order — and each
+   configuration's members as ascending universe positions, so visiting
+   them in order visits the design in fold order. *)
+type universe = {
+  structures : Structure.t array;
+  structure_keys : string array;
+  members : int array array;  (** config id -> universe positions, ascending *)
+}
+
+let universe_of designs =
+  let structures =
+    Array.of_list (Design.structures (Array.fold_left Design.union Design.empty designs))
+  in
+  let structure_keys = Array.map Cost_key.structure structures in
+  let position = Hashtbl.create (max 16 (Array.length structures)) in
+  Array.iteri (fun i key -> Hashtbl.replace position key i) structure_keys;
+  let members =
+    Array.map
+      (fun design ->
+        Array.of_list
+          (List.map
+             (fun s -> Hashtbl.find position (Cost_key.structure s))
+             (Design.structures design)))
+      designs
+  in
+  { structures; structure_keys; members }
+
+(* What a session's latest build computed, kept for the next build: the
+   space's designs and the statistics snapshot it ran under, its
+   structure universe and TRANS, and each step's statement array, cost
+   keys and EXEC row.  The next build reuses them only under the same
+   space and physically the same snapshot (see [build]). *)
+type previous = {
+  designs : Design.t array;
+  snapshot : (string * Table_stats.t) list;
+  universe : universe;
+  trans : float array array;
+  steps : Ast.statement array array;
+  step_keys : Cost_key.id array array;
+  exec : float array array;
+}
+
 module Reuse = struct
   type tallies = {
     builds : int;
@@ -51,13 +96,20 @@ module Reuse = struct
 
   type t = {
     memo : Cost_cache.t;
+    mutable previous : previous option;
     mutable t_builds : int;
     mutable t_exec_columns_reused : int;
     mutable t_clusters_recosted : int;
   }
 
   let create () =
-    { memo = Cost_cache.create (); t_builds = 0; t_exec_columns_reused = 0; t_clusters_recosted = 0 }
+    {
+      memo = Cost_cache.create ();
+      previous = None;
+      t_builds = 0;
+      t_exec_columns_reused = 0;
+      t_clusters_recosted = 0;
+    }
 
   let memo t = t.memo
 
@@ -74,17 +126,36 @@ end
 (* Snapshot statistics on the calling domain: a Database-backed [stats_of]
    computes stats lazily (mutating the database) and must not be called
    from worker domains.  Every table the build can touch is resolved here;
-   the stages below read the snapshot. *)
+   the stages below read the snapshot.  Statements come in runs on one
+   table, so the table is resolved once per run.  Also returns each table
+   with its statistics, in the order they were resolved. *)
 let snapshot_stats stats_of steps designs =
   let stats_tbl = Hashtbl.create 8 in
+  let tables = ref [] in
   let resolve table =
-    if not (Hashtbl.mem stats_tbl table) then Hashtbl.replace stats_tbl table (stats_of table)
+    if not (Hashtbl.mem stats_tbl table) then begin
+      let stats = stats_of table in
+      Hashtbl.replace stats_tbl table stats;
+      tables := (table, stats) :: !tables
+    end
   in
-  Array.iter (fun step -> Array.iter (fun s -> resolve (Ast.table_of s)) step) steps;
+  let last = ref None in
+  Array.iter
+    (fun step ->
+      Array.iter
+        (fun s ->
+          let table = Ast.table_of s in
+          match !last with
+          | Some run when run == table || String.equal run table -> ()
+          | Some _ | None ->
+              resolve table;
+              last := Some table)
+        step)
+    steps;
   Array.iter
     (fun design -> Design.fold (fun s () -> resolve (Structure.table s)) design ())
     designs;
-  stats_tbl
+  (stats_tbl, List.rev !tables)
 
 (* Stage 1, key: every statement's hashed {!Cost_key} cost identity under
    the snapshot statistics, unless the caller already paid for them. *)
@@ -120,34 +191,6 @@ let cluster steps flat keys =
   let first = clustering.Compress.representatives in
   { keys = Array.map (fun i -> keys.(i)) first; reps = Array.map (fun i -> flat.(i)) first; of_step }
 
-(* The structure universe: every structure of the space once, sorted by
-   [Structure.compare] — which is [Design.fold]'s order — and each
-   configuration's members as ascending universe positions, so visiting
-   them in order visits the design in fold order. *)
-type universe = {
-  structures : Structure.t array;
-  structure_keys : string array;
-  members : int array array;  (** config id -> universe positions, ascending *)
-}
-
-let universe_of designs =
-  let structures =
-    Array.of_list (Design.structures (Array.fold_left Design.union Design.empty designs))
-  in
-  let structure_keys = Array.map Cost_key.structure structures in
-  let position = Hashtbl.create (max 16 (Array.length structures)) in
-  Array.iteri (fun i key -> Hashtbl.replace position key i) structure_keys;
-  let members =
-    Array.map
-      (fun design ->
-        Array.of_list
-          (List.map
-             (fun s -> Hashtbl.find position (Cost_key.structure s))
-             (Design.structures design)))
-      designs
-  in
-  { structures; structure_keys; members }
-
 (* Stage 3, fill: every cluster's atom for every universe structure, then
    every configuration's cluster costs composed from them.  The session's
    memo ({!Cost_cache}) supplies the rows: a cluster whose cost identity
@@ -157,9 +200,11 @@ let universe_of designs =
    [jobs].  Composing a cell folds the design's atoms exactly as
    {!Cost_model.bound_cost} does — strict [<] from the base cost,
    maintenance summed in member order — so it is the same float; the
-   compose loops run across [jobs] domains.  Returns one cost array per
-   configuration. *)
-let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters =
+   compose loops run across [jobs] domains.  Only the clusters [compose]
+   lists are composed: the memo still sees every cluster, so its tallies
+   do not depend on which steps the build reuses.  Returns one cost array
+   per configuration, indexed by cluster id. *)
+let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters ~compose =
   let n_configs = Array.length universe.members in
   let n_clusters = Array.length clusters.reps in
   let { Cost_cache.rows; ids; recosted; fresh } =
@@ -180,8 +225,9 @@ let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters =
   end;
   let member_ids = Array.map (Array.map (fun u -> ids.(u))) universe.members in
   let writes = Array.map (fun rep -> not (Ast.is_read_only rep)) clusters.reps in
+  let n_compose = Array.length compose in
   let jobs =
-    if n_clusters * n_configs < sequential_threshold then 1
+    if n_compose * n_configs < sequential_threshold then 1
     else Parallel.resolve_jobs ?jobs ~n:n_configs ()
   in
   Obs.Counter.add m_domains_used jobs;
@@ -190,7 +236,8 @@ let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters =
       for c = lo to hi - 1 do
         let ids = member_ids.(c) in
         let costs = Array.make n_clusters 0.0 in
-        for r = 0 to n_clusters - 1 do
+        for i = 0 to n_compose - 1 do
+          let r = compose.(i) in
           let row = rows.(r) in
           let best = ref row.Cost_cache.base in
           let maintenance = ref 0.0 in
@@ -209,18 +256,22 @@ let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters =
 
 (* Stage 4, expand: sum each step's cluster costs in the original statement
    order — the floats the naive per-statement fold adds, in the same order,
-   so every cell is bit-identical to it. *)
-let expand clusters columns =
-  Array.map
-    (fun ids ->
-      Array.map
-        (fun costs ->
-          let acc = ref 0.0 in
-          for q = 0 to Array.length ids - 1 do
-            acc := !acc +. costs.(ids.(q))
-          done;
-          !acc)
-        columns)
+   so every cell is bit-identical to it.  A step with a [kept] row takes
+   it as is. *)
+let expand clusters columns ~kept =
+  Array.mapi
+    (fun s ids ->
+      match kept.(s) with
+      | Some row -> row
+      | None ->
+          Array.map
+            (fun costs ->
+              let acc = ref 0.0 in
+              for q = 0 to Array.length ids - 1 do
+                acc := !acc +. costs.(ids.(q))
+              done;
+              !acc)
+            columns)
     clusters.of_step
 
 (* Stage 5, TRANS: every universe structure's build cost once, then each
@@ -265,6 +316,31 @@ let fill_trans ~params ~snapshot ?jobs universe =
   |> ignore;
   trans
 
+(* The previous build's results are this build's when the space is the
+   same (the same designs in the same order) and every table's statistics
+   are physically the previous snapshot's: TRANS and the universe depend on
+   nothing else. *)
+let comparable (p : previous) ~designs ~snapshot =
+  Array.length p.designs = Array.length designs
+  && Array.for_all2 (fun a b -> a == b || Design.equal a b) p.designs designs
+  && List.length p.snapshot = Hashtbl.length snapshot
+  && List.for_all
+       (fun (table, was) ->
+         match Hashtbl.find_opt snapshot table with Some now -> now == was | None -> false)
+       p.snapshot
+
+(* The EXEC row of a previous step with this very statement array and
+   these cost keys: under a comparable space and snapshot every cell of it
+   is the one this build would compute. *)
+let kept_row (p : previous) step keys =
+  let same_keys was = Array.for_all2 Cost_key.id_equal was keys in
+  let rec find j =
+    if j = Array.length p.steps then None
+    else if p.steps.(j) == step && same_keys p.step_keys.(j) then Some p.exec.(j)
+    else find (j + 1)
+  in
+  find 0
+
 let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false) ?jobs
     ?(reuse = Reuse.create ()) ?statement_keys () =
   if Array.length steps = 0 then invalid_arg "Problem.build: no steps";
@@ -272,11 +348,16 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   Obs.Counter.incr m_builds;
   let initial_id = Config_space.id_of_exn space initial in
   let designs = Array.init (Config_space.size space) (Config_space.design space) in
-  let snapshot = snapshot_stats stats_of steps designs in
+  let snapshot, tables = snapshot_stats stats_of steps designs in
   let stats_of table = Hashtbl.find snapshot table in
+  let previous =
+    match reuse.Reuse.previous with
+    | Some p when comparable p ~designs ~snapshot -> Some p
+    | Some _ | None -> None
+  in
   let flat = Array.concat (Array.to_list steps) in
-  let universe = universe_of designs in
-  let exec =
+  let universe = match previous with Some p -> p.universe | None -> universe_of designs in
+  let step_keys, exec =
     Obs.Span.with_span "problem.build.exec" @@ fun () ->
     let keys =
       Obs.Span.with_span "problem.build.key" (fun () ->
@@ -285,16 +366,50 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
     let clusters =
       Obs.Span.with_span "problem.build.cluster" (fun () -> cluster steps flat keys)
     in
+    let step_keys =
+      let pos = ref 0 in
+      Array.map
+        (fun step ->
+          let slice = Array.sub keys !pos (Array.length step) in
+          pos := !pos + Array.length step;
+          slice)
+        steps
+    in
+    let kept =
+      match previous with
+      | None -> Array.make (Array.length steps) None
+      | Some p -> Array.map2 (kept_row p) steps step_keys
+    in
+    let n_kept = Array.fold_left (fun n row -> if Option.is_some row then n + 1 else n) 0 kept in
+    Obs.Counter.add m_steps_reused n_kept;
+    let compose =
+      let needed = Array.make (Array.length clusters.reps) false in
+      Array.iteri
+        (fun s ids -> if Option.is_none kept.(s) then Array.iter (fun r -> needed.(r) <- true) ids)
+        clusters.of_step;
+      Array.of_list (List.filter (fun r -> needed.(r)) (List.init (Array.length needed) Fun.id))
+    in
     let columns =
       Obs.Span.with_span "problem.build.fill" (fun () ->
-          fill_columns ~params ~snapshot ?jobs reuse universe clusters)
+          fill_columns ~params ~snapshot ?jobs reuse universe clusters ~compose)
     in
-    Obs.Span.with_span "problem.build.expand" (fun () -> expand clusters columns)
+    (step_keys, Obs.Span.with_span "problem.build.expand" (fun () -> expand clusters columns ~kept))
   in
   let trans =
     Obs.Span.with_span "problem.build.trans" @@ fun () ->
-    fill_trans ~params ~snapshot ?jobs universe
+    match previous with Some p -> p.trans | None -> fill_trans ~params ~snapshot ?jobs universe
   in
+  reuse.Reuse.previous <-
+    Some
+      {
+        designs;
+        snapshot = tables;
+        universe;
+        trans;
+        steps = Array.copy steps;
+        step_keys;
+        exec;
+      };
   reuse.Reuse.t_builds <- reuse.Reuse.t_builds + 1;
   make_t ~steps ~space ~initial:initial_id ~exec ~trans ~count_initial_change
 

@@ -41,10 +41,25 @@ module Reuse : sig
       no earlier build evaluated for a cluster the previous build also
       had, and composes every configuration from the rows; a build whose
       clusters and structures all appeared in the previous build
-      therefore makes no what-if call.  Reuse never changes a result,
-      across statistics refreshes too: the memo's keys are the atoms'
-      complete inputs (see {!Cddpd_engine.Cost_cache}), so matrices are
-      bit-identical to a from-scratch build.
+      therefore makes no what-if call.
+
+      The session also keeps its latest build's structure universe, TRANS
+      matrix and EXEC rows.  The next build reuses them only when both
+      hold: its space has the same designs in the same order, and every
+      table's statistics are physically ([==]) the object the previous
+      build read.  Then it keeps TRANS and the universe, and keeps the
+      EXEC row of every step whose statement array is physically one the
+      previous build costed and whose cost keys are equal to that step's
+      keys then ([problem.steps_reused]); it composes and expands only
+      the clusters and steps that remain.  The memo still sees every
+      cluster, so its tallies do not depend on what was kept.  Otherwise
+      the build takes the full path.  The returned matrices share rows
+      with the previous build's: they are read-only.
+
+      Reuse never changes a result, across statistics refreshes too: the
+      memo's keys are the atoms' complete inputs (see
+      {!Cddpd_engine.Cost_cache}), so matrices are bit-identical to a
+      from-scratch build.
 
       A [Reuse.t] is only sound while the cost-model parameters behind
       it are fixed and must not be shared across concurrent builds. *)
@@ -110,7 +125,9 @@ val build :
     [reuse] threads the session state of {!Reuse} through the build: the
     fill reads and extends the session's atom memo (instrumented as
     [reopt.exec_columns_reused], [reopt.clusters_recosted] and the
-    [cost_cache.*] counters).  Without [reuse] the build runs in a fresh
+    [cost_cache.*] counters), and the build keeps the universe, TRANS and
+    EXEC rows of the session's previous build under the conditions
+    {!Reuse} states.  Without [reuse] the build runs in a fresh
     session of its own: an empty session is the from-scratch build.
 
     [statement_keys] hands the build precomputed

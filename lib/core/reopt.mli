@@ -7,7 +7,9 @@
     - a persistent {!Problem.Reuse} session: the
       {!Cddpd_engine.Cost_cache} of per-cluster atom rows, which
       {!Problem.build} consults to evaluate only the (cluster, structure)
-      atoms it has not seen;
+      atoms it has not seen, and the previous build's universe, TRANS and
+      EXEC rows, which a build over the same space and statistics keeps
+      for the history windows it shares with that build;
     - warm-started solving: {!solve} seeds the exact solvers'
       branch-and-bound with the incumbent's hold-at-C0 what-if cost
       (a feasible zero-change schedule, hence always a valid upper

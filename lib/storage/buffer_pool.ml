@@ -13,6 +13,7 @@ let m_readahead_pages = Obs.Registry.counter "buffer_pool.readahead_pages"
    and a write-back move no bytes; an empty frame points at [placeholder],
    which nothing writes to because no live handle reaches it. *)
 type frame = {
+  index : int; (* position in [frames] *)
   mutable pid : int; (* -1 when the frame is empty *)
   mutable buffer : Page.t;
   mutable pins : int;
@@ -26,14 +27,16 @@ type handle = frame
 type t = {
   disk : Disk.t;
   frames : frame array;
-  table : (int, frame) Hashtbl.t;
+  mutable slots : int array;
+      (* page id -> index of the frame holding it, -1 when not resident;
+         [Disk.allocate] hands out dense ids, so this grows with the disk *)
   mutable free : int list; (* indices of empty frames *)
   mutable hand : int; (* clock hand *)
   readahead : int; (* max pages prefetched per sequential miss; 0 = off *)
   (* One-entry memo: the frame returned by the most recent fetch.  Checking
      [last.pid = pid] is sound without any invalidation hook because
      [evict] resets [pid] to -1 before a frame is reused and [pid] is only
-     ever set together with the matching [table] insertion — so a matching
+     ever set together with the matching [slots] entry — so a matching
      pid proves the frame still holds that page. *)
   mutable last : frame;
   mutable hit_count : int;
@@ -58,8 +61,9 @@ let placeholder = Page.create ()
 let create ?(capacity = 256) ?(readahead = default_readahead) disk =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity <= 0";
   if readahead < 0 then invalid_arg "Buffer_pool.create: readahead < 0";
-  let make_frame _ =
+  let make_frame index =
     {
+      index;
       pid = -1;
       buffer = placeholder;
       pins = 0;
@@ -72,17 +76,32 @@ let create ?(capacity = 256) ?(readahead = default_readahead) disk =
   {
     disk;
     frames;
-    table = Hashtbl.create (capacity * 2);
+    slots = Array.make (max 64 (Disk.n_pages disk)) (-1);
     free = List.init capacity (fun i -> i);
     hand = 0;
     readahead;
-    last = make_frame 0 (* dummy: pid = -1 never matches a real fetch *);
+    last = make_frame (-1) (* dummy: pid = -1 never matches a real fetch *);
     hit_count = 0;
     miss_count = 0;
     eviction_count = 0;
     scan_fetch_count = 0;
     readahead_count = 0;
   }
+
+(* The frame index holding [pid], or -1. *)
+let resident t pid =
+  (* Unchecked: [pid] is inside [slots] by the test before it. *)
+  if pid >= 0 && pid < Array.length t.slots then Array.unsafe_get t.slots pid else -1
+
+let set_resident t frame =
+  let pid = frame.pid in
+  let n = Array.length t.slots in
+  if pid >= n then begin
+    let bigger = Array.make (max (2 * n) (pid + 1)) (-1) in
+    Array.blit t.slots 0 bigger 0 n;
+    t.slots <- bigger
+  end;
+  t.slots.(pid) <- frame.index
 
 let write_back t frame =
   if frame.dirty then begin
@@ -155,7 +174,7 @@ let seq_victim t =
 let evict t frame =
   if frame.pid <> -1 then begin
     write_back t frame;
-    Hashtbl.remove t.table frame.pid;
+    t.slots.(frame.pid) <- -1;
     frame.pid <- -1;
     frame.prefetched <- false;
     t.eviction_count <- t.eviction_count + 1;
@@ -175,25 +194,28 @@ let fetch t pid =
     last
   end
   else
+    let i = resident t pid in
     let frame =
-      match Hashtbl.find_opt t.table pid with
-      | Some frame ->
-          record_hit t frame;
-          frame.referenced <- true;
-          frame.prefetched <- false;
-          frame
-      | None ->
-          t.miss_count <- t.miss_count + 1;
-          Obs.Counter.incr m_misses;
-          let frame = victim t in
-          evict t frame;
-          frame.buffer <- Disk.read t.disk pid;
-          frame.pid <- pid;
-          frame.pins <- 1;
-          frame.dirty <- false;
-          frame.referenced <- true;
-          Hashtbl.replace t.table pid frame;
-          frame
+      if i >= 0 then begin
+        let frame = t.frames.(i) in
+        record_hit t frame;
+        frame.referenced <- true;
+        frame.prefetched <- false;
+        frame
+      end
+      else begin
+        t.miss_count <- t.miss_count + 1;
+        Obs.Counter.incr m_misses;
+        let frame = victim t in
+        evict t frame;
+        frame.buffer <- Disk.read t.disk pid;
+        frame.pid <- pid;
+        frame.pins <- 1;
+        frame.dirty <- false;
+        frame.referenced <- true;
+        set_resident t frame;
+        frame
+      end
     in
     t.last <- frame;
     frame
@@ -210,7 +232,7 @@ let readahead_batch t ~run ~pos =
   let rec prefetch j =
     if j <= stop then
       let pid = run.(j) in
-      if Hashtbl.mem t.table pid then prefetch (j + 1)
+      if resident t pid >= 0 then prefetch (j + 1)
       else
         let i = unreferenced_frame t ~spare_prefetches:true in
         if i >= 0 then begin
@@ -222,7 +244,7 @@ let readahead_batch t ~run ~pos =
           frame.dirty <- false;
           frame.referenced <- false;
           frame.prefetched <- true;
-          Hashtbl.replace t.table pid frame;
+          set_resident t frame;
           t.readahead_count <- t.readahead_count + 1;
           Obs.Counter.incr m_readahead_pages;
           prefetch (j + 1)
@@ -241,25 +263,28 @@ let fetch_sequential t ~run ~pos =
     last
   end
   else
+    let i = resident t pid in
     let frame =
-      match Hashtbl.find_opt t.table pid with
-      | Some frame ->
-          record_hit t frame;
-          frame.prefetched <- false;
-          frame
-      | None ->
-          t.miss_count <- t.miss_count + 1;
-          Obs.Counter.incr m_misses;
-          let frame = seq_victim t in
-          evict t frame;
-          frame.buffer <- Disk.read t.disk pid;
-          frame.pid <- pid;
-          frame.pins <- 1;
-          frame.dirty <- false;
-          frame.referenced <- false;
-          Hashtbl.replace t.table pid frame;
-          if t.readahead > 0 then readahead_batch t ~run ~pos;
-          frame
+      if i >= 0 then begin
+        let frame = t.frames.(i) in
+        record_hit t frame;
+        frame.prefetched <- false;
+        frame
+      end
+      else begin
+        t.miss_count <- t.miss_count + 1;
+        Obs.Counter.incr m_misses;
+        let frame = seq_victim t in
+        evict t frame;
+        frame.buffer <- Disk.read t.disk pid;
+        frame.pid <- pid;
+        frame.pins <- 1;
+        frame.dirty <- false;
+        frame.referenced <- false;
+        set_resident t frame;
+        if t.readahead > 0 then readahead_batch t ~run ~pos;
+        frame
+      end
     in
     t.last <- frame;
     frame
@@ -273,7 +298,7 @@ let allocate t =
   frame.pins <- 1;
   frame.dirty <- true;
   frame.referenced <- true;
-  Hashtbl.replace t.table pid frame;
+  set_resident t frame;
   t.last <- frame;
   frame
 
@@ -293,7 +318,7 @@ let drop_cache t =
       if frame.pins > 0 then failwith "Buffer_pool.drop_cache: frame still pinned";
       if frame.pid <> -1 then begin
         write_back t frame;
-        Hashtbl.remove t.table frame.pid;
+        t.slots.(frame.pid) <- -1;
         frame.pid <- -1;
         frame.buffer <- placeholder;
         frame.prefetched <- false;

@@ -71,8 +71,9 @@
       from disk at most once (a page no batch had a frame for is simply
       a miss when the scan reaches it).
     - {e last-page memo}: consecutive fetches of the same page (common
-      when a scan re-reads the tail page) skip the hash-table probe via a
-      one-entry memo.  The memo needs no invalidation: it is validated by
+      when a scan re-reads the tail page) skip the page-table probe via a
+      one-entry memo.  The page table itself is a dense array indexed by
+      page id ({!Disk.allocate} hands ids out densely), grown on demand.  The memo needs no invalidation: it is validated by
       the frame's page id, which eviction resets.
 
     {2 Observability}

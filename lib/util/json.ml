@@ -211,48 +211,50 @@ let parse text =
 
 (* -- leaf-by-leaf comparison ------------------------------------------------- *)
 
+let diff_limit = 20
+
 let diff ~skip ~recorded fresh =
+  let found = ref [] and count = ref 0 in
+  let report message =
+    incr count;
+    if !count <= diff_limit then found := message :: !found
+  in
   let key path k = if String.equal path "" then k else path ^ "." ^ k in
   let find k members = List.find_opt (fun (k', _) -> String.equal k k') members in
-  let rec first f = function
-    | [] -> Ok ()
-    | x :: rest -> ( match f x with Ok () -> first f rest | Error _ as e -> e)
-  in
   let absent path members others what =
-    first
-      (fun (k, _) ->
-        if Option.is_none (find k others) then Error (key path k ^ what) else Ok ())
+    List.iter
+      (fun (k, _) -> if Option.is_none (find k others) then report (key path k ^ what))
       members
   in
   let rec go path was now =
     match (was, now) with
     | Object was_members, Object now_members ->
-        Result.bind (absent path was_members now_members " is missing, recorded present")
-        @@ fun () ->
-        Result.bind (absent path now_members was_members " is present, recorded missing")
-        @@ fun () ->
-        first
+        absent path was_members now_members " is missing, recorded present";
+        absent path now_members was_members " is present, recorded missing";
+        List.iter
           (fun (k, w) ->
             match find k now_members with
             | Some (_, v) when not (skip k) -> go (key path k) w v
-            | Some _ | None -> Ok ())
+            | Some _ | None -> ())
           was_members
     | Array was_items, Array now_items ->
         if List.compare_lengths was_items now_items <> 0 then
-          Error
+          report
             (Printf.sprintf "%s has %d elements, recorded %d" path (List.length now_items)
                (List.length was_items))
-        else
-          first
-            (fun (i, (w, v)) -> go (Printf.sprintf "%s[%d]" path i) w v)
-            (List.mapi (fun i pair -> (i, pair)) (List.combine was_items now_items))
-    | Number a, Number b | String a, String b when String.equal a b -> Ok ()
-    | Bool a, Bool b when Bool.equal a b -> Ok ()
-    | Null, Null -> Ok ()
+        else List.iteri (fun i (w, v) -> go (Printf.sprintf "%s[%d]" path i) w v)
+               (List.combine was_items now_items)
+    | Number a, Number b | String a, String b when String.equal a b -> ()
+    | Bool a, Bool b when Bool.equal a b -> ()
+    | Null, Null -> ()
     | _ ->
-        Error
+        report
           (Printf.sprintf "%s is %s, recorded %s"
              (if String.equal path "" then "(root)" else path)
              (to_string now) (to_string was))
   in
-  go "" recorded fresh
+  go "" recorded fresh;
+  let more = !count - diff_limit in
+  List.rev
+    (if more > 0 then Printf.sprintf "... and %d more differing leaves" more :: !found
+     else !found)

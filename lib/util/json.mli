@@ -27,10 +27,12 @@ val parse : string -> (t, string) result
     input — truncated, a bad escape or number, trailing bytes — is an
     [Error] naming the byte offset; it never raises. *)
 
-val diff : skip:(string -> bool) -> recorded:t -> t -> (unit, string) result
+val diff : skip:(string -> bool) -> recorded:t -> t -> string list
 (** [diff ~skip ~recorded fresh] walks both values leaf by leaf: objects
     must have the same keys (in any order), arrays the same lengths, and
     every leaf must be equal, numbers compared as printed.  A member
     whose key satisfies [skip] must be present but its value is not
-    compared.  The [Error] names the first differing path, e.g.
-    [cells[2].whatif.measured]. *)
+    compared.  Returns one message per differing path, in document order,
+    e.g. [cells[2].whatif.measured is 1, recorded 81940]; the empty list
+    when the values match.  After 20 messages, one last line counts the
+    rest. *)

@@ -748,6 +748,164 @@ let pruning_preserves_atomic_optimum_prop =
       | Error _, Error _ -> true
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* -- Problem.Reuse: a session build equals a fresh build ------------------------ *)
+
+module Cost_key = Cddpd_engine.Cost_key
+module Cost_cache = Cddpd_engine.Cost_cache
+module Obs = Cddpd_obs
+
+(* One history edit between two session builds. *)
+type history_op =
+  | Window of string  (** a new window of one column's point queries *)
+  | Repeat  (** the newest window's array pushed again *)
+  | Refill of string  (** the newest window's array rewritten in place *)
+  | Dml  (** an insert: the next build sees a new statistics snapshot *)
+  | Widen  (** the space gains a structure *)
+  | Narrow  (** the space loses it again *)
+  | Single  (** a one-step build over the newest window (the reactive shape) *)
+
+let history_op_to_string = function
+  | Window c -> "window " ^ c
+  | Repeat -> "repeat"
+  | Refill c -> "refill " ^ c
+  | Dml -> "dml"
+  | Widen -> "widen"
+  | Narrow -> "narrow"
+  | Single -> "single"
+
+let reuse_columns = [ "a"; "b"; "c"; "d" ]
+
+(* A window of [n] point queries on [column] from a pool of 6 constants, so
+   windows of one column share cost keys. *)
+let column_window column n =
+  Array.init n (fun i ->
+      Parser.parse_exn
+        (Printf.sprintf "SELECT * FROM t WHERE %s = %d" column (1 + (i * 37 mod 6) * 11)))
+
+let random_history =
+  let op =
+    QCheck.Gen.(
+      let column = oneofl reuse_columns in
+      frequency
+        [
+          (4, map (fun c -> Window c) column);
+          (1, return Repeat);
+          (1, map (fun c -> Refill c) column);
+          (1, return Dml);
+          (1, return Widen);
+          (1, return Narrow);
+          (1, return Single);
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat ", " (List.map history_op_to_string ops))
+    QCheck.Gen.(list_size (int_range 4 10) op)
+
+let same_stats (a : Cost_cache.stats) (b : Cost_cache.stats) =
+  a.Cost_cache.hits = b.Cost_cache.hits
+  && a.Cost_cache.misses = b.Cost_cache.misses
+  && a.Cost_cache.evictions = b.Cost_cache.evictions
+
+(* The what-if calls [f] makes, counted with instrumentation on. *)
+let whatif_calls f =
+  let calls = Obs.Registry.counter "cost_model.calls" in
+  let before = Obs.Counter.value calls in
+  let result = f () in
+  (result, Obs.Counter.value calls - before)
+
+(* Drive one session through a random sliding history of at most three
+   windows.  After every edit, the session build must equal a reuse-free
+   build of the same inputs bit for bit, and its atom memo must read and
+   evaluate exactly what a second session does that is handed copies of
+   the step arrays, so it can never keep a step's EXEC row. *)
+let reuse_equals_fresh_prop =
+  QCheck.Test.make ~name:"session build = fresh build over sliding histories" ~count:100
+    random_history (fun ops ->
+      let db = make_db ~rows:600 () in
+      let params = Database.params db in
+      let stats_of table = Database.table_stats db table in
+      let session = Problem.Reuse.create () and mirror = Problem.Reuse.create () in
+      let history = ref [ column_window "a" 24 ] and wide = ref false in
+      let inserted = ref 0 in
+      Obs.Registry.enable ();
+      Fun.protect ~finally:Obs.Registry.disable @@ fun () ->
+      List.for_all
+        (fun (i, op) ->
+          let single = ref false in
+          (match op with
+          | Window c -> history := column_window c 24 :: !history
+          | Repeat -> history := List.hd !history :: !history
+          | Refill c -> Array.blit (column_window c 24) 0 (List.hd !history) 0 24
+          | Dml ->
+              incr inserted;
+              ignore
+                (Database.execute_sql db
+                   (Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)" !inserted 1 2 3))
+          | Widen -> wide := true
+          | Narrow -> wide := false
+          | Single -> single := true);
+          history := List.filteri (fun j _ -> j < 3) !history;
+          let steps =
+            if !single then [| List.hd !history |] else Array.of_list (List.rev !history)
+          in
+          let space =
+            Config_space.single_index
+              (List.map (fun c -> index [ c ]) reuse_columns
+              @ if !wide then [ index [ "a"; "b" ] ] else [])
+          in
+          let statement_keys =
+            if i mod 2 = 0 then
+              Some
+                (Array.map
+                   (fun s -> Cost_key.id (Cost_key.statement (stats_of "t") s))
+                   (Array.concat (Array.to_list steps)))
+            else None
+          in
+          let build ?reuse steps =
+            Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ?reuse
+              ?statement_keys ()
+          in
+          let reused, calls = whatif_calls (fun () -> build ~reuse:session steps) in
+          let _, mirror_calls =
+            whatif_calls (fun () -> build ~reuse:mirror (Array.map Array.copy steps))
+          in
+          let fresh = build steps in
+          Naive.matrix_same_bits reused.Problem.exec fresh.Problem.exec
+          && Naive.matrix_same_bits reused.Problem.trans fresh.Problem.trans
+          && calls = mirror_calls
+          && same_stats
+               (Cost_cache.stats (Problem.Reuse.memo session))
+               (Cost_cache.stats (Problem.Reuse.memo mirror)))
+        (List.mapi (fun i op -> (i, op)) ops))
+
+(* On a sliding history under one space and one snapshot, every window
+   the previous build had keeps its EXEC row; a new snapshot keeps none. *)
+let test_reuse_keeps_history_steps () =
+  let db = make_db ~rows:600 () in
+  let params = Database.params db in
+  let stats_of table = Database.table_stats db table in
+  let space = Config_space.single_index (List.map (fun c -> index [ c ]) reuse_columns) in
+  let session = Problem.Reuse.create () in
+  let kept = Obs.Registry.counter "problem.steps_reused" in
+  let windows = List.map (fun c -> column_window c 24) [ "a"; "b"; "c"; "d" ] in
+  let kept_by steps =
+    let before = Obs.Counter.value kept in
+    ignore
+      (Problem.build ~params ~stats_of ~steps:(Array.of_list steps) ~space
+         ~initial:Design.empty ~reuse:session ());
+    Obs.Counter.value kept - before
+  in
+  Obs.Registry.enable ();
+  Fun.protect ~finally:Obs.Registry.disable @@ fun () ->
+  match windows with
+  | [ w1; w2; w3; w4 ] ->
+      Alcotest.(check int) "first build keeps nothing" 0 (kept_by [ w1; w2; w3 ]);
+      Alcotest.(check int) "slid by one window" 2 (kept_by [ w2; w3; w4 ]);
+      ignore (Database.execute_sql db "INSERT INTO t VALUES (1, 2, 3, 4)");
+      Alcotest.(check int) "new snapshot keeps nothing" 0 (kept_by [ w2; w3; w4 ]);
+      Alcotest.(check int) "same history again" 3 (kept_by [ w2; w3; w4 ])
+  | _ -> assert false
+
 let test_simulator_replay () =
   let db = make_db () in
   let steps = small_steps () in
@@ -890,6 +1048,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest compression_bit_identity_prop;
           QCheck_alcotest.to_alcotest pruning_preserves_atomic_optimum_prop;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "sliding history keeps steps" `Quick
+            test_reuse_keeps_history_steps;
+          QCheck_alcotest.to_alcotest reuse_equals_fresh_prop;
         ] );
       ( "simulator",
         [

@@ -284,27 +284,27 @@ let rec at path f v =
 let test_json_diff () =
   let recorded = parse_exn (read "../BENCH_configspace.json") in
   let diff fresh = Json.diff ~skip:(String.ends_with ~suffix:"_s") ~recorded fresh in
+  let names needle message =
+    let n = String.length needle in
+    let rec scan i =
+      i + n <= String.length message
+      && (String.equal (String.sub message i n) needle || scan (i + 1))
+    in
+    scan 0
+  in
   let expect_error name fresh needle =
     match diff fresh with
-    | Ok () -> Alcotest.failf "%s: passed the gate" name
-    | Error message ->
-        let found =
-          let n = String.length needle in
-          let rec scan i =
-            i + n <= String.length message
-            && (String.equal (String.sub message i n) needle || scan (i + 1))
-          in
-          scan 0
-        in
-        if not found then Alcotest.failf "%s: %S does not name %s" name message needle
+    | [] -> Alcotest.failf "%s: passed the gate" name
+    | messages ->
+        if not (List.exists (names needle) messages) then
+          Alcotest.failf "%s: %S does not name %s" name (String.concat "; " messages) needle
   in
-  Alcotest.(check bool) "identical" true (Result.is_ok (diff recorded));
+  Alcotest.(check (list string)) "identical" [] (diff recorded);
   expect_error "altered leaf"
     (at [ `K "cells"; `I 2; `K "whatif"; `K "measured" ] (fun _ -> Json.int (-1)) recorded)
     "cells[2].whatif.measured";
-  Alcotest.(check bool) "altered wall time passes" true
-    (Result.is_ok
-       (diff (at [ `K "cells"; `I 2; `K "solve_s" ] (fun _ -> Json.Number "9.999999") recorded)));
+  Alcotest.(check (list string)) "altered wall time passes" []
+    (diff (at [ `K "cells"; `I 2; `K "solve_s" ] (fun _ -> Json.Number "9.999999") recorded));
   expect_error "missing key"
     (at [ `K "cells"; `I 0 ]
        (function Json.Object (_ :: rest) -> Json.Object rest | v -> v)
@@ -313,6 +313,33 @@ let test_json_diff () =
   expect_error "extra array element"
     (at [ `K "cells" ] (function Json.Array l -> Json.Array (l @ [ List.hd l ]) | v -> v) recorded)
     "cells"
+
+(* Two altered leaves in one document are both named, in document order;
+   past the cap, one last line counts the rest. *)
+let test_json_diff_names_every_leaf () =
+  let recorded = parse_exn (read "../BENCH_configspace.json") in
+  let diff fresh = Json.diff ~skip:(String.ends_with ~suffix:"_s") ~recorded fresh in
+  let measured i = [ `K "cells"; `I i; `K "whatif"; `K "measured" ] in
+  let two =
+    recorded
+    |> at (measured 0) (fun _ -> Json.int (-1))
+    |> at (measured 2) (fun _ -> Json.int (-2))
+  in
+  (match diff two with
+  | [ first; second ] ->
+      Alcotest.(check bool) "first names cells[0]" true
+        (String.starts_with ~prefix:"cells[0].whatif.measured is -1" first);
+      Alcotest.(check bool) "second names cells[2]" true
+        (String.starts_with ~prefix:"cells[2].whatif.measured is -2" second)
+  | messages -> Alcotest.failf "expected two messages, got %S" (String.concat "; " messages));
+  let moved =
+    Json.diff ~skip:(fun _ -> false)
+      ~recorded:(Json.Array (List.init 25 Json.int))
+      (Json.Array (List.init 25 (fun i -> Json.int (-i - 1))))
+  in
+  Alcotest.(check int) "capped at 20 plus a count" 21 (List.length moved);
+  Alcotest.(check string) "count of the rest" "... and 5 more differing leaves"
+    (List.nth moved 20)
 
 let () =
   Alcotest.run "util"
@@ -349,6 +376,8 @@ let () =
           Alcotest.test_case "malformed input is an error" `Quick test_json_malformed;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "leaf-by-leaf diff" `Quick test_json_diff;
+          Alcotest.test_case "diff names every moved leaf" `Quick
+            test_json_diff_names_every_leaf;
         ] );
       ( "text_table",
         [
