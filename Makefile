@@ -21,7 +21,6 @@
 #                     errors and skipped statements, never in a crash
 
 DUNE ?= dune
-JOBS ?=
 
 .PHONY: all build check test lint lint-update-baseline bench-smoke bench-update bench serve-smoke perf-smoke cli-smoke clean
 
@@ -54,8 +53,7 @@ lint-update-baseline:
 	$(DUNE) exec tools/lint/cddpd_lint.exe -- --root . --write-baseline lint-baseline.json
 
 # Quick perf sanity: micro-benchmarks + a timed Problem.build and every
-# gated suite.  Pass JOBS=1 to force the sequential path.  It compares and
-# never rewrites: each suite writes its result to $(BENCH_OUT)/BENCH_<suite>.json,
+# gated suite.  It compares and never rewrites: each suite writes its result to $(BENCH_OUT)/BENCH_<suite>.json,
 # so the tree stays clean, and fails unless that result equals the committed
 # BENCH_<suite>.json leaf by leaf — same keys, same array lengths, every
 # value equal as printed — except the measured leaves: wall times, their
@@ -71,7 +69,7 @@ BENCH_SUITES = micro solvers experiments configspace serve ingest
 BENCH_BASELINES = configspace experiments ingest serve solvers
 
 bench-smoke:
-	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) $(BENCH_SUITES)
+	$(DUNE) exec bench/main.exe -- --quick $(BENCH_SUITES)
 
 # The only target that writes the committed baselines: bench-smoke, then,
 # once every gate has passed, a copy of its results over them.  A change
@@ -82,7 +80,7 @@ bench-update: bench-smoke
 	cp $(BENCH_BASELINES:%=$(BENCH_OUT)/BENCH_%.json) .
 
 bench:
-	$(DUNE) exec bench/main.exe -- $(if $(JOBS),--jobs $(JOBS)) all
+	$(DUNE) exec bench/main.exe -- all
 
 # End-to-end smoke of the online advisor (docs/SERVE.md): generate a
 # short drifting trace, serve it once, and assert the machine-readable
@@ -92,7 +90,7 @@ serve-smoke:
 	$(DUNE) build bin/cddpd.exe
 	$(DUNE) exec bin/cddpd.exe -- generate --workload W1 --scale 0.2 --value-range 1000 -o _serve_smoke_trace.sql
 	$(DUNE) exec bin/cddpd.exe -- serve --input _serve_smoke_trace.sql \
-	  --rows 5000 --value-range 1000 --window 100 $(if $(JOBS),--jobs $(JOBS)) \
+	  --rows 5000 --value-range 1000 --window 100 \
 	  --status > _serve_smoke_status.json
 	@grep -q '"schema":"cddpd-serve/3"' _serve_smoke_status.json
 	@! grep -q -e '"stats_invalidations"' -e '"generations"' _serve_smoke_status.json \
@@ -134,22 +132,25 @@ perf-smoke:
 	    || exit 1; \
 	done
 
-# Out-of-range arguments, a k-requiring method without -k and the retired
-# --once flag must each exit non-zero without cmdliner's "internal error"
-# (an uncaught exception); a statement the schema rejects must be skipped
-# by serve with a warning, from stdin and from --input FILE alike, and
-# the run must exit 0 and print its report.
+# Out-of-range arguments and a k-requiring method without -k must each
+# exit non-zero without cmdliner's "internal error" (an uncaught
+# exception); each retired option (CLI_RETIRED, "OPTION|ARGS") must be
+# rejected the same way as an unknown option; a statement the schema
+# rejects must be skipped by serve with a warning, from stdin and from
+# --input FILE alike, and the run must exit 0 and print its report.
 CDDPD = ./_build/default/bin/cddpd.exe
 CLI_BAD = \
   "serve --window 0" \
   "serve --history 0" \
   "serve --horizon 0" \
-  "serve --jobs 0" \
   "recommend --input _cli_smoke_trace.sql -k 1 --segment 0" \
   "recommend --input _cli_smoke_trace.sql --method kaware" \
-  "recommend --input _cli_smoke_trace.sql -k 1 --jobs 0" \
-  "recommend --input _cli_smoke_empty.sql -k 1" \
-  "experiment table1 --cell-jobs 0"
+  "recommend --input _cli_smoke_empty.sql -k 1"
+CLI_RETIRED = \
+  "--once|serve --once --input _cli_smoke_serve.sql" \
+  "-j|serve -j 2" \
+  "--jobs|recommend --input _cli_smoke_trace.sql -k 1 --jobs 2" \
+  "--cell-jobs|experiment table1 --cell-jobs 2"
 
 cli-smoke:
 	$(DUNE) build bin/cddpd.exe
@@ -174,10 +175,13 @@ cli-smoke:
 	  echo "cli-smoke: serve --input did not warn exactly once: $$out"; status=1; fi; \
 	if ! echo "$$out" | grep -q '^serve: regime='; then \
 	  echo "cli-smoke: serve --input printed no report: $$out"; status=1; fi; \
-	out=$$($(CDDPD) serve --once --input _cli_smoke_serve.sql 2>&1); code=$$?; \
-	if [ $$code -eq 0 ] || ! echo "$$out" | grep -q "unknown option '--once'" \
-	  || echo "$$out" | grep -q 'internal error'; then \
-	  echo "cli-smoke: serve --once was not rejected as an unknown option: $$out"; status=1; fi; \
+	for spec in $(CLI_RETIRED); do \
+	  opt=$${spec%%|*}; args=$${spec#*|}; \
+	  out=$$($(CDDPD) $$args < /dev/null 2>&1); code=$$?; \
+	  if [ $$code -eq 0 ] || ! echo "$$out" | grep -q -- "unknown option '$$opt'" \
+	    || echo "$$out" | grep -q 'internal error'; then \
+	    echo "cli-smoke: '$$args' was not rejected as an unknown option: $$out"; status=1; fi; \
+	done; \
 	rm -f _cli_smoke_trace.sql _cli_smoke_empty.sql _cli_smoke_serve.sql; \
 	if [ $$status -eq 0 ]; then echo "cli-smoke: OK"; fi; \
 	exit $$status

@@ -6,12 +6,10 @@
      main.exe [table1] [table2] [figure3] [figure4] [ablation] [updates]
               [views] [space] [micro]
               [--rows N] [--value-range N] [--scale F] [--seed N]
-              [--readahead N] [--quick]
-              [--jobs N] [--cell-jobs N] [--no-metrics]
+              [--readahead N] [--quick] [--no-metrics]
    With no experiment named, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
-   paper's physical scale.  --jobs sets the Problem.build parallelism
-   knob (docs/PERFORMANCE.md).
+   paper's physical scale.
 
    Result files: each suite with a machine-readable result (micro, solvers,
    experiments, configspace, serve, ingest) writes it to
@@ -59,8 +57,6 @@ type options = {
   experiments : string list;
   config : Setup.config;
   metrics : bool;
-  jobs : int option;
-  cell_jobs : int option;
 }
 
 let all_experiments =
@@ -73,30 +69,18 @@ let usage () =
     "usage: main.exe \
      [table1|table2|figure3|figure4|ablation|updates|views|space|micro|solvers|experiments|configspace|serve|ingest]... \
      [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] [--quick] \
-     [--jobs N] [--cell-jobs N] [--no-metrics]";
+     [--no-metrics]";
   exit 2
 
 let parse_args () =
   let experiments = ref [] in
   let config = ref Setup.default_config in
   let metrics = ref true in
-  let jobs = ref None in
-  let cell_jobs = ref None in
   let rec go args =
     match args with
     | [] -> ()
     | "--no-metrics" :: rest ->
         metrics := false;
-        go rest
-    | "--cell-jobs" :: v :: rest ->
-        let j = int_of_string v in
-        if j < 1 then usage ();
-        cell_jobs := Some j;
-        go rest
-    | "--jobs" :: v :: rest ->
-        let j = int_of_string v in
-        if j < 1 then usage ();
-        jobs := Some j;
         go rest
     | "--rows" :: v :: rest ->
         config := { !config with Setup.rows = int_of_string v };
@@ -132,13 +116,7 @@ let parse_args () =
   let experiments =
     match List.rev !experiments with [] -> all_experiments | list -> list
   in
-  {
-    experiments;
-    config = !config;
-    metrics = !metrics;
-    jobs = !jobs;
-    cell_jobs = !cell_jobs;
-  }
+  { experiments; config = !config; metrics = !metrics }
 
 let banner title =
   Printf.printf "\n==== %s ====\n\n%!" title
@@ -280,7 +258,6 @@ let reopt_window_close ~reuse =
         max_structures_per_config = Some 2;
         initial = Cddpd_engine.Database.current_design db;
         count_initial_change = true;
-        jobs = Some 1;
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -595,8 +572,7 @@ let micro (session : Session.t) =
 (* -- machine-readable micro summary (BENCH_micro.json) -------------------- *)
 
 (* Median wall-clock of several Problem.build runs under the session's
-   workload and the current --jobs knob: the headline
-   number of the perf trajectory. *)
+   workload: the headline number of the perf trajectory. *)
 let problem_build_runs = 3
 
 let time_problem_build (session : Session.t) =
@@ -712,13 +688,11 @@ let time_stats_refresh () =
 
 let micro_json ~(options : options) ~build_s ~stats_refresh rows =
   let config = options.config in
-  let jobs = Option.value options.jobs ~default:(Cddpd_util.Parallel.default_jobs ()) in
   Json.Object
     [
       ("schema", Json.String "cddpd-bench-micro/3"); ("rows", Json.int config.Setup.rows);
       ("value_range", Json.int config.Setup.value_range);
       ("scale", Json.fixed 3 config.Setup.scale); ("seed", Json.int config.Setup.seed);
-      ("jobs", Json.int jobs);
       ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
       ( "problem_build",
         Json.Object [ ("runs", Json.int problem_build_runs); ("median_s", Json.fixed 3 build_s) ] );
@@ -893,17 +867,17 @@ let solvers_suite () =
             let ub = Staged_dag.path_cost graph (Merging.refine problem ~k unconstrained_path) in
             let upper_bound () = ub in
             let baseline_s =
-              time_runs (fun () -> Kaware.solve ~jobs:1 graph ~k ~initial)
+              time_runs (fun () -> Kaware.solve graph ~k ~initial)
             in
             let pruned_s =
               time_runs (fun () ->
-                  Kaware.solve ~jobs:1 ~upper_bound:ub graph ~k ~initial)
+                  Kaware.solve ~upper_bound:ub graph ~k ~initial)
             in
             (* Exactness cross-check at bench time: pruning must not move
                the optimum. *)
             (match
-               ( Kaware.solve ~jobs:1 graph ~k ~initial,
-                 Kaware.solve ~jobs:1 ~upper_bound:(upper_bound ()) graph ~k ~initial )
+               ( Kaware.solve graph ~k ~initial,
+                 Kaware.solve ~upper_bound:(upper_bound ()) graph ~k ~initial )
              with
             | Some (c0, p0), Some (c1, p1) ->
                 if not (Int64.equal (Int64.bits_of_float c0) (Int64.bits_of_float c1) && p0 = p1)
@@ -911,7 +885,7 @@ let solvers_suite () =
             | _ -> failwith "solvers: kaware returned no path");
             let delta =
               with_counters (fun () ->
-                  Kaware.solve ~jobs:1 ~upper_bound:(upper_bound ()) graph ~k ~initial)
+                  Kaware.solve ~upper_bound:(upper_bound ()) graph ~k ~initial)
             in
             let states_pruned = snapshot_counter delta "advisor.kaware.states_pruned" in
             let states_alive = snapshot_counter delta "advisor.kaware.nodes_expanded" in
@@ -1039,7 +1013,7 @@ let solvers_json entries =
    at bench time on every run. *)
 
 let experiments_runs = 3
-let experiments_cell_jobs = [ 1; 4 ]
+let experiments_cell_jobs = [ 1; 2 ]
 let experiments_ks = [ 2; 6; 10 ]
 let experiments_repeats = 2
 let experiments_bulk_rows = 100_000
@@ -1199,7 +1173,7 @@ let experiments_json ~(config : Setup.config) arms bulk =
           a.ex_cell_jobs = jobs && a.ex_readahead = Cddpd_storage.Buffer_pool.default_readahead)
         ran
     in
-    match (find 1, find 4) with
+    match (find 1, find (List.fold_left max 1 experiments_cell_jobs)) with
     | Some seq, Some par -> seq.ex_median_s /. par.ex_median_s
     | _ -> nan (* serialised as null: no honest multi-core measurement *)
   in
@@ -1816,7 +1790,6 @@ let serve_server_config ~reuse =
     (Server.default_config ~table:"t") with
     Server.window = serve_window;
     drift_threshold = -1.0;  (* re-optimize at every window close *)
-    jobs = Some 1;
     reopt_reuse = reuse;
   }
 
@@ -2054,7 +2027,7 @@ let serve_json (scratch, incr, clusters) =
       ("pool", Json.int serve_pool_size); ("history", Json.int cfg.Server.history);
       ("k", Json.int cfg.Server.k);
       ("method", Json.String (Solution.method_to_string cfg.Server.method_name));
-      ("jobs", Json.int 1); ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
       ("phases", Json.String (String.concat "" (Array.to_list serve_phases)));
       ("cells", Json.Array (List.mapi cell (Array.to_list scratch.se_cells)));
       ( "stable",
@@ -2188,7 +2161,7 @@ let ingest_trace () =
   Array.of_list (List.rev !texts)
 
 let ingest_config =
-  { (Server.default_config ~table:"t") with Server.window = ingest_window; jobs = Some 1 }
+  { (Server.default_config ~table:"t") with Server.window = ingest_window }
 
 (* The serve digest plus the window's what-if call count: the caches must
    not change how much cost-model work re-optimization does either. *)
@@ -2364,46 +2337,20 @@ let ingest_json (reference, fast, ratio) =
       ("value_range", Json.int ingest_value_range); ("window", Json.int ingest_window);
       ("pool", Json.int ingest_pool_size); ("churn_every", Json.int ingest_churn_every);
       ("phases", Json.String (String.concat "" (Array.to_list ingest_phases)));
-      ("jobs", Json.int 1); ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
+      ("cores", Json.int (Cddpd_util.Parallel.ncpu ()));
       ("fast", arm_json fast); ("slow", arm_json reference);
       ("throughput_ratio", Json.fixed 3 ratio); ("min_ratio", Json.fixed 3 ingest_min_ratio);
       ("digests_identical", Json.Bool true);
     ]
 
 let () =
-  let ({ experiments; config; metrics; jobs; cell_jobs } as options) =
-    parse_args ()
-  in
-  (* Honesty clamp: more domains than cores measures scheduler thrash,
-     not the code, so requested arms are capped at the machine. *)
-  let clamp_jobs what j =
-    let cores = Cddpd_util.Parallel.ncpu () in
-    if j > cores then begin
-      Printf.printf "(%s clamped from %d to %d: %d core%s available)\n%!" what
-        j cores cores
-        (if cores = 1 then "" else "s");
-      cores
-    end
-    else j
-  in
-  let jobs = Option.map (clamp_jobs "--jobs") jobs in
-  let cell_jobs = Option.map (clamp_jobs "--cell-jobs") cell_jobs in
-  let options = { options with jobs; cell_jobs } in
-  (match jobs with
-  | Some j -> Cddpd_util.Parallel.set_default_jobs j
-  | None -> ());
-  (match cell_jobs with
-  | Some j -> Cddpd_experiments.Runner.set_default_cell_jobs j
-  | None -> ());
+  let ({ experiments; config; metrics } as options) = parse_args () in
   if metrics then Obs.Registry.enable ();
   List.iter
     (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
     [ Filename.dirname bench_out; bench_out ];
-  Printf.printf
-    "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d \
-     jobs=%d\n%!"
-    config.Setup.rows config.Setup.value_range config.Setup.scale config.Setup.seed
-    (match jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ());
+  Printf.printf "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d\n%!"
+    config.Setup.rows config.Setup.value_range config.Setup.scale config.Setup.seed;
   let needs_session =
     List.exists
       (fun e ->

@@ -9,9 +9,8 @@
 
    Every subcommand also accepts --metrics (print a snapshot of all
    observability counters/histograms after the run) and --trace (print the
-   hierarchical trace-span tree); see docs/OBSERVABILITY.md.  Subcommands
-   that build cost matrices additionally accept --jobs (domains used by
-   Problem.build); see docs/PERFORMANCE.md.  Counts and sizes are checked
+   hierarchical trace-span tree); see docs/OBSERVABILITY.md.  Counts and
+   sizes are checked
    by their converters, so an out-of-range argument is a usage error, not
    an exception. *)
 
@@ -76,26 +75,6 @@ let int_at_least lo =
   Arg.conv (parse, Format.pp_print_int)
 
 let positive_int = int_at_least 1
-
-(* -- performance knobs ----------------------------------------------------- *)
-
-let jobs_arg =
-  Arg.(value & opt (some positive_int) None
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domains used to build cost matrices (default: \
-                 \\$(b,CDDPD_JOBS) if set, else the CPU count).")
-
-let cell_jobs_arg =
-  Arg.(value & opt (some positive_int) None
-       & info [ "cell-jobs" ] ~docv:"N"
-           ~doc:"Domains used to run independent experiment cells \
-                 (distinct from $(b,--jobs), which parallelizes cost-matrix \
-                 construction; default: \\$(b,CDDPD_JOBS) if set, else the \
-                 CPU count).  Results are identical at any value.")
-
-(* The knobs are process-global defaults, so they reach every
-   Problem.build — including the ones experiments run internally. *)
-let apply_perf_knobs jobs = Option.iter Cddpd_util.Parallel.set_default_jobs jobs
 
 (* -- shared arguments ---------------------------------------------------- *)
 
@@ -280,10 +259,9 @@ let require_budget method_name k =
         (Solution.method_to_string method_name);
       exit 2
 
-let recommend input segment k method_name rows value_range seed readahead jobs
-    max_paths max_queue max_candidates composite_width prune metrics trace =
+let recommend input segment k method_name rows value_range seed readahead max_paths
+    max_queue max_candidates composite_width prune metrics trace =
   require_budget method_name k;
-  apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   with_recommendation input segment k method_name rows value_range seed readahead
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
@@ -302,14 +280,13 @@ let recommend_cmd =
     (Cmd.info "recommend"
        ~doc:"Recommend a change-constrained dynamic physical design for a trace.")
     Term.(const recommend $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
+          $ value_range_arg $ seed_arg $ readahead_arg
           $ max_paths_arg $ max_queue_arg $ candidates_arg
           $ composite_width_arg $ prune_arg $ metrics_arg $ trace_spans_arg)
 
-let simulate input segment k method_name rows value_range seed readahead jobs
-    max_paths max_queue max_candidates composite_width prune metrics trace =
+let simulate input segment k method_name rows value_range seed readahead max_paths
+    max_queue max_candidates composite_width prune metrics trace =
   require_budget method_name k;
-  apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   with_recommendation input segment k method_name rows value_range seed readahead
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
@@ -327,16 +304,13 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Recommend a design for a trace, then replay the trace under it.")
     Term.(const simulate $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
+          $ value_range_arg $ seed_arg $ readahead_arg
           $ max_paths_arg $ max_queue_arg $ candidates_arg
           $ composite_width_arg $ prune_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- experiment -------------------------------------------------------------- *)
 
-let experiment name rows value_range seed scale readahead jobs cell_jobs metrics
-    trace =
-  apply_perf_knobs jobs;
-  Option.iter Cddpd_experiments.Runner.set_default_cell_jobs cell_jobs;
+let experiment name rows value_range seed scale readahead metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
   let config = config_of ~readahead rows value_range seed scale in
   let session = lazy (Session.create config) in
@@ -385,8 +359,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Reproduce one table or figure of the paper.")
     Term.(
       const experiment $ experiment_name $ rows_arg $ value_range_arg $ seed_arg
-      $ scale_arg $ readahead_arg $ jobs_arg $ cell_jobs_arg $ metrics_arg
-      $ trace_spans_arg)
+      $ scale_arg $ readahead_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- serve ------------------------------------------------------------------- *)
 
@@ -559,14 +532,13 @@ let feed server ic =
   loop 1
 
 let serve input regime window history horizon drift_threshold regret_budget
-    rollback_factor k method_name rows value_range seed readahead jobs status_json
+    rollback_factor k method_name rows value_range seed readahead status_json
     metrics trace =
-  apply_perf_knobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   let cfg =
     { serve_defaults with
       Server.regime; window; history; horizon; drift_threshold; regret_budget;
-      rollback_factor; k; method_name; jobs }
+      rollback_factor; k; method_name }
   in
   let db = Setup.make_database (config_of ~readahead rows value_range seed 1.0) in
   let on_window = if status_json then fun _ -> () else print_window_line in
@@ -592,7 +564,7 @@ let serve_cmd =
     Term.(const serve $ serve_input_arg $ regime_arg $ window_arg
           $ history_arg $ horizon_arg $ drift_threshold_arg $ regret_budget_arg
           $ rollback_factor_arg $ serve_k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg $ status_json_arg
+          $ value_range_arg $ seed_arg $ readahead_arg $ status_json_arg
           $ metrics_arg $ trace_spans_arg)
 
 (* -- main ---------------------------------------------------------------------- *)

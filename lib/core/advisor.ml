@@ -17,7 +17,6 @@ type request = {
   count_initial_change : bool;
   k : int option;
   method_name : Solution.method_name;
-  jobs : int option;
   max_paths : int option;
   max_queue : int option;
 }
@@ -38,7 +37,6 @@ let default_request ~steps ~table =
     count_initial_change = false;
     k = None;
     method_name = Solution.Unconstrained;
-    jobs = None;
     max_paths = None;
     max_queue = None;
   }
@@ -99,15 +97,13 @@ let build_problem ?reuse ?statement_keys db request =
   Problem.build ~params:(Database.params db)
     ~stats_of:(fun table -> Database.table_stats db table)
     ~steps:request.steps ~space ~initial:request.initial
-    ~count_initial_change:request.count_initial_change ?jobs:request.jobs ?reuse
-    ?statement_keys ()
+    ~count_initial_change:request.count_initial_change ?reuse ?statement_keys ()
 
 let recommend db request =
   let problem = build_problem db request in
   match
     Optimizer.solve problem ~method_name:request.method_name ?k:request.k
-      ?jobs:request.jobs ?max_paths:request.max_paths ?max_queue:request.max_queue
-      ()
+      ?max_paths:request.max_paths ?max_queue:request.max_queue ()
   with
   | Ok solution ->
       Ok { problem; solution; schedule = Solution.schedule problem solution }

@@ -37,8 +37,6 @@ type request = {
   count_initial_change : bool;
   k : int option;  (** change budget; [None] = unconstrained *)
   method_name : Solution.method_name;
-  jobs : int option;
-      (** domains for {!Problem.build}; [None] = process default *)
   max_paths : int option;
       (** complete-path budget for the [Ranking] method; [None] = solver
           default (1_000_000) *)

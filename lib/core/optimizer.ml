@@ -41,7 +41,7 @@ let hybrid_uses_merging ~l ~k = k > l / 2
 let merging_upper_bound problem graph ~k unconstrained_path =
   Staged_dag.path_cost graph (Merging.refine problem ~k unconstrained_path)
 
-let solve problem ~method_name ?k ?jobs ?(max_paths = 1_000_000) ?max_queue
+let solve problem ~method_name ?k ?(max_paths = 1_000_000) ?max_queue
     ?upper_bound:warm_bound () =
   let graph = Problem.to_graph problem in
   let initial = Problem.initial_for_counting problem in
@@ -68,7 +68,7 @@ let solve problem ~method_name ?k ?jobs ?(max_paths = 1_000_000) ?max_queue
         let k = require_k method_name k in
         let _, unconstrained_path = Staged_dag.shortest_path graph in
         let upper_bound = seeded_bound problem graph ~k unconstrained_path in
-        match Kaware.solve ?jobs ~upper_bound graph ~k ~initial with
+        match Kaware.solve ~upper_bound graph ~k ~initial with
         | Some (_, path) -> Ok path
         | None -> Error Infeasible)
     | Solution.Greedy_seq -> (
@@ -99,7 +99,7 @@ let solve problem ~method_name ?k ?jobs ?(max_paths = 1_000_000) ?max_queue
           Ok (Merging.refine problem ~k unconstrained_path)
         else
           let upper_bound = seeded_bound problem graph ~k unconstrained_path in
-          match Kaware.solve ?jobs ~upper_bound graph ~k ~initial with
+          match Kaware.solve ~upper_bound graph ~k ~initial with
           | Some (_, path) -> Ok path
           | None -> Error Infeasible)
   in

@@ -23,7 +23,6 @@ val solve :
   Problem.t ->
   method_name:Solution.method_name ->
   ?k:int ->
-  ?jobs:int ->
   ?max_paths:int ->
   ?max_queue:int ->
   ?upper_bound:float ->
@@ -31,7 +30,6 @@ val solve :
   (Solution.t, error) result
 (** Run one solver.  [k] is required by every method except
     [Unconstrained] (raises [Invalid_argument] when missing).
-    [jobs] forces the domain count of the k-aware parallel relaxation;
     [max_paths] (default 1_000_000) and [max_queue] (default unbounded)
     bound the [Ranking] enumeration.
 

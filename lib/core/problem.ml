@@ -5,13 +5,11 @@ module Cost_key = Cddpd_engine.Cost_key
 module Design = Cddpd_catalog.Design
 module Structure = Cddpd_catalog.Structure
 module Staged_dag = Cddpd_graph.Staged_dag
-module Parallel = Cddpd_util.Parallel
 module Compress = Cddpd_workload.Compress
 module Table_stats = Cddpd_engine.Table_stats
 module Obs = Cddpd_obs
 
 let m_builds = Obs.Registry.counter "problem.builds"
-let m_domains_used = Obs.Registry.counter "problem.build.domains_used"
 let m_clusters = Obs.Registry.counter "workload.clusters"
 let m_reopt_exec_reused = Obs.Registry.counter "reopt.exec_columns_reused"
 let m_reopt_clusters_recosted = Obs.Registry.counter "reopt.clusters_recosted"
@@ -39,10 +37,6 @@ let make_t ~steps ~space ~initial ~exec ~trans ~count_initial_change =
 let n_steps t = Array.length t.steps
 
 let n_configs t = Config_space.size t.space
-
-(* Below this many composed EXEC cells (clusters x configurations) the
-   fill is not worth fork/join overhead and runs on the calling domain. *)
-let sequential_threshold = 2048
 
 (* The structure universe: every structure of the space once, sorted by
    [Structure.compare] — which is [Design.fold]'s order — and each
@@ -123,12 +117,12 @@ end
 
 (* -- build stages --------------------------------------------------------------- *)
 
-(* Snapshot statistics on the calling domain: a Database-backed [stats_of]
-   computes stats lazily (mutating the database) and must not be called
-   from worker domains.  Every table the build can touch is resolved here;
-   the stages below read the snapshot.  Statements come in runs on one
-   table, so the table is resolved once per run.  Also returns each table
-   with its statistics, in the order they were resolved. *)
+(* Snapshot statistics once: a Database-backed [stats_of] computes stats
+   lazily (mutating the database), so every table the build can touch is
+   resolved here and the stages below read the snapshot.  Statements come
+   in runs on one table, so the table is resolved once per run.  Also
+   returns each table with its statistics, in the order they were
+   resolved. *)
 let snapshot_stats stats_of steps designs =
   let stats_tbl = Hashtbl.create 8 in
   let tables = ref [] in
@@ -195,17 +189,15 @@ let cluster steps flat keys =
    every configuration's cluster costs composed from them.  The session's
    memo ({!Cost_cache}) supplies the rows: a cluster whose cost identity
    the previous build also had keeps every atom already evaluated, and
-   only the missing (cluster, structure) pairs reach the cost model, on
-   the calling domain, so the [cost_model.calls] count does not depend on
-   [jobs].  Composing a cell folds the design's atoms exactly as
+   only the missing (cluster, structure) pairs reach the cost model.
+   Composing a cell folds the design's atoms exactly as
    {!Cost_model.bound_cost} does — strict [<] from the base cost,
-   maintenance summed in member order — so it is the same float; the
-   compose loops run across [jobs] domains.  Only the clusters [compose]
-   lists are composed: the memo still sees every cluster, so its tallies
-   do not depend on which steps the build reuses.  Returns one cost array
-   per configuration, indexed by cluster id. *)
-let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters ~compose =
-  let n_configs = Array.length universe.members in
+   maintenance summed in member order — so it is the same float.  Only
+   the clusters [compose] lists are composed: the memo still sees every
+   cluster, so its tallies do not depend on which steps the build
+   reuses.  Returns one cost array per configuration, indexed by cluster
+   id. *)
+let fill_columns ~params ~snapshot (reuse : Reuse.t) universe clusters ~compose =
   let n_clusters = Array.length clusters.reps in
   let { Cost_cache.rows; ids; recosted; fresh } =
     Cost_cache.lookup reuse.Reuse.memo params ~snapshot ~structures:universe.structures
@@ -226,33 +218,24 @@ let fill_columns ~params ~snapshot ?jobs (reuse : Reuse.t) universe clusters ~co
   let member_ids = Array.map (Array.map (fun u -> ids.(u))) universe.members in
   let writes = Array.map (fun rep -> not (Ast.is_read_only rep)) clusters.reps in
   let n_compose = Array.length compose in
-  let jobs =
-    if n_compose * n_configs < sequential_threshold then 1
-    else Parallel.resolve_jobs ?jobs ~n:n_configs ()
-  in
-  Obs.Counter.add m_domains_used jobs;
-  let columns = Array.make n_configs [||] in
-  Parallel.map_chunks ~jobs ~n:n_configs (fun ~lo ~hi ->
-      for c = lo to hi - 1 do
-        let ids = member_ids.(c) in
-        let costs = Array.make n_clusters 0.0 in
-        for i = 0 to n_compose - 1 do
-          let r = compose.(i) in
-          let row = rows.(r) in
-          let best = ref row.Cost_cache.base in
-          let maintenance = ref 0.0 in
-          for m = 0 to Array.length ids - 1 do
-            let access = row.Cost_cache.access.(ids.(m)) in
-            if access < !best then best := access;
-            if writes.(r) then maintenance := !maintenance +. row.Cost_cache.maintenance.(ids.(m))
-          done;
-          costs.(r) <-
-            Cost_model.compose params row.Cost_cache.bound ~access:!best ~maintenance:!maintenance
+  Array.map
+    (fun ids ->
+      let costs = Array.make n_clusters 0.0 in
+      for i = 0 to n_compose - 1 do
+        let r = compose.(i) in
+        let row = rows.(r) in
+        let best = ref row.Cost_cache.base in
+        let maintenance = ref 0.0 in
+        for m = 0 to Array.length ids - 1 do
+          let access = row.Cost_cache.access.(ids.(m)) in
+          if access < !best then best := access;
+          if writes.(r) then maintenance := !maintenance +. row.Cost_cache.maintenance.(ids.(m))
         done;
-        columns.(c) <- costs
-      done)
-  |> ignore;
-  columns
+        costs.(r) <-
+          Cost_model.compose params row.Cost_cache.bound ~access:!best ~maintenance:!maintenance
+      done;
+      costs)
+    member_ids
 
 (* Stage 4, expand: sum each step's cluster costs in the original statement
    order — the floats the naive per-statement fold adds, in the same order,
@@ -280,7 +263,7 @@ let expand clusters columns ~kept =
    adding the build cost of each unmarked member, plus one drop per member
    of i that j does not keep.  So each entry is the bit-identical float
    [Cost_model.transition_cost] computes. *)
-let fill_trans ~params ~snapshot ?jobs universe =
+let fill_trans ~params ~snapshot universe =
   let n_configs = Array.length universe.members in
   let build_cost =
     Array.map
@@ -288,32 +271,29 @@ let fill_trans ~params ~snapshot ?jobs universe =
       universe.structures
   in
   let trans = Array.make_matrix n_configs n_configs 0.0 in
-  Parallel.map_chunks ?jobs ~min_per_domain:8 ~n:n_configs (fun ~lo ~hi ->
-      let marked = Array.make (Array.length universe.structures) false in
-      for i = lo to hi - 1 do
-        let from_members = universe.members.(i) in
-        Array.iter (fun u -> marked.(u) <- true) from_members;
-        let row = trans.(i) in
-        for j = 0 to n_configs - 1 do
-          if i <> j then begin
-            let to_members = universe.members.(j) in
-            let built = ref 0.0 and kept = ref 0 in
-            (* Unchecked: [m] ranges over [to_members], and every member is a
-               universe position, which indexes [marked] and [build_cost]. *)
-            for m = 0 to Array.length to_members - 1 do
-              let u = Array.unsafe_get to_members m in
-              if Array.unsafe_get marked u then incr kept
-              else built := !built +. Array.unsafe_get build_cost u
-            done;
-            row.(j) <-
-              !built
-              +. (params.Cost_model.drop_cost
-                 *. float_of_int (Array.length from_members - !kept))
-          end
+  let marked = Array.make (Array.length universe.structures) false in
+  for i = 0 to n_configs - 1 do
+    let from_members = universe.members.(i) in
+    Array.iter (fun u -> marked.(u) <- true) from_members;
+    let row = trans.(i) in
+    for j = 0 to n_configs - 1 do
+      if i <> j then begin
+        let to_members = universe.members.(j) in
+        let built = ref 0.0 and kept = ref 0 in
+        (* Unchecked: [m] ranges over [to_members], and every member is a
+           universe position, which indexes [marked] and [build_cost]. *)
+        for m = 0 to Array.length to_members - 1 do
+          let u = Array.unsafe_get to_members m in
+          if Array.unsafe_get marked u then incr kept
+          else built := !built +. Array.unsafe_get build_cost u
         done;
-        Array.iter (fun u -> marked.(u) <- false) from_members
-      done)
-  |> ignore;
+        row.(j) <-
+          !built
+          +. (params.Cost_model.drop_cost *. float_of_int (Array.length from_members - !kept))
+      end
+    done;
+    Array.iter (fun u -> marked.(u) <- false) from_members
+  done;
   trans
 
 (* The previous build's results are this build's when the space is the
@@ -341,7 +321,7 @@ let kept_row (p : previous) step keys =
   in
   find 0
 
-let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false) ?jobs
+let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false)
     ?(reuse = Reuse.create ()) ?statement_keys () =
   if Array.length steps = 0 then invalid_arg "Problem.build: no steps";
   Obs.Span.with_span "problem.build" @@ fun () ->
@@ -391,13 +371,13 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
     in
     let columns =
       Obs.Span.with_span "problem.build.fill" (fun () ->
-          fill_columns ~params ~snapshot ?jobs reuse universe clusters ~compose)
+          fill_columns ~params ~snapshot reuse universe clusters ~compose)
     in
     (step_keys, Obs.Span.with_span "problem.build.expand" (fun () -> expand clusters columns ~kept))
   in
   let trans =
     Obs.Span.with_span "problem.build.trans" @@ fun () ->
-    match previous with Some p -> p.trans | None -> fill_trans ~params ~snapshot ?jobs universe
+    match previous with Some p -> p.trans | None -> fill_trans ~params ~snapshot universe
   in
   reuse.Reuse.previous <-
     Some

@@ -93,7 +93,6 @@ val build :
   space:Config_space.t ->
   initial:Cddpd_catalog.Design.t ->
   ?count_initial_change:bool ->
-  ?jobs:int ->
   ?reuse:Reuse.t ->
   ?statement_keys:Cddpd_engine.Cost_key.id array ->
   unit ->
@@ -112,15 +111,15 @@ val build :
     The fill ([problem.build.fill]) binds each new cluster's
     representative once ({!Cddpd_engine.Cost_model.bind}), evaluates its
     {!Cddpd_engine.Cost_model.atom} for every structure of the space —
-    one [cost_model.calls] each, on the calling domain — and composes
-    every configuration's cluster costs from the atoms of its structures,
-    a few float operations per structure, across [jobs] domains (default
-    {!Cddpd_util.Parallel.default_jobs}; small instances always run
-    sequentially).  Cluster costs are then re-expanded by summing them in
-    the original statement order ([problem.build.expand]).  TRANS
+    one [cost_model.calls] each — and composes every configuration's
+    cluster costs from the atoms of its structures, a few float
+    operations per structure.  Cluster costs are then re-expanded by
+    summing them in the original statement order
+    ([problem.build.expand]).  TRANS
     ([problem.build.trans]) computes every structure's build cost once
     and sums each pair's added structures from those, a few float
-    additions per entry.
+    additions per entry.  Every stage runs on the calling domain
+    (docs/PERFORMANCE.md, "One domain").
 
     [reuse] threads the session state of {!Reuse} through the build: the
     fill reads and extends the session's atom memo (instrumented as
@@ -141,7 +140,7 @@ val build :
     [Invalid_argument] on a length mismatch.
 
     The matrices are bit-identical to the naive definition, whatever the
-    domain count, the session state, or the keys passed in:
+    session state or the keys passed in:
     [exec.(s).(c)] is the left fold of
     {!Cddpd_engine.Cost_model.statement_cost} over step [s] under
     configuration [c]'s design, and [trans.(i).(j)] is
@@ -149,8 +148,7 @@ val build :
     design's atoms exactly as [statement_cost] does; clustering
     re-expands cluster costs in the original statement order; the memo
     only returns atoms whose cost identity proves them equal to a fresh
-    evaluation.  [stats_of] is called only from the calling domain.
-    See docs/PERFORMANCE.md. *)
+    evaluation.  See docs/PERFORMANCE.md. *)
 
 val of_matrices :
   steps:Cddpd_sql.Ast.statement array array ->

@@ -38,9 +38,9 @@ let hold_bound problem =
   let hold = Array.make (Problem.n_steps problem) problem.Problem.initial in
   Problem.path_cost problem hold
 
-let solve ?k ?jobs ?max_paths ?max_queue t problem ~method_name =
+let solve ?k ?max_paths ?max_queue t problem ~method_name =
   t.warm_start_bounds <- t.warm_start_bounds + 1;
-  Optimizer.solve problem ~method_name ?k ?jobs ?max_paths ?max_queue
+  Optimizer.solve problem ~method_name ?k ?max_paths ?max_queue
     ~upper_bound:(hold_bound problem) ()
 
 (* Without reuse, a fresh session's zero tallies. *)

@@ -24,7 +24,7 @@
 
     Sessions assume fixed cost-model parameters (same contract as
     {!Cddpd_engine.Cost_cache}) and are not domain-safe: drive one
-    session from one domain (builds parallelise internally). *)
+    session from one domain. *)
 
 type t
 
@@ -55,7 +55,6 @@ val build_problem :
 
 val solve :
   ?k:int ->
-  ?jobs:int ->
   ?max_paths:int ->
   ?max_queue:int ->
   t ->

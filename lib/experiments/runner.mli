@@ -20,25 +20,26 @@
       may read shared immutable data (statement arrays, a pre-forced
       [Problem.t]) freely.
 
-    {2 Job resolution and nesting}
+    {2 Domain count}
 
-    The domain count is resolved as: explicit [cell_jobs] argument, else
-    {!set_default_cell_jobs} (the [--cell-jobs] CLI flag), else the
-    [CDDPD_JOBS] environment variable, else
-    {!Cddpd_util.Parallel.ncpu} — deliberately independent of
-    [Parallel.set_default_jobs] so [--jobs] (problem construction) and
-    [--cell-jobs] (experiment cells) stay distinct knobs.  While a
-    parallel fan-out is in flight, the nested [Parallel] default is
-    pinned to 1 (and restored afterwards) so cell bodies don't
-    oversubscribe the machine; [run] must be called from the main domain.
+    The domain count is [min cells cell_jobs], and [cell_jobs] defaults
+    to {!Cddpd_util.Parallel.ncpu}: the width comes from the work and the
+    host, not from a setting.  With instrumentation on
+    ({!Cddpd_obs.Registry.enabled}) it defaults to 1 instead, because
+    worker domains record no metrics.  An explicit [cell_jobs] forces it
+    (tests and the bench's experiments arms).  Everything inside a cell —
+    problem builds, solves, replays — runs on that cell's one domain, so
+    nothing nests.  [run] must be called from the main domain.  This is
+    the only multi-domain site of the system: measured at 1.72× on
+    [figure3] with two cores (docs/PERFORMANCE.md, "One domain").
 
     {2 Observability}
 
     Each [run] adds the cell count to [experiments.cells] and the resolved
     domain count to [experiments.cell_jobs_used], and wraps each cell in an
     [experiments.cell] span.  Recording is main-domain-only (see
-    {!Cddpd_obs.Switch.active}), so with [cell_jobs > 1] the process-wide
-    metrics reflect main-domain cells only. *)
+    {!Cddpd_obs.Switch.active}), so with an explicit [cell_jobs > 1] the
+    process-wide metrics reflect main-domain cells only. *)
 
 type ctx = {
   label : string;  (** the cell's label, for diagnostics *)
@@ -50,12 +51,9 @@ type 'a cell
 val cell : string -> (ctx -> 'a) -> 'a cell
 (** [cell label body] declares a cell. *)
 
-val set_default_cell_jobs : int -> unit
-(** Override the process default (the [--cell-jobs] CLI flag).  Raises
-    [Invalid_argument] if [jobs < 1]. *)
-
 val run : ?cell_jobs:int -> ?seed:int -> 'a cell list -> 'a list
-(** Execute the cells on up to [cell_jobs] domains and return their
-    results in declaration order.  [seed] (default 0) seeds the master
-    stream the per-cell streams are split from.  If any cell raises, every
+(** Execute the cells on up to [cell_jobs] domains (default
+    {!Cddpd_util.Parallel.ncpu}, or 1 when instrumentation is on) and
+    return their results in declaration order.  [seed] (default 0) seeds
+    the master stream the per-cell streams are split from.  If any cell raises, every
     domain is joined first and the exception is re-raised. *)

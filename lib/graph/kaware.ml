@@ -1,10 +1,8 @@
 module Obs = Cddpd_obs
-module Parallel = Cddpd_util.Parallel
 
 let m_nodes_expanded = Obs.Registry.counter "advisor.kaware.nodes_expanded"
 let m_edges_relaxed = Obs.Registry.counter "advisor.kaware.edges_relaxed"
 let m_states_pruned = Obs.Registry.counter "advisor.kaware.states_pruned"
-let m_domains_used = Obs.Registry.counter "advisor.kaware.domains_used"
 
 (* The layered DP state space is flat: [dist.(l * n + j)] is the best cost
    reaching node [j] of the current stage having used [l] changes, and
@@ -19,9 +17,8 @@ let m_domains_used = Obs.Registry.counter "advisor.kaware.domains_used"
    destination state, candidates therefore arrive in ascending source-node
    order — the same order as the historical j-outer/i-inner loop nest, so
    tie-breaking (first strict improvement wins) and hence the returned
-   path are unchanged.  Every variant below (sequential/parallel slice,
-   pruned/unpruned) preserves that order, which is what makes them all
-   bit-identical.
+   path are unchanged.  Pruned and unpruned runs both preserve that
+   order, which is what makes them bit-identical.
 
    Bound pruning: with an upper bound [ub] (the cost of any known feasible
    ≤ k-changes path) and the exact unconstrained cost-to-go [h], a source
@@ -31,12 +28,10 @@ let m_domains_used = Obs.Registry.counter "advisor.kaware.domains_used"
    minimum (their candidates' f-values stay above [ub]), so the surviving
    DP values and predecessors are exactly those of the unpruned run. *)
 
-(* Relax one stage boundary into destination slice [jlo, jhi).  [h] is the
-   cost-to-go of the *source* stage (offset pre-applied); [ub] = infinity
-   disables pruning.  Each slice writes only its own [next]/[pred_base]
-   columns, so disjoint slices can run on separate domains. *)
-let relax_slice (g : Staged_dag.t) ~n ~layers ~stage_base ~h_base ~ub dist next
-    pred ~pred_base ~jlo ~jhi =
+(* Relax one stage boundary.  [h_base] is the cost-to-go of the *source*
+   stage; [ub] = infinity disables pruning. *)
+let relax (g : Staged_dag.t) ~n ~layers ~stage_base ~h_base ~ub dist next pred
+    ~pred_base =
   let exec = g.Staged_dag.exec and trans = g.Staged_dag.trans in
   for i = 0 to n - 1 do
     let ti = i * n in
@@ -45,17 +40,15 @@ let relax_slice (g : Staged_dag.t) ~n ~layers ~stage_base ~h_base ~ub dist next
       let di = dist.(lb + i) in
       if di < infinity && not (di +. h_base.(i) > ub) then begin
         (* Stay on node i: same layer. *)
-        if i >= jlo && i < jhi then begin
-          let candidate = di +. trans.(ti + i) +. exec.(stage_base + i) in
-          if candidate < next.(lb + i) then begin
-            next.(lb + i) <- candidate;
-            pred.(pred_base + lb + i) <- lb + i
-          end
+        let candidate = di +. trans.(ti + i) +. exec.(stage_base + i) in
+        if candidate < next.(lb + i) then begin
+          next.(lb + i) <- candidate;
+          pred.(pred_base + lb + i) <- lb + i
         end;
         (* Switch node: one layer up. *)
         if l + 1 < layers then begin
           let lb1 = lb + n in
-          for j = jlo to jhi - 1 do
+          for j = 0 to n - 1 do
             if j <> i then begin
               let candidate = di +. trans.(ti + j) +. exec.(stage_base + j) in
               if candidate < next.(lb1 + j) then begin
@@ -68,17 +61,6 @@ let relax_slice (g : Staged_dag.t) ~n ~layers ~stage_base ~h_base ~ub dist next
       end
     done
   done
-
-(* Work per stage below which fork/join overhead beats the parallel
-   speedup; an explicit [jobs] argument overrides the heuristic. *)
-let parallel_threshold = 1 lsl 16
-
-let resolve_jobs ?jobs ~n ~layers () =
-  match jobs with
-  | Some j -> max 1 (min j n)
-  | None ->
-      if layers * n * n < parallel_threshold then 1
-      else Parallel.resolve_jobs ~n ()
 
 (* Per-stage source accounting (alive = relaxed, pruned = cut by the
    bound).  Only runs when instrumentation is on; the relax loops carry no
@@ -99,7 +81,7 @@ let tally_sources ~n ~layers ~h_base ~ub dist =
   done;
   (!alive, !alive_lower, !pruned)
 
-let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
+let solve_dp (g : Staged_dag.t) ?upper_bound ~k ~initial () =
   let n = g.Staged_dag.n_nodes in
   let stages = g.Staged_dag.n_stages in
   (match initial with
@@ -131,7 +113,6 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
       | None -> (Array.make (stages * n) 0.0, infinity)
       | Some ub -> (Staged_dag.cost_to_go g, ub +. (Float.abs ub *. 1e-9))
     in
-    let domains = resolve_jobs ?jobs ~n ~layers () in
     let instrumented = Obs.Registry.enabled () in
     let nodes_expanded = ref n and edges_relaxed = ref 0 and states_pruned = ref 0 in
     for s = 1 to stages - 1 do
@@ -143,17 +124,8 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
         edges_relaxed := !edges_relaxed + alive + (alive_lower * (n - 1));
         states_pruned := !states_pruned + pruned
       end;
-      let pred_base = s * states in
-      let stage_base = s * n in
-      if domains = 1 then
-        relax_slice g ~n ~layers ~stage_base ~h_base ~ub !dist !next pred ~pred_base
-          ~jlo:0 ~jhi:n
-      else
-        ignore
-          (* cddpd-lint: allow domain-race — workers dereference dist/next read-only; array writes are slice-disjoint per chunk and the buffer swap happens on the main domain between stages *)
-          (Parallel.map_chunks ~jobs:domains ~n (fun ~lo ~hi ->
-               relax_slice g ~n ~layers ~stage_base ~h_base ~ub !dist !next pred
-                 ~pred_base ~jlo:lo ~jhi:hi));
+      relax g ~n ~layers ~stage_base:(s * n) ~h_base ~ub !dist !next pred
+        ~pred_base:(s * states);
       let tmp = !dist in
       dist := !next;
       next := tmp
@@ -161,8 +133,7 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
     if instrumented then begin
       Obs.Counter.add m_nodes_expanded !nodes_expanded;
       Obs.Counter.add m_edges_relaxed !edges_relaxed;
-      Obs.Counter.add m_states_pruned !states_pruned;
-      Obs.Counter.add m_domains_used domains
+      Obs.Counter.add m_states_pruned !states_pruned
     end;
     let dist = !dist in
     let best = ref None in
@@ -191,6 +162,5 @@ let solve_dp (g : Staged_dag.t) ?jobs ?upper_bound ~k ~initial () =
         Some (cost, path)
   end
 
-let solve ?jobs ?upper_bound g ~k ~initial =
-  Obs.Span.with_span "advisor.kaware" (fun () ->
-      solve_dp g ?jobs ?upper_bound ~k ~initial ())
+let solve ?upper_bound g ~k ~initial =
+  Obs.Span.with_span "advisor.kaware" (fun () -> solve_dp g ?upper_bound ~k ~initial ())

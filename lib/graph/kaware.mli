@@ -22,41 +22,32 @@
 
     {2 Scaling}
 
-    Two mechanisms let the DP handle large design spaces (see
-    docs/PERFORMANCE.md):
+    {b Branch-and-bound pruning} ([upper_bound]) lets the DP handle
+    large design spaces (see docs/PERFORMANCE.md): given the cost of any
+    known feasible ≤ [k]-changes path (e.g. the {!Cddpd_core.Merging}
+    heuristic's), every DP state whose distance plus exact unconstrained
+    cost-to-go ({!Staged_dag.cost_to_go}) exceeds the bound is skipped.
+    The heuristic is admissible, so the surviving DP values, the optimum
+    and the reconstructed path are identical to the unpruned run
+    (property-tested; the bound carries a 1e-9 relative slack so float
+    rounding can never cut the optimum).  An [upper_bound] below the true
+    constrained optimum voids that guarantee — always derive it from a
+    feasible path of the same instance.
 
-    - {b Branch-and-bound pruning} ([upper_bound]): given the cost of any
-      known feasible ≤ [k]-changes path (e.g. the {!Cddpd_core.Merging}
-      heuristic's), every DP state whose distance plus exact unconstrained
-      cost-to-go ({!Staged_dag.cost_to_go}) exceeds the bound is skipped.
-      The heuristic is admissible, so the surviving DP values, the optimum
-      and the reconstructed path are identical to the unpruned run
-      (property-tested; the bound carries a 1e-9 relative slack so float
-      rounding can never cut the optimum).  An [upper_bound] below the
-      true constrained optimum voids that guarantee — always derive it
-      from a feasible path of the same instance.
-    - {b Parallel relaxation} ([jobs]): the destination nodes of each
-      stage are partitioned across OCaml domains
-      ({!Cddpd_util.Parallel}); each domain owns a disjoint slice of the
-      next-distance and predecessor arrays and sees candidates in the same
-      order as the sequential loop, so the result is bit-identical for
-      every domain count.  Explicit [jobs] is honoured as given; by
-      default the DP stays sequential below a per-stage work threshold
-      (the paper's 7-config space never spawns) and otherwise uses the
-      {!Cddpd_util.Parallel.default_jobs} process default.
+    The DP runs on the calling domain: splitting each stage's
+    destinations across domains was slower, or no faster, at every
+    committed workload's size (docs/PERFORMANCE.md, "One domain").
 
     {2 Observability}
 
     Each solve runs inside an [advisor.kaware] trace span and reports
     [advisor.kaware.nodes_expanded] (source states relaxed),
-    [advisor.kaware.edges_relaxed] (relaxation attempts),
-    [advisor.kaware.states_pruned] (reachable states cut by the bound) and
-    [advisor.kaware.domains_used] (domains per solve).  The accounting
-    pass runs only when instrumentation is enabled — the relaxation loops
-    themselves carry no counters. *)
+    [advisor.kaware.edges_relaxed] (relaxation attempts) and
+    [advisor.kaware.states_pruned] (reachable states cut by the bound).
+    The accounting pass runs only when instrumentation is enabled — the
+    relaxation loops themselves carry no counters. *)
 
 val solve :
-  ?jobs:int ->
   ?upper_bound:float ->
   Staged_dag.t ->
   k:int ->
@@ -70,6 +61,5 @@ val solve :
     [Invalid_argument] if [initial] is out of range.
 
     [upper_bound] enables branch-and-bound pruning and must be the cost
-    of a feasible ≤ [k]-changes path of [g]; [jobs] forces the domain
-    count for the parallel relaxation.  Neither changes the returned
-    [(cost, path)]. *)
+    of a feasible ≤ [k]-changes path of [g]; it does not change the
+    returned [(cost, path)]. *)

@@ -321,7 +321,6 @@ let build_problem ?statement_keys t windows =
       space_bound_bytes = t.cfg.space_bound_bytes;
       initial = Database.current_design t.db;
       count_initial_change = true;
-      jobs = t.cfg.jobs;
     }
   in
   Reopt.build_problem ?statement_keys t.reopt request
@@ -387,7 +386,6 @@ let reoptimize_continuous t =
   let incumbent = Database.current_design t.db in
   match
     Reopt.solve t.reopt problem ~method_name:t.cfg.method_name ~k:t.cfg.k
-      ?jobs:t.cfg.jobs
   with
   | Error (Optimizer.Infeasible | Optimizer.Ranking_gave_up _) -> Held None
   | Ok solution -> (

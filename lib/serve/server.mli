@@ -23,10 +23,9 @@
     identical traffic: same windows, same drift bookkeeping, same I/O
     accounting.
 
-    Determinism: the loop is single-domain; re-optimization reuses
-    {!Cddpd_core.Problem.build} (Domain-parallel) and the pruned k-aware
-    DP, both bit-identical at any job count, so the whole report is
-    reproducible at any [jobs] setting.  Index builds at deployment go
+    Determinism: the loop is single-domain, and so is every
+    re-optimization ({!Cddpd_core.Problem.build} and the pruned k-aware
+    DP), so the whole report is reproducible.  Index builds at deployment go
     through {!Cddpd_engine.Database.migrate_to}, i.e. sorted
     {!Cddpd_storage.Btree.bulk_load}s.
 
@@ -62,7 +61,9 @@ type config = {
   composite_pairs : int;  (** candidate generation knob (default 2) *)
   max_structures_per_config : int option;  (** default [Some 1] *)
   space_bound_bytes : int option;  (** Definition 1's b, if any *)
-  jobs : int option;  (** domains for {!Cddpd_core.Problem.build} *)
+  jobs : int option;
+      (** ignored: kept so perfbench compiles; the next benchmark change
+          drops it *)
   reopt_reuse : bool;
       (** thread a persistent {!Cddpd_core.Reopt} session through
           re-optimizations (default [true]); [false] builds every

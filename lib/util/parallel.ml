@@ -1,42 +1,15 @@
 let ncpu () = Domain.recommended_domain_count ()
 
-let env_jobs () =
-  match Sys.getenv_opt "CDDPD_JOBS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> Some j
-      | Some _ | None -> None)
-
-(* cddpd-lint: allow domain-unsafe-state — set once by the CLI on the main domain before any parallel region; workers never touch it *)
-let default = ref None
-
-let default_jobs () =
-  match !default with
-  | Some j -> j
-  | None -> ( match env_jobs () with Some j -> j | None -> ncpu ())
-
-let set_default_jobs jobs =
-  if jobs < 1 then invalid_arg "Parallel.set_default_jobs: jobs < 1";
-  default := Some jobs
-
-let resolve_jobs ?jobs ?(min_per_domain = 1) ~n () =
-  if n <= 0 then 1
-  else
-    let requested = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let by_work = if min_per_domain <= 1 then n else max 1 (n / min_per_domain) in
-    max 1 (min requested (min n by_work))
-
 (* Chunk c of d covers [bound c, bound (c+1)): sizes differ by at most one,
    earlier chunks get the remainder. *)
 let bound ~n ~d c =
   let base = n / d and extra = n mod d in
   (c * base) + min c extra
 
-let map_chunks ?jobs ?min_per_domain ~n f =
+let map_chunks ~jobs ~n f =
   if n <= 0 then []
   else
-    let d = resolve_jobs ?jobs ?min_per_domain ~n () in
+    let d = max 1 (min jobs n) in
     if d = 1 then [ f ~lo:0 ~hi:n ]
     else begin
       let lo c = bound ~n ~d c and hi c = bound ~n ~d (c + 1) in
@@ -50,16 +23,6 @@ let map_chunks ?jobs ?min_per_domain ~n f =
          exception. *)
       let first = try Ok (f ~lo:(lo 0) ~hi:(hi 0)) with e -> Error e in
       let rest = Array.map (fun dom -> try Ok (Domain.join dom) with e -> Error e) spawned in
-      let results =
-        Array.to_list (Array.append [| first |] rest)
-        |> List.map (function Ok v -> v | Error e -> raise e)
-      in
-      results
+      Array.to_list (Array.append [| first |] rest)
+      |> List.map (function Ok v -> v | Error e -> raise e)
     end
-
-let for_ ?jobs ?min_per_domain ~n f =
-  ignore
-    (map_chunks ?jobs ?min_per_domain ~n (fun ~lo ~hi ->
-         for i = lo to hi - 1 do
-           f i
-         done))

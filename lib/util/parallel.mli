@@ -8,47 +8,18 @@
     (e.g. distinct array slots) or domain-local accumulators returned for
     a sequential merge.
 
-    The degree of parallelism is resolved by {!resolve_jobs}: an explicit
-    [jobs] argument wins, then the process default ({!set_default_jobs},
-    seeded from the [CDDPD_JOBS] environment variable), then
-    {!ncpu}.  Small inputs degrade to a plain sequential loop — with one
-    resolved job nothing is ever spawned, so [CDDPD_JOBS=1] is a global
-    kill switch. *)
+    Its one user is the experiment cell runner ([Runner.run] in
+    lib/experiments); everything else runs on one domain
+    (docs/PERFORMANCE.md, "One domain"). *)
 
 val ncpu : unit -> int
 (** [Domain.recommended_domain_count ()]: hardware parallelism available
     to this process. *)
 
-val env_jobs : unit -> int option
-(** A positive integer parse of the [CDDPD_JOBS] environment variable, if
-    any — exposed so other job pools (e.g. the experiment cell runner)
-    can honor the same variable without coupling to this module's
-    {!set_default_jobs} state. *)
-
-val default_jobs : unit -> int
-(** The process-wide default degree of parallelism: the last
-    {!set_default_jobs} value if any, else a positive integer parse of
-    [CDDPD_JOBS], else {!ncpu}. *)
-
-val set_default_jobs : int -> unit
-(** Override the process default (the [--jobs] CLI flag).  Raises
-    [Invalid_argument] if [jobs < 1]. *)
-
-val resolve_jobs : ?jobs:int -> ?min_per_domain:int -> n:int -> unit -> int
-(** The number of domains a loop over [n] indices will actually use:
-    [jobs] (default {!default_jobs}) clamped so no domain receives fewer
-    than [min_per_domain] indices (default 1) and never more domains than
-    indices.  Always at least 1. *)
-
-val map_chunks :
-  ?jobs:int -> ?min_per_domain:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
-(** [map_chunks ~n f] partitions [0, n) into contiguous chunks, runs
-    [f ~lo ~hi] (the half-open range [lo, hi)) once per chunk — in
-    parallel when more than one job resolves — and returns the chunk
-    results in index order.  [n <= 0] returns [[]].  An exception raised
-    by any chunk is re-raised after all domains are joined. *)
-
-val for_ : ?jobs:int -> ?min_per_domain:int -> n:int -> (int -> unit) -> unit
-(** [for_ ~n f] runs [f i] for every [i] in [0, n), chunked across
-    domains as in {!map_chunks}.  Within a chunk, indices run in
-    increasing order. *)
+val map_chunks : jobs:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
+(** [map_chunks ~jobs ~n f] partitions [0, n) into [min jobs n]
+    contiguous chunks (at least one), runs [f ~lo ~hi] (the half-open
+    range [lo, hi)) once per chunk — in parallel when there is more than
+    one — and returns the chunk results in index order.  [n <= 0]
+    returns [[]].  An exception raised by any chunk is re-raised after
+    all domains are joined. *)

@@ -1,7 +1,7 @@
-(* Cost-key, atom-memo and parallel-build tests: equal cost keys must
-   mean equal costs (what clustering relies on), Problem.build must equal
-   the naive oracle (naive.ml) in matrices and solver outputs whatever the
-   domain count, and the session's atom memo (Cost_cache) must account for
+(* Cost-key, atom-memo and build tests: equal cost keys must mean equal
+   costs (what clustering relies on), Problem.build must equal the naive
+   oracle (naive.ml) in matrices and solver outputs, and the session's
+   atom memo (Cost_cache) must account for
    what it reads, evaluates and evicts, across statistics refreshes too. *)
 
 module Tuple = Cddpd_storage.Tuple
@@ -436,23 +436,16 @@ let steps_for_build =
 
 let space = Config_space.single_structure structure_pool
 
-let build ~jobs =
-  Problem.build ~params ~stats_of ~steps:steps_for_build ~space ~initial:Design.empty
-    ~jobs ()
+let build () =
+  Problem.build ~params ~stats_of ~steps:steps_for_build ~space ~initial:Design.empty ()
 
-let build_jobs = [ 1; 4; 13 ]
-
-let test_build_matches_oracle_across_jobs () =
-  List.iter
-    (fun jobs ->
-      let built = build ~jobs in
-      let oracle = Naive.problem params ~stats_of built in
-      let label = Printf.sprintf "jobs=%d" jobs in
-      Alcotest.(check bool) (label ^ ": exec identical") true
-        (Naive.matrix_same_bits built.Problem.exec oracle.Problem.exec);
-      Alcotest.(check bool) (label ^ ": trans identical") true
-        (Naive.matrix_same_bits built.Problem.trans oracle.Problem.trans))
-    build_jobs
+let test_build_matches_oracle () =
+  let built = build () in
+  let oracle = Naive.problem params ~stats_of built in
+  Alcotest.(check bool) "exec identical" true
+    (Naive.matrix_same_bits built.Problem.exec oracle.Problem.exec);
+  Alcotest.(check bool) "trans identical" true
+    (Naive.matrix_same_bits built.Problem.trans oracle.Problem.trans)
 
 let test_solvers_bit_identical_to_oracle () =
   let methods =
@@ -465,6 +458,8 @@ let test_solvers_bit_identical_to_oracle () =
       (Solution.Hybrid, Some 2);
     ]
   in
+  let built = build () in
+  let oracle = Naive.problem params ~stats_of built in
   List.iter
     (fun (method_name, k) ->
       let solve problem =
@@ -473,16 +468,12 @@ let test_solvers_bit_identical_to_oracle () =
         | Error _ ->
             Alcotest.failf "solver %s failed" (Solution.method_to_string method_name)
       in
-      List.iter
-        (fun jobs ->
-          let built = build ~jobs in
-          let a = solve built and b = solve (Naive.problem params ~stats_of built) in
-          let name = Printf.sprintf "%s jobs=%d" (Solution.method_to_string method_name) jobs in
-          Alcotest.(check (array int)) (name ^ ": same path") b.Solution.path a.Solution.path;
-          Alcotest.(check bool) (name ^ ": same cost bits") true
-            (same_float a.Solution.cost b.Solution.cost);
-          Alcotest.(check int) (name ^ ": same changes") b.Solution.changes a.Solution.changes)
-        build_jobs)
+      let a = solve built and b = solve oracle in
+      let name = Solution.method_to_string method_name in
+      Alcotest.(check (array int)) (name ^ ": same path") b.Solution.path a.Solution.path;
+      Alcotest.(check bool) (name ^ ": same cost bits") true
+        (same_float a.Solution.cost b.Solution.cost);
+      Alcotest.(check int) (name ^ ": same changes") b.Solution.changes a.Solution.changes)
     methods
 
 (* -- atom-memo accounting -------------------------------------------------------- *)
@@ -561,9 +552,8 @@ let () =
         ] );
       ( "problem_build",
         [
-          Alcotest.test_case "matrices = naive oracle, jobs 1/4/13" `Quick
-            test_build_matches_oracle_across_jobs;
-          Alcotest.test_case "solvers = naive oracle, jobs 1/4/13" `Quick
+          Alcotest.test_case "matrices = naive oracle" `Quick test_build_matches_oracle;
+          Alcotest.test_case "solvers = naive oracle" `Quick
             test_solvers_bit_identical_to_oracle;
         ] );
       ( "mechanics",

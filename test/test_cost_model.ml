@@ -421,7 +421,7 @@ let atoms_match_per_design_fold (params, (stats_t, stats_u), statements, designs
     let space = Cddpd_core.Config_space.of_designs (Design.empty :: designs) in
     let steps = Array.of_list (List.map (fun s -> [| s |]) statements) in
     let problem =
-      Cddpd_core.Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ~jobs:1 ()
+      Cddpd_core.Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty ()
     in
     Array.for_all2
       (fun step row ->

@@ -244,6 +244,21 @@ let test_space_bound_cells_equal () =
   check_for_jobs "space" (fun jobs ->
       Cddpd_experiments.Space_bound.run_cells ~cell_jobs:jobs s = seq)
 
+(* Worker domains record no metrics, so an instrumented run with no
+   forced width stays on the main domain. *)
+let test_instrumented_run_on_main_domain () =
+  let module Runner = Cddpd_experiments.Runner in
+  let module Obs = Cddpd_obs in
+  let cells =
+    List.init 4 (fun i -> Runner.cell (string_of_int i) (fun _ -> Domain.is_main_domain ()))
+  in
+  let before = Obs.Snapshot.capture () in
+  let on_main = Obs.Registry.with_enabled (fun () -> Runner.run cells) in
+  let delta = Obs.Snapshot.diff ~before ~after:(Obs.Snapshot.capture ()) in
+  Alcotest.(check (list bool)) "every cell on the main domain" [ true; true; true; true ] on_main;
+  Alcotest.(check (option int)) "one domain" (Some 1)
+    (Obs.Snapshot.counter_value delta "experiments.cell_jobs_used")
+
 let () =
   Alcotest.run "experiments"
     [
@@ -270,6 +285,8 @@ let () =
             test_figure4_cells_costs_equal;
           Alcotest.test_case "ablation parallel = sequential" `Quick
             test_ablation_cells_equal;
+          Alcotest.test_case "instrumented run stays on the main domain" `Quick
+            test_instrumented_run_on_main_domain;
           Alcotest.test_case "updates parallel = sequential" `Quick
             test_updates_cells_equal;
           Alcotest.test_case "space-bound parallel = sequential" `Quick

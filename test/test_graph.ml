@@ -265,20 +265,6 @@ let cost_to_go_consistent =
       let cost, _ = Staged_dag.shortest_path g in
       Float.abs (!best -. cost) < 1e-6)
 
-let kaware_parallel_matches_sequential =
-  QCheck.Test.make ~name:"kaware parallel = sequential, bit for bit" ~count:100
-    (QCheck.pair instance_arbitrary (QCheck.int_bound 4))
-    (fun (inst, k) ->
-      let g = graph_of_instance inst in
-      let reference = Kaware.solve ~jobs:1 g ~k ~initial:(Some 0) in
-      List.for_all
-        (fun jobs ->
-          match (Kaware.solve ~jobs g ~k ~initial:(Some 0), reference) with
-          | Some (c, p), Some (c', p') -> same_float c c' && p = p'
-          | None, None -> true
-          | _ -> false)
-        [ 2; 4 ])
-
 (* The constant "stay on node 0" schedule makes no changes, so with
    initial = Some 0 its cost upper-bounds the constrained optimum at every
    k >= 0 — the same shape of bound Optimizer seeds from the merging
@@ -413,7 +399,6 @@ let () =
           QCheck_alcotest.to_alcotest cost_to_go_consistent;
           QCheck_alcotest.to_alcotest kaware_matches_bruteforce;
           QCheck_alcotest.to_alcotest kaware_bruteforce_all_k;
-          QCheck_alcotest.to_alcotest kaware_parallel_matches_sequential;
           QCheck_alcotest.to_alcotest kaware_pruned_matches_unpruned;
           QCheck_alcotest.to_alcotest ranking_budgeted_matches_plain;
           QCheck_alcotest.to_alcotest kaware_monotone_in_k;

@@ -131,24 +131,23 @@ let gen_session =
                   (array_repeat 4 (int_bound (2 * value_range)));
               ]))
     in
-    pair (int_range 1 2) (list_size (int_range 2 4) gen_build))
+    list_size (int_range 2 4) gen_build)
 
-let print_session (jobs, builds) =
-  Printf.sprintf "jobs %d\n%s" jobs
-    (String.concat "\n"
-       (List.mapi
-          (fun i b ->
-            Printf.sprintf "build %d (keys %b, %d rows loaded):\n%s" i b.with_keys
-              (List.length b.load)
-              (String.concat "\n"
-                 (Array.to_list
-                    (Array.map
-                       (fun step ->
-                         "  step: "
-                         ^ String.concat "; "
-                             (Array.to_list (Array.map Cddpd_sql.Printer.to_string step)))
-                       b.steps))))
-          builds))
+let print_session builds =
+  String.concat "\n"
+    (List.mapi
+       (fun i b ->
+         Printf.sprintf "build %d (keys %b, %d rows loaded):\n%s" i b.with_keys
+           (List.length b.load)
+           (String.concat "\n"
+              (Array.to_list
+                 (Array.map
+                    (fun step ->
+                      "  step: "
+                      ^ String.concat "; "
+                          (Array.to_list (Array.map Cddpd_sql.Printer.to_string step)))
+                    b.steps))))
+       builds)
 
 (* -- sessions ------------------------------------------------------------------ *)
 
@@ -172,7 +171,7 @@ let build_space picked =
 (* Run one session; whether every build matched the oracle, the
    session's reuse tallies, and the atoms builds read from rows kept
    across a load. *)
-let run_session (jobs, builds) =
+let run_session builds =
   let db = make_db () in
   let stats_of table = Database.table_stats db table in
   let session = Problem.Reuse.create () in
@@ -198,7 +197,7 @@ let run_session (jobs, builds) =
         in
         let before = hits () in
         let problem =
-          Problem.build ~params ~stats_of ~steps:b.steps ~space ~initial:Design.empty ~jobs
+          Problem.build ~params ~stats_of ~steps:b.steps ~space ~initial:Design.empty
             ~reuse:session ?statement_keys ()
         in
         if b.load <> [] then hits_across_loads := !hits_across_loads + hits () - before;

@@ -146,8 +146,8 @@ let test_guard_validates () =
 
 (* -- Server ---------------------------------------------------------------- *)
 
-let serve_config ?(regime = Server.Continuous) ?(window = 50) ?jobs () =
-  { (Server.default_config ~table:"t") with Server.regime; window; jobs }
+let serve_config ?(regime = Server.Continuous) ?(window = 50) () =
+  { (Server.default_config ~table:"t") with Server.regime; window }
 
 (* A drifting trace: three windows on [a], then one on [c], then [a] again. *)
 let drifting_trace ~window =
@@ -177,22 +177,6 @@ let report_fingerprint (r : Server.report) =
        r.Server.rollbacks r.Server.exec_logical_io
        (Design.name r.Server.final_design)
     :: Array.to_list (Array.map window_fingerprint r.Server.windows))
-
-let test_serve_deterministic_across_jobs () =
-  let window = 50 in
-  let trace = drifting_trace ~window in
-  let run jobs =
-    report_fingerprint
-      (serve_all (make_db ()) (serve_config ~window ?jobs ()) trace)
-  in
-  let reference = run (Some 1) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d matches jobs=1"
-           (Option.value ~default:0 jobs))
-        reference (run jobs))
-    [ Some 2; Some 4; None ]
 
 let test_serve_windowing () =
   let window = 50 in
@@ -496,7 +480,7 @@ let random_stream =
 let feed_sql_equals_feed_prop =
   QCheck.Test.make ~name:"feed_sql = feed (random streams)" ~count:20 random_stream
     (fun s ->
-      let cfg = serve_config ~regime:s.s_regime ~window:s.s_window ~jobs:1 () in
+      let cfg = serve_config ~regime:s.s_regime ~window:s.s_window () in
       let fast = Server.create (make_db ()) cfg in
       let reference_db = make_db () in
       let reference = Server.create reference_db cfg in
@@ -653,11 +637,8 @@ let pooled_phase =
     let pool = List.assoc column pools in
     Array.init n (fun i -> pool.(i mod pool_size))
 
-(* The serve loop's request shape, sequential (the reuse path is
-   bit-identical at any jobs count; test_serve's server section already
-   sweeps jobs). *)
-let reopt_request steps =
-  { (Advisor.default_request ~steps ~table:"t") with Advisor.jobs = Some 1 }
+(* The serve loop's request shape. *)
+let reopt_request steps = Advisor.default_request ~steps ~table:"t"
 
 let float_bits_equal x y =
   Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
@@ -879,8 +860,6 @@ let () =
         ] );
       ( "server",
         [
-          Alcotest.test_case "deterministic across jobs" `Quick
-            test_serve_deterministic_across_jobs;
           Alcotest.test_case "windowing" `Quick test_serve_windowing;
           Alcotest.test_case "continuous deploys on drift" `Quick
             test_serve_continuous_deploys_on_drift;

@@ -175,18 +175,6 @@ let test_timer_median () =
 
 (* -- Parallel -------------------------------------------------------------- *)
 
-let test_parallel_for_covers_range () =
-  List.iter
-    (fun jobs ->
-      let n = 1000 in
-      let marks = Array.make n 0 in
-      Parallel.for_ ~jobs ~n (fun i -> marks.(i) <- marks.(i) + 1);
-      Alcotest.(check bool)
-        (Printf.sprintf "each index once (jobs=%d)" jobs)
-        true
-        (Array.for_all (fun c -> c = 1) marks))
-    [ 1; 2; 4; 7; 16 ]
-
 let test_parallel_map_chunks_partition () =
   let chunks = Parallel.map_chunks ~jobs:4 ~n:10 (fun ~lo ~hi -> (lo, hi)) in
   let rec contiguous pos chunks =
@@ -198,18 +186,13 @@ let test_parallel_map_chunks_partition () =
   Alcotest.(check (list (pair int int))) "empty range" []
     (Parallel.map_chunks ~jobs:4 ~n:0 (fun ~lo ~hi -> (lo, hi)))
 
-let test_parallel_resolve_jobs () =
-  Alcotest.(check int) "never more domains than indices" 3
-    (Parallel.resolve_jobs ~jobs:8 ~n:3 ());
-  Alcotest.(check int) "min_per_domain caps fan-out" 2
-    (Parallel.resolve_jobs ~jobs:8 ~min_per_domain:5 ~n:10 ());
-  Alcotest.(check int) "small input degrades to sequential" 1
-    (Parallel.resolve_jobs ~jobs:8 ~min_per_domain:8 ~n:7 ());
-  Alcotest.(check int) "empty input" 1 (Parallel.resolve_jobs ~jobs:8 ~n:0 ())
-
 let test_parallel_exception_propagates () =
   Alcotest.check_raises "body exception re-raised" (Failure "boom") (fun () ->
-      Parallel.for_ ~jobs:4 ~n:100 (fun i -> if i = 73 then failwith "boom"))
+      ignore
+        (Parallel.map_chunks ~jobs:4 ~n:100 (fun ~lo ~hi ->
+             for i = lo to hi - 1 do
+               if i = 73 then failwith "boom"
+             done)))
 
 let parallel_sum_matches_sequential_prop =
   QCheck.Test.make ~name:"parallel chunk sums == sequential sum" ~count:50
@@ -391,12 +374,8 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "for_ covers range" `Quick
-            test_parallel_for_covers_range;
           Alcotest.test_case "map_chunks partitions" `Quick
             test_parallel_map_chunks_partition;
-          Alcotest.test_case "resolve_jobs clamps" `Quick
-            test_parallel_resolve_jobs;
           Alcotest.test_case "exception propagates" `Quick
             test_parallel_exception_propagates;
           QCheck_alcotest.to_alcotest parallel_sum_matches_sequential_prop;
