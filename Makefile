@@ -120,7 +120,9 @@ serve-smoke:
 # line then goes through tools/perf_counters.py, which compares the
 # deterministic counters (what-if calls, logical I/O per statement, DP
 # edges relaxed, statistics refreshes, re-optimizations, deployments,
-# rollbacks) exactly with the seed-1 values pinned in PERF_COUNTERS.json.
+# rollbacks, and the atom memo's hit ratio, recosted-cluster ratio and
+# reused EXEC columns) exactly with the seed-1 values pinned in
+# PERF_COUNTERS.json.
 PERF_WORKLOADS = steady drift writes
 
 perf-smoke:

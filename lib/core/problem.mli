@@ -43,17 +43,29 @@ module Reuse : sig
       clusters and structures all appeared in the previous build
       therefore makes no what-if call.
 
-      The session also keeps its latest build's structure universe, TRANS
-      matrix and EXEC rows.  The next build reuses them only when both
-      hold: its space has the same designs in the same order, and every
-      table's statistics are physically ([==]) the object the previous
-      build read.  Then it keeps TRANS and the universe, and keeps the
-      EXEC row of every step whose statement array is physically one the
-      previous build costed and whose cost keys are equal to that step's
-      keys then ([problem.steps_reused]); it composes and expands only
-      the clusters and steps that remain.  The memo still sees every
-      cluster, so its tallies do not depend on what was kept.  Otherwise
-      the build takes the full path.  The returned matrices share rows
+      The session also keeps its latest build's designs and their
+      tables, the statistics snapshot it read, its structure universe
+      and TRANS, and each step's statement array, tables, cost keys,
+      clusters (the step's distinct keys with a representative each, and
+      each statement's cluster) and EXEC row.  A step {e matches} a
+      previous step when its statement array is physically that step's
+      and its cost keys are equal to that step's keys then; a matching
+      step reuses the tables it carried (without a scan when the caller
+      passes [statement_keys]).  A build is
+      {e comparable} when both hold: its space has the same designs in
+      the same order, and every table's statistics are physically
+      ([==]) the object the previous build read.  A comparable build
+      keeps TRANS and the universe (the universe already under the same
+      designs), keeps the EXEC row of every matching step
+      ([problem.steps_reused]) and, for the steps kept in the memo, the
+      clusters; it hands the memo only the steps that {e arrive} — those
+      that matched no previous step not already matched — and the
+      previous steps that {e depart} — those nothing matched; it
+      clusters, composes and expands only the arriving steps, and a memo
+      row composes its configurations once across comparable builds.
+      Any other build is the same path with every step arriving and
+      every previous step departing.  The memo's tallies do not depend
+      on what was kept.  The returned matrices share rows
       with the previous build's: they are read-only.
 
       Reuse never changes a result, across statistics refreshes too: the
@@ -102,19 +114,22 @@ val build :
     convention).  Raises [Invalid_argument] if [steps] is empty or
     [initial] is not in the space.
 
-    The build runs in stages, each under its own span inside
-    [problem.build.exec].  It keys every statement by its hashed
+    The build runs in stages, each under its own span.  It resolves
+    every table's statistics once ([problem.build.snapshot]); then,
+    inside [problem.build.exec], it keys every statement by its hashed
     {!Cddpd_engine.Cost_key} cost identity ({!Cddpd_engine.Cost_key.id},
-    [problem.build.key]) and clusters equal keys by their stored hashes
-    ([problem.build.cluster], [workload.clusters]); the fill's atom memo
-    looks the clusters up by the same ids.
-    The fill ([problem.build.fill]) binds each new cluster's
-    representative once ({!Cddpd_engine.Cost_model.bind}), evaluates its
-    {!Cddpd_engine.Cost_model.atom} for every structure of the space —
+    [problem.build.key]) and clusters equal keys of each step by their
+    stored hashes ([problem.build.cluster]); the fill's atom memo looks
+    the clusters up by the same ids, and [workload.clusters] counts the
+    distinct clusters of all steps.
+    The fill ([problem.build.fill]) finds each arriving step's cluster
+    rows in the memo ([problem.build.lookup]), binding each new cluster's
+    representative once ({!Cddpd_engine.Cost_model.bind}) and evaluating
+    its {!Cddpd_engine.Cost_model.atom} for every structure of the space —
     one [cost_model.calls] each — and composes every configuration's
     cluster costs from the atoms of its structures, a few float
-    operations per structure.  Cluster costs are then re-expanded by
-    summing them in the original statement order
+    operations per structure ([problem.build.compose]).  Cluster costs
+    are then re-expanded by summing them in the original statement order
     ([problem.build.expand]).  TRANS
     ([problem.build.trans]) computes every structure's build cost once
     and sums each pair's added structures from those, a few float

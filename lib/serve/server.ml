@@ -370,6 +370,7 @@ let check_probation t ~stats ~window ~clustering ~measured_io =
    served table's statistics, so a window with a statement on another
    table passes none. *)
 let history_keys t =
+  Obs.Span.with_span "serve.rekey" @@ fun () ->
   let history = List.rev t.history_windows in
   if List.for_all (fun h -> h.h_uniform) history then begin
     let stats = Database.table_stats t.db t.cfg.table in
@@ -462,8 +463,11 @@ let close_window t window fed_keys fed_gens =
         else intern t (Cost_key.statement stats s))
       window
   in
-  let clustering = Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys in
-  let profile = Drift.profile_of_clustering ~keys clustering in
+  let clustering, profile =
+    Obs.Span.with_span "serve.drift" @@ fun () ->
+    let clustering = Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys in
+    (clustering, Drift.profile_of_clustering ~keys clustering)
+  in
   let closed =
     {
       h_statements = window;

@@ -763,6 +763,14 @@ type history_op =
   | Widen  (** the space gains a structure *)
   | Narrow  (** the space loses it again *)
   | Single  (** a one-step build over the newest window (the reactive shape) *)
+  | Leave of string
+      (** the history becomes fresh windows of the other columns, so every
+          row of the column's clusters is evicted *)
+  | Echo
+      (** a copy of the newest window pushed: a new array whose clusters
+          all appear in kept steps *)
+  | Twice  (** a build that lists every history window twice *)
+  | Reverse  (** the space lists its structures in the other order *)
 
 let history_op_to_string = function
   | Window c -> "window " ^ c
@@ -772,6 +780,10 @@ let history_op_to_string = function
   | Widen -> "widen"
   | Narrow -> "narrow"
   | Single -> "single"
+  | Leave c -> "leave " ^ c
+  | Echo -> "echo"
+  | Twice -> "twice"
+  | Reverse -> "reverse"
 
 let reuse_columns = [ "a"; "b"; "c"; "d" ]
 
@@ -788,18 +800,24 @@ let random_history =
       let column = oneofl reuse_columns in
       frequency
         [
-          (4, map (fun c -> Window c) column);
-          (1, return Repeat);
-          (1, map (fun c -> Refill c) column);
-          (1, return Dml);
-          (1, return Widen);
-          (1, return Narrow);
-          (1, return Single);
+          (4, map (fun c -> [ Window c ]) column);
+          (1, return [ Repeat ]);
+          (1, map (fun c -> [ Refill c ]) column);
+          (1, return [ Dml ]);
+          (1, return [ Widen ]);
+          (1, return [ Narrow ]);
+          (1, return [ Single ]);
+          (* A column leaves the history and comes back: its rows are
+             evicted, then recosted. *)
+          (1, map (fun c -> [ Leave c; Window c ]) column);
+          (1, return [ Echo ]);
+          (1, return [ Twice ]);
+          (1, return [ Reverse ]);
         ])
   in
   QCheck.make
     ~print:(fun ops -> String.concat ", " (List.map history_op_to_string ops))
-    QCheck.Gen.(list_size (int_range 4 10) op)
+    QCheck.Gen.(map List.concat (list_size (int_range 4 10) op))
 
 let same_stats (a : Cost_cache.stats) (b : Cost_cache.stats) =
   a.Cost_cache.hits = b.Cost_cache.hits
@@ -817,7 +835,9 @@ let whatif_calls f =
    windows.  After every edit, the session build must equal a reuse-free
    build of the same inputs bit for bit, and its atom memo must read and
    evaluate exactly what a second session does that is handed copies of
-   the step arrays, so it can never keep a step's EXEC row. *)
+   the step arrays, so it can never keep a step's EXEC row, its clusters
+   or its memo references: every step of the copy-fed session arrives at
+   every build. *)
 let reuse_equals_fresh_prop =
   QCheck.Test.make ~name:"session build = fresh build over sliding histories" ~count:100
     random_history (fun ops ->
@@ -826,12 +846,13 @@ let reuse_equals_fresh_prop =
       let stats_of table = Database.table_stats db table in
       let session = Problem.Reuse.create () and mirror = Problem.Reuse.create () in
       let history = ref [ column_window "a" 24 ] and wide = ref false in
+      let reversed = ref false in
       let inserted = ref 0 in
       Obs.Registry.enable ();
       Fun.protect ~finally:Obs.Registry.disable @@ fun () ->
       List.for_all
         (fun (i, op) ->
-          let single = ref false in
+          let single = ref false and twice = ref false in
           (match op with
           | Window c -> history := column_window c 24 :: !history
           | Repeat -> history := List.hd !history :: !history
@@ -843,15 +864,27 @@ let reuse_equals_fresh_prop =
                    (Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)" !inserted 1 2 3))
           | Widen -> wide := true
           | Narrow -> wide := false
-          | Single -> single := true);
+          | Single -> single := true
+          | Leave c ->
+              history :=
+                List.map
+                  (fun d -> column_window d 24)
+                  (List.filter (fun d -> not (String.equal c d)) reuse_columns)
+          | Echo -> history := Array.copy (List.hd !history) :: !history
+          | Twice -> twice := true
+          | Reverse -> reversed := not !reversed);
           history := List.filteri (fun j _ -> j < 3) !history;
           let steps =
-            if !single then [| List.hd !history |] else Array.of_list (List.rev !history)
+            if !single then [| List.hd !history |]
+            else if !twice then Array.of_list (List.rev !history @ List.rev !history)
+            else Array.of_list (List.rev !history)
           in
           let space =
-            Config_space.single_index
-              (List.map (fun c -> index [ c ]) reuse_columns
-              @ if !wide then [ index [ "a"; "b" ] ] else [])
+            let indexes =
+              List.map (fun c -> index [ c ]) reuse_columns
+              @ if !wide then [ index [ "a"; "b" ] ] else []
+            in
+            Config_space.single_index (if !reversed then List.rev indexes else indexes)
           in
           let statement_keys =
             if i mod 2 = 0 then
@@ -875,7 +908,8 @@ let reuse_equals_fresh_prop =
           && calls = mirror_calls
           && same_stats
                (Cost_cache.stats (Problem.Reuse.memo session))
-               (Cost_cache.stats (Problem.Reuse.memo mirror)))
+               (Cost_cache.stats (Problem.Reuse.memo mirror))
+          && Problem.Reuse.tallies session = Problem.Reuse.tallies mirror)
         (List.mapi (fun i op -> (i, op)) ops))
 
 (* On a sliding history under one space and one snapshot, every window
@@ -904,6 +938,48 @@ let test_reuse_keeps_history_steps () =
       ignore (Database.execute_sql db "INSERT INTO t VALUES (1, 2, 3, 4)");
       Alcotest.(check int) "new snapshot keeps nothing" 0 (kept_by [ w2; w3; w4 ]);
       Alcotest.(check int) "same history again" 3 (kept_by [ w2; w3; w4 ])
+  | _ -> assert false
+
+(* A one-window slide under one space and one snapshot makes the memo
+   lookup visit only the arriving window's clusters; a new snapshot makes
+   every step arrive, so it visits every cluster again. *)
+let test_slide_visits_arriving_window () =
+  let db = make_db ~rows:600 () in
+  let params = Database.params db in
+  let stats_of table = Database.table_stats db table in
+  let space = Config_space.single_index (List.map (fun c -> index [ c ]) reuse_columns) in
+  let session = Problem.Reuse.create () in
+  let visited = Obs.Registry.counter "cost_cache.rows_visited" in
+  let windows = List.map (fun c -> column_window c 24) [ "a"; "b"; "c"; "d" ] in
+  let visited_by steps =
+    let before = Obs.Counter.value visited in
+    ignore
+      (Problem.build ~params ~stats_of ~steps:(Array.of_list steps) ~space
+         ~initial:Design.empty ~reuse:session ());
+    Obs.Counter.value visited - before
+  in
+  (* Distinct cost keys across the given windows, under the current
+     statistics. *)
+  let clusters steps =
+    let keys = Hashtbl.create 16 in
+    List.iter
+      (Array.iter (fun s -> Hashtbl.replace keys (Cost_key.statement (stats_of "t") s) ()))
+      steps;
+    Hashtbl.length keys
+  in
+  Obs.Registry.enable ();
+  Fun.protect ~finally:Obs.Registry.disable @@ fun () ->
+  match windows with
+  | [ w1; w2; w3; w4 ] ->
+      Alcotest.(check int) "first build visits every cluster" (clusters [ w1; w2; w3 ])
+        (visited_by [ w1; w2; w3 ]);
+      Alcotest.(check bool) "the arriving window is a fraction of the history" true
+        (clusters [ w4 ] < clusters [ w2; w3; w4 ]);
+      Alcotest.(check int) "slid by one window" (clusters [ w4 ]) (visited_by [ w2; w3; w4 ]);
+      Alcotest.(check int) "same history again" 0 (visited_by [ w2; w3; w4 ]);
+      ignore (Database.execute_sql db "INSERT INTO t VALUES (1, 2, 3, 4)");
+      Alcotest.(check int) "new snapshot visits every cluster" (clusters [ w2; w3; w4 ])
+        (visited_by [ w2; w3; w4 ])
   | _ -> assert false
 
 let test_simulator_replay () =
@@ -1053,6 +1129,8 @@ let () =
         [
           Alcotest.test_case "sliding history keeps steps" `Quick
             test_reuse_keeps_history_steps;
+          Alcotest.test_case "a slide visits only the arriving window's clusters" `Quick
+            test_slide_visits_arriving_window;
           QCheck_alcotest.to_alcotest reuse_equals_fresh_prop;
         ] );
       ( "simulator",

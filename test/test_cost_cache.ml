@@ -399,16 +399,22 @@ let test_ids_bounded_across_refreshes () =
   let memo = Cost_cache.create () in
   let structures = [| index_a; view_g |] in
   let structure_keys = Array.map Cost_key.structure structures in
+  (* One step of one statement, replaced by itself at every refresh: the
+     step arrives and its predecessor departs. *)
+  let departing = ref [||] in
   List.iter
     (fun g_distinct ->
       let stats = g_snapshot g_distinct in
       let snapshot = Hashtbl.create 1 in
       Hashtbl.replace snapshot "t" stats;
-      let { Cost_cache.rows; ids; _ } =
+      let keys = [| Cost_key.id (Cost_key.statement stats delete_a) |] in
+      let { Cost_cache.rows; ids; live; _ } =
         Cost_cache.lookup memo params ~snapshot ~structures ~structure_keys
-          ~cluster_keys:[| Cost_key.id (Cost_key.statement stats delete_a) |]
-          ~reps:[| delete_a |]
+          ~arriving:{ Cost_cache.keys; reps = [| delete_a |] }
+          ~references:[| [| 0 |] |] ~departing:!departing
       in
+      departing := [| keys |];
+      Alcotest.(check int) "one live row" 1 live;
       let fresh = Cost_model.bind stats delete_a in
       Array.iter
         (fun row ->

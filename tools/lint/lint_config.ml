@@ -32,9 +32,9 @@ let default =
     build_dirs = [ "."; "_build/default" ];
     (* Entry points whose closure arguments run on worker domains.  Names
        are matched on the normalized last two path components, so both
-       [Cddpd_util.Parallel.for_] and a local [Parallel.for_] match. *)
-    parallel_entries =
-      [ "Parallel.map_chunks"; "Parallel.for_"; "Domain.spawn" ];
+       [Cddpd_util.Parallel.map_chunks] and a local [Parallel.map_chunks]
+       match. *)
+    parallel_entries = [ "Parallel.map_chunks"; "Domain.spawn" ];
     (* R8 scope: paths whose outputs are part of a result the repo claims
        is deterministic.  lib/obs is reporting-only and exempt;
        lib/util/rng.ml is the one sanctioned randomness source. *)
