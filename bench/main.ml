@@ -392,25 +392,29 @@ let micro (session : Session.t) =
     ((fun () -> ignore (run ())), reads, Cddpd_engine.Database.page_count db "t")
   in
   (* The serve benchmark's steady template: seven predicates over an
-     8-column table with I(a) and I(b), answered by a non-covering seek
-     on I(a) straight from the warm plan memo; [prepared-seek] runs it
-     through its prepared statement, which compiles nothing after the
+     8-column table. *)
+  let steady_schema =
+    Cddpd_catalog.Schema.table "t"
+      (List.map
+         (fun c -> (c, Cddpd_catalog.Schema.Int_type))
+         [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])
+  and steady_sql =
+    "SELECT a, b FROM t WHERE a = 17 AND c BETWEEN 100 AND 140 AND d = 18 AND e = 12 \
+     AND f = 35 AND g = 22 AND h = 18"
+  in
+  (* The steady template with I(a) and I(b), answered by a non-covering
+     seek on I(a) straight from the warm plan memo; [prepared-seek] runs
+     it through its prepared statement, which compiles nothing after the
      first run. *)
   let steady_seek ?prepared () =
-    scan_micro ?prepared
-      ~schema:
-        (Cddpd_catalog.Schema.table "t"
-           (List.map
-              (fun c -> (c, Cddpd_catalog.Schema.Int_type))
-              [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]))
+    scan_micro ?prepared ~schema:steady_schema
       ~indexes:[ [ "a" ]; [ "b" ] ]
       ~path:(function Cddpd_engine.Plan.Index_seek _ -> true | _ -> false)
-      "SELECT a, b FROM t WHERE a = 17 AND c BETWEEN 100 AND 140 AND d = 18 AND e = 12 \
-       AND f = 35 AND g = 22 AND h = 18"
+      steady_sql
   in
   let memoized_seek = steady_seek () and prepared_seek = steady_seek ~prepared:true () in
   (* Window close's clustering pass over one window of the serve
-     benchmark's drift traffic: 1,000 cost keys (~190 bytes each) of its
+     benchmark's drift traffic: 1,000 cost keys (117 bytes each) of its
      7-predicate template, drawn from 48 pooled texts with every 20th
      fresh, each distinct key shared as serve shares it.
      [close-window-strings] clusters the key strings, hashing each one;
@@ -420,13 +424,7 @@ let micro (session : Session.t) =
     let module Cost_key = Cddpd_engine.Cost_key in
     let module Compress = Cddpd_workload.Compress in
     let db =
-      writes_micro_db
-        ~schema:
-          (Cddpd_catalog.Schema.table "t"
-             (List.map
-                (fun c -> (c, Cddpd_catalog.Schema.Int_type))
-                [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]))
-        ~indexes:[ [ "a" ]; [ "b" ] ] ()
+      writes_micro_db ~schema:steady_schema ~indexes:[ [ "a" ]; [ "b" ] ] ()
     in
     let stats = Cddpd_engine.Database.table_stats db "t" in
     let rng = Rng.create 11 in
@@ -465,6 +463,20 @@ let micro (session : Session.t) =
       fun () ->
         ignore (Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal key_ids) )
   in
+  (* One statement's cost identity as serve makes it for a fresh text:
+     the packed key ({!Cddpd_engine.Cost_key.statement}) and its hashed
+     id.  [cost-key/steady] keys the steady template (seven predicates
+     over the 8-column table), [cost-key/w1] a paper W1 point query (one
+     predicate over the 4-column table). *)
+  let cost_key_micro ?schema sql =
+    let module Cost_key = Cddpd_engine.Cost_key in
+    let db = writes_micro_db ?schema ~indexes:[] () in
+    let stats = Cddpd_engine.Database.table_stats db "t" in
+    let statement = Cddpd_sql.Parser.parse_exn sql in
+    fun () -> ignore (Cost_key.id (Cost_key.statement stats statement))
+  in
+  let cost_key_steady = cost_key_micro ~schema:steady_schema steady_sql
+  and cost_key_w1 = cost_key_micro "SELECT a FROM t WHERE a = 17" in
   let tests =
     Test.make_grouped ~name:"cddpd"
       [
@@ -476,6 +488,8 @@ let micro (session : Session.t) =
         Test.make ~name:"engine/prepared-seek" (Staged.stage prepared_seek);
         Test.make ~name:"serve/close-window-strings" (Staged.stage close_window_strings);
         Test.make ~name:"serve/close-window-ids" (Staged.stage close_window_ids);
+        Test.make ~name:"cost-key/steady" (Staged.stage cost_key_steady);
+        Test.make ~name:"cost-key/w1" (Staged.stage cost_key_w1);
         Test.make ~name:"serve/reopt-window"
           (Staged.stage
              (let close = reopt_window_close ~reuse:true in

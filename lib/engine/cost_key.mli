@@ -18,6 +18,21 @@
     INSERT values, UPDATE assignments, the aggregate function — are
     deliberately left out, which is where the memo hit rate comes from.
 
+    The key is packed bytes, not text, and nothing on its path is
+    formatted: the row, page and histogram counts come first as three
+    little-endian int64s, then a one-byte statement tag ([S], [A], [N],
+    [D], [U]) and the table name ended by [':'].  A SELECT adds its
+    projection ([*], or each column followed by [',']) and a [':']; an
+    aggregate adds its group column ended by [':'] and its group count as
+    an int64.  Each predicate is then a one-byte operator tag ([b] for
+    BETWEEN), its column ended by [':'], one value-kind byte per bound
+    ([i] or [t]) and its selectivity's float bits as an int64.
+    Identifiers cannot hold [':'] or [','], and every fixed-width field
+    sits where the fields before it say, so two keys are equal exactly
+    when all their fields are — as fine as a printed form of the same
+    fields, which the tests keep as the oracle — and a key is not meant
+    to be read.
+
     Soundness invariant: within one statistics snapshot, equal
     {!statement} keys imply bit-equal [statement_cost] under every design,
     which is what clustering relies on ({!Cddpd_core.Problem.build} and
@@ -34,8 +49,9 @@ val statement : Table_stats.t -> Cddpd_sql.Ast.statement -> string
 
 (** {1 Hashed identities}
 
-    A key is a few hundred bytes, and every memo and clustering pass on
-    serve's path looks it up.  An {!id} carries the key with its hash,
+    A key is some tens of bytes (117 for a seven-predicate SELECT on
+    one-letter columns), and every memo and clustering pass on serve's
+    path looks it up.  An {!id} carries the key with its hash,
     computed once when the key is made, so each later table lookup reads
     the stored hash instead of re-hashing the string.  Equality is still
     the full key ({!id_equal}), so every soundness argument above holds
@@ -63,17 +79,20 @@ module Id_tbl : Hashtbl.S with type key = id
     with {!id_equal}. *)
 
 val same_inputs : was:Table_stats.t -> now:Table_stats.t -> Cddpd_sql.Ast.statement -> bool
-(** [same_inputs ~was ~now stmt] proves, without printing either key,
-    that [statement was stmt] equals [statement now stmt]: the snapshots
-    are physically the same, or their row count, page count and
-    histogram count are equal and every column the key reads (each
-    predicate's column, and an aggregate's grouping column) has
-    physically the same histogram in both (or none in either).  A
-    column's histogram stays the same object while DML leaves its values
-    untouched ({!Value_counts.histogram}), so after a write this holds for
-    every statement that reads no rewritten column.  [false] only means
-    "not proven": the keys may still be equal.  The one staleness rule
-    for keys carried across statistics snapshots. *)
+(** [same_inputs ~was ~now] prepares, once per snapshot pair, a proof
+    that [statement was stmt] equals [statement now stmt] without computing
+    either key.  It compares the row count, page count and histogram
+    count, and lists the columns whose histogram is not physically the
+    same in both snapshots (or present in only one); applied to [stmt], it
+    holds when the snapshots are physically the same, or their shapes are
+    equal and no column the key reads (each predicate's column, and an
+    aggregate's grouping column) is listed.  A column's histogram stays
+    the same object while DML leaves its values untouched
+    ({!Value_counts.histogram}), so after a write this holds for every
+    statement that reads no rewritten column.  [false] only means "not
+    proven": the keys may still be equal.  The one staleness rule for
+    keys carried across statistics snapshots; bind it once per pair and
+    apply it to each statement. *)
 
 val structure : Cddpd_catalog.Structure.t -> string
 (** ["I:<table>:<col>,<col>"] for an index, ["V:<table>:<col>"] for a

@@ -26,7 +26,14 @@ let row_count t = t.row_count
 
 let page_count t = t.page_count
 
-let histogram t column = List.assoc_opt column t.histograms
+let histogram t column =
+  let rec find = function
+    | [] -> None
+    | (c, h) :: rest -> if String.equal c column then Some h else find rest
+  in
+  find t.histograms
+
+let columns t = List.map fst t.histograms
 
 let n_histograms t = List.length t.histograms
 

@@ -19,6 +19,9 @@ val page_count : t -> int
 val histogram : t -> string -> Histogram.t option
 (** The column's histogram, if one was collected. *)
 
+val columns : t -> string list
+(** The columns with a histogram, in collection order. *)
+
 val n_histograms : t -> int
 (** Number of columns with histograms (the table's integer columns). *)
 

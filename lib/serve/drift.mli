@@ -14,39 +14,39 @@
     Distances live in [\[0, 2\]]: 0 = identical histograms, 2 = disjoint
     support (a complete workload change). *)
 
-type profile = (string * float) list
-(** Relative frequency per cost-identity key, keyed ascending.  Frequencies
-    sum to 1 for a non-empty window; the empty window has the empty
-    profile. *)
-
-val profile :
-  stats:Cddpd_engine.Table_stats.t -> Cddpd_sql.Ast.statement array -> profile
-(** Histogram one window of statements under the given table statistics
-    (the statistics feed the selectivity component of the key, so a data
-    shift that changes selectivities also registers as drift).
-    Implemented as one {!Cddpd_workload.Compress} clustering pass over
-    the window's keys — the same pass serve ingest shares with problem
-    building via {!profile_of_clustering}. *)
+type profile = private {
+  counts : int Cddpd_engine.Cost_key.Id_tbl.t;
+      (** member count per cost identity; every count is positive *)
+  size : int;  (** statements in the window: the sum of [counts] *)
+}
+(** One window's cost-identity histogram, kept as exact counts rather
+    than frequencies.  The empty window has size 0 and no counts. *)
 
 val profile_of_clustering :
   keys:Cddpd_engine.Cost_key.id array -> Cddpd_workload.Compress.t -> profile
 (** The profile of a window whose hashed cost-identity keys and
     clustering the caller already computed
-    ([Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys]).
-    Equal to [profile] on the same window: serve computes each window's
-    keys once and feeds both drift detection and the incremental problem
-    build from that single cost-identity pass.  Profiles stay keyed by
-    the key strings ({!Cddpd_engine.Cost_key.id}'s [key]), so
-    {!distance} sums its floats in key order. *)
+    ([Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys]):
+    each cluster's representative id with the cluster's size.  Serve
+    computes each window's keys once and feeds both drift detection and
+    the incremental problem build from that single cost-identity pass.
+    The statistics the keys were computed under feed their selectivity
+    component, so a data shift that changes selectivities also registers
+    as drift. *)
 
 val distance : profile -> profile -> float
-(** L1 distance between two profiles, in [\[0, 2\]]. *)
+(** L1 distance between the two windows' relative frequencies, in
+    [\[0, 2\]]: [Σ |ca·nb − cb·na| / (na·nb)] over the ids of either
+    profile ([ca] an id's count in a window of [na] statements, 0 if
+    absent), matched by {!Cddpd_engine.Cost_key.id_equal}.  The sum is
+    taken in integers and divided once, so the result is the exact
+    rational rounded once: symmetric, blind to the order ids are visited
+    in and to how keys are encoded.  An empty window is at 0 from another
+    empty one and at 1 (all of the other's mass) from any other. *)
 
 val default_threshold : float
 (** 0.5 — the same order as {!Cddpd_workload.Segmenter}'s change-point
-    threshold: half the probability mass moved buckets. *)
-
-val drifted : ?threshold:float -> profile -> profile -> bool
-(** [distance a b > threshold].  A non-positive [threshold] therefore
+    threshold: half the probability mass moved buckets.  Serve declares
+    drift when {!distance} exceeds its threshold, so a non-positive one
     declares drift on any difference at all — the knob that turns the
     serve loop's drift-gated re-optimization into an every-window one. *)

@@ -267,15 +267,14 @@ let feed_key t entry statement =
   | None -> (compute (), gen)
 
 (* Carry a history window's keys to the snapshot [stats]: a key is kept
-   when [Cost_key.same_inputs] proves it unchanged, recomputed
-   otherwise. *)
+   when [Cost_key.same_inputs], prepared once for the window's snapshot
+   pair, proves it unchanged, recomputed otherwise. *)
 let rekey t ~stats h =
   if h.h_stats != stats then begin
-    let was = h.h_stats in
+    let same = Cost_key.same_inputs ~was:h.h_stats ~now:stats in
     Array.iteri
       (fun i statement ->
-        if not (Cost_key.same_inputs ~was ~now:stats statement) then
-          h.h_keys.(i) <- intern t (Cost_key.statement stats statement))
+        if not (same statement) then h.h_keys.(i) <- intern t (Cost_key.statement stats statement))
       h.h_statements;
     h.h_stats <- stats
   end
@@ -457,11 +456,13 @@ let close_window t window fed_keys fed_gens =
      deferred (DML itself) is keyed here.  The keys feed drift detection
      and the incremental problem build. *)
   let keys =
-    Array.mapi
-      (fun i s ->
-        if fed_gens.(i) = gen then fed_keys.(i)
-        else intern t (Cost_key.statement stats s))
-      window
+    if Array.for_all (fun g -> g = gen) fed_gens then fed_keys
+    else
+      Obs.Span.with_span "serve.close_keys" @@ fun () ->
+      Array.mapi
+        (fun i s ->
+          if fed_gens.(i) = gen then fed_keys.(i) else intern t (Cost_key.statement stats s))
+        window
   in
   let clustering, profile =
     Obs.Span.with_span "serve.drift" @@ fun () ->

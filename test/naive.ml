@@ -38,7 +38,15 @@
    Index builds: every live heap row decoded, its key columns and rid
    gathered into one array per entry, the arrays sorted by comparator and
    bulk-loaded.  [Index.build] must give the same entries in the same
-   order for the same logical I/O. *)
+   order for the same logical I/O.
+
+   Cost keys: the statement's cost identity printed as text, a decimal
+   header and a hex selectivity per predicate.  The packed key must be
+   equal exactly when this one is.
+
+   Drift: a window's profile keyed afresh under one snapshot, and the
+   L1 distance between two windows as an exact rational over their key
+   strings, counted in association lists. *)
 
 module Ast = Cddpd_sql.Ast
 module Schema = Cddpd_catalog.Schema
@@ -56,6 +64,9 @@ module Design = Cddpd_catalog.Design
 module Structure = Cddpd_catalog.Structure
 module Index_def = Cddpd_catalog.Index_def
 module View_def = Cddpd_catalog.View_def
+module Cost_key = Cddpd_engine.Cost_key
+module Compress = Cddpd_workload.Compress
+module Drift = Cddpd_serve.Drift
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -288,3 +299,70 @@ let index_build pool schema heap columns =
   let keys = Array.of_list !keys in
   Array.sort (fun a b -> List.compare Int.compare (Array.to_list a) (Array.to_list b)) keys;
   Btree.bulk_load pool ~key_len:(List.length positions + 2) keys
+
+(* -- cost keys ---------------------------------------------------------------- *)
+
+let printed_value_kind v = match v with Tuple.Int _ -> "i" | Tuple.Text _ -> "t"
+
+let printed_op op =
+  match op with Ast.Eq -> "=" | Ast.Lt -> "<" | Ast.Le -> "l" | Ast.Gt -> ">" | Ast.Ge -> "g"
+
+let printed_pred stats pred =
+  let shape =
+    match pred with
+    | Ast.Cmp { column; op; value } -> printed_op op ^ column ^ ":" ^ printed_value_kind value
+    | Ast.Between { column; low; high } ->
+        "b" ^ column ^ ":" ^ printed_value_kind low ^ printed_value_kind high
+  in
+  Printf.sprintf "%s#%Lx;" shape
+    (Int64.bits_of_float (Table_stats.predicate_selectivity stats pred))
+
+let printed_key stats stmt =
+  let preds where = String.concat "" (List.map (printed_pred stats) where) in
+  Printf.sprintf "%d.%d.%d@" (Table_stats.row_count stats) (Table_stats.page_count stats)
+    (Table_stats.n_histograms stats)
+  ^
+  match stmt with
+  | Ast.Select { projection; table; where } ->
+      let projection =
+        match projection with Ast.Star -> "*" | Ast.Columns cs -> String.concat "," cs
+      in
+      Printf.sprintf "S:%s:%s:%s" table projection (preds where)
+  | Ast.Select_agg { table; group_by; where; _ } ->
+      let groups =
+        match Table_stats.histogram stats group_by with
+        | Some h -> Histogram.n_distinct h
+        | None -> -1
+      in
+      Printf.sprintf "A:%s:%s:%d:%s" table group_by groups (preds where)
+  | Ast.Insert { table; _ } -> "N:" ^ table
+  | Ast.Delete { table; where } -> Printf.sprintf "D:%s:%s" table (preds where)
+  | Ast.Update { table; where; _ } -> Printf.sprintf "U:%s:%s" table (preds where)
+
+(* -- drift -------------------------------------------------------------------- *)
+
+let drift_profile ~stats statements =
+  let keys = Array.map (fun s -> Cost_key.id (Cost_key.statement stats s)) statements in
+  Drift.profile_of_clustering ~keys
+    (Compress.cluster_by ~hash:Cost_key.id_hash ~equal:Cost_key.id_equal keys)
+
+let drifted ?(threshold = Drift.default_threshold) a b = Drift.distance a b > threshold
+
+(* The L1 distance between the key frequencies of two windows as
+   (numerator, denominator): [Σ |ca·nb − cb·na|] over every key of
+   either window, over [na·nb]. *)
+let drift_rational a b =
+  let count keys =
+    Array.fold_left
+      (fun acc k ->
+        match List.assoc_opt k acc with
+        | Some n -> (k, n + 1) :: List.remove_assoc k acc
+        | None -> (k, 1) :: acc)
+      [] keys
+  in
+  let ca = count a and cb = count b in
+  let na = Array.length a and nb = Array.length b in
+  let of_ counts k = Option.value ~default:0 (List.assoc_opt k counts) in
+  let keys = List.sort_uniq String.compare (List.map fst ca @ List.map fst cb) in
+  ( List.fold_left (fun acc k -> acc + abs ((of_ ca k * nb) - (of_ cb k * na))) 0 keys,
+    na * nb )

@@ -325,6 +325,200 @@ let test_same_inputs_sound () =
   Alcotest.(check bool) "some keys carried" true (same_inputs_outcomes.(1) > 0);
   Alcotest.(check bool) "some keys not proven" true (same_inputs_outcomes.(0) > 0)
 
+(* The packed key against the printed oracle ([Naive.printed_key]): over
+   every statement kind, projections, Int and Text literals, every
+   operator and BETWEEN, 0–7 predicates, two statements under snapshots
+   taken around random INSERT, UPDATE, DELETE and [analyze] (and two
+   reshaped from the last, {!reshaped}), every pair of keys is equal
+   packed exactly when it is equal printed.  Columns [s] and [z] have no
+   histogram, so every predicate on them has the default selectivity and
+   only the key's other fields can tell two of them apart; the second
+   statement is usually the first with one field redrawn
+   ({!gen_key_sibling}), so that a packing that drops or merges any one
+   field shows. *)
+let key_columns = "s" :: "z" :: columns
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun v -> Tuple.Int v) (int_bound 40);
+        map (fun v -> Tuple.Text v) (oneofl [ "x"; "y"; "" ]);
+      ])
+
+let gen_op = QCheck.Gen.oneofl [ Ast.Eq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ]
+
+let gen_key_predicate =
+  QCheck.Gen.(
+    oneof
+      [
+        map3
+          (fun column op value -> Ast.Cmp { column; op; value })
+          (oneofl key_columns) gen_op gen_value;
+        map3
+          (fun column low high -> Ast.Between { column; low; high })
+          (oneofl key_columns) gen_value gen_value;
+      ])
+
+let gen_projection =
+  QCheck.Gen.(
+    oneof
+      [
+        return Ast.Star;
+        map (fun cs -> Ast.Columns cs) (list_size (int_bound 3) (oneofl key_columns));
+      ])
+
+let gen_table = QCheck.Gen.oneofl [ "t"; "u" ]
+
+let gen_key_statement =
+  QCheck.Gen.(
+    let where = list_size (int_bound 7) gen_key_predicate in
+    gen_table >>= fun table ->
+    oneof
+      [
+        map2 (fun projection where -> Ast.Select { projection; table; where }) gen_projection where;
+        map2
+          (fun group_by where -> Ast.Select_agg { table; group_by; aggregate = Ast.Count_star; where })
+          (oneofl key_columns) where;
+        map (fun values -> Ast.Insert { table; values }) (list_repeat 4 gen_value);
+        map (fun where -> Ast.Delete { table; where }) where;
+        map2
+          (fun value where -> Ast.Update { table; assignments = [ ("a", value) ]; where })
+          gen_value where;
+      ])
+
+(* [statement] with one field redrawn: the table, the projection, group
+   column or values, or one predicate's column, operator, value, bound or
+   whole self. *)
+let gen_key_sibling statement =
+  QCheck.Gen.(
+    let redraw_pred = function
+      | Ast.Cmp c ->
+          oneof
+            [
+              map (fun column -> Ast.Cmp { c with column }) (oneofl key_columns);
+              map (fun op -> Ast.Cmp { c with op }) gen_op;
+              map (fun value -> Ast.Cmp { c with value }) gen_value;
+              gen_key_predicate;
+            ]
+      | Ast.Between b ->
+          oneof
+            [
+              map (fun column -> Ast.Between { b with column }) (oneofl key_columns);
+              map (fun low -> Ast.Between { b with low }) gen_value;
+              map (fun high -> Ast.Between { b with high }) gen_value;
+              gen_key_predicate;
+            ]
+    in
+    let redraw_where = function
+      | [] -> map (fun p -> [ p ]) gen_key_predicate
+      | where ->
+          int_bound (List.length where - 1) >>= fun i ->
+          redraw_pred (List.nth where i) >|= fun p ->
+          List.mapi (fun j q -> if j = i then p else q) where
+    in
+    match statement with
+    | Ast.Select s ->
+        oneof
+          [
+            map (fun table -> Ast.Select { s with table }) gen_table;
+            map (fun projection -> Ast.Select { s with projection }) gen_projection;
+            map (fun where -> Ast.Select { s with where }) (redraw_where s.where);
+          ]
+    | Ast.Select_agg s ->
+        oneof
+          [
+            map (fun table -> Ast.Select_agg { s with table }) gen_table;
+            map (fun group_by -> Ast.Select_agg { s with group_by }) (oneofl key_columns);
+            map (fun where -> Ast.Select_agg { s with where }) (redraw_where s.where);
+          ]
+    | Ast.Insert i ->
+        oneof
+          [
+            map (fun table -> Ast.Insert { i with table }) gen_table;
+            map (fun values -> Ast.Insert { i with values }) (list_repeat 4 gen_value);
+          ]
+    | Ast.Delete d ->
+        oneof
+          [
+            map (fun table -> Ast.Delete { d with table }) gen_table;
+            map (fun where -> Ast.Delete { d with where }) (redraw_where d.where);
+          ]
+    | Ast.Update u ->
+        oneof
+          [
+            map (fun table -> Ast.Update { u with table }) gen_table;
+            map (fun where -> Ast.Update { u with where }) (redraw_where u.where);
+          ])
+
+(* [stats] with one more heap page, and [stats] without its last
+   histogram: shapes no DML on the test table reaches while keeping its
+   row count. *)
+let reshaped stats =
+  let histograms =
+    List.map
+      (fun c -> (c, Option.get (Cddpd_engine.Table_stats.histogram stats c)))
+      (Cddpd_engine.Table_stats.columns stats)
+  in
+  let make ~pages histograms =
+    Cddpd_engine.Table_stats.make
+      ~row_count:(Cddpd_engine.Table_stats.row_count stats)
+      ~page_count:(Cddpd_engine.Table_stats.page_count stats + pages)
+      ~histograms
+  in
+  [ make ~pages:1 histograms; make ~pages:0 (List.filteri (fun i _ -> i < List.length histograms - 1) histograms) ]
+
+(* Pairs of keys from distinct computations, (printed unequal, printed
+   equal): the generator must produce both. *)
+let key_oracle_outcomes = [| 0; 0 |]
+
+let key_oracle_prop =
+  let gen =
+    QCheck.Gen.(
+      gen_key_statement >>= fun s1 ->
+      triple (return s1)
+        (frequency [ (1, return s1); (4, gen_key_sibling s1); (1, gen_key_statement) ])
+        (list_size (int_range 1 3) (opt ~ratio:0.8 gen_write)))
+  in
+  QCheck.Test.make ~name:"packed keys equal <=> printed keys equal" ~count:1000
+    (QCheck.make
+       ~print:(fun (s1, s2, writes) ->
+         Printf.sprintf "%s / %s after %s" (Cddpd_sql.Printer.to_string s1)
+           (Cddpd_sql.Printer.to_string s2)
+           (String.concat "; "
+              (List.map
+                 (function Some w -> Cddpd_sql.Printer.to_string w | None -> "analyze")
+                 writes)))
+       gen)
+    (fun (s1, s2, writes) ->
+      let db = boundary_db () in
+      let was = Database.table_stats db "t" in
+      List.iter
+        (function Some w -> ignore (Database.execute db w) | None -> Database.analyze db)
+        writes;
+      let now = Database.table_stats db "t" in
+      let keys =
+        List.concat_map
+          (fun stats -> List.map (fun s -> (Cost_key.statement stats s, Naive.printed_key stats s)) [ s1; s2 ])
+          (was :: now :: reshaped now)
+      in
+      List.for_all
+        (fun (packed_a, printed_a) ->
+          List.for_all
+            (fun (packed_b, printed_b) ->
+              let equal = String.equal printed_a printed_b in
+              if packed_a != packed_b then
+                key_oracle_outcomes.(Bool.to_int equal) <- key_oracle_outcomes.(Bool.to_int equal) + 1;
+              Bool.equal (String.equal packed_a packed_b) equal)
+            keys)
+        keys)
+
+let test_key_oracle () =
+  QCheck.Test.check_exn key_oracle_prop;
+  Alcotest.(check bool) "some distinct keys" true (key_oracle_outcomes.(0) > 0);
+  Alcotest.(check bool) "some equal keys of distinct computations" true
+    (key_oracle_outcomes.(1) > 0)
+
 (* One-table problems over synthetic statistics that differ only in the
    distinct count of the view's group column [g]. *)
 let view_g = Structure.view (View_def.make ~table:"t" ~group_by:"g")
@@ -549,6 +743,7 @@ let () =
           QCheck_alcotest.to_alcotest cross_snapshot_prop;
           Alcotest.test_case "same_inputs => equal keys across DML (both verdicts)" `Quick
             test_same_inputs_sound;
+          Alcotest.test_case "packed keys equal <=> printed keys equal" `Quick test_key_oracle;
           Alcotest.test_case "view cardinality refresh recosts the view atom" `Quick
             test_view_cardinality_refresh;
           Alcotest.test_case "a structure added after a refresh = oracle" `Quick

@@ -56,26 +56,26 @@ let test_drift_identical_windows () =
   let db = make_db () in
   let stats = Database.table_stats db "t" in
   let w = phase "a" 50 in
-  let p = Drift.profile ~stats w in
-  Alcotest.(check (float 1e-9)) "distance to self" 0.0 (Drift.distance p p);
-  Alcotest.(check bool) "no drift" false (Drift.drifted p p)
+  let p = Naive.drift_profile ~stats w in
+  Alcotest.(check (float 0.0)) "distance to self" 0.0 (Drift.distance p p);
+  Alcotest.(check bool) "no drift" false (Naive.drifted p p)
 
 let test_drift_disjoint_windows () =
   let db = make_db () in
   let stats = Database.table_stats db "t" in
-  let pa = Drift.profile ~stats (phase "a" 50) in
-  let pc = Drift.profile ~stats (phase "c" 50) in
+  let pa = Naive.drift_profile ~stats (phase "a" 50) in
+  let pc = Naive.drift_profile ~stats (phase "c" 50) in
   let d = Drift.distance pa pc in
   Alcotest.(check bool) "disjoint phases are far apart" true (d > 1.5);
-  Alcotest.(check bool) "drifted" true (Drift.drifted pa pc);
-  Alcotest.(check (float 1e-9)) "symmetric" d (Drift.distance pc pa)
+  Alcotest.(check bool) "drifted" true (Naive.drifted pa pc);
+  Alcotest.(check (float 0.0)) "symmetric" d (Drift.distance pc pa)
 
 let test_drift_mixture_is_between () =
   let db = make_db () in
   let stats = Database.table_stats db "t" in
-  let pa = Drift.profile ~stats (phase "a" 50) in
+  let pa = Naive.drift_profile ~stats (phase "a" 50) in
   let mixed =
-    Drift.profile ~stats (Array.append (phase "a" 25) (phase "c" 25))
+    Naive.drift_profile ~stats (Array.append (phase "a" 25) (phase "c" 25))
   in
   let d = Drift.distance pa mixed in
   Alcotest.(check bool) "mixture is closer than disjoint" true (d < 1.5);
@@ -84,13 +84,65 @@ let test_drift_mixture_is_between () =
 let test_drift_empty_profile () =
   let db = make_db () in
   let stats = Database.table_stats db "t" in
-  let p = Drift.profile ~stats (phase "a" 10) in
-  Alcotest.(check (list (pair string (float 1e-9)))) "empty window" []
-    (Drift.profile ~stats [||]);
-  Alcotest.(check (float 1e-9)) "mass of a full profile" 1.0
-    (List.fold_left (fun acc (_, f) -> acc +. f) 0.0 p);
-  Alcotest.(check (float 1e-9)) "distance to empty is total mass" 1.0
-    (Drift.distance p [])
+  let p = Naive.drift_profile ~stats (phase "a" 10) in
+  let empty = Naive.drift_profile ~stats [||] in
+  Alcotest.(check int) "empty window" 0 empty.Drift.size;
+  Alcotest.(check int) "no ids in the empty window" 0
+    (Cddpd_engine.Cost_key.Id_tbl.length empty.Drift.counts);
+  Alcotest.(check int) "counts of a full profile sum to its size" p.Drift.size
+    (Cddpd_engine.Cost_key.Id_tbl.fold (fun _ c acc -> acc + c) p.Drift.counts 0);
+  Alcotest.(check (float 0.0)) "distance to empty is total mass" 1.0 (Drift.distance p empty);
+  Alcotest.(check (float 0.0)) "and symmetric" 1.0 (Drift.distance empty p);
+  Alcotest.(check (float 0.0)) "empty to empty" 0.0 (Drift.distance empty empty)
+
+(* Random windows over a small key alphabet ([k0] .. [k11]), so that
+   windows share some ids and not others.  Each window is keyed through
+   ids made afresh (not shared physically), as a window keyed under
+   another snapshot would be. *)
+let gen_window = QCheck.Gen.(array_size (int_range 1 40) (int_bound 11))
+
+let key_names = Array.map (Printf.sprintf "k%d")
+
+let profile_of window =
+  let ids = Array.map Cddpd_engine.Cost_key.id (key_names window) in
+  Drift.profile_of_clustering ~keys:ids
+    (Cddpd_workload.Compress.cluster_by ~hash:Cddpd_engine.Cost_key.id_hash
+       ~equal:Cddpd_engine.Cost_key.id_equal ids)
+
+let print_windows (a, b) =
+  let print w = String.concat " " (Array.to_list (key_names w)) in
+  Printf.sprintf "[%s] / [%s]" (print a) (print b)
+
+(* The distance is the exact rational, rounded once, and symmetric. *)
+let drift_exact_prop =
+  QCheck.Test.make ~name:"drift distance = exact rational, symmetric" ~count:500
+    (QCheck.make ~print:print_windows QCheck.Gen.(pair gen_window gen_window))
+    (fun (a, b) ->
+      let num, den = Naive.drift_rational (key_names a) (key_names b) in
+      let d = Drift.distance (profile_of a) (profile_of b) in
+      Naive.same_bits d (float_of_int num /. float_of_int den)
+      && Naive.same_bits d (Drift.distance (profile_of b) (profile_of a)))
+
+(* Renaming the ids by a bijection and reordering each window moves no
+   bit of the distance: nothing depends on key bytes or visiting order. *)
+let drift_permutation_prop =
+  let gen =
+    QCheck.Gen.(
+      pair gen_window gen_window >>= fun (a, b) ->
+      shuffle_l (List.init 12 Fun.id) >>= fun perm ->
+      let perm = Array.of_list perm in
+      let renamed w = shuffle_l (List.map (fun i -> perm.(i)) (Array.to_list w)) in
+      map2 (fun a' b' -> ((a, b), (Array.of_list a', Array.of_list b'))) (renamed a) (renamed b))
+  in
+  QCheck.Test.make ~name:"drift distance invariant under permuting ids" ~count:500
+    (QCheck.make ~print:(fun (w, w') -> print_windows w ^ " vs " ^ print_windows w') gen)
+    (fun ((a, b), (a', b')) ->
+      Naive.same_bits
+        (Drift.distance (profile_of a) (profile_of b))
+        (Drift.distance (profile_of a') (profile_of b')))
+
+let test_drift_exact () = QCheck.Test.check_exn drift_exact_prop
+let test_drift_permutation () = QCheck.Test.check_exn drift_permutation_prop
 
 (* -- Guard ----------------------------------------------------------------- *)
 
@@ -850,6 +902,9 @@ let () =
           Alcotest.test_case "disjoint windows" `Quick test_drift_disjoint_windows;
           Alcotest.test_case "mixture" `Quick test_drift_mixture_is_between;
           Alcotest.test_case "empty profile" `Quick test_drift_empty_profile;
+          Alcotest.test_case "distance = exact rational, symmetric" `Quick test_drift_exact;
+          Alcotest.test_case "distance invariant under permuting ids" `Quick
+            test_drift_permutation;
         ] );
       ( "guard",
         [
