@@ -9,6 +9,17 @@
    subtree c_i holds exactly the keys in [k_i, k_{i+1}) with k_0 = -inf and
    k_{n+1} = +inf. *)
 
+module Obs = Cddpd_obs
+module Leaf_tbl = Hashtbl.Make (Int)
+
+let m_leaves_fetched = Obs.Registry.counter "btree.leaves_fetched"
+let m_leaves_skipped = Obs.Registry.counter "btree.leaves_skipped"
+
+(* [synopses] memoizes a leaf's equality synopsis ({!Synopsis}, keyed by
+   key component) by page id.  Unlike a heap page's records, leaf entries
+   shift, so a synopsis covers the whole leaf as it was when built: a
+   range walk builds it from the page bytes it fetched anyway, and any
+   write to the leaf ([insert_leaf], [delete]) drops it. *)
 type t = {
   pool : Buffer_pool.t;
   key_len : int;
@@ -16,6 +27,7 @@ type t = {
   mutable height : int;
   mutable entries : int;
   mutable pages : int;
+  synopses : Synopsis.t Leaf_tbl.t;
 }
 
 let header = 7
@@ -139,6 +151,9 @@ let leaf_key_equals t page i key =
 let check_key_len key_len =
   if key_len < 1 || key_len > 16 then invalid_arg "Btree: key_len must be in [1, 16]"
 
+let empty pool ~key_len =
+  { pool; key_len; root = -1; height = 1; entries = 0; pages = 0; synopses = Leaf_tbl.create 16 }
+
 let alloc_node t ~kind =
   let handle = Buffer_pool.allocate t.pool in
   init_node (Buffer_pool.page handle) ~kind;
@@ -148,7 +163,7 @@ let alloc_node t ~kind =
 
 let create pool ~key_len =
   check_key_len key_len;
-  let t = { pool; key_len; root = -1; height = 1; entries = 0; pages = 0 } in
+  let t = empty pool ~key_len in
   let handle = alloc_node t ~kind:kind_leaf in
   t.root <- Buffer_pool.page_id handle;
   Buffer_pool.unpin pool handle;
@@ -211,6 +226,11 @@ let internal_insert_at t page i key rc =
 
 type split = { sep : int array; right : int }
 
+(* Before a write to a leaf: its synopsis no longer describes it.  A
+   split's right sibling is a fresh page, which has none. *)
+let drop_synopsis t handle =
+  if Leaf_tbl.length t.synopses > 0 then Leaf_tbl.remove t.synopses (Buffer_pool.page_id handle)
+
 (* Insert into the subtree rooted at [pid]; return a split description if
    the node had to split. *)
 let rec insert_rec t pid key =
@@ -240,6 +260,7 @@ and insert_leaf t handle page key =
   if leaf_key_equals t page i key then None
   else begin
     Buffer_pool.mark_dirty handle;
+    drop_synopsis t handle;
     t.entries <- t.entries + 1;
     if node_n page < leaf_capacity t then begin
       leaf_insert_at t page i key;
@@ -331,6 +352,7 @@ let delete t key =
             ~len:((n - 1 - i) * key_bytes t);
         set_node_n page (n - 1);
         Buffer_pool.mark_dirty handle;
+        drop_synopsis t handle;
         t.entries <- t.entries - 1;
         true
       end
@@ -352,19 +374,54 @@ let[@inline always] ranges_hold r buf pos =
   done;
   !hold
 
+(* -- leaf synopses ----------------------------------------------------------- *)
+
+(* The synopsis of the leaf [pid] holding [n] entries in [buf], built and
+   memoized on first use.  A hit allocates nothing ([find], not
+   [find_opt]). *)
+let leaf_synopsis t pid buf n =
+  match Leaf_tbl.find t.synopses pid with
+  | syn -> syn
+  | exception Not_found ->
+      let syn = Synopsis.create () and kb = key_bytes t in
+      check_run buf ~first:header ~stride:kb n;
+      for i = 0 to n - 1 do
+        for j = 0 to t.key_len - 1 do
+          Synopsis.add syn ~key:j (i64 buf (header + (i * kb) + (j * 8)))
+        done
+      done;
+      Leaf_tbl.replace t.synopses pid syn;
+      syn
+
+(* The number of leading key components the walk's bounds fix
+   ([lo = hi]): every entry the walk visits holds one value there, so an
+   equality on one of them (a covering seek's own prefix) can never
+   exclude a leaf with entries in range. *)
+let rec fixed_prefix lo hi j =
+  if j < Array.length lo && Int.equal lo.(j) hi.(j) then fixed_prefix lo hi (j + 1) else j
+
 (* One leaf of the range walk: the entries from [start] up to the first
    key above [hi] (found by binary search, so no entry is compared with
    [hi] in the loop), the ranges tested on each and the matches passed to
-   [f].  The next leaf's id, or -1 once a key above [hi] was seen. *)
-let walk_leaf t page start hi r f =
+   [f].  With equalities [eq] to decide, a leaf whose synopsis excludes
+   them skips its entry loop; the search for [hi] still runs, so where
+   the walk stops is unchanged.  The next leaf's id, or -1 once a key
+   above [hi] was seen. *)
+let walk_leaf t pid page start hi r eq f =
   let buf = Page.to_bytes page in
   let kb = key_bytes t in
   let n = node_n page in
   let stop = search buf ~first:header ~stride:kb n hi ~strict:true in
-  for i = start to stop - 1 do
-    let pos = header + (i * kb) in
-    if ranges_hold r buf pos then f buf pos
-  done;
+  if
+    Array.length eq > 0
+    && start < stop
+    && Synopsis.excludes (leaf_synopsis t pid buf n) eq ~below:t.key_len
+  then Obs.Counter.incr m_leaves_skipped
+  else
+    for i = start to stop - 1 do
+      let pos = header + (i * kb) in
+      if ranges_hold r buf pos then f buf pos
+    done;
   if stop < n then -1 else next_leaf page
 
 let iter_range_slices t ~lo ~hi ~ranges f =
@@ -372,12 +429,23 @@ let iter_range_slices t ~lo ~hi ~ranges f =
   check_key t hi;
   if Ranges.reach ranges > key_bytes t then invalid_arg "Btree: ranges reach past the key";
   let r = Ranges.triples ranges in
+  (* The equalities a leaf's synopsis decides: on a key component (an
+     aligned offset; every entry holds each one) the bounds leave open.
+     A walk with none consults no synopsis. *)
+  let eq =
+    if Ranges.has_equality ranges then
+      let fixed = fixed_prefix lo hi 0 in
+      Synopsis.equalities r ~key_of:(fun off ->
+          if off land 7 = 0 && off lsr 3 >= fixed then Some (off lsr 3) else None)
+    else [||]
+  in
   if compare_key t lo hi <= 0 then begin
     let pid = ref (find_leaf t t.root lo) in
     while !pid <> -1 do
       let handle = Buffer_pool.fetch t.pool !pid in
+      Obs.Counter.incr m_leaves_fetched;
       let page = Buffer_pool.page handle in
-      match walk_leaf t page (leaf_lower_bound t page lo) hi r f with
+      match walk_leaf t !pid page (leaf_lower_bound t page lo) hi r eq f with
       | next ->
           Buffer_pool.unpin t.pool handle;
           pid := next
@@ -409,7 +477,7 @@ let iter_all t f =
 
 let bulk_load pool ~key_len keys =
   check_key_len key_len;
-  let t = { pool; key_len; root = -1; height = 1; entries = 0; pages = 0 } in
+  let t = empty pool ~key_len in
   let n = Array.length keys in
   Array.iter
     (fun key ->

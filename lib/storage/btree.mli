@@ -49,8 +49,21 @@ val iter_range_slices :
     64-bit little-endian integer at [offset + 8 * j].  The buffer is only
     valid for the duration of the call.  The descent and the leaf walk
     compare stored keys in place and allocate nothing per entry.  Pages
-    are fetched exactly as a plain walk would (root to leaf, then leaf by
-    leaf); when [lo > hi] no page is fetched at all. *)
+    are fetched, pinned and unpinned exactly as a plain walk would (root
+    to leaf, then leaf by leaf, stopping at the first key above [hi]);
+    when [lo > hi] no page is fetched at all.
+
+    A leaf's entry loop may be skipped.  Each leaf keeps an equality
+    {!Synopsis} keyed by key component, built from the bytes a walk has
+    fetched, the first time a walk whose [ranges] hold an equality
+    ({!Ranges.has_equality}) on an aligned component ([offset = 8 * j])
+    reads the leaf; any write to the leaf ({!insert}, {!delete}) drops
+    it.  When the synopsis has no bit for such an equality's value, no
+    entry of the leaf can match, and the walk skips the leaf's entries
+    and counts it in [btree.leaves_skipped].  Equalities on components
+    that [lo] and [hi] already fix (equal on that component and every
+    one before it) consult no synopsis.  Skipping changes neither the
+    matches, nor their order, nor any page access. *)
 
 val iter_prefix : t -> prefix:int array -> (int array -> unit) -> unit
 (** [iter_prefix t ~prefix f] applies [f] to every key whose first

@@ -10,17 +10,15 @@ module Obs = Cddpd_obs
 
 let m_pages_skipped = Obs.Registry.counter "heap_file.pages_skipped"
 
-(* A page's equality synopsis: a bitset of hashed (field, value) pairs over
-   the leading Int fields of the records in slots [0, covered), built by
+(* A page's equality synopsis ({!Synopsis}, keyed by field) over the
+   leading Int fields of the records in slots [0, covered), built by
    [scan] from the page bytes it fetched anyway.  Records are only
    appended or tombstoned, so a hashed slot never changes and each slot
    is hashed once.  [prefix] is the fewest leading Int fields among the
    live records hashed ([max_int] while there are none): a field below it
-   sits at its fixed offset in every live record of the page.  So a clear
-   bit for a field below [prefix] proves that no live record holds the
-   value there; a set bit proves nothing (a collision, or a record deleted
-   since). *)
-type synopsis = { bits : Bytes.t; mutable covered : int; mutable prefix : int }
+   sits at its fixed offset in every live record of the page, so the
+   synopsis decides exactly the fields below [prefix]. *)
+type synopsis = { bits : Synopsis.t; mutable covered : int; mutable prefix : int }
 
 type t = {
   pool : Buffer_pool.t;
@@ -185,23 +183,13 @@ let delete t rid =
 
 (* -- equality synopses ------------------------------------------------------ *)
 
-let synopsis_log2 = 12 (* 4,096 bits: 512 bytes a page *)
-
-let synopsis_bit ~field v =
-  ((v + (field * 0x9E3779B97F4A7C1)) * 0x2545F4914F6CDD1D) lsr (Sys.int_size - synopsis_log2)
-
-let fresh_synopsis () =
-  { bits = Bytes.make ((1 lsl synopsis_log2) / 8) '\000'; covered = 0; prefix = max_int }
+let fresh_synopsis () = { bits = Synopsis.create (); covered = 0; prefix = max_int }
 
 (* Hash the slots appended since the last cover: [n] is the page's slot
    count, its directory already checked against the page. *)
 let cover syn buf n =
   if syn.covered < n then begin
-    let bits = syn.bits in
-    let set field v =
-      let b = synopsis_bit ~field v in
-      Bytes.set_uint8 bits (b lsr 3) (Bytes.get_uint8 bits (b lsr 3) lor (1 lsl (b land 7)))
-    in
+    let set field v = Synopsis.add syn.bits ~key:field v in
     for slot = syn.covered to n - 1 do
       let dir = header_size + (slot * slot_size) in
       if u16 buf (dir + 2) > 0 then
@@ -209,27 +197,6 @@ let cover syn buf n =
     done;
     syn.covered <- n
   end
-
-(* Whether the synopsis proves that no live record of its page holds one
-   of the equalities [eq] ([field; value] pairs, flattened) from pair [i]
-   on.  Top-level, so a page's test allocates no closure. *)
-let rec excludes syn eq i =
-  i < Array.length eq
-  && (eq.(i) < syn.prefix
-      && (let b = synopsis_bit ~field:eq.(i) eq.(i + 1) in
-          Bytes.get_uint8 syn.bits (b lsr 3) land (1 lsl (b land 7)) = 0)
-     || excludes syn eq (i + 2))
-
-(* The ranges [(off, v, v)] at an Int field's fixed offset, as flattened
-   [field; v] pairs: the ones a synopsis can decide. *)
-let equalities r =
-  let eq = ref [] in
-  for k = (Array.length r / 3) - 1 downto 0 do
-    match Tuple.int_field_of_offset r.(3 * k) with
-    | Some field when r.((3 * k) + 1) = r.((3 * k) + 2) -> eq := field :: r.((3 * k) + 1) :: !eq
-    | Some _ | None -> ()
-  done;
-  Array.of_list !eq
 
 (* -- full scans ------------------------------------------------------------- *)
 
@@ -273,7 +240,10 @@ let scan_page buf n pid r reach f =
    skipped. *)
 let scan t ~ranges f =
   let r = Ranges.triples ranges and reach = Ranges.reach ranges in
-  let eq = equalities r in
+  let eq =
+    if Ranges.has_equality ranges then Synopsis.equalities r ~key_of:Tuple.int_field_of_offset
+    else [||]
+  in
   let run = scan_run t in
   for pos = 0 to Array.length run - 1 do
     let handle = Buffer_pool.fetch_sequential t.pool ~run ~pos in
@@ -285,7 +255,7 @@ let scan t ~ranges f =
         &&
         let syn = t.synopses.(pos) in
         cover syn buf n;
-        excludes syn eq 0
+        Synopsis.excludes syn.bits eq ~below:syn.prefix
       in
       if skip then Obs.Counter.incr m_pages_skipped else scan_page buf n run.(pos) r reach f
     with

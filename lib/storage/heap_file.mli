@@ -47,7 +47,7 @@ val scan : t -> ranges:Ranges.t -> (bytes -> int -> int -> int -> unit) -> unit
     (valid only during the call), and the record's rid as two ints.  The
     loop allocates nothing per record; every full scan goes through it.
 
-    Each page keeps an equality synopsis: a fixed-size bitset of hashed
+    Each page keeps an equality {!Synopsis} keyed by field: hashed
     (field, value) pairs over its records' leading [Int] fields, which
     the scan builds from the bytes it has fetched, hashing each slot once.
     When a range [(off, v, v)] sits at the fixed offset
@@ -59,11 +59,6 @@ val scan : t -> ranges:Ranges.t -> (bytes -> int -> int -> int -> unit) -> unit
     physical I/O are the same as without synopses.  A synopsis may say
     "maybe" for a value only deleted records held, never "no" for a value
     a live record holds. *)
-
-val synopsis_bit : field:int -> int -> int
-(** [synopsis_bit ~field v] is the bit of a page's synopsis that records
-    value [v] at [Int] field [field].  Exposed so that tests can choose
-    distinct values that share a bit. *)
 
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
 (** Full scan in storage order, skipping deleted slots, decoding every

@@ -24,3 +24,9 @@ val reach : t -> int
 (** One past the last byte any range reads, counted from the record's
     start ([0] for {!none}): a kernel checks [base + reach] against the
     buffer once per record and then reads unchecked. *)
+
+val has_equality : t -> bool
+(** Whether some range is an equality [(offset, v, v)]: the only ranges
+    a kernel's {!Synopsis} can decide ({!Synopsis.equalities} picks them
+    out of {!triples}).  Computed once by {!of_list}, so a scan or probe
+    with no equality pays one test to learn that. *)

@@ -35,6 +35,12 @@
    let it skip pages, must return the same records in the same order for
    the same page accesses.
 
+   B-tree walks: the range walk with no ranges, so no leaf consults a
+   synopsis, and each (offset, lo, hi) triple tested on the raw bytes of
+   every entry in the key range.  A walk with ranges, and the per-leaf
+   synopses that let it skip a leaf's entries, must return the same
+   entries in the same order for the same page accesses.
+
    Index builds: every live heap row decoded, its key columns and rid
    gathered into one array per entry, the arrays sorted by comparator and
    bulk-loaded.  [Index.build] must give the same entries in the same
@@ -286,6 +292,25 @@ let heap_scan heap triples =
             lo <= v && v <= hi)
           triples
       then out := (page, slot, Tuple.decode_at buf ~base) :: !out);
+  List.rev !out
+
+(* -- B-tree walks ------------------------------------------------------------- *)
+
+(* The entries in [lo, hi] that satisfy [triples] (as [Ranges.of_list]
+   takes them), materialised as keys in walk order. *)
+let btree_walk tree ~key_len ~lo ~hi triples =
+  let out = ref [] in
+  Btree.iter_range_slices tree ~lo ~hi ~ranges:Cddpd_storage.Ranges.none (fun buf pos ->
+      if
+        List.for_all
+          (fun (off, lo, hi) ->
+            let v = Int64.to_int (Bytes.get_int64_le buf (pos + off)) in
+            lo <= v && v <= hi)
+          triples
+      then
+        out :=
+          Array.init key_len (fun j -> Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))))
+          :: !out);
   List.rev !out
 
 (* -- index builds ------------------------------------------------------------ *)

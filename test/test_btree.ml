@@ -292,6 +292,242 @@ let slices_agree_prop =
             :: !via_slices);
       List.filter (fun k -> k.(1) >= 10 && k.(1) <= 20) via_arrays = List.rev !via_slices)
 
+(* -- leaf synopses -------------------------------------------------------------- *)
+
+module Ranges = Cddpd_storage.Ranges
+module Synopsis = Cddpd_storage.Synopsis
+
+(* One triple of a walk, resolved against the live keys when the walk
+   runs: on key component [comp], [shift] bytes past its aligned offset
+   (so some triples read across two components, which no synopsis
+   decides), at a literal, at the value a live entry holds there, at the
+   value an entry the batch just inserted holds there (so a leaf whose
+   synopsis an earlier walk built must have dropped it), or at a value
+   that shares a held value's synopsis bit; [width] 0 is an equality. *)
+type bound = Lit of int | Held of int | Fresh of int | Collide of int
+type triple = { comp : int; shift : int; bound : bound; width : int }
+
+(* The key range of a walk: the whole tree (an index-only scan), the
+   entries whose component 0 equals a live entry's (a covering seek's
+   fixed prefix), or a span of component 0. *)
+type span = Whole | Prefix of int | Span of int * int
+
+(* Writes between walks: an insert, the deletion of the k-th live key,
+   and the deletion of every key whose component 0 lies in a span, which
+   empties whole leaves. *)
+type op = Ins of int array | Del of int | Del_span of int * int
+
+type synopsis_case = {
+  key_len : int;
+  bulk : bool;
+  init : int array list;
+  batches : (op list * (span * triple list) list) list;
+}
+
+(* Component 0 is a key column with few values (the spans and prefixes
+   walk it); a later key column has many, so a leaf holds few of them and
+   its synopsis can exclude the rest; the last two play an index entry's
+   rid (page, slot). *)
+let entry_gen key_len =
+  QCheck.Gen.(
+    map Array.of_list
+      (flatten_l
+         (List.init key_len (fun j ->
+              if j = 0 then int_bound 11
+              else if j < key_len - 2 then int_bound 999
+              else if j = key_len - 2 then int_bound 299
+              else int_bound 99))))
+
+let synopsis_case_gen =
+  QCheck.Gen.(
+    int_range 3 4 >>= fun key_len ->
+    let triple =
+      map4
+        (fun comp shift bound width ->
+          { comp; shift = (if comp = key_len - 1 then 0 else shift); bound; width })
+        (int_bound (key_len - 1))
+        (frequency [ (4, return 0); (1, return 3) ])
+        (frequency
+           [
+             (1, map (fun v -> Lit v) (int_range (-1) 100));
+             (3, map (fun k -> Held k) nat);
+             (2, map (fun k -> Fresh k) nat);
+             (3, map (fun k -> Collide k) nat);
+           ])
+        (frequency [ (6, return 0); (1, return 1); (1, return 5) ])
+    in
+    let span =
+      frequency
+        [
+          (3, return Whole);
+          (1, map (fun k -> Prefix k) nat);
+          (1, map2 (fun a b -> Span (a, b)) (int_bound 11) (int_bound 11));
+        ]
+    in
+    let op =
+      frequency
+        [
+          (6, map (fun e -> Ins e) (entry_gen key_len));
+          (3, map (fun k -> Del k) nat);
+          (1, map2 (fun a w -> Del_span (a, a + w)) (int_bound 11) (int_bound 2));
+        ]
+    in
+    let batch = pair (list_size (int_bound 60) op) (list_size (int_range 1 3) (pair span (list_size (int_range 1 3) triple))) in
+    map3
+      (fun bulk init batches -> { key_len; bulk; init; batches })
+      bool
+      (list_size (int_bound 700) (entry_gen key_len))
+      (list_size (int_range 1 4) batch))
+
+let print_synopsis_case c =
+  let bound = function
+    | Lit v -> string_of_int v
+    | Held k -> Printf.sprintf "held%d" k
+    | Fresh k -> Printf.sprintf "fresh%d" k
+    | Collide k -> Printf.sprintf "collide%d" k
+  in
+  let span = function
+    | Whole -> "whole"
+    | Prefix k -> Printf.sprintf "prefix%d" k
+    | Span (a, b) -> Printf.sprintf "span%d-%d" a b
+  in
+  Printf.sprintf "key_len %d, %s %d keys; %s" c.key_len
+    (if c.bulk then "bulk-loaded" else "inserted")
+    (List.length c.init)
+    (String.concat "; "
+       (List.map
+          (fun (ops, walks) ->
+            Printf.sprintf "%d ops, walks [%s]" (List.length ops)
+              (String.concat ", "
+                 (List.map
+                    (fun (s, triples) ->
+                      span s ^ " "
+                      ^ String.concat " "
+                          (List.map
+                             (fun t ->
+                               Printf.sprintf "(c%d+%d %s w%d)" t.comp t.shift (bound t.bound) t.width)
+                             triples))
+                    walks)))
+          c.batches))
+
+(* The 64-bit integer a walk reads at byte [off] of the entry [key]. *)
+let raw_at key off =
+  let buf = Bytes.create (8 * Array.length key) in
+  Array.iteri (fun j v -> Bytes.set_int64_le buf (8 * j) (Int64.of_int v)) key;
+  Int64.to_int (Bytes.get_int64_le buf off)
+
+let colliding ~key v =
+  let bit = Synopsis.bit ~key v in
+  let rec search u = if Synopsis.bit ~key u = bit then u else search (u + 1) in
+  search (v + 1)
+
+let synopsis_walk_prop =
+  QCheck.Test.make ~name:"leaf synopsis walk = naive walk" ~count:300
+    (QCheck.make ~print:print_synopsis_case synopsis_case_gen)
+    (fun c ->
+      let key_len = c.key_len in
+      let unique = Key_set.elements (Key_set.of_list (List.map Array.copy c.init)) in
+      let twin () =
+        let disk = Disk.create () in
+        let pool = Buffer_pool.create ~capacity:6 disk in
+        let tree =
+          if c.bulk then Btree.bulk_load pool ~key_len (Array.of_list unique)
+          else begin
+            let tree = Btree.create pool ~key_len in
+            List.iter (Btree.insert tree) c.init;
+            tree
+          end
+        in
+        (disk, pool, tree)
+      in
+      let disk_a, pool_a, tree_a = twin () and disk_b, pool_b, tree_b = twin () in
+      let live = ref (Key_set.of_list unique) in
+      let nth k =
+        match Key_set.elements !live with [] -> None | l -> Some (List.nth l (k mod List.length l))
+      in
+      let fresh = ref [] in
+      let apply op =
+        let delete key =
+          ignore (Btree.delete tree_a key);
+          ignore (Btree.delete tree_b key);
+          live := Key_set.remove key !live
+        in
+        match op with
+        | Ins key ->
+            Btree.insert tree_a key;
+            Btree.insert tree_b key;
+            fresh := key :: !fresh;
+            live := Key_set.add key !live
+        | Del k -> Option.iter delete (nth k)
+        | Del_span (a, b) -> Key_set.iter (fun key -> if key.(0) >= a && key.(0) <= b then delete key) !live
+      in
+      let resolve t =
+        let off = (8 * t.comp) + t.shift in
+        let held k = match nth k with Some key -> raw_at key off | None -> 0 in
+        let lo =
+          match t.bound with
+          | Lit v -> v
+          | Held k -> held k
+          | Fresh k -> (
+              match !fresh with [] -> held k | l -> raw_at (List.nth l (k mod List.length l)) off)
+          | Collide k -> colliding ~key:t.comp (held k)
+        in
+        (off, lo, lo + t.width)
+      in
+      let bounds span =
+        let lo = Array.make key_len min_int and hi = Array.make key_len max_int in
+        (match span with
+        | Whole -> ()
+        | Prefix k ->
+            let v = match nth k with Some key -> key.(0) | None -> 0 in
+            lo.(0) <- v;
+            hi.(0) <- v
+        | Span (a, b) ->
+            lo.(0) <- min a b;
+            hi.(0) <- max a b);
+        (lo, hi)
+      in
+      let deltas pool disk f =
+        let before = Buffer_pool.stats pool and reads = Disk.reads disk in
+        let result = f () in
+        let after = Buffer_pool.stats pool in
+        ( result,
+          Buffer_pool.
+            ( after.hits - before.hits,
+              after.misses - before.misses,
+              after.evictions - before.evictions ),
+          Disk.reads disk - reads )
+      in
+      let walk (span, specs) =
+        let lo, hi = bounds span and triples = List.map resolve specs in
+        let got, stats_a, reads_a =
+          deltas pool_a disk_a (fun () ->
+              let out = ref [] in
+              Btree.iter_range_slices tree_a ~lo ~hi ~ranges:(Ranges.of_list triples) (fun buf pos ->
+                  out :=
+                    Array.init key_len (fun j -> Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))))
+                    :: !out);
+              List.rev !out)
+        in
+        let naive, stats_b, reads_b =
+          deltas pool_b disk_b (fun () -> Naive.btree_walk tree_b ~key_len ~lo ~hi triples)
+        in
+        let model =
+          List.filter
+            (fun key ->
+              compare lo key <= 0 && compare key hi <= 0
+              && List.for_all (fun (off, l, h) -> let v = raw_at key off in l <= v && v <= h) triples)
+            (Key_set.elements !live)
+        in
+        got = naive && naive = model && stats_a = stats_b && reads_a = reads_b
+      in
+      List.for_all
+        (fun (ops, walks) ->
+          fresh := [];
+          List.iter apply ops;
+          List.for_all walk walks)
+        c.batches)
+
 let () =
   Alcotest.run "btree"
     [
@@ -322,5 +558,6 @@ let () =
           QCheck_alcotest.to_alcotest range_matches_set_prop;
           QCheck_alcotest.to_alcotest bulk_load_equals_inserts_prop;
           QCheck_alcotest.to_alcotest slices_agree_prop;
+          QCheck_alcotest.to_alcotest synopsis_walk_prop;
         ] );
     ]

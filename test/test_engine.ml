@@ -1340,6 +1340,63 @@ let test_int_edge_bounds () =
       ("probe > max_int", Filter.interval Ast.Gt max_int);
     ]
 
+(* An index-only equality scan of I(a,b) for [b = 7], where [b] holds
+   i / 100 for the 2,000 entries: the walk fetches every leaf once after
+   its descent, and skips the entry loop of each leaf whose synopsis
+   excludes 7 (at most the one or two leaves holding b = 7, plus a hash
+   collision or two, run theirs).  The same walk with a non-equality
+   range fetches the same pages and skips nothing. *)
+let test_index_only_leaves_skipped () =
+  let pool = Cddpd_storage.Buffer_pool.create ~capacity:64 (Cddpd_storage.Disk.create ()) in
+  let n = 2000 in
+  let rows = Array.init n (fun i -> [| Tuple.Int i; Tuple.Int (i / 100); Tuple.Int 0; Tuple.Int 0 |]) in
+  let rids = Array.init n (fun i -> { Cddpd_storage.Heap_file.page = i / 50; slot = i mod 50 }) in
+  let built = Cddpd_engine.Index.build_of_rows pool paper_schema (index [ "a"; "b" ]) ~rows ~rids in
+  let fetched = Cddpd_obs.Registry.counter "btree.leaves_fetched"
+  and skipped = Cddpd_obs.Registry.counter "btree.leaves_skipped" in
+  let scan where =
+    let filter = Filter.compile (Cddpd_engine.Index.layout built) where in
+    let accesses () =
+      let s = Cddpd_storage.Buffer_pool.stats pool in
+      s.Cddpd_storage.Buffer_pool.hits + s.Cddpd_storage.Buffer_pool.misses
+    in
+    let a0 = accesses () and f0 = Cddpd_obs.Counter.value fetched
+    and s0 = Cddpd_obs.Counter.value skipped in
+    let matches = ref 0 in
+    Cddpd_obs.Registry.with_enabled (fun () ->
+        Cddpd_engine.Index.probe_slices built
+          (Cddpd_engine.Index.bounds built Filter.unbounded)
+          ~ranges:(Filter.ranges filter)
+          (fun buf pos -> if Filter.residual filter buf pos then incr matches));
+    ( !matches,
+      accesses () - a0,
+      Cddpd_obs.Counter.value fetched - f0,
+      Cddpd_obs.Counter.value skipped - s0 )
+  in
+  let height = Cddpd_engine.Index.height built in
+  let b_eq = [ Ast.Cmp { column = "b"; op = Ast.Eq; value = Tuple.Int 7 } ] in
+  let matches, pages, leaves, skipped_leaves = scan b_eq in
+  Alcotest.(check int) "matches" 100 matches;
+  Alcotest.(check int) "every leaf fetched once after the descent" (pages - height) leaves;
+  Alcotest.(check bool)
+    (Printf.sprintf "all but a few of %d leaves skipped (%d)" leaves skipped_leaves)
+    true
+    (skipped_leaves >= leaves - 4 && skipped_leaves <= leaves - 1);
+  Alcotest.(check (list int)) "a second scan reads the memoized synopses alike"
+    [ matches; pages; leaves; skipped_leaves ]
+    (let m, p, l, k = scan b_eq in
+     [ m; p; l; k ]);
+  let m, p, l, k =
+    scan
+      [
+        Ast.Cmp { column = "b"; op = Ast.Ge; value = Tuple.Int 7 };
+        Ast.Cmp { column = "b"; op = Ast.Le; value = Tuple.Int 7 };
+      ]
+  in
+  Alcotest.(check (list int)) "a range is no equality: same pages, nothing skipped"
+    [ matches; pages; leaves; 0 ]
+    [ m; p; l; k ]
+
 (* The scan kernels allocate nothing per row or entry: a 5,000-row full
    scan and a 5,000-entry index-only scan, each under a selective
    two-predicate filter (so the result rows are few), each allocate less
@@ -1772,6 +1829,8 @@ let () =
           QCheck_alcotest.to_alcotest prepared_matches_fresh_prop;
           Alcotest.test_case "int edge bounds" `Quick test_int_edge_bounds;
           Alcotest.test_case "scan kernels allocate nothing per row" `Quick test_scan_allocation;
+          Alcotest.test_case "index-only equality scan skips leaves" `Quick
+            test_index_only_leaves_skipped;
           Alcotest.test_case "prepared seek allocation bounded" `Quick
             test_prepared_seek_allocation;
         ] );

@@ -80,17 +80,48 @@ let test_figure3_shapes () =
   Alcotest.(check bool) "W3 worst case for unconstrained" true
     (w3.Figure3.relative_unconstrained > w2.Figure3.relative_unconstrained)
 
+(* Figure 4's shapes, read from the solvers' deterministic work counters
+   rather than wall-clock seconds: the k-aware DP relaxes more layered
+   edges at k = 18 than at k = 2, and more at k = 2 than the plain
+   sequence graph has stage edges; merging's work at k = 18 stays below
+   twice its work at k = 2; and the constrained optimum's cost never
+   rises with k. *)
 let test_figure4_shapes () =
   let s = Lazy.force session in
-  let result = Figure4.run ~ks:[ 2; 10; 18 ] ~repeats:8 s in
-  let point k = List.find (fun p -> p.Figure4.k = k) result.Figure4.points in
-  (* k-aware grows with k; merging does not grow with k. *)
-  Alcotest.(check bool) "k-aware grows" true
-    ((point 18).Figure4.kaware_seconds > (point 2).Figure4.kaware_seconds);
+  let problem = s.Session.problem_w1 in
+  let graph = Cddpd_core.Problem.to_graph problem in
+  let counted counter f =
+    let c = Cddpd_obs.Registry.counter counter in
+    let before = Cddpd_obs.Counter.value c in
+    Cddpd_obs.Registry.with_enabled (fun () -> ignore (f ()));
+    Cddpd_obs.Counter.value c - before
+  in
+  (* The (k+1)-layer graph itself: the DP with no bound to prune by. *)
+  let edges k =
+    counted "advisor.kaware.edges_relaxed" (fun () ->
+        Cddpd_graph.Kaware.solve graph ~k
+          ~initial:(Cddpd_core.Problem.initial_for_counting problem))
+  in
+  let candidates k =
+    counted "advisor.merging.candidates_evaluated" (fun () ->
+        Cddpd_core.Optimizer.solve problem ~method_name:Solution.Merging ~k ())
+  in
+  (* The plain sequence graph's stage edges, each relaxed once by the
+     unconstrained shortest path. *)
+  let n = graph.Cddpd_graph.Staged_dag.n_nodes in
+  let unconstrained_edges = (graph.Cddpd_graph.Staged_dag.n_stages - 1) * n * n in
+  Alcotest.(check bool) "k-aware grows" true (edges 18 > edges 2);
   Alcotest.(check bool) "k-aware costs more than unconstrained" true
-    ((point 2).Figure4.kaware_relative > 1.0);
+    (edges 2 > unconstrained_edges);
   Alcotest.(check bool) "merging does not blow up with k" true
-    ((point 18).Figure4.merging_seconds < 2.0 *. (point 2).Figure4.merging_seconds)
+    (candidates 18 < 2 * candidates 2);
+  let result = Figure4.run ~ks:[ 2; 10; 18 ] ~repeats:1 s in
+  let rec nonincreasing = function
+    | a :: (b :: _ as rest) -> a >= b && nonincreasing rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "constrained cost non-increasing in k" true
+    (nonincreasing (List.map (fun p -> p.Figure4.kaware_cost) result.Figure4.points))
 
 let test_updates () =
   let s = Lazy.force session in

@@ -633,8 +633,8 @@ let raw_at tuple off =
   if off + 8 <= Bytes.length buf then Int64.to_int (Bytes.get_int64_le buf off) else 0
 
 let colliding ~field v =
-  let bit = Heap_file.synopsis_bit ~field v in
-  let rec search u = if Heap_file.synopsis_bit ~field u = bit then u else search (u + 1) in
+  let bit = Cddpd_storage.Synopsis.bit ~key:field v in
+  let rec search u = if Cddpd_storage.Synopsis.bit ~key:field u = bit then u else search (u + 1) in
   search (v + 1)
 
 let synopsis_scan_prop =
