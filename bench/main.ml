@@ -166,30 +166,63 @@ let memoized_micro ?(prepared = false) db ~path sql =
   | Some _ | None -> failwith ("micro: unexpected access path for " ^ sql));
   run
 
-(* I(a,b) built on the writes table: the median of a fixed number of
-   builds, timed by hand rather than by Bechamel, because every build
-   allocates its tree's pages on the simulated disk, which never reclaims
-   them — a time-bounded sampler would grow the disk without bound.  Each
-   build is dropped again before the next. *)
+(* Index builds in the serve benchmark's two deployment shapes, each the
+   median of a fixed number of [Database.migrate_to] runs, timed by hand
+   rather than by Bechamel, because every build allocates its tree's
+   pages on the simulated disk, which never reclaims them — a
+   time-bounded sampler would grow the disk without bound.  Each build is
+   dropped again before the next.  [storage/index-build/writes] builds
+   I(a,b) on the writes table (5,000 rows, 52 heap pages, 24 frames, so
+   the scan misses); [storage/index-build/drift] builds I(a) on drift's
+   8-column table (20,000 rows of values below 50,000, 4,096 frames).
+   One more build, counted, gives the disk pages each build allocates. *)
 let index_build_runs = 31
 
-let time_index_build () =
+type index_build = { ib_name : string; ib_ns : float; ib_pages : int }
+
+let time_index_build ~name db columns =
   let module Database = Cddpd_engine.Database in
-  let db = writes_micro_db ~indexes:[] () in
   let with_index =
-    Cddpd_catalog.Design.add (Cddpd_catalog.Index_def.make ~table:"t" ~columns:[ "a"; "b" ])
+    Cddpd_catalog.Design.add (Cddpd_catalog.Index_def.make ~table:"t" ~columns)
       Cddpd_catalog.Design.empty
   in
-  let times =
-    Array.init index_build_runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        Database.migrate_to db with_index;
-        let dt = Unix.gettimeofday () -. t0 in
-        Database.migrate_to db Cddpd_catalog.Design.empty;
-        dt)
+  let build () =
+    let t0 = Unix.gettimeofday () in
+    Database.migrate_to db with_index;
+    let dt = Unix.gettimeofday () -. t0 in
+    Database.migrate_to db Cddpd_catalog.Design.empty;
+    dt
   in
+  let times = Array.init index_build_runs (fun _ -> build ()) in
   Array.sort Float.compare times;
-  1e9 *. times.(index_build_runs / 2)
+  let allocated = Obs.Registry.counter "disk.pages_allocated" in
+  let before = Obs.Counter.value allocated in
+  Obs.Registry.with_enabled (fun () -> ignore (build ()));
+  {
+    ib_name = name;
+    ib_ns = 1e9 *. times.(index_build_runs / 2);
+    ib_pages = Obs.Counter.value allocated - before;
+  }
+
+let index_builds () =
+  let drift_db =
+    let schema =
+      Cddpd_catalog.Schema.table "t"
+        (List.map
+           (fun c -> (c, Cddpd_catalog.Schema.Int_type))
+           [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])
+    in
+    let db = Cddpd_engine.Database.create ~pool_capacity:4_096 [ schema ] in
+    Cddpd_engine.Database.load db ~table:"t"
+      (Cddpd_workload.Data_gen.uniform_rows ~columns:8 ~rows:20_000 ~value_range:50_000
+         ~seed:17);
+    db
+  in
+  [
+    time_index_build ~name:"storage/index-build/writes" (writes_micro_db ~indexes:[] ())
+      [ "a"; "b" ];
+    time_index_build ~name:"storage/index-build/drift" drift_db [ "a" ];
+  ]
 
 (* One warm continuous re-optimization in the shape of the serve
    benchmark's drift workload: a 4-window history of 250-statement
@@ -556,6 +589,7 @@ let micro (session : Session.t) =
                 done));
       ]
   in
+  let builds = index_builds () in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
   let ols =
@@ -572,7 +606,7 @@ let micro (session : Session.t) =
         in
         (name, ns) :: acc)
       results
-      [ ("cddpd/engine/index-build", time_index_build ()) ]
+      (List.map (fun b -> ("cddpd/" ^ b.ib_name, b.ib_ns)) builds)
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let table =
@@ -590,6 +624,11 @@ let micro (session : Session.t) =
     heap_eq_fetched heap_eq_skipped;
   Printf.printf "storage/index-only-scan: %d leaves fetched, %d leaves skipped per scan\n"
     index_only_fetched index_only_skipped;
+  List.iter
+    (fun b ->
+      Printf.printf "%s: %.1f us per build (median of %d), %d disk pages allocated per build\n"
+        b.ib_name (b.ib_ns /. 1e3) index_build_runs b.ib_pages)
+    builds;
   List.iter
     (fun (name, reuse) ->
       let build_s, close_s = reopt_window_share ~reuse in

@@ -16,11 +16,15 @@ val build :
 (** Scan the heap, sort, and bulk-load the tree.  The scan is the heap
     kernel ({!Cddpd_storage.Heap_file.scan}): each live record's key
     columns are read in place ({!Filter.read_int}), no tuple is decoded,
-    and the keys fill an array sized by the live-tuple count.  The sort packs each key
-    into a single word whenever the observed component ranges fit 62 bits
-    (they essentially always do) and sorts the packed ints monomorphically
-    ({!Cddpd_util.Int_sort}).  Raises [Invalid_argument] if the definition
-    references a missing or non-integer column. *)
+    and the keys fill one flat [int array] sized by the live-tuple count,
+    key after key, with no array per entry.  The sort packs each key into
+    a single word in place whenever the observed component ranges fit 62
+    bits (they essentially always do), radix-sorts the packed words with
+    the rest of the array as scratch ({!Cddpd_util.Int_sort.sort_prefix})
+    and unpacks them in place; wider keys take a comparator sort.  The
+    sorted array is what {!Cddpd_storage.Btree.bulk_load} copies into the
+    leaves.  Raises [Invalid_argument] if the definition references a
+    missing or non-integer column. *)
 
 val build_of_rows :
   Cddpd_storage.Buffer_pool.t ->
@@ -30,7 +34,7 @@ val build_of_rows :
   rids:Cddpd_storage.Heap_file.rid array ->
   t
 (** Like {!build}, but over an in-memory batch of (row, rid) pairs instead
-    of a heap scan — the bulk-load fast path for a table whose heap holds
+    of a heap scan (the keys go into the same flat array) — the bulk-load fast path for a table whose heap holds
     exactly these rows.  The caller is responsible for that invariant;
     rows already in the heap but absent from the batch are simply missing
     from the tree.  Raises [Invalid_argument] on length mismatch or a bad

@@ -163,7 +163,9 @@ type t = {
   on_window : window_report -> unit;
   buf : Ast.statement array;
   buf_keys : Cost_key.id array;  (* feed-time cost keys; [no_key] for deferred DML *)
-  buf_gens : int array;  (* statistics generation each key was computed under; -1 = deferred *)
+  buf_stats : Table_stats.t array;  (* each key's feed-time snapshot; [no_stats] for deferred DML *)
+  mutable snapshot_gen : int;  (* the statistics generation [snapshot] belongs to; -1 = none yet *)
+  mutable snapshot : Table_stats.t;
   parse_cache : (Database.prepared, Cost_key.id) Template.t;
   intern : Cost_key.id Cost_key.Id_tbl.t;  (* one shared id per distinct cost key *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
@@ -184,8 +186,11 @@ type t = {
   mutable rollbacks : int;
 }
 
-(* The key slot of a DML statement until window close keys it. *)
+(* The key slot of a DML statement until window close keys it, and its
+   snapshot slot, told apart physically. *)
 let no_key = Cost_key.id ""
+
+let no_stats = Table_stats.make ~row_count:0 ~page_count:0 ~histograms:[]
 
 let create ?(on_window = fun _ -> ()) db cfg =
   if cfg.window <= 0 then invalid_arg "Server.create: window must be positive";
@@ -201,7 +206,9 @@ let create ?(on_window = fun _ -> ()) db cfg =
     on_window;
     buf = Array.make cfg.window (Ast.Select { projection = Ast.Star; table = cfg.table; where = [] });
     buf_keys = Array.make cfg.window no_key;
-    buf_gens = Array.make cfg.window (-1);
+    buf_stats = Array.make cfg.window no_stats;
+    snapshot_gen = -1;
+    snapshot = no_stats;
     parse_cache = Template.create ();
     intern = Cost_key.Id_tbl.create 256;
     window_started_s = 0.0;
@@ -243,28 +250,32 @@ let intern t key =
       Cost_key.Id_tbl.add t.intern id id;
       id
 
+(* The served table's statistics snapshot of generation [gen]: a
+   generation has at most one snapshot, so it is fetched once per
+   generation.  (Lazy materialization inside [table_stats] never bumps
+   the generation, so reading the generation first is safe.) *)
+let snapshot t gen =
+  if gen <> t.snapshot_gen then begin
+    t.snapshot <- Database.table_stats t.db t.cfg.table;
+    t.snapshot_gen <- gen
+  end;
+  t.snapshot
+
 (* Feed-time half of the one-pass cost-identity pipeline: key a read-only
-   statement under the served table's *current* statistics, tagged with
-   the statistics generation so window close can prove the key is the one
-   its own pass would compute.  A cached text reuses its tag while the
-   generation matches — the common case, since only DML moves it.  (Lazy
-   materialization inside [table_stats] never bumps the generation, so
-   reading the generation first is safe.) *)
+   statement under the served table's *current* statistics, returned
+   with that snapshot so window close can prove the key is the one its
+   own pass would compute.  A cached text reuses its tag while the
+   generation matches — the common case, since only DML moves it. *)
 let feed_key t entry statement =
   let gen = Database.stats_generation t.db t.cfg.table in
-  let compute () =
-    let stats = Database.table_stats t.db t.cfg.table in
-    intern t (Cost_key.statement stats statement)
-  in
+  let stats = snapshot t gen in
   match (entry : (_, Cost_key.id) Template.entry option) with
-  | Some entry -> (
-      match entry.Template.cost_tag with
-      | Some (g, key) when g = gen -> (key, gen)
-      | _ ->
-          let key = compute () in
-          entry.Template.cost_tag <- Some (gen, key);
-          (key, gen))
-  | None -> (compute (), gen)
+  | Some { Template.cost_tag = Some (g, key); _ } when g = gen -> (key, stats)
+  | Some entry ->
+      let key = intern t (Cost_key.statement stats statement) in
+      entry.Template.cost_tag <- Some (gen, key);
+      (key, stats)
+  | None -> (intern t (Cost_key.statement stats statement), stats)
 
 (* Carry a history window's keys to the snapshot [stats]: a key is kept
    when [Cost_key.same_inputs], prepared once for the window's snapshot
@@ -435,7 +446,7 @@ let reoptimize_reactive t window =
     Deployed { design; projection = None; build_io }
   end
 
-let close_window t window fed_keys fed_gens =
+let close_window t window fed_keys fed_stats =
   Obs.Span.with_span "serve.window" @@ fun () ->
   (if t.window_started_s > 0.0 then begin
      let elapsed = Obs.Span.now_s () -. t.window_started_s in
@@ -448,20 +459,31 @@ let close_window t window fed_keys fed_gens =
   let served_design = Database.current_design t.db in
   let measured_io = t.window_io in
   let stats = Database.table_stats t.db t.cfg.table in
-  let gen = Database.stats_generation t.db t.cfg.table in
   (* Close-time half of the one-pass cost-identity pipeline: a key fed
-     under the current statistics generation *is* the key this pass would
-     compute — the snapshot is physically the same object — so it rides
-     through untouched.  Anything older (fed before mid-window DML) or
-     deferred (DML itself) is keyed here.  The keys feed drift detection
-     and the incremental problem build. *)
+     under the current snapshot *is* the key this pass would compute, so
+     it rides through untouched.  A key fed under an older snapshot
+     (before mid-window DML) is kept too when [Cost_key.same_inputs],
+     prepared once per snapshot pair, proves it unchanged, the rule
+     [rekey] applies to the history; the rest, and every deferred DML
+     statement, is keyed here.  The keys feed drift detection and the
+     incremental problem build. *)
   let keys =
-    if Array.for_all (fun g -> g = gen) fed_gens then fed_keys
+    if Array.for_all (fun was -> was == stats) fed_stats then fed_keys
     else
       Obs.Span.with_span "serve.close_keys" @@ fun () ->
+      let proof = ref (no_stats, fun _ -> false) in
+      let unchanged was statement =
+        was != no_stats
+        && begin
+             if fst !proof != was then proof := (was, Cost_key.same_inputs ~was ~now:stats);
+             snd !proof statement
+           end
+      in
       Array.mapi
         (fun i s ->
-          if fed_gens.(i) = gen then fed_keys.(i) else intern t (Cost_key.statement stats s))
+          let was = fed_stats.(i) in
+          if was == stats || unchanged was s then fed_keys.(i)
+          else intern t (Cost_key.statement stats s))
         window
   in
   let clustering, profile =
@@ -552,7 +574,7 @@ let feed_statement t ~plan_memo ?entry prepared statement =
   (* Key read-only statements now; defer DML to window close — keying DML
      here would force a histogram rebuild that its own execution is about
      to invalidate. *)
-  let key, gen = if read_only then feed_key t entry statement else (no_key, -1) in
+  let key, stats = if read_only then feed_key t entry statement else (no_key, no_stats) in
   (* The plan memo only understands keys computed under the statement's
      own table's statistics; serve keys everything under the served table
      (the drift convention), so only that table's reads pass one. *)
@@ -568,14 +590,14 @@ let feed_statement t ~plan_memo ?entry prepared statement =
   Obs.Counter.incr m_statements;
   t.buf.(t.fill) <- statement;
   t.buf_keys.(t.fill) <- key;
-  t.buf_gens.(t.fill) <- gen;
+  t.buf_stats.(t.fill) <- stats;
   t.fill <- t.fill + 1;
   if t.fill = t.cfg.window then begin
     let window = Array.sub t.buf 0 t.fill in
     let keys = Array.sub t.buf_keys 0 t.fill in
-    let gens = Array.sub t.buf_gens 0 t.fill in
+    let snapshots = Array.sub t.buf_stats 0 t.fill in
     t.fill <- 0;
-    Some (close_window t window keys gens)
+    Some (close_window t window keys snapshots)
   end
   else None
 

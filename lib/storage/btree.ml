@@ -86,14 +86,20 @@ let compare_key t a b =
   in
   go 0
 
-(* Unchecked little-endian reads for the search and the leaf walk.  Each
-   node's key run is bounds-checked once ([check_run]) before any key in
-   it is read, and a searched key never outgrows its slot, so no read
-   leaves the page. *)
+(* Unchecked little-endian reads for the search and the leaf walk, and
+   writes for the bulk load.  Each node's key run is bounds-checked once
+   ([check_run]) before any key in it is read or written, and a searched
+   key never outgrows its slot, so no access leaves the page. *)
 external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let i64 buf i = Int64.to_int (if Sys.big_endian then swap64 (get64u buf i) else get64u buf i)
+
+let set_i64 buf i v =
+  let v = Int64.of_int v in
+  set64u buf i (if Sys.big_endian then swap64 v else v)
 
 let check_run buf ~first ~stride n =
   if first + (n * stride) > Bytes.length buf then invalid_arg "Btree: node overruns its page"
@@ -475,17 +481,22 @@ let iter_all t f =
 
 (* -- bulk loading --------------------------------------------------------- *)
 
+(* Whether the flat key at [b] is above the one at [a], compared in place
+   from component [j] on. *)
+let rec flat_ascending (keys : int array) ~key_len a b j =
+  j < key_len
+  &&
+  let x = Array.unsafe_get keys (a + j) and y = Array.unsafe_get keys (b + j) in
+  x < y || (x = y && flat_ascending keys ~key_len a b (j + 1))
+
 let bulk_load pool ~key_len keys =
   check_key_len key_len;
   let t = empty pool ~key_len in
-  let n = Array.length keys in
-  Array.iter
-    (fun key ->
-      if Array.length key <> key_len then
-        invalid_arg "Btree.bulk_load: key has the wrong number of components")
-    keys;
+  if Array.length keys mod key_len <> 0 then
+    invalid_arg "Btree.bulk_load: key has the wrong number of components";
+  let n = Array.length keys / key_len in
   for i = 1 to n - 1 do
-    if compare_key t keys.(i - 1) keys.(i) >= 0 then
+    if not (flat_ascending keys ~key_len ((i - 1) * key_len) (i * key_len) 0) then
       invalid_arg "Btree.bulk_load: keys must be sorted and unique"
   done;
   if n = 0 then begin
@@ -496,7 +507,9 @@ let bulk_load pool ~key_len keys =
   end
   else begin
     let fill cap = max 1 (cap * 9 / 10) in
-    (* Build the leaf level; collect (first_key, pid) per leaf. *)
+    (* Build the leaf level; collect (first_key, pid) per leaf.  A leaf's
+       entries are its run of the flat array, word for word: the run is
+       bounds-checked once, then copied without further checks. *)
     let per_leaf = fill (leaf_capacity t) in
     let leaves = ref [] in
     let prev_handle = ref None in
@@ -505,8 +518,11 @@ let bulk_load pool ~key_len keys =
       let count = min per_leaf (n - !i) in
       let handle = alloc_node t ~kind:kind_leaf in
       let page = Buffer_pool.page handle in
-      for j = 0 to count - 1 do
-        write_key t page (leaf_key_pos t j) keys.(!i + j)
+      let buf = Page.to_bytes page in
+      check_run buf ~first:header ~stride:(key_bytes t) count;
+      let src = !i * key_len in
+      for w = 0 to (count * key_len) - 1 do
+        set_i64 buf (header + (8 * w)) (Array.unsafe_get keys (src + w))
       done;
       set_node_n page count;
       (match !prev_handle with
@@ -515,7 +531,7 @@ let bulk_load pool ~key_len keys =
           Buffer_pool.unpin pool prev
       | None -> ());
       prev_handle := Some handle;
-      leaves := (keys.(!i), Buffer_pool.page_id handle) :: !leaves;
+      leaves := (Array.sub keys src key_len, Buffer_pool.page_id handle) :: !leaves;
       i := !i + count
     done;
     (match !prev_handle with Some prev -> Buffer_pool.unpin pool prev | None -> ());

@@ -18,11 +18,16 @@ val create : Buffer_pool.t -> key_len:int -> t
 (** An empty tree whose keys have [key_len] components.  Raises
     [Invalid_argument] if [key_len] is not in [\[1, 16\]]. *)
 
-val bulk_load : Buffer_pool.t -> key_len:int -> int array array -> t
-(** [bulk_load pool ~key_len keys] builds a tree from [keys], which must be
-    sorted (lexicographically) and duplicate-free; raises
-    [Invalid_argument] otherwise.  Leaves are packed to a 90% fill
-    factor. *)
+val bulk_load : Buffer_pool.t -> key_len:int -> int array -> t
+(** [bulk_load pool ~key_len keys] builds a tree from flat [keys]: key [i]
+    is [keys.(i * key_len) .. keys.(i * key_len + key_len - 1)], so the
+    array holds [Array.length keys / key_len] keys.  They must be sorted
+    (lexicographically) and duplicate-free.  Raises [Invalid_argument] if
+    [key_len] is not in [\[1, 16\]], if the length is not a multiple of
+    [key_len], or if the keys are not strictly ascending.  Leaves are
+    packed to a 90% fill factor, each leaf's entries copied from its run
+    of [keys] as they are laid out on the page; nothing is allocated per
+    key. *)
 
 val insert : t -> int array -> unit
 (** Insert a key; inserting an existing key is a no-op.  Raises

@@ -1,14 +1,23 @@
 (** Monomorphic sorting of [int array]s.
 
-    [Array.sort] pays an indirect comparator call per comparison (and, as
-    a heapsort, makes about twice as many comparisons as a merge sort).
-    This merge sort compares unboxed ints inline, which is ~4x faster —
-    the difference between the index bulk-load path being a win or a wash
-    at 100k rows. *)
+    [Array.sort] pays an indirect comparator call per comparison.  This
+    is an LSD radix sort over the bits on which the values differ: two
+    counting passes, then one stable scatter per 8-bit digit (an
+    insertion sort below 33 elements).  Packed index keys sort in four or
+    five scatters, with no comparison at all — the bulk-load path of
+    every index build. *)
 
 val sort : int array -> unit
 (** Sort ascending, in place.  Allocates one scratch array of the same
-    length; not stable (irrelevant for ints). *)
+    length and a digit-count table of at most 2,048 words (neither below
+    33 elements). *)
+
+val sort_prefix : int array -> int -> unit
+(** [sort_prefix a n] sorts [a.(0) .. a.(n-1)] ascending, in place.  When
+    [a] holds at least [2 * n] elements, [a.(n) .. a.(2n-1)] are the
+    scratch space and are left unspecified; otherwise a scratch array of
+    length [n] is allocated.  Elements from [2 * n] on are untouched.
+    Raises [Invalid_argument] unless [0 <= n <= Array.length a]. *)
 
 val runs : int array -> int array * int array
 (** [runs sorted] run-length encodes an ascending array: the strictly

@@ -323,7 +323,7 @@ let index_build pool schema heap columns =
       keys := Array.of_list (values @ [ rid.Heap_file.page; rid.Heap_file.slot ]) :: !keys);
   let keys = Array.of_list !keys in
   Array.sort (fun a b -> List.compare Int.compare (Array.to_list a) (Array.to_list b)) keys;
-  Btree.bulk_load pool ~key_len:(List.length positions + 2) keys
+  Btree.bulk_load pool ~key_len:(List.length positions + 2) (Array.concat (Array.to_list keys))
 
 (* -- cost keys ---------------------------------------------------------------- *)
 

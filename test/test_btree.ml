@@ -132,10 +132,13 @@ let test_delete_heavy () =
     if Btree.mem tree [| i |] <> expected then Alcotest.failf "key %d wrong" i
   done
 
+(* [Btree.bulk_load]'s flat layout: the keys one after another. *)
+let flat keys = Array.concat (Array.to_list keys)
+
 let test_bulk_load_roundtrip () =
   let n = 30_000 in
   let keys = Array.init n (fun i -> [| i / 100; i mod 100; i |]) in
-  let tree = Btree.bulk_load (make_pool ~capacity:2048 ()) ~key_len:3 keys in
+  let tree = Btree.bulk_load (make_pool ~capacity:2048 ()) ~key_len:3 (flat keys) in
   Alcotest.(check int) "count" n (Btree.n_entries tree);
   Alcotest.(check bool) "first" true (Btree.mem tree keys.(0));
   Alcotest.(check bool) "middle" true (Btree.mem tree keys.(n / 2));
@@ -153,13 +156,24 @@ let test_bulk_load_empty () =
 
 let test_bulk_load_unsorted_rejected () =
   Alcotest.(check bool) "unsorted rejected" true
-    (match Btree.bulk_load (make_pool ()) ~key_len:1 [| [| 2 |]; [| 1 |] |] with
+    (match Btree.bulk_load (make_pool ()) ~key_len:1 [| 2; 1 |] with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  let rejected ~key_len keys =
+    match Btree.bulk_load (make_pool ()) ~key_len keys with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "duplicate rejected" true (rejected ~key_len:2 [| 1; 2; 1; 2 |]);
+  Alcotest.(check bool) "later component out of order rejected" true
+    (rejected ~key_len:2 [| 1; 3; 1; 2 |]);
+  Alcotest.(check bool) "length not a multiple of key_len rejected" true
+    (rejected ~key_len:2 [| 1; 2; 3 |]);
+  Alcotest.(check bool) "key_len 0 rejected" true (rejected ~key_len:0 [||])
 
 let test_bulk_load_then_insert () =
   let keys = Array.init 1000 (fun i -> [| i * 2 |]) in
-  let tree = Btree.bulk_load (make_pool ()) ~key_len:1 keys in
+  let tree = Btree.bulk_load (make_pool ()) ~key_len:1 (flat keys) in
   for i = 0 to 999 do
     Btree.insert tree [| (i * 2) + 1 |]
   done;
@@ -263,7 +277,7 @@ let bulk_load_equals_inserts_prop =
     (fun keys ->
       let unique = Key_set.elements (Key_set.of_list (List.map Array.copy keys)) in
       let loaded =
-        Btree.bulk_load (make_pool ()) ~key_len:2 (Array.of_list unique)
+        Btree.bulk_load (make_pool ()) ~key_len:2 (flat (Array.of_list unique))
       in
       let inserted = Btree.create (make_pool ()) ~key_len:2 in
       List.iter (Btree.insert inserted) unique;
@@ -431,7 +445,7 @@ let synopsis_walk_prop =
         let disk = Disk.create () in
         let pool = Buffer_pool.create ~capacity:6 disk in
         let tree =
-          if c.bulk then Btree.bulk_load pool ~key_len (Array.of_list unique)
+          if c.bulk then Btree.bulk_load pool ~key_len (flat (Array.of_list unique))
           else begin
             let tree = Btree.create pool ~key_len in
             List.iter (Btree.insert tree) c.init;

@@ -833,6 +833,135 @@ let test_index_build_matches_naive () =
       Alcotest.(check int) (label ^ ": build I/O") naive_io built_io)
     [ ("all-int", paper_schema, [ "c"; "a" ]); ("text-first", text_schema, [ "b"; "a" ]) ]
 
+(* [Index.build] and the bulk-load path [Database.load] takes on an empty
+   heap ([Index.build_of_rows], over the rows and the rids just assigned)
+   against the naive build, on random heaps: 1-3 key columns of the
+   all-integer table or of the text-first one, deleted slots (for the
+   heap scan; the bulk-load path only sees fresh heaps), a pool often
+   smaller than the heap, and per column narrow, signed or full-width
+   values.  Narrow values pack and take the radix sort (or the insertion
+   sort on 32 keys or fewer), full-width ones overflow the packed word
+   and take the comparator sort.  Both builds give the naive entries in
+   the same order, the same height, and allocate the same pages; the
+   heap scan reads the same pages as the naive build, the bulk-load path
+   the same pages but the heap's. *)
+type build_case = {
+  bc_text : bool;
+  bc_columns : string list;
+  bc_rows : int array array;  (* the values of a, b and c *)
+  bc_delete_every : int;  (* 0: none; k: every row i with i mod k = 1 *)
+  bc_capacity : int;
+}
+
+let gen_build_case =
+  let open QCheck.Gen in
+  let column_values =
+    oneofl
+      [
+        int_range 0 3;
+        int_range (-1_000) 1_000;
+        frequency [ (3, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ];
+      ]
+  in
+  let* bc_text = bool in
+  let* bc_columns =
+    oneofl [ [ "a" ]; [ "c" ]; [ "b"; "a" ]; [ "a"; "c" ]; [ "c"; "a"; "b" ]; [ "a"; "b"; "c" ] ]
+  in
+  let* ga = column_values and* gb = column_values and* gc = column_values in
+  let* n = frequency [ (1, int_range 0 32); (3, int_range 33 700) ] in
+  let* bc_rows = array_repeat n (map3 (fun a b c -> [| a; b; c |]) ga gb gc) in
+  let* bc_delete_every = oneofl [ 0; 0; 2; 7 ] in
+  let* bc_capacity = int_range 2 6 in
+  return { bc_text; bc_columns; bc_rows; bc_delete_every; bc_capacity }
+
+let print_build_case c =
+  Printf.sprintf "%s table, I(%s), %d rows, delete every %d, %d frames: %s"
+    (if c.bc_text then "text-first" else "all-int")
+    (String.concat "," c.bc_columns) (Array.length c.bc_rows) c.bc_delete_every c.bc_capacity
+    (String.concat " "
+       (Array.to_list
+          (Array.map (fun r -> Printf.sprintf "(%d,%d,%d)" r.(0) r.(1) r.(2)) c.bc_rows)))
+
+let build_case_tuple c i v =
+  let a = Tuple.Int v.(0) and b = Tuple.Int v.(1) and c' = Tuple.Int v.(2) in
+  if c.bc_text then [| Tuple.Text (String.make (i mod 13) 'x'); a; b; c' |]
+  else [| a; b; c'; Tuple.Int (i mod 5) |]
+
+(* Logical I/O, pages allocated and the result of [f] on [pool]/[disk]. *)
+let build_measured pool disk f =
+  let accesses () =
+    let s = Cddpd_storage.Buffer_pool.stats pool in
+    s.Cddpd_storage.Buffer_pool.hits + s.Cddpd_storage.Buffer_pool.misses
+  in
+  let io = accesses () and pages = Cddpd_storage.Disk.n_pages disk in
+  let x = f () in
+  (x, accesses () - io, Cddpd_storage.Disk.n_pages disk - pages)
+
+let index_entries built key_len =
+  let entries = ref [] in
+  Cddpd_engine.Index.probe_slices built
+    (Cddpd_engine.Index.bounds built Filter.unbounded)
+    ~ranges:Cddpd_storage.Ranges.none
+    (fun buf pos ->
+      entries :=
+        Array.init key_len (fun j -> Int64.to_int (Bytes.get_int64_le buf (pos + (8 * j))))
+        :: !entries);
+  List.rev !entries
+
+let tree_entries tree =
+  let entries = ref [] in
+  Cddpd_storage.Btree.iter_all tree (fun key -> entries := Array.copy key :: !entries);
+  List.rev !entries
+
+let index_build_naive_prop =
+  QCheck.Test.make ~name:"index builds = naive build (random heaps)" ~count:80
+    (QCheck.make ~print:print_build_case gen_build_case)
+    (fun c ->
+      let schema = if c.bc_text then text_schema else paper_schema in
+      let key_len = List.length c.bc_columns + 2 in
+      let fresh_heap () =
+        let disk = Cddpd_storage.Disk.create () in
+        let pool = Cddpd_storage.Buffer_pool.create ~capacity:c.bc_capacity disk in
+        let heap = Cddpd_storage.Heap_file.create pool in
+        let rows = Array.mapi (build_case_tuple c) c.bc_rows in
+        let rids = Array.map (Cddpd_storage.Heap_file.insert heap) rows in
+        (disk, pool, heap, rows, rids)
+      in
+      let agree label (built, built_io, built_pages) (naive, naive_io, naive_pages) ~heap_io =
+        let fail what = QCheck.Test.fail_reportf "%s: %s differ from the naive build" label what in
+        if index_entries built key_len <> tree_entries naive then fail "entries";
+        if Cddpd_engine.Index.height built <> Cddpd_storage.Btree.height naive then fail "heights";
+        if built_io + heap_io <> naive_io then fail "logical I/O";
+        if built_pages <> naive_pages then fail "pages allocated";
+        true
+      in
+      (* The heap scan, over a heap with deleted slots. *)
+      let disk, pool, heap, _, rids = fresh_heap () in
+      if c.bc_delete_every > 0 then
+        Array.iteri
+          (fun i rid ->
+            if i mod c.bc_delete_every = 1 then ignore (Cddpd_storage.Heap_file.delete heap rid))
+          rids;
+      let scanned =
+        build_measured pool disk (fun () ->
+            Cddpd_engine.Index.build pool schema heap (index c.bc_columns))
+      in
+      let naive =
+        build_measured pool disk (fun () -> Naive.index_build pool schema heap c.bc_columns)
+      in
+      agree "Index.build" scanned naive ~heap_io:0
+      &&
+      (* The bulk-load path, over the rows of a fresh heap and their rids. *)
+      let disk, pool, heap, rows, rids = fresh_heap () in
+      let loaded =
+        build_measured pool disk (fun () ->
+            Cddpd_engine.Index.build_of_rows pool schema (index c.bc_columns) ~rows ~rids)
+      in
+      let naive =
+        build_measured pool disk (fun () -> Naive.index_build pool schema heap c.bc_columns)
+      in
+      agree "Index.build_of_rows" loaded naive ~heap_io:(Cddpd_storage.Heap_file.n_pages heap))
+
 let edge_literals = [ min_int; min_int + 1; -1; 0; oracle_value_range; max_int - 1; max_int ]
 
 let gen_int_literal =
@@ -1893,5 +2022,6 @@ let () =
           Alcotest.test_case "build idempotent" `Quick test_build_index_idempotent;
           Alcotest.test_case "text key rejected" `Quick test_index_on_text_rejected;
           Alcotest.test_case "index build matches naive" `Quick test_index_build_matches_naive;
+          QCheck_alcotest.to_alcotest index_build_naive_prop;
         ] );
     ]

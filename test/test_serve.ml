@@ -553,6 +553,49 @@ let feed_sql_equals_feed_prop =
       && plan.Cddpd_engine.Plan_cache.hits = 0
       && plan.Cddpd_engine.Plan_cache.misses = 0)
 
+(* Window close keeps a read's feed-time key when [Cost_key.same_inputs]
+   proves the snapshot it was keyed under gives the same key as the
+   snapshot at close, and re-keys the rest.  A kept key that is stale
+   would move the window's profile: on random streams, with INSERT,
+   UPDATE and DELETE mid-window, every reported drift equals the
+   distance between naive profiles, each window keyed again from scratch
+   under the snapshot at its close. *)
+let close_keys_prop =
+  QCheck.Test.make ~name:"close-time keys = keys from scratch (random streams)" ~count:30
+    random_stream (fun s ->
+      let db = make_db () in
+      let server = Server.create db (serve_config ~regime:s.s_regime ~window:s.s_window ()) in
+      let fed = ref [] and previous = ref None in
+      Array.iter
+        (fun sql ->
+          match Server.feed_sql server sql with
+          | Error _ -> ()
+          | Ok closed -> (
+              fed := Parser.parse_exn sql :: !fed;
+              match closed with
+              | None -> ()
+              | Some report ->
+                  let window = Array.of_list (List.rev !fed) in
+                  fed := [];
+                  let profile =
+                    Naive.drift_profile ~stats:(Database.table_stats db "t") window
+                  in
+                  let expected = Option.map (fun p -> Drift.distance p profile) !previous in
+                  previous := Some profile;
+                  let same =
+                    match (expected, report.Server.drift) with
+                    | None, None -> true
+                    | Some e, Some d -> Naive.same_bits e d
+                    | Some _, None | None, Some _ -> false
+                  in
+                  if not same then
+                    QCheck.Test.fail_reportf "window %d: drift %s, from scratch %s"
+                      report.Server.index
+                      (Option.fold ~none:"none" ~some:string_of_float report.Server.drift)
+                      (Option.fold ~none:"none" ~some:string_of_float expected)))
+        s.s_texts;
+      true)
+
 (* A text keeps a prepared statement from its second execution on: one
    fed once leaves its entry's [prepared] empty, one fed twice or more
    holds a handle.  The stream drifts, so handles meet deployments and
@@ -938,6 +981,7 @@ let () =
           Alcotest.test_case "feed skips an unknown column" `Quick
             test_serve_feed_rejects_unknown_column;
           QCheck_alcotest.to_alcotest feed_sql_equals_feed_prop;
+          QCheck_alcotest.to_alcotest close_keys_prop;
           Alcotest.test_case "prepared from the second feed" `Quick
             test_serve_prepared_on_second_feed;
         ] );

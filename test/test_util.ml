@@ -1,5 +1,5 @@
 (* Unit and property tests for Cddpd_util: Rng, Stats, Text_table,
-   Timer, Parallel, Json. *)
+   Timer, Parallel, Json, Int_sort. *)
 
 module Rng = Cddpd_util.Rng
 module Stats = Cddpd_util.Stats
@@ -7,6 +7,7 @@ module Text_table = Cddpd_util.Text_table
 module Timer = Cddpd_util.Timer
 module Parallel = Cddpd_util.Parallel
 module Json = Cddpd_util.Json
+module Int_sort = Cddpd_util.Int_sort
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -324,6 +325,62 @@ let test_json_diff_names_every_leaf () =
   Alcotest.(check string) "count of the rest" "... and 5 more differing leaves"
     (List.nth moved 20)
 
+(* -- Int_sort ----------------------------------------------------------- *)
+
+(* Values from four classes, so every path of the sort runs: a handful of
+   equal values (no differing bit), a narrow span (one digit), the
+   signed middle of the range (the sign bit differs), and any int,
+   [min_int] and [max_int] included (all 63 bits differ).  Lengths cross
+   the insertion-sort cut-off. *)
+let gen_sort_input =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (2, int_range 5 7);
+          (3, int_range 0 300);
+          (3, int_range (-100_000) 100_000);
+          (2, int);
+          (2, oneofl [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]);
+        ]
+    in
+    array_size (int_range 0 300) value)
+
+let print_ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
+
+let sorted_reference a =
+  let r = Array.copy a in
+  Array.sort compare r;
+  r
+
+let int_sort_prop =
+  QCheck.Test.make ~name:"Int_sort.sort = Array.sort compare" ~count:500
+    (QCheck.make ~print:print_ints gen_sort_input)
+    (fun a ->
+      let r = Array.copy a in
+      Int_sort.sort r;
+      r = sorted_reference a)
+
+(* [sort_prefix a n] sorts the first [n] elements only, with or without
+   room for its scratch space after them. *)
+let int_sort_prefix_prop =
+  QCheck.Test.make ~name:"Int_sort.sort_prefix sorts the prefix" ~count:300
+    (QCheck.make
+       ~print:(fun (a, extra) -> Printf.sprintf "%s / %d more" (print_ints a) extra)
+       QCheck.Gen.(pair gen_sort_input (int_range 0 400)))
+    (fun (a, extra) ->
+      let n = Array.length a in
+      let r = Array.append a (Array.make extra 17) in
+      Int_sort.sort_prefix r n;
+      Array.sub r 0 n = sorted_reference a
+      && (2 * n <= Array.length r || Array.sub r n extra = Array.make extra 17))
+
+let test_int_sort_prefix_rejects () =
+  Alcotest.check_raises "negative" (Invalid_argument "Int_sort.sort_prefix: length out of range")
+    (fun () -> Int_sort.sort_prefix [| 1 |] (-1));
+  Alcotest.check_raises "too long" (Invalid_argument "Int_sort.sort_prefix: length out of range")
+    (fun () -> Int_sort.sort_prefix [| 1 |] 2)
+
 let () =
   Alcotest.run "util"
     [
@@ -379,5 +436,11 @@ let () =
           Alcotest.test_case "exception propagates" `Quick
             test_parallel_exception_propagates;
           QCheck_alcotest.to_alcotest parallel_sum_matches_sequential_prop;
+        ] );
+      ( "int_sort",
+        [
+          QCheck_alcotest.to_alcotest int_sort_prop;
+          QCheck_alcotest.to_alcotest int_sort_prefix_prop;
+          Alcotest.test_case "sort_prefix length checked" `Quick test_int_sort_prefix_rejects;
         ] );
     ]
