@@ -148,8 +148,9 @@ let writes_micro_db ?(schema = Setup.schema) ~indexes () =
 
 (* [sql] through [Database.execute] with its plan memoized, as serve runs
    a text's first execution, or with [prepared] through one prepared
-   statement, as serve runs a repeated text; fails unless the plan's
-   access path satisfies [path]. *)
+   statement and the database's id for its key ([Database.cost_id]), as
+   serve runs a repeated text; fails unless the plan's access path
+   satisfies [path]. *)
 let memoized_micro ?(prepared = false) db ~path sql =
   let module Database = Cddpd_engine.Database in
   let statement = Cddpd_sql.Parser.parse_exn sql in
@@ -157,7 +158,7 @@ let memoized_micro ?(prepared = false) db ~path sql =
   let run =
     if prepared then
       let handle = Database.prepare statement in
-      let statement_key = Cddpd_engine.Cost_key.id statement_key in
+      let statement_key = Database.cost_id db statement_key in
       fun () -> Database.run ~statement_key db handle
     else fun () -> Database.execute ~statement_key ~skip_check:true db statement
   in
@@ -2152,7 +2153,6 @@ let serve_json (scratch, incr, clusters) =
    both arms pay identically), and the gate is the ratio of ingest
    statements/s, floor [ingest_min_ratio]. *)
 
-module Plan_cache = Cddpd_engine.Plan_cache
 module Template = Cddpd_sql.Template
 
 let ingest_rows = 3_000
@@ -2247,7 +2247,7 @@ type ingest_arm = {
   in_trans_io : int;
   in_report_digest : string;  (** the final report's counters, bit-precise *)
   in_template : Template.stats option;  (** [None] on the reference arm *)
-  in_plan : Plan_cache.stats;
+  in_plan : Cddpd_engine.Database.plan_memo_stats;
 }
 
 (* The fast arm feeds raw text; the reference arm parses each text from
@@ -2294,7 +2294,7 @@ let ingest_run_arm ~fast trace =
     in_trans_io = report.Server.trans_logical_io;
     in_report_digest = report_digest;
     in_template = (if fast then Some (Server.template_stats server) else None);
-    in_plan = Cddpd_engine.Database.plan_cache_stats db;
+    in_plan = Cddpd_engine.Database.plan_memo_stats db;
   }
 
 let ingest_rate arm =
@@ -2355,8 +2355,8 @@ let ingest_suite () =
   | None -> ());
   Printf.printf
     "plan memo: %d hits, %d misses, %d invalidations\n%!"
-    fast.in_plan.Plan_cache.hits fast.in_plan.Plan_cache.misses
-    fast.in_plan.Plan_cache.invalidations;
+    fast.in_plan.Cddpd_engine.Database.hits fast.in_plan.Cddpd_engine.Database.misses
+    fast.in_plan.Cddpd_engine.Database.invalidations;
   Printf.printf
     "\ningest throughput ratio: %.1fx (floor %.0fx), windows and report \
      bit-identical\n%!"
@@ -2393,10 +2393,10 @@ let ingest_json (reference, fast, ratio) =
         ( "plan_cache",
           Json.Object
             [
-              ("hits", Json.int a.in_plan.Plan_cache.hits);
-              ("misses", Json.int a.in_plan.Plan_cache.misses);
-              ("invalidations", Json.int a.in_plan.Plan_cache.invalidations);
-              ("entries", Json.int a.in_plan.Plan_cache.entries);
+              ("hits", Json.int a.in_plan.Cddpd_engine.Database.hits);
+              ("misses", Json.int a.in_plan.Cddpd_engine.Database.misses);
+              ("invalidations", Json.int a.in_plan.Cddpd_engine.Database.invalidations);
+              ("entries", Json.int a.in_plan.Cddpd_engine.Database.entries);
             ] );
       ]
   in

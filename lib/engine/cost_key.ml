@@ -95,9 +95,18 @@ let statement stats stmt =
       add_preds where);
   Buffer.contents buf
 
-type id = { key : string; hash : int }
+(* A mutable cell, so every stamp is a distinct block. *)
+type stamp = unit ref
 
-let id key = { key; hash = Hashtbl.hash key }
+let stamp () = ref ()
+
+type memo = No_plan | Plan of { stamp : stamp; plan : Plan.t }
+
+type id = { key : string; hash : int; mutable memo : memo }
+
+let id key = { key; hash = Hashtbl.hash key; memo = No_plan }
+
+let remember id stamp plan = id.memo <- Plan { stamp; plan }
 
 (* Equality is the full key: the stored hash only rejects unequal keys
    early, and an interned id meets itself physically. *)

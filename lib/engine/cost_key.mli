@@ -57,15 +57,38 @@ val statement : Table_stats.t -> Cddpd_sql.Ast.statement -> string
     the full key ({!id_equal}), so every soundness argument above holds
     for ids unchanged: the hash is never taken as the key. *)
 
+type stamp
+(** A design fence: {!Database} holds one stamp per deployed design and
+    replaces it on every structure change.  Stamps are compared
+    physically, so no two databases, and no two designs of one
+    database, share one. *)
+
+val stamp : unit -> stamp
+(** A stamp no id holds yet. *)
+
+(** An id's plan slot: the plan chosen for its key, and the stamp of the
+    design it was chosen under. *)
+type memo = No_plan | Plan of { stamp : stamp; plan : Plan.t }
+
 type id = private {
   key : string;  (** the {!statement} key *)
   hash : int;  (** [Hashtbl.hash key] *)
+  mutable memo : memo;
+      (** the plan-choice memo: a plan stored under the running design's
+          stamp is the plan a fresh [Cost_model.choose_plan] would make
+          for any statement with this key, because the key names every
+          cost input but the design, and the stamp names the design *)
 }
 
 val id : string -> id
-(** [id key] hashes [key] once.  Serve makes one id per computed key and
-    shares it ({!Cddpd_serve.Server}), so equal keys are usually the same
-    id physically. *)
+(** [id key] hashes [key] once, with an empty plan slot.  The database
+    makes one id per distinct key and shares it ({!Database.cost_id}),
+    so equal keys are usually the same id physically, and so share one
+    plan slot. *)
+
+val remember : id -> stamp -> Plan.t -> unit
+(** Store the plan chosen under the design [stamp] names, replacing the
+    slot's previous plan. *)
 
 val id_equal : id -> id -> bool
 (** Physical equality, or equal hashes and equal keys. *)

@@ -15,6 +15,9 @@ let m_migrations = Obs.Registry.counter "database.migrations"
 let m_structures_built = Obs.Registry.counter "database.structures_built"
 let m_structures_dropped = Obs.Registry.counter "database.structures_dropped"
 let m_stats_refreshes = Obs.Registry.counter "database.stats_refreshes"
+let m_plan_hits = Obs.Registry.counter "plan_cache.hits"
+let m_plan_misses = Obs.Registry.counter "plan_cache.misses"
+let m_plan_invalidations = Obs.Registry.counter "plan_cache.invalidations"
 
 (* An integer column's tuple position and the multiset of its values,
    maintained by every heap mutation. *)
@@ -39,7 +42,12 @@ type t = {
   table_order : string list;
   mutable design_memo : Design.t option;
       (* deployed design, dropped on any structure change *)
-  plan_cache : Plan_cache.t;
+  ids : Cost_key.id Cost_key.Id_tbl.t;  (* one shared id per distinct cost key *)
+  mutable stamp : Cost_key.stamp;  (* the deployed design's plan fence *)
+  mutable plan_hits : int;
+  mutable plan_misses : int;
+  mutable plan_invalidations : int;
+  mutable plans_stored : int;  (* under [stamp] *)
 }
 
 let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_params)
@@ -85,7 +93,12 @@ let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_param
     tables;
     table_order = List.map (fun (s : Schema.table) -> s.Schema.name) schemas;
     design_memo = None;
-    plan_cache = Plan_cache.create ();
+    ids = Cost_key.Id_tbl.create 256;
+    stamp = Cost_key.stamp ();
+    plan_hits = 0;
+    plan_misses = 0;
+    plan_invalidations = 0;
+    plans_stored = 0;
   }
 
 let params t = t.params
@@ -236,13 +249,19 @@ let current_design t =
       t.design_memo <- Some design;
       design
 
-(* Every actual structure change drops the design memo and flushes the
-   plan memo.  The flush is the plan memo's design fence: its keys name
-   the statement only, so a plan chosen under the old design must not
-   survive into the new one. *)
+(* Every actual structure change drops the design memo and replaces the
+   design stamp.  The stamp is the plan memo's design fence: keys name
+   the statement only, so a plan stored under the old stamp no longer
+   hits.  The fence counts as an invalidation when a plan was stored
+   under the stamp it retires. *)
 let design_changed t =
   t.design_memo <- None;
-  Plan_cache.invalidate t.plan_cache
+  if t.plans_stored > 0 then begin
+    t.plan_invalidations <- t.plan_invalidations + 1;
+    Obs.Counter.incr m_plan_invalidations;
+    t.plans_stored <- 0
+  end;
+  t.stamp <- Cost_key.stamp ()
 
 let build_index t def =
   let state = table_state t (Index_def.table def) in
@@ -608,28 +627,56 @@ let runnable t (statement : Ast.statement) (plan : Plan.t) =
       Cost_model.agg_scan_plan t.params (table_stats t table) ~group_by
   | _, (Plan.Full_scan | Plan.Index_seek _ | Plan.Index_only_scan _ | Plan.View_probe _) -> plan
 
+(* One id per distinct cost key, so equal keys share one plan slot.
+   Bounded; a reset only costs the sharing, never correctness. *)
+let id_capacity = 16_384
+
+let cost_id t key =
+  let id = Cost_key.id key in
+  match Cost_key.Id_tbl.find_opt t.ids id with
+  | Some shared -> shared
+  | None ->
+      if Cost_key.Id_tbl.length t.ids >= id_capacity then Cost_key.Id_tbl.reset t.ids;
+      Cost_key.Id_tbl.add t.ids id id;
+      id
+
 (* Plan-choice memo, engaged only when the caller passes the statement's
-   cost-identity key (serve's ingest fast path).  The key is self-fencing
-   against statistics churn and [design_changed] flushes the memo on every
-   structure change — see {!Plan_cache} — so a hit is the bit-identical
-   plan a fresh choice would make: plans carry no literal, and execution
-   takes the statement's own through {!Filter.seek}.  A hit counts the
-   plan that runs ([Plan.count_choice]), as the planner counts its own. *)
+   cost id (serve's ingest fast path): the id's plan slot, read with no
+   table lookup.  The key is self-fencing against statistics churn, and a
+   plan hits only under the stamp of the design it was chosen under, which
+   [design_changed] replaces, so a hit is the bit-identical plan a fresh
+   choice would make: plans carry no literal, and execution takes the
+   statement's own through {!Filter.seek}.  The stamp is this database's,
+   so an id run against another database misses.  A hit counts the plan
+   that runs ([Plan.count_choice]), as the planner counts its own. *)
 let read_plan t ~statement_key statement =
   match statement_key with
   | None -> fresh_plan t statement
-  | Some key -> (
-      match Plan_cache.find t.plan_cache key with
-      | Some plan ->
+  | Some (id : Cost_key.id) -> (
+      match id.Cost_key.memo with
+      | Cost_key.Plan { stamp; plan } when stamp == t.stamp ->
+          t.plan_hits <- t.plan_hits + 1;
+          Obs.Counter.incr m_plan_hits;
           let plan = runnable t statement plan in
           Plan.count_choice plan;
           plan
-      | None ->
+      | Cost_key.Plan _ | Cost_key.No_plan ->
+          t.plan_misses <- t.plan_misses + 1;
+          Obs.Counter.incr m_plan_misses;
           let plan = fresh_plan t statement in
-          Plan_cache.store t.plan_cache key plan;
+          Cost_key.remember id t.stamp plan;
+          t.plans_stored <- t.plans_stored + 1;
           plan)
 
-let plan_cache_stats t = Plan_cache.stats t.plan_cache
+type plan_memo_stats = { hits : int; misses : int; invalidations : int; entries : int }
+
+let plan_memo_stats t =
+  {
+    hits = t.plan_hits;
+    misses = t.plan_misses;
+    invalidations = t.plan_invalidations;
+    entries = t.plans_stored;
+  }
 
 let run ?statement_key t p =
   let logical_before = pool_accesses t in
@@ -664,7 +711,7 @@ let run ?statement_key t p =
 
 let execute ?statement_key ?(skip_check = false) t statement =
   if not skip_check then Check.statement_exn (tables t) statement;
-  run ?statement_key:(Option.map Cost_key.id statement_key) t (prepare statement)
+  run ?statement_key:(Option.map (cost_id t) statement_key) t (prepare statement)
 
 let execute_sql t sql = execute t (Parser.parse_exn sql)
 

@@ -108,18 +108,32 @@ type prepared
     layout it was compiled against (a table's heap records or one index
     build's entries), so a handle never applies a compile made for
     another heap or index: after a migration, or on another database, it
-    recompiles.  Plan choice is not part of the handle; it stays with the
-    plan-choice memo.  A handle is single-domain. *)
+    recompiles.  Plan choice is not part of the handle: it is memoized on
+    the statement's cost id ({!cost_id}), which every text with the same
+    cost identity shares, a text first seen included.  A handle is
+    single-domain. *)
 
 val prepare : Cddpd_sql.Ast.statement -> prepared
 (** A handle that has compiled nothing yet (no validation either). *)
 
+val cost_id : t -> string -> Cost_key.id
+(** The database's one id for a {!Cost_key.statement} key: equal keys
+    get the physically same id, hashed once, and so share one plan slot
+    ({!Cost_key.memo}).  The table holds at most 16,384 ids and resets on
+    overflow, which costs only the sharing: an id made before the reset
+    keeps its slot. *)
+
 val run : ?statement_key:Cost_key.id -> t -> prepared -> exec_result
 (** Plan and run the handle's statement, compiling what the chosen plan
-    needs on first use against each layout.  [statement_key] is as for
-    {!execute}, already hashed ({!Cost_key.id}): serve hashes each key
-    once, when it computes it, and passes that id on every execution.
-    No semantic validation: the statement must already have passed
+    needs on first use against each layout.  [statement_key] engages the
+    plan-choice memo for SELECT and aggregate statements, as for
+    {!execute}: the plan comes from the id's slot when it was stored
+    under this database's current design stamp (no table lookup), and is
+    chosen fresh and stored there otherwise.  Every design change
+    replaces the stamp, and the stamp is this database's own, so an id
+    run against two databases never returns the other's plan.  Serve
+    passes the id {!cost_id} gave when it computed the key.  No semantic
+    validation: the statement must already have passed
     {!Check.statement} against this database's schema.  Rows, plan and
     I/O equal a fresh {!execute}'s. *)
 
@@ -131,7 +145,7 @@ val execute :
     [statement_key] engages the plan-choice memo for SELECT and aggregate
     statements: it should be [Cost_key.statement] of this statement under
     the table's *current* statistics (see {!stats_generation}); it is
-    hashed once per call ({!Cost_key.id}) and passed to {!run}.  A memo
+    looked up once per call ({!cost_id}) and passed to {!run}.  A memo
     hit skips {!Cost_model.choose_plan} and runs the bit-identical plan;
     plans hold no literal, and the executor takes the seek interval and
     a view probe's group value from this statement ({!Filter.seek}), so
@@ -150,8 +164,15 @@ val execute :
     only pass [true] for a statement that already passed it against an
     unchanged schema, as serve's template cache does. *)
 
-val plan_cache_stats : t -> Plan_cache.stats
-(** Hit/miss/invalidation counters of the plan-choice memo. *)
+type plan_memo_stats = {
+  hits : int;  (** keyed plan choices answered from the id's slot *)
+  misses : int;  (** keyed plan choices that ran the planner and stored its plan *)
+  invalidations : int;  (** design changes that retired a stamp some plan was stored under *)
+  entries : int;  (** plans stored under the current design stamp *)
+}
+
+val plan_memo_stats : t -> plan_memo_stats
+(** The plan-choice memo's counters, also published as [plan_cache.*]. *)
 
 val execute_sql : t -> string -> exec_result
 (** Parse then {!execute}.  Raises [Cddpd_sql.Parser.Parse_error] or

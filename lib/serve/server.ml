@@ -167,7 +167,6 @@ type t = {
   mutable snapshot_gen : int;  (* the statistics generation [snapshot] belongs to; -1 = none yet *)
   mutable snapshot : Table_stats.t;
   parse_cache : (Database.prepared, Cost_key.id) Template.t;
-  intern : Cost_key.id Cost_key.Id_tbl.t;  (* one shared id per distinct cost key *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
   mutable fill : int;
   mutable window_index : int;
@@ -210,7 +209,6 @@ let create ?(on_window = fun _ -> ()) db cfg =
     snapshot_gen = -1;
     snapshot = no_stats;
     parse_cache = Template.create ();
-    intern = Cost_key.Id_tbl.create 256;
     window_started_s = 0.0;
     fill = 0;
     window_index = 0;
@@ -235,20 +233,11 @@ let template_stats t = Template.stats t.parse_cache
 
 let statement_cache t = t.parse_cache
 
-(* Every computed cost key becomes an id here, hashed once; equal keys
-   share one id physically, so every later table lookup and clustering
-   pass reads the stored hash and compares ids with one [==].  Bounded; a
-   reset only costs the sharing, never correctness. *)
-let intern_capacity = 16_384
-
-let intern t key =
-  let id = Cost_key.id key in
-  match Cost_key.Id_tbl.find_opt t.intern id with
-  | Some shared -> shared
-  | None ->
-      if Cost_key.Id_tbl.length t.intern >= intern_capacity then Cost_key.Id_tbl.reset t.intern;
-      Cost_key.Id_tbl.add t.intern id id;
-      id
+(* Every computed cost key becomes the database's id for it, hashed
+   once; equal keys share one id physically, so every later clustering
+   pass reads the stored hash and compares ids with one [==], and a read
+   finds its memoized plan on the id itself. *)
+let cost_id t stats statement = Database.cost_id t.db (Cost_key.statement stats statement)
 
 (* The served table's statistics snapshot of generation [gen]: a
    generation has at most one snapshot, so it is fetched once per
@@ -272,10 +261,10 @@ let feed_key t entry statement =
   match (entry : (_, Cost_key.id) Template.entry option) with
   | Some { Template.cost_tag = Some (g, key); _ } when g = gen -> (key, stats)
   | Some entry ->
-      let key = intern t (Cost_key.statement stats statement) in
+      let key = cost_id t stats statement in
       entry.Template.cost_tag <- Some (gen, key);
       (key, stats)
-  | None -> (intern t (Cost_key.statement stats statement), stats)
+  | None -> (cost_id t stats statement, stats)
 
 (* Carry a history window's keys to the snapshot [stats]: a key is kept
    when [Cost_key.same_inputs], prepared once for the window's snapshot
@@ -285,7 +274,7 @@ let rekey t ~stats h =
     let same = Cost_key.same_inputs ~was:h.h_stats ~now:stats in
     Array.iteri
       (fun i statement ->
-        if not (same statement) then h.h_keys.(i) <- intern t (Cost_key.statement stats statement))
+        if not (same statement) then h.h_keys.(i) <- cost_id t stats statement)
       h.h_statements;
     h.h_stats <- stats
   end
@@ -483,7 +472,7 @@ let close_window t window fed_keys fed_stats =
         (fun i s ->
           let was = fed_stats.(i) in
           if was == stats || unchanged was s then fed_keys.(i)
-          else intern t (Cost_key.statement stats s))
+          else cost_id t stats s)
         window
   in
   let clustering, profile =

@@ -150,10 +150,11 @@ val history_keys : t -> Cddpd_engine.Cost_key.id array option
     {!Cddpd_core.Problem.build}: the history windows' hashed cost-identity
     keys, oldest window first, each [key] equal to
     {!Cddpd_engine.Cost_key.statement} of its statement under the served
-    table's current statistics.  Serve hashes a key once, when it
-    computes it ({!Cddpd_engine.Cost_key.id}), and shares one id among
-    equal keys; the same ids key the plan memo at feed time, the window
-    close's clustering, the build's clustering and the atom memo.  The
+    table's current statistics.  Each id is the database's one id for
+    its key ({!Cddpd_engine.Database.cost_id}), hashed once, when serve
+    computes the key, and shared among equal keys; the same ids carry
+    the plan memo at feed time and key the window close's clustering,
+    the build's clustering and the atom memo.  The
     windows keep the keys computed at close and the snapshot they were
     computed under; this carries them to the current snapshot, re-keying
     only the statements for which {!Cddpd_engine.Cost_key.same_inputs}
@@ -181,7 +182,7 @@ val feed_sql : t -> string -> (window_report option, string) result
     first execution runs on a transient handle, and its second stores the
     handle in the text's cache entry, so a text seen once keeps nothing.
     Plan choice for the served table's reads is memoized on the
-    statement's cost key.  A statement is checked against the schema
+    statement's cost id ({!Cddpd_engine.Database.run}).  A statement is checked against the schema
     before it is keyed or executed.  [Error] carries the parse or check
     error message; nothing was executed or buffered.  Reports equal
     {!feed}'s on the parsed statements, bit for bit. *)

@@ -20,7 +20,6 @@ type stats = { exact_hits : int; misses : int; entries : int }
 
 type ('p, 'k) t = {
   exact : (string, ('p, 'k) entry) Hashtbl.t;
-  capacity : int;
   mutable exact_hits : int;
   mutable misses : int;
 }
@@ -28,10 +27,10 @@ type ('p, 'k) t = {
 let m_hits = Obs.Registry.counter "sql.template_cache.hits"
 let m_misses = Obs.Registry.counter "sql.template_cache.misses"
 
-let default_capacity = 8192
+(* Texts cached at once; overflow resets the table wholesale. *)
+let capacity = 8192
 
-let create ?(capacity = default_capacity) () =
-  { exact = Hashtbl.create 256; capacity = max 16 capacity; exact_hits = 0; misses = 0 }
+let create () = { exact = Hashtbl.create 256; exact_hits = 0; misses = 0 }
 
 let stats t = { exact_hits = t.exact_hits; misses = t.misses; entries = Hashtbl.length t.exact }
 
@@ -50,6 +49,6 @@ let add_exact t text statement =
   (* Wholesale reset on overflow: dropped entries only lose their memo
      slots ([cost_tag], [validated], [prepared]), which are recomputed on
      demand. *)
-  if Hashtbl.length t.exact >= t.capacity then Hashtbl.reset t.exact;
+  if Hashtbl.length t.exact >= capacity then Hashtbl.reset t.exact;
   Hashtbl.replace t.exact text entry;
   entry

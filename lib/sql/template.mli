@@ -37,9 +37,9 @@ type stats = {
 
 type ('p, 'k) t
 
-val create : ?capacity:int -> unit -> ('p, 'k) t
-(** [create ()] makes an empty cache.  [capacity] bounds the table;
-    overflow resets it wholesale (entries are pure memos). *)
+val create : unit -> ('p, 'k) t
+(** [create ()] makes an empty cache of at most 8,192 texts; overflow
+    resets it wholesale (entries are pure memos). *)
 
 val stats : ('p, 'k) t -> stats
 

@@ -623,7 +623,6 @@ let view_maintenance_prop =
 (* -- plan-choice memo --------------------------------------------------------------- *)
 
 module Cost_key = Cddpd_engine.Cost_key
-module Plan_cache = Cddpd_engine.Plan_cache
 
 (* Drive the same statement through two identically-built databases — one
    passing [statement_key] (memo engaged), one never — and demand
@@ -664,15 +663,15 @@ let test_plan_memo_equiv () =
   (* Repeats with fresh literals: a memo hit's plan must seek with the
      statement's own literals, not the first statement's. *)
   queries [ 5; 9; 13; 5; 9 ];
-  let warm = Database.plan_cache_stats memo in
-  Alcotest.(check bool) "memo hits happened" true (warm.Plan_cache.hits > 0);
+  let warm = Database.plan_memo_stats memo in
+  Alcotest.(check bool) "memo hits happened" true (warm.Database.hits > 0);
   (* A design change fences the memo; choices must track the new design. *)
   Database.build_index memo (index [ "a"; "b" ]);
   Database.build_index fresh (index [ "a"; "b" ]);
   queries [ 5; 7; 5 ];
-  let after_design = Database.plan_cache_stats memo in
+  let after_design = Database.plan_memo_stats memo in
   Alcotest.(check bool) "design change invalidated" true
-    (after_design.Plan_cache.invalidations >= 1);
+    (after_design.Database.invalidations >= 1);
   (* DML bumps the statistics generation: keys computed under the new
      snapshot miss the memo and the fresh choices must still agree. *)
   ignore (Database.execute_sql memo "INSERT INTO t VALUES (1, 2, 3, 4)");
@@ -1117,12 +1116,12 @@ let memo_hit_matches_naive db (select : Ast.select) =
   let key s = Cost_key.statement stats (Ast.Select s) in
   let warm = sibling stats select in
   ignore (Database.execute ~statement_key:(key warm) db (Ast.Select warm));
-  let hits = (Database.plan_cache_stats db).Plan_cache.hits in
+  let hits = (Database.plan_memo_stats db).Database.hits in
   let memo = Database.execute ~statement_key:(key select) db (Ast.Select select) in
   let fresh = Database.execute db (Ast.Select select) in
   let path = (Option.get memo.Database.plan).Plan.path in
   String.equal (key warm) (key select)
-  && (Database.plan_cache_stats db).Plan_cache.hits = hits + 1
+  && (Database.plan_memo_stats db).Database.hits = hits + 1
   && memo.Database.plan = fresh.Database.plan
   && memo.Database.logical_io = fresh.Database.logical_io
   && memo.Database.rows = Naive.select db select path
@@ -1218,9 +1217,9 @@ let prepared_designs ~text =
    and are analyzed.  Every run must match the fresh and keyed ones in
    rows, plan and logical I/O, and the naive rows, aggregates too in
    order: groups ascending, whether a view scan or the hash aggregate
-   answered.  Reads through a handle pass their cost key hashed
-   ([Cost_key.id]), as serve does, and the keyed twin passes the key
-   string, so the plan memo is in play on both. *)
+   answered.  Reads through a handle pass the database's id for their
+   cost key ([Database.cost_id]), as serve does, and the keyed twin
+   passes the key string, so the plan memo is in play on both. *)
 let prepared_matches_fresh_prop =
   QCheck.Test.make ~name:"prepared handle = fresh execute" ~count:30
     (QCheck.make ~print:print_oracle_case gen_oracle_case)
@@ -1299,7 +1298,7 @@ let prepared_matches_fresh_prop =
               List.length (Naive.select handled star Plan.Full_scan)
           | Ast.Select _ | Ast.Select_agg _ | Ast.Insert _ -> 0
         in
-        let got = Database.run ?statement_key:(Option.map Cost_key.id key) handled handle in
+        let got = Database.run ?statement_key:(Option.map (Database.cost_id handled) key) handled handle in
         agree statement got (Database.execute fresh statement);
         agree statement got (Database.execute ?statement_key:key keyed statement);
         if got.Database.affected <> victims && not (Ast.is_read_only statement) then
@@ -1385,12 +1384,12 @@ let test_plan_memo_wrong_key () =
         (fun sql ->
           let statement = Cddpd_sql.Parser.parse_exn sql in
           let fresh = Database.execute db statement in
-          let hits = (Database.plan_cache_stats db).Plan_cache.hits in
+          let hits = (Database.plan_memo_stats db).Database.hits in
           let scans = chosen "full_scan" and probes = chosen "view_probe" in
           let result =
             Cddpd_obs.Registry.with_enabled (fun () -> Database.execute ~statement_key db statement)
           in
-          if (Database.plan_cache_stats db).Plan_cache.hits <> hits + 1 then
+          if (Database.plan_memo_stats db).Database.hits <> hits + 1 then
             Alcotest.failf "memo missed for %s" sql;
           (match result.Database.plan with
           | Some { Plan.path = Plan.Full_scan; _ } -> ()
@@ -1415,6 +1414,143 @@ let test_plan_memo_wrong_key () =
           "SELECT c, COUNT(*) FROM t GROUP BY c";
         ] );
     ]
+
+(* The database's ids: an equal key, even a distinct string, gets the
+   physically same id, whose plan slot [execute]'s string key and [run]'s
+   id share. *)
+let test_cost_id_shared () =
+  let db, _ = make_db ~rows:200 () in
+  let statement = Cddpd_sql.Parser.parse_exn "SELECT b FROM t WHERE a = 5" in
+  let key = Cost_key.statement (Database.table_stats db "t") statement in
+  let id = Database.cost_id db key in
+  Alcotest.(check bool) "equal keys, one id" true
+    (id == Database.cost_id db (Bytes.to_string (Bytes.of_string key)));
+  Alcotest.(check bool) "another key, another id" true (id != Database.cost_id db (key ^ "x"));
+  ignore (Database.execute ~statement_key:key db statement);
+  let hits = (Database.plan_memo_stats db).Database.hits in
+  ignore (Database.run ~statement_key:id db (Database.prepare statement));
+  Alcotest.(check int) "run hits the plan execute stored" (hits + 1)
+    (Database.plan_memo_stats db).Database.hits
+
+(* Two databases share one set of ids (the first one's [cost_id]) under
+   random interleavings of keyed reads, DML, [analyze] and migrations to
+   random designs.  Every keyed [run] must equal a fresh [execute] on the
+   same database in plan, rows and logical I/O, and must hit exactly when
+   a model says so: the id's plan was last stored by this database, and
+   no design change came since.  A stamp shared by both databases, or a
+   design change that does not fence, fails here. *)
+type memo_op =
+  | Keyed_read of int * string  (** database, SQL *)
+  | Write of int * string
+  | Analyze of int
+  | Migrate of int * int  (** database, design *)
+
+let memo_designs =
+  [|
+    Design.empty;
+    Design.add (index [ "a" ]) Design.empty;
+    Design.add (index [ "a"; "b" ]) Design.empty;
+    Design.add (index [ "b" ]) Design.empty |> Design.add_view (view "a");
+    Design.add_view (view "a") Design.empty;
+    Design.add (index [ "a"; "b" ]) Design.empty |> Design.add (index [ "c" ]);
+  |]
+
+let gen_memo_ops =
+  let open QCheck.Gen in
+  let literal = oneofl [ 2; 5; 9 ] in
+  let read =
+    oneof
+      [
+        map (Printf.sprintf "SELECT b FROM t WHERE a = %d") literal;
+        map2 (Printf.sprintf "SELECT a, b FROM t WHERE a = %d AND b = %d") literal literal;
+        map (fun v -> Printf.sprintf "SELECT * FROM t WHERE b BETWEEN %d AND %d" v (v + 4)) literal;
+        map (Printf.sprintf "SELECT a FROM t WHERE a > %d") literal;
+        map (Printf.sprintf "SELECT c FROM t WHERE c = %d") literal;
+        map (Printf.sprintf "SELECT a, COUNT(*) FROM t WHERE a = %d GROUP BY a") literal;
+        return "SELECT a, SUM(b) FROM t GROUP BY a";
+      ]
+  in
+  let write =
+    oneof
+      [
+        map2 (Printf.sprintf "INSERT INTO t VALUES (%d, %d, 1, 2)") literal literal;
+        map (Printf.sprintf "DELETE FROM t WHERE c = %d") literal;
+        map2 (Printf.sprintf "UPDATE t SET c = %d WHERE b = %d") literal literal;
+      ]
+  in
+  let op =
+    let* db = int_bound 1 in
+    frequency
+      [
+        (8, map (fun sql -> Keyed_read (db, sql)) read);
+        (1, map (fun sql -> Write (db, sql)) write);
+        (1, return (Analyze db));
+        (2, map (fun d -> Migrate (db, d)) (int_bound (Array.length memo_designs - 1)));
+      ]
+  in
+  list_size (int_range 10 60) op
+
+let print_memo_op = function
+  | Keyed_read (db, sql) -> Printf.sprintf "%d: %s" db sql
+  | Write (db, sql) -> Printf.sprintf "%d: %s" db sql
+  | Analyze db -> Printf.sprintf "%d: ANALYZE" db
+  | Migrate (db, d) -> Printf.sprintf "%d: MIGRATE %s" db (Design.name memo_designs.(d))
+
+let plan_memo_two_databases_prop =
+  QCheck.Test.make ~name:"plan memo on shared ids = fresh execute, two databases" ~count:80
+    (QCheck.make ~print:(QCheck.Print.list print_memo_op) gen_memo_ops)
+    (fun ops ->
+      let dbs = Array.init 2 (fun _ -> fst (make_db ~rows:400 ~value_range:12 ())) in
+      let epochs = Array.make 2 0 and stored = Array.make 2 0 and fences = Array.make 2 0 in
+      (* key -> (database, epoch) of the id's last stored plan *)
+      let model = Hashtbl.create 64 in
+      let check_stats x =
+        let s = Database.plan_memo_stats dbs.(x) in
+        if s.Database.invalidations <> fences.(x) || s.Database.entries <> stored.(x) then
+          QCheck.Test.fail_reportf "database %d: %d invalidations, %d entries; model %d, %d" x
+            s.Database.invalidations s.Database.entries fences.(x) stored.(x)
+      in
+      List.iter
+        (function
+          | Keyed_read (x, sql) ->
+              let db = dbs.(x) in
+              let statement = Cddpd_sql.Parser.parse_exn sql in
+              let key = Cost_key.statement (Database.table_stats db "t") statement in
+              let id = Database.cost_id dbs.(0) key in
+              let hits = (Database.plan_memo_stats db).Database.hits in
+              let got = Database.run ~statement_key:id db (Database.prepare statement) in
+              let hit = (Database.plan_memo_stats db).Database.hits = hits + 1 in
+              let want = Database.execute db statement in
+              if got.Database.plan <> want.Database.plan then
+                QCheck.Test.fail_reportf "%d: %s: plan differs from a fresh execute" x sql;
+              if got.Database.rows <> want.Database.rows then
+                QCheck.Test.fail_reportf "%d: %s: rows differ from a fresh execute" x sql;
+              if got.Database.logical_io <> want.Database.logical_io then
+                QCheck.Test.fail_reportf "%d: %s: logical I/O %d, fresh %d" x sql
+                  got.Database.logical_io want.Database.logical_io;
+              let expected = Hashtbl.find_opt model key = Some (x, epochs.(x)) in
+              if hit <> expected then
+                QCheck.Test.fail_reportf "%d: %s: %s, model says %s" x sql
+                  (if hit then "hit" else "missed")
+                  (if expected then "hit" else "miss");
+              if not hit then begin
+                Hashtbl.replace model key (x, epochs.(x));
+                stored.(x) <- stored.(x) + 1
+              end
+          | Write (x, sql) -> ignore (Database.execute_sql dbs.(x) sql)
+          | Analyze x -> Database.analyze dbs.(x)
+          | Migrate (x, d) ->
+              let before = Database.current_design dbs.(x) in
+              Database.migrate_to dbs.(x) memo_designs.(d);
+              if not (Design.equal before (Database.current_design dbs.(x))) then begin
+                epochs.(x) <- epochs.(x) + 1;
+                if stored.(x) > 0 then fences.(x) <- fences.(x) + 1;
+                stored.(x) <- 0
+              end)
+        ops;
+      check_stats 0;
+      check_stats 1;
+      true)
 
 (* The operator-to-range conversion must not wrap at the int edges:
    [< min_int] and [> max_int] are empty (no row, selectivity 0, and a
@@ -1577,7 +1713,7 @@ let test_prepared_seek_allocation () =
       "SELECT a, b FROM t WHERE a = 17 AND c BETWEEN 100 AND 140 AND d = 18 AND e = 12 AND f = 35 \
        AND g = 22 AND h = 18"
   in
-  let statement_key = Cost_key.id (Cost_key.statement (Database.table_stats db "t") statement) in
+  let statement_key = Database.cost_id db (Cost_key.statement (Database.table_stats db "t") statement) in
   let handle = Database.prepare statement in
   let first = Database.run ~statement_key db handle in
   (match (Option.get first.Database.plan).Plan.path with
@@ -2002,6 +2138,8 @@ let () =
           Alcotest.test_case "stats generation fence" `Quick
             test_stats_generation_fence;
           Alcotest.test_case "wrong key costs I/O, never rows" `Quick test_plan_memo_wrong_key;
+          Alcotest.test_case "equal keys share one id" `Quick test_cost_id_shared;
+          QCheck_alcotest.to_alcotest plan_memo_two_databases_prop;
         ] );
       ( "statistics",
         [

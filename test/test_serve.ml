@@ -546,12 +546,12 @@ let feed_sql_equals_feed_prop =
               (match f with Ok _ -> "Ok" | Error e -> "Error " ^ e)
               (match r with Ok _ -> "Ok" | Error e -> "Error " ^ e))
         s.s_texts;
-      let plan = Database.plan_cache_stats reference_db in
+      let plan = Database.plan_memo_stats reference_db in
       String.equal
         (report_fingerprint (Server.finish fast))
         (report_fingerprint (Server.finish reference))
-      && plan.Cddpd_engine.Plan_cache.hits = 0
-      && plan.Cddpd_engine.Plan_cache.misses = 0)
+      && plan.Database.hits = 0
+      && plan.Database.misses = 0)
 
 (* Window close keeps a read's feed-time key when [Cost_key.same_inputs]
    proves the snapshot it was keyed under gives the same key as the
