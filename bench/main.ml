@@ -169,20 +169,22 @@ let memoized_micro ?(prepared = false) db ~path sql =
 
 (* Index builds in the serve benchmark's two deployment shapes, each the
    median of a fixed number of [Database.migrate_to] runs, timed by hand
-   rather than by Bechamel, because every build allocates its tree's
-   pages on the simulated disk, which never reclaims them — a
-   time-bounded sampler would grow the disk without bound.  Each build is
-   dropped again before the next.  [storage/index-build/writes] builds
-   I(a,b) on the writes table (5,000 rows, 52 heap pages, 24 frames, so
-   the scan misses); [storage/index-build/drift] builds I(a) on drift's
-   8-column table (20,000 rows of values below 50,000, 4,096 frames).
-   One more build, counted, gives the disk pages each build allocates. *)
+   rather than by Bechamel, so that every build is dropped again before
+   the next.  [storage/index-build/writes] builds I(a,b) on the writes
+   table (5,000 rows, 52 heap pages, 24 frames, so the scan misses);
+   [storage/index-build/drift] builds I(a) on drift's 8-column table
+   (20,000 rows of values below 50,000, 4,096 frames).  One more build,
+   counted, gives the disk pages each build allocates and each drop
+   releases.  The drop gives the tree's pages back, so every
+   build-then-drop cycle must leave the disk holding the base table's
+   heap pages and no more; a cycle that leaves more fails the run. *)
 let index_build_runs = 31
 
-type index_build = { ib_name : string; ib_ns : float; ib_pages : int }
+type index_build = { ib_name : string; ib_ns : float; ib_pages : int; ib_released : int }
 
 let time_index_build ~name db columns =
   let module Database = Cddpd_engine.Database in
+  let module Disk = Cddpd_storage.Disk in
   let with_index =
     Cddpd_catalog.Design.add (Cddpd_catalog.Index_def.make ~table:"t" ~columns)
       Cddpd_catalog.Design.empty
@@ -192,17 +194,26 @@ let time_index_build ~name db columns =
     Database.migrate_to db with_index;
     let dt = Unix.gettimeofday () -. t0 in
     Database.migrate_to db Cddpd_catalog.Design.empty;
+    let s = Disk.stats (Database.disk db) in
+    let held = s.Disk.allocated - s.Disk.released and base = Database.page_count db "t" in
+    if held > base then
+      failwith
+        (Printf.sprintf "micro: %s: a build-then-drop cycle leaves %d live disk pages, %d heap pages"
+           name held base);
     dt
   in
   let times = Array.init index_build_runs (fun _ -> build ()) in
   Array.sort Float.compare times;
-  let allocated = Obs.Registry.counter "disk.pages_allocated" in
-  let before = Obs.Counter.value allocated in
+  let allocated = Obs.Registry.counter "disk.pages_allocated"
+  and released = Obs.Registry.counter "disk.pages_released" in
+  let allocated_before = Obs.Counter.value allocated
+  and released_before = Obs.Counter.value released in
   Obs.Registry.with_enabled (fun () -> ignore (build ()));
   {
     ib_name = name;
     ib_ns = 1e9 *. times.(index_build_runs / 2);
-    ib_pages = Obs.Counter.value allocated - before;
+    ib_pages = Obs.Counter.value allocated - allocated_before;
+    ib_released = Obs.Counter.value released - released_before;
   }
 
 let index_builds () =
@@ -627,8 +638,10 @@ let micro (session : Session.t) =
     index_only_fetched index_only_skipped;
   List.iter
     (fun b ->
-      Printf.printf "%s: %.1f us per build (median of %d), %d disk pages allocated per build\n"
-        b.ib_name (b.ib_ns /. 1e3) index_build_runs b.ib_pages)
+      Printf.printf
+        "%s: %.1f us per build (median of %d), %d disk pages allocated per build, %d released \
+         per drop\n"
+        b.ib_name (b.ib_ns /. 1e3) index_build_runs b.ib_pages b.ib_released)
     builds;
   List.iter
     (fun (name, reuse) ->

@@ -108,6 +108,11 @@ let id key = { key; hash = Hashtbl.hash key; memo = No_plan }
 
 let remember id stamp plan = id.memo <- Plan { stamp; plan }
 
+let forget id stamp =
+  match id.memo with
+  | Plan { stamp = held; _ } when held == stamp -> id.memo <- No_plan
+  | Plan _ | No_plan -> ()
+
 (* Equality is the full key: the stored hash only rejects unequal keys
    early, and an interned id meets itself physically. *)
 let id_equal a b = a == b || (a.hash = b.hash && String.equal a.key b.key)

@@ -90,6 +90,13 @@ val remember : id -> stamp -> Plan.t -> unit
 (** Store the plan chosen under the design [stamp] names, replacing the
     slot's previous plan. *)
 
+val forget : id -> stamp -> unit
+(** [forget id stamp] empties the slot if it holds a plan stored under
+    [stamp] itself (compared physically), and leaves it alone otherwise:
+    an id shared by two databases may hold the other's plan by then.
+    The database calls it for each id it stored in when a design change
+    retires [stamp], so a dead plan does not outlive its design. *)
+
 val id_equal : id -> id -> bool
 (** Physical equality, or equal hashes and equal keys. *)
 

@@ -48,6 +48,8 @@ type t = {
   mutable plan_misses : int;
   mutable plan_invalidations : int;
   mutable plans_stored : int;  (* under [stamp] *)
+  mutable stored : Cost_key.id list;
+      (* the ids those plans went to, for the fence; emptied when [ids] resets *)
 }
 
 let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_params)
@@ -99,6 +101,7 @@ let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_param
     plan_misses = 0;
     plan_invalidations = 0;
     plans_stored = 0;
+    stored = [];
   }
 
 let params t = t.params
@@ -183,8 +186,8 @@ let insert_row state tuple =
    each existing index ([Index.build]: one heap scan, sort,
    [Btree.bulk_load]) and materialized view from scratch, instead of
    descending a tree per row per structure.  Structure list order is
-   preserved; old tree pages are not reclaimed, the same convention as
-   [drop_index].  All rows are validated up front, so a bad row rejects
+   preserved; each replaced structure gives its pages back, as a drop
+   does.  All rows are validated up front, so a bad row rejects
    the whole batch before any mutation (the row-at-a-time path fails
    mid-way instead). *)
 let bulk_load t state rows =
@@ -201,6 +204,7 @@ let bulk_load t state rows =
     (fun c ->
       Value_counts.add_batch c.counts (Array.map (fun row -> Tuple.int_exn row.(c.position)) rows))
     state.int_columns;
+  let old_indexes = state.indexes and old_views = state.views in
   state.indexes <-
     List.map
       (fun i ->
@@ -210,9 +214,11 @@ let bulk_load t state rows =
         if heap_was_empty then
           Index.build_of_rows t.pool state.schema (Index.def i) ~rows ~rids
         else Index.build t.pool state.schema state.heap (Index.def i))
-      state.indexes;
+      old_indexes;
   state.views <-
-    List.map (fun v -> Mat_view.build t.pool state.schema state.heap (Mat_view.def v)) state.views
+    List.map (fun v -> Mat_view.build t.pool state.schema state.heap (Mat_view.def v)) old_views;
+  List.iter Index.release old_indexes;
+  List.iter Mat_view.release old_views
 
 let load ?(bulk = true) t ~table rows =
   let state = table_state t table in
@@ -252,14 +258,19 @@ let current_design t =
 (* Every actual structure change drops the design memo and replaces the
    design stamp.  The stamp is the plan memo's design fence: keys name
    the statement only, so a plan stored under the old stamp no longer
-   hits.  The fence counts as an invalidation when a plan was stored
-   under the stamp it retires. *)
+   hits.  The fence also empties each slot that still holds a plan under
+   the stamp it retires, so no dead plan outlives its design; a slot
+   another database has stored in since keeps that plan.  The fence
+   counts as an invalidation when a plan was stored under the retired
+   stamp. *)
 let design_changed t =
   t.design_memo <- None;
   if t.plans_stored > 0 then begin
     t.plan_invalidations <- t.plan_invalidations + 1;
     Obs.Counter.incr m_plan_invalidations;
-    t.plans_stored <- 0
+    List.iter (fun id -> Cost_key.forget id t.stamp) t.stored;
+    t.plans_stored <- 0;
+    t.stored <- []
   end;
   t.stamp <- Cost_key.stamp ()
 
@@ -272,15 +283,17 @@ let build_index t def =
     design_changed t
   end
 
+(* A drop gives the structure's pages back to the disk ([release]): no
+   page is fetched or written, so dropping costs no I/O, as in the cost
+   model, and the disk holds only the heaps and the live design. *)
 let drop_index t def =
   let state = table_state t (Index_def.table def) in
-  if List.exists (fun i -> Index_def.equal (Index.def i) def) state.indexes then begin
-    (* Pages of the dropped tree are not reclaimed by the simulated disk;
-       dropping is a catalog-only operation, as in the cost model. *)
-    state.indexes <-
-      List.filter (fun i -> not (Index_def.equal (Index.def i) def)) state.indexes;
-    design_changed t
-  end
+  match List.partition (fun i -> Index_def.equal (Index.def i) def) state.indexes with
+  | [], _ -> ()
+  | dropped, kept ->
+      List.iter Index.release dropped;
+      state.indexes <- kept;
+      design_changed t
 
 let build_view t def =
   let state = table_state t (View_def.table def) in
@@ -293,11 +306,12 @@ let build_view t def =
 
 let drop_view t def =
   let state = table_state t (View_def.table def) in
-  if List.exists (fun v -> View_def.equal (Mat_view.def v) def) state.views then begin
-    state.views <-
-      List.filter (fun v -> not (View_def.equal (Mat_view.def v) def)) state.views;
-    design_changed t
-  end
+  match List.partition (fun v -> View_def.equal (Mat_view.def v) def) state.views with
+  | [], _ -> ()
+  | dropped, kept ->
+      List.iter Mat_view.release dropped;
+      state.views <- kept;
+      design_changed t
 
 let build_structure t structure =
   match structure with
@@ -331,6 +345,16 @@ type exec_result = {
 let pool_accesses t = Buffer_pool.accesses t.pool
 
 let disk_reads t = Disk.reads t.disk
+
+let disk t = t.disk
+
+let design_pages t =
+  List.fold_left
+    (fun acc name ->
+      let state = table_state t name in
+      let acc = List.fold_left (fun acc i -> acc + Index.n_pages i) acc state.indexes in
+      List.fold_left (fun acc v -> acc + Mat_view.n_pages v) acc state.views)
+    0 t.table_order
 
 (* -- prepared statements ----------------------------------------------------
 
@@ -628,7 +652,11 @@ let runnable t (statement : Ast.statement) (plan : Plan.t) =
   | _, (Plan.Full_scan | Plan.Index_seek _ | Plan.Index_only_scan _ | Plan.View_probe _) -> plan
 
 (* One id per distinct cost key, so equal keys share one plan slot.
-   Bounded; a reset only costs the sharing, never correctness. *)
+   Bounded; a reset only costs the sharing, never correctness.  A reset
+   also lets go of the ids the next fence would visit ([stored]), so
+   that list never outgrows the table: an id the table dropped is
+   garbage unless a caller still holds it, and such an id keeps its plan
+   until it stores another. *)
 let id_capacity = 16_384
 
 let cost_id t key =
@@ -636,7 +664,10 @@ let cost_id t key =
   match Cost_key.Id_tbl.find_opt t.ids id with
   | Some shared -> shared
   | None ->
-      if Cost_key.Id_tbl.length t.ids >= id_capacity then Cost_key.Id_tbl.reset t.ids;
+      if Cost_key.Id_tbl.length t.ids >= id_capacity then begin
+        Cost_key.Id_tbl.reset t.ids;
+        t.stored <- []
+      end;
       Cost_key.Id_tbl.add t.ids id id;
       id
 
@@ -666,6 +697,7 @@ let read_plan t ~statement_key statement =
           let plan = fresh_plan t statement in
           Cost_key.remember id t.stamp plan;
           t.plans_stored <- t.plans_stored + 1;
+          t.stored <- id :: t.stored;
           plan)
 
 type plan_memo_stats = { hits : int; misses : int; invalidations : int; entries : int }

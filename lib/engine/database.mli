@@ -84,8 +84,22 @@ val build_index : t -> Cddpd_catalog.Index_def.t -> unit
 (** Materialise an index (no-op if already present). *)
 
 val migrate_to : t -> Cddpd_catalog.Design.t -> unit
-(** Build and drop indexes so the materialised design equals the target —
-    the physical realisation of a TRANS step. *)
+(** Build and drop indexes and views so the materialised design equals
+    the target — the physical realisation of a TRANS step.  A dropped
+    structure gives every page it allocated back to the disk
+    ({!Index.release}, {!Mat_view.release}) at no I/O, so the disk holds
+    only the heaps and the live design (see {!design_pages}). *)
+
+val design_pages : t -> int
+(** Pages the live design occupies: every index's tree, and every
+    view's heap and tree.  The disk holds exactly these pages and the
+    tables' heap pages ({!page_count}): [allocated - released] of
+    {!Cddpd_storage.Disk.stats} on {!disk}. *)
+
+val disk : t -> Cddpd_storage.Disk.t
+(** The simulated disk the database holds, for reading its
+    {!Cddpd_storage.Disk.stats}.  Only the engine allocates and
+    releases its pages. *)
 
 (** {1 Execution} *)
 

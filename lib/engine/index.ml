@@ -206,3 +206,7 @@ let probe t bounds =
   List.rev !rids
 
 let height t = Btree.height t.tree
+
+let n_pages t = Btree.n_pages t.tree
+
+let release t = Btree.release t.tree

@@ -77,3 +77,11 @@ val probe_slices :
     [offset + 8 * j]), valid only during the call. *)
 
 val height : t -> int
+
+val n_pages : t -> int
+(** Pages the index's tree occupies. *)
+
+val release : t -> unit
+(** Give every page of the tree back to the disk
+    ({!Cddpd_storage.Btree.release}) when the index is dropped.  The
+    index must not be used afterwards. *)

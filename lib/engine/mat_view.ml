@@ -152,3 +152,9 @@ let build pool schema heap view =
     (fun (group_value, count, sums) -> store_row t { group_value; count; sums })
     sorted;
   t
+
+let n_pages t = Heap_file.n_pages t.heap + Btree.n_pages t.tree
+
+let release t =
+  Heap_file.release t.heap;
+  Btree.release t.tree

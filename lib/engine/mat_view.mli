@@ -44,3 +44,11 @@ val apply_delete : t -> Cddpd_storage.Tuple.t -> unit
 (** Reflect a base-table delete; removes the group row when its count
     reaches zero.  Raises [Failure] if the group is not present (the view
     would be inconsistent with the base table). *)
+
+val n_pages : t -> int
+(** Pages the view occupies: its heap's and its lookup tree's. *)
+
+val release : t -> unit
+(** Give every page of the view's heap and tree back to the disk
+    ({!Cddpd_storage.Heap_file.release}, {!Cddpd_storage.Btree.release})
+    when the view is dropped.  The view must not be used afterwards. *)

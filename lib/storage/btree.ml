@@ -19,7 +19,8 @@ let m_leaves_skipped = Obs.Registry.counter "btree.leaves_skipped"
    key component) by page id.  Unlike a heap page's records, leaf entries
    shift, so a synopsis covers the whole leaf as it was when built: a
    range walk builds it from the page bytes it fetched anyway, and any
-   write to the leaf ([insert_leaf], [delete]) drops it. *)
+   write to the leaf ([insert_leaf], [delete]) drops it.  [page_ids]
+   holds every page [alloc_node] took, [pages] of them, for [release]. *)
 type t = {
   pool : Buffer_pool.t;
   key_len : int;
@@ -27,6 +28,7 @@ type t = {
   mutable height : int;
   mutable entries : int;
   mutable pages : int;
+  mutable page_ids : int list;
   synopses : Synopsis.t Leaf_tbl.t;
 }
 
@@ -158,13 +160,23 @@ let check_key_len key_len =
   if key_len < 1 || key_len > 16 then invalid_arg "Btree: key_len must be in [1, 16]"
 
 let empty pool ~key_len =
-  { pool; key_len; root = -1; height = 1; entries = 0; pages = 0; synopses = Leaf_tbl.create 16 }
+  {
+    pool;
+    key_len;
+    root = -1;
+    height = 1;
+    entries = 0;
+    pages = 0;
+    page_ids = [];
+    synopses = Leaf_tbl.create 16;
+  }
 
 let alloc_node t ~kind =
   let handle = Buffer_pool.allocate t.pool in
   init_node (Buffer_pool.page handle) ~kind;
   Buffer_pool.mark_dirty handle;
   t.pages <- t.pages + 1;
+  t.page_ids <- Buffer_pool.page_id handle :: t.page_ids;
   handle
 
 let create pool ~key_len =
@@ -174,6 +186,8 @@ let create pool ~key_len =
   t.root <- Buffer_pool.page_id handle;
   Buffer_pool.unpin pool handle;
   t
+
+let release t = List.iter (Buffer_pool.release t.pool) t.page_ids
 
 let n_entries t = t.entries
 

@@ -86,4 +86,10 @@ val height : t -> int
 
 val n_pages : t -> int
 (** Number of pages the tree occupies (including pages emptied by
-    deletions, which are not reclaimed). *)
+    deletions, which are not reclaimed while the tree lives). *)
+
+val release : t -> unit
+(** Give every page the tree ever allocated (bulk load, creation and
+    every split) back to the disk ({!Buffer_pool.release}), once the
+    tree is dropped.  The tree must not be used afterwards.  No page is
+    fetched and no I/O is counted. *)

@@ -10,8 +10,9 @@ let m_scan_fetches = Obs.Registry.counter "buffer_pool.scan_fetches"
 let m_readahead_pages = Obs.Registry.counter "buffer_pool.readahead_pages"
 
 (* A frame holds the disk's stored page itself ([Disk.read]), so a miss
-   and a write-back move no bytes; an empty frame points at [placeholder],
-   which nothing writes to because no live handle reaches it. *)
+   and a write-back move no bytes; an empty frame, and a frame whose page
+   was released, points at [placeholder], which nothing writes to because
+   no live handle reaches it. *)
 type frame = {
   index : int; (* position in [frames] *)
   mutable pid : int; (* -1 when the frame is empty *)
@@ -307,6 +308,15 @@ let page frame = frame.buffer
 let page_id frame = frame.pid
 
 let mark_dirty frame = frame.dirty <- true
+
+(* A frame that holds [pid] keeps it, with its pin count, bits and dirty
+   flag, so the clock evicts it exactly when it would have without the
+   release (counting its write-back); it only lets go of the bytes. *)
+let release t pid =
+  let i = resident t pid in
+  if i >= 0 && t.frames.(i).pins > 0 then invalid_arg "Buffer_pool.release: page is pinned";
+  Disk.release t.disk pid;
+  if i >= 0 then t.frames.(i).buffer <- placeholder
 
 let unpin _t frame =
   if frame.pins <= 0 then invalid_arg "Buffer_pool.unpin: handle not pinned";

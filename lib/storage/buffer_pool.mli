@@ -145,6 +145,18 @@ val unpin : t -> handle -> unit
     count reaches zero.  Raises [Invalid_argument] if the handle is not
     pinned. *)
 
+val release : t -> int -> unit
+(** [release t pid] gives page [pid] back to the disk ({!Disk.release})
+    once the structure that owned it is dropped; its id is never
+    reused.  A frame still holding [pid] keeps it, with its reference
+    bit, dirty flag and place in the clock, and lets go only of the
+    bytes (it points at an empty placeholder page): the clock evicts it
+    exactly when it would have, a dirty one still counts its
+    write-back, and hits, misses, evictions and readahead are those of
+    a pool that never released.  The page must not be fetched again.
+    Raises [Invalid_argument] on an unallocated or released id, or when
+    the page is pinned. *)
+
 val drop_cache : t -> unit
 (** Flush and forget every unpinned frame (each emptied frame lets go of
     its page): the next access to any page is a disk read.  Used to

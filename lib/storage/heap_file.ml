@@ -272,3 +272,5 @@ let iter t f =
 let n_tuples t = t.live
 
 let n_pages t = t.page_count
+
+let release t = List.iter (Buffer_pool.release t.pool) t.pages

@@ -69,3 +69,9 @@ val n_tuples : t -> int
 
 val n_pages : t -> int
 (** Number of pages the file occupies. *)
+
+val release : t -> unit
+(** Give every page of the file back to the disk
+    ({!Buffer_pool.release}), once the file is dropped (a materialized
+    view's rows).  The file must not be used afterwards.  No page is
+    fetched and no I/O is counted. *)

@@ -1438,7 +1438,9 @@ let test_cost_id_shared () =
    same database in plan, rows and logical I/O, and must hit exactly when
    a model says so: the id's plan was last stored by this database, and
    no design change came since.  A stamp shared by both databases, or a
-   design change that does not fence, fails here. *)
+   design change that does not fence, fails here.  After every step each
+   id holds a plan exactly when its last store is still current: a fence
+   empties the slots its database stored in, and only those. *)
 type memo_op =
   | Keyed_read of int * string  (** database, SQL *)
   | Write of int * string
@@ -1511,7 +1513,8 @@ let plan_memo_two_databases_prop =
             s.Database.invalidations s.Database.entries fences.(x) stored.(x)
       in
       List.iter
-        (function
+        (fun op ->
+          (match op with
           | Keyed_read (x, sql) ->
               let db = dbs.(x) in
               let statement = Cddpd_sql.Parser.parse_exn sql in
@@ -1546,7 +1549,20 @@ let plan_memo_two_databases_prop =
                 epochs.(x) <- epochs.(x) + 1;
                 if stored.(x) > 0 then fences.(x) <- fences.(x) + 1;
                 stored.(x) <- 0
-              end)
+              end);
+          Hashtbl.iter
+            (fun key (x, epoch) ->
+              let holds =
+                match (Database.cost_id dbs.(0) key).Cost_key.memo with
+                | Cost_key.Plan _ -> true
+                | Cost_key.No_plan -> false
+              in
+              if holds <> (epoch = epochs.(x)) then
+                QCheck.Test.fail_reportf "%S: slot %s, its store by %d is %s" key
+                  (if holds then "holds a plan" else "is empty")
+                  x
+                  (if epoch = epochs.(x) then "current" else "fenced"))
+            model)
         ops;
       check_stats 0;
       check_stats 1;
@@ -2050,6 +2066,130 @@ let test_index_on_text_rejected () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* Footprint: random sequences of builds, drops, migrations, DML and
+   [analyze] on one database with a small pool.  After every step the
+   disk holds exactly the heap's pages and the live design's
+   ([allocated - released] = [page_count + design_pages]), every read
+   returns the rows of a fresh database loaded with the same rows and
+   design, and exactly the released ids refuse a read.  A drop that keeps
+   a view's heap, a tree that does not record its split pages, or a
+   release of the present index on [build_index]'s no-op path fails
+   here. *)
+type footprint_op =
+  | Build_index of string list
+  | Drop_index of string list
+  | Migrate_design of int
+  | Build_view of string
+  | Drop_view of string
+  | Dml of string
+  | Analyze_all
+
+let gen_footprint_ops =
+  let open QCheck.Gen in
+  let columns = oneofl [ [ "a" ]; [ "b" ]; [ "a"; "b" ]; [ "c" ] ] in
+  let group = oneofl [ "a"; "b" ] in
+  let v = int_bound 11 in
+  let dml =
+    oneof
+      [
+        map2 (Printf.sprintf "INSERT INTO t VALUES (%d, %d, 1, 2)") v v;
+        map (Printf.sprintf "DELETE FROM t WHERE c = %d") v;
+        map2 (Printf.sprintf "UPDATE t SET a = %d WHERE b = %d") v v;
+        map2 (Printf.sprintf "UPDATE t SET b = %d WHERE c = %d") v v;
+      ]
+  in
+  list_size (int_range 5 30)
+    (frequency
+       [
+         (3, map (fun c -> Build_index c) columns);
+         (2, map (fun c -> Drop_index c) columns);
+         (2, map (fun d -> Migrate_design d) (int_bound (Array.length memo_designs - 1)));
+         (2, map (fun g -> Build_view g) group);
+         (2, map (fun g -> Drop_view g) group);
+         (4, map (fun sql -> Dml sql) dml);
+         (1, return Analyze_all);
+       ])
+
+let print_footprint_op = function
+  | Build_index c -> "BUILD I(" ^ String.concat "," c ^ ")"
+  | Drop_index c -> "DROP I(" ^ String.concat "," c ^ ")"
+  | Migrate_design d -> "MIGRATE " ^ Design.name memo_designs.(d)
+  | Build_view g -> "BUILD V(" ^ g ^ ")"
+  | Drop_view g -> "DROP V(" ^ g ^ ")"
+  | Dml sql -> sql
+  | Analyze_all -> "ANALYZE"
+
+let footprint_reads =
+  [
+    "SELECT a, b FROM t WHERE a = 3";
+    "SELECT * FROM t WHERE b BETWEEN 4 AND 7";
+    "SELECT c FROM t WHERE c = 5";
+    "SELECT a FROM t WHERE a > 8";
+    "SELECT a, COUNT(*) FROM t GROUP BY a";
+    "SELECT b, SUM(c) FROM t WHERE b = 2 GROUP BY b";
+  ]
+
+let footprint_prop =
+  QCheck.Test.make ~name:"disk holds the heap and the live design (random migrations)"
+    ~count:60
+    (QCheck.make ~print:(QCheck.Print.list print_footprint_op) gen_footprint_ops)
+    (fun ops ->
+      let db = Database.create ~pool_capacity:8 [ paper_schema ] in
+      let rng = Rng.create 11 in
+      Database.load db ~table:"t"
+        (Array.init 400 (fun _ -> Array.init 4 (fun _ -> Tuple.Int (Rng.int rng 12))));
+      let without s =
+        Design.of_structures
+          (List.filter
+             (fun x -> not (Structure.equal x s))
+             (Design.structures (Database.current_design db)))
+      in
+      let check step =
+        let disk = Database.disk db in
+        let stats = Cddpd_storage.Disk.stats disk in
+        let held = stats.Cddpd_storage.Disk.allocated - stats.Cddpd_storage.Disk.released in
+        let live = Database.page_count db "t" + Database.design_pages db in
+        if held <> live then
+          QCheck.Test.fail_reportf "after %s: the disk holds %d pages, heap and design %d" step
+            held live;
+        let refused = ref 0 in
+        for pid = 0 to Cddpd_storage.Disk.n_pages disk - 1 do
+          match Cddpd_storage.Disk.read disk pid with
+          | _ -> ()
+          | exception Invalid_argument _ -> incr refused
+        done;
+        if !refused <> stats.Cddpd_storage.Disk.released then
+          QCheck.Test.fail_reportf "after %s: %d ids refuse a read, %d released" step !refused
+            stats.Cddpd_storage.Disk.released;
+        let rows = ref [] in
+        Database.scan db "t" (fun row -> rows := row :: !rows);
+        let fresh = Database.create ~pool_capacity:64 [ paper_schema ] in
+        Database.load fresh ~table:"t" (Array.of_list (List.rev !rows));
+        Database.migrate_to fresh (Database.current_design db);
+        List.iter
+          (fun sql ->
+            if
+              rows_sorted (Database.execute_sql db sql)
+              <> rows_sorted (Database.execute_sql fresh sql)
+            then QCheck.Test.fail_reportf "after %s: %s differs from a fresh database" step sql)
+          footprint_reads
+      in
+      check "load";
+      List.iter
+        (fun op ->
+          (match op with
+          | Build_index c -> Database.build_index db (index c)
+          | Drop_index c -> Database.migrate_to db (without (Structure.index (index c)))
+          | Migrate_design d -> Database.migrate_to db memo_designs.(d)
+          | Build_view g ->
+              Database.migrate_to db (Design.add_view (view g) (Database.current_design db))
+          | Drop_view g -> Database.migrate_to db (without (Structure.view (view g)))
+          | Dml sql -> ignore (Database.execute_sql db sql)
+          | Analyze_all -> Database.analyze db);
+          check (print_footprint_op op))
+        ops;
+      true)
+
 let () =
   Alcotest.run "engine"
     [
@@ -2161,5 +2301,6 @@ let () =
           Alcotest.test_case "text key rejected" `Quick test_index_on_text_rejected;
           Alcotest.test_case "index build matches naive" `Quick test_index_build_matches_naive;
           QCheck_alcotest.to_alcotest index_build_naive_prop;
+          QCheck_alcotest.to_alcotest footprint_prop;
         ] );
     ]

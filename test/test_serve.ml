@@ -936,6 +936,55 @@ let test_serve_reuse_bit_identical () =
   Alcotest.(check int) "from-scratch arm carries no reuse state" 0
     from_scratch.Server.reopt.Reopt.reuse.Problem.Reuse.builds
 
+(* Soak: a long W1 stream with one UPDATE per 100 statements, on a table
+   larger than the pool, through one server at window 100.  After every
+   closed window the disk holds no page but the base heap's and the live
+   design's: every design the server replaced gave its pages back.  The
+   check reads page counts only, no wall time and no heap size. *)
+let test_serve_footprint_follows_design () =
+  let value_range = 1_000 in
+  let db = Database.create ~pool_capacity:24 [ paper_schema ] in
+  Database.load db ~table:"t"
+    (Cddpd_workload.Data_gen.uniform_rows ~columns:4 ~rows:(5 * value_range) ~value_range
+       ~seed:1);
+  let queries =
+    Cddpd_workload.Spec.generate_flat
+      (Cddpd_workload.Workloads.w1 ~scale:1.4 ())
+      ~table:"t" ~value_range ~seed:1
+  in
+  let stream =
+    Array.mapi
+      (fun i q ->
+        if i mod 100 = 50 then
+          (Cddpd_workload.Dml_gen.blend ~update_fraction:1.0 ~value_range ~seed:(1 + i) [| q |]).(0)
+        else q)
+      queries
+  in
+  let server = Server.create db (serve_config ~window:100 ()) in
+  let windows = ref 0 in
+  Array.iter
+    (fun statement ->
+      match Server.feed server statement with
+      | Error e -> Alcotest.failf "rejected: %s" e
+      | Ok None -> ()
+      | Ok (Some report) ->
+          incr windows;
+          let stats = Cddpd_storage.Disk.stats (Database.disk db) in
+          let held = stats.Cddpd_storage.Disk.allocated - stats.Cddpd_storage.Disk.released in
+          let live = Database.page_count db "t" + Database.design_pages db in
+          if held > live then
+            Alcotest.failf "window %d: the disk holds %d pages, heap and design %d"
+              report.Server.index held live)
+    stream;
+  let report = Server.finish server in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 200 windows (%d)" !windows)
+    true (!windows >= 200);
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 20 deployments (%d)" report.Server.deployments)
+    true
+    (report.Server.deployments >= 20)
+
 let () =
   Alcotest.run "serve"
     [
@@ -984,6 +1033,8 @@ let () =
           QCheck_alcotest.to_alcotest close_keys_prop;
           Alcotest.test_case "prepared from the second feed" `Quick
             test_serve_prepared_on_second_feed;
+          Alcotest.test_case "footprint follows the live design (soak)" `Quick
+            test_serve_footprint_follows_design;
         ] );
       ( "reopt",
         [

@@ -78,6 +78,47 @@ let test_disk_grows () =
   done;
   Alcotest.(check int) "grew to 1000 pages" 1000 (Disk.n_pages d)
 
+(* A released id stays spent: the next allocation is a fresh id, a read
+   of the released one raises and counts nothing, and a write of it
+   still counts, as the write-back of a frame that aliased it does. *)
+let test_disk_release () =
+  let d = Disk.create () in
+  let p0, _ = Disk.allocate d in
+  let p1, page1 = Disk.allocate d in
+  Page.set_i64 page1 0 7;
+  Disk.release d p0;
+  let stats = Disk.stats d in
+  Alcotest.(check int) "released counted" 1 stats.Disk.released;
+  Alcotest.(check int) "id kept" 2 stats.Disk.allocated;
+  Alcotest.(check int) "id kept in n_pages" 2 (Disk.n_pages d);
+  let p2, _ = Disk.allocate d in
+  Alcotest.(check int) "next allocation is a fresh id" 2 p2;
+  Alcotest.(check bool) "released read raises" true
+    (match Disk.read d p0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "refused read not counted" 0 (Disk.stats d).Disk.reads;
+  Disk.write d p0;
+  Alcotest.(check int) "write of a released id counts" 1 (Disk.stats d).Disk.writes;
+  Alcotest.(check bool) "double release raises" true
+    (match Disk.release d p0 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "live page untouched" 7 (Page.get_i64 (Disk.read d p1) 0);
+  (* Through a pool: release changes no frame, and the dirty frame's
+     write-back is still counted when the clock evicts it. *)
+  let pool = Buffer_pool.create ~capacity:1 d in
+  let h = Buffer_pool.allocate pool in
+  let pid = Buffer_pool.page_id h in
+  Buffer_pool.unpin pool h;
+  Buffer_pool.release pool pid;
+  let writes = (Disk.stats d).Disk.writes in
+  let h = Buffer_pool.fetch pool p1 in
+  Buffer_pool.unpin pool h;
+  Alcotest.(check int) "aliasing frame's write-back counted" (writes + 1)
+    (Disk.stats d).Disk.writes;
+  Alcotest.(check int) "two released" 2 (Disk.stats d).Disk.released
+
 (* -- Buffer_pool ------------------------------------------------------------ *)
 
 let test_pool_hit_miss () =
@@ -764,6 +805,7 @@ let () =
           Alcotest.test_case "allocate/read/write" `Quick test_disk_alloc_rw;
           Alcotest.test_case "unallocated access" `Quick test_disk_unallocated;
           Alcotest.test_case "grows" `Quick test_disk_grows;
+          Alcotest.test_case "release keeps the id" `Quick test_disk_release;
         ] );
       ( "buffer_pool",
         [
