@@ -18,7 +18,8 @@
 #                     gates, and its deterministic counters against
 #                     PERF_COUNTERS.json
 #   make cli-smoke    bad command lines and bad statements end in usage
-#                     errors and skipped statements, never in a crash
+#                     errors and skipped statements, never in a crash;
+#                     every `cddpd experiment` runs and prints its artifact
 
 DUNE ?= dune
 
@@ -140,6 +141,8 @@ perf-smoke:
 # rejected the same way as an unknown option; a statement the schema
 # rejects must be skipped by serve with a warning, from stdin and from
 # --input FILE alike, and the run must exit 0 and print its report.
+# Each experiment (CLI_EXPERIMENTS, "NAME|TITLE") must run at a small
+# scale, exit 0 and print its artifact's title line.
 CDDPD = ./_build/default/bin/cddpd.exe
 CLI_BAD = \
   "serve --window 0" \
@@ -147,12 +150,22 @@ CLI_BAD = \
   "serve --horizon 0" \
   "recommend --input _cli_smoke_trace.sql -k 1 --segment 0" \
   "recommend --input _cli_smoke_trace.sql --method kaware" \
-  "recommend --input _cli_smoke_empty.sql -k 1"
+  "recommend --input _cli_smoke_empty.sql -k 1" \
+  "experiment nosuch"
 CLI_RETIRED = \
   "--once|serve --once --input _cli_smoke_serve.sql" \
   "-j|serve -j 2" \
   "--jobs|recommend --input _cli_smoke_trace.sql -k 1 --jobs 2" \
   "--cell-jobs|experiment table1 --cell-jobs 2"
+CLI_EXPERIMENTS = \
+  "table1|Table 1:" \
+  "table2|Table 2:" \
+  "figure3|Figure 3:" \
+  "figure4|Figure 4:" \
+  "ablation|Ablation:" \
+  "updates|Updates ablation:" \
+  "views|Views:" \
+  "space|Space-bound sweep:"
 
 cli-smoke:
 	$(DUNE) build bin/cddpd.exe
@@ -183,6 +196,13 @@ cli-smoke:
 	  if [ $$code -eq 0 ] || ! echo "$$out" | grep -q -- "unknown option '$$opt'" \
 	    || echo "$$out" | grep -q 'internal error'; then \
 	    echo "cli-smoke: '$$args' was not rejected as an unknown option: $$out"; status=1; fi; \
+	done; \
+	for spec in $(CLI_EXPERIMENTS); do \
+	  name=$${spec%%|*}; title=$${spec#*|}; \
+	  out=$$($(CDDPD) experiment $$name --rows 4000 --value-range 800 --scale 0.04 2>&1); code=$$?; \
+	  if [ $$code -ne 0 ] || ! echo "$$out" | grep -q "^$$title"; then \
+	    echo "cli-smoke: 'experiment $$name' exited $$code or printed no '$$title' line: $$out"; \
+	    status=1; fi; \
 	done; \
 	rm -f _cli_smoke_trace.sql _cli_smoke_empty.sql _cli_smoke_serve.sql; \
 	if [ $$status -eq 0 ]; then echo "cli-smoke: OK"; fi; \

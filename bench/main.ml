@@ -9,7 +9,9 @@
               [--readahead N] [--quick] [--no-metrics]
    With no experiment named, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
-   paper's physical scale.
+   paper's physical scale.  Each paper artifact runs its module's one
+   [run], the same cells `cddpd experiment` runs: on one domain while
+   instrumentation is on, on every core with --no-metrics.
 
    Result files: each suite with a machine-readable result (micro, solvers,
    experiments, configspace, serve, ingest) writes it to
@@ -1169,9 +1171,9 @@ let experiments_sweep (config : Setup.config) =
             let times =
               Array.init experiments_runs (fun _ ->
                   let t0 = Unix.gettimeofday () in
-                  let f3 = Figure3.run_cells ~cell_jobs session in
+                  let f3 = Figure3.run ~cell_jobs session in
                   let f4 =
-                    Figure4.run_cells ~ks:experiments_ks
+                    Figure4.run ~ks:experiments_ks
                       ~repeats:experiments_repeats ~cell_jobs session
                   in
                   let elapsed = Unix.gettimeofday () -. t0 in

@@ -319,31 +319,25 @@ let experiment name rows value_range seed scale readahead metrics trace =
       Cddpd_experiments.Table1.print (Cddpd_experiments.Table1.run ());
       0
   | "table2" ->
-      Cddpd_experiments.Table2.print
-        (Cddpd_experiments.Table2.run_cells (Lazy.force session));
+      Cddpd_experiments.Table2.print (Cddpd_experiments.Table2.run (Lazy.force session));
       0
   | "figure3" ->
-      Cddpd_experiments.Figure3.print
-        (Cddpd_experiments.Figure3.run_cells (Lazy.force session));
+      Cddpd_experiments.Figure3.print (Cddpd_experiments.Figure3.run (Lazy.force session));
       0
   | "figure4" ->
-      Cddpd_experiments.Figure4.print
-        (Cddpd_experiments.Figure4.run_cells (Lazy.force session));
+      Cddpd_experiments.Figure4.print (Cddpd_experiments.Figure4.run (Lazy.force session));
       0
   | "ablation" ->
-      Cddpd_experiments.Ablation.print
-        (Cddpd_experiments.Ablation.run_cells (Lazy.force session));
+      Cddpd_experiments.Ablation.print (Cddpd_experiments.Ablation.run (Lazy.force session));
       0
   | "updates" ->
-      Cddpd_experiments.Updates.print
-        (Cddpd_experiments.Updates.run_cells (Lazy.force session));
+      Cddpd_experiments.Updates.print (Cddpd_experiments.Updates.run (Lazy.force session));
       0
   | "views" ->
       Cddpd_experiments.Views.print (Cddpd_experiments.Views.run (Lazy.force session));
       0
   | "space" ->
-      Cddpd_experiments.Space_bound.print
-        (Cddpd_experiments.Space_bound.run_cells (Lazy.force session));
+      Cddpd_experiments.Space_bound.print (Cddpd_experiments.Space_bound.run (Lazy.force session));
       0
   | other ->
       Printf.eprintf "cddpd: unknown experiment %s (table1|table2|figure3|figure4|ablation|updates|views|space)\n"

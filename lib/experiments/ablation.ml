@@ -21,8 +21,8 @@ let constrained_methods =
 let default_ks = [ 0; 2; 6; 10 ]
 
 (* One constrained-method measurement, with the optimality gap left as a
-   placeholder (it needs the optimal cost at this k, patched in later —
-   in the cell-based run the optimal solve is its own cell). *)
+   placeholder: it needs the optimal cost at this k, which its own cell
+   computes, and is patched in when the cells join. *)
 let method_measurement problem ~k method_name =
   match Optimizer.solve problem ~method_name ~k ~max_paths:200_000 () with
   | Ok s ->
@@ -88,39 +88,17 @@ let online_entry problem ~unconstrained_cost online_path =
     optimality_gap = (cost -. unconstrained_cost) /. unconstrained_cost;
   }
 
-let run ?(ks = default_ks) (session : Session.t) =
-  let problem = session.Session.problem_w1 in
-  let unconstrained = Optimizer.unconstrained problem in
-  let per_k =
-    List.concat_map
-      (fun k ->
-        let optimal_cost = optimal_cost_at problem k in
-        List.map
-          (fun method_name ->
-            patch_gap ~optimal_cost (method_measurement problem ~k method_name))
-          constrained_methods)
-      ks
-  in
-  (* The reactive online baseline has no k; report it once. *)
-  let online =
-    online_entry problem ~unconstrained_cost:unconstrained.Solution.cost
-      (Online_tuner.run problem)
-  in
-  {
-    entries = (unconstrained_entry unconstrained :: per_k) @ [ online ];
-    unconstrained_cost = unconstrained.Solution.cost;
-  }
-
 (* Cell outputs are heterogeneous (a solution, an optimal cost, a method
    measurement, a tuner path), so cells return a small sum type and the
-   join pass reassembles entries in exactly the order [run] reports. *)
+   join pass reassembles the entries: the unconstrained baseline, each k's
+   methods, then the online tuner. *)
 type cell_out =
   | Out_unconstrained of Solution.t
   | Out_optimal_cost of float
   | Out_method of entry
   | Out_online of int array
 
-let run_cells ?(ks = default_ks) ?cell_jobs (session : Session.t) =
+let run ?(ks = default_ks) ?cell_jobs (session : Session.t) =
   let problem = session.Session.problem_w1 in
   (* Force the memoized sequence graph on the main domain so solver cells
      share it read-only (Lazy.force is not safe to race). *)

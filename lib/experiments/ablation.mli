@@ -18,14 +18,11 @@ type entry = {
 
 type result = { entries : entry list; unconstrained_cost : float }
 
-val run : ?ks:int list -> Session.t -> result
-(** Default ks: 0, 2, 6, 10. *)
-
-val run_cells : ?ks:int list -> ?cell_jobs:int -> Session.t -> result
-(** {!run} as {!Runner} cells — the unconstrained baseline, one optimal
+val run : ?ks:int list -> ?cell_jobs:int -> Session.t -> result
+(** {!Runner} cells — the unconstrained baseline, one optimal
     (gap-reference) cell and one cell per constrained method for each k,
     and the online tuner — over the session's (pre-forced) problem graph.
-    Entries come back in {!run}'s exact order; identical result modulo
-    the [elapsed] wall-clock fields. *)
+    Default ks: 0, 2, 6, 10.  Every field but the [elapsed] wall-clock
+    times is independent of [cell_jobs]. *)
 
 val print : result -> unit

@@ -1,5 +1,3 @@
-module Design = Cddpd_catalog.Design
-module Database = Cddpd_engine.Database
 module Solution = Cddpd_core.Solution
 module Simulator = Cddpd_core.Simulator
 module Text_table = Cddpd_util.Text_table
@@ -13,14 +11,6 @@ type measurement = {
 }
 
 type result = { measurements : measurement list; baseline_io : int }
-
-let replay (session : Session.t) steps schedule =
-  let db = session.Session.db in
-  (* Leave the previous run's design behind so each replay starts from the
-     paper's empty initial configuration. *)
-  Database.migrate_to db Design.empty;
-  let report = Simulator.run db ~steps ~schedule in
-  report.Simulator.total_logical_io
 
 let workloads (session : Session.t) =
   [
@@ -50,34 +40,20 @@ let assemble raw =
   in
   { measurements; baseline_io }
 
-let run (session : Session.t) =
-  let table2 = Table2.run session in
-  let schedule_unconstrained = table2.Table2.schedule_unconstrained in
-  let schedule_k2 = table2.Table2.schedule_k2 in
-  let raw =
-    List.map
-      (fun (name, steps) ->
-        let unconstrained_io = replay session steps schedule_unconstrained in
-        let constrained_io = replay session steps schedule_k2 in
-        (name, unconstrained_io, constrained_io))
-      (workloads session)
-  in
-  assemble raw
-
 (* A replay cell builds its own database from the session's config (a
    byte-identical replica of the session's — same data seed) and replays
-   one (workload, schedule) pair on it.  Logical I/O counts one access per
-   fetch whether it hits or misses, so the fresh pool's different
-   residency cannot change the reported numbers: run_cells ≡ run. *)
-let replay_fresh config steps schedule =
+   one (workload, schedule) pair on it from the paper's empty initial
+   configuration.  Logical I/O counts one access per fetch whether it hits
+   or misses, so a pool's residency cannot change the reported numbers. *)
+let replay config steps schedule =
   let db = Setup.make_database config in
   let report = Simulator.run db ~steps ~schedule in
   report.Simulator.total_logical_io
 
-let run_cells ?cell_jobs (session : Session.t) =
+let run ?cell_jobs (session : Session.t) =
   (* The two design schedules are a shared prerequisite of every replay
-     cell; compute them once on the main domain. *)
-  let table2 = Table2.run session in
+     cell; compute them once first. *)
+  let table2 = Table2.run ?cell_jobs session in
   let schedule_unconstrained = table2.Table2.schedule_unconstrained in
   let schedule_k2 = table2.Table2.schedule_k2 in
   let config = session.Session.config in
@@ -86,8 +62,8 @@ let run_cells ?cell_jobs (session : Session.t) =
       (fun (name, steps) ->
         [
           Runner.cell (name ^ "/unconstrained") (fun _ctx ->
-              replay_fresh config steps schedule_unconstrained);
-          Runner.cell (name ^ "/k2") (fun _ctx -> replay_fresh config steps schedule_k2);
+              replay config steps schedule_unconstrained);
+          Runner.cell (name ^ "/k2") (fun _ctx -> replay config steps schedule_k2);
         ])
       (workloads session)
   in

@@ -24,13 +24,10 @@ type result = {
   baseline_io : int;  (** W1 under the unconstrained design *)
 }
 
-val run : Session.t -> result
-
-val run_cells : ?cell_jobs:int -> Session.t -> result
-(** Same result as {!run}, computed as six {!Runner} cells (workload ×
-    schedule), each replaying against its own freshly built database —
-    bit-identical to {!run} because logical I/O is independent of buffer
-    residency.  The Table 2 schedules the replays need are computed on
-    the main domain first. *)
+val run : ?cell_jobs:int -> Session.t -> result
+(** Six {!Runner} cells (workload × schedule), each replaying against its
+    own freshly built database, so the result is bit-identical at every
+    [cell_jobs].  The Table 2 schedules the replays need come first, from
+    {!Table2.run} with the same [cell_jobs]. *)
 
 val print : result -> unit

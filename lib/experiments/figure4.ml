@@ -42,70 +42,51 @@ let cost_of = function
   | Ok s -> s.Solution.cost
   | Error (Optimizer.Infeasible | Optimizer.Ranking_gave_up _) -> infinity
 
-(* One (timing, cost) measurement of both constrained solvers at a given
-   k.  The costs are deterministic — the wall-clock medians are not —
-   which is what lets parallel and sequential runs of this experiment be
-   cross-checked at all. *)
-let measure_point ~repeats problem k =
-  let solve method_name k () = Optimizer.solve problem ~method_name ?k () in
-  let kaware_seconds = time_batched ~repeats (solve Solution.Kaware (Some k)) in
-  let merging_seconds = time_batched ~repeats (solve Solution.Merging (Some k)) in
-  let kaware_cost = cost_of (solve Solution.Kaware (Some k) ()) in
-  let merging_cost = cost_of (solve Solution.Merging (Some k) ()) in
-  (kaware_seconds, merging_seconds, kaware_cost, merging_cost)
+(* One cell's measurement: the median solve time and the (deterministic)
+   schedule cost of one solver at one k. *)
+let measure ~repeats problem method_name k =
+  let solve () = Optimizer.solve problem ~method_name ?k () in
+  let seconds = time_batched ~repeats solve in
+  (seconds, cost_of (solve ()))
 
-let assemble ~repeats ~ks ~unconstrained_seconds ~unconstrained_cost measured =
-  let points =
-    List.map2
-      (fun k (kaware_seconds, merging_seconds, kaware_cost, merging_cost) ->
-        {
-          k;
-          kaware_seconds;
-          merging_seconds;
-          kaware_cost;
-          merging_cost;
-          kaware_relative = kaware_seconds /. unconstrained_seconds;
-          merging_relative = merging_seconds /. unconstrained_seconds;
-        })
-      ks measured
-  in
-  { points; unconstrained_seconds; unconstrained_cost; repeats }
-
-let run ?(ks = default_ks) ?(repeats = 32) (session : Session.t) =
-  let problem = session.Session.problem_w1 in
-  let solve method_name k () = Optimizer.solve problem ~method_name ?k () in
-  let unconstrained_seconds =
-    time_batched ~repeats (solve Solution.Unconstrained None)
-  in
-  let unconstrained_cost = cost_of (solve Solution.Unconstrained None ()) in
-  let measured = List.map (measure_point ~repeats problem) ks in
-  assemble ~repeats ~ks ~unconstrained_seconds ~unconstrained_cost measured
-
-let run_cells ?(ks = default_ks) ?(repeats = 32) ?cell_jobs (session : Session.t) =
+let run ?(ks = default_ks) ?(repeats = 32) ?cell_jobs (session : Session.t) =
   let problem = session.Session.problem_w1 in
   (* Force the memoized sequence graph on the main domain so solver cells
      share it read-only (Lazy.force is not safe to race). *)
   ignore (Problem.to_graph problem);
-  let solve method_name k () = Optimizer.solve problem ~method_name ?k () in
-  let baseline_cell =
-    Runner.cell "unconstrained" (fun _ctx ->
-        let seconds = time_batched ~repeats (solve Solution.Unconstrained None) in
-        let cost = cost_of (solve Solution.Unconstrained None ()) in
-        (seconds, 0.0, cost, 0.0))
+  let cell label method_name k =
+    Runner.cell label (fun _ctx -> measure ~repeats problem method_name k)
   in
-  let point_cells =
-    List.map
-      (fun k ->
-        Runner.cell (Printf.sprintf "k=%d" k) (fun _ctx ->
-            measure_point ~repeats problem k))
-      ks
+  let cells =
+    cell "unconstrained" Solution.Unconstrained None
+    :: List.concat_map
+         (fun k ->
+           [
+             cell (Printf.sprintf "kaware/k=%d" k) Solution.Kaware (Some k);
+             cell (Printf.sprintf "merging/k=%d" k) Solution.Merging (Some k);
+           ])
+         ks
   in
-  match
-    Runner.run ?cell_jobs ~seed:session.Session.config.Setup.seed
-      (baseline_cell :: point_cells)
-  with
-  | (unconstrained_seconds, _, unconstrained_cost, _) :: measured ->
-      assemble ~repeats ~ks ~unconstrained_seconds ~unconstrained_cost measured
+  match Runner.run ?cell_jobs ~seed:session.Session.config.Setup.seed cells with
+  | (unconstrained_seconds, unconstrained_cost) :: measured ->
+      let rec points ks measured =
+        match (ks, measured) with
+        | [], [] -> []
+        | k :: ks, (kaware_seconds, kaware_cost) :: (merging_seconds, merging_cost) :: measured
+          ->
+            {
+              k;
+              kaware_seconds;
+              merging_seconds;
+              kaware_cost;
+              merging_cost;
+              kaware_relative = kaware_seconds /. unconstrained_seconds;
+              merging_relative = merging_seconds /. unconstrained_seconds;
+            }
+            :: points ks measured
+        | _ -> failwith "Figure4: unexpected cell count"
+      in
+      { points = points ks measured; unconstrained_seconds; unconstrained_cost; repeats }
   | [] -> failwith "Figure4: unexpected cell count"
 
 let print result =

@@ -26,15 +26,13 @@ type result = {
   repeats : int;  (** timing repetitions per point *)
 }
 
-val run : ?ks:int list -> ?repeats:int -> Session.t -> result
-(** Defaults: k in 2, 4, ..., 18 (the paper's x-axis) and 32 repeats per
+val run : ?ks:int list -> ?repeats:int -> ?cell_jobs:int -> Session.t -> result
+(** {!Runner} cells — the unconstrained baseline, then one k-aware and one
+    merging cell per k — over the session's (pre-forced) problem graph.
+    Defaults: k in 2, 4, ..., 18 (the paper's x-axis) and 32 repeats per
     timing (solver runtimes are microseconds at this instance size, so
-    each sample is itself a mean over a batch). *)
-
-val run_cells : ?ks:int list -> ?repeats:int -> ?cell_jobs:int -> Session.t -> result
-(** {!run} as {!Runner} cells — one baseline cell plus one per k — over
-    the session's (pre-forced) problem graph.  The cost fields are
-    bit-identical to {!run}'s; the wall-clock fields are timings and
-    inherently run-to-run noisy (more so when cells share cores). *)
+    each sample is itself a mean over a batch).  The cost fields are
+    independent of [cell_jobs]; the wall-clock fields are timings and
+    run-to-run noisy (more so when cells share cores). *)
 
 val print : result -> unit

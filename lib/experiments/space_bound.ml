@@ -70,15 +70,11 @@ let measure (session : Session.t) bound_bytes =
     largest_design;
   }
 
-let run ?bounds (session : Session.t) =
-  let bounds = match bounds with Some b -> b | None -> default_bounds session in
-  { points = List.map (measure session) bounds }
-
 let bound_label = function
   | None -> "unbounded"
   | Some b -> Printf.sprintf "b=%d" b
 
-let run_cells ?bounds ?cell_jobs (session : Session.t) =
+let run ?bounds ?cell_jobs (session : Session.t) =
   (* default_bounds resolves the shared table statistics on the main
      domain, making [Database.table_stats] a pure read for the cells
      (each cell builds its own problem, but against the session's db

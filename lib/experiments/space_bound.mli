@@ -20,14 +20,11 @@ type point = {
 
 type result = { points : point list }
 
-val run : ?bounds:int option list -> Session.t -> result
-(** Default bounds: 1 byte (only the empty design), the size of one
-    single-column index, one composite index, two composites, and
-    unbounded. *)
-
-val run_cells : ?bounds:int option list -> ?cell_jobs:int -> Session.t -> result
-(** {!run} as one {!Runner} cell per bound (each builds its own problem
-    over the pre-resolved session statistics).  Identical result modulo
-    nothing — every reported field is deterministic. *)
+val run : ?bounds:int option list -> ?cell_jobs:int -> Session.t -> result
+(** One {!Runner} cell per bound, each building its own problem over the
+    pre-resolved session statistics.  Default bounds: 1 byte (only the
+    empty design), the size of one single-column index, one composite
+    index, two composites, and unbounded.  Every reported field is
+    deterministic and independent of [cell_jobs]. *)
 
 val print : result -> unit

@@ -50,15 +50,7 @@ let assemble (session : Session.t) unconstrained constrained =
   in
   { rows; unconstrained; constrained; schedule_unconstrained; schedule_k2 }
 
-let run (session : Session.t) =
-  let problem = session.Session.problem_w1 in
-  let unconstrained = solve_exn problem ~method_name:Solution.Unconstrained () in
-  let constrained =
-    solve_exn problem ~method_name:Solution.Kaware ~k:Workloads.major_shift_count ()
-  in
-  assemble session unconstrained constrained
-
-let run_cells ?cell_jobs (session : Session.t) =
+let run ?cell_jobs (session : Session.t) =
   let problem = session.Session.problem_w1 in
   (* Force the memoized sequence graph on the main domain so solver cells
      share it read-only (Lazy.force is not safe to race). *)

@@ -24,11 +24,9 @@ type result = {
   schedule_k2 : Cddpd_catalog.Design.t array;
 }
 
-val run : Session.t -> result
-
-val run_cells : ?cell_jobs:int -> Session.t -> result
-(** {!run} as two {!Runner} solver cells over the session's (pre-forced)
-    problem graph.  Identical result modulo the solutions' [elapsed]
-    wall-clock fields. *)
+val run : ?cell_jobs:int -> Session.t -> result
+(** Two {!Runner} solver cells, unconstrained and k-aware at k = 2, over
+    the session's (pre-forced) problem graph.  Every field but the
+    solutions' [elapsed] wall-clock times is independent of [cell_jobs]. *)
 
 val print : result -> unit

@@ -56,10 +56,7 @@ let measure (session : Session.t) fraction =
     empty_steps;
   }
 
-let run ?(fractions = [ 0.0; 0.1; 0.3; 0.5; 0.8 ]) session =
-  { points = List.map (measure session) fractions }
-
-let run_cells ?(fractions = [ 0.0; 0.1; 0.3; 0.5; 0.8 ]) ?cell_jobs
+let run ?(fractions = [ 0.0; 0.1; 0.3; 0.5; 0.8 ]) ?cell_jobs
     (session : Session.t) =
   (* Resolve the shared table statistics on the main domain so each
      cell's problem build reads them without racing the memo. *)

@@ -18,13 +18,10 @@ type point = {
 
 type result = { points : point list }
 
-val run : ?fractions:float list -> Session.t -> result
-(** Default fractions: 0, 0.1, 0.3, 0.5, 0.8. *)
-
-val run_cells : ?fractions:float list -> ?cell_jobs:int -> Session.t -> result
-(** {!run} as one {!Runner} cell per update fraction (each blends its own
-    workload and builds its own problem over the pre-resolved session
-    statistics).  Identical result — every reported field is
-    deterministic. *)
+val run : ?fractions:float list -> ?cell_jobs:int -> Session.t -> result
+(** One {!Runner} cell per update fraction (default fractions: 0, 0.1,
+    0.3, 0.5, 0.8); each blends its own workload and builds its own
+    problem over the pre-resolved session statistics.  Every reported
+    field is deterministic and independent of [cell_jobs]. *)
 
 val print : result -> unit

@@ -503,79 +503,6 @@ let test_merging_k0_initial_counted () =
   let refined = Merging.refine problem ~k:0 [| 1; 1 |] in
   Alcotest.(check (array int)) "forced back to initial" [| 0; 0 |] refined
 
-(* -- K_advisor ------------------------------------------------------------------------ *)
-
-module K_advisor = Cddpd_core.K_advisor
-
-let test_k_advisor_profile_monotone () =
-  (* Three phases, expensive transitions: benefits concentrate in the
-     first two changes. *)
-  let exec =
-    [| [| 1.; 50.; 50. |]; [| 1.; 50.; 50. |]; [| 50.; 1.; 50. |];
-       [| 50.; 1.; 50. |]; [| 50.; 50.; 1. |]; [| 50.; 50.; 1. |] |]
-  in
-  let trans =
-    [| [| 0.; 5.; 5. |]; [| 5.; 0.; 5. |]; [| 5.; 5.; 0. |] |]
-  in
-  let problem = synthetic_problem ~exec ~trans () in
-  let points = K_advisor.profile problem in
-  (* Cost nonincreasing in k, capture nondecreasing, endpoints exact. *)
-  let rec check_monotone points =
-    match points with
-    | a :: (b :: _ as rest) ->
-        Alcotest.(check bool) "cost nonincreasing" true (a.K_advisor.cost +. 1e-9 >= b.K_advisor.cost);
-        Alcotest.(check bool) "capture nondecreasing" true
-          (a.K_advisor.captured <= b.K_advisor.captured +. 1e-9);
-        check_monotone rest
-    | [ last ] -> Alcotest.(check (float 1e-9)) "full capture at l" 1.0 last.K_advisor.captured
-    | [] -> Alcotest.fail "empty profile"
-  in
-  check_monotone points;
-  (match points with
-  | first :: _ -> Alcotest.(check (float 1e-9)) "zero capture at k=0" 0.0 first.K_advisor.captured
-  | [] -> ())
-
-let test_k_advisor_suggests_elbow () =
-  (* Two big shifts and tiny wobbles: k=2 captures nearly everything. *)
-  let big = 100.0 and small = 2.0 in
-  let exec =
-    [| [| 1.; big |]; [| 1. +. small; big |]; [| 1.; big |];
-       [| big; 1. |]; [| big; 1. +. small |]; [| big; 1. |] |]
-  in
-  let trans = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let problem = synthetic_problem ~exec ~trans () in
-  let r = K_advisor.suggest ~capture_target:0.9 problem in
-  Alcotest.(check bool) "small k suffices" true (r.K_advisor.suggested_k <= 2);
-  Alcotest.(check bool) "k below l" true
-    (r.K_advisor.suggested_k <= r.K_advisor.unconstrained_changes)
-
-let test_k_advisor_flat_instance () =
-  (* No benefit at all: suggest k=0. *)
-  let exec = [| [| 1.; 1. |]; [| 1.; 1. |] |] in
-  let trans = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let problem = synthetic_problem ~exec ~trans () in
-  let r = K_advisor.suggest problem in
-  Alcotest.(check int) "k = 0" 0 r.K_advisor.suggested_k
-
-let test_k_advisor_invalid_target () =
-  let exec = [| [| 1.; 1. |] |] in
-  let trans = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let problem = synthetic_problem ~exec ~trans () in
-  Alcotest.(check bool) "target > 1 rejected" true
-    (match K_advisor.suggest ~capture_target:1.5 problem with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let k_advisor_capture_prop =
-  QCheck.Test.make ~name:"suggested k meets the capture target" ~count:100 random_problem
-    (fun problem ->
-      let r = K_advisor.suggest ~capture_target:0.75 problem in
-      match List.find_opt (fun p -> p.K_advisor.k = r.K_advisor.suggested_k) r.K_advisor.profile with
-      | Some p ->
-          p.K_advisor.captured >= 0.75 -. 1e-9
-          || r.K_advisor.suggested_k = r.K_advisor.unconstrained_changes
-      | None -> false)
-
 (* -- advisor / simulator / online tuner on a real database ---------------------------- *)
 
 let make_db ?(rows = 4_000) () =
@@ -1104,14 +1031,6 @@ let () =
           Alcotest.test_case "paper example" `Quick test_merging_paper_example;
           Alcotest.test_case "k=0 with counted initial" `Quick
             test_merging_k0_initial_counted;
-        ] );
-      ( "k_advisor",
-        [
-          Alcotest.test_case "profile monotone" `Quick test_k_advisor_profile_monotone;
-          Alcotest.test_case "suggests the elbow" `Quick test_k_advisor_suggests_elbow;
-          Alcotest.test_case "flat instance" `Quick test_k_advisor_flat_instance;
-          Alcotest.test_case "invalid target" `Quick test_k_advisor_invalid_target;
-          QCheck_alcotest.to_alcotest k_advisor_capture_prop;
         ] );
       ( "advisor",
         [

@@ -19,6 +19,23 @@ let session =
     (Session.create
        { Setup.test_config with Setup.rows = 8_000; value_range = 1_600; scale = 0.08 })
 
+(* The one-domain run of each experiment, shared by its paper-shape test
+   and its width test (which reruns it at wider cell_jobs). *)
+let table2 = lazy (Table2.run ~cell_jobs:1 (Lazy.force session))
+let figure3 = lazy (Figure3.run ~cell_jobs:1 (Lazy.force session))
+let figure4_ks = [ 2; 10; 18 ]
+let figure4 = lazy (Figure4.run ~ks:figure4_ks ~repeats:1 ~cell_jobs:1 (Lazy.force session))
+let ablation_ks = [ 0; 2 ]
+let ablation = lazy (Ablation.run ~ks:ablation_ks ~cell_jobs:1 (Lazy.force session))
+let updates_fractions = [ 0.0; 0.5 ]
+
+let updates =
+  lazy
+    (Cddpd_experiments.Updates.run ~fractions:updates_fractions ~cell_jobs:1
+       (Lazy.force session))
+
+let space_bound = lazy (Cddpd_experiments.Space_bound.run ~cell_jobs:1 (Lazy.force session))
+
 let test_setup_paper_space () =
   Alcotest.(check int) "7 configurations" 7 (Config_space.size Setup.paper_space);
   Alcotest.(check int) "6 candidates" 6 (List.length Setup.paper_candidates)
@@ -37,8 +54,7 @@ let test_table1 () =
   Alcotest.(check int) "four mixes" 4 (List.length result.Table1.mixes)
 
 let test_table2_shapes () =
-  let s = Lazy.force session in
-  let result = Table2.run s in
+  let result = Lazy.force table2 in
   Alcotest.(check int) "30 rows" 30 (List.length result.Table2.rows);
   (* The constrained design changes exactly at the major shifts. *)
   Alcotest.(check int) "k=2 changes" 2 result.Table2.constrained.Solution.changes;
@@ -60,8 +76,7 @@ let test_table2_shapes () =
     <= result.Table2.constrained.Solution.cost)
 
 let test_figure3_shapes () =
-  let s = Lazy.force session in
-  let result = Figure3.run s in
+  let result = Lazy.force figure3 in
   let find name =
     List.find (fun m -> m.Figure3.workload = name) result.Figure3.measurements
   in
@@ -115,7 +130,7 @@ let test_figure4_shapes () =
     (edges 2 > unconstrained_edges);
   Alcotest.(check bool) "merging does not blow up with k" true
     (candidates 18 < 2 * candidates 2);
-  let result = Figure4.run ~ks:[ 2; 10; 18 ] ~repeats:1 s in
+  let result = Lazy.force figure4 in
   let rec nonincreasing = function
     | a :: (b :: _ as rest) -> a >= b && nonincreasing rest
     | [ _ ] | [] -> true
@@ -124,8 +139,7 @@ let test_figure4_shapes () =
     (nonincreasing (List.map (fun p -> p.Figure4.kaware_cost) result.Figure4.points))
 
 let test_updates () =
-  let s = Lazy.force session in
-  let result = Cddpd_experiments.Updates.run ~fractions:[ 0.0; 0.5 ] s in
+  let result = Lazy.force updates in
   match result.Cddpd_experiments.Updates.points with
   | [ p0; p50 ] ->
       Alcotest.(check bool) "costs rise with update share" true
@@ -147,8 +161,7 @@ let test_views () =
     < result.Cddpd_experiments.Views.replay_io_static_index)
 
 let test_space_bound () =
-  let s = Lazy.force session in
-  let result = Cddpd_experiments.Space_bound.run s in
+  let result = Lazy.force space_bound in
   let costs =
     List.map (fun p -> p.Cddpd_experiments.Space_bound.cost) result.Cddpd_experiments.Space_bound.points
   in
@@ -173,8 +186,7 @@ let test_space_bound () =
   | [] -> Alcotest.fail "no points"
 
 let test_ablation () =
-  let s = Lazy.force session in
-  let result = Ablation.run ~ks:[ 0; 2 ] s in
+  let result = Lazy.force ablation in
   Alcotest.(check bool) "unconstrained entry present" true
     (List.exists (fun e -> e.Ablation.method_label = "unconstrained") result.Ablation.entries);
   (* Exact methods report zero gap at every k. *)
@@ -192,61 +204,52 @@ let test_ablation () =
   Alcotest.(check bool) "online >= offline optimum" true
     (online.Ablation.cost >= result.Ablation.unconstrained_cost)
 
-(* -- parallel cell runner equivalence ---------------------------------------
-   Every run_cells entry point must reproduce its sequential run exactly
-   (modulo wall-clock fields, which are masked out below) at every
-   cell-jobs width: cells join in declaration order and each cell's
-   randomness comes from a (seed, index)-determined stream. *)
+(* -- cell-jobs width -------------------------------------------------------
+   Every experiment must report the same result at every cell-jobs width
+   (modulo wall-clock fields, which are masked out below): cells join in
+   declaration order and each cell's randomness comes from a
+   (seed, index)-determined stream.  Each check reruns the shared
+   one-domain result at widths 2 and 4. *)
 
-let jobs_list = [ 1; 2; 4 ]
-
-let check_for_jobs name f =
+let check_widths name ~sequential ~mask f =
+  let expected = mask (Lazy.force sequential) in
   List.iter
     (fun jobs ->
-      if not (f jobs) then Alcotest.failf "%s differs at cell_jobs=%d" name jobs)
-    jobs_list
+      if mask (f jobs) <> expected then Alcotest.failf "%s differs at cell_jobs=%d" name jobs)
+    [ 2; 4 ]
 
 let test_figure3_cells_bit_identical () =
   let s = Lazy.force session in
-  let seq = Figure3.run s in
-  check_for_jobs "figure3" (fun jobs -> Figure3.run_cells ~cell_jobs:jobs s = seq)
+  check_widths "figure3" ~sequential:figure3 ~mask:Fun.id (fun jobs ->
+      Figure3.run ~cell_jobs:jobs s)
 
 let test_table2_cells_equal () =
   let s = Lazy.force session in
-  let seq = Table2.run s in
+  let schedule = Array.map Design.structures in
   let mask (r : Table2.result) =
     ( r.Table2.rows,
       r.Table2.unconstrained.Solution.cost,
       r.Table2.unconstrained.Solution.changes,
       r.Table2.constrained.Solution.cost,
-      r.Table2.constrained.Solution.changes )
+      r.Table2.constrained.Solution.changes,
+      schedule r.Table2.schedule_k2,
+      schedule r.Table2.schedule_unconstrained )
   in
-  let schedules_equal a b =
-    Array.length a = Array.length b && Array.for_all2 Design.equal a b
-  in
-  check_for_jobs "table2" (fun jobs ->
-      let par = Table2.run_cells ~cell_jobs:jobs s in
-      mask par = mask seq
-      && schedules_equal par.Table2.schedule_k2 seq.Table2.schedule_k2
-      && schedules_equal par.Table2.schedule_unconstrained
-           seq.Table2.schedule_unconstrained)
+  check_widths "table2" ~sequential:table2 ~mask (fun jobs -> Table2.run ~cell_jobs:jobs s)
 
 let test_figure4_cells_costs_equal () =
   let s = Lazy.force session in
-  let ks = [ 2; 6 ] in
   let mask (r : Figure4.result) =
     ( r.Figure4.unconstrained_cost,
       List.map
         (fun p -> (p.Figure4.k, p.Figure4.kaware_cost, p.Figure4.merging_cost))
         r.Figure4.points )
   in
-  let seq = mask (Figure4.run ~ks ~repeats:2 s) in
-  check_for_jobs "figure4" (fun jobs ->
-      mask (Figure4.run_cells ~ks ~repeats:2 ~cell_jobs:jobs s) = seq)
+  check_widths "figure4" ~sequential:figure4 ~mask (fun jobs ->
+      Figure4.run ~ks:figure4_ks ~repeats:1 ~cell_jobs:jobs s)
 
 let test_ablation_cells_equal () =
   let s = Lazy.force session in
-  let ks = [ 0; 2 ] in
   let mask (r : Ablation.result) =
     ( r.Ablation.unconstrained_cost,
       List.map
@@ -258,22 +261,18 @@ let test_ablation_cells_equal () =
             e.Ablation.optimality_gap ))
         r.Ablation.entries )
   in
-  let seq = mask (Ablation.run ~ks s) in
-  check_for_jobs "ablation" (fun jobs ->
-      mask (Ablation.run_cells ~ks ~cell_jobs:jobs s) = seq)
+  check_widths "ablation" ~sequential:ablation ~mask (fun jobs ->
+      Ablation.run ~ks:ablation_ks ~cell_jobs:jobs s)
 
 let test_updates_cells_equal () =
   let s = Lazy.force session in
-  let fractions = [ 0.0; 0.3 ] in
-  let seq = Cddpd_experiments.Updates.run ~fractions s in
-  check_for_jobs "updates" (fun jobs ->
-      Cddpd_experiments.Updates.run_cells ~fractions ~cell_jobs:jobs s = seq)
+  check_widths "updates" ~sequential:updates ~mask:Fun.id (fun jobs ->
+      Cddpd_experiments.Updates.run ~fractions:updates_fractions ~cell_jobs:jobs s)
 
 let test_space_bound_cells_equal () =
   let s = Lazy.force session in
-  let seq = Cddpd_experiments.Space_bound.run s in
-  check_for_jobs "space" (fun jobs ->
-      Cddpd_experiments.Space_bound.run_cells ~cell_jobs:jobs s = seq)
+  check_widths "space" ~sequential:space_bound ~mask:Fun.id (fun jobs ->
+      Cddpd_experiments.Space_bound.run ~cell_jobs:jobs s)
 
 (* Worker domains record no metrics, so an instrumented run with no
    forced width stays on the main domain. *)

@@ -202,62 +202,6 @@ let test_trace_segment () =
   Alcotest.(check bool) "contents preserved" true
     (Array.concat (Array.to_list segments) = statements)
 
-(* -- Segmenter --------------------------------------------------------------------- *)
-
-module Segmenter = Cddpd_workload.Segmenter
-
-let shifted_trace () =
-  (* 1000 A-queries, then 1000 C-queries, then 1000 A-queries. *)
-  Spec.generate_flat
-    (Spec.of_letters ~queries_per_segment:1000 "ACA")
-    ~table:"t" ~value_range:100 ~seed:12
-
-let test_segmenter_profile () =
-  let statements = shifted_trace () in
-  let profile = Segmenter.column_profile (Array.sub statements 0 1000) in
-  (match profile with
-  | ("a", f) :: _ -> Alcotest.(check bool) "a dominates" true (f > 0.5)
-  | _ -> Alcotest.fail "expected a to dominate");
-  Alcotest.(check (float 1e-9)) "profile sums to 1" 1.0
-    (List.fold_left (fun acc (_, f) -> acc +. f) 0.0 profile)
-
-let test_segmenter_distance () =
-  let p1 = [ ("a", 0.6); ("b", 0.4) ] in
-  let p2 = [ ("a", 0.1); ("b", 0.4); ("c", 0.5) ] in
-  Alcotest.(check (float 1e-9)) "L1 distance" 1.0 (Segmenter.profile_distance p1 p2);
-  Alcotest.(check (float 1e-9)) "identical profiles" 0.0 (Segmenter.profile_distance p1 p1)
-
-let test_segmenter_finds_major_shifts () =
-  let statements = shifted_trace () in
-  let cuts = Segmenter.boundaries statements in
-  Alcotest.(check int) "two major shifts" 2 (List.length cuts);
-  List.iter2
-    (fun cut expected ->
-      if abs (cut - expected) > 250 then
-        Alcotest.failf "boundary %d far from expected %d" cut expected)
-    cuts [ 1000; 2000 ];
-  Alcotest.(check int) "suggest_k = shifts" 2 (Segmenter.suggest_k statements)
-
-let test_segmenter_stable_trace () =
-  let statements =
-    Spec.generate_flat (Spec.of_letters ~queries_per_segment:3000 "A") ~table:"t"
-      ~value_range:100 ~seed:13
-  in
-  Alcotest.(check (list int)) "no boundaries" [] (Segmenter.boundaries statements);
-  let segments = Segmenter.segment statements in
-  Alcotest.(check int) "single segment" 1 (Array.length segments)
-
-let test_segmenter_segments_partition () =
-  let statements = shifted_trace () in
-  let segments = Segmenter.segment statements in
-  Alcotest.(check bool) "concatenation preserved" true
-    (Array.concat (Array.to_list segments) = statements);
-  Alcotest.(check int) "three segments" 3 (Array.length segments)
-
-let test_segmenter_short_trace () =
-  let statements = Array.sub (shifted_trace ()) 0 100 in
-  Alcotest.(check (list int)) "too short to split" [] (Segmenter.boundaries statements)
-
 (* -- Dml_gen ----------------------------------------------------------------------- *)
 
 let test_dml_blend_share () =
@@ -500,15 +444,6 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "missing file" `Quick test_trace_load_missing_file;
           Alcotest.test_case "segmentation" `Quick test_trace_segment;
-        ] );
-      ( "segmenter",
-        [
-          Alcotest.test_case "column profile" `Quick test_segmenter_profile;
-          Alcotest.test_case "profile distance" `Quick test_segmenter_distance;
-          Alcotest.test_case "finds major shifts" `Quick test_segmenter_finds_major_shifts;
-          Alcotest.test_case "stable trace" `Quick test_segmenter_stable_trace;
-          Alcotest.test_case "segments partition" `Quick test_segmenter_segments_partition;
-          Alcotest.test_case "short trace" `Quick test_segmenter_short_trace;
         ] );
       ( "dml_gen",
         [
