@@ -156,7 +156,8 @@ CLI_RETIRED = \
   "--once|serve --once --input _cli_smoke_serve.sql" \
   "-j|serve -j 2" \
   "--jobs|recommend --input _cli_smoke_trace.sql -k 1 --jobs 2" \
-  "--cell-jobs|experiment table1 --cell-jobs 2"
+  "--cell-jobs|experiment table1 --cell-jobs 2" \
+  "--readahead|experiment table2 --readahead 8"
 CLI_EXPERIMENTS = \
   "table1|Table 1:" \
   "table2|Table 2:" \

@@ -6,7 +6,7 @@
      main.exe [table1] [table2] [figure3] [figure4] [ablation] [updates]
               [views] [space] [micro]
               [--rows N] [--value-range N] [--scale F] [--seed N]
-              [--readahead N] [--quick] [--no-metrics]
+              [--quick] [--no-metrics]
    With no experiment named, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
    paper's physical scale.  Each paper artifact runs its module's one
@@ -70,7 +70,7 @@ let usage () =
   prerr_endline
     "usage: main.exe \
      [table1|table2|figure3|figure4|ablation|updates|views|space|micro|solvers|experiments|configspace|serve|ingest]... \
-     [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] [--quick] \
+     [--rows N] [--value-range N] [--scale F] [--seed N] [--quick] \
      [--no-metrics]";
   exit 2
 
@@ -95,11 +95,6 @@ let parse_args () =
         go rest
     | "--seed" :: v :: rest ->
         config := { !config with Setup.seed = int_of_string v };
-        go rest
-    | "--readahead" :: v :: rest ->
-        let r = int_of_string v in
-        if r < 0 then usage ();
-        config := { !config with Setup.readahead = r };
         go rest
     | "--quick" :: rest ->
         config :=
@@ -394,7 +389,7 @@ let micro (session : Session.t) =
   (* Storage micros: the scan kernels under the serve benchmark's
      "writes" shape — the paper's 4-column table, 5,000 rows (52 heap
      pages) in a 24-frame pool, a point predicate matching ~5 rows — so
-     every run also pays the pool's misses and readahead.  Statements run
+     every run also pays the pool's misses.  Statements run
      through [Database.execute] with their plan memoized, as serve does. *)
   let scan_micro ?prepared ?schema ~indexes ~path sql =
     let run = memoized_micro ?prepared (writes_micro_db ?schema ~indexes ()) ~path sql in
@@ -438,9 +433,9 @@ let micro (session : Session.t) =
       Obs.Counter.value skipped - s0 )
   in
   (* A full scan of the 52-page heap right after an index-only scan of
-     I(a,b) has left the pool's frames referenced: readahead may take only
-     the frames nobody still wants.  One run is the pair; the full scan's
-     disk reads are reported next to the table. *)
+     I(a,b) has left the pool's frames referenced: the scan's victim search
+     takes only the frames nobody still wants.  One run is the pair; the
+     full scan's disk reads are reported next to the table. *)
   let small_pool_scan, small_pool_reads, small_pool_pages =
     let db = writes_micro_db ~indexes:[ [ "a"; "b" ] ] () in
     let index_only = memoized_micro db ~path:index_only_path "SELECT b FROM t WHERE b = 17" in
@@ -1090,12 +1085,12 @@ let solvers_json entries =
 
 (* A reduced figure3+figure4 sweep (the two paper artifacts dominated by,
    respectively, engine replay I/O and solver runtime), run through the
-   parallel cell runner under every arm of {cell_jobs} x {readahead
-   on/off}.  Each arm reports the median of [experiments_runs] wall
-   times plus a digest of every deterministic output field; the digests
-   must agree across all arms — that is the bit-identity claim of the
-   cell runner and the logical-I/O-invariance claim of readahead, checked
-   at bench time on every run. *)
+   parallel cell runner under every arm of {cell_jobs}.  Figure 4 always
+   runs on one domain (its cells are timings), so the arms differ in
+   Figure 3's width.  Each arm reports the median of [experiments_runs]
+   wall times plus a digest of every deterministic output field; the
+   digests must agree across all arms — that is the bit-identity claim
+   of the cell runner, checked at bench time on every run. *)
 
 let experiments_runs = 3
 let experiments_cell_jobs = [ 1; 2 ]
@@ -1132,7 +1127,6 @@ let figure4_cost_digest (r : Figure4.result) =
          r.Figure4.points)
 
 type sweep_arm = {
-  ex_readahead : int;
   ex_cell_jobs : int;
   ex_median_s : float;  (** [nan] when the arm was skipped *)
   ex_digest : string;  (** MD5 over the deterministic output fields *)
@@ -1144,55 +1138,37 @@ type sweep_arm = {
 
 let experiments_sweep (config : Setup.config) =
   let cores = Cddpd_util.Parallel.ncpu () in
-  List.concat_map
-    (fun readahead ->
-      let config = { config with Setup.readahead } in
-      let t0 = Unix.gettimeofday () in
-      let session = Session.create config in
-      Printf.printf "(session readahead=%d loaded in %.1fs)\n%!" readahead
-        (Unix.gettimeofday () -. t0);
-      List.map
-        (fun cell_jobs ->
-          if cell_jobs > cores then begin
-            Printf.printf
-              "(skipping cell_jobs=%d arm: %d core%s available)\n%!" cell_jobs
-              cores
-              (if cores = 1 then "" else "s");
-            {
-              ex_readahead = readahead;
-              ex_cell_jobs = cell_jobs;
-              ex_median_s = nan;
-              ex_digest = "";
-              ex_skipped = true;
-            }
-          end
-          else begin
-            let digest = ref "" in
-            let times =
-              Array.init experiments_runs (fun _ ->
-                  let t0 = Unix.gettimeofday () in
-                  let f3 = Figure3.run ~cell_jobs session in
-                  let f4 =
-                    Figure4.run ~ks:experiments_ks
-                      ~repeats:experiments_repeats ~cell_jobs session
-                  in
-                  let elapsed = Unix.gettimeofday () -. t0 in
-                  digest :=
-                    Digest.to_hex
-                      (Digest.string
-                         (figure3_digest f3 ^ "|" ^ figure4_cost_digest f4));
-                  elapsed)
-            in
-            {
-              ex_readahead = readahead;
-              ex_cell_jobs = cell_jobs;
-              ex_median_s = median_of times;
-              ex_digest = !digest;
-              ex_skipped = false;
-            }
-          end)
-        experiments_cell_jobs)
-    [ Cddpd_storage.Buffer_pool.default_readahead; 0 ]
+  let t0 = Unix.gettimeofday () in
+  let session = Session.create config in
+  Printf.printf "(session loaded in %.1fs)\n%!" (Unix.gettimeofday () -. t0);
+  List.map
+    (fun cell_jobs ->
+      if cell_jobs > cores then begin
+        Printf.printf "(skipping cell_jobs=%d arm: %d core%s available)\n%!" cell_jobs cores
+          (if cores = 1 then "" else "s");
+        { ex_cell_jobs = cell_jobs; ex_median_s = nan; ex_digest = ""; ex_skipped = true }
+      end
+      else begin
+        let digest = ref "" in
+        let times =
+          Array.init experiments_runs (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              let f3 = Figure3.run ~cell_jobs session in
+              let f4 = Figure4.run ~ks:experiments_ks ~repeats:experiments_repeats session in
+              let elapsed = Unix.gettimeofday () -. t0 in
+              digest :=
+                Digest.to_hex
+                  (Digest.string (figure3_digest f3 ^ "|" ^ figure4_cost_digest f4));
+              elapsed)
+        in
+        {
+          ex_cell_jobs = cell_jobs;
+          ex_median_s = median_of times;
+          ex_digest = !digest;
+          ex_skipped = false;
+        }
+      end)
+    experiments_cell_jobs
 
 (* Bulk load vs row-at-a-time load of the same batch into a table with two
    prebuilt indexes; the loaded states must answer queries identically. *)
@@ -1252,12 +1228,7 @@ let experiments_bulk () =
 let experiments_json ~(config : Setup.config) arms bulk =
   let ran = List.filter (fun a -> not a.ex_skipped) arms in
   let speedup =
-    let find jobs =
-      List.find_opt
-        (fun a ->
-          a.ex_cell_jobs = jobs && a.ex_readahead = Cddpd_storage.Buffer_pool.default_readahead)
-        ran
-    in
+    let find jobs = List.find_opt (fun a -> a.ex_cell_jobs = jobs) ran in
     match (find 1, find (List.fold_left max 1 experiments_cell_jobs)) with
     | Some seq, Some par -> seq.ex_median_s /. par.ex_median_s
     | _ -> nan (* serialised as null: no honest multi-core measurement *)
@@ -1265,14 +1236,14 @@ let experiments_json ~(config : Setup.config) arms bulk =
   let arm a =
     Json.Object
       [
-        ("readahead", Json.int a.ex_readahead); ("cell_jobs", Json.int a.ex_cell_jobs);
+        ("cell_jobs", Json.int a.ex_cell_jobs);
         ("median_s", Json.fixed 6 a.ex_median_s);
         ("status", Json.String (if a.ex_skipped then "skipped_cell_jobs_exceed_cores" else "ok"));
       ]
   in
   Json.Object
     [
-      ("schema", Json.String "cddpd-bench-experiments/2"); ("rows", Json.int config.Setup.rows);
+      ("schema", Json.String "cddpd-bench-experiments/3"); ("rows", Json.int config.Setup.rows);
       ("value_range", Json.int config.Setup.value_range);
       ("scale", Json.fixed 3 config.Setup.scale); ("seed", Json.int config.Setup.seed);
       ("runs", Json.int experiments_runs);
@@ -1305,7 +1276,6 @@ let experiments_suite ~(options : options) () =
   let table =
     Cddpd_util.Text_table.create
       [
-        ("readahead", Cddpd_util.Text_table.Right);
         ("cell jobs", Cddpd_util.Text_table.Right);
         ("sweep median s", Cddpd_util.Text_table.Right);
         ("digest", Cddpd_util.Text_table.Left);
@@ -1316,14 +1286,12 @@ let experiments_suite ~(options : options) () =
       Cddpd_util.Text_table.add_row table
         (if a.ex_skipped then
            [
-             string_of_int a.ex_readahead;
              string_of_int a.ex_cell_jobs;
              "skipped";
              Printf.sprintf "(more cell jobs than %d cores)" (Cddpd_util.Parallel.ncpu ());
            ]
          else
            [
-             string_of_int a.ex_readahead;
              string_of_int a.ex_cell_jobs;
              Printf.sprintf "%.2f" a.ex_median_s;
              String.sub a.ex_digest 0 12;
@@ -1336,9 +1304,7 @@ let experiments_suite ~(options : options) () =
         (fun a ->
           if not (String.equal a.ex_digest first.ex_digest) then
             failwith
-              (Printf.sprintf
-                 "experiments: outputs differ at readahead=%d cell_jobs=%d"
-                 a.ex_readahead a.ex_cell_jobs))
+              (Printf.sprintf "experiments: outputs differ at cell_jobs=%d" a.ex_cell_jobs))
         rest;
       Printf.printf "\nall %d measured arms produced identical outputs\n%!"
         (List.length ran)

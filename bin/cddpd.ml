@@ -94,20 +94,8 @@ let scale_arg =
   Arg.(value & opt float 1.0
        & info [ "scale" ] ~docv:"F" ~doc:"Workload segment-length multiplier.")
 
-let readahead_arg =
-  Arg.(value & opt int Setup.default_config.Setup.readahead
-       & info [ "readahead" ] ~docv:"N"
-           ~doc:"Buffer-pool sequential prefetch budget in pages (0 disables \
-                 readahead; logical I/O is unaffected either way, see \
-                 docs/PERFORMANCE.md).")
-
-let config_of ?readahead rows value_range seed scale =
-  let readahead =
-    match readahead with
-    | Some r -> r
-    | None -> Setup.default_config.Setup.readahead
-  in
-  { Setup.default_config with Setup.rows; value_range; seed; scale; readahead }
+let config_of rows value_range seed scale =
+  { Setup.default_config with Setup.rows; value_range; seed; scale }
 
 let method_conv =
   let parse s =
@@ -209,10 +197,10 @@ let load_trace path =
       exit 1
 
 let with_recommendation trace_path segment k method_name rows value_range seed
-    readahead ~max_paths ~max_queue ~max_candidates ~composite_width ~prune f =
+    ~max_paths ~max_queue ~max_candidates ~composite_width ~prune f =
   let statements = load_trace trace_path in
   let steps = Trace.segment statements ~size:segment in
-  let config = config_of ~readahead rows value_range seed 1.0 in
+  let config = config_of rows value_range seed 1.0 in
   let db = Setup.make_database config in
   let request =
     { (Advisor.default_request ~steps ~table:Setup.table_name) with
@@ -259,11 +247,11 @@ let require_budget method_name k =
         (Solution.method_to_string method_name);
       exit 2
 
-let recommend input segment k method_name rows value_range seed readahead max_paths
+let recommend input segment k method_name rows value_range seed max_paths
     max_queue max_candidates composite_width prune metrics trace =
   require_budget method_name k;
   with_obs ~metrics ~trace @@ fun () ->
-  with_recommendation input segment k method_name rows value_range seed readahead
+  with_recommendation input segment k method_name rows value_range seed
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
     (fun _db steps recommendation ->
       print_schedule steps recommendation segment;
@@ -280,15 +268,15 @@ let recommend_cmd =
     (Cmd.info "recommend"
        ~doc:"Recommend a change-constrained dynamic physical design for a trace.")
     Term.(const recommend $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg
+          $ value_range_arg $ seed_arg
           $ max_paths_arg $ max_queue_arg $ candidates_arg
           $ composite_width_arg $ prune_arg $ metrics_arg $ trace_spans_arg)
 
-let simulate input segment k method_name rows value_range seed readahead max_paths
+let simulate input segment k method_name rows value_range seed max_paths
     max_queue max_candidates composite_width prune metrics trace =
   require_budget method_name k;
   with_obs ~metrics ~trace @@ fun () ->
-  with_recommendation input segment k method_name rows value_range seed readahead
+  with_recommendation input segment k method_name rows value_range seed
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
     (fun db steps recommendation ->
       print_schedule steps recommendation segment;
@@ -304,15 +292,15 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Recommend a design for a trace, then replay the trace under it.")
     Term.(const simulate $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg
+          $ value_range_arg $ seed_arg
           $ max_paths_arg $ max_queue_arg $ candidates_arg
           $ composite_width_arg $ prune_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- experiment -------------------------------------------------------------- *)
 
-let experiment name rows value_range seed scale readahead metrics trace =
+let experiment name rows value_range seed scale metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
-  let config = config_of ~readahead rows value_range seed scale in
+  let config = config_of rows value_range seed scale in
   let session = lazy (Session.create config) in
   match String.lowercase_ascii name with
   | "table1" ->
@@ -353,7 +341,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Reproduce one table or figure of the paper.")
     Term.(
       const experiment $ experiment_name $ rows_arg $ value_range_arg $ seed_arg
-      $ scale_arg $ readahead_arg $ metrics_arg $ trace_spans_arg)
+      $ scale_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- serve ------------------------------------------------------------------- *)
 
@@ -526,7 +514,7 @@ let feed server ic =
   loop 1
 
 let serve input regime window history horizon drift_threshold regret_budget
-    rollback_factor k method_name rows value_range seed readahead status_json
+    rollback_factor k method_name rows value_range seed status_json
     metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
   let cfg =
@@ -534,7 +522,7 @@ let serve input regime window history horizon drift_threshold regret_budget
       Server.regime; window; history; horizon; drift_threshold; regret_budget;
       rollback_factor; k; method_name }
   in
-  let db = Setup.make_database (config_of ~readahead rows value_range seed 1.0) in
+  let db = Setup.make_database (config_of rows value_range seed 1.0) in
   let on_window = if status_json then fun _ -> () else print_window_line in
   let server = Server.create ~on_window db cfg in
   (match input with
@@ -558,7 +546,7 @@ let serve_cmd =
     Term.(const serve $ serve_input_arg $ regime_arg $ window_arg
           $ history_arg $ horizon_arg $ drift_threshold_arg $ regret_budget_arg
           $ rollback_factor_arg $ serve_k_arg $ method_arg $ rows_arg
-          $ value_range_arg $ seed_arg $ readahead_arg $ status_json_arg
+          $ value_range_arg $ seed_arg $ status_json_arg
           $ metrics_arg $ trace_spans_arg)
 
 (* -- main ---------------------------------------------------------------------- *)

@@ -5,7 +5,6 @@ type step_report = {
   design : Cddpd_catalog.Design.t;
   n_statements : int;
   exec_logical_io : int;
-  exec_physical_io : int;
   trans_logical_io : int;
 }
 
@@ -14,7 +13,6 @@ type report = {
   exec_logical_io : int;
   trans_logical_io : int;
   total_logical_io : int;
-  total_physical_io : int;
   rows_returned : int;
 }
 
@@ -25,24 +23,21 @@ let run db ~steps ~schedule =
   (* Steps must run in order (design migrations are stateful), so no
      Array.mapi here. *)
   let run_step s step =
-    let logical_before, _ = Database.io_counters db in
+    let logical_before = Database.logical_io db in
     Database.migrate_to db schedule.(s);
-    let logical_after_trans, _ = Database.io_counters db in
+    let logical_after_trans = Database.logical_io db in
     let exec_logical = ref 0 in
-    let exec_physical = ref 0 in
     Array.iter
       (fun statement ->
         let result = Database.execute db statement in
         rows_returned := !rows_returned + List.length result.Database.rows;
-        exec_logical := !exec_logical + result.Database.logical_io;
-        exec_physical := !exec_physical + result.Database.physical_io)
+        exec_logical := !exec_logical + result.Database.logical_io)
       step;
     {
       step = s;
       design = schedule.(s);
       n_statements = Array.length step;
       exec_logical_io = !exec_logical;
-      exec_physical_io = !exec_physical;
       trans_logical_io = logical_after_trans - logical_before;
     }
   in
@@ -57,6 +52,5 @@ let run db ~steps ~schedule =
     exec_logical_io;
     trans_logical_io;
     total_logical_io = exec_logical_io + trans_logical_io;
-    total_physical_io = sum (fun r -> r.exec_physical_io);
     rows_returned = !rows_returned;
   }

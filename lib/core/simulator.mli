@@ -12,7 +12,6 @@ type step_report = {
   design : Cddpd_catalog.Design.t;
   n_statements : int;
   exec_logical_io : int;
-  exec_physical_io : int;
   trans_logical_io : int;  (** I/O of the design change entering this step *)
 }
 
@@ -21,7 +20,6 @@ type report = {
   exec_logical_io : int;
   trans_logical_io : int;
   total_logical_io : int;  (** exec + transitions: the Figure 3 quantity *)
-  total_physical_io : int;
   rows_returned : int;
 }
 

@@ -52,11 +52,10 @@ type t = {
       (* the ids those plans went to, for the fence; emptied when [ids] resets *)
 }
 
-let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_params)
-    schemas =
+let create ?(pool_capacity = 256) ?(params = Cost_model.default_params) schemas =
   (match schemas with [] -> invalid_arg "Database.create: no tables" | _ :: _ -> ());
   let disk = Disk.create () in
-  let pool = Buffer_pool.create ~capacity:pool_capacity ?readahead disk in
+  let pool = Buffer_pool.create ~capacity:pool_capacity disk in
   let tables = Hashtbl.create 8 in
   List.iter
     (fun (schema : Schema.table) ->
@@ -342,7 +341,7 @@ type exec_result = {
   physical_io : int;
 }
 
-let pool_accesses t = Buffer_pool.accesses t.pool
+let logical_io t = Buffer_pool.accesses t.pool
 
 let disk_reads t = Disk.reads t.disk
 
@@ -711,7 +710,7 @@ let plan_memo_stats t =
   }
 
 let run ?statement_key t p =
-  let logical_before = pool_accesses t in
+  let logical_before = logical_io t in
   let physical_before = disk_reads t in
   let rows, affected, plan =
     match p.statement with
@@ -737,7 +736,7 @@ let run ?statement_key t p =
     rows;
     affected;
     plan;
-    logical_io = pool_accesses t - logical_before;
+    logical_io = logical_io t - logical_before;
     physical_io = disk_reads t - physical_before;
   }
 
@@ -746,7 +745,3 @@ let execute ?statement_key ?(skip_check = false) t statement =
   run ?statement_key:(Option.map (cost_id t) statement_key) t (prepare statement)
 
 let execute_sql t sql = execute t (Parser.parse_exn sql)
-
-(* -- measurement ---------------------------------------------------------- *)
-
-let io_counters t = (pool_accesses t, disk_reads t)

@@ -10,14 +10,11 @@ type t
 
 val create :
   ?pool_capacity:int ->
-  ?readahead:int ->
   ?params:Cost_model.params ->
   Cddpd_catalog.Schema.table list ->
   t
 (** A fresh database with the given schema.  [pool_capacity] is the buffer
-    pool size in pages (default 256); [readahead] is the pool's sequential
-    prefetch budget (see {!Cddpd_storage.Buffer_pool.create}; [0]
-    disables readahead — logical I/O is unaffected either way). *)
+    pool size in pages (default 256). *)
 
 val params : t -> Cost_model.params
 
@@ -194,7 +191,6 @@ val execute_sql : t -> string -> exec_result
 
 (** {1 Measurement} *)
 
-val io_counters : t -> int * int
-(** Cumulative (logical, physical) I/O since creation: buffer pool page
-    accesses and disk page reads. *)
+val logical_io : t -> int
+(** Cumulative logical I/O since creation: buffer pool page accesses. *)
 

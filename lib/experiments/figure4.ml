@@ -49,7 +49,7 @@ let measure ~repeats problem method_name k =
   let seconds = time_batched ~repeats solve in
   (seconds, cost_of (solve ()))
 
-let run ?(ks = default_ks) ?(repeats = 32) ?cell_jobs (session : Session.t) =
+let run ?(ks = default_ks) ?(repeats = 32) (session : Session.t) =
   let problem = session.Session.problem_w1 in
   (* Force the memoized sequence graph on the main domain so solver cells
      share it read-only (Lazy.force is not safe to race). *)
@@ -67,7 +67,9 @@ let run ?(ks = default_ks) ?(repeats = 32) ?cell_jobs (session : Session.t) =
            ])
          ks
   in
-  match Runner.run ?cell_jobs ~seed:session.Session.config.Setup.seed cells with
+  (* The cells are wall-clock timings: one domain, so they never share a
+     core. *)
+  match Runner.run ~cell_jobs:1 ~seed:session.Session.config.Setup.seed cells with
   | (unconstrained_seconds, unconstrained_cost) :: measured ->
       let rec points ks measured =
         match (ks, measured) with

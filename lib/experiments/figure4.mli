@@ -26,13 +26,15 @@ type result = {
   repeats : int;  (** timing repetitions per point *)
 }
 
-val run : ?ks:int list -> ?repeats:int -> ?cell_jobs:int -> Session.t -> result
+val run : ?ks:int list -> ?repeats:int -> Session.t -> result
 (** {!Runner} cells — the unconstrained baseline, then one k-aware and one
-    merging cell per k — over the session's (pre-forced) problem graph.
+    merging cell per k — over the session's (pre-forced) problem graph,
+    on one domain: the cells are timings, and cells sharing cores skew
+    them.
     Defaults: k in 2, 4, ..., 18 (the paper's x-axis) and 32 repeats per
     timing (solver runtimes are microseconds at this instance size, so
     each sample is itself a mean over a batch).  The cost fields are
-    independent of [cell_jobs]; the wall-clock fields are timings and
-    run-to-run noisy (more so when cells share cores). *)
+    deterministic; the wall-clock fields are timings and run-to-run
+    noisy. *)
 
 val print : result -> unit

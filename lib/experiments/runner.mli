@@ -27,7 +27,8 @@
     host, not from a setting.  With instrumentation on
     ({!Cddpd_obs.Registry.enabled}) it defaults to 1 instead, because
     worker domains record no metrics.  An explicit [cell_jobs] forces it
-    (tests and the bench's experiments arms).  Everything inside a cell —
+    (tests, the bench's experiments arms, and Figure 4, whose timing cells
+    run on one domain).  Everything inside a cell —
     problem builds, solves, replays — runs on that cell's one domain, so
     nothing nests.  [run] must be called from the main domain.  This is
     the only multi-domain site of the system: measured at 1.72× on

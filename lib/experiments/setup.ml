@@ -13,7 +13,6 @@ type config = {
   scale : float;
   seed : int;
   pool_capacity : int;
-  readahead : int;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     scale = 1.0;
     seed = 20080407;
     pool_capacity = 16384;
-    readahead = Cddpd_storage.Buffer_pool.default_readahead;
   }
 
 let test_config =
@@ -33,7 +31,6 @@ let test_config =
     scale = 0.04;
     seed = 20080407;
     pool_capacity = 1024;
-    readahead = Cddpd_storage.Buffer_pool.default_readahead;
   }
 
 let table_name = "t"
@@ -62,10 +59,7 @@ let paper_candidates =
 let paper_space = Config_space.single_index paper_candidates
 
 let make_database config =
-  let db =
-    Database.create ~pool_capacity:config.pool_capacity ~readahead:config.readahead
-      [ schema ]
-  in
+  let db = Database.create ~pool_capacity:config.pool_capacity [ schema ] in
   let rows =
     Data_gen.uniform_rows ~columns:4 ~rows:config.rows ~value_range:config.value_range
       ~seed:config.seed

@@ -13,9 +13,6 @@ type config = {
   scale : float;  (** workload segment-length multiplier (1.0 = 500) *)
   seed : int;  (** master seed for data and workload generation *)
   pool_capacity : int;  (** buffer pool frames *)
-  readahead : int;
-      (** sequential prefetch budget of the pool ([0] = off; logical I/O —
-          the unit every figure reports — is unaffected either way) *)
 }
 
 val default_config : config

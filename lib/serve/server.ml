@@ -325,10 +325,9 @@ let build_problem ?statement_keys t windows =
   Reopt.build_problem ?statement_keys t.reopt request
 
 let migrate_measured t target =
-  let logical_before, _ = Database.io_counters t.db in
+  let logical_before = Database.logical_io t.db in
   Obs.Span.with_span "serve.deploy" (fun () -> Database.migrate_to t.db target);
-  let logical_after, _ = Database.io_counters t.db in
-  let build_io = logical_after - logical_before in
+  let build_io = Database.logical_io t.db - logical_before in
   t.trans_io <- t.trans_io + build_io;
   build_io
 

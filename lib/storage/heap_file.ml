@@ -201,7 +201,7 @@ let cover syn buf n =
 (* -- full scans ------------------------------------------------------------- *)
 
 (* Full scans go through the pool's sequential path over the page run
-   (oldest first): scan-resistant eviction plus readahead.  The run (and
+   (oldest first), with scan-resistant eviction.  The run (and
    the synopses beside it) is rebuilt only after the file grew, so a scan
    allocates nothing per page. *)
 let scan_run t =
@@ -246,7 +246,8 @@ let scan t ~ranges f =
   in
   let run = scan_run t in
   for pos = 0 to Array.length run - 1 do
-    let handle = Buffer_pool.fetch_sequential t.pool ~run ~pos in
+    let pid = run.(pos) in
+    let handle = Buffer_pool.fetch_sequential t.pool pid in
     match
       let buf = Page.to_bytes (Buffer_pool.page handle) in
       let n = checked_slot_count buf in
@@ -257,7 +258,7 @@ let scan t ~ranges f =
         cover syn buf n;
         Synopsis.excludes syn.bits eq ~below:syn.prefix
       in
-      if skip then Obs.Counter.incr m_pages_skipped else scan_page buf n run.(pos) r reach f
+      if skip then Obs.Counter.incr m_pages_skipped else scan_page buf n pid r reach f
     with
     | () -> Buffer_pool.unpin t.pool handle
     | exception exn ->

@@ -40,9 +40,9 @@ val delete : t -> rid -> bool
 val scan : t -> ranges:Ranges.t -> (bytes -> int -> int -> int -> unit) -> unit
 (** The full-scan kernel.  [scan t ~ranges f] visits every page in
     storage order through {!Buffer_pool.fetch_sequential} (scan-resistant
-    eviction plus readahead, unchanged logical-I/O accounting: one access
-    per page), reads each page's slot directory inline, tests [ranges] on
-    every live record in place and calls [f buf base page slot] only on
+    eviction, unchanged logical-I/O accounting: one access per page),
+    reads each page's slot directory inline, tests [ranges] on every
+    live record in place and calls [f buf base page slot] only on
     the records that match: the page buffer, the record's byte offset
     (valid only during the call), and the record's rid as two ints.  The
     loop allocates nothing per record; every full scan goes through it.

@@ -20,11 +20,12 @@ let session =
        { Setup.test_config with Setup.rows = 8_000; value_range = 1_600; scale = 0.08 })
 
 (* The one-domain run of each experiment, shared by its paper-shape test
-   and its width test (which reruns it at wider cell_jobs). *)
+   and its width test (which reruns it at wider cell_jobs; Figure 4
+   always runs on one domain, so it has none). *)
 let table2 = lazy (Table2.run ~cell_jobs:1 (Lazy.force session))
 let figure3 = lazy (Figure3.run ~cell_jobs:1 (Lazy.force session))
 let figure4_ks = [ 2; 10; 18 ]
-let figure4 = lazy (Figure4.run ~ks:figure4_ks ~repeats:1 ~cell_jobs:1 (Lazy.force session))
+let figure4 = lazy (Figure4.run ~ks:figure4_ks ~repeats:1 (Lazy.force session))
 let ablation_ks = [ 0; 2 ]
 let ablation = lazy (Ablation.run ~ks:ablation_ks ~cell_jobs:1 (Lazy.force session))
 let updates_fractions = [ 0.0; 0.5 ]
@@ -237,17 +238,6 @@ let test_table2_cells_equal () =
   in
   check_widths "table2" ~sequential:table2 ~mask (fun jobs -> Table2.run ~cell_jobs:jobs s)
 
-let test_figure4_cells_costs_equal () =
-  let s = Lazy.force session in
-  let mask (r : Figure4.result) =
-    ( r.Figure4.unconstrained_cost,
-      List.map
-        (fun p -> (p.Figure4.k, p.Figure4.kaware_cost, p.Figure4.merging_cost))
-        r.Figure4.points )
-  in
-  check_widths "figure4" ~sequential:figure4 ~mask (fun jobs ->
-      Figure4.run ~ks:figure4_ks ~repeats:1 ~cell_jobs:jobs s)
-
 let test_ablation_cells_equal () =
   let s = Lazy.force session in
   let mask (r : Ablation.result) =
@@ -311,8 +301,6 @@ let () =
             test_figure3_cells_bit_identical;
           Alcotest.test_case "table2 parallel = sequential" `Quick
             test_table2_cells_equal;
-          Alcotest.test_case "figure4 parallel costs = sequential" `Quick
-            test_figure4_cells_costs_equal;
           Alcotest.test_case "ablation parallel = sequential" `Quick
             test_ablation_cells_equal;
           Alcotest.test_case "instrumented run stays on the main domain" `Quick

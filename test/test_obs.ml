@@ -162,9 +162,9 @@ let test_buffer_pool_accounting () =
         pid)
   in
   (* Align the two accounting systems: the snapshot diff covers only what
-     follows, so zero the pool's cumulative stats at the same instant
+     follows, so take the pool's cumulative stats at the same instant
      (allocation above already evicted through the 8-frame pool). *)
-  Buffer_pool.reset_stats pool;
+  let pool_before = Buffer_pool.stats pool in
   let before = Snapshot.capture () in
   let fetches = ref 0 in
   (* Sweep the 32 pages twice through an 8-frame pool: plenty of misses and
@@ -193,9 +193,13 @@ let test_buffer_pool_accounting () =
   Alcotest.(check int) "hits + misses = total fetches" !fetches (hits + misses);
   Alcotest.(check bool) "some hits and some misses" true (hits > 0 && misses > 0);
   let stats = Buffer_pool.stats pool in
-  Alcotest.(check int) "obs hits match pool stats" stats.Buffer_pool.hits hits;
-  Alcotest.(check int) "obs misses match pool stats" stats.Buffer_pool.misses misses;
-  Alcotest.(check int) "obs evictions match pool stats" stats.Buffer_pool.evictions
+  let pool_delta field = field stats - field pool_before in
+  Alcotest.(check int) "obs hits match pool stats" (pool_delta (fun s -> s.Buffer_pool.hits)) hits;
+  Alcotest.(check int) "obs misses match pool stats"
+    (pool_delta (fun s -> s.Buffer_pool.misses))
+    misses;
+  Alcotest.(check int) "obs evictions match pool stats"
+    (pool_delta (fun s -> s.Buffer_pool.evictions))
     (counter "buffer_pool.evictions");
   Alcotest.(check int) "every miss is a disk page read" misses
     (counter "disk.page_reads")

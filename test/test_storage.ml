@@ -203,26 +203,6 @@ let test_pool_allocate_no_read () =
   Buffer_pool.unpin pool h;
   Alcotest.(check int) "no disk read on allocate" 0 (Disk.stats d).Disk.reads
 
-let test_pool_drop_cache () =
-  let d = Disk.create () in
-  let pid, _ = Disk.allocate d in
-  let pool = Buffer_pool.create ~capacity:4 d in
-  let h = Buffer_pool.fetch pool pid in
-  Page.set_i64 (Buffer_pool.page h) 0 11;
-  Buffer_pool.mark_dirty h;
-  Buffer_pool.unpin pool h;
-  Buffer_pool.drop_cache pool;
-  Alcotest.(check int) "dirty frame written back" 1 (Disk.stats d).Disk.writes;
-  (* The emptied frame lets go of the stored page: the dead handle no
-     longer reaches it. *)
-  Alcotest.(check bool) "emptied frame released its page" false
-    (Buffer_pool.page h == Disk.read d pid);
-  let reads_before = (Disk.stats d).Disk.reads in
-  let h = Buffer_pool.fetch pool pid in
-  Alcotest.(check int) "data survived" 11 (Page.get_i64 (Buffer_pool.page h) 0);
-  Buffer_pool.unpin pool h;
-  Alcotest.(check int) "cold fetch hits disk" (reads_before + 1) (Disk.stats d).Disk.reads
-
 (* -- Buffer_pool: sequential scans ------------------------------------------- *)
 
 (* Allocate [n] pages, stamping page i with value i so reads are
@@ -236,40 +216,31 @@ let make_stamped_disk n =
   done;
   d
 
-let scan_run n = Array.init n (fun i -> i)
-
-let test_pool_readahead_accounting () =
-  (* 16-page scan, pool big enough, readahead 8: pos 0 misses and
-     prefetches 1..8; pos 9 misses and prefetches 10..15 (clipped to the
-     run); everything else hits.  hits + misses = 16 fetches, and every
-     page was read from disk exactly once. *)
-  let n = 16 in
-  let d = make_stamped_disk n in
-  let pool = Buffer_pool.create ~capacity:32 ~readahead:8 d in
-  let run = scan_run n in
-  for pos = 0 to n - 1 do
-    let h = Buffer_pool.fetch_sequential pool ~run ~pos in
-    Alcotest.(check int) "page content" pos (Page.get_i64 (Buffer_pool.page h) 0);
-    Buffer_pool.unpin pool h
-  done;
-  let s = Buffer_pool.stats pool in
-  Alcotest.(check int) "misses" 2 s.Buffer_pool.misses;
-  Alcotest.(check int) "hits" 14 s.Buffer_pool.hits;
-  Alcotest.(check int) "scan_fetches" n s.Buffer_pool.scan_fetches;
-  Alcotest.(check int) "readahead_pages" 14 s.Buffer_pool.readahead_pages;
-  Alcotest.(check int) "disk reads" n (Disk.stats d).Disk.reads
-
-let test_pool_readahead_disabled () =
+let test_pool_scan_cold_then_warm () =
+  (* An 8-page scan in a 16-frame pool: the cold scan misses every page
+     and reads each from disk once; the warm rescan hits every page and
+     reads nothing. *)
   let n = 8 in
   let d = make_stamped_disk n in
-  let pool = Buffer_pool.create ~capacity:16 ~readahead:0 d in
-  let run = scan_run n in
-  for pos = 0 to n - 1 do
-    Buffer_pool.unpin pool (Buffer_pool.fetch_sequential pool ~run ~pos)
-  done;
-  let s = Buffer_pool.stats pool in
-  Alcotest.(check int) "all misses" n s.Buffer_pool.misses;
-  Alcotest.(check int) "no readahead" 0 s.Buffer_pool.readahead_pages
+  let pool = Buffer_pool.create ~capacity:16 d in
+  let scan () =
+    for pid = 0 to n - 1 do
+      let h = Buffer_pool.fetch_sequential pool pid in
+      Alcotest.(check int) "page content" pid (Page.get_i64 (Buffer_pool.page h) 0);
+      Buffer_pool.unpin pool h
+    done
+  in
+  scan ();
+  let cold = Buffer_pool.stats pool in
+  Alcotest.(check int) "cold: all misses" n cold.Buffer_pool.misses;
+  Alcotest.(check int) "cold: no hits" 0 cold.Buffer_pool.hits;
+  Alcotest.(check int) "cold: one disk read per page" n (Disk.stats d).Disk.reads;
+  scan ();
+  let warm = Buffer_pool.stats pool in
+  Alcotest.(check int) "warm: no new misses" n warm.Buffer_pool.misses;
+  Alcotest.(check int) "warm: all hits" n warm.Buffer_pool.hits;
+  Alcotest.(check int) "warm: no disk reads" n (Disk.stats d).Disk.reads;
+  Alcotest.(check int) "scan_fetches" (2 * n) warm.Buffer_pool.scan_fetches
 
 let test_pool_scan_resistance () =
   (* A referenced two-page working set survives a 100-page scan through
@@ -277,14 +248,13 @@ let test_pool_scan_resistance () =
      trail instead of clearing the working set's reference bits. *)
   let total = 102 in
   let d = make_stamped_disk total in
-  let pool = Buffer_pool.create ~capacity:8 ~readahead:4 d in
+  let pool = Buffer_pool.create ~capacity:8 d in
   let hot0 = 100 and hot1 = 101 in
   Buffer_pool.unpin pool (Buffer_pool.fetch pool hot0);
   Buffer_pool.unpin pool (Buffer_pool.fetch pool hot1);
-  let run = scan_run 100 in
-  for pos = 0 to 99 do
-    let h = Buffer_pool.fetch_sequential pool ~run ~pos in
-    Alcotest.(check int) "scan content" pos (Page.get_i64 (Buffer_pool.page h) 0);
+  for pid = 0 to 99 do
+    let h = Buffer_pool.fetch_sequential pool pid in
+    Alcotest.(check int) "scan content" pid (Page.get_i64 (Buffer_pool.page h) 0);
     Buffer_pool.unpin pool h
   done;
   let before = Buffer_pool.stats pool in
@@ -297,29 +267,28 @@ let test_pool_scan_resistance () =
     after.Buffer_pool.hits
 
 (* The shape of a full scan of a table larger than the pool while an
-   index's pages stay hot: 24 frames, readahead 8, and a referenced
-   working set of 19 pages, so only 5 frames are spare when the 52-page
-   scan starts.  Each batch takes spare frames only and stops when none
-   is left, so it never evicts its own prefetches (which would re-read
-   them, several times per page) nor clears the working set's reference
-   bits. *)
-let test_pool_readahead_bounded () =
+   index's pages stay hot: 24 frames and a referenced working set of 19
+   pages, so only 5 frames are spare when the 52-page scan starts.  The
+   scan recycles those 5 frames: every page is one miss and one disk
+   read, and the working set's reference bits survive. *)
+let test_pool_small_pool_scan () =
   let scan_pages = 52 and hot = 19 and cold = 5 in
   let d = make_stamped_disk (scan_pages + hot + cold) in
-  let pool = Buffer_pool.create ~capacity:24 ~readahead:8 d in
+  let pool = Buffer_pool.create ~capacity:24 d in
   let hot_pids = List.init hot (fun i -> scan_pages + i) in
   let touch pid = Buffer_pool.unpin pool (Buffer_pool.fetch pool pid) in
   List.iter touch hot_pids;
   let reads_before = (Disk.stats d).Disk.reads and before = Buffer_pool.stats pool in
-  let run = scan_run scan_pages in
-  for pos = 0 to scan_pages - 1 do
-    let h = Buffer_pool.fetch_sequential pool ~run ~pos in
-    Alcotest.(check int) "scan content" pos (Page.get_i64 (Buffer_pool.page h) 0);
+  for pid = 0 to scan_pages - 1 do
+    let h = Buffer_pool.fetch_sequential pool pid in
+    Alcotest.(check int) "scan content" pid (Page.get_i64 (Buffer_pool.page h) 0);
     Buffer_pool.unpin pool h
   done;
   let after = Buffer_pool.stats pool in
-  Alcotest.(check int) "each page read from disk once" scan_pages
-    ((Disk.stats d).Disk.reads - reads_before);
+  let reads = (Disk.stats d).Disk.reads - reads_before in
+  Alcotest.(check int) "each page read from disk once" scan_pages reads;
+  Alcotest.(check int) "disk reads = misses" reads
+    (after.Buffer_pool.misses - before.Buffer_pool.misses);
   Alcotest.(check int) "logical I/O: one access per page" scan_pages
     (after.Buffer_pool.hits + after.Buffer_pool.misses - before.Buffer_pool.hits
    - before.Buffer_pool.misses);
@@ -331,31 +300,13 @@ let test_pool_readahead_bounded () =
   Alcotest.(check int) "working set still resident" misses
     (Buffer_pool.stats pool).Buffer_pool.misses
 
-let test_pool_scan_logical_io_invariant () =
-  (* Readahead changes the hit/miss split, never the total: a scan of n
-     pages counts exactly n logical fetches either way. *)
-  let n = 40 in
-  let count readahead =
-    let d = make_stamped_disk n in
-    let pool = Buffer_pool.create ~capacity:64 ~readahead d in
-    let run = scan_run n in
-    for pos = 0 to n - 1 do
-      Buffer_pool.unpin pool (Buffer_pool.fetch_sequential pool ~run ~pos)
-    done;
-    let s = Buffer_pool.stats pool in
-    s.Buffer_pool.hits + s.Buffer_pool.misses
-  in
-  Alcotest.(check int) "readahead off" n (count 0);
-  Alcotest.(check int) "readahead on" n (count 8)
-
 let test_pool_memo_same_page () =
   (* Consecutive fetches of the same page go through the one-entry memo:
      still one hit each, correct pin accounting. *)
   let d = make_stamped_disk 4 in
-  let pool = Buffer_pool.create ~capacity:4 ~readahead:0 d in
-  let run = scan_run 4 in
-  let h1 = Buffer_pool.fetch_sequential pool ~run ~pos:2 in
-  let h2 = Buffer_pool.fetch_sequential pool ~run ~pos:2 in
+  let pool = Buffer_pool.create ~capacity:4 d in
+  let h1 = Buffer_pool.fetch_sequential pool 2 in
+  let h2 = Buffer_pool.fetch_sequential pool 2 in
   Alcotest.(check int) "same frame content" 2 (Page.get_i64 (Buffer_pool.page h2) 0);
   Buffer_pool.unpin pool h1;
   Buffer_pool.unpin pool h2;
@@ -367,13 +318,12 @@ let test_pool_memo_survives_eviction () =
   (* Capacity-1 pool: the single frame is reassigned on every fetch of a
      new page, so the memo must never serve a stale frame. *)
   let d = make_stamped_disk 3 in
-  let pool = Buffer_pool.create ~capacity:1 ~readahead:0 d in
-  let run = scan_run 3 in
-  let check pos =
-    let h = Buffer_pool.fetch_sequential pool ~run ~pos in
+  let pool = Buffer_pool.create ~capacity:1 d in
+  let check pid =
+    let h = Buffer_pool.fetch_sequential pool pid in
     Alcotest.(check int)
-      (Printf.sprintf "page %d content" pos)
-      pos
+      (Printf.sprintf "page %d content" pid)
+      pid
       (Page.get_i64 (Buffer_pool.page h) 0);
     Buffer_pool.unpin pool h
   in
@@ -395,13 +345,12 @@ let test_pool_heap_scan_uses_sequential_path () =
   for i = 0 to 999 do
     ignore (Heap_file.insert heap [| Tuple.Int i |])
   done;
-  Buffer_pool.reset_stats pool;
+  let before = (Buffer_pool.stats pool).Buffer_pool.scan_fetches in
   let seen = ref 0 in
   Heap_file.iter heap (fun _ _ -> incr seen);
   Alcotest.(check int) "all rows" 1000 !seen;
-  let s = Buffer_pool.stats pool in
   Alcotest.(check int) "scan fetches = heap pages" (Heap_file.n_pages heap)
-    s.Buffer_pool.scan_fetches
+    ((Buffer_pool.stats pool).Buffer_pool.scan_fetches - before)
 
 (* -- Tuple ------------------------------------------------------------------ *)
 
@@ -684,7 +633,7 @@ let synopsis_scan_prop =
     (fun c ->
       let twin () =
         let d = Disk.create () in
-        let pool = Buffer_pool.create ~capacity:4 ~readahead:2 d in
+        let pool = Buffer_pool.create ~capacity:4 d in
         (d, pool, Heap_file.create pool)
       in
       let disk_a, pool_a, heap_a = twin () and disk_b, pool_b, heap_b = twin () in
@@ -756,8 +705,7 @@ let synopsis_scan_prop =
               ( after.hits - before.hits,
                 after.misses - before.misses,
                 after.evictions - before.evictions,
-                after.scan_fetches - before.scan_fetches,
-                after.readahead_pages - before.readahead_pages )
+                after.scan_fetches - before.scan_fetches )
           in
           same got naive && same naive model
           && delta stats_a = delta stats_b
@@ -816,14 +764,9 @@ let () =
           Alcotest.test_case "all pinned fails" `Quick test_pool_all_pinned_fails;
           Alcotest.test_case "double unpin" `Quick test_pool_double_unpin;
           Alcotest.test_case "allocate reads nothing" `Quick test_pool_allocate_no_read;
-          Alcotest.test_case "drop_cache forces cold reads" `Quick test_pool_drop_cache;
-          Alcotest.test_case "readahead accounting" `Quick test_pool_readahead_accounting;
-          Alcotest.test_case "readahead disabled" `Quick test_pool_readahead_disabled;
+          Alcotest.test_case "cold then warm scan" `Quick test_pool_scan_cold_then_warm;
           Alcotest.test_case "scan resistance" `Quick test_pool_scan_resistance;
-          Alcotest.test_case "readahead bounded by spare frames" `Quick
-            test_pool_readahead_bounded;
-          Alcotest.test_case "scan logical I/O invariant" `Quick
-            test_pool_scan_logical_io_invariant;
+          Alcotest.test_case "small-pool scan" `Quick test_pool_small_pool_scan;
           Alcotest.test_case "memo same-page fetches" `Quick test_pool_memo_same_page;
           Alcotest.test_case "memo survives eviction" `Quick
             test_pool_memo_survives_eviction;
